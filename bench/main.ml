@@ -82,6 +82,8 @@ let bench_rng_fn =
 
 let payload_1k = String.make 1024 'x'
 
+let payload_desc = Frame.Payload.of_string payload_1k
+
 let bench_crc32_fn =
   let b = Bytes.of_string payload_1k in
   fun () -> ignore (Frame.Crc.crc32 b ~pos:0 ~len:1024 : int32)
@@ -91,14 +93,14 @@ let bench_crc16_fn =
   fun () -> ignore (Frame.Crc.crc16 b ~pos:0 ~len:1024 : int)
 
 let bench_codec_roundtrip_fn =
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_1k) in
+  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_desc) in
   fun () ->
     match Frame.Codec.decode (Frame.Codec.encode frame) with
     | Ok _ -> ()
     | Error _ -> assert false
 
 let bench_codec_scratch_fn =
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_1k) in
+  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_desc) in
   let scratch = Frame.Codec.create_scratch () in
   fun () ->
     let buf, len = Frame.Codec.encode_scratch scratch frame in
@@ -109,7 +111,7 @@ let bench_codec_scratch_fn =
 (* encode only, via the length-returning entry point: the steady-state
    scratch path that must not allocate at all (gated by alloc-gate) *)
 let bench_codec_scratch_encode_fn =
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_1k) in
+  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:payload_desc) in
   let scratch = Frame.Codec.create_scratch () in
   fun () -> ignore (Frame.Codec.encode_scratch_into scratch frame : int)
 
@@ -163,7 +165,7 @@ let bench_coded_path_status_fn =
       ~cframe_code:Fec.Code.identity
       ~error_model:(Channel.Error_model.uniform ~ber:1e-4 ())
   in
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:3 ~payload:payload_1k) in
+  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:3 ~payload:payload_desc) in
   fun () ->
     ignore (Channel.Coded_path.transmit_status path frame : Channel.Link.status)
 

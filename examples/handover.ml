@@ -15,8 +15,9 @@ let transfer_over engine duplex ~params ~payloads ~delivered =
   let session = Lams_dlc.Session.create engine ~params ~duplex in
   let dlc = Lams_dlc.Session.as_dlc session in
   dlc.Dlc.Session.set_on_deliver (fun ~payload ->
-      Hashtbl.replace delivered payload
-        (1 + Option.value ~default:0 (Hashtbl.find_opt delivered payload)));
+      Frame.Payload.Tbl.replace delivered payload
+        (1
+        + Option.value ~default:0 (Frame.Payload.Tbl.find_opt delivered payload)));
   List.iter
     (fun p ->
       if not (dlc.Dlc.Session.offer p) then
@@ -36,7 +37,7 @@ let () =
   let params = { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 1e-3 } in
   let n = 3000 in
   let payloads = List.init n (Workload.Arrivals.default_payload ~size:1024) in
-  let delivered = Hashtbl.create 64 in
+  let delivered = Frame.Payload.Tbl.create 64 in
 
   (* link A dies for good 30 ms in *)
   let link_a = mk_duplex () in
@@ -55,7 +56,7 @@ let () =
   let sender_a = Lams_dlc.Session.sender session_a in
   assert (Lams_dlc.Sender.failed sender_a);
   Format.printf "  link A declared failed; delivered so far: %d/%d@."
-    (Hashtbl.length delivered) n;
+    (Frame.Payload.Tbl.length delivered) n;
 
   (* §3.3 handoff: classify what link A still held *)
   let drained = Lams_dlc.Sender.drain_unresolved sender_a in
@@ -81,7 +82,7 @@ let () =
   let missing = ref 0 and dups = ref 0 in
   List.iter
     (fun p ->
-      match Hashtbl.find_opt delivered p with
+      match Frame.Payload.Tbl.find_opt delivered p with
       | None -> incr missing
       | Some 1 -> ()
       | Some _ -> incr dups)

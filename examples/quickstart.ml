@@ -32,7 +32,7 @@ let () =
       if !received <= 5 || !received mod 500 = 0 then
         Format.printf "  t=%8.4fs  delivered %s... (#%d)@."
           (Sim.Engine.now engine)
-          (String.sub payload 0 (min 16 (String.length payload)))
+          (Frame.Payload.prefix payload 16)
           !received);
 
   (* 5. Offer 2,000 one-kilobyte frames as fast as the protocol accepts. *)

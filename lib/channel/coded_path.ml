@@ -118,7 +118,9 @@ let transmit t frame =
   | Error (Frame.Codec.Payload_corrupt { seq }) ->
       (* header readable: the receiver can identify (and NAK) the frame *)
       ( { status = Link.Rx_payload_corrupt; bit_errors; residual_errors },
-        Some (Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:"")) )
+        Some
+          (Frame.Wire.Data
+             (Frame.Iframe.create ~seq ~payload:Frame.Payload.empty)) )
   | Error _ ->
       ({ status = Link.Rx_header_corrupt; bit_errors; residual_errors }, None)
 

@@ -12,7 +12,7 @@ let is_lie = function
 
 type selector =
   | I_seq of int
-  | I_payload of string
+  | I_payload of Frame.Payload.t
   | I_nth of int
   | Cp_seq of int
   | Cp_range of int * int
@@ -166,7 +166,7 @@ let in_window window now =
 let matches sel frame ~i_idx ~c_idx =
   match (sel, frame) with
   | I_seq seq, Frame.Wire.Data i -> i.Frame.Iframe.seq = seq
-  | I_payload p, Frame.Wire.Data i -> String.equal i.Frame.Iframe.payload p
+  | I_payload p, Frame.Wire.Data i -> Frame.Payload.equal i.Frame.Iframe.payload p
   | I_nth n, Frame.Wire.Data _ -> i_idx = n
   | Any_iframe, Frame.Wire.Data _ -> true
   | Cp_seq s, Frame.Wire.Control (Frame.Cframe.Checkpoint cp) ->
@@ -372,7 +372,7 @@ let log t =
 
 let sel_name = function
   | I_seq s -> Printf.sprintf "I-frame seq=%d" s
-  | I_payload p -> Printf.sprintf "I-frame payload=%S" p
+  | I_payload p -> Printf.sprintf "I-frame payload=%S" (Frame.Payload.to_string p)
   | I_nth n -> Printf.sprintf "I-frame #%d" n
   | Cp_seq s -> Printf.sprintf "checkpoint #%d" s
   | Cp_range (lo, hi) -> Printf.sprintf "checkpoints #%d-%d" lo hi
@@ -447,7 +447,7 @@ let selector_of_token tok =
   | Some ("i-seq", v) ->
       let* n = int_of ~what:"i-seq" v in
       Ok (I_seq n)
-  | Some ("i-payload", v) -> Ok (I_payload v)
+  | Some ("i-payload", v) -> Ok (I_payload (Frame.Payload.of_string v))
   | Some ("i-nth", v) ->
       let* n = int_of ~what:"i-nth" v in
       Ok (I_nth n)

@@ -66,7 +66,7 @@ val is_lie : action -> bool
 
 type selector =
   | I_seq of int  (** I-frame carrying this wire sequence number *)
-  | I_payload of string
+  | I_payload of Frame.Payload.t
       (** I-frame carrying this payload — tracks a logical frame across
           renumbered retransmissions (LAMS-DLC gives every copy a fresh
           seq, so payload identity is the only stable name) *)

@@ -24,7 +24,8 @@ type fault_decision =
 
 (* Inert frame written into vacated ring slots so the link never pins a
    delivered frame's payload. *)
-let dummy_frame = Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:"")
+let dummy_frame =
+  Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:Frame.Payload.empty)
 
 type t = {
   engine : Sim.Engine.t;
@@ -153,7 +154,7 @@ let header_bits_of frame =
 
 let payload_bits_of frame =
   match frame with
-  | Frame.Wire.Data i -> 8 * String.length i.Frame.Iframe.payload
+  | Frame.Wire.Data i -> 8 * Frame.Payload.length i.Frame.Iframe.payload
   | Frame.Wire.Control _ | Frame.Wire.Hdlc_control _ -> 0
 
 let error_model t frame =

@@ -7,11 +7,11 @@ let link_state_name = function
   | Link_failed -> "failed"
 
 type event =
-  | Offered of { payload : string }
-  | Tx of { seq : int; payload : string; retx : bool }
-  | Released of { seq : int; payload : string }
-  | Requeued of { seq : int; payload : string }
-  | Delivered of { seq : int; payload : string }
+  | Offered of { payload : Frame.Payload.t }
+  | Tx of { seq : int; payload : Frame.Payload.t; retx : bool }
+  | Released of { seq : int; payload : Frame.Payload.t }
+  | Requeued of { seq : int; payload : Frame.Payload.t }
+  | Delivered of { seq : int; payload : Frame.Payload.t }
   | Recovery_started
   | Recovery_completed
   | Failure_declared

@@ -19,16 +19,17 @@ type link_state = Link_up | Link_retargeting | Link_down | Link_failed
 val link_state_name : link_state -> string
 
 type event =
-  | Offered of { payload : string }  (** accepted into the sending buffer *)
-  | Tx of { seq : int; payload : string; retx : bool }
+  | Offered of { payload : Frame.Payload.t }
+      (** accepted into the sending buffer *)
+  | Tx of { seq : int; payload : Frame.Payload.t; retx : bool }
       (** serialisation of one copy started under wire number [seq] *)
-  | Released of { seq : int; payload : string }
+  | Released of { seq : int; payload : Frame.Payload.t }
       (** sending buffer slot freed: the protocol believes [seq] was
           received (LAMS-DLC: a checkpoint passed it without NAK) *)
-  | Requeued of { seq : int; payload : string }
+  | Requeued of { seq : int; payload : Frame.Payload.t }
       (** transmission [seq] written off; the payload awaits
           retransmission (under a fresh number in LAMS-DLC/NBDT) *)
-  | Delivered of { seq : int; payload : string }
+  | Delivered of { seq : int; payload : Frame.Payload.t }
       (** receiver passed the payload to the upper layer *)
   | Recovery_started  (** sender began enforced/timeout recovery *)
   | Recovery_completed

@@ -6,10 +6,10 @@
 
 type t = {
   name : string;
-  offer : string -> bool;
+  offer : Frame.Payload.t -> bool;
       (** Hand a payload to the sender. [false] = refused (sending buffer
           at capacity); the caller may retry later. *)
-  set_on_deliver : (payload:string -> unit) -> unit;
+  set_on_deliver : (payload:Frame.Payload.t -> unit) -> unit;
       (** Register the receiver-side upper-layer callback. The protocol
           may deliver out of order and (after enforced recovery on a
           flaky link) more than once — resequencing and deduplication are

@@ -25,7 +25,7 @@ let run_one ~cfg ~rate ~protocol =
   let hist = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:100_000 in
   let online = Stats.Online.create () in
   dlc.Dlc.Session.set_on_deliver (fun ~payload ->
-      match int_of_string_opt (String.sub payload 0 10) with
+      match int_of_string_opt (Frame.Payload.prefix payload 10) with
       | Some i ->
           let offered_at = float_of_int i /. rate in
           let delay = Sim.Engine.now engine -. offered_at in

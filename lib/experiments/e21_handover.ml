@@ -163,7 +163,7 @@ let run_transfer ~seed setup =
       incr completed_msgs;
       Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);
   Handover.Manager.set_on_deliver manager (fun ~payload ->
-      match Workload.Messages.decode payload with
+      match Workload.Messages.decode (Frame.Payload.to_string payload) with
       | Ok frag -> Netstack.Resequencer.push reseq frag
       | Error e -> failwith ("e21: undecodable fragment: " ^ e));
   let payloads =
@@ -173,7 +173,8 @@ let run_transfer ~seed setup =
           String.init setup.msg_bytes (fun i ->
               Char.chr ((((msg_id * 131) + (i * 7)) land 0x3f) + 48))
         in
-        List.map Workload.Messages.encode
+        List.map
+          (fun f -> Frame.Payload.of_string (Workload.Messages.encode f))
           (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2
              ~mtu:setup.mtu body))
       (List.init setup.n_messages (fun i -> i))

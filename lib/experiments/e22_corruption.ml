@@ -313,7 +313,7 @@ let run_handover ?recorder ~seed spec =
       incr completed_msgs;
       Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);
   Handover.Manager.set_on_deliver manager (fun ~payload ->
-      match Workload.Messages.decode payload with
+      match Workload.Messages.decode (Frame.Payload.to_string payload) with
       | Ok frag -> Netstack.Resequencer.push reseq frag
       | Error e -> failwith ("e22: undecodable fragment: " ^ e));
   let payloads =
@@ -323,7 +323,8 @@ let run_handover ?recorder ~seed spec =
           String.init h_msg_bytes (fun i ->
               Char.chr ((((msg_id * 131) + (i * 7)) land 0x3f) + 48))
         in
-        List.map Workload.Messages.encode
+        List.map
+          (fun f -> Frame.Payload.of_string (Workload.Messages.encode f))
           (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2 ~mtu:h_mtu
              body))
       (List.init h_messages (fun i -> i))

@@ -44,12 +44,12 @@ let encode_into frame b ~pos:base =
     invalid_arg "Codec.encode_into: buffer too small";
   (match frame with
   | Wire.Data i ->
-      let len = String.length i.Iframe.payload in
+      let len = Payload.length i.Iframe.payload in
       put_u8 b (base + 0) tag_iframe;
       put_u32 b (base + 1) i.Iframe.seq;
       put_u16 b (base + 5) len;
       put_u16 b (base + 7) (Crc.crc16 b ~pos:base ~len:7);
-      Bytes.blit_string i.Iframe.payload 0 b (base + 9) len;
+      Payload.blit i.Iframe.payload b (base + 9);
       put_u32 b (base + 9 + len) (Crc.crc32_int b ~pos:(base + 9) ~len)
   | Wire.Control (Cframe.Checkpoint c) ->
       let n = List.length c.Cframe.naks in
@@ -127,7 +127,8 @@ let decode_iframe b ~base ~len:avail =
         else
           Ok
             (Wire.Data
-               (Iframe.create ~seq ~payload:(Bytes.sub_string b (base + 9) len)))
+               (Iframe.create ~seq
+                  ~payload:(Payload.of_string (Bytes.sub_string b (base + 9) len))))
       end
     end
   end

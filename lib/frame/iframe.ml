@@ -1,12 +1,11 @@
-type t = { seq : int; payload : string }
+type t = { seq : int; payload : Payload.t }
 
 let create ~seq ~payload =
   if seq < 0 then invalid_arg "Iframe.create: negative seq";
   { seq; payload }
 
-let payload_bytes t = String.length t.payload
+let payload_bytes t = Payload.length t.payload
 
-let equal a b = a.seq = b.seq && String.equal a.payload b.payload
+let equal a b = a.seq = b.seq && Payload.equal a.payload b.payload
 
-let pp ppf t =
-  Format.fprintf ppf "I(seq=%d, %dB)" t.seq (String.length t.payload)
+let pp ppf t = Format.fprintf ppf "I(seq=%d, %dB)" t.seq (Payload.length t.payload)

@@ -25,7 +25,7 @@ val closed_at : t -> float
 val unresolved : t -> Lams_dlc.Sender.unresolved list
 (** Oldest first. *)
 
-val payloads : t -> string list
+val payloads : t -> Frame.Payload.t list
 (** The unresolved payloads, oldest first. *)
 
 val nak_ledger : t -> int list
@@ -38,7 +38,7 @@ val suspicious : t -> int
 
 val is_empty : t -> bool
 
-val corrupt : ?drop:int -> ?flip:bool -> t -> t * string list
+val corrupt : ?drop:int -> ?flip:bool -> t -> t * Frame.Payload.t list
 (** Deterministic snapshot corruption for self-stabilisation tests:
     remove the first [drop] unresolved entries (their payloads are
     returned — casualties destroyed with the state) and, when [flip],
@@ -46,7 +46,10 @@ val corrupt : ?drop:int -> ?flip:bool -> t -> t * string list
     [`Suspicious]). The input is untouched. *)
 
 val replay :
-  t -> offer:(string -> bool) -> on_suspicious:(string -> unit) -> int
+  t ->
+  offer:(Frame.Payload.t -> bool) ->
+  on_suspicious:(Frame.Payload.t -> unit) ->
+  int
 (** Offer every payload, oldest first, stopping at the first refusal;
     returns how many were accepted. [on_suspicious] fires (before the
     offer) for each [`Suspicious] payload so observers can budget the

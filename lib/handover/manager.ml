@@ -17,17 +17,17 @@ type t = {
   duplex : Channel.Duplex.t;
   probe : Dlc.Probe.t;
   lifecycle : Lifecycle.t;
-  mutable buffer : string Queue.t;  (* oldest first; replaced at close *)
-  suspicious_pending : (string, unit) Hashtbl.t;
+  mutable buffer : Frame.Payload.t Queue.t;  (* oldest first; replaced at close *)
+  suspicious_pending : unit Frame.Payload.Tbl.t;
   mutable session : Lams_dlc.Session.t option;
   mutable dlc : Dlc.Session.t option;
-  mutable on_deliver : (payload:string -> unit) option;
-  mutable on_suspicious : (string -> unit) option;
+  mutable on_deliver : (payload:Frame.Payload.t -> unit) option;
+  mutable on_suspicious : (Frame.Payload.t -> unit) option;
   mutable last_carryover : Carryover.t option;
   stats : stats;
   mutable draining : bool;
   mutable corrupt : Dlc.Corrupt.t option;
-  mutable on_casualty : (string -> unit) option;
+  mutable on_casualty : (Frame.Payload.t -> unit) option;
 }
 
 (* Top the live session up from the manager buffer, front first. The
@@ -42,21 +42,21 @@ let drain t =
           match Queue.peek_opt t.buffer with
           | None -> ()
           | Some payload ->
-              let suspicious = Hashtbl.mem t.suspicious_pending payload in
+              let suspicious = Frame.Payload.Tbl.mem t.suspicious_pending payload in
               if suspicious then begin
-                Hashtbl.remove t.suspicious_pending payload;
+                Frame.Payload.Tbl.remove t.suspicious_pending payload;
                 match t.on_suspicious with
                 | Some f -> f payload
                 | None -> ()
               end;
               if dlc.Dlc.Session.offer payload then begin
-                ignore (Queue.pop t.buffer : string);
+                ignore (Queue.pop t.buffer : Frame.Payload.t);
                 go ()
               end
               else if suspicious then
                 (* refused after all: the duplicate budget stays granted —
                    harmlessly conservative — but the payload is retained *)
-                Hashtbl.replace t.suspicious_pending payload ()
+                Frame.Payload.Tbl.replace t.suspicious_pending payload ()
         in
         go ()
     | None -> ());
@@ -105,7 +105,8 @@ let close_session t =
       List.iter
         (fun u ->
           if u.Lams_dlc.Sender.verdict = `Suspicious then
-            Hashtbl.replace t.suspicious_pending u.Lams_dlc.Sender.payload ())
+            Frame.Payload.Tbl.replace t.suspicious_pending
+              u.Lams_dlc.Sender.payload ())
         (Carryover.unresolved co);
       (* carryover goes to the front: those payloads were offered first *)
       let q = Queue.create () in
@@ -163,7 +164,7 @@ let create ?probe engine ~params ~duplex ~plan =
       probe;
       lifecycle;
       buffer = Queue.create ();
-      suspicious_pending = Hashtbl.create 64;
+      suspicious_pending = Frame.Payload.Tbl.create 64;
       session = None;
       dlc = None;
       on_deliver = None;

@@ -37,13 +37,14 @@ val create :
 (** The plan's transitions are armed immediately; offer payloads before
     or after {!Sim.Engine.run} starts, as suits the caller. *)
 
-val offer : t -> string -> bool
+val offer : t -> Frame.Payload.t -> bool
 (** [false] only once the lifecycle is [Failed]; otherwise the payload
     is delivered to the current session or buffered. The manager-level
     buffer is unbounded — it models the network layer's queue, whose
     sizing is the router's concern, not the DLC's. *)
 
-val set_corruptor : ?on_casualty:(string -> unit) -> t -> Dlc.Corrupt.t -> unit
+val set_corruptor :
+  ?on_casualty:(Frame.Payload.t -> unit) -> t -> Dlc.Corrupt.t -> unit
 (** Install a state-corruption schedule ({!Dlc.Corrupt}) across the
     whole transfer. Timed injections dispatch to whichever session is
     live when they fire (skipped between windows); [Carryover_stale]
@@ -53,12 +54,12 @@ val set_corruptor : ?on_casualty:(string -> unit) -> t -> Dlc.Corrupt.t -> unit
     checks (see [Oracle.Transfer.declare_casualty]). Call once, before
     {!Sim.Engine.run}. *)
 
-val set_on_deliver : t -> (payload:string -> unit) -> unit
+val set_on_deliver : t -> (payload:Frame.Payload.t -> unit) -> unit
 (** Receiver-side upward deliveries, across all sessions. May see
     duplicates of [`Suspicious] carryovers; dedup belongs to the
     destination {!Netstack.Resequencer}. *)
 
-val set_on_suspicious_replay : t -> (string -> unit) -> unit
+val set_on_suspicious_replay : t -> (Frame.Payload.t -> unit) -> unit
 (** Fires once per [`Suspicious] payload re-offered after a carryover —
     the duplicate budget for observers like [Oracle.Transfer]. *)
 
@@ -75,7 +76,7 @@ val pending : t -> int
 
 val session_backlog : t -> int
 
-val retained : t -> string list
+val retained : t -> Frame.Payload.t list
 (** Every payload in the manager-level buffer, oldest first. A live
     session's unresolved frames are not included — call {!stop} first to
     fold them in for an exact end-of-run accounting. *)

@@ -12,11 +12,11 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable v_r : int;
-  buffer : (int, string) Hashtbl.t;  (* out-of-order frames, SR mode *)
+  buffer : (int, Frame.Payload.t) Hashtbl.t;  (* out-of-order frames, SR mode *)
   mutable srej_outstanding : Int_set.t;
   mutable highest_seen : int;  (* one past the newest identified seq *)
   mutable rej_armed : bool;  (* GBN: one REJ per gap event *)
-  mutable on_deliver : (payload:string -> seq:int -> unit) option;
+  mutable on_deliver : (payload:Frame.Payload.t -> seq:int -> unit) option;
   mutable stopped : bool;
   mutable controls_emitted : int;  (* supervisory-frame emission ordinal *)
 }
@@ -73,7 +73,7 @@ let send_control t ~kind ~nr ~pf =
 let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.delivered <- t.metrics.Dlc.Metrics.delivered + 1;
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
-    t.metrics.Dlc.Metrics.payload_bytes_delivered + String.length payload;
+    t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   t.metrics.Dlc.Metrics.last_delivery_time <- Sim.Engine.now t.engine;
   if Dlc.Probe.active t.probe then
     Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)

@@ -25,7 +25,7 @@ val create :
 val on_rx : t -> Channel.Link.rx -> unit
 (** Feed an arrival from the forward link. *)
 
-val set_on_deliver : t -> (payload:string -> seq:int -> unit) -> unit
+val set_on_deliver : t -> (payload:Frame.Payload.t -> seq:int -> unit) -> unit
 
 val v_r : t -> int
 (** Next in-sequence number expected. *)

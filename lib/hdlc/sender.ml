@@ -3,7 +3,7 @@ let src = Logs.Src.create "hdlc.sender" ~doc:"HDLC sender"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type inflight = {
-  payload : string;
+  payload : Frame.Payload.t;
   offer_time : float;
   first_tx_time : float;
   mutable retries : int;
@@ -19,7 +19,7 @@ type t = {
   mutable v_s : int;  (* next sequence number to use *)
   mutable v_a : int;  (* oldest unacknowledged *)
   inflight : (int, inflight) Hashtbl.t;
-  fresh : (string * float) Queue.t;
+  fresh : (Frame.Payload.t * float) Queue.t;
   retx : (int * bool) Queue.t;
       (* seqs queued for retransmission; the flag asks for a poll (set by
          timeout recovery only — SREJ/REJ retransmissions do not poll) *)
@@ -364,7 +364,7 @@ let scramble_v_s t ~delta =
       for _ = 1 to delta do
         Hashtbl.replace t.inflight t.v_s
           {
-            payload = Printf.sprintf "phantom-%d" t.v_s;
+            payload = Frame.Payload.of_string (Printf.sprintf "phantom-%d" t.v_s);
             offer_time = now;
             first_tx_time = now;
             retries = 0;

@@ -25,7 +25,7 @@ val create :
   probe:Dlc.Probe.t ->
   t
 
-val offer : t -> string -> bool
+val offer : t -> Frame.Payload.t -> bool
 
 val on_rx : t -> Channel.Link.rx -> unit
 (** Feed reverse-direction arrivals (RR/REJ/SREJ). *)

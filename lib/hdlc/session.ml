@@ -10,7 +10,7 @@ type t = {
   mutable reverse_ring : Frame.Wire.t list;
       (* recent reverse-link supervisory frames, newest first, for
          stale-frame replay injection *)
-  mutable user_deliver : (payload:string -> unit) option;
+  mutable user_deliver : (payload:Frame.Payload.t -> unit) option;
 }
 
 let reverse_ring_depth = 8

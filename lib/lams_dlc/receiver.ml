@@ -24,7 +24,7 @@ type t = {
   mutable cp_seq : int;
   mutable queue_len : int;
   mutable stop_state : bool;
-  mutable on_deliver : (payload:string -> seq:int -> unit) option;
+  mutable on_deliver : (payload:Frame.Payload.t -> seq:int -> unit) option;
   mutable running : bool;
   mutable checkpoints_sent : int;
   (* engine callbacks allocated once at [create], not per event *)
@@ -154,7 +154,7 @@ let mark_erroneous t seq =
 let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.delivered <- t.metrics.Dlc.Metrics.delivered + 1;
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
-    t.metrics.Dlc.Metrics.payload_bytes_delivered + String.length payload;
+    t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   t.metrics.Dlc.Metrics.last_delivery_time <- Sim.Engine.now t.engine;
   if Dlc.Probe.active t.probe then
     Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)

@@ -3,7 +3,7 @@ let src = Logs.Src.create "lams_dlc.sender" ~doc:"LAMS-DLC sender"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type pending = {
-  payload : string;
+  payload : Frame.Payload.t;
   offer_time : float;
   mutable first_tx_time : float;  (* nan until first transmitted *)
 }
@@ -410,7 +410,7 @@ let stop t =
   match t.failure_timer with Some timer -> Sim.Timer.stop timer | None -> ()
 
 type unresolved = {
-  payload : string;
+  payload : Frame.Payload.t;
   offer_time : float;
   verdict : [ `Not_delivered | `Suspicious ];
 }

@@ -38,7 +38,7 @@ val create :
     link's idle callback. Feed reverse-direction arrivals to {!on_rx}.
     Buffer-lifecycle and recovery transitions are published on [probe]. *)
 
-val offer : t -> string -> bool
+val offer : t -> Frame.Payload.t -> bool
 (** Accept a payload into the sending buffer; [false] when the buffer is
     at [send_buffer_capacity] or the sender has declared link failure. *)
 
@@ -90,7 +90,7 @@ val stop : t -> unit
 (** Stop timers and refuse further work (end of link lifetime). *)
 
 type unresolved = {
-  payload : string;
+  payload : Frame.Payload.t;
   offer_time : float;
   verdict : [ `Not_delivered | `Suspicious ];
       (** [`Not_delivered]: never transmitted, or NAKed/tail-lost —

@@ -9,7 +9,7 @@ type t = {
   mutable reverse_ring : Frame.Wire.t list;
       (* recent reverse-link control frames, newest first, for
          stale-checkpoint replay injection *)
-  mutable user_deliver : (payload:string -> unit) option;
+  mutable user_deliver : (payload:Frame.Payload.t -> unit) option;
 }
 
 let reverse_ring_depth = 8

@@ -13,7 +13,7 @@ type t = {
   mutable frontier : int;
   mutable missing : Int_set.t;
   mutable report_seq : int;
-  mutable on_deliver : (payload:string -> seq:int -> unit) option;
+  mutable on_deliver : (payload:Frame.Payload.t -> seq:int -> unit) option;
   mutable running : bool;
   mutable reports_sent : int;
   mutable report_tick : unit -> unit;  (* allocated once at [create] *)
@@ -96,7 +96,7 @@ let set_on_deliver t f = t.on_deliver <- Some f
 let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.delivered <- t.metrics.Dlc.Metrics.delivered + 1;
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
-    t.metrics.Dlc.Metrics.payload_bytes_delivered + String.length payload;
+    t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   t.metrics.Dlc.Metrics.last_delivery_time <- Sim.Engine.now t.engine;
   if Dlc.Probe.active t.probe then
     Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)

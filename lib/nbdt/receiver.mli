@@ -19,7 +19,7 @@ val create :
 
 val on_rx : t -> Channel.Link.rx -> unit
 
-val set_on_deliver : t -> (payload:string -> seq:int -> unit) -> unit
+val set_on_deliver : t -> (payload:Frame.Payload.t -> seq:int -> unit) -> unit
 
 val frontier : t -> int
 

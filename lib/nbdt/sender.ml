@@ -3,7 +3,7 @@ let src = Logs.Src.create "nbdt.sender" ~doc:"NBDT sender"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type inflight = {
-  payload : string;
+  payload : Frame.Payload.t;
   offer_time : float;
   first_tx_time : float;
   mutable retries : int;
@@ -20,7 +20,7 @@ type t = {
   mutable next_seq : int;
   inflight : (int, inflight) Hashtbl.t;
   order : int Queue.t;  (* outstanding seqs, oldest first (lazy-cleaned) *)
-  fresh : (string * float) Queue.t;
+  fresh : (Frame.Payload.t * float) Queue.t;
   retx : int Queue.t;
   (* multiphase state: the batch still awaiting full acknowledgement *)
   mutable batch_open : int;  (* frames of the current batch still allowed *)

@@ -5,7 +5,8 @@ module Log = (val Logs.src_log src_log : Logs.LOG)
 type node = {
   id : int;
   resequencer : Resequencer.t;
-  outbox : (int, string Queue.t) Hashtbl.t;  (* next-hop -> waiting frags *)
+  outbox : (int, Frame.Payload.t Queue.t) Hashtbl.t;
+      (* next-hop -> waiting frags *)
   mutable retry_armed : bool;
 }
 
@@ -57,7 +58,7 @@ let check_node t id =
     invalid_arg (Printf.sprintf "Network: node %d out of range" id)
 
 let rec handle_fragment t ~at_node payload =
-  match Workload.Messages.decode payload with
+  match Workload.Messages.decode (Frame.Payload.to_string payload) with
   | Error reason ->
       Log.warn (fun m -> m "node %d: undecodable fragment (%s)" at_node reason)
   | Ok frag ->
@@ -111,7 +112,7 @@ and drain_outbox t node =
           while !continue && not (Queue.is_empty q) do
             let payload = Queue.peek q in
             if session.Dlc.Session.offer payload then
-              ignore (Queue.pop q : string)
+              ignore (Queue.pop q : Frame.Payload.t)
             else continue := false
           done;
           if not (Queue.is_empty q) then still_blocked := true)
@@ -173,7 +174,7 @@ let send_message t ~src ~dst ~mtu body =
   let frags = Workload.Messages.fragment_message ~msg_id ~src ~dst ~mtu body in
   List.iter
     (fun frag ->
-      let payload = Workload.Messages.encode frag in
+      let payload = Frame.Payload.of_string (Workload.Messages.encode frag) in
       if dst = src then Resequencer.push t.nodes.(src).resequencer frag
       else forward t ~at_node:src payload ~dst)
     frags;

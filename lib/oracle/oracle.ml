@@ -8,7 +8,7 @@ type violation = { time : float; invariant : string; detail : string }
 let pp_violation ppf v =
   Format.fprintf ppf "[%.6f] %s: %s" v.time v.invariant v.detail
 
-(* Per-payload lifecycle, keyed by payload contents (unique per test
+(* Per-payload lifecycle, keyed by payload descriptor (unique per test
    stream; LAMS-DLC renumbers copies, so the payload is the only stable
    name for a logical frame). *)
 type prec = {
@@ -48,7 +48,7 @@ type t = {
   name : string;
   mutable violations : violation list;  (* newest first *)
   mutable violation_count : int;
-  payloads : (string, prec) Hashtbl.t;
+  payloads : prec Frame.Payload.Tbl.t;
   delivered_seq : (int, int) Hashtbl.t;  (* wire seq -> delivery count *)
   tx_seq_used : (int, unit) Hashtbl.t;  (* LAMS freshness *)
   mutable last_tx_seq : int;  (* LAMS monotony; -1 before first Tx *)
@@ -97,7 +97,7 @@ let create ?(name = "oracle") profile =
     name;
     violations = [];
     violation_count = 0;
-    payloads = Hashtbl.create 1024;
+    payloads = Frame.Payload.Tbl.create 1024;
     delivered_seq = Hashtbl.create 1024;
     tx_seq_used = Hashtbl.create 1024;
     last_tx_seq = -1;
@@ -155,7 +155,7 @@ let close_window t c ~now ~emit =
         | None -> ()
 
 let find_or_add t payload =
-  match Hashtbl.find_opt t.payloads payload with
+  match Frame.Payload.Tbl.find_opt t.payloads payload with
   | Some r -> r
   | None ->
       let r =
@@ -168,14 +168,16 @@ let find_or_add t payload =
           delivered = 0;
         }
       in
-      Hashtbl.replace t.payloads payload r;
+      Frame.Payload.Tbl.replace t.payloads payload r;
       r
 
 let recovery_overlaps t ~lo ~hi =
   List.exists (fun (s, e) -> s <= hi && e >= lo) t.recovery_episodes
   || match t.recovery_open with Some s -> s <= hi | None -> false
 
-let short p = if String.length p <= 24 then p else String.sub p 0 24 ^ "..."
+let short p =
+  if Frame.Payload.length p <= 24 then Frame.Payload.to_string p
+  else Frame.Payload.prefix p 24 ^ "..."
 
 (* --- semantic (probe) events ------------------------------------------- *)
 
@@ -577,6 +579,7 @@ end
 
 module Transfer = struct
   type trec = {
+    first_seen : int;  (* ordinal among the tracked payloads *)
     mutable offers : int;
     mutable deliveries : int;
     mutable suspicious : bool;
@@ -584,7 +587,7 @@ module Transfer = struct
 
   type nonrec t = {
     name : string;
-    payloads : (string, trec) Hashtbl.t;
+    payloads : trec Frame.Payload.Tbl.t;
     sink_seen : (int, float) Hashtbl.t;
     mutable sessions_spanned : int;
     mutable failures_declared : int;
@@ -593,7 +596,7 @@ module Transfer = struct
     mutable finalized : bool;
     mutable conv : convergence option;
     mutable probe : Dlc.Probe.t option;
-    casualties : (string, unit) Hashtbl.t;
+    casualties : unit Frame.Payload.Tbl.t;
         (* payloads destroyed by state corruption; their loss is a
            declared casualty, not a transfer violation *)
     mutable casualties_lost : int;
@@ -602,7 +605,7 @@ module Transfer = struct
   let create ~name =
     {
       name;
-      payloads = Hashtbl.create 1024;
+      payloads = Frame.Payload.Tbl.create 1024;
       sink_seen = Hashtbl.create 256;
       sessions_spanned = 0;
       failures_declared = 0;
@@ -611,7 +614,7 @@ module Transfer = struct
       finalized = false;
       conv = None;
       probe = None;
-      casualties = Hashtbl.create 16;
+      casualties = Frame.Payload.Tbl.create 16;
       casualties_lost = 0;
     }
 
@@ -633,7 +636,7 @@ module Transfer = struct
           unconverged_at_finalize = false;
         }
 
-  let declare_casualty s payload = Hashtbl.replace s.casualties payload ()
+  let declare_casualty s payload = Frame.Payload.Tbl.replace s.casualties payload ()
 
   let violate s ~time invariant detail =
     (* unlike the per-session oracle there is no post-mortem tolerance
@@ -654,11 +657,18 @@ module Transfer = struct
           s.viols <- { time; invariant; detail } :: s.viols
 
   let find_or_add s payload =
-    match Hashtbl.find_opt s.payloads payload with
+    match Frame.Payload.Tbl.find_opt s.payloads payload with
     | Some r -> r
     | None ->
-        let r = { offers = 0; deliveries = 0; suspicious = false } in
-        Hashtbl.replace s.payloads payload r;
+        let r =
+          {
+            first_seen = Frame.Payload.Tbl.length s.payloads;
+            offers = 0;
+            deliveries = 0;
+            suspicious = false;
+          }
+        in
+        Frame.Payload.Tbl.replace s.payloads payload r;
         r
 
   let mark_suspicious s payload = (find_or_add s payload).suspicious <- true
@@ -784,23 +794,32 @@ module Transfer = struct
                 :: s.viols
           end
       | _ -> ());
-      let kept = Hashtbl.create (List.length retained) in
-      List.iter (fun p -> Hashtbl.replace kept p ()) retained;
-      Hashtbl.iter
-        (fun payload r ->
-          if r.offers > 0 && r.deliveries = 0 && not (Hashtbl.mem kept payload)
-          then
-            if Hashtbl.mem s.casualties payload then
-              (* destroyed by an injected corruption: a counted casualty
-                 of self-stabilisation, not a protocol violation *)
-              s.casualties_lost <- s.casualties_lost + 1
-            else
-              violate s ~time:nan "transfer-loss"
-                (Printf.sprintf
-                   "%s offered but neither delivered nor retained: lost \
-                    across the handover"
-                   (short payload)))
-        s.payloads
+      let kept = Frame.Payload.Tbl.create (List.length retained) in
+      List.iter (fun p -> Frame.Payload.Tbl.replace kept p ()) retained;
+      (* losses in first-seen order, whatever the table's layout *)
+      let lost =
+        Frame.Payload.Tbl.fold
+          (fun payload r acc ->
+            if
+              r.offers > 0 && r.deliveries = 0
+              && not (Frame.Payload.Tbl.mem kept payload)
+            then (r.first_seen, payload) :: acc
+            else acc)
+          s.payloads []
+      in
+      List.iter
+        (fun (_, payload) ->
+          if Frame.Payload.Tbl.mem s.casualties payload then
+            (* destroyed by an injected corruption: a counted casualty
+               of self-stabilisation, not a protocol violation *)
+            s.casualties_lost <- s.casualties_lost + 1
+          else
+            violate s ~time:nan "transfer-loss"
+              (Printf.sprintf
+                 "%s offered but neither delivered nor retained: lost \
+                  across the handover"
+                 (short payload)))
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) lost)
     end
 
   let violations s = List.rev s.viols
@@ -927,7 +946,7 @@ module Feedback = struct
               | Some b -> b
               | None -> 0
             in
-            Hashtbl.replace t.buckets i (b + String.length payload)
+            Hashtbl.replace t.buckets i (b + Frame.Payload.length payload)
         | _ -> ())
 
   let faults_seen t = t.faults_seen

@@ -167,7 +167,7 @@ module Transfer : sig
   val observe : t -> Dlc.Probe.t -> unit
   (** Subscribe to the handover manager's shared probe. *)
 
-  val mark_suspicious : t -> string -> unit
+  val mark_suspicious : t -> Frame.Payload.t -> unit
   (** Grant the payload a duplicate budget; wire this to
       [Handover.Manager.set_on_suspicious_replay]. *)
 
@@ -188,7 +188,7 @@ module Transfer : sig
       automatic released-while-suspect inference); any other
       transfer-loss stays a real violation. *)
 
-  val declare_casualty : t -> string -> unit
+  val declare_casualty : t -> Frame.Payload.t -> unit
   (** Record a payload destroyed by an injected corruption (e.g. an
       unresolved-buffer entry dropped from a poisoned
       {!Handover.Carryover} snapshot). Its end-of-run loss is counted in
@@ -210,7 +210,7 @@ module Transfer : sig
   (** Offered payloads neither delivered nor retained whose loss was
       covered by the casualty ledger. *)
 
-  val finalize : ?retained:string list -> t -> unit
+  val finalize : ?retained:Frame.Payload.t list -> t -> unit
   (** End-of-run conservation check; [retained] lists payloads the
       handover layer still holds (see [Handover.Manager.retained]),
       which are exempt from the loss check. Idempotent. *)
@@ -221,7 +221,7 @@ module Transfer : sig
 
   val report : t -> string
 
-  val check : ?retained:string list -> t -> unit
+  val check : ?retained:Frame.Payload.t list -> t -> unit
   (** {!finalize} then raise [Failure] with {!report} unless {!ok}. *)
 end
 

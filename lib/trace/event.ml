@@ -13,12 +13,12 @@ let name e =
   | Fault _ -> "fault"
   | Violation _ -> "violation"
 
-let payload_label p = if String.length p <= 16 then p else String.sub p 0 16
+let payload_label p = Frame.Payload.prefix p 16
 
 let payload_fields payload =
   [
     ("payload", Json.String (payload_label payload));
-    ("len", Json.Int (String.length payload));
+    ("len", Json.Int (Frame.Payload.length payload));
   ]
 
 let kind_fields = function
@@ -95,16 +95,23 @@ let bool_field j key =
 
 let float_field j key = field j key Json.to_float
 
+(* The label is the image's first 16 bytes; the fill stands in for the
+   rest, so the rebuilt descriptor has the recorded length. *)
+let payload_field j =
+  let* label = str_field j "payload" in
+  let* len = int_field j "len" in
+  if String.length label <> min 16 len then
+    Error (Printf.sprintf "payload label %S does not fit len %d" label len)
+  else Ok (Frame.Payload.make ~stem:label ~len)
+
 let seq_payload j mk =
   let* seq = int_field j "seq" in
-  let* payload = str_field j "payload" in
-  let* _len = int_field j "len" in
+  let* payload = payload_field j in
   Ok (mk ~seq ~payload)
 
 let kind_of_json j = function
   | "offered" ->
-      let* payload = str_field j "payload" in
-      let* _len = int_field j "len" in
+      let* payload = payload_field j in
       Ok (Probe (Dlc.Probe.Offered { payload }))
   | "tx" | "retx" ->
       let retx = Json.member "ev" j = Some (Json.String "retx") in

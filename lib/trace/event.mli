@@ -25,9 +25,10 @@ val name : t -> string
 (** Stable event tag: {!Dlc.Probe.event_name} for probe events,
     ["fault"] / ["violation"] otherwise. *)
 
-val payload_label : string -> string
-(** First 16 bytes of a payload — enough to identify a frame built by
-    {!Workload.Arrivals.default_payload} without dumping the kilobyte. *)
+val payload_label : Frame.Payload.t -> string
+(** First 16 bytes of a payload's image — enough to identify a frame
+    built by {!Workload.Arrivals.default_payload} without dumping the
+    kilobyte. *)
 
 val to_json : t -> Bench_report.Json.t
 
@@ -35,8 +36,11 @@ val to_line : t -> string
 (** Single-line JSON, no trailing newline. *)
 
 val of_json : Bench_report.Json.t -> (t, string) result
-(** Inverse of {!to_json} up to payload truncation (payloads come back
-    as their labels). This is the schema check: every required field of
-    the event's kind must be present and well-typed. *)
+(** Inverse of {!to_json} up to payload truncation: a payload comes
+    back as its label followed by fill up to the recorded [len], so its
+    length and first 16 bytes are exact (and a
+    {!Workload.Arrivals.default_payload} comes back whole). This is the
+    schema check: every required field of the event's kind must be
+    present and well-typed. *)
 
 val of_line : string -> (t, string) result

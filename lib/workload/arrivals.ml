@@ -4,10 +4,37 @@ let count_offered t = t.offered
 
 let finished t = t.offered >= t.total
 
+(* Decimal digits of [n >= 0]. *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* Write the [k] low-order decimal digits of [n] into [b], ending at
+   index [k - 1]. Top-level, so the caller allocates no closure. *)
+let rec put_digits b n k =
+  if k > 0 then begin
+    Bytes.unsafe_set b (k - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    put_digits b (n / 10) (k - 1)
+  end
+
+(* From 10 bytes up the stem is the first [size] bytes of
+   [Printf.sprintf "%010d|" i], built without the format machinery.
+   Below 10 bytes it keeps the low-order digits instead, which stay
+   distinct for [i < 10^size]. *)
 let default_payload ~size i =
-  let header = Printf.sprintf "%010d|" i in
-  if size <= String.length header then String.sub header 0 size
-  else header ^ String.make (size - String.length header) 'x'
+  if i < 0 then invalid_arg "Arrivals.default_payload: negative index";
+  if size < 10 then begin
+    let b = Bytes.create size in
+    put_digits b i size;
+    Frame.Payload.make ~stem:(Bytes.unsafe_to_string b) ~len:size
+  end
+  else begin
+    let width = max 10 (digits i) in
+    let b = Bytes.create (width + 1) in
+    put_digits b i width;
+    Bytes.unsafe_set b width '|';
+    let header = Bytes.unsafe_to_string b in
+    let stem = if size <= width then String.sub header 0 size else header in
+    Frame.Payload.make ~stem ~len:size
+  end
 
 let deterministic engine ~session ~rate ~count ~payload =
   if rate <= 0. then invalid_arg "Arrivals.deterministic: rate must be > 0";

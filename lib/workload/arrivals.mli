@@ -17,7 +17,7 @@ val deterministic :
   session:Dlc.Session.t ->
   rate:float ->
   count:int ->
-  payload:(int -> string) ->
+  payload:(int -> Frame.Payload.t) ->
   t
 (** One payload every [1/rate] seconds, [count] total. Refused offers are
     retried at the next tick (the tick is not consumed). *)
@@ -28,7 +28,7 @@ val poisson :
   session:Dlc.Session.t ->
   rate:float ->
   count:int ->
-  payload:(int -> string) ->
+  payload:(int -> Frame.Payload.t) ->
   t
 (** Exponential inter-arrivals with mean [1/rate]. *)
 
@@ -40,7 +40,7 @@ val on_off :
   mean_on:float ->
   mean_off:float ->
   count:int ->
-  payload:(int -> string) ->
+  payload:(int -> Frame.Payload.t) ->
   t
 (** Markov-modulated: exponentially distributed ON periods emitting at
     [burst_rate], separated by exponential OFF periods. *)
@@ -49,12 +49,16 @@ val saturating :
   Sim.Engine.t ->
   session:Dlc.Session.t ->
   count:int ->
-  payload:(int -> string) ->
+  payload:(int -> Frame.Payload.t) ->
   t
 (** Offer as fast as the session accepts: keep offering until refused,
     then retry whenever the backlog drops. Polls at a small interval.
     Models the paper's high-traffic assumption (arrival rate >= 1/t_f). *)
 
-val default_payload : size:int -> int -> string
-(** [default_payload ~size i]: a distinct, checkable payload of [size]
-    bytes whose prefix encodes [i]. *)
+val default_payload : size:int -> int -> Frame.Payload.t
+(** [default_payload ~size i]: a checkable payload of [size] bytes whose
+    prefix encodes [i]. Its stem is [i] zero-padded to 10 digits and a
+    ['|'] (11 bytes for [i < 10^10]), cut to [size] bytes; the rest of
+    the image is fill. Below 10 bytes the stem keeps the low-order
+    digits, so payloads stay distinct for [i < 10^size]. Requires
+    [i >= 0]. *)

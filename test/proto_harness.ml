@@ -8,8 +8,8 @@ type t = {
   duplex : Channel.Duplex.t;
   dlc : Dlc.Session.t;
   oracle : Oracle.t;
-  delivered : (string, int) Hashtbl.t;  (* payload -> times delivered *)
-  mutable delivery_order : string list;  (* newest first *)
+  delivered : (Frame.Payload.t, int) Hashtbl.t;  (* payload -> times delivered *)
+  mutable delivery_order : Frame.Payload.t list;  (* newest first *)
 }
 
 let record_deliveries t =
@@ -127,7 +127,7 @@ let hdlc ?seed ?ber ?cber ?distance ?rate ?iframe_error ?faults
   record_deliveries t;
   (t, session)
 
-let payload i = Printf.sprintf "payload-%06d" i
+let payload i = Frame.Payload.of_string (Printf.sprintf "payload-%06d" i)
 
 let offer_all t n =
   for i = 0 to n - 1 do
@@ -163,5 +163,6 @@ let in_order t =
   (* delivery order must equal offer order *)
   List.iteri
     (fun i p ->
-      if p <> payload i then Alcotest.failf "position %d: got %s" i p)
+      if p <> payload i then
+        Alcotest.failf "position %d: got %s" i (Frame.Payload.to_string p))
     (List.rev t.delivery_order)

@@ -204,8 +204,10 @@ let make_link ?(ber = 0.) ?(distance = 3_000_000.) engine seed =
     ~iframe_error:(Channel.Error_model.uniform ~ber ())
     ~cframe_error:Channel.Error_model.perfect
 
-let iframe ~seq ~bytes =
-  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(String.make bytes 'p'))
+let data ~seq s =
+  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string s))
+
+let iframe ~seq ~bytes = data ~seq (String.make bytes 'p')
 
 let test_link_delivery_time () =
   let engine = Sim.Engine.create () in
@@ -393,7 +395,7 @@ let test_coded_path_clean_roundtrip () =
   let path = coded_path () in
   let frames =
     [
-      Frame.Wire.Data (Frame.Iframe.create ~seq:5 ~payload:"clean payload");
+      data ~seq:5 "clean payload";
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:2 ~issue_time:1.5 ~stop_go:false
            ~enforced:false ~next_expected:9 ~naks:[ 4; 6 ]);
@@ -417,7 +419,7 @@ let test_coded_path_corrects_light_noise () =
   let path =
     coded_path ~error_model:(Channel.Error_model.uniform ~ber:2e-4 ()) ~seed:12 ()
   in
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:(String.make 64 'q')) in
+  let frame = data ~seq:0 (String.make 64 'q') in
   let fer = Channel.Coded_path.residual_fer path frame ~trials:300 in
   let raw_fer =
     Channel.Error_model.frame_error_prob
@@ -436,9 +438,7 @@ let test_coded_path_payload_corrupt_identifies_seq () =
       ~iframe_code:Fec.Code.identity ~cframe_code:Fec.Code.identity
       ~error_model:(Channel.Error_model.uniform ~ber:2e-3 ())
   in
-  let frame =
-    Frame.Wire.Data (Frame.Iframe.create ~seq:4242 ~payload:(String.make 400 'z'))
-  in
+  let frame = data ~seq:4242 (String.make 400 'z') in
   let saw_payload_corrupt = ref false in
   for _ = 1 to 200 do
     match Channel.Coded_path.transmit path frame with

@@ -308,7 +308,8 @@ let test_calibration_degenerate () =
 (* --- asymmetric duplex -------------------------------------------------- *)
 
 let iframe ~seq ~bytes =
-  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(String.make bytes 'p'))
+  let payload = Frame.Payload.of_string (String.make bytes 'p') in
+  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload)
 
 let test_asymmetric_duplex_directions () =
   let engine = Sim.Engine.create () in

@@ -8,17 +8,20 @@ let wire = Alcotest.testable Frame.Wire.pp (fun a b ->
     | Frame.Wire.Hdlc_control x, Frame.Wire.Hdlc_control y -> Frame.Hframe.equal x y
     | _ -> false)
 
+let data ~seq s =
+  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string s))
+
 let roundtrip frame =
   match Frame.Codec.decode (Frame.Codec.encode frame) with
   | Ok f -> f
   | Error e -> Alcotest.failf "decode failed: %s" (Frame.Codec.error_to_string e)
 
 let test_iframe_roundtrip () =
-  let f = Frame.Wire.Data (Frame.Iframe.create ~seq:12345 ~payload:"hello world") in
+  let f = data ~seq:12345 "hello world" in
   Alcotest.check wire "roundtrip" f (roundtrip f)
 
 let test_iframe_empty_payload () =
-  let f = Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:"") in
+  let f = data ~seq:0 "" in
   Alcotest.check wire "roundtrip" f (roundtrip f)
 
 let test_checkpoint_roundtrip () =
@@ -51,7 +54,7 @@ let test_hdlc_roundtrips () =
 let test_size_matches_encoding () =
   let frames =
     [
-      Frame.Wire.Data (Frame.Iframe.create ~seq:1 ~payload:"abc");
+      data ~seq:1 "abc";
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:1 ~issue_time:0.5 ~stop_go:false
            ~enforced:false ~next_expected:3 ~naks:[ 1; 2 ]);
@@ -66,7 +69,7 @@ let test_size_matches_encoding () =
     frames
 
 let test_payload_corruption_identified () =
-  let f = Frame.Wire.Data (Frame.Iframe.create ~seq:321 ~payload:"payload-data") in
+  let f = data ~seq:321 "payload-data" in
   let b = Frame.Codec.encode f in
   (* flip a payload bit: payload starts at byte 9 *)
   Frame.Codec.flip_bit b (8 * 10);
@@ -80,7 +83,7 @@ let test_payload_corruption_identified () =
         | Error e -> Frame.Codec.error_to_string e)
 
 let test_header_corruption_detected () =
-  let f = Frame.Wire.Data (Frame.Iframe.create ~seq:321 ~payload:"payload") in
+  let f = data ~seq:321 "payload" in
   let b = Frame.Codec.encode f in
   (* flip a bit in the seq field (bytes 1-4) *)
   Frame.Codec.flip_bit b 10;
@@ -101,7 +104,7 @@ let test_control_corruption_detected () =
   | _ -> Alcotest.fail "expected Control_corrupt"
 
 let test_truncated () =
-  let f = Frame.Wire.Data (Frame.Iframe.create ~seq:1 ~payload:"abcdef") in
+  let f = data ~seq:1 "abcdef" in
   let b = Frame.Codec.encode f in
   let cut = Bytes.sub b 0 (Bytes.length b - 3) in
   match Frame.Codec.decode cut with
@@ -122,9 +125,7 @@ let test_empty_buffer () =
 let gen_frame =
   let open QCheck2.Gen in
   let payload = string_size ~gen:char (int_range 0 300) in
-  let iframe =
-    map2 (fun seq p -> Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:p))
-      (int_range 0 1_000_000) payload
+  let iframe = map2 (fun seq p -> data ~seq p) (int_range 0 1_000_000) payload
   in
   let checkpoint =
     let* cp_seq = int_range 0 100_000 in
@@ -193,6 +194,7 @@ let prop_flip_never_misidentifies_seq =
          wrong seq there would make it NAK an innocent frame, so the
          header CRC must catch every header flip before the payload CRC
          gets to speak *)
+      let payload = Frame.Payload.of_string payload in
       let f = Frame.Wire.Data (Frame.Iframe.create ~seq ~payload) in
       let b = Frame.Codec.encode f in
       let bit = bit_seed mod (8 * Bytes.length b) in
@@ -210,11 +212,11 @@ let test_scratch_roundtrip () =
   let scratch = Frame.Codec.create_scratch ~capacity:8 () in
   let frames =
     [
-      Frame.Wire.Data (Frame.Iframe.create ~seq:7 ~payload:(String.make 900 'q'));
+      data ~seq:7 (String.make 900 'q');
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:3 ~issue_time:1.5 ~stop_go:false
            ~enforced:false ~next_expected:4 ~naks:[ 5; 9 ]);
-      Frame.Wire.Data (Frame.Iframe.create ~seq:8 ~payload:"");
+      data ~seq:8 "";
     ]
   in
   List.iter
@@ -237,7 +239,7 @@ let test_scratch_encode_steady_state_allocates_nothing () =
      frame size, [encode_scratch_into] allocates zero minor words *)
   let scratch = Frame.Codec.create_scratch () in
   let frame =
-    Frame.Wire.Data (Frame.Iframe.create ~seq:42 ~payload:(String.make 1024 'x'))
+    data ~seq:42 (String.make 1024 'x')
   in
   ignore (Frame.Codec.encode_scratch_into scratch frame : int);
   ignore (Frame.Codec.encode_scratch_into scratch frame : int);

@@ -193,7 +193,8 @@ let test_fault_observers_compose () =
   let calls = ref [] in
   Channel.Fault.set_observer fault (fun ~now:_ _ _ -> calls := 1 :: !calls);
   Channel.Fault.set_observer fault (fun ~now:_ _ _ -> calls := 2 :: !calls);
-  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:"p") in
+  let payload = Frame.Payload.of_string "p" in
+  let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload) in
   (match Channel.Fault.decision fault ~now:0. frame with
   | Channel.Link.Drop -> ()
   | _ -> Alcotest.fail "rule did not drop");

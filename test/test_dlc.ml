@@ -68,7 +68,9 @@ let run_traced ~capacity =
   let dlc = Lams_dlc.Session.as_dlc session in
   dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
   for i = 0 to 9 do
-    ignore (dlc.Dlc.Session.offer (Printf.sprintf "p%d" i) : bool)
+    ignore
+      (dlc.Dlc.Session.offer (Frame.Payload.of_string (Printf.sprintf "p%d" i))
+        : bool)
   done;
   Sim.Engine.run engine ~until:1.;
   dlc.Dlc.Session.stop ();

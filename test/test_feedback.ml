@@ -180,11 +180,14 @@ let test_fault_free_rows_never_quarantine () =
 
 (* --- capped fault log ring ----------------------------------------------- *)
 
+let p_frame seq =
+  Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "p"))
+
 let test_fault_log_ring_capped () =
   let fault = F.of_rules [ F.rule F.Any_iframe F.Drop ] in
   let n = F.log_capacity + 57 in
   for i = 0 to n - 1 do
-    let frame = Frame.Wire.Data (Frame.Iframe.create ~seq:i ~payload:"p") in
+    let frame = p_frame i in
     match F.decision fault ~now:(float_of_int i) frame with
     | Channel.Link.Drop -> ()
     | _ -> Alcotest.fail "rule did not drop"
@@ -213,9 +216,7 @@ let test_adversary_stream_compat () =
   let decisions spec =
     let t = F.compile spec in
     List.init 300 (fun i ->
-        let frame =
-          Frame.Wire.Data (Frame.Iframe.create ~seq:i ~payload:"p")
-        in
+        let frame = p_frame i in
         match F.decision t ~now:(float_of_int i *. 1e-4) frame with
         | Channel.Link.Pass -> 'p'
         | Channel.Link.Drop -> 'd'

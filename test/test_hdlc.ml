@@ -115,7 +115,8 @@ let test_failure_after_n2 () =
   Proto_harness.run_to_completion t ~horizon:5.;
   Alcotest.(check bool) "failed after N2" true
     (Hdlc.Sender.failed (Hdlc.Session.sender session));
-  Alcotest.(check bool) "offers refused" false (t.Proto_harness.dlc.Dlc.Session.offer "x")
+  Alcotest.(check bool) "offers refused" false
+    (t.Proto_harness.dlc.Dlc.Session.offer (Frame.Payload.of_string "x"))
 
 let test_recv_buffer_used_in_sr () =
   (* SR must buffer out-of-order frames; the receiving-buffer peak is the

@@ -37,7 +37,8 @@ let arrive h ?(status = Channel.Link.Rx_ok) seq =
   Hdlc.Receiver.on_rx h.receiver
     {
       Channel.Link.frame =
-        Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:"unit");
+        Frame.Wire.Data
+          (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "unit"));
       status;
       t_sent = 0.;
     };

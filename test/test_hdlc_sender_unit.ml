@@ -34,7 +34,8 @@ let make ?(mode = Hdlc.Params.Selective_repeat) ?(window = 4) () =
 
 let offer_n h n =
   for i = 0 to n - 1 do
-    if not (Hdlc.Sender.offer h.sender (Printf.sprintf "p%d" i)) then
+    let p = Frame.Payload.of_string (Printf.sprintf "p%d" i) in
+    if not (Hdlc.Sender.offer h.sender p) then
       Alcotest.failf "offer %d refused" i
   done;
   Sim.Engine.run h.engine ~until:(Sim.Engine.now h.engine +. 1e-3)

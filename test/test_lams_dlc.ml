@@ -167,7 +167,7 @@ let test_permanent_blackout_declares_failure () =
     (Lams_dlc.Sender.failed (Lams_dlc.Session.sender session));
   (* after failure, offers are refused *)
   Alcotest.(check bool) "offers refused after failure" false
-    (t.Proto_harness.dlc.Dlc.Session.offer "late")
+    (t.Proto_harness.dlc.Dlc.Session.offer (Frame.Payload.of_string "late"))
 
 let test_link_lifetime_gate () =
   (* recovery that cannot complete within the link lifetime fails fast *)

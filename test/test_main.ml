@@ -10,6 +10,7 @@ let () =
       ("seqnum", Test_seqnum.suite);
       ("crc", Test_crc.suite);
       ("codec", Test_codec.suite);
+      ("payload", Test_payload.suite);
       ("fec", Test_fec.suite);
       ("reed-solomon", Test_reed_solomon.suite);
       ("channel", Test_channel.suite);
@@ -37,4 +38,5 @@ let () =
       ("corrupt", Test_corrupt.suite);
       ("corrupt-soak", Test_corrupt_soak.suite);
       ("feedback", Test_feedback.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -79,7 +79,8 @@ let test_blackout_failure () =
   Proto_harness.run_to_completion t ~horizon:30.;
   Alcotest.(check bool) "failed after retries" true
     (Nbdt.Sender.failed (Nbdt.Session.sender session));
-  Alcotest.(check bool) "offers refused" false (t.Proto_harness.dlc.Dlc.Session.offer "x")
+  Alcotest.(check bool) "offers refused" false
+    (t.Proto_harness.dlc.Dlc.Session.offer (Frame.Payload.of_string "x"))
 
 let test_duplicates_dropped_not_delivered () =
   (* heavy report loss makes the sender resend already-received frames;

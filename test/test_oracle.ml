@@ -286,7 +286,7 @@ let test_broken_c_depth0_trips_no_loss () =
 let selector_to_string (s : Channel.Fault.selector) =
   match s with
   | Channel.Fault.I_seq n -> Printf.sprintf "I_seq %d" n
-  | I_payload p -> Printf.sprintf "I_payload %S" p
+  | I_payload p -> Printf.sprintf "I_payload %S" (Frame.Payload.to_string p)
   | I_nth n -> Printf.sprintf "I_nth %d" n
   | Cp_seq n -> Printf.sprintf "Cp_seq %d" n
   | Cp_range (a, b) -> Printf.sprintf "Cp_range (%d,%d)" a b

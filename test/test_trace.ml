@@ -4,13 +4,15 @@
 
 (* --- event / schema roundtrip --------------------------------------- *)
 
+let p = Frame.Payload.of_string
+
 let sample_events =
   [
     (* payloads kept within the 16-byte label so re-encoding is
        byte-stable; truncation has its own test below *)
-    { Trace.Event.i = 0; time = 0.; kind = Probe (Dlc.Probe.Offered { payload = "frame-000-xyz" }) };
-    { Trace.Event.i = 1; time = 1.5e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = "p"; retx = false }) };
-    { Trace.Event.i = 2; time = 2e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = "p"; retx = true }) };
+    { Trace.Event.i = 0; time = 0.; kind = Probe (Dlc.Probe.Offered { payload = p "frame-000-xyz" }) };
+    { Trace.Event.i = 1; time = 1.5e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = p "p"; retx = false }) };
+    { Trace.Event.i = 2; time = 2e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = p "p"; retx = true }) };
     { Trace.Event.i = 3; time = 0.25; kind = Probe (Dlc.Probe.Cp_emitted { cp_seq = 4; next_expected = 9; enforced = true; stop_go = false; naks = [ 5; 7 ] }) };
     { Trace.Event.i = 4; time = 0.3; kind = Fault { link = "forward"; action = "drop"; frame = "I seq=5" } };
     { Trace.Event.i = 5; time = 0.5; kind = Violation { invariant = "released-undelivered"; detail = "seq 5" } };
@@ -29,19 +31,28 @@ let test_event_roundtrip () =
             line (Trace.Event.to_line back))
     sample_events
 
-let test_event_payload_truncation () =
-  let long = String.make 100 'x' in
+let decode_offered payload =
   let e =
-    { Trace.Event.i = 0; time = 0.; kind = Probe (Dlc.Probe.Offered { payload = long }) }
+    { Trace.Event.i = 0; time = 0.; kind = Probe (Dlc.Probe.Offered { payload }) }
   in
   match Trace.Event.of_line (Trace.Event.to_line e) with
   | Error msg -> Alcotest.fail msg
-  | Ok back -> (
-      match back.kind with
-      | Probe (Dlc.Probe.Offered { payload }) ->
-          Alcotest.(check string) "truncated to label"
-            (Trace.Event.payload_label long) payload
-      | _ -> Alcotest.fail "kind changed")
+  | Ok { kind = Probe (Dlc.Probe.Offered { payload }); _ } -> payload
+  | Ok _ -> Alcotest.fail "kind changed"
+
+let test_event_payload_truncation () =
+  let long = p (String.init 100 (fun i -> Char.chr (65 + (i mod 26)))) in
+  let back = decode_offered long in
+  Alcotest.(check string) "truncated to label" "ABCDEFGHIJKLMNOP"
+    (Trace.Event.payload_label back);
+  Alcotest.(check int) "length kept" 100 (Frame.Payload.length back);
+  (* a default payload's label holds its whole stem: it decodes exactly *)
+  let frame = Workload.Arrivals.default_payload ~size:1024 42 in
+  Alcotest.(check bool) "default payload decodes whole" true
+    (Frame.Payload.equal frame (decode_offered frame));
+  let short = p "tiny" in
+  Alcotest.(check bool) "short payload decodes whole" true
+    (Frame.Payload.equal short (decode_offered short))
 
 let test_schema_accepts_stream () =
   let content =
@@ -60,6 +71,10 @@ let test_schema_rejects () =
   in
   reject "non-JSON line" "not json\n";
   reject "missing fields" "{\"i\":0}\n";
+  reject "payload label longer than len"
+    "{\"i\":0,\"t\":0,\"ev\":\"offered\",\"payload\":\"abcdef\",\"len\":3}\n";
+  reject "payload label shorter than 16 bytes of len"
+    "{\"i\":0,\"t\":0,\"ev\":\"offered\",\"payload\":\"abc\",\"len\":30}\n";
   let line i = Trace.Event.to_line { (List.hd sample_events) with i } in
   reject "non-increasing index" (line 3 ^ "\n" ^ line 3 ^ "\n");
   reject "decreasing index" (line 3 ^ "\n" ^ line 1 ^ "\n")
