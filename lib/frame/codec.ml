@@ -36,6 +36,9 @@ let get_u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFFFFFF
 
 let get_f64 b pos = Int64.float_of_bits (Bytes.get_int64_be b pos)
 
+(* The widest value a 16-bit count field carries. *)
+let max_count = 0xFFFF
+
 (* Write [frame] into [b] starting at [base]; the caller guarantees
    [Wire.size_bytes frame] bytes of room. Returns the bytes written. *)
 let encode_into frame b ~pos:base =
@@ -45,6 +48,8 @@ let encode_into frame b ~pos:base =
   (match frame with
   | Wire.Data i ->
       let len = Payload.length i.Iframe.payload in
+      if len > max_count then
+        invalid_arg "Codec.encode_into: payload longer than 65535 bytes";
       put_u8 b (base + 0) tag_iframe;
       put_u32 b (base + 1) i.Iframe.seq;
       put_u16 b (base + 5) len;
@@ -53,6 +58,8 @@ let encode_into frame b ~pos:base =
       put_u32 b (base + 9 + len) (Crc.crc32_int b ~pos:(base + 9) ~len)
   | Wire.Control (Cframe.Checkpoint c) ->
       let n = List.length c.Cframe.naks in
+      if n > max_count then
+        invalid_arg "Codec.encode_into: more than 65535 NAKs in a checkpoint";
       put_u8 b (base + 0) tag_checkpoint;
       let flags =
         (if c.Cframe.stop_go then 1 else 0) lor if c.Cframe.enforced then 2 else 0

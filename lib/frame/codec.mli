@@ -26,12 +26,16 @@ type error =
 val error_to_string : error -> string
 
 val encode : Wire.t -> Bytes.t
-(** Exact size [Wire.size_bytes]; freshly allocated. *)
+(** Exact size [Wire.size_bytes]; freshly allocated. Raises like
+    {!encode_into}. *)
 
 val encode_into : Wire.t -> Bytes.t -> pos:int -> int
 (** [encode_into frame b ~pos] writes the frame layout at [pos] and
     returns the number of bytes written ([Wire.size_bytes frame]).
-    Raises [Invalid_argument] when the buffer is too small. *)
+    The I-frame payload length and the checkpoint NAK count travel in
+    16-bit fields, so neither may exceed 65,535. Raises
+    [Invalid_argument], writing nothing, when either does or when the
+    buffer is too small. *)
 
 type scratch
 (** A reusable encode buffer. It grows to the largest frame seen and

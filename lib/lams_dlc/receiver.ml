@@ -1,5 +1,3 @@
-module Int_set = Set.Make (Int)
-
 let src = Logs.Src.create "lams_dlc.receiver" ~doc:"LAMS-DLC receiver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -11,16 +9,19 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable next_expected : int;
-  mutable current_errors : Int_set.t;  (* erroneous seqs this interval *)
-  mutable history : Int_set.t list;  (* newest first, <= c_depth kept *)
-  mutable error_log : Int_set.t;
-      (* every erroneous seq ever reported. Regular checkpoints only
-         advertise the last c_depth intervals, but an Enforced-NAK must
-         cover the whole resolving period — which spans an outage of any
-         length (§3.2) — so nothing may be forgotten before an enforced
-         recovery has had a chance to replay it. Stale entries are
-         harmless: renumbering means the sender ignores seqs no longer
-         outstanding. *)
+  mutable current_errors : Seq_set.t;  (* erroneous seqs this interval *)
+  intervals : Seq_set.t array;
+      (* the last c_depth closed intervals, a ring whose oldest slot is
+         recycled as the next current interval *)
+  mutable oldest : int;  (* ring index of the oldest closed interval *)
+  error_log : Seq_set.t;
+      (* every erroneous seq ever reported, a superset of
+         [current_errors]. Regular checkpoints only advertise the last
+         c_depth intervals, but an Enforced-NAK must cover the whole
+         resolving period — which spans an outage of any length (§3.2) —
+         so nothing may be forgotten before an enforced recovery has had
+         a chance to replay it. Stale entries are harmless: renumbering
+         means the sender ignores seqs no longer outstanding. *)
   mutable cp_seq : int;
   mutable queue_len : int;
   mutable stop_state : bool;
@@ -65,11 +66,8 @@ let enqueue t =
 
 (* --- checkpoint emission ------------------------------------------------ *)
 
-let cumulative_naks t = List.fold_left Int_set.union Int_set.empty t.history
-
 let send_checkpoint t ~enforced ~naks =
   let now = Sim.Engine.now t.engine in
-  let naks = Int_set.elements naks in
   let cp =
     Frame.Cframe.checkpoint ~cp_seq:t.cp_seq ~issue_time:now
       ~stop_go:t.stop_state ~enforced ~next_expected:t.next_expected ~naks
@@ -95,15 +93,16 @@ let send_checkpoint t ~enforced ~naks =
    [c_depth] intervals' errors, advertise their union. An erroneous frame
    is therefore reported in exactly [c_depth] consecutive checkpoints. *)
 let regular_checkpoint t =
-  t.history <- t.current_errors :: t.history;
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  t.history <- take t.params.Params.c_depth t.history;
-  t.current_errors <- Int_set.empty;
-  send_checkpoint t ~enforced:false ~naks:(cumulative_naks t)
+  let depth = Array.length t.intervals in
+  if depth = 0 then Seq_set.clear t.current_errors
+  else begin
+    let recycled = t.intervals.(t.oldest) in
+    Seq_set.clear recycled;
+    t.intervals.(t.oldest) <- t.current_errors;
+    t.current_errors <- recycled;
+    t.oldest <- (if t.oldest + 1 = depth then 0 else t.oldest + 1)
+  end;
+  send_checkpoint t ~enforced:false ~naks:(Seq_set.union_to_list t.intervals)
 
 let schedule_next_cp t =
   ignore
@@ -119,9 +118,11 @@ let create engine ~params ~reverse ~metrics ~probe =
       metrics;
       probe;
       next_expected = 0;
-      current_errors = Int_set.empty;
-      history = [];
-      error_log = Int_set.empty;
+      current_errors = Seq_set.create ();
+      intervals =
+        Array.init params.Params.c_depth (fun _ -> Seq_set.create ());
+      oldest = 0;
+      error_log = Seq_set.create ();
       cp_seq = 0;
       queue_len = 0;
       stop_state = false;
@@ -148,8 +149,8 @@ let create engine ~params ~reverse ~metrics ~probe =
 let set_on_deliver t f = t.on_deliver <- Some f
 
 let mark_erroneous t seq =
-  t.current_errors <- Int_set.add seq t.current_errors;
-  t.error_log <- Int_set.add seq t.error_log
+  Seq_set.add t.current_errors seq;
+  Seq_set.add t.error_log seq
 
 let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.delivered <- t.metrics.Dlc.Metrics.delivered + 1;
@@ -195,8 +196,7 @@ let on_rx t (rx : Channel.Link.rx) =
          frame of the whole resolving period — a Request-NAK means the
          sender lost track, possibly across an outage longer than the
          cumulation window, so the complete log is replayed. *)
-      send_checkpoint t ~enforced:true
-        ~naks:(Int_set.union t.error_log t.current_errors)
+      send_checkpoint t ~enforced:true ~naks:(Seq_set.to_list t.error_log)
   | Frame.Wire.Control _, _ ->
       (* Corrupted control frames are detected and dropped. *)
       ()
@@ -205,8 +205,7 @@ let on_rx t (rx : Channel.Link.rx) =
 
 let next_expected t = t.next_expected
 
-let outstanding_naks t =
-  Int_set.elements (Int_set.union t.error_log t.current_errors)
+let outstanding_naks t = Seq_set.to_list t.error_log
 
 let queue_length t = t.queue_len
 
@@ -240,9 +239,9 @@ let poison_nak_ledger t ~seqs =
 let truncate_nak_ledger t =
   if not t.running then None
   else begin
-    let n = Int_set.cardinal (Int_set.union t.error_log t.current_errors) in
-    t.current_errors <- Int_set.empty;
-    t.history <- [];
-    t.error_log <- Int_set.empty;
+    let n = Seq_set.length t.error_log in
+    Seq_set.clear t.current_errors;
+    Array.iter Seq_set.clear t.intervals;
+    Seq_set.clear t.error_log;
     Some (Printf.sprintf "erased NAK ledger (%d entries forgotten)" n)
   end

@@ -8,10 +8,9 @@ type pending = {
   mutable first_tx_time : float;  (* nan until first transmitted *)
 }
 
-type outstanding_entry = {
-  pend : pending;
-  arrival_estimate : float;  (* predicted arrival at the receiver *)
-}
+(* Fills the ring slots of resolved frames; compared physically. *)
+let resolved =
+  { payload = Frame.Payload.empty; offer_time = nan; first_tx_time = nan }
 
 type t = {
   engine : Sim.Engine.t;
@@ -20,8 +19,15 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable next_seq : int;
-  outstanding : (int, outstanding_entry) Hashtbl.t;
-  coverage : int Queue.t;  (* outstanding seqs in transmission order *)
+  (* Transmitted frames in transmission order, which is ascending seq: a
+     ring of parallel columns, [ring_len] slots from [ring_head]. A
+     resolved frame's slot holds [resolved] until it reaches the front. *)
+  mutable ring_seq : int array;
+  mutable ring_pend : pending array;
+  mutable ring_arrival : float array;  (* predicted arrival at the receiver *)
+  mutable ring_head : int;
+  mutable ring_len : int;
+  mutable live : int;  (* unresolved slots *)
   fresh : pending Queue.t;  (* never-transmitted payloads *)
   retx : pending Queue.t;  (* awaiting retransmission *)
   mutable rate_factor : float;
@@ -41,10 +47,63 @@ type t = {
   mutable wakeup_fn : unit -> unit;  (* allocated once at [create] *)
 }
 
-let backlog t =
-  Queue.length t.fresh + Queue.length t.retx + Hashtbl.length t.outstanding
+(* --- the outstanding ring --------------------------------------------- *)
 
-let outstanding t = Hashtbl.length t.outstanding
+(* Physical index of the [i]-th slot from the front; capacity is a power
+   of two. *)
+let slot t i = (t.ring_head + i) land (Array.length t.ring_seq - 1)
+
+let push t seq pend arrival =
+  let cap = Array.length t.ring_seq in
+  if t.ring_len = cap then begin
+    let seqs = Array.make (2 * cap) 0
+    and pends = Array.make (2 * cap) resolved
+    and arrivals = Array.make (2 * cap) 0. in
+    for i = 0 to cap - 1 do
+      let j = slot t i in
+      seqs.(i) <- t.ring_seq.(j);
+      pends.(i) <- t.ring_pend.(j);
+      arrivals.(i) <- t.ring_arrival.(j)
+    done;
+    t.ring_seq <- seqs;
+    t.ring_pend <- pends;
+    t.ring_arrival <- arrivals;
+    t.ring_head <- 0
+  end;
+  let j = slot t t.ring_len in
+  t.ring_seq.(j) <- seq;
+  t.ring_pend.(j) <- pend;
+  t.ring_arrival.(j) <- arrival;
+  t.ring_len <- t.ring_len + 1;
+  t.live <- t.live + 1
+
+let resolve t j =
+  t.ring_pend.(j) <- resolved;
+  t.live <- t.live - 1
+
+(* Drop resolved slots from the front; afterwards the front, if any, is
+   the oldest unresolved frame. *)
+let rec trim t =
+  if t.ring_len > 0 && t.ring_pend.(t.ring_head) == resolved then begin
+    t.ring_head <- slot t 1;
+    t.ring_len <- t.ring_len - 1;
+    trim t
+  end
+
+(* Physical index of the unresolved slot holding [seq], or -1. *)
+let find t seq =
+  let lo = ref 0 and hi = ref t.ring_len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.ring_seq.(slot t mid) < seq then lo := mid + 1 else hi := mid
+  done;
+  let j = slot t !lo in
+  if !lo < t.ring_len && t.ring_seq.(j) = seq && t.ring_pend.(j) != resolved then j
+  else -1
+
+let backlog t = Queue.length t.fresh + Queue.length t.retx + t.live
+
+let outstanding t = t.live
 
 let outstanding_span_peak t = t.span_peak
 
@@ -57,9 +116,8 @@ let failed t = t.failed
 let set_on_failure t f = t.on_failure <- Some f
 
 let offer_time_of_seq t seq =
-  match Hashtbl.find_opt t.outstanding seq with
-  | Some e -> Some e.pend.offer_time
-  | None -> None
+  let j = find t seq in
+  if j < 0 then None else Some t.ring_pend.(j).offer_time
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -70,20 +128,13 @@ let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 let probe_on t = Dlc.Probe.active t.probe
 
 (* Track the numbering span actually in use: oldest live outstanding seq
-   (front of the coverage queue, skipping resolved ones) to next_seq-1. *)
+   (the front of the ring) to next_seq-1. *)
 let update_span t =
-  let rec front () =
-    match Queue.peek_opt t.coverage with
-    | Some s when not (Hashtbl.mem t.outstanding s) ->
-        ignore (Queue.pop t.coverage : int);
-        front ()
-    | other -> other
-  in
-  match front () with
-  | None -> ()
-  | Some oldest ->
-      let span = t.next_seq - oldest in
-      if span > t.span_peak then t.span_peak <- span
+  trim t;
+  if t.ring_len > 0 then begin
+    let span = t.next_seq - t.ring_seq.(t.ring_head) in
+    if span > t.span_peak then t.span_peak <- span
+  end
 
 (* --- transmission ------------------------------------------------------- *)
 
@@ -130,8 +181,7 @@ and transmit t pend ~is_retx =
     departure +. Channel.Link.propagation_delay t.forward ~at:departure
   in
   if Float.is_nan pend.first_tx_time then pend.first_tx_time <- now;
-  Hashtbl.replace t.outstanding seq { pend; arrival_estimate };
-  Queue.add seq t.coverage;
+  push t seq pend arrival_estimate;
   update_span t;
   if is_retx then
     t.metrics.Dlc.Metrics.retransmissions <-
@@ -242,19 +292,28 @@ and start_cp_timer_if_needed t =
 
 (* --- checkpoint processing ---------------------------------------------- *)
 
-let release t seq entry =
-  Hashtbl.remove t.outstanding seq;
+(* Both resolve the frame in slot [j], which holds [seq]. *)
+let release t j seq =
+  let pend = t.ring_pend.(j) in
+  resolve t j;
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
-  if probe_on t then
-    emit t (Dlc.Probe.Released { seq; payload = entry.pend.payload });
+  if probe_on t then emit t (Dlc.Probe.Released { seq; payload = pend.payload });
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
-    (Sim.Engine.now t.engine -. entry.pend.first_tx_time)
+    (Sim.Engine.now t.engine -. pend.first_tx_time)
 
-let queue_retransmission t seq entry =
-  Hashtbl.remove t.outstanding seq;
-  if probe_on t then
-    emit t (Dlc.Probe.Requeued { seq; payload = entry.pend.payload });
-  Queue.add entry.pend t.retx
+let queue_retransmission t j seq =
+  let pend = t.ring_pend.(j) in
+  resolve t j;
+  if probe_on t then emit t (Dlc.Probe.Requeued { seq; payload = pend.payload });
+  Queue.add pend t.retx
+
+(* A recursive walk, not [List.iter]: no closure per checkpoint. *)
+let rec requeue_naked t = function
+  | [] -> ()
+  | seq :: rest ->
+      let j = find t seq in
+      if j >= 0 then queue_retransmission t j seq;
+      requeue_naked t rest
 
 let apply_stop_go t ~stop =
   if stop then
@@ -318,12 +377,7 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
   end;
   (* 2. NAKed frames: retransmit on first notification only; a NAK whose
      seq is no longer outstanding has already been handled (§3.2). *)
-  List.iter
-    (fun seq ->
-      match Hashtbl.find_opt t.outstanding seq with
-      | Some entry -> queue_retransmission t seq entry
-      | None -> ())
-    cp.Frame.Cframe.naks;
+  requeue_naked t cp.Frame.Cframe.naks;
   (* 3. Coverage: frames that must have reached the receiver before this
      checkpoint was issued are resolved by it — released when the
      receiver's next_expected moved past them, retransmitted when the
@@ -336,24 +390,14 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
       cp.Frame.Cframe.issue_time -. t.params.Params.t_proc
       -. t.params.Params.coverage_margin
     in
-    let rec scan () =
-      match Queue.peek_opt t.coverage with
-      | None -> ()
-      | Some seq -> (
-          match Hashtbl.find_opt t.outstanding seq with
-          | None ->
-              ignore (Queue.pop t.coverage : int);
-              scan ()
-          | Some entry ->
-              if entry.arrival_estimate <= horizon then begin
-                ignore (Queue.pop t.coverage : int);
-                changed := true;
-                if seq < cp.Frame.Cframe.next_expected then release t seq entry
-                else queue_retransmission t seq entry;
-                scan ()
-              end)
-    in
-    scan ()
+    trim t;
+    while t.ring_len > 0 && t.ring_arrival.(t.ring_head) <= horizon do
+      let j = t.ring_head and seq = t.ring_seq.(t.ring_head) in
+      changed := true;
+      if seq < cp.Frame.Cframe.next_expected then release t j seq
+      else queue_retransmission t j seq;
+      trim t
+    done
   end;
   if !changed then sample_buffer t;
   (* 4. Flow control. *)
@@ -362,7 +406,7 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
 
 let next_seq t = t.next_seq
 
-let is_outstanding t seq = Hashtbl.mem t.outstanding seq
+let is_outstanding t seq = find t seq >= 0
 
 (* Guard escalation hooks: a forced resync is exactly the enforced
    recovery the checkpoint timer would start, and the guard's failure
@@ -416,28 +460,26 @@ type unresolved = {
 }
 
 let drain_unresolved t =
-  (* oldest first: outstanding frames in transmission order (the coverage
-     queue), then queued retransmissions (all certainly undelivered),
-     then never-transmitted frames *)
+  (* oldest first: outstanding frames in transmission order (the ring),
+     then queued retransmissions (all certainly undelivered), then
+     never-transmitted frames *)
   let out = ref [] in
-  let rec drain_coverage () =
-    match Queue.take_opt t.coverage with
-    | None -> ()
-    | Some seq ->
-        (match Hashtbl.find_opt t.outstanding seq with
-        | Some entry ->
-            Hashtbl.remove t.outstanding seq;
-            out :=
-              {
-                payload = entry.pend.payload;
-                offer_time = entry.pend.offer_time;
-                verdict = `Suspicious;
-              }
-              :: !out
-        | None -> ());
-        drain_coverage ()
-  in
-  drain_coverage ();
+  for i = 0 to t.ring_len - 1 do
+    let j = slot t i in
+    let pend = t.ring_pend.(j) in
+    if pend != resolved then begin
+      resolve t j;
+      out :=
+        {
+          payload = pend.payload;
+          offer_time = pend.offer_time;
+          verdict = `Suspicious;
+        }
+        :: !out
+    end
+  done;
+  t.ring_head <- 0;
+  t.ring_len <- 0;
   Queue.iter
     (fun (pend : pending) ->
       out :=
@@ -464,8 +506,12 @@ let create engine ~params ~forward ~metrics ~probe =
       metrics;
       probe;
       next_seq = 0;
-      outstanding = Hashtbl.create 1024;
-      coverage = Queue.create ();
+      ring_seq = Array.make 64 0;
+      ring_pend = Array.make 64 resolved;
+      ring_arrival = Array.make 64 0.;
+      ring_head = 0;
+      ring_len = 0;
+      live = 0;
       fresh = Queue.create ();
       retx = Queue.create ();
       rate_factor = 1.;
@@ -505,21 +551,14 @@ let scramble_next_seq t ~delta =
 let duplicate_buffer_entry t =
   if t.failed || t.stopped then None
   else begin
-    (* oldest live outstanding entry, per the coverage queue *)
-    let rec front () =
-      match Queue.peek_opt t.coverage with
-      | Some s when not (Hashtbl.mem t.outstanding s) ->
-          ignore (Queue.pop t.coverage : int);
-          front ()
-      | other -> other
-    in
-    match front () with
-    | None -> None
-    | Some seq ->
-        let entry = Hashtbl.find t.outstanding seq in
-        Queue.add entry.pend t.retx;
-        maybe_send t;
-        Some
-          (Printf.sprintf "duplicated unreleased seq %d into the retx queue"
-             seq)
+    (* oldest live outstanding entry: the front of the ring *)
+    trim t;
+    if t.ring_len = 0 then None
+    else begin
+      let seq = t.ring_seq.(t.ring_head) in
+      Queue.add t.ring_pend.(t.ring_head) t.retx;
+      maybe_send t;
+      Some
+        (Printf.sprintf "duplicated unreleased seq %d into the retx queue" seq)
+    end
   end

@@ -259,6 +259,38 @@ let prop_decode_never_raises =
       match Frame.Codec.decode (Bytes.of_string s) with
       | Ok _ | Error _ -> true)
 
+(* Both 16-bit count fields: 65,535 is the widest value that travels;
+   one more is refused at the encoder instead of reaching the wire
+   truncated, where it would decode as channel damage. *)
+let checkpoint_with_naks n =
+  Frame.Wire.Control
+    (Frame.Cframe.checkpoint ~cp_seq:1 ~issue_time:0.5 ~stop_go:false
+       ~enforced:true ~next_expected:(n + 1)
+       ~naks:(List.init n (fun i -> i)))
+
+let iframe_of_length len =
+  Frame.Wire.Data
+    (Frame.Iframe.create ~seq:7 ~payload:(Frame.Payload.make ~stem:"big" ~len))
+
+let test_count_fields_at_limit_roundtrip () =
+  let cp = checkpoint_with_naks 65_535 in
+  Alcotest.check wire "65,535 NAKs" cp (roundtrip cp);
+  let i = iframe_of_length 65_535 in
+  Alcotest.check wire "65,535-byte payload" i (roundtrip i)
+
+let test_count_fields_over_limit_raise () =
+  let raises what frame =
+    match Frame.Codec.encode frame with
+    | _ -> Alcotest.failf "%s: encoded" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "65,536 NAKs" (checkpoint_with_naks 65_536);
+  raises "65,536-byte payload" (iframe_of_length 65_536);
+  let scratch = Frame.Codec.create_scratch () in
+  match Frame.Codec.encode_scratch_into scratch (checkpoint_with_naks 70_000) with
+  | _ -> Alcotest.fail "70,000 NAKs: scratch-encoded"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "iframe roundtrip" `Quick test_iframe_roundtrip;
@@ -281,4 +313,8 @@ let suite =
     Alcotest.test_case "scratch encode roundtrips" `Quick test_scratch_roundtrip;
     Alcotest.test_case "scratch encode steady state is allocation-free" `Quick
       test_scratch_encode_steady_state_allocates_nothing;
+    Alcotest.test_case "count fields at 65,535 roundtrip" `Quick
+      test_count_fields_at_limit_roundtrip;
+    Alcotest.test_case "count fields over 65,535 raise" `Quick
+      test_count_fields_over_limit_raise;
   ]

@@ -154,6 +154,177 @@ let test_checkpoint_cadence () =
   Alcotest.(check int) "stop halts the schedule" 10
     (Lams_dlc.Receiver.checkpoints_sent h.receiver)
 
+(* --- the NAK ledger against a Set.Make(Int) reference ------------------- *)
+
+module Ref = Set.Make (Int)
+
+let prop_seq_set_matches_set =
+  (* ascending runs, repeats and inserts below the maximum, in any mix *)
+  let gen_sets =
+    QCheck2.Gen.(
+      list_size (int_range 1 4) (list_size (int_range 0 60) (int_range (-5) 200)))
+  in
+  QCheck2.Test.make ~name:"Seq_set: add, to_list and union equal Set.Make(Int)"
+    ~count:1000
+    ~print:QCheck2.Print.(list (list int))
+    gen_sets
+    (fun lists ->
+      let sets =
+        Array.of_list (List.map (fun _ -> Lams_dlc.Seq_set.create ()) lists)
+      in
+      let refs = Array.make (Array.length sets) Ref.empty in
+      List.iteri
+        (fun j xs ->
+          List.iter
+            (fun x ->
+              Lams_dlc.Seq_set.add sets.(j) x;
+              refs.(j) <- Ref.add x refs.(j);
+              if Lams_dlc.Seq_set.to_list sets.(j) <> Ref.elements refs.(j) then
+                QCheck2.Test.fail_reportf "set %d after adding %d" j x)
+            xs)
+        lists;
+      Lams_dlc.Seq_set.union_to_list sets
+      = Ref.elements (Array.fold_left Ref.union Ref.empty refs))
+
+(* The reference ledger, in Set.Make(Int) trees: the current interval,
+   the last c_depth closed intervals (newest first) and the error log. *)
+type reference = {
+  depth : int;
+  mutable next_expected : int;
+  mutable current : Ref.t;
+  mutable history : Ref.t list;
+  mutable log : Ref.t;
+}
+
+let ref_mark r seq =
+  r.current <- Ref.add seq r.current;
+  r.log <- Ref.add seq r.log
+
+let ref_checkpoint r =
+  r.history <- List.filteri (fun i _ -> i < r.depth) (r.current :: r.history);
+  r.current <- Ref.empty;
+  Ref.elements (List.fold_left Ref.union Ref.empty r.history)
+
+let ref_enforced r = Ref.elements (Ref.union r.log r.current)
+
+type op =
+  | Arrive of int * bool  (* next_expected + k, payload intact? *)
+  | Late of int  (* a duplicate k + 1 below next_expected *)
+  | Poison of int list  (* offsets from next_expected *)
+  | Scramble of int  (* shift next_expected *)
+  | Checkpoint
+  | Truncate
+  | Request_nak
+
+let print_op = function
+  | Arrive (k, ok) -> Printf.sprintf "Arrive(%d,%b)" k ok
+  | Late k -> Printf.sprintf "Late %d" k
+  | Poison l -> "Poison[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  | Scramble d -> Printf.sprintf "Scramble %d" d
+  | Checkpoint -> "Checkpoint"
+  | Truncate -> "Truncate"
+  | Request_nak -> "Request_nak"
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map2 (fun k ok -> Arrive (k, ok)) (int_range 0 4) bool);
+        (1, map (fun k -> Late k) (int_range 0 5));
+        ( 1,
+          map (fun l -> Poison l) (list_size (int_range 1 4) (int_range (-20) 5))
+        );
+        (1, map (fun d -> Scramble d) (int_range (-15) 10));
+        (3, pure Checkpoint);
+        (1, pure Truncate);
+        (1, pure Request_nak);
+      ])
+
+(* Drive a receiver (c_depth 0 included: built directly, as Params.validate
+   would refuse it) and the reference through the same steps; after every
+   step the Enforced-NAK ledger must agree, and every emitted checkpoint
+   must carry the reference's NAK list. *)
+let prop_ledger_matches_reference =
+  QCheck2.Test.make ~name:"receiver NAK ledger equals the Set.Make(Int) reference"
+    ~count:1000
+    ~print:
+      QCheck2.Print.(
+        pair int (fun ops -> String.concat " " (List.map print_op ops)))
+    QCheck2.Gen.(pair (int_range 0 4) (list_size (int_range 0 80) gen_op))
+    (fun (c_depth, ops) ->
+      (* w_cp = 1 s: checkpoints fire at whole seconds, steps run between *)
+      let h = make ~w_cp:1. ~c_depth () in
+      let r =
+        {
+          depth = c_depth;
+          next_expected = 0;
+          current = Ref.empty;
+          history = [];
+          log = Ref.empty;
+        }
+      in
+      let ticks = ref 0 in
+      run_for h 0.5;
+      let last_cp what expect =
+        let cp = latest_cp h in
+        if cp.Frame.Cframe.naks <> expect then
+          QCheck2.Test.fail_reportf "%s: receiver [%s], reference [%s]" what
+            (String.concat ";" (List.map string_of_int cp.Frame.Cframe.naks))
+            (String.concat ";" (List.map string_of_int expect))
+      in
+      let step op =
+        (match op with
+        | Arrive (k, ok) ->
+            let seq = r.next_expected + k in
+            for m = r.next_expected to seq - 1 do
+              ref_mark r m
+            done;
+            r.next_expected <- seq + 1;
+            if not ok then ref_mark r seq;
+            let status =
+              if ok then Channel.Link.Rx_ok else Channel.Link.Rx_payload_corrupt
+            in
+            arrive h ~status seq
+        | Late k ->
+            if r.next_expected > k then arrive h (r.next_expected - 1 - k)
+        | Poison offsets ->
+            List.iter (fun s -> ref_mark r (max 0 (r.next_expected + s))) offsets;
+            ignore (Lams_dlc.Receiver.poison_nak_ledger h.receiver ~seqs:offsets)
+        | Scramble d ->
+            r.next_expected <- max 0 (r.next_expected + d);
+            ignore (Lams_dlc.Receiver.scramble_next_expected h.receiver ~delta:d)
+        | Checkpoint ->
+            incr ticks;
+            run_for h (float_of_int !ticks +. 0.5 -. Sim.Engine.now h.engine);
+            last_cp "checkpoint" (ref_checkpoint r)
+        | Truncate ->
+            let n = Ref.cardinal (Ref.union r.log r.current) in
+            r.current <- Ref.empty;
+            r.history <- [];
+            r.log <- Ref.empty;
+            if
+              Lams_dlc.Receiver.truncate_nak_ledger h.receiver
+              <> Some (Printf.sprintf "erased NAK ledger (%d entries forgotten)" n)
+            then QCheck2.Test.fail_reportf "truncation count (reference %d)" n
+        | Request_nak ->
+            Lams_dlc.Receiver.on_rx h.receiver
+              {
+                Channel.Link.frame =
+                  Frame.Wire.Control (Frame.Cframe.request_nak ~issue_time:0.);
+                status = Channel.Link.Rx_ok;
+                t_sent = 0.;
+              };
+            (* long enough for the link to serialise any earlier answer *)
+            run_for h 1e-3;
+            last_cp "enforced-NAK" (ref_enforced r));
+        if Lams_dlc.Receiver.next_expected h.receiver <> r.next_expected then
+          QCheck2.Test.fail_reportf "next_expected after %s" (print_op op);
+        if Lams_dlc.Receiver.outstanding_naks h.receiver <> ref_enforced r then
+          QCheck2.Test.fail_reportf "ledger after %s" (print_op op)
+      in
+      List.iter step ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "clean stream: empty naks" `Quick test_clean_stream_empty_naks;
@@ -169,4 +340,6 @@ let suite =
     Alcotest.test_case "duplicate arrival tolerated" `Quick
       test_duplicate_arrival_counted;
     Alcotest.test_case "checkpoint cadence" `Quick test_checkpoint_cadence;
+    QCheck_alcotest.to_alcotest prop_seq_set_matches_set;
+    QCheck_alcotest.to_alcotest prop_ledger_matches_reference;
   ]

@@ -19,6 +19,7 @@ let () =
       ("dlc-metrics", Test_dlc.suite);
       ("lams-dlc", Test_lams_dlc.suite);
       ("lams-receiver-unit", Test_lams_receiver_unit.suite);
+      ("lams-sender-unit", Test_lams_sender_unit.suite);
       ("hdlc", Test_hdlc.suite);
       ("hdlc-receiver-unit", Test_hdlc_receiver_unit.suite);
       ("hdlc-sender-unit", Test_hdlc_sender_unit.suite);
