@@ -29,14 +29,28 @@ type t = {
 
 let schema_version = 1
 
+let git_short_rev () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> line
+    | _ -> "unknown"
+  with _ -> "unknown"
+
+let iso8601_now () =
+  let tm = Unix.gmtime (Unix.gettimeofday ()) in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+    tm.Unix.tm_sec
+
 let collect_meta ~jobs =
-  let base = Report.collect_meta ~quota_s:0. ~limit:0 in
   {
     jobs;
-    git_rev = base.Report.git_rev;
-    ocaml_version = base.Report.ocaml_version;
-    host = base.Report.host;
-    timestamp = base.Report.timestamp;
+    git_rev = git_short_rev ();
+    ocaml_version = Sys.ocaml_version;
+    host = (try Unix.gethostname () with _ -> "unknown");
+    timestamp = iso8601_now ();
   }
 
 let stat_of_online o =

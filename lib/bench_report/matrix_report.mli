@@ -46,7 +46,9 @@ val schema_version : int
 (** Current schema: 1. *)
 
 val collect_meta : jobs:int -> meta
-(** Snapshot run metadata (via {!Report.collect_meta}). Never raises. *)
+(** Snapshot run metadata: short git revision, compiler version, host
+    name and UTC timestamp (["unknown"] where unavailable). Never
+    raises. *)
 
 val stat_of_online : Stats.Online.t -> stat
 

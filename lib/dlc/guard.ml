@@ -23,6 +23,19 @@ let validate_config c =
     err "max_cp_jump must be >= 1 (got %d)" c.max_cp_jump
   else Ok c
 
+let validate_opt = function
+  | None -> Ok ()
+  | Some c -> (
+      match validate_config c with
+      | Ok _ -> Ok ()
+      | Error msg -> Error ("guard: " ^ msg))
+
+let pp_opt ppf = function
+  | None -> ()
+  | Some c ->
+      Format.fprintf ppf " guard=[distrust %d resyncs %d jump %d hold %b]"
+        c.distrust_threshold c.resync_retries c.max_cp_jump c.confirm_hold
+
 type feedback_hooks =
   | Checkpointed of {
       next_seq : unit -> int;

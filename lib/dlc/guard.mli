@@ -65,6 +65,15 @@ val default_config : config
 
 val validate_config : config -> (config, string) result
 
+val validate_opt : config option -> (unit, string) result
+(** Check the [guard] field of a variant's params: [Ok] for [None] or a
+    valid config, else ["guard: "] and {!validate_config}'s reason. *)
+
+val pp_opt : Format.formatter -> config option -> unit
+(** Print the [guard] field of a variant's params as
+    [" guard=[distrust D resyncs R jump J hold B]"], or nothing for
+    [None]. *)
+
 (** Ground truth the guard checks feedback against, per variant
     family. All functions are consulted at frame-arrival time. *)
 type feedback_hooks =

@@ -46,12 +46,6 @@ let hdlc_params =
 let nbdt_params =
   { Nbdt.Params.default with Nbdt.Params.report_interval = 1e-3 }
 
-let lams_holding_bound params =
-  Lams_dlc.Params.resolving_period params ~rtt
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. data_rate_bps)
-  +. 1e-3
-
 (* The six timed corruption classes, with canonical arguments; the
    seventh class, carryover staleness, lives in the handover run. *)
 let classes : (string * Dlc.Corrupt.klass) list =
@@ -125,7 +119,8 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
           Oracle.Lams
             {
               c_depth = lams_params.Lams_dlc.Params.c_depth;
-              holding_bound = lams_holding_bound lams_params;
+              holding_bound =
+                Lams_dlc.Params.holding_bound lams_params ~rtt ~data_rate_bps;
             },
           convergence_k Lams )
     | Sr_hdlc ->

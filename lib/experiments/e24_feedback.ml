@@ -78,12 +78,6 @@ let nbdt_params ~guard_on =
     guard = (if guard_on then Some guard_config else None);
   }
 
-let lams_holding_bound params =
-  Lams_dlc.Params.resolving_period params ~rtt
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. data_rate_bps)
-  +. 1e-3
-
 let forward_spec =
   Channel.Fault.Rules
     (List.map
@@ -192,7 +186,8 @@ let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
           Oracle.Lams
             {
               c_depth = params.Lams_dlc.Params.c_depth;
-              holding_bound = lams_holding_bound params;
+              holding_bound =
+                Lams_dlc.Params.holding_bound params ~rtt ~data_rate_bps;
             } )
     | Sr_hdlc ->
         let params = hdlc_params ~guard_on in

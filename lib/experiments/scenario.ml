@@ -120,15 +120,6 @@ let error_models cfg ~rng:_ =
   let cframe_error = Channel.Error_model.uniform ~ber:cfg.cframe_ber () in
   (iframe_error, cframe_error)
 
-(* Holding bound for the LAMS oracle: the resolving period (paper §3.3)
-   plus slack for checkpoint phase, serialisation and processing — same
-   construction as the test harness. *)
-let lams_holding_bound cfg ~params =
-  Lams_dlc.Params.resolving_period params ~rtt:(rtt cfg)
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. cfg.data_rate_bps)
-  +. 1e-3
-
 let proto_tag = function Lams _ -> "lams" | Hdlc _ -> "hdlc"
 
 (* Pins down everything that shapes a run's event stream. Two tasks with
@@ -182,7 +173,9 @@ let run_watched ?faults ?reverse_faults ?recorder ~watch cfg protocol =
                  (Oracle.Lams
                     {
                       c_depth = params.Lams_dlc.Params.c_depth;
-                      holding_bound = lams_holding_bound cfg ~params;
+                      holding_bound =
+                        Lams_dlc.Params.holding_bound params ~rtt:(rtt cfg)
+                          ~data_rate_bps:cfg.data_rate_bps;
                     }))
         in
         ( Lams_dlc.Session.as_dlc s,

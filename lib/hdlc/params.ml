@@ -36,30 +36,19 @@ let validate t =
     err "SR window %d exceeds modulus/2 = %d" t.window (modulus t / 2)
   else if t.mode = Go_back_n && t.window > modulus t - 1 then
     err "GBN window %d exceeds modulus-1 = %d" t.window (modulus t - 1)
-  else if t.t_out <= 0. then err "t_out must be > 0 (got %g)" t.t_out
-  else if t.t_proc < 0. then err "t_proc must be >= 0 (got %g)" t.t_proc
+  else if not (t.t_out > 0.) then err "t_out must be > 0 (got %g)" t.t_out
+  else if not (t.t_proc >= 0.) then err "t_proc must be >= 0 (got %g)" t.t_proc
   else if t.send_buffer_capacity < 1 then
     err "send_buffer_capacity must be >= 1 (got %d)" t.send_buffer_capacity
   else if t.max_retries < 1 then
     err "max_retries must be >= 1 (got %d)" t.max_retries
-  else
-    match t.guard with
-    | None -> Ok t
-    | Some g -> (
-        match Dlc.Guard.validate_config g with
-        | Ok _ -> Ok t
-        | Error msg -> err "guard: %s" msg)
+  else Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
 
 let mode_name = function Selective_repeat -> "SR" | Go_back_n -> "GBN"
 
 let pp ppf t =
-  Format.fprintf ppf "%s%s W=%d M=%d t_out=%gs t_proc=%gs sbuf=%d N2=%d"
+  Format.fprintf ppf "%s%s W=%d M=%d t_out=%gs t_proc=%gs sbuf=%d N2=%d%a"
     (mode_name t.mode)
     (if t.stutter then "+ST" else "")
-    t.window (modulus t) t.t_out t.t_proc t.send_buffer_capacity t.max_retries;
-  match t.guard with
-  | None -> ()
-  | Some g ->
-      Format.fprintf ppf " guard=[distrust %d resyncs %d jump %d hold %b]"
-        g.Dlc.Guard.distrust_threshold g.Dlc.Guard.resync_retries
-        g.Dlc.Guard.max_cp_jump g.Dlc.Guard.confirm_hold
+    t.window (modulus t) t.t_out t.t_proc t.send_buffer_capacity t.max_retries
+    Dlc.Guard.pp_opt t.guard

@@ -206,7 +206,7 @@ let on_rx t (rx : Channel.Link.rx) =
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
-let scramble_v_r t ~delta =
+let scramble_recv_seq t ~delta =
   if t.stopped then None
   else begin
     let before = t.v_r in

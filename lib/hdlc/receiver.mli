@@ -35,7 +35,7 @@ val buffered : t -> int
 
 val stop : t -> unit
 
-val scramble_v_r : t -> delta:int -> string option
+val scramble_recv_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): shift V(R)
     cyclically by [delta] (magnitude capped below the window size).
     Forward jumps swallow in-flight frames; backward jumps wedge the

@@ -346,7 +346,7 @@ let create engine ~params ~forward ~metrics ~probe =
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
-let scramble_v_s t ~delta =
+let scramble_send_seq t ~delta =
   if t.failed || t.stopped || delta < 1 then None
   else begin
     (* Jump V(S) forward, materialising the skipped numbers as phantom

@@ -66,7 +66,7 @@ val offer_time_of_seq : t -> int -> float option
 
 val stop : t -> unit
 
-val scramble_v_s : t -> delta:int -> string option
+val scramble_send_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): jump V(S) forward
     by up to [delta], materialising the skipped numbers as phantom
     in-flight frames (never transmitted); SREJ/REJ recovery then

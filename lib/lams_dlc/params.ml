@@ -35,30 +35,28 @@ let default =
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.w_cp <= 0. then err "w_cp must be > 0 (got %g)" t.w_cp
+  if not (t.w_cp > 0.) then err "w_cp must be > 0 (got %g)" t.w_cp
   else if t.c_depth < 1 then err "c_depth must be >= 1 (got %d)" t.c_depth
-  else if t.t_proc < 0. then err "t_proc must be >= 0 (got %g)" t.t_proc
+  else if not (t.t_proc >= 0.) then err "t_proc must be >= 0 (got %g)" t.t_proc
   else if t.send_buffer_capacity < 1 then
     err "send_buffer_capacity must be >= 1 (got %d)" t.send_buffer_capacity
   else if t.recv_low_watermark < 0 || t.recv_high_watermark < t.recv_low_watermark
   then err "watermarks must satisfy 0 <= low <= high"
   else if not (t.rate_decrease_factor > 0. && t.rate_decrease_factor < 1.) then
     err "rate_decrease_factor must be in (0,1) (got %g)" t.rate_decrease_factor
-  else if t.rate_increase_step <= 0. then
+  else if not (t.rate_increase_step > 0.) then
     err "rate_increase_step must be > 0 (got %g)" t.rate_increase_step
   else if not (t.min_rate_factor > 0. && t.min_rate_factor <= 1.) then
     err "min_rate_factor must be in (0,1] (got %g)" t.min_rate_factor
   else if t.request_nak_retries < 0 then
     err "request_nak_retries must be >= 0 (got %d)" t.request_nak_retries
-  else if t.coverage_margin < 0. then
+  else if not (t.coverage_margin >= 0.) then
     err "coverage_margin must be >= 0 (got %g)" t.coverage_margin
   else
-    match t.guard with
-    | None -> Ok t
-    | Some g -> (
-        match Dlc.Guard.validate_config g with
-        | Ok _ -> Ok t
-        | Error msg -> err "guard: %s" msg)
+    match t.recv_drain_rate with
+    | Some r when not (Float.is_finite r && r > 0.) ->
+        err "recv_drain_rate must be finite and > 0 (got %g)" r
+    | _ -> Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
 
 let checkpoint_timeout t = float_of_int t.c_depth *. t.w_cp
 
@@ -79,17 +77,14 @@ let failure_declaration_bound t ~response =
 let resolving_period t ~rtt =
   rtt +. (0.5 *. t.w_cp) +. (float_of_int t.c_depth *. t.w_cp)
 
+let holding_bound t ~rtt ~data_rate_bps =
+  resolving_period t ~rtt +. t.w_cp +. (65536. /. data_rate_bps) +. 1e-3
+
 let pp ppf t =
   Format.fprintf ppf
-    "w_cp=%gs c_depth=%d t_proc=%gs sbuf=%d wm=[%d,%d] drain=%s rate=[x%g,+%g,min %g] retries=%d margin=%g"
+    "w_cp=%gs c_depth=%d t_proc=%gs sbuf=%d wm=[%d,%d] drain=%s rate=[x%g,+%g,min %g] retries=%d margin=%g%a"
     t.w_cp t.c_depth t.t_proc t.send_buffer_capacity t.recv_low_watermark
     t.recv_high_watermark
     (match t.recv_drain_rate with None -> "inf" | Some r -> Printf.sprintf "%g/s" r)
     t.rate_decrease_factor t.rate_increase_step t.min_rate_factor
-    t.request_nak_retries t.coverage_margin;
-  match t.guard with
-  | None -> ()
-  | Some g ->
-      Format.fprintf ppf " guard=[distrust %d resyncs %d jump %d hold %b]"
-        g.Dlc.Guard.distrust_threshold g.Dlc.Guard.resync_retries
-        g.Dlc.Guard.max_cp_jump g.Dlc.Guard.confirm_hold
+    t.request_nak_retries t.coverage_margin Dlc.Guard.pp_opt t.guard

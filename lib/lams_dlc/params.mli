@@ -21,7 +21,8 @@ type t = {
   recv_drain_rate : float option;
       (** receiving-side upper-layer drain rate, frames/second; [None]
           models the paper's transparent receiving buffer (frames leave
-          after [t_proc]). Finite values exercise flow control. *)
+          after [t_proc]). [Some r] needs a finite [r > 0] and
+          exercises flow control. *)
   rate_decrease_factor : float;
       (** multiplier applied to the sending rate on each Stop detection
           (paper §3.4 "decreases the sending rate by some predefined
@@ -80,5 +81,10 @@ val failure_declaration_bound : t -> response:float -> float
 val resolving_period : t -> rtt:float -> float
 (** Paper §3.3: [R + w_cp/2 + c_depth * w_cp]; bounds the holding time of
     any frame and hence the numbering size. *)
+
+val holding_bound : t -> rtt:float -> data_rate_bps:float -> float
+(** The holding bound the LAMS oracle checks: {!resolving_period} plus
+    slack for checkpoint phase ([w_cp]), serialisation (64 KiB at
+    [data_rate_bps]) and processing (1 ms). *)
 
 val pp : Format.formatter -> t -> unit

@@ -217,7 +217,7 @@ let stop t = t.running <- false
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
-let scramble_next_expected t ~delta =
+let scramble_recv_seq t ~delta =
   if not t.running then None
   else begin
     let before = t.next_expected in

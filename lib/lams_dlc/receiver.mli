@@ -57,7 +57,7 @@ val checkpoints_sent : t -> int
 val stop : t -> unit
 (** Cease the periodic checkpoint schedule (end of link lifetime). *)
 
-val scramble_next_expected : t -> delta:int -> string option
+val scramble_recv_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): shift the
     expected frontier by [delta] (clamped at 0). Forward jumps swallow
     in-flight frames; backward jumps re-NAK delivered ones. *)

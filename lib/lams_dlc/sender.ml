@@ -540,7 +540,7 @@ let create engine ~params ~forward ~metrics ~probe =
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
-let scramble_next_seq t ~delta =
+let scramble_send_seq t ~delta =
   if t.failed || t.stopped || delta < 1 then None
   else begin
     let before = t.next_seq in

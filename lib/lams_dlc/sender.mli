@@ -108,7 +108,7 @@ val drain_unresolved : t -> unresolved list
     else has a definite verdict, so the network layer can re-route with
     zero loss and bounded (deduplicable) duplication. *)
 
-val scramble_next_seq : t -> delta:int -> string option
+val scramble_send_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): jump the next
     wire number forward by [delta] (phantom gap the receiver will NAK).
     Returns a description, or [None] on a failed/stopped sender. *)

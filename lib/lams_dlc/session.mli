@@ -1,39 +1,10 @@
-(** A running LAMS-DLC association over a full-duplex link.
+(** A running LAMS-DLC association over a full-duplex link: the
+    {!Dlc.Session.Make} skeleton over {!Sender} and {!Receiver}. All six
+    corruption classes are supported; reverse replay re-sends captured
+    checkpoints. *)
 
-    Wires a {!Sender} and {!Receiver} onto the two directions of a
-    {!Channel.Duplex}, shares one {!Dlc.Metrics.t} between them, and
-    presents the protocol-agnostic {!Dlc.Session.t} face used by the
-    experiments and examples. *)
-
-type t
-
-val create :
-  ?probe:Dlc.Probe.t ->
-  Sim.Engine.t ->
-  params:Params.t ->
-  duplex:Channel.Duplex.t ->
-  t
-(** Raises [Invalid_argument] when the parameters fail
-    {!Params.validate}. [probe] (fresh when omitted) receives the
-    session's semantic events; see {!Dlc.Probe} and {!probe}. *)
-
-val probe : t -> Dlc.Probe.t
-
-val guard : t -> Dlc.Guard.t option
-(** The feedback-plausibility guard, when [params.guard] enabled one. *)
-
-val sender : t -> Sender.t
-
-val receiver : t -> Receiver.t
-
-val metrics : t -> Dlc.Metrics.t
-
-val as_dlc : t -> Dlc.Session.t
-(** The generic face. Its [offer]/[set_on_deliver]/[stop] drive this
-    session; delivery delay is recorded automatically. *)
-
-val corrupt_surface : t -> Dlc.Corrupt.surface
-(** State-corruption injection points into this live session (all six
-    classes are supported): sequence-counter scrambles, NAK-ledger
-    poison/truncate, buffer duplication, and stale reverse-checkpoint
-    replay from a ring of recently sent control frames. *)
+include
+  Dlc.Session.S
+    with type params = Params.t
+     and type sender = Sender.t
+     and type receiver = Receiver.t

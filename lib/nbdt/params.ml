@@ -29,37 +29,26 @@ let default =
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.report_interval <= 0. then
+  if not (t.report_interval > 0.) then
     err "report_interval must be > 0 (got %g)" t.report_interval
   else if t.batch_size < 1 then err "batch_size must be >= 1 (got %d)" t.batch_size
-  else if t.resend_timeout <= 0. then
+  else if not (t.resend_timeout > 0.) then
     err "resend_timeout must be > 0 (got %g)" t.resend_timeout
-  else if t.t_proc < 0. then err "t_proc must be >= 0 (got %g)" t.t_proc
+  else if not (t.t_proc >= 0.) then err "t_proc must be >= 0 (got %g)" t.t_proc
   else if t.send_buffer_capacity < 1 then
     err "send_buffer_capacity must be >= 1 (got %d)" t.send_buffer_capacity
   else if t.max_retries < 1 then err "max_retries must be >= 1 (got %d)" t.max_retries
   else if t.max_report_misses < 1 then
     err "max_report_misses must be >= 1 (got %d)" t.max_report_misses
-  else if t.retx_cooldown < 0. then
+  else if not (t.retx_cooldown >= 0.) then
     err "retx_cooldown must be >= 0 (got %g)" t.retx_cooldown
-  else
-    match t.guard with
-    | None -> Ok t
-    | Some g -> (
-        match Dlc.Guard.validate_config g with
-        | Ok _ -> Ok t
-        | Error msg -> err "guard: %s" msg)
+  else Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
 
 let mode_name = function Multiphase -> "multiphase" | Continuous -> "continuous"
 
 let pp ppf t =
   Format.fprintf ppf
-    "nbdt %s report=%gs batch=%d t_resend=%gs t_proc=%gs sbuf=%d N2=%d misses<=%d"
+    "nbdt %s report=%gs batch=%d t_resend=%gs t_proc=%gs sbuf=%d N2=%d misses<=%d%a"
     (mode_name t.mode) t.report_interval t.batch_size t.resend_timeout t.t_proc
-    t.send_buffer_capacity t.max_retries t.max_report_misses;
-  match t.guard with
-  | None -> ()
-  | Some g ->
-      Format.fprintf ppf " guard=[distrust %d resyncs %d jump %d hold %b]"
-        g.Dlc.Guard.distrust_threshold g.Dlc.Guard.resync_retries
-        g.Dlc.Guard.max_cp_jump g.Dlc.Guard.confirm_hold
+    t.send_buffer_capacity t.max_retries t.max_report_misses Dlc.Guard.pp_opt
+    t.guard

@@ -149,7 +149,7 @@ let stop t = t.running <- false
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
-let scramble_frontier t ~delta =
+let scramble_recv_seq t ~delta =
   if not t.running then None
   else begin
     let before = t.frontier in

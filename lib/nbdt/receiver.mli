@@ -29,7 +29,7 @@ val reports_sent : t -> int
 
 val stop : t -> unit
 
-val scramble_frontier : t -> delta:int -> string option
+val scramble_recv_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): shift the
     received frontier by [delta] (clamped at 0). Forward jumps swallow
     in-flight frames; backward jumps re-flag delivered ones as missing. *)

@@ -58,7 +58,7 @@ val offer_time_of_seq : t -> int -> float option
 
 val stop : t -> unit
 
-val scramble_next_seq : t -> delta:int -> string option
+val scramble_send_seq : t -> delta:int -> string option
 (** State-corruption injection point ({!Dlc.Corrupt}): jump the next
     stable number forward by [delta]; the skipped numbers become
     permanently missing at the receiver and cycle through every report. *)

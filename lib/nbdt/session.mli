@@ -1,32 +1,9 @@
-(** A running NBDT association over a full-duplex link, presenting the
-    protocol-agnostic {!Dlc.Session.t} face. *)
+(** A running NBDT association over a full-duplex link: the
+    {!Dlc.Session.Make} skeleton over {!Sender} and {!Receiver}. Reverse
+    replay re-sends captured status reports. *)
 
-type t
-
-val create :
-  ?probe:Dlc.Probe.t ->
-  Sim.Engine.t ->
-  params:Params.t ->
-  duplex:Channel.Duplex.t ->
-  t
-(** Raises [Invalid_argument] when the parameters fail
-    {!Params.validate}. [probe] (fresh when omitted) receives the
-    session's semantic events; see {!Dlc.Probe} and {!probe}. *)
-
-val probe : t -> Dlc.Probe.t
-
-val guard : t -> Dlc.Guard.t option
-(** The feedback-plausibility guard, when [params.guard] enabled one. *)
-
-val sender : t -> Sender.t
-
-val receiver : t -> Receiver.t
-
-val metrics : t -> Dlc.Metrics.t
-
-val as_dlc : t -> Dlc.Session.t
-
-val corrupt_surface : t -> Dlc.Corrupt.surface
-(** State-corruption injection points into this live session. All
-    classes except carryover staleness (a handover-layer notion) are
-    supported; stale reverse replay re-sends captured status reports. *)
+include
+  Dlc.Session.S
+    with type params = Params.t
+     and type sender = Sender.t
+     and type receiver = Receiver.t

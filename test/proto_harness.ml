@@ -38,17 +38,13 @@ let install_faults ~faults ~reverse_faults (duplex : Channel.Duplex.t) =
   | Some f -> Channel.Fault.install f duplex.Channel.Duplex.reverse
   | None -> ()
 
-(* Holding bound for the LAMS oracle: the resolving period (paper §3.3)
-   plus slack for checkpoint phase, serialisation and processing. *)
+(* Holding bound for the LAMS oracle at this duplex's round trip. *)
 let lams_holding_bound ~params ~rate (duplex : Channel.Duplex.t) =
   let rtt =
     2.
     *. Channel.Link.propagation_delay duplex.Channel.Duplex.forward ~at:0.
   in
-  Lams_dlc.Params.resolving_period params ~rtt
-  +. params.Lams_dlc.Params.w_cp
-  +. (65536. /. rate)
-  +. 1e-3
+  Lams_dlc.Params.holding_bound params ~rtt ~data_rate_bps:rate
 
 let lams ?seed ?ber ?cber ?distance ?(rate = 100e6) ?iframe_error ?faults
     ?reverse_faults ?(params = Lams_dlc.Params.default) () =

@@ -47,9 +47,6 @@ let test_coded_path_status () =
         (Channel.Coded_path.transmit_status path descriptor_frame
           : Channel.Link.status))
 
-(* Two more zero-allocation subjects of the bechamel harness
-   (bench/main.ml). *)
-
 (* Steady-state scheduling through the arena and timer wheel: delays
    spanning the near heap, the wheel buckets and the overflow heap (80 ms
    is past the wheel horizon), one pre-allocated callback, float delays
@@ -105,22 +102,20 @@ let test_receiver_nak_marking () =
   Alcotest.(check int) "every frame NAKed" (warmup + calls)
     (List.length (Lams_dlc.Receiver.outstanding_naks receiver))
 
-(* A whole LAMS session at the paper's operating point: Scenario.default
-   is 2,000 saturating 1 kB frames at seed 1. *)
-let test_scenario_words_per_frame () =
+(* A whole session at the paper's operating point: Scenario.default is
+   2,000 saturating 1 kB frames at seed 1. *)
+let test_scenario_words_per_frame ~max_words protocol () =
   let config = Experiments.Scenario.default in
-  let protocol =
-    Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params config)
-  in
   let w0 = Gc.minor_words () in
-  let r = Experiments.Scenario.run config protocol in
+  let r = Experiments.Scenario.run config (protocol config) in
   let words = Gc.minor_words () -. w0 in
   let delivered = r.Experiments.Scenario.metrics.Dlc.Metrics.delivered in
   Alcotest.(check bool) "completed" true r.Experiments.Scenario.completed;
   let per_frame = words /. float_of_int delivered in
-  if per_frame > 120. then
+  if per_frame > max_words then
     Alcotest.failf
-      "Scenario.run allocates %.1f words per delivered frame (gate: 120)" per_frame
+      "Scenario.run allocates %.1f words per delivered frame (gate: %g)" per_frame
+      max_words
 
 let suite =
   [
@@ -136,5 +131,9 @@ let suite =
     Alcotest.test_case "LAMS receiver NAK marking: at most 1 word" `Quick
       test_receiver_nak_marking;
     Alcotest.test_case "LAMS session: at most 120 words per frame" `Quick
-      test_scenario_words_per_frame;
+      (test_scenario_words_per_frame ~max_words:120. (fun c ->
+           Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
+    Alcotest.test_case "SR-HDLC session: at most 155 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:155. (fun c ->
+           Experiments.Scenario.Hdlc (Experiments.Scenario.default_hdlc_params c)));
   ]

@@ -1,10 +1,7 @@
-(* Benchmark-report pipeline tests: JSON codec round-trips, report
-   serialisation, and the perf-regression gate (threshold logic plus the
-   subject-appears / subject-disappears cases). *)
+(* Report-pipeline tests: JSON codec round-trips and the stats JSON
+   emitters. *)
 
 module Json = Bench_report.Json
-module Report = Bench_report.Report
-module Compare = Bench_report.Compare
 
 (* --- JSON codec --------------------------------------------------------- *)
 
@@ -65,223 +62,6 @@ let test_json_unicode_escape () =
   | Ok _ -> Alcotest.fail "expected a string"
   | Error e -> Alcotest.fail e
 
-(* --- report round-trip --------------------------------------------------- *)
-
-let subject ?(r2 = 0.99) ?(mw = 12.) name ns =
-  (* finite minor_words_per_run by default: the round-trip tests compare
-     reports structurally, and nan <> nan would fail them *)
-  {
-    Report.name;
-    ns_per_run = ns;
-    r_square = r2;
-    mean_ns = ns *. 1.01;
-    stddev_ns = ns /. 20.;
-    samples = 40;
-    minor_words_per_run = mw;
-  }
-
-let meta =
-  {
-    Report.git_rev = "deadbee";
-    ocaml_version = "5.1.1";
-    host = "testhost";
-    timestamp = "2026-08-06T00:00:00Z";
-    quota_s = 0.25;
-    limit = 200;
-  }
-
-let report subjects =
-  { Report.schema_version = Report.schema_version; meta; subjects }
-
-let test_report_roundtrip () =
-  let r = report [ subject "a" 100.; subject "b" 2000.5 ] in
-  let text = Json.to_string ~indent:2 (Report.to_json r) in
-  match Json.of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Report.of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok r' -> Alcotest.(check bool) "round-trip" true (r = r'))
-
-let test_report_file_roundtrip () =
-  let path = Filename.temp_file "bench_report" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let r = report [ subject "x" 42. ] in
-      Report.write path r;
-      match Report.read path with
-      | Error e -> Alcotest.fail e
-      | Ok r' -> Alcotest.(check bool) "file round-trip" true (r = r'))
-
-let test_report_rejects_future_schema () =
-  let j =
-    Json.Obj
-      [
-        ("schema_version", Json.Int (Report.schema_version + 1));
-        ("meta", Report.to_json (report []) |> Json.member "meta" |> Option.get);
-        ("subjects", Json.List []);
-      ]
-  in
-  match Report.of_json j with
-  | Ok _ -> Alcotest.fail "accepted a future schema_version"
-  | Error _ -> ()
-
-let test_report_rejects_missing_field () =
-  match Json.of_string "{\"schema_version\":1,\"subjects\":[]}" with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Report.of_json j with
-      | Ok _ -> Alcotest.fail "accepted a report without meta"
-      | Error _ -> ())
-
-let test_subject_of_samples () =
-  let s =
-    Report.subject_of_samples ~name:"s" ~ns_per_run:10. ~r_square:1.
-      ~ns_samples:[ 8.; 10.; 12. ] ()
-  in
-  Alcotest.(check int) "samples" 3 s.Report.samples;
-  Alcotest.(check (float 1e-9)) "mean" 10. s.Report.mean_ns;
-  Alcotest.(check (float 1e-9)) "stddev" 2. s.Report.stddev_ns;
-  Alcotest.(check bool) "alloc defaults to unmeasured" true
-    (Float.is_nan s.Report.minor_words_per_run)
-
-let test_report_alloc_field_optional () =
-  (* a subject with nan allocation serialises without the key (nan has no
-     JSON representation) and a report lacking the key reads back as nan
-     — which is how pre-counter baselines like BENCH_seed.json stay
-     readable under schema 1 *)
-  let s = subject "a" 100. in
-  let without = { s with Report.minor_words_per_run = nan } in
-  let j = Report.to_json (report [ without ]) in
-  let text = Json.to_string j in
-  Alcotest.(check bool) "nan key omitted" false
-    (Astring.String.is_infix ~affix:"minor_words_per_run" text);
-  match Json.of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Report.of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-          let s' = List.hd r.Report.subjects in
-          Alcotest.(check bool) "missing key reads as nan" true
-            (Float.is_nan s'.Report.minor_words_per_run));
-  let j = Report.to_json (report [ s ]) in
-  match Report.of_json j with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-      Alcotest.(check (float 1e-9)) "finite value survives" 12.
-        (List.hd r.Report.subjects).Report.minor_words_per_run
-
-(* --- regression gate ----------------------------------------------------- *)
-
-let statuses verdict =
-  List.map
-    (fun d -> (d.Compare.name, d.Compare.status))
-    verdict.Compare.deltas
-
-let test_compare_identical () =
-  let r = report [ subject "a" 100.; subject "b" 200. ] in
-  let v = Compare.run ~baseline:r ~current:r () in
-  Alcotest.(check bool) "not failed" false (Compare.failed v);
-  Alcotest.(check int) "no regressions" 0 v.Compare.regressed;
-  List.iter
-    (fun (_, st) -> Alcotest.(check bool) "unchanged" true (st = Compare.Unchanged))
-    (statuses v)
-
-let test_compare_detects_2x_slowdown () =
-  let baseline = report [ subject "a" 100.; subject "b" 200. ] in
-  let current = report [ subject "a" 200.; subject "b" 200. ] in
-  let v = Compare.run ~baseline ~current () in
-  Alcotest.(check bool) "failed" true (Compare.failed v);
-  Alcotest.(check int) "one regression" 1 v.Compare.regressed;
-  Alcotest.(check bool) "a regressed" true
-    (List.assoc "a" (statuses v) = Compare.Regressed)
-
-let test_compare_threshold_boundaries () =
-  let base = report [ subject "a" 100. ] in
-  let at pct ns =
-    let v = Compare.run ~threshold_pct:pct ~baseline:base
-              ~current:(report [ subject "a" ns ]) () in
-    List.assoc "a" (statuses v)
-  in
-  (* default band is (1/1.2, 1.2): 19% slower is inside, 21% outside *)
-  Alcotest.(check bool) "+19% unchanged" true (at 20. 119. = Compare.Unchanged);
-  Alcotest.(check bool) "+21% regressed" true (at 20. 121. = Compare.Regressed);
-  Alcotest.(check bool) "-21% improved" true (at 20. 79. = Compare.Improved);
-  (* loose CI threshold tolerates shared-runner noise *)
-  Alcotest.(check bool) "+40% ok at 50%" true (at 50. 140. = Compare.Unchanged);
-  Alcotest.(check bool) "+60% regressed at 50%" true (at 50. 160. = Compare.Regressed)
-
-let test_compare_added_removed () =
-  let baseline = report [ subject "old" 100.; subject "both" 50. ] in
-  let current = report [ subject "both" 50.; subject "new" 10. ] in
-  let v = Compare.run ~baseline ~current () in
-  Alcotest.(check int) "added" 1 v.Compare.added;
-  Alcotest.(check int) "removed" 1 v.Compare.removed;
-  Alcotest.(check bool) "appearing/disappearing subjects do not fail the gate"
-    false (Compare.failed v);
-  Alcotest.(check bool) "old removed" true
-    (List.assoc "old" (statuses v) = Compare.Removed);
-  Alcotest.(check bool) "new added" true
-    (List.assoc "new" (statuses v) = Compare.Added)
-
-let test_compare_noisy_excluded () =
-  (* r² below the bound on either side: the subject is flagged noisy and
-     its (untrustworthy) 2x slowdown does not fail the gate *)
-  let baseline = report [ subject "a" 100.; subject "b" 100. ] in
-  let current = report [ subject ~r2:0.5 "a" 200.; subject "b" 100. ] in
-  let v = Compare.run ~min_r_square:0.95 ~baseline ~current () in
-  Alcotest.(check bool) "noisy subject does not fail the gate" false
-    (Compare.failed v);
-  Alcotest.(check int) "counted as noisy" 1 v.Compare.noisy;
-  Alcotest.(check bool) "status is noisy" true
-    (List.assoc "a" (statuses v) = Compare.Noisy);
-  (* same comparison without the bound: a hard regression *)
-  let v = Compare.run ~baseline ~current () in
-  Alcotest.(check bool) "failed without min_r_square" true (Compare.failed v);
-  (* nan r² is "fit not computed", never noisy *)
-  let baseline = report [ subject ~r2:nan "c" 100. ] in
-  let v = Compare.run ~min_r_square:0.95 ~baseline ~current:baseline () in
-  Alcotest.(check int) "nan r² not noisy" 0 v.Compare.noisy
-
-let test_compare_alloc_regression () =
-  (* timing unchanged but allocation exploded: the gate must fail *)
-  let baseline = report [ subject ~mw:10. "a" 100. ] in
-  let current = report [ subject ~mw:100. "a" 100. ] in
-  let v = Compare.run ~baseline ~current () in
-  Alcotest.(check bool) "alloc regression fails" true (Compare.failed v);
-  Alcotest.(check int) "counted" 1 v.Compare.alloc_regressed;
-  Alcotest.(check int) "timing did not regress" 0 v.Compare.regressed;
-  (* within threshold+slack: fine *)
-  let v =
-    Compare.run ~baseline ~current:(report [ subject ~mw:11. "a" 100. ]) ()
-  in
-  Alcotest.(check bool) "small growth ok" false (Compare.failed v);
-  (* zero-alloc subjects: slack absorbs harness jitter, beyond it fails *)
-  let zero = report [ subject ~mw:0. "z" 50. ] in
-  let v =
-    Compare.run ~baseline:zero ~current:(report [ subject ~mw:8. "z" 50. ]) ()
-  in
-  Alcotest.(check bool) "within slack ok" false (Compare.failed v);
-  let v =
-    Compare.run ~baseline:zero ~current:(report [ subject ~mw:9. "z" 50. ]) ()
-  in
-  Alcotest.(check bool) "beyond slack fails" true (Compare.failed v);
-  (* unmeasured on either side: no alloc gating *)
-  let v =
-    Compare.run
-      ~baseline:(report [ subject ~mw:nan "a" 100. ])
-      ~current ()
-  in
-  Alcotest.(check bool) "nan baseline not gated" false (Compare.failed v)
-
-let test_compare_rejects_bad_threshold () =
-  let r = report [] in
-  Alcotest.check_raises "non-positive threshold"
-    (Invalid_argument "Compare.run: threshold_pct must be positive") (fun () ->
-      ignore (Compare.run ~threshold_pct:0. ~baseline:r ~current:r ()))
-
 (* --- stats JSON emitters ------------------------------------------------- *)
 
 let test_online_to_json () =
@@ -327,29 +107,6 @@ let suite =
     Alcotest.test_case "json: float fidelity" `Quick test_json_float_fidelity;
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json: unicode escapes" `Quick test_json_unicode_escape;
-    Alcotest.test_case "report: round-trip" `Quick test_report_roundtrip;
-    Alcotest.test_case "report: file round-trip" `Quick test_report_file_roundtrip;
-    Alcotest.test_case "report: rejects future schema" `Quick
-      test_report_rejects_future_schema;
-    Alcotest.test_case "report: rejects missing field" `Quick
-      test_report_rejects_missing_field;
-    Alcotest.test_case "report: subject_of_samples" `Quick test_subject_of_samples;
-    Alcotest.test_case "compare: identical inputs pass" `Quick
-      test_compare_identical;
-    Alcotest.test_case "compare: 2x slowdown fails" `Quick
-      test_compare_detects_2x_slowdown;
-    Alcotest.test_case "compare: threshold boundaries" `Quick
-      test_compare_threshold_boundaries;
-    Alcotest.test_case "compare: added/removed subjects" `Quick
-      test_compare_added_removed;
-    Alcotest.test_case "compare: rejects bad threshold" `Quick
-      test_compare_rejects_bad_threshold;
-    Alcotest.test_case "report: alloc field optional in JSON" `Quick
-      test_report_alloc_field_optional;
-    Alcotest.test_case "compare: noisy subjects excluded from gate" `Quick
-      test_compare_noisy_excluded;
-    Alcotest.test_case "compare: allocation regressions fail" `Quick
-      test_compare_alloc_regression;
     Alcotest.test_case "stats: Online.to_json_string" `Quick test_online_to_json;
     Alcotest.test_case "stats: empty Online emits nulls" `Quick
       test_online_empty_to_json;

@@ -20,9 +20,15 @@ let test_params_validation () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "GBN window M-1 rejected: %s" e);
-  match Hdlc.Params.validate { sr with Hdlc.Params.t_out = 0. } with
+  (match Hdlc.Params.validate { sr with Hdlc.Params.t_out = 0. } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "t_out = 0 accepted"
+  | Ok _ -> Alcotest.fail "t_out = 0 accepted");
+  (match Hdlc.Params.validate { sr with Hdlc.Params.t_out = nan } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "t_out = nan accepted");
+  match Hdlc.Params.validate { sr with Hdlc.Params.t_proc = nan } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "t_proc = nan accepted"
 
 let test_clean_link_in_order () =
   let t, _session = Proto_harness.hdlc ~params:sr () in

@@ -23,7 +23,27 @@ let test_params_validation () =
        { Lams_dlc.Params.default with Lams_dlc.Params.rate_decrease_factor = 1.5 }
    with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "rate factor > 1 accepted")
+  | Ok _ -> Alcotest.fail "rate factor > 1 accepted");
+  (* every comparison with nan is false: each check must fail it *)
+  let d = Lams_dlc.Params.default in
+  let drain r = { d with Lams_dlc.Params.recv_drain_rate = Some r } in
+  List.iter
+    (fun (what, p) ->
+      match Lams_dlc.Params.validate p with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("w_cp = nan", { d with Lams_dlc.Params.w_cp = nan });
+      ("t_proc = nan", { d with Lams_dlc.Params.t_proc = nan });
+      ( "rate_increase_step = nan",
+        { d with Lams_dlc.Params.rate_increase_step = nan } );
+      ("coverage_margin = nan", { d with Lams_dlc.Params.coverage_margin = nan });
+      ("recv_drain_rate = Some 0", drain 0.);
+      ("recv_drain_rate = Some (-1)", drain (-1.));
+      ("recv_drain_rate = Some nan", drain nan);
+      ("recv_drain_rate = Some inf", drain infinity);
+    ];
+  ignore (ok_or_fail (Lams_dlc.Params.validate (drain 1e4)))
 
 let test_params_derived () =
   let p = { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 0.01; c_depth = 4 } in

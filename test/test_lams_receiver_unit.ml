@@ -292,7 +292,7 @@ let prop_ledger_matches_reference =
             ignore (Lams_dlc.Receiver.poison_nak_ledger h.receiver ~seqs:offsets)
         | Scramble d ->
             r.next_expected <- max 0 (r.next_expected + d);
-            ignore (Lams_dlc.Receiver.scramble_next_expected h.receiver ~delta:d)
+            ignore (Lams_dlc.Receiver.scramble_recv_seq h.receiver ~delta:d)
         | Checkpoint ->
             incr ticks;
             run_for h (float_of_int !ticks +. 0.5 -. Sim.Engine.now h.engine);

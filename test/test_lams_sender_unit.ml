@@ -210,7 +210,7 @@ let test_scrambled_seq_gap () =
   run_for h 1e-3;
   Alcotest.(check (option string)) "jump"
     (Some "sender next_seq 3 -> 1000003")
-    (Lams_dlc.Sender.scramble_next_seq h.sender ~delta:1_000_000);
+    (Lams_dlc.Sender.scramble_send_seq h.sender ~delta:1_000_000);
   offer h ~first:3 3;
   run_for h 1e-3;
   Alcotest.(check (list int)) "numbers jump the gap"

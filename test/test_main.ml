@@ -25,6 +25,7 @@ let () =
       ("hdlc-sender-unit", Test_hdlc_sender_unit.suite);
       ("nbdt", Test_nbdt.suite);
       ("nbdt-receiver-unit", Test_nbdt_receiver_unit.suite);
+      ("session", Test_session.suite);
       ("analysis", Test_analysis.suite);
       ("analysis-golden", Test_analysis_golden.suite);
       ("oracle", Test_oracle.suite);

@@ -13,9 +13,22 @@ let test_params_validation () =
   (match Nbdt.Params.validate { continuous with Nbdt.Params.report_interval = 0. } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "zero report interval accepted");
-  match Nbdt.Params.validate { continuous with Nbdt.Params.batch_size = 0 } with
+  (match Nbdt.Params.validate { continuous with Nbdt.Params.batch_size = 0 } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "zero batch accepted"
+  | Ok _ -> Alcotest.fail "zero batch accepted");
+  List.iter
+    (fun (what, p) ->
+      match Nbdt.Params.validate p with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ( "report_interval = nan",
+        { continuous with Nbdt.Params.report_interval = nan } );
+      ( "resend_timeout = nan",
+        { continuous with Nbdt.Params.resend_timeout = nan } );
+      ("t_proc = nan", { continuous with Nbdt.Params.t_proc = nan });
+      ("retx_cooldown = nan", { continuous with Nbdt.Params.retx_cooldown = nan });
+    ]
 
 let test_clean_link_delivery () =
   let t, _session = Proto_harness.nbdt ~params:continuous () in
