@@ -4,7 +4,9 @@
      lams_dlc_cli list
      lams_dlc_cli run [e1 e5 ...] [--quick] [--jobs N]
      lams_dlc_cli run --all [--quick]
-     lams_dlc_cli experiments run [e1 e5 ...] --replicates R --jobs N --json *)
+     lams_dlc_cli experiments run [e1 e5 ...] --replicates R --jobs N --json
+     lams_dlc_cli handover|corrupt|feedback run|soak ...
+     lams_dlc_cli golden regen *)
 
 open Cmdliner
 
@@ -81,6 +83,40 @@ let load_corrupt_script path =
       Format.eprintf "%s: %s@." path e;
       exit 2
 
+(* Flags shared by `run` and `experiments run`. *)
+let ids_arg =
+  Arg.(value & pos_all string []
+       & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e24). Default: all.")
+
+let all_arg =
+  Arg.(value & flag
+       & info [ "all" ] ~doc:"Run every experiment (same as passing no ids).")
+
+let quick_arg =
+  Arg.(value & flag
+       & info [ "quick" ] ~doc:"Smaller sweeps for a fast smoke run.")
+
+(* Shared by `run`, `experiments run` and the soaks. *)
+let jobs_arg =
+  let doc =
+    "Worker count; the output is identical for any value. Needs OCaml >= 5 \
+     to run in parallel (on 4.14 everything runs sequentially). Default: \
+     one per core."
+  in
+  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let select_experiments ids all =
+  if all || ids = [] then Experiments.All.all
+  else
+    List.map
+      (fun id ->
+        match Experiments.All.find id with
+        | Some e -> e
+        | None ->
+            Format.eprintf "unknown experiment %S (try 'experiments list')@." id;
+            exit 2)
+      ids
+
 let list_cmd =
   let doc = "List the available experiments (paper-evaluation reproductions)." in
   let run () =
@@ -93,26 +129,6 @@ let list_cmd =
 
 let run_cmd =
   let doc = "Run experiments and print their paper-vs-simulation tables." in
-  let ids =
-    let doc = "Experiment ids (e1 .. e12). Default: all." in
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
-  in
-  let quick =
-    let doc = "Smaller sweeps for a fast smoke run." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let all =
-    let doc = "Run every experiment (same as passing no ids)." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let jobs =
-    let doc =
-      "Render experiment reports concurrently across $(docv) workers \
-       (output text is identical for any value; needs OCaml >= 5 to \
-       actually parallelise). Default: one per core."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let run ids quick all jobs plan_file corrupt_file trace_dir channel_trace =
     set_trace_config trace_dir;
     set_channel_trace channel_trace;
@@ -127,18 +143,7 @@ let run_cmd =
               exit 2)
     in
     let corrupt = Option.map load_corrupt_script corrupt_file in
-    let selected =
-      if all || ids = [] then Experiments.All.all
-      else
-        List.map
-          (fun id ->
-            match Experiments.All.find id with
-            | Some e -> e
-            | None ->
-                Format.eprintf "unknown experiment %S (try 'list')@." id;
-                exit 2)
-          ids
-    in
+    let selected = select_experiments ids all in
     match (plan, corrupt) with
     | None, None ->
         if all || ids = [] then
@@ -165,22 +170,72 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ ids $ quick $ all $ jobs $ contact_plan_arg
+      const run $ ids_arg $ quick_arg $ all_arg $ jobs_arg $ contact_plan_arg
       $ corrupt_script_arg $ trace_dir_arg $ channel_trace_arg)
 
 (* --- experiments: the replicated matrix runner ------------------------- *)
 
-let select_experiments ids all =
-  if all || ids = [] then Experiments.All.all
-  else
-    List.map
-      (fun id ->
-        match Experiments.All.find id with
-        | Some e -> e
-        | None ->
-            Format.eprintf "unknown experiment %S (try 'experiments list')@." id;
-            exit 2)
-      ids
+(* The flags every matrix command shares (`experiments run` and the
+   soaks), resolved: --trace is applied and the worker count fixed. *)
+type matrix_opts = {
+  jobs : int;
+  root_seed : int;
+  json : bool;
+  out : string option;
+  no_meta : bool;
+}
+
+let matrix_opts =
+  let root_seed =
+    Arg.(value & opt int 1
+         & info [ "root-seed" ] ~docv:"SEED"
+             ~doc:"Root seed every task seed derives from.")
+  in
+  let json =
+    Arg.(value & flag
+         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
+  in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the JSON to $(docv).")
+  in
+  let no_meta =
+    Arg.(value & flag
+         & info [ "no-meta" ]
+             ~doc:"Omit run metadata (host, timestamp, jobs) from the JSON so \
+                   two runs diff byte-for-byte.")
+  in
+  let make jobs root_seed json out no_meta trace_dir =
+    set_trace_config trace_dir;
+    let jobs =
+      max 1 (match jobs with Some j -> j | None -> Runner.Pool.default_jobs ())
+    in
+    { jobs; root_seed; json; out; no_meta }
+  in
+  Term.(
+    const make $ jobs_arg $ root_seed $ json $ out $ no_meta $ trace_dir_arg)
+
+(* Attach run metadata (unless --no-meta), write --out, then print the
+   report as JSON or as text tables. *)
+let print_matrix o report =
+  let with_meta = not o.no_meta in
+  let report =
+    if with_meta then
+      {
+        report with
+        Bench_report.Matrix_report.meta =
+          Some (Bench_report.Matrix_report.collect_meta ~jobs:o.jobs);
+      }
+    else report
+  in
+  Option.iter
+    (fun path -> Bench_report.Matrix_report.write ~with_meta path report)
+    o.out;
+  if o.json then
+    print_endline
+      (Bench_report.Json.to_string ~indent:2
+         (Bench_report.Matrix_report.to_json ~with_meta report))
+  else Experiments.Report.matrix Format.std_formatter report
 
 let experiments_list_cmd =
   let doc = "List experiments with their matrix point counts." in
@@ -206,90 +261,27 @@ let experiments_run_cmd =
      Results (mean / stddev / 95% CI per metric) are identical for any \
      job count."
   in
-  let ids =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e20). Default: all.")
-  in
-  let all =
-    Arg.(value & flag
-         & info [ "all" ] ~doc:"Run every experiment (same as passing no ids).")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps for a smoke run.")
-  in
-  let jobs =
-    let doc =
-      "Worker count. Needs OCaml >= 5 to parallelise; on 4.14 the matrix \
-       runs sequentially whatever the value. Default: one per core."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let replicates =
     Arg.(value & opt int 1
          & info [ "r"; "replicates" ] ~docv:"R"
              ~doc:"Independent replicates per parameter point.")
   in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata (host, timestamp, jobs) from the JSON so \
-                   two runs diff byte-for-byte.")
-  in
-  let run ids all quick jobs replicates root_seed json out no_meta trace_dir
-      channel_trace =
-    set_trace_config trace_dir;
+  let run ids all quick replicates channel_trace o =
     set_channel_trace channel_trace;
     if replicates < 1 then begin
       Format.eprintf "--replicates must be >= 1@.";
       exit 2
     end;
-    let selected = select_experiments ids all in
-    let experiments = Experiments.All.matrix ~quick selected in
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
+    let experiments =
+      Experiments.All.matrix ~quick (select_experiments ids all)
     in
-    let report =
-      Runner.run ~jobs ~root_seed ~replicates experiments
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report
+    print_matrix o
+      (Runner.run ~jobs:o.jobs ~root_seed:o.root_seed ~replicates experiments)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ ids $ all $ quick $ jobs $ replicates $ root_seed $ json
-      $ out $ no_meta $ trace_dir_arg $ channel_trace_arg)
+      const run $ ids_arg $ all_arg $ quick_arg $ replicates $ channel_trace_arg
+      $ matrix_opts)
 
 let experiments_cmd =
   let doc = "Replicated experiment-matrix runner (deterministic seeds)." in
@@ -334,28 +326,14 @@ let metrics_json ~protocol ~extra (m : Dlc.Metrics.t) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* Explicit-path capture for single runs: the recorder plus a closure
+(* --trace FILE for single runs: the recorder to run with, and the step
    that publishes FILE, FILE.metrics.json and (on violation)
-   FILE.flight.jsonl. *)
-let file_capture path =
-  let recorder = Trace.Recorder.create ~name:(Filename.basename path) () in
-  let buf = Buffer.create 65536 in
-  Trace.Recorder.set_sink recorder (fun e ->
-      Buffer.add_string buf (Trace.Event.to_line e);
-      Buffer.add_char buf '\n');
-  let write () =
-    Trace.Config.write_atomic ~path (Buffer.contents buf);
-    Trace.Config.write_atomic
-      ~path:(path ^ ".metrics.json")
-      (Bench_report.Json.to_string ~indent:2
-         (Trace.Metrics.to_json (Trace.Recorder.metrics recorder))
-      ^ "\n");
-    match Trace.Recorder.flight_jsonl recorder with
-    | Some dump ->
-        Trace.Config.write_atomic ~path:(path ^ ".flight.jsonl") dump
-    | None -> ()
-  in
-  (recorder, write)
+   FILE.flight.jsonl afterwards. *)
+let file_capture = function
+  | None -> (None, fun () -> ())
+  | Some path ->
+      let c = Trace.Capture.create ~name:(Filename.basename path) () in
+      (Some (Trace.Capture.recorder c), fun () -> Trace.Capture.write c ~path)
 
 let sim_cmd =
   let doc =
@@ -407,9 +385,7 @@ let sim_cmd =
   let run protocol frames ber cber distance_km rate_mbps payload seed json
       trace_file channel_trace =
     set_channel_trace channel_trace;
-    let capture = Option.map file_capture trace_file in
-    let recorder = Option.map fst capture in
-    let finish () = match capture with Some (_, w) -> w () | None -> () in
+    let recorder, finish = file_capture trace_file in
     let cfg =
       {
         Experiments.Scenario.default with
@@ -558,43 +534,14 @@ let trace_run_cmd =
                    drop) and dump the flight recorder.")
   in
   let run out seed frames disaster =
-    let recorder, write = file_capture out in
+    let capture = Trace.Capture.create ~name:(Filename.basename out) () in
+    let recorder = Trace.Capture.recorder capture in
     let violations =
       if disaster then
         (Experiments.Disaster.run ~seed ~frames ~recorder ()).Experiments.Disaster.violations
-      else begin
-        let cfg =
-          {
-            Experiments.Scenario.default with
-            Experiments.Scenario.seed;
-            n_frames = frames;
-            ber = 0.;
-            cframe_ber = 0.;
-            payload_bytes = 256;
-            horizon = 10.;
-          }
-        in
-        let proto =
-          Experiments.Scenario.Lams
-            (Experiments.Scenario.default_lams_params cfg)
-        in
-        let faults =
-          Channel.Fault.(
-            Rules
-              [
-                rule ~copies:1 (I_nth 5) Drop;
-                rule ~copies:1 (I_nth 12) Drop;
-              ])
-        in
-        let reverse_faults =
-          Channel.Fault.(Rules [ rule ~copies:1 (Cp_seq 3) Drop ])
-        in
-        snd
-          (Experiments.Scenario.run_checked ~faults ~reverse_faults ~recorder
-             cfg proto)
-      end
+      else Experiments.Golden.scripted_transfer ~seed ~frames ~recorder
     in
-    write ();
+    Trace.Capture.write capture ~path:out;
     Format.printf "%s: %d events, %d violation(s)%s@." out
       (Trace.Recorder.events_recorded recorder)
       (List.length violations)
@@ -663,6 +610,37 @@ let trace_cmd =
   let doc = "Trace capture, validation and summarisation." in
   Cmd.group (Cmd.info "trace" ~doc)
     [ trace_run_cmd; trace_validate_cmd; trace_summary_cmd ]
+
+(* --- soaks and the safety gate ------------------------------------------- *)
+
+(* Exit 1 when a single run breaks its harness's safety rule, the rule
+   the harness's soak applies to every schedule. *)
+let gate (h : Experiments.Soak.harness) metrics =
+  if not (h.safe metrics) then exit 1
+
+let soak_cmd ~doc (h : Experiments.Soak.harness) =
+  let schedules =
+    Arg.(value & opt int 50
+         & info [ "schedules" ] ~docv:"N"
+             ~doc:(Printf.sprintf "Random %s schedules to sweep." h.schedules))
+  in
+  let run schedules o =
+    if schedules < 1 then begin
+      Format.eprintf "--schedules must be >= 1@.";
+      exit 2
+    end;
+    let report =
+      Experiments.Soak.run ~jobs:o.jobs ~root_seed:o.root_seed ~schedules h
+    in
+    print_matrix o report;
+    match Experiments.Soak.unsafe_points h report with
+    | [] -> ()
+    | labels ->
+        Format.eprintf "%s in %d schedule(s): %s@." h.violation
+          (List.length labels) (String.concat ", " labels);
+        exit 1
+  in
+  Cmd.v (Cmd.info "soak" ~doc) Term.(const run $ schedules $ matrix_opts)
 
 (* --- handover: contact-window session migration ------------------------ *)
 
@@ -773,8 +751,7 @@ let print_corruption_outcome ~json (o : Experiments.E22_corruption.outcome) =
     List.iter
       (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
       o.Experiments.E22_corruption.violations
-  end;
-  o.Experiments.E22_corruption.violations <> []
+  end
 
 let print_corruption_handover ~json
     (o : Experiments.E22_corruption.handover_outcome) =
@@ -800,8 +777,7 @@ let print_corruption_handover ~json
     List.iter
       (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
       o.Experiments.E22_corruption.h_violations
-  end;
-  o.Experiments.E22_corruption.h_violations <> []
+  end
 
 let handover_run_cmd =
   let doc =
@@ -850,7 +826,9 @@ let handover_run_cmd =
     | Some path ->
         let spec = load_corrupt_script path in
         let o = Experiments.E22_corruption.run_handover ~seed spec in
-        if print_corruption_handover ~json o then exit 1;
+        print_corruption_handover ~json o;
+        gate Experiments.Soak.corrupt
+          (Experiments.E22_corruption.handover_metrics o);
         `Ok ()
     | None -> (
     let plan =
@@ -892,7 +870,8 @@ let handover_run_cmd =
             (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
             o.Experiments.E21_handover.violations
         end;
-        if o.Experiments.E21_handover.violations <> [] then exit 1;
+        gate Experiments.Soak.handover
+          (Experiments.E21_handover.outcome_metrics o);
         `Ok ())
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -901,106 +880,19 @@ let handover_run_cmd =
         (const run $ contact_plan_arg $ corrupt_script_arg $ seed $ messages
        $ cut $ json $ trace_dir_arg))
 
-let handover_soak_cmd =
+let handover_cmd =
   let doc =
+    "Contact-window handover: session migration across link lifetimes."
+  in
+  let soak_doc =
     "Seed-pinned chaos soak: sweep random blackout schedules over E21's \
      contact plan through the replicated matrix runner, the \
      cross-handover oracle watching every run. Results (and any \
      captured traces) are byte-identical for any $(b,--jobs) value. \
      Exits non-zero when any schedule trips the oracle."
   in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random blackout schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report = Experiments.E21_handover.soak ~jobs ~root_seed ~schedules () in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              match
-                List.assoc_opt "oracle_violations"
-                  p.Bench_report.Matrix_report.metrics
-              with
-              | Some s when s.Bench_report.Matrix_report.max > 0. ->
-                  Some p.Bench_report.Matrix_report.label
-              | _ -> None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "oracle violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
-
-let handover_cmd =
-  let doc =
-    "Contact-window handover: session migration across link lifetimes."
-  in
-  Cmd.group (Cmd.info "handover" ~doc) [ handover_run_cmd; handover_soak_cmd ]
+  Cmd.group (Cmd.info "handover" ~doc)
+    [ handover_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.handover ]
 
 (* --- corrupt: self-stabilisation under live-state corruption ----------- *)
 
@@ -1085,17 +977,16 @@ let corrupt_run_cmd =
     match spec with
     | `Error _ as e -> e
     | `Ok spec ->
-        let capture = Option.map file_capture trace_file in
-        let recorder = Option.map fst capture in
-        let finish () = match capture with Some (_, w) -> w () | None -> () in
-        let violated =
+        let recorder, finish = file_capture trace_file in
+        let metrics =
           match variant with
           | `Handover ->
               let o =
                 Experiments.E22_corruption.run_handover ?recorder ~seed spec
               in
               finish ();
-              print_corruption_handover ~json o
+              print_corruption_handover ~json o;
+              Experiments.E22_corruption.handover_metrics o
           | (`Lams | `Sr_hdlc | `Nbdt) as v ->
               let v =
                 match v with
@@ -1108,9 +999,10 @@ let corrupt_run_cmd =
                   spec
               in
               finish ();
-              print_corruption_outcome ~json o
+              print_corruption_outcome ~json o;
+              Experiments.E22_corruption.outcome_metrics o
         in
-        if violated then exit 1;
+        gate Experiments.Soak.corrupt metrics;
         `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -1119,8 +1011,11 @@ let corrupt_run_cmd =
         (const run $ variant $ klass $ corrupt_script_arg $ seed $ frames
        $ json $ trace_file))
 
-let corrupt_soak_cmd =
+let corrupt_cmd =
   let doc =
+    "Self-stabilisation: state-corruption injection and convergence."
+  in
+  let soak_doc =
     "Seed-pinned corruption soak: sweep random adversary corruption \
      schedules over E21's mid-handover transfer through the replicated \
      matrix runner, the cross-handover oracle in convergence mode \
@@ -1128,100 +1023,8 @@ let corrupt_soak_cmd =
      value. Exits non-zero when any schedule trips the oracle (fails \
      to reconverge or loses unledgered payloads)."
   in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random corruption schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report =
-      Experiments.E22_corruption.soak ~jobs ~root_seed ~schedules ()
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              match
-                List.assoc_opt "oracle_violations"
-                  p.Bench_report.Matrix_report.metrics
-              with
-              | Some s when s.Bench_report.Matrix_report.max > 0. ->
-                  Some p.Bench_report.Matrix_report.label
-              | _ -> None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "oracle violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
-
-let corrupt_cmd =
-  let doc =
-    "Self-stabilisation: state-corruption injection and convergence."
-  in
-  Cmd.group (Cmd.info "corrupt" ~doc) [ corrupt_run_cmd; corrupt_soak_cmd ]
+  Cmd.group (Cmd.info "corrupt" ~doc)
+    [ corrupt_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.corrupt ]
 
 (* --- feedback: Byzantine reverse-channel lies and the plausibility guard - *)
 
@@ -1249,14 +1052,6 @@ let feedback_outcome_json (o : Experiments.E24_feedback.outcome) =
         else Stats.Jsonstr.float_repr o.E.goodput_floor );
     ]
 
-(* Safety gate shared by `feedback run` and the CI smoke: a run fails
-   when data was wrongly released, or when it neither finished nor
-   declared failure. An unresolved episode ledger over a fully-delivered
-   stream is implicit convergence, not a failure. *)
-let feedback_violated (o : Experiments.E24_feedback.outcome) =
-  let module E = Experiments.E24_feedback in
-  o.E.wrongful > 0 || ((not o.E.completed) && not o.E.failure_declared)
-
 let print_feedback_outcome ~json (o : Experiments.E24_feedback.outcome) =
   let module E = Experiments.E24_feedback in
   if json then print_endline (feedback_outcome_json o)
@@ -1273,8 +1068,7 @@ let print_feedback_outcome ~json (o : Experiments.E24_feedback.outcome) =
       (o.E.resolved + if o.E.unresolved then 1 else 0)
       (o.E.time_to_resync *. 1e3)
       o.E.wrongful o.E.delivered
-      (if o.E.completed then "" else " (INCOMPLETE)");
-  feedback_violated o
+      (if o.E.completed then "" else " (INCOMPLETE)")
 
 let feedback_run_cmd =
   let doc =
@@ -1368,9 +1162,7 @@ let feedback_run_cmd =
     match choice with
     | `Error _ as e -> e
     | (`Lie _ | `Script _) as choice ->
-        let capture = Option.map file_capture trace_file in
-        let recorder = Option.map fst capture in
-        let finish () = match capture with Some (_, w) -> w () | None -> () in
+        let recorder, finish = file_capture trace_file in
         let o =
           match choice with
           | `Lie l ->
@@ -1381,8 +1173,8 @@ let feedback_run_cmd =
                 variant spec
         in
         finish ();
-        let violated = print_feedback_outcome ~json o in
-        if violated then exit 1;
+        print_feedback_outcome ~json o;
+        gate Experiments.Soak.feedback (E.outcome_metrics o);
         `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -1391,8 +1183,12 @@ let feedback_run_cmd =
         (const run $ variant $ lie $ lie_script $ no_guard $ seed $ frames
        $ json $ trace_file))
 
-let feedback_soak_cmd =
+let feedback_cmd =
   let doc =
+    "Byzantine feedback: reverse-channel lie injection and the \
+     checkpoint-plausibility guard."
+  in
+  let soak_doc =
     "Seed-pinned lying-feedback soak: sweep random reverse-channel lie \
      schedules (forged ACKs, checkpoint rewrites, stale replays, mixed \
      with drops) over all three variants with the guard on, through the \
@@ -1400,107 +1196,8 @@ let feedback_soak_cmd =
      $(b,--jobs) value. Exits non-zero when any schedule wrongly \
      releases data or stalls without declaring failure."
   in
-  let schedules =
-    Arg.(value & opt int 50
-         & info [ "schedules" ] ~docv:"N"
-             ~doc:"Random lie schedules to sweep.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker count (results identical for any value).")
-  in
-  let root_seed =
-    Arg.(value & opt int 1
-         & info [ "root-seed" ] ~docv:"SEED"
-             ~doc:"Root seed every schedule's task seed derives from.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the matrix report as JSON on stdout.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Also write the JSON to $(docv).")
-  in
-  let no_meta =
-    Arg.(value & flag
-         & info [ "no-meta" ]
-             ~doc:"Omit run metadata so two runs diff byte-for-byte.")
-  in
-  let run schedules jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
-    let jobs =
-      max 1
-        (match jobs with
-        | Some j -> j
-        | None -> Runner.Pool.default_jobs ())
-    in
-    let report =
-      Experiments.E24_feedback.soak ~jobs ~root_seed ~schedules ()
-    in
-    let report =
-      if no_meta then report
-      else
-        {
-          report with
-          Bench_report.Matrix_report.meta =
-            Some (Bench_report.Matrix_report.collect_meta ~jobs);
-        }
-    in
-    (match out with
-    | Some path ->
-        Bench_report.Matrix_report.write ~with_meta:(not no_meta) path report
-    | None -> ());
-    if json then
-      print_endline
-        (Bench_report.Json.to_string ~indent:2
-           (Bench_report.Matrix_report.to_json ~with_meta:(not no_meta) report))
-    else Experiments.Report.matrix Format.std_formatter report;
-    let metric p name =
-      match
-        List.assoc_opt name p.Bench_report.Matrix_report.metrics
-      with
-      | Some s -> s.Bench_report.Matrix_report.max
-      | None -> 0.
-    in
-    let violated =
-      List.concat_map
-        (fun e ->
-          List.filter_map
-            (fun p ->
-              if
-                metric p "wrongful_releases" > 0.
-                || (metric p "completed" = 0.
-                    && metric p "failure_declared" = 0.)
-              then Some p.Bench_report.Matrix_report.label
-              else None)
-            e.Bench_report.Matrix_report.points)
-        report.Bench_report.Matrix_report.experiments
-    in
-    if violated <> [] then begin
-      Format.eprintf "feedback-safety violations in %d schedule(s): %s@."
-        (List.length violated)
-        (String.concat ", " violated);
-      exit 1
-    end
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ schedules $ jobs $ root_seed $ json $ out $ no_meta
-      $ trace_dir_arg)
-
-let feedback_cmd =
-  let doc =
-    "Byzantine feedback: reverse-channel lie injection and the \
-     checkpoint-plausibility guard."
-  in
-  Cmd.group (Cmd.info "feedback" ~doc) [ feedback_run_cmd; feedback_soak_cmd ]
+  Cmd.group (Cmd.info "feedback" ~doc)
+    [ feedback_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.feedback ]
 
 (* --- channel: trace generation, calibration and live capture ----------- *)
 
@@ -1530,22 +1227,8 @@ let channel_gen_cmd =
          & info [ "payload" ] ~docv:"BYTES" ~doc:"I-frame payload size.")
   in
   let run kind out frames seed payload =
-    let header_bits = 8 * Frame.Wire.iframe_overhead_bytes in
-    let payload_bits = 8 * payload in
-    let tag, data =
-      match kind with
-      | `Storm ->
-          ( "mispointing_storm",
-            Channel.Trace_model.mispointing_storm ~header_bits ~payload_bits
-              ~frames ~seed () )
-      | `Eclipse ->
-          ( "eclipse",
-            Channel.Trace_model.eclipse ~header_bits ~payload_bits ~frames
-              ~seed () )
-    in
-    let comment =
-      Printf.sprintf "generated: %s seed=%d frames=%d payload=%dB" tag seed
-        frames payload
+    let comment, data =
+      Channel.Trace_model.generate kind ~frames ~seed ~payload_bytes:payload
     in
     Channel.Trace_model.save ~comment out data;
     Format.printf "%s: %d frames, error rate %.4f@." out frames
@@ -1711,6 +1394,47 @@ let channel_cmd =
   Cmd.group (Cmd.info "channel" ~doc)
     [ channel_gen_cmd; channel_calibrate_cmd; channel_record_cmd ]
 
+(* --- golden: the checked-in golden files -------------------------------- *)
+
+let golden_regen_cmd =
+  let doc =
+    "Rewrite every golden file in ./test/data from the registry of \
+     scenarios that produce them (the files $(b,dune runtest) compares \
+     byte for byte). Run it from the repository root. Exits 1 when a \
+     scenario no longer shows the outcome its golden pins, and 2 when \
+     ./test/data is missing."
+  in
+  let run () =
+    let dir = Filename.concat "test" "data" in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+      Format.eprintf "%s: no such directory (run from the repository root)@."
+        dir;
+      exit 2
+    end;
+    let failed = ref false in
+    List.iter
+      (fun (e : Experiments.Golden.entry) ->
+        let o = e.generate () in
+        List.iter
+          (fun (name, contents) ->
+            let path = Filename.concat dir name in
+            Trace.Config.write_atomic ~path contents;
+            Format.printf "%s: %d bytes@." path (String.length contents))
+          o.files;
+        List.iter
+          (fun f ->
+            Format.eprintf "%s: outcome check failed: %s@." e.name f;
+            failed := true)
+          o.failures)
+      Experiments.Golden.entries;
+    if !failed then exit 1
+  in
+  Cmd.v (Cmd.info "regen" ~doc) Term.(const run $ const ())
+
+let golden_cmd =
+  let doc = "Golden files: regenerate test/data from its registry." in
+  Cmd.group (Cmd.info "golden" ~doc) [ golden_regen_cmd ]
+
 let () =
   let doc = "LAMS-DLC ARQ protocol reproduction (Ward & Choi, 1991)" in
   let info = Cmd.info "lams_dlc_cli" ~version:"1.0.0" ~doc in
@@ -1727,4 +1451,5 @@ let () =
             corrupt_cmd;
             feedback_cmd;
             channel_cmd;
+            golden_cmd;
           ]))

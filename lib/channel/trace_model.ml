@@ -214,3 +214,18 @@ let eclipse ?(header_bits = 104) ?(payload_bits = 8192) ?(period_frames = 2000)
       let w = 0.5 *. (1. -. cos (2. *. Float.pi *. phase)) in
       let ber = exp (log_min +. ((log_max -. log_min) *. w)) in
       draw_fate rng ~ber ~header_bits ~payload_bits)
+
+let generate kind ~frames ~seed ~payload_bytes =
+  let header_bits = 8 * Frame.Wire.iframe_overhead_bytes in
+  let payload_bits = 8 * payload_bytes in
+  let tag, data =
+    match kind with
+    | `Storm ->
+        ( "mispointing_storm",
+          mispointing_storm ~header_bits ~payload_bits ~frames ~seed () )
+    | `Eclipse ->
+        ("eclipse", eclipse ~header_bits ~payload_bits ~frames ~seed ())
+  in
+  ( Printf.sprintf "generated: %s seed=%d frames=%d payload=%dB" tag seed
+      frames payload_bytes,
+    data )

@@ -123,3 +123,14 @@ val eclipse :
     [ber_min] (default 1e-7) up to [ber_max] (default 5e-4) and back
     over [period_frames] (default 2000) — the slow thermal distortion
     of the optical bench as the spacecraft crosses the eclipse. *)
+
+val generate :
+  [ `Storm | `Eclipse ] ->
+  frames:int ->
+  seed:int ->
+  payload_bytes:int ->
+  string * data
+(** A scripted scenario with default parameters, for frames of
+    [payload_bytes] behind an I-frame header: the comment that heads its
+    trace file ([generated: <kind> seed=.. frames=.. payload=..B]) and
+    the data. *)

@@ -98,8 +98,11 @@ module Make (V : VARIANT) = struct
     probe : Probe.t;
     reverse : Channel.Link.t;
     guard : Guard.t option;
-    mutable reverse_ring : Frame.Wire.t list;
-        (* recent replayable reverse-link frames, newest first *)
+    mutable reverse_ring : Frame.Wire.t array;
+        (* recent replayable reverse-link frames; empty until the first,
+           then [reverse_ring_depth] slots *)
+    mutable ring_head : int;  (* slot of the newest frame *)
+    mutable ring_len : int;  (* frames held *)
     mutable user_deliver : (payload:Frame.Payload.t -> unit) option;
   }
 
@@ -140,18 +143,19 @@ module Make (V : VARIANT) = struct
         probe;
         reverse;
         guard;
-        reverse_ring = [];
+        reverse_ring = [||];
+        ring_head = 0;
+        ring_len = 0;
         user_deliver = None;
       }
     in
     Channel.Link.add_tap reverse (function
       | Channel.Link.Tap_tx frame when V.replayable frame ->
-          let rec take n = function
-            | [] -> []
-            | _ when n = 0 -> []
-            | x :: rest -> x :: take (n - 1) rest
-          in
-          t.reverse_ring <- take reverse_ring_depth (frame :: t.reverse_ring)
+          if t.ring_len = 0 then
+            t.reverse_ring <- Array.make reverse_ring_depth frame;
+          t.ring_head <- (t.ring_head + 1) mod reverse_ring_depth;
+          t.reverse_ring.(t.ring_head) <- frame;
+          if t.ring_len < reverse_ring_depth then t.ring_len <- t.ring_len + 1
       | _ -> ());
     Channel.Link.set_receiver forward (fun rx -> V.Receiver.on_rx receiver rx);
     Channel.Link.set_receiver reverse (fun rx ->
@@ -177,26 +181,26 @@ module Make (V : VARIANT) = struct
      times: a duplicating / non-FIFO reverse channel in the sense of
      Dolev et al. The sender must shrug off out-of-date feedback. *)
   let replay_reverse t ~copies ~back =
-    if copies < 1 then None
+    if copies < 1 || t.ring_len = 0 then None
     else
-      match t.reverse_ring with
-      | [] -> None
-      | ring ->
-          let age = min (max back 0) (List.length ring - 1) in
-          let frame = List.nth ring age in
-          (* defer the sends one zero-delay event: the injector publishes
-             State_corrupted only after this mutator returns, and the
-             suspect window must be open before the stale frames hit the
-             reverse-link taps *)
-          ignore
-            (Sim.Engine.schedule t.engine ~delay:0. (fun () ->
-                 for _ = 1 to copies do
-                   Channel.Link.send t.reverse frame
-                 done)
-              : Sim.Engine.event_id);
-          Some
-            (Format.asprintf "replayed stale %a x%d (age %d)" Frame.Wire.pp
-               frame copies age)
+      let age = min (max back 0) (t.ring_len - 1) in
+      let frame =
+        t.reverse_ring.((t.ring_head - age + reverse_ring_depth)
+                        mod reverse_ring_depth)
+      in
+      (* defer the sends one zero-delay event: the injector publishes
+         State_corrupted only after this mutator returns, and the
+         suspect window must be open before the stale frames hit the
+         reverse-link taps *)
+      ignore
+        (Sim.Engine.schedule t.engine ~delay:0. (fun () ->
+             for _ = 1 to copies do
+               Channel.Link.send t.reverse frame
+             done)
+          : Sim.Engine.event_id);
+      Some
+        (Format.asprintf "replayed stale %a x%d (age %d)" Frame.Wire.pp frame
+           copies age)
 
   let corrupt_surface t =
     {

@@ -11,7 +11,7 @@ type t = {
 val all : t list
 
 val find : string -> t option
-(** Case-insensitive lookup by id ("e1" ... "e21"). *)
+(** Case-insensitive lookup by id ("e1" ... "e24"). *)
 
 val matrix : ?quick:bool -> t list -> Runner.experiment list
 (** Package experiments for {!Runner.run}. [quick] defaults to false. *)

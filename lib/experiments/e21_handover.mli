@@ -58,19 +58,18 @@ type outcome = {
 val run_transfer : seed:int -> setup -> outcome
 (** One full journey; captures a trace when {!Trace.Config} is set. *)
 
+val outcome_metrics : outcome -> (string * float) list
+(** The outcome as a matrix metric vector; [oracle_violations] counts
+    {!outcome.violations}. *)
+
 val points : quick:bool -> Runner.point list
 (** Parameter points for the replicated matrix runner. *)
 
-val soak :
-  ?jobs:int ->
-  ?root_seed:int ->
-  schedules:int ->
-  unit ->
-  Bench_report.Matrix_report.t
-(** Seed-pinned chaos soak: one matrix point per blackout schedule, each
-    schedule derived from its own task seed (so any schedule index
-    reproduces identically on any worker of any [--jobs] run). The
-    [oracle_violations] metric must be 0 on every point. *)
+val soak_experiment : schedules:int -> Runner.experiment
+(** The chaos soak's schedules ({!Soak.handover}): one matrix point per
+    random blackout schedule, each derived from its own task seed (so
+    any schedule index reproduces identically on any worker of any
+    [--jobs] run). *)
 
 val run : ?plan:Handover.Plan.t -> ?quick:bool -> Format.formatter -> unit
 (** Print the E21 report. [plan] overrides the scripted three-window

@@ -93,21 +93,23 @@ val carryover_spec : Dlc.Corrupt.spec
 (** Canonical carryover corruption: drop 1 entry, flip the survivors'
     verdicts, at the first session close. *)
 
+val outcome_metrics : outcome -> (string * float) list
+(** The outcome as a matrix metric vector; [oracle_violations] counts
+    {!outcome.violations}. *)
+
+val handover_metrics : handover_outcome -> (string * float) list
+(** Likewise for a handover run; [oracle_violations] counts
+    [h_violations]. *)
+
 val points : quick:bool -> Runner.point list
 
 val soak_spec : seed:int -> Dlc.Corrupt.spec
 (** The soak's seed-derived adversary schedule (exposed so the fuzz
     tests can reuse the derivation). *)
 
-val soak :
-  ?jobs:int ->
-  ?root_seed:int ->
-  schedules:int ->
-  unit ->
-  Bench_report.Matrix_report.t
-(** Seed-pinned mid-handover corruption soak: one matrix point per
-    schedule; deterministic for any [jobs] value. The
-    [oracle_violations] metric must be 0 on every point. *)
+val soak_experiment : schedules:int -> Runner.experiment
+(** The mid-handover corruption soak's schedules ({!Soak.corrupt}): one
+    matrix point per {!soak_spec} schedule. *)
 
 val run : ?spec:Dlc.Corrupt.spec -> ?quick:bool -> Format.formatter -> unit
 (** Print the E22 report. [spec] (e.g. loaded from a [--corrupt-script]

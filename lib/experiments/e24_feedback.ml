@@ -396,9 +396,6 @@ let soak_experiment ~schedules =
           });
   }
 
-let soak ?jobs ?root_seed ~schedules () =
-  Runner.run ?jobs ?root_seed ~replicates:1 [ soak_experiment ~schedules ]
-
 (* --- report -------------------------------------------------------------- *)
 
 let run ?(quick = false) ppf =

@@ -82,21 +82,18 @@ val run_scripted :
     (e.g. loaded from a [--lie-script] file via {!Channel.Fault.load})
     instead of a canonical lie class. *)
 
+val outcome_metrics : outcome -> (string * float) list
+(** The outcome as a matrix metric vector ([wrongful_releases],
+    [completed] and [failure_declared] among them; booleans are 0/1). *)
+
 val points : quick:bool -> Runner.point list
 
 val soak_reverse_spec : seed:int -> Channel.Fault.spec
 (** The soak's seed-derived lying-adversary schedule (exposed so the
     fuzz tests can reuse the derivation). *)
 
-val soak :
-  ?jobs:int ->
-  ?root_seed:int ->
-  schedules:int ->
-  unit ->
-  Bench_report.Matrix_report.t
-(** Seed-pinned lying-feedback soak, guard always on, variant rotated
-    per schedule; deterministic for any [jobs] value. The
-    [wrongful_releases] metric must be 0 on every point, and every
-    point must end resolved or with an explicit failure declaration. *)
+val soak_experiment : schedules:int -> Runner.experiment
+(** The lying-feedback soak's schedules ({!Soak.feedback}): guard always
+    on, variant rotated per schedule. *)
 
 val run : ?quick:bool -> Format.formatter -> unit

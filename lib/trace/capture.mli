@@ -1,18 +1,27 @@
-(** Capture one run's trace to content-addressed files.
+(** Capture one run's full trace: a {!Recorder} whose every event is
+    buffered as JSONL, plus its {!Metrics} sidecar and, when a violation
+    froze one, its flight dump.
 
-    Glue between a {!Recorder} and the process-wide {!Config}: [start]
-    returns [None] when no capture directory is configured, otherwise a
-    recorder whose full event stream is buffered; [finish] publishes
+    A capture publishes three files under a path [P]:
 
-    - [<base>.jsonl] — the full event stream,
-    - [<base>.metrics.json] — the {!Metrics} summary,
-    - [<base>.flight.jsonl] — the flight dump, when a violation froze one,
+    - [P] — the full event stream,
+    - [P.metrics.json] — the {!Metrics} summary,
+    - [P.flight.jsonl] — the flight dump, when a violation froze one.
 
-    with [<base>] from {!Config.basename}, written atomically so
-    concurrent workers executing identical tasks can only ever publish
-    identical complete files. *)
+    Files are written atomically ({!Config.write_atomic}), so concurrent
+    workers executing identical tasks can only ever publish identical
+    complete files.
+
+    Two forms: {!create} for an explicit path or in memory (the CLI's
+    [--trace FILE], the golden registry, tests), and {!start}/{!finish}
+    for the process-wide {!Config}'s content-addressed layout, where the
+    stream goes to [<base>.jsonl] and the sidecars to [<base>.metrics.json]
+    and [<base>.flight.jsonl], with [<base>] from {!Config.basename}. *)
 
 type t
+
+val create : name:string -> unit -> t
+(** An explicit-path or in-memory capture; [name] names the recorder. *)
 
 val start :
   ?config:Config.t ->
@@ -21,11 +30,21 @@ val start :
   fingerprint:string ->
   unit ->
   t option
-(** [config] defaults to {!Config.get}; [None] when that is unset. *)
+(** A content-addressed capture. [config] defaults to {!Config.get};
+    [None] when that is unset. *)
 
 val recorder : t -> Recorder.t
 
-val base : t -> string
-(** Full path prefix the files will be written under. *)
+val jsonl : t -> string
+(** The full event stream so far, one newline-terminated line per event. *)
+
+val outputs : t -> path:string -> (string * string) list
+(** The [(file, content)] pairs {!write} would publish under [path]. *)
+
+val write : t -> path:string -> unit
+(** Publish [path], [path.metrics.json] and, on violation,
+    [path.flight.jsonl]. *)
 
 val finish : t -> unit
+(** Publish a {!start}ed capture under its content-addressed base.
+    Raises [Invalid_argument] on a capture from {!create}. *)

@@ -133,7 +133,7 @@ let suite =
     Alcotest.test_case "LAMS session: at most 120 words per frame" `Quick
       (test_scenario_words_per_frame ~max_words:120. (fun c ->
            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
-    Alcotest.test_case "SR-HDLC session: at most 155 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:155. (fun c ->
+    Alcotest.test_case "SR-HDLC session: at most 140 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:140. (fun c ->
            Experiments.Scenario.Hdlc (Experiments.Scenario.default_hdlc_params c)));
   ]

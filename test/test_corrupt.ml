@@ -214,49 +214,10 @@ let test_handover_carryover () =
 
 (* --- golden corruption trace -------------------------------------------- *)
 
-(* dune runtest runs in _build/default/test where the deps glob places
-   data/; fall back to the source tree for dune exec from the root *)
-let golden_path =
-  if Sys.file_exists "data/corrupt-golden.jsonl" then
-    "data/corrupt-golden.jsonl"
-  else "test/data/corrupt-golden.jsonl"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* the canonical corruption scenario behind the golden:
-   `corrupt run lams --class reverse-replay --seed 7 --frames 200` *)
-let regenerate_golden () =
-  let recorder = Trace.Recorder.create ~name:"corrupt-golden.jsonl" () in
-  let buf = Buffer.create 65536 in
-  Trace.Recorder.set_sink recorder (fun e ->
-      Buffer.add_string buf (Trace.Event.to_line e);
-      Buffer.add_char buf '\n');
-  let klass = List.assoc "reverse-replay" E22.classes in
-  let o =
-    E22.run_one ~recorder ~frames:200 ~seed:7 E22.Lams (E22.spec_of klass)
-  in
-  Alcotest.(check bool) "golden scenario is clean" true (o.E22.violations = []);
-  ( Buffer.contents buf,
-    Bench_report.Json.to_string ~indent:2
-      (Trace.Metrics.to_json (Trace.Recorder.metrics recorder))
-    ^ "\n" )
-
+(* regenerated from the golden registry: `corrupt run lams --class
+   reverse-replay --seed 7 --frames 200`, which must converge cleanly *)
 let test_golden_trace () =
-  let trace, metrics = regenerate_golden () in
-  (match Trace.Schema.validate trace with
-  | Ok n -> Alcotest.(check bool) "events recorded" true (n > 100)
-  | Error e -> Alcotest.failf "regenerated trace breaks the schema: %s" e);
-  Alcotest.(check string)
-    "trace is byte-identical to the checked-in golden"
-    (read_file golden_path) trace;
-  Alcotest.(check string)
-    "metrics sidecar matches too"
-    (read_file (golden_path ^ ".metrics.json"))
-    metrics
+  ignore (Test_golden.check_entry "corrupt-golden.jsonl")
 
 (* --- soak determinism across worker counts ------------------------------ *)
 
@@ -265,22 +226,15 @@ let test_soak_jobs_determinism () =
     Bench_report.Json.to_string ~indent:2
       (Bench_report.Matrix_report.to_json ~with_meta:false report)
   in
-  let seq = E22.soak ~jobs:1 ~root_seed:7 ~schedules:3 () in
-  let par = E22.soak ~jobs:2 ~root_seed:7 ~schedules:3 () in
+  let soak jobs =
+    Experiments.Soak.(run ~jobs ~root_seed:7 ~schedules:3 corrupt)
+  in
+  let seq = soak 1 and par = soak 2 in
   Alcotest.(check string)
     "parallel soak is byte-identical to sequential" (json seq) (json par);
-  List.iter
-    (fun (e : Bench_report.Matrix_report.experiment) ->
-      List.iter
-        (fun (p : Bench_report.Matrix_report.point) ->
-          match List.assoc_opt "oracle_violations" p.metrics with
-          | Some s ->
-              Alcotest.(check (float 0.))
-                (p.label ^ ": no oracle violations")
-                0. s.Bench_report.Matrix_report.max
-          | None -> Alcotest.failf "%s: oracle_violations missing" p.label)
-        e.Bench_report.Matrix_report.points)
-    seq.Bench_report.Matrix_report.experiments
+  Alcotest.(check (list string))
+    "no schedule has oracle violations" []
+    Experiments.Soak.(unsafe_points corrupt seq)
 
 let suite =
   [

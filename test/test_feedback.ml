@@ -240,58 +240,19 @@ let test_adversary_stream_compat () =
 
 (* --- golden lying-feedback trace ----------------------------------------- *)
 
-(* dune runtest runs in _build/default/test where the deps glob places
-   data/; fall back to the source tree for dune exec from the root *)
-let golden_path =
-  if Sys.file_exists "data/feedback-golden.jsonl" then
-    "data/feedback-golden.jsonl"
-  else "test/data/feedback-golden.jsonl"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* the canonical lying-feedback scenario behind the golden:
-   `feedback run lams --lie forge-ack --seed 7 --frames 200` *)
-let regenerate_golden () =
-  let recorder = Trace.Recorder.create ~name:"feedback-golden.jsonl" () in
-  let buf = Buffer.create 65536 in
-  Trace.Recorder.set_sink recorder (fun e ->
-      Buffer.add_string buf (Trace.Event.to_line e);
-      Buffer.add_char buf '\n');
-  let o =
-    E24.run_one ~recorder ~frames:200 ~guard_on:true ~seed:7 E24.Lams E24.Forge
-  in
-  (* the golden pins the whole ladder: lie -> quarantine -> forced
-     resync -> convergence with nothing wrongly released *)
-  Alcotest.(check int) "golden: one lie" 1 o.E24.lies_told;
-  Alcotest.(check int) "golden: one quarantine" 1 o.E24.quarantines;
-  Alcotest.(check int) "golden: one forced resync" 1 o.E24.resyncs;
-  Alcotest.(check int) "golden: no wrongful release" 0 o.E24.wrongful;
-  Alcotest.(check bool) "golden: completed" true o.E24.completed;
-  ( Buffer.contents buf,
-    Bench_report.Json.to_string ~indent:2
-      (Trace.Metrics.to_json (Trace.Recorder.metrics recorder))
-    ^ "\n" )
-
+(* regenerated from the golden registry: `feedback run lams --lie
+   forge-ack --seed 7 --frames 200`, whose outcome checks pin the whole
+   ladder (one lie, one quarantine, one forced resync, no wrongful
+   release, completed) *)
 let test_golden_trace () =
-  let trace, metrics = regenerate_golden () in
-  (match Trace.Schema.validate trace with
-  | Ok n -> Alcotest.(check bool) "events recorded" true (n > 100)
-  | Error e -> Alcotest.failf "regenerated trace breaks the schema: %s" e);
+  let trace =
+    List.assoc "feedback-golden.jsonl"
+      (Test_golden.check_entry "feedback-golden.jsonl")
+  in
   Alcotest.(check bool) "trace records the quarantine" true
     (Astring.String.is_infix ~affix:"cp-quarantined" trace);
   Alcotest.(check bool) "trace records the forced resync" true
-    (Astring.String.is_infix ~affix:"resync-forced" trace);
-  Alcotest.(check string)
-    "trace is byte-identical to the checked-in golden"
-    (read_file golden_path) trace;
-  Alcotest.(check string)
-    "metrics sidecar matches too"
-    (read_file (golden_path ^ ".metrics.json"))
-    metrics
+    (Astring.String.is_infix ~affix:"resync-forced" trace)
 
 (* --- soak determinism across worker counts ------------------------------ *)
 
@@ -300,22 +261,15 @@ let test_soak_jobs_determinism () =
     Bench_report.Json.to_string ~indent:2
       (Bench_report.Matrix_report.to_json ~with_meta:false report)
   in
-  let seq = E24.soak ~jobs:1 ~root_seed:7 ~schedules:3 () in
-  let par = E24.soak ~jobs:2 ~root_seed:7 ~schedules:3 () in
+  let soak jobs =
+    Experiments.Soak.(run ~jobs ~root_seed:7 ~schedules:3 feedback)
+  in
+  let seq = soak 1 and par = soak 2 in
   Alcotest.(check string)
     "parallel soak is byte-identical to sequential" (json seq) (json par);
-  List.iter
-    (fun (e : Bench_report.Matrix_report.experiment) ->
-      List.iter
-        (fun (p : Bench_report.Matrix_report.point) ->
-          match List.assoc_opt "wrongful_releases" p.metrics with
-          | Some s ->
-              Alcotest.(check (float 0.))
-                (p.label ^ ": no wrongful releases")
-                0. s.Bench_report.Matrix_report.max
-          | None -> Alcotest.failf "%s: wrongful_releases missing" p.label)
-        e.Bench_report.Matrix_report.points)
-    seq.Bench_report.Matrix_report.experiments
+  Alcotest.(check (list string))
+    "no wrongful release, and every schedule completes or declares failure"
+    [] Experiments.Soak.(unsafe_points feedback seq)
 
 let suite =
   [

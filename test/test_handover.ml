@@ -489,27 +489,19 @@ let test_failure_declared_all_variants () =
 
 let test_chaos_soak () =
   (* 50 seed-pinned random blackout schedules, every run watched by the
-     transfer oracle; any violation surfaces in the oracle_violations
-     metric of its schedule's point *)
-  let report = Experiments.E21_handover.soak ~jobs:2 ~schedules:50 () in
+     transfer oracle *)
+  let report =
+    Experiments.Soak.(run ~jobs:2 ~schedules:50 handover)
+  in
   let points =
     List.concat_map
       (fun e -> e.Bench_report.Matrix_report.points)
       report.Bench_report.Matrix_report.experiments
   in
   Alcotest.(check int) "one point per schedule" 50 (List.length points);
-  List.iter
-    (fun p ->
-      match
-        List.assoc_opt "oracle_violations" p.Bench_report.Matrix_report.metrics
-      with
-      | Some s ->
-          if s.Bench_report.Matrix_report.max > 0. then
-            Alcotest.failf "schedule %s tripped the oracle"
-              p.Bench_report.Matrix_report.label
-      | None -> Alcotest.failf "%s lacks oracle_violations"
-                  p.Bench_report.Matrix_report.label)
-    points
+  Alcotest.(check (list string))
+    "no schedule trips the oracle" []
+    Experiments.Soak.(unsafe_points handover report)
 
 let suite =
   [

@@ -40,5 +40,7 @@ let () =
       ("corrupt", Test_corrupt.suite);
       ("corrupt-soak", Test_corrupt_soak.suite);
       ("feedback", Test_feedback.suite);
+      ("soak", Test_soak.suite);
+      ("golden", Test_golden.suite);
       ("alloc", Test_alloc.suite);
     ]

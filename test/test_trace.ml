@@ -87,11 +87,8 @@ let drop5_spec =
 let traced_run seed =
   (* Small checked scenario with a scripted forward drop; returns the
      full JSONL stream and the recorder. *)
-  let recorder = Trace.Recorder.create ~name:"test" () in
-  let buf = Buffer.create 4096 in
-  Trace.Recorder.set_sink recorder (fun e ->
-      Buffer.add_string buf (Trace.Event.to_line e);
-      Buffer.add_char buf '\n');
+  let capture = Trace.Capture.create ~name:"test" () in
+  let recorder = Trace.Capture.recorder capture in
   let cfg =
     {
       Experiments.Scenario.default with
@@ -108,7 +105,7 @@ let traced_run seed =
   let _result, violations =
     Experiments.Scenario.run_checked ~faults:drop5_spec ~recorder cfg proto
   in
-  (Buffer.contents buf, recorder, violations)
+  (Trace.Capture.jsonl capture, recorder, violations)
 
 let test_same_seed_same_bytes () =
   let a, ra, va = traced_run 42 and b, rb, vb = traced_run 42 in
@@ -129,19 +126,18 @@ let noisy_run seed =
   (* On a clean channel with a scripted fault the seed changes nothing
      (that is the point of the determinism tests above); to see the seed
      in the trace the channel must be lossy. *)
-  let recorder = Trace.Recorder.create ~name:"noisy" () in
-  let buf = Buffer.create 4096 in
-  Trace.Recorder.set_sink recorder (fun e ->
-      Buffer.add_string buf (Trace.Event.to_line e);
-      Buffer.add_char buf '\n');
+  let capture = Trace.Capture.create ~name:"noisy" () in
   let cfg =
     { Experiments.Scenario.default with seed; n_frames = 50; horizon = 5. }
   in
   let proto =
     Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params cfg)
   in
-  let _ = Experiments.Scenario.run ~recorder cfg proto in
-  Buffer.contents buf
+  let _ =
+    Experiments.Scenario.run ~recorder:(Trace.Capture.recorder capture) cfg
+      proto
+  in
+  Trace.Capture.jsonl capture
 
 let test_different_seed_different_bytes () =
   let a = noisy_run 42 and b = noisy_run 43 in
