@@ -182,7 +182,7 @@ let ge_any_error g rng ~bits =
     let sojourn =
       if p_leave <= 0. then !remaining else Sim.Rng.geometric rng ~p:p_leave
     in
-    let here = min sojourn !remaining in
+    let here = if sojourn < !remaining then sojourn else !remaining in
     if (not !errored) && Sim.Rng.bernoulli rng ~p:(p_any_error ~ber ~bits:here)
     then errored := true;
     remaining := !remaining - here;
@@ -254,7 +254,9 @@ let ge_fates_into g rng ~header_bits ~payload_bits dst ~n =
         sojourn_left :=
           if p_leave <= 0. then max_int else Sim.Rng.geometric rng ~p:p_leave
       end;
-      let here = min !sojourn_left !remaining in
+      let here =
+        if !sojourn_left < !remaining then !sojourn_left else !remaining
+      in
       let ber = match g.state with Good -> g.ber_good | Bad -> g.ber_bad in
       if (not !errored) && Sim.Rng.bernoulli rng ~p:(seg_p ber here) then
         errored := true;
@@ -319,7 +321,7 @@ let rec ge_model (g : ge) =
             if p_leave <= 0. then bits - !pos
             else Sim.Rng.geometric rng ~p:p_leave
           in
-          let here = min sojourn (bits - !pos) in
+          let here = if sojourn < bits - !pos then sojourn else bits - !pos in
           uniform_positions_into rng ~ber ~offset:!pos ~len:here dst;
           pos := !pos + here;
           if sojourn <= here && p_leave > 0. then

@@ -1,6 +1,6 @@
 type status = Rx_ok | Rx_payload_corrupt | Rx_header_corrupt
 
-type rx = { frame : Frame.Wire.t; status : status; t_sent : float }
+type rx = { frame : Frame.Wire.t; status : status }
 
 type stats = {
   mutable frames_sent : int;
@@ -39,7 +39,7 @@ type t = {
   mutable fault : (now:float -> Frame.Wire.t -> fault_decision) option;
   mutable on_idle : (unit -> unit) option;
   mutable transmitting : bool;
-  queue : Frame.Wire.t Queue.t;
+  queue : Frame.Wire.t Queue.t;  (* empty whenever not [transmitting] *)
   (* Per-frame engine callbacks are allocated once here, not per frame:
      [serial_done] handles end-of-serialisation for the single frame in
      the transmitter ([cur_*] fields), and [arrive_fn] delivers the
@@ -52,10 +52,8 @@ type t = {
   mutable serial_done : unit -> unit;
   mutable arrive_fn : int -> unit;
   mutable cur_frame : Frame.Wire.t;
-  cur_t_sent : float array;
   mutable cur_lost : bool;  (* sent while down: lose it at departure *)
   mutable ring_frames : Frame.Wire.t array;  (* capacity a power of two *)
-  mutable ring_t_sent : float array;
   mutable ring_head : int;
   mutable ring_len : int;
   last_arrival : float array;
@@ -85,10 +83,8 @@ let make engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
       serial_done = ignore;
       arrive_fn = ignore;
       cur_frame = dummy_frame;
-      cur_t_sent = [| 0. |];
       cur_lost = false;
       ring_frames = Array.make 16 dummy_frame;
-      ring_t_sent = Array.make 16 0.;
       ring_head = 0;
       ring_len = 0;
       last_arrival = [| 0. |];
@@ -112,7 +108,14 @@ let set_tap t f = t.taps <- [ f ]
 
 let add_tap t f = t.taps <- t.taps @ [ f ]
 
-let tap t ev = List.iter (fun f -> f ev) t.taps
+(* A recursive walk, not [List.iter]: no closure per tapped event. *)
+let rec tap_each ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      tap_each ev rest
+
+let tap t ev = tap_each ev t.taps
 
 (* Tap events are variant boxes; only build them when a tap is
    installed. *)
@@ -124,7 +127,7 @@ let clear_fault t = t.fault <- None
 
 let set_on_idle t f = t.on_idle <- Some f
 
-let busy t = t.transmitting || not (Queue.is_empty t.queue)
+let busy t = t.transmitting
 
 let queue_length t = Queue.length t.queue
 
@@ -160,7 +163,7 @@ let payload_bits_of frame =
 let error_model t frame =
   if Frame.Wire.is_control frame then t.cframe_error else t.iframe_error
 
-let deliver t frame ~t_sent =
+let deliver t frame =
   if not t.up then begin
     t.stats.frames_lost <- t.stats.frames_lost + 1;
     if tapping t then tap t (Tap_lost frame)
@@ -173,9 +176,9 @@ let deliver t frame ~t_sent =
     let span_bits =
       (now -. Array.unsafe_get t.last_fate_at 0) *. t.data_rate_bps
     in
-    let idle_bits =
-      int_of_float (Float.max 0. (span_bits -. float_of_int (header_bits + payload_bits)))
-    in
+    (* a plain comparison, not [Float.max]: times are never nan *)
+    let idle_bits = span_bits -. float_of_int (header_bits + payload_bits) in
+    let idle_bits = if idle_bits > 0. then int_of_float idle_bits else 0 in
     Array.unsafe_set t.last_fate_at 0 now;
     (* A scripted fault overrides the stochastic channel for this frame;
        Pass falls through to the error model. *)
@@ -222,65 +225,58 @@ let deliver t frame ~t_sent =
             if tapping t then tap t (Tap_lost frame)
         | Some f ->
             t.stats.frames_delivered <- t.stats.frames_delivered + 1;
-            let rx = { frame; status; t_sent } in
+            let rx = { frame; status } in
             if tapping t then tap t (Tap_rx rx);
             f rx)
   end
 
-let ring_push t frame t_sent =
+let ring_push t frame =
   let cap = Array.length t.ring_frames in
   if t.ring_len = cap then begin
-    let ncap = 2 * cap in
-    let nf = Array.make ncap dummy_frame in
-    let nt = Array.make ncap 0. in
+    let nf = Array.make (2 * cap) dummy_frame in
     for i = 0 to t.ring_len - 1 do
-      let j = (t.ring_head + i) land (cap - 1) in
-      nf.(i) <- t.ring_frames.(j);
-      nt.(i) <- t.ring_t_sent.(j)
+      nf.(i) <- t.ring_frames.((t.ring_head + i) land (cap - 1))
     done;
     t.ring_frames <- nf;
-    t.ring_t_sent <- nt;
     t.ring_head <- 0
   end;
   let i = (t.ring_head + t.ring_len) land (Array.length t.ring_frames - 1) in
   Array.unsafe_set t.ring_frames i frame;
-  Array.unsafe_set t.ring_t_sent i t_sent;
   t.ring_len <- t.ring_len + 1
 
 let arrive t =
   assert (t.ring_len > 0);
   let i = t.ring_head in
   let frame = Array.unsafe_get t.ring_frames i in
-  let t_sent = Array.unsafe_get t.ring_t_sent i in
   Array.unsafe_set t.ring_frames i dummy_frame;
   t.ring_head <- (i + 1) land (Array.length t.ring_frames - 1);
   t.ring_len <- t.ring_len - 1;
-  deliver t frame ~t_sent
+  deliver t frame
+
+(* Start serialising [frame] on the idle transmitter. *)
+let start t frame =
+  t.transmitting <- true;
+  let serialisation = tx_time t frame in
+  t.cur_frame <- frame;
+  t.cur_lost <- not t.up;
+  t.stats.frames_sent <- t.stats.frames_sent + 1;
+  t.stats.bits_sent <- t.stats.bits_sent + Frame.Wire.size_bits frame;
+  if tapping t then tap t (Tap_tx frame);
+  ignore
+    (Sim.Engine.schedule t.engine ~delay:serialisation t.serial_done
+      : Sim.Engine.event_id)
 
 let start_next t =
   if Queue.is_empty t.queue then begin
     t.transmitting <- false;
     match t.on_idle with None -> () | Some f -> f ()
   end
-  else begin
-    let frame = Queue.pop t.queue in
-    t.transmitting <- true;
-    let serialisation = tx_time t frame in
-    Array.unsafe_set t.cur_t_sent 0 (Sim.Engine.now t.engine);
-    t.cur_frame <- frame;
-    t.cur_lost <- not t.up;
-    t.stats.frames_sent <- t.stats.frames_sent + 1;
-    t.stats.bits_sent <- t.stats.bits_sent + Frame.Wire.size_bits frame;
-    if tapping t then tap t (Tap_tx frame);
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:serialisation t.serial_done
-        : Sim.Engine.event_id)
-  end
+  else start t (Queue.pop t.queue)
 
 (* End of serialisation for [cur_frame]: the engine clock now reads the
-   departure instant (the same [t_sent +. serialisation] float the
-   scheduler computed). Hand the frame to the propagation ring and free
-   the transmitter. *)
+   departure instant (the start instant plus the serialisation time, the
+   same float the scheduler computed). Hand the frame to the propagation
+   ring and free the transmitter. *)
 let serial_done t =
   let departure = Sim.Engine.now t.engine in
   let frame = t.cur_frame in
@@ -289,14 +285,15 @@ let serial_done t =
   if d < 0. then invalid_arg "Link: negative distance";
   let arrival = departure +. (d /. speed_of_light) in
   (* FIFO clamp: arrivals never reorder. *)
-  let arrival = Float.max arrival (Array.unsafe_get t.last_arrival 0) in
+  let last = Array.unsafe_get t.last_arrival 0 in
+  let arrival = if arrival < last then last else arrival in
   Array.unsafe_set t.last_arrival 0 arrival;
   if t.cur_lost then begin
     t.stats.frames_lost <- t.stats.frames_lost + 1;
     if tapping t then tap t (Tap_lost frame)
   end
   else begin
-    ring_push t frame (Array.unsafe_get t.cur_t_sent 0);
+    ring_push t frame;
     ignore
       (Sim.Engine.schedule_at_fn t.engine ~time:arrival ~fn:t.arrive_fn ~arg:0
         : Sim.Engine.event_id)
@@ -316,8 +313,9 @@ let create_static engine ~rng ~distance_m ~data_rate_bps ~iframe_error
     ~distance_m:(fun _ -> distance_m)
     ~data_rate_bps ~iframe_error ~cframe_error
 
+(* The queue is empty whenever the transmitter is idle, so an idle
+   transmitter takes [frame] directly, without a queue cell. *)
 let send t frame =
-  Queue.add frame t.queue;
-  if not t.transmitting then start_next t
+  if t.transmitting then Queue.add frame t.queue else start t frame
 
 let stats t = t.stats

@@ -25,7 +25,7 @@ type status =
   | Rx_payload_corrupt  (** header readable: receiver knows the seqnum *)
   | Rx_header_corrupt  (** unidentifiable arrival *)
 
-type rx = { frame : Frame.Wire.t; status : status; t_sent : float }
+type rx = { frame : Frame.Wire.t; status : status }
 
 type stats = {
   mutable frames_sent : int;

@@ -63,7 +63,8 @@ type t = {
   mutable last_cp_seq : int;  (* -1 = no baseline *)
   mutable max_ne : int;
   mutable held : Channel.Link.rx option;  (* awaiting cross-CP confirmation *)
-  requeued : (int, unit) Hashtbl.t;  (* naks already forwarded to the sender *)
+  requeued : (int, unit) Hashtbl.t;
+      (* naks already forwarded to the sender, and the sender's own requeues *)
   mutable distrust : int;
   mutable resync_attempts : int;
   mutable quarantine_count : int;
@@ -78,22 +79,35 @@ let create config ~probe ~hooks ~deliver =
     | Ok c -> c
     | Error msg -> invalid_arg ("Guard.create: " ^ msg)
   in
-  {
-    config;
-    probe;
-    hooks;
-    deliver;
-    last_cp_seq = -1;
-    max_ne = 0;
-    held = None;
-    requeued = Hashtbl.create 256;
-    distrust = 0;
-    resync_attempts = 0;
-    quarantine_count = 0;
-    resync_count = 0;
-    failed = false;
-    c_ordinal = 0;
-  }
+  let t =
+    {
+      config;
+      probe;
+      hooks;
+      deliver;
+      last_cp_seq = -1;
+      max_ne = 0;
+      held = None;
+      requeued = Hashtbl.create 256;
+      distrust = 0;
+      resync_attempts = 0;
+      quarantine_count = 0;
+      resync_count = 0;
+      failed = false;
+      c_ordinal = 0;
+    }
+  in
+  (* The sender also requeues on its own: a frame that its coverage scan
+     finds lost goes out again under a new number, and the receiver may
+     honestly NAK the old one afterwards. Those numbers are retired, not
+     released, so [nak-after-release] must not count them. *)
+  (match hooks.feedback with
+  | Checkpointed _ ->
+      Probe.subscribe probe (fun ~now:_ -> function
+        | Probe.Requeued { seq; _ } -> Hashtbl.replace t.requeued seq ()
+        | _ -> ())
+  | Supervisory _ -> ());
+  t
 
 let quarantines t = t.quarantine_count
 
@@ -162,10 +176,9 @@ let implausible_cp t ~next_seq (cp : Frame.Cframe.checkpoint) =
   then Some "nak-out-of-range"
   else None
 
-(* A NAK for a sequence number that is neither outstanding nor one we
-   ever forwarded for requeue means the receiver still misses a frame
-   whose buffer slot is gone: some earlier checkpoint lied its way past
-   a release. *)
+(* A NAK for a sequence number that is neither outstanding nor ever
+   requeued means the receiver still misses a frame whose buffer slot
+   is gone: some earlier checkpoint lied its way past a release. *)
 let nak_after_release t ~is_outstanding ~next_seq
     (cp : Frame.Cframe.checkpoint) =
   List.exists

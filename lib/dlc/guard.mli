@@ -20,7 +20,8 @@
     - [nak-out-of-range]: a NAK names a frame below the frontier that
       the sender actually sent;
     - [nak-after-release]: a NAK for a sequence number that is neither
-      outstanding nor one the guard ever forwarded for requeue — proof
+      outstanding nor ever requeued (by a NAK the guard forwarded, or by
+      the sender's own coverage scan, seen as {!Probe.Requeued}) — proof
       that an earlier checkpoint lied its way past a release;
     - [nr-out-of-window] (HDLC): N(R) stays cyclically inside
       [v_a .. v_s];

@@ -18,8 +18,10 @@ type t = {
   recv_buffer : Stats.Online.t;
   mutable send_buffer_peak : int;
   mutable recv_buffer_peak : int;
-  mutable first_offer_time : float;
-  mutable last_delivery_time : float;
+  span : float array;
+      (* [| first offer; last delivery |], nan until set: a float array
+         element is stored unboxed, a mutable float field of this mixed
+         record would box on every store *)
 }
 
 let create () =
@@ -43,9 +45,16 @@ let create () =
     recv_buffer = Stats.Online.create ();
     send_buffer_peak = 0;
     recv_buffer_peak = 0;
-    first_offer_time = nan;
-    last_delivery_time = nan;
+    span = [| nan; nan |];
   }
+
+let[@inline] first_offer_time t = Array.unsafe_get t.span 0
+
+let[@inline] last_delivery_time t = Array.unsafe_get t.span 1
+
+let[@inline] set_first_offer_time t time = Array.unsafe_set t.span 0 time
+
+let[@inline] set_last_delivery_time t time = Array.unsafe_set t.span 1 time
 
 let sample_send_buffer t n =
   Stats.Online.add t.send_buffer (float_of_int n);
@@ -60,8 +69,8 @@ let unique_delivered t = t.delivered - t.duplicates
 let loss t = t.offered - t.refused - unique_delivered t
 
 let elapsed t =
-  if Float.is_nan t.first_offer_time || Float.is_nan t.last_delivery_time then 0.
-  else t.last_delivery_time -. t.first_offer_time
+  let first = first_offer_time t and last = last_delivery_time t in
+  if Float.is_nan first || Float.is_nan last then 0. else last -. first
 
 let throughput_efficiency t ~iframe_time =
   let span = elapsed t in

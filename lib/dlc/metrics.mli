@@ -28,11 +28,22 @@ type t = {
   recv_buffer : Stats.Online.t;
   mutable send_buffer_peak : int;
   mutable recv_buffer_peak : int;
-  mutable first_offer_time : float;
-  mutable last_delivery_time : float;
+  span : float array;
+      (** first offer and last delivery instants; read and write them
+          through the accessors below *)
 }
 
 val create : unit -> t
+
+val first_offer_time : t -> float
+(** Instant of the first offer; [nan] until one is made. *)
+
+val last_delivery_time : t -> float
+(** Instant of the latest delivery; [nan] until one is made. *)
+
+val set_first_offer_time : t -> float -> unit
+
+val set_last_delivery_time : t -> float -> unit
 
 val sample_send_buffer : t -> int -> unit
 (** Record occupancy and maintain the peak. *)

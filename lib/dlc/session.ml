@@ -34,7 +34,7 @@ module type VARIANT = sig
     val backlog : t -> int
     val force_resync : t -> unit
     val force_failure : t -> unit
-    val offer_time_of_seq : t -> int -> float option
+    val note_delivered : t -> int -> unit
     val stop : t -> unit
     val scramble_send_seq : t -> delta:int -> string option
     val duplicate_buffer_entry : t -> string option
@@ -163,11 +163,7 @@ module Make (V : VARIANT) = struct
         | Some g -> Guard.on_rx g rx
         | None -> V.Sender.on_rx sender rx);
     V.Receiver.set_on_deliver receiver (fun ~payload ~seq ->
-        (match V.Sender.offer_time_of_seq sender seq with
-        | Some t0 ->
-            Stats.Online.add metrics.Metrics.delivery_delay
-              (Sim.Engine.now engine -. t0)
-        | None -> ());
+        V.Sender.note_delivered sender seq;
         match t.user_deliver with None -> () | Some f -> f ~payload);
     t
 

@@ -5,8 +5,9 @@
     experiments, the network stack and the examples can drive any
     protocol through one interface. {!Make} writes the wiring behind that
     face once: shared metrics and probe, the optional {!Guard}, the
-    delivery-delay metric, the corruption surface and the reverse-link
-    replay ring. *)
+    delivery hook (each delivery reaches the sender's [note_delivered],
+    which records its delay), the corruption surface and the
+    reverse-link replay ring. *)
 
 type t = {
   name : string;
@@ -57,7 +58,7 @@ module type VARIANT = sig
     val backlog : t -> int
     val force_resync : t -> unit
     val force_failure : t -> unit
-    val offer_time_of_seq : t -> int -> float option
+    val note_delivered : t -> int -> unit
     val stop : t -> unit
     val scramble_send_seq : t -> delta:int -> string option
     val duplicate_buffer_entry : t -> string option

@@ -2,15 +2,19 @@ let src = Logs.Src.create "lams_dlc.sender" ~doc:"LAMS-DLC sender"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* A buffered payload. Its two instants live in a float array, stored
+   unboxed; as float fields of this mixed record each would be a box. *)
 type pending = {
   payload : Frame.Payload.t;
-  offer_time : float;
-  mutable first_tx_time : float;  (* nan until first transmitted *)
+  times : float array;  (* [| offer; first transmission, nan until then |] *)
 }
 
+let[@inline] offer_time pend = Array.unsafe_get pend.times 0
+
+let[@inline] first_tx_time pend = Array.unsafe_get pend.times 1
+
 (* Fills the ring slots of resolved frames; compared physically. *)
-let resolved =
-  { payload = Frame.Payload.empty; offer_time = nan; first_tx_time = nan }
+let resolved = { payload = Frame.Payload.empty; times = [| nan; nan |] }
 
 type t = {
   engine : Sim.Engine.t;
@@ -31,7 +35,7 @@ type t = {
   fresh : pending Queue.t;  (* never-transmitted payloads *)
   retx : pending Queue.t;  (* awaiting retransmission *)
   mutable rate_factor : float;
-  mutable next_allowed_tx : float;
+  next_allowed_tx : float array;  (* one element: written per frame, unboxed *)
   mutable wakeup_scheduled : bool;
   mutable halted : bool;
   mutable failed : bool;
@@ -90,15 +94,27 @@ let rec trim t =
     trim t
   end
 
-(* Physical index of the unresolved slot holding [seq], or -1. *)
+(* Physical index of the unresolved slot holding [seq], or -1. Seqs in
+   the ring ascend by one except across a [scramble_send_seq] gap, so
+   [seq] is first looked for [seq - front] slots from the front; a
+   binary search finds it when a gap lies in between. *)
 let find t seq =
-  let lo = ref 0 and hi = ref t.ring_len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if t.ring_seq.(slot t mid) < seq then lo := mid + 1 else hi := mid
-  done;
-  let j = slot t !lo in
-  if !lo < t.ring_len && t.ring_seq.(j) = seq && t.ring_pend.(j) != resolved then j
+  let i =
+    if t.ring_len = 0 then 0
+    else
+      let i = seq - t.ring_seq.(t.ring_head) in
+      if i >= 0 && i < t.ring_len && t.ring_seq.(slot t i) = seq then i
+      else begin
+        let lo = ref 0 and hi = ref t.ring_len in
+        while !lo < !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          if t.ring_seq.(slot t mid) < seq then lo := mid + 1 else hi := mid
+        done;
+        !lo
+      end
+  in
+  let j = slot t i in
+  if i < t.ring_len && t.ring_seq.(j) = seq && t.ring_pend.(j) != resolved then j
   else -1
 
 let backlog t = Queue.length t.fresh + Queue.length t.retx + t.live
@@ -115,9 +131,11 @@ let failed t = t.failed
 
 let set_on_failure t f = t.on_failure <- Some f
 
-let offer_time_of_seq t seq =
+let note_delivered t seq =
   let j = find t seq in
-  if j < 0 then None else Some t.ring_pend.(j).offer_time
+  if j >= 0 then
+    Stats.Online.add t.metrics.Dlc.Metrics.delivery_delay
+      (Sim.Engine.now t.engine -. offer_time t.ring_pend.(j))
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -140,32 +158,25 @@ let update_span t =
 
 let rec maybe_send t =
   if (not t.failed) && not t.stopped then begin
-    let next_pending =
-      (* retransmissions first; new frames only when not halted *)
-      if not (Queue.is_empty t.retx) then Some t.retx
-      else if (not t.halted) && not (Queue.is_empty t.fresh) then Some t.fresh
-      else None
-    in
-    match next_pending with
-    | None -> ()
-    | Some queue ->
-        if Channel.Link.busy t.forward then ()
-          (* the link's on_idle callback re-enters maybe_send *)
-        else begin
-          let now = Sim.Engine.now t.engine in
-          if now < t.next_allowed_tx then schedule_wakeup t
-          else begin
-            let is_retx = queue == t.retx in
-            let pend = Queue.pop queue in
-            transmit t pend ~is_retx
-          end
-        end
+    (* retransmissions first; new frames only when not halted *)
+    let is_retx = not (Queue.is_empty t.retx) in
+    if
+      (is_retx || ((not t.halted) && not (Queue.is_empty t.fresh)))
+      && not (Channel.Link.busy t.forward)
+      (* a busy link's on_idle callback re-enters maybe_send *)
+    then begin
+      let now = Sim.Engine.now t.engine in
+      if now < Array.unsafe_get t.next_allowed_tx 0 then schedule_wakeup t
+      else transmit t (Queue.pop (if is_retx then t.retx else t.fresh)) ~is_retx
+    end
   end
 
 and schedule_wakeup t =
   if not t.wakeup_scheduled then begin
     t.wakeup_scheduled <- true;
-    let delay = t.next_allowed_tx -. Sim.Engine.now t.engine in
+    let delay =
+      Array.unsafe_get t.next_allowed_tx 0 -. Sim.Engine.now t.engine
+    in
     ignore (Sim.Engine.schedule t.engine ~delay t.wakeup_fn : Sim.Engine.event_id)
   end
 
@@ -180,7 +191,7 @@ and transmit t pend ~is_retx =
   let arrival_estimate =
     departure +. Channel.Link.propagation_delay t.forward ~at:departure
   in
-  if Float.is_nan pend.first_tx_time then pend.first_tx_time <- now;
+  if Float.is_nan (first_tx_time pend) then Array.unsafe_set pend.times 1 now;
   push t seq pend arrival_estimate;
   update_span t;
   if is_retx then
@@ -192,7 +203,7 @@ and transmit t pend ~is_retx =
   Channel.Link.send t.forward wire;
   (* Stop-Go pacing: at full rate the next frame may follow back-to-back;
      a reduced rate factor stretches the inter-frame spacing. *)
-  t.next_allowed_tx <- now +. (tx /. t.rate_factor);
+  Array.unsafe_set t.next_allowed_tx 0 (now +. (tx /. t.rate_factor));
   (* the checkpoint timer must run from the first transmission so a link
      that never produces a single checkpoint is also detected *)
   start_cp_timer_if_needed t;
@@ -299,7 +310,7 @@ let release t j seq =
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
   if probe_on t then emit t (Dlc.Probe.Released { seq; payload = pend.payload });
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
-    (Sim.Engine.now t.engine -. pend.first_tx_time)
+    (Sim.Engine.now t.engine -. first_tx_time pend)
 
 let queue_retransmission t j seq =
   let pend = t.ring_pend.(j) in
@@ -439,10 +450,10 @@ let offer t payload =
   else begin
     let now = Sim.Engine.now t.engine in
     t.metrics.Dlc.Metrics.offered <- t.metrics.Dlc.Metrics.offered + 1;
-    if Float.is_nan t.metrics.Dlc.Metrics.first_offer_time then
-      t.metrics.Dlc.Metrics.first_offer_time <- now;
+    if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
+      Dlc.Metrics.set_first_offer_time t.metrics now;
     if probe_on t then emit t (Dlc.Probe.Offered { payload });
-    Queue.add { payload; offer_time = now; first_tx_time = nan } t.fresh;
+    Queue.add { payload; times = [| now; nan |] } t.fresh;
     sample_buffer t;
     maybe_send t;
     true
@@ -472,7 +483,7 @@ let drain_unresolved t =
       out :=
         {
           payload = pend.payload;
-          offer_time = pend.offer_time;
+          offer_time = offer_time pend;
           verdict = `Suspicious;
         }
         :: !out
@@ -483,14 +494,14 @@ let drain_unresolved t =
   Queue.iter
     (fun (pend : pending) ->
       out :=
-        { payload = pend.payload; offer_time = pend.offer_time; verdict = `Not_delivered }
+        { payload = pend.payload; offer_time = offer_time pend; verdict = `Not_delivered }
         :: !out)
     t.retx;
   Queue.clear t.retx;
   Queue.iter
     (fun (pend : pending) ->
       out :=
-        { payload = pend.payload; offer_time = pend.offer_time; verdict = `Not_delivered }
+        { payload = pend.payload; offer_time = offer_time pend; verdict = `Not_delivered }
         :: !out)
     t.fresh;
   Queue.clear t.fresh;
@@ -515,7 +526,7 @@ let create engine ~params ~forward ~metrics ~probe =
       fresh = Queue.create ();
       retx = Queue.create ();
       rate_factor = 1.;
-      next_allowed_tx = 0.;
+      next_allowed_tx = [| 0. |];
       wakeup_scheduled = false;
       halted = false;
       failed = false;

@@ -81,10 +81,11 @@ val force_resync : t -> unit
 val force_failure : t -> unit
 (** Declare link failure now — the terminal {!Dlc.Guard} escalation. *)
 
-val offer_time_of_seq : t -> int -> float option
-(** Original offer instant of the payload travelling under [seq];
-    retransmissions inherit the original time. Used by the session layer
-    to measure delivery delay. *)
+val note_delivered : t -> int -> unit
+(** The receiver delivered the payload travelling under [seq]: add its
+    delay since the original offer (retransmissions inherit the offer
+    instant) to the [delivery_delay] metric. No-op when [seq] is not
+    outstanding. The session layer calls it on every delivery. *)
 
 val stop : t -> unit
 (** Stop timers and refuse further work (end of link lifetime). *)

@@ -97,7 +97,7 @@ let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.delivered <- t.metrics.Dlc.Metrics.delivered + 1;
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
     t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
-  t.metrics.Dlc.Metrics.last_delivery_time <- Sim.Engine.now t.engine;
+  Dlc.Metrics.set_last_delivery_time t.metrics (Sim.Engine.now t.engine);
   if Dlc.Probe.active t.probe then
     Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)
       (Dlc.Probe.Delivered { seq; payload });

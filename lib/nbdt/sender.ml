@@ -52,10 +52,13 @@ let failed t = t.failed
 
 let set_on_failure t f = t.on_failure <- Some f
 
-let offer_time_of_seq t seq =
-  match Hashtbl.find_opt t.inflight seq with
-  | Some fl -> Some fl.offer_time
-  | None -> None
+(* [find], not [find_opt]: no option per delivered frame. *)
+let note_delivered t seq =
+  match Hashtbl.find t.inflight seq with
+  | fl ->
+      Stats.Online.add t.metrics.Dlc.Metrics.delivery_delay
+        (Sim.Engine.now t.engine -. fl.offer_time)
+  | exception Not_found -> ()
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -317,8 +320,8 @@ let offer t payload =
   else begin
     let now = Sim.Engine.now t.engine in
     t.metrics.Dlc.Metrics.offered <- t.metrics.Dlc.Metrics.offered + 1;
-    if Float.is_nan t.metrics.Dlc.Metrics.first_offer_time then
-      t.metrics.Dlc.Metrics.first_offer_time <- now;
+    if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
+      Dlc.Metrics.set_first_offer_time t.metrics now;
     if probe_on t then
       emit t (Dlc.Probe.Offered { payload });
     Queue.add (payload, now) t.fresh;

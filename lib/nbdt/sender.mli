@@ -54,7 +54,10 @@ val force_resync : t -> unit
 val force_failure : t -> unit
 (** Declare link failure now — the terminal {!Dlc.Guard} escalation. *)
 
-val offer_time_of_seq : t -> int -> float option
+val note_delivered : t -> int -> unit
+(** Add the delay since the original offer of the payload travelling
+    under [seq] to the [delivery_delay] metric; no-op when [seq] is not
+    in flight. The session layer calls it on every delivery. *)
 
 val stop : t -> unit
 

@@ -200,7 +200,7 @@ let on_tx t ~now ~seq ~payload ~retx =
           (Printf.sprintf "wire seq %d after %d: renumbering must keep the \
                            sequence stream strictly increasing"
              seq t.last_tx_seq);
-      t.last_tx_seq <- max t.last_tx_seq seq;
+      if seq > t.last_tx_seq then t.last_tx_seq <- seq;
       if Hashtbl.mem t.tx_seq_used seq then
         violate t ~time:now "seq-reuse"
           (Printf.sprintf "wire seq %d assigned to a second copy" seq)
@@ -388,12 +388,14 @@ let on_checkpoint_tx t ~now (cp : Frame.Cframe.checkpoint) =
     violate t ~time:now "cp-monotone"
       (Printf.sprintf "checkpoint seq %d after %d" cp.Frame.Cframe.cp_seq
          t.last_cp_seq);
-  t.last_cp_seq <- max t.last_cp_seq cp.Frame.Cframe.cp_seq;
+  if cp.Frame.Cframe.cp_seq > t.last_cp_seq then
+    t.last_cp_seq <- cp.Frame.Cframe.cp_seq;
   if cp.Frame.Cframe.next_expected < t.last_next_expected then
     violate t ~time:now "cp-next-expected"
       (Printf.sprintf "next_expected regressed %d -> %d" t.last_next_expected
          cp.Frame.Cframe.next_expected);
-  t.last_next_expected <- max t.last_next_expected cp.Frame.Cframe.next_expected;
+  if cp.Frame.Cframe.next_expected > t.last_next_expected then
+    t.last_next_expected <- cp.Frame.Cframe.next_expected;
   match t.profile with
   | Lams { c_depth; _ } when not cp.Frame.Cframe.enforced ->
       let r = t.regular_cps in

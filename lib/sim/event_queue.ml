@@ -95,7 +95,7 @@ let far_time = 1e13
 let far_tick = max_int - (2 * wheel_size)
 
 let create ?(capacity = 256) ~dummy () =
-  let cap = max 16 capacity in
+  let cap = if capacity > 16 then capacity else 16 in
   {
     dummy;
     cap;
@@ -126,7 +126,7 @@ let is_empty t = t.live = 0
 (* --- arena -------------------------------------------------------------- *)
 
 let grow_arena t =
-  let ncap = min (2 * t.cap) (slot_mask + 1) in
+  let ncap = if 2 * t.cap < slot_mask + 1 then 2 * t.cap else slot_mask + 1 in
   if ncap <= t.cap then failwith "Event_queue: arena full";
   let blit_int src =
     let dst = Array.make ncap 0 in
@@ -197,7 +197,9 @@ let sift_down t heap size i slot =
     let first_child = (4 * !i) + 1 in
     if first_child >= size then continue := false
     else begin
-      let last_child = min (first_child + 3) (size - 1) in
+      let last_child =
+        if first_child + 3 < size then first_child + 3 else size - 1
+      in
       let best = ref first_child in
       for c = first_child + 1 to last_child do
         if before t (Array.unsafe_get heap c) (Array.unsafe_get heap !best)

@@ -68,7 +68,7 @@ let[@inline] geometric t ~p =
     let u = 1. -. unit_float t in
     (* ceil of log-transform inverse CDF; always >= 1 *)
     let k = int_of_float (ceil (log u /. log (1. -. p))) in
-    max 1 k
+    if k > 1 then k else 1
 
 let binomial t ~n ~p =
   assert (n >= 0);

@@ -1,5 +1,9 @@
+(* Every field is a float, so OCaml stores the record flat and [add]
+   writes its fields without boxing. The count is a float too; it is
+   exact below 2^53 observations, so every statistic is the one an int
+   count would give. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min : float;
@@ -8,27 +12,26 @@ type t = {
 }
 
 let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; sum = 0. }
+  { n = 0.; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; sum = 0. }
 
-let add t x =
-  t.n <- t.n + 1;
+let[@inline] add t x =
+  let n = t.n +. 1. in
+  t.n <- n;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
+  t.mean <- t.mean +. (delta /. n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.sum <- t.sum +. x
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0. then { b with n = b.n }
+  else if b.n = 0. then { a with n = a.n }
   else begin
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let fn = float_of_int n in
+    let n = a.n +. b.n in
     let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. fn) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn) in
+    let mean = a.mean +. (delta *. b.n /. n) in
+    let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
     {
       n;
       mean;
@@ -39,11 +42,11 @@ let merge a b =
     }
   end
 
-let count t = t.n
+let count t = int_of_float t.n
 
-let mean t = if t.n = 0 then nan else t.mean
+let mean t = if t.n = 0. then nan else t.mean
 
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2. then 0. else t.m2 /. (t.n -. 1.)
 
 let stddev t = sqrt (variance t)
 
@@ -74,19 +77,18 @@ let t_crit df =
   else 1.96
 
 let ci95_halfwidth t =
-  if t.n < 2 then 0.
-  else t_crit (t.n - 1) *. stddev t /. sqrt (float_of_int t.n)
+  if t.n < 2. then 0. else t_crit (count t - 1) *. stddev t /. sqrt t.n
 
 let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
+  if t.n = 0. then Format.fprintf ppf "n=0"
   else
-    Format.fprintf ppf "n=%d mean=%.6g±%.2g min=%.6g max=%.6g" t.n t.mean
+    Format.fprintf ppf "n=%d mean=%.6g±%.2g min=%.6g max=%.6g" (count t) t.mean
       (ci95_halfwidth t) t.min t.max
 
 let to_json_string t =
   Printf.sprintf
     "{\"count\":%d,\"mean\":%s,\"stddev\":%s,\"min\":%s,\"max\":%s,\"sum\":%s}"
-    t.n
+    (count t)
     (Jsonstr.float_repr (mean t))
     (Jsonstr.float_repr (stddev t))
     (Jsonstr.float_repr t.min)

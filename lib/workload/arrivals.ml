@@ -27,7 +27,8 @@ let default_payload ~size i =
     Frame.Payload.make ~stem:(Bytes.unsafe_to_string b) ~len:size
   end
   else begin
-    let width = max 10 (digits i) in
+    (* at least ten digits; ten hold every [i] below 10^10 *)
+    let width = if i < 10_000_000_000 then 10 else digits i in
     let b = Bytes.create (width + 1) in
     put_digits b i width;
     Bytes.unsafe_set b width '|';

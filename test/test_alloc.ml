@@ -63,6 +63,32 @@ let test_engine_schedule () =
       done;
       Sim.Engine.run e)
 
+(* An all-float record stores its fields unboxed, so an observation
+   costs nothing. [x] is bound once, so the call boxes nothing either. *)
+let test_online_add () =
+  let o = Stats.Online.create () in
+  let x = 1.5 in
+  gate ~what:"Stats.Online.add" ~max_words:0. (fun () -> Stats.Online.add o x)
+
+(* An idle link's whole per-frame path: [send] starts serialising at
+   once, without a queue cell, and the engine runs the end of
+   serialisation and the arrival. What remains is the [rx] record and
+   the floats boxed at calls this build does not inline. *)
+let test_link_send_idle () =
+  let engine = Sim.Engine.create () in
+  let link =
+    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:1000. ~data_rate_bps:1e9
+      ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  let received = ref 0 in
+  Channel.Link.set_receiver link (fun _ -> incr received);
+  gate ~what:"idle Link.send up to its arrival" ~max_words:11. (fun () ->
+      Channel.Link.send link descriptor_frame;
+      Sim.Engine.run_until_quiet engine);
+  Alcotest.(check int) "every frame arrived" 1_010 !received
+
 let test_rng_draws () =
   let rng = Sim.Rng.create ~seed:1 in
   gate ~what:"Rng.int" ~max_words:0. (fun () ->
@@ -91,7 +117,6 @@ let test_receiver_nak_marking () =
         {
           Channel.Link.frame = Frame.Wire.Data (Frame.Iframe.create ~seq ~payload);
           status = Channel.Link.Rx_payload_corrupt;
-          t_sent = 0.;
         })
   in
   let next = ref 0 in
@@ -103,7 +128,10 @@ let test_receiver_nak_marking () =
     (List.length (Lams_dlc.Receiver.outstanding_naks receiver))
 
 (* A whole session at the paper's operating point: Scenario.default is
-   2,000 saturating 1 kB frames at seed 1. *)
+   2,000 saturating 1 kB frames at seed 1. The gates are set for the dev
+   profile [dune runtest] builds, where [-opaque] stops cross-module
+   inlining; the release build perfbench measures allocates less, and
+   CI's perfbench-smoke job gates that count. *)
 let test_scenario_words_per_frame ~max_words protocol () =
   let config = Experiments.Scenario.default in
   let w0 = Gc.minor_words () in
@@ -130,10 +158,13 @@ let suite =
     Alcotest.test_case "rng draws: 0 words" `Quick test_rng_draws;
     Alcotest.test_case "LAMS receiver NAK marking: at most 1 word" `Quick
       test_receiver_nak_marking;
-    Alcotest.test_case "LAMS session: at most 120 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:120. (fun c ->
+    Alcotest.test_case "LAMS session within 75 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:75. (fun c ->
            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
-    Alcotest.test_case "SR-HDLC session: at most 140 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:140. (fun c ->
+    Alcotest.test_case "SR-HDLC session within 95 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:95. (fun c ->
            Experiments.Scenario.Hdlc (Experiments.Scenario.default_hdlc_params c)));
+    Alcotest.test_case "Stats.Online.add: 0 words" `Quick test_online_add;
+    Alcotest.test_case "idle Link.send to arrival: at most 11 words" `Quick
+      test_link_send_idle;
   ]

@@ -29,8 +29,8 @@ let test_throughput_efficiency () =
   let m = Dlc.Metrics.create () in
   m.Dlc.Metrics.offered <- 100;
   m.Dlc.Metrics.delivered <- 100;
-  m.Dlc.Metrics.first_offer_time <- 1.0;
-  m.Dlc.Metrics.last_delivery_time <- 2.0;
+  Dlc.Metrics.set_first_offer_time m 1.0;
+  Dlc.Metrics.set_last_delivery_time m 2.0;
   (* 100 frames of 5 ms each in a 1 s span: eta = 0.5 *)
   Alcotest.(check (float 1e-9)) "eta" 0.5
     (Dlc.Metrics.throughput_efficiency m ~iframe_time:5e-3);

@@ -107,6 +107,19 @@ let prop_no_false_positives =
     (fun (seed, variant, ber_scale) ->
       honest_run ~variant ~seed ~ber:(float_of_int ber_scale *. 1e-5))
 
+(* Cases at which the property once failed, all LAMS-DLC: a lost frame
+   went out again under a new number from the sender's own coverage
+   scan, the receiver later NAKed the old number, and the guard took
+   that honest NAK for a lying release until it declared failure. *)
+let test_sender_requeue_not_quarantined () =
+  List.iter
+    (fun (seed, ber_scale) ->
+      if not (honest_run ~variant:0 ~seed ~ber:(float_of_int ber_scale *. 1e-5))
+      then
+        Alcotest.failf "LAMS-DLC seed %d, ber %de-5: honest feedback quarantined"
+          seed ber_scale)
+    [ (7, 6); (54, 14); (337, 20); (4362, 6); (4444, 13); (6857, 16) ]
+
 (* --- per-lie-class detection and recovery -------------------------------- *)
 
 let test_forge_unguarded_loses_data () =
@@ -295,4 +308,6 @@ let suite =
     Alcotest.test_case "golden lying-feedback trace" `Quick test_golden_trace;
     Alcotest.test_case "soak: jobs-count determinism" `Quick
       test_soak_jobs_determinism;
+    Alcotest.test_case "sender-side requeues are not quarantined" `Quick
+      test_sender_requeue_not_quarantined;
   ]

@@ -40,7 +40,6 @@ let arrive h ?(status = Channel.Link.Rx_ok) seq =
         Frame.Wire.Data
           (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "unit"));
       status;
-      t_sent = 0.;
     };
   Sim.Engine.run h.engine
 
@@ -113,7 +112,6 @@ let test_poll_answered_with_final () =
         Frame.Wire.Hdlc_control
           (Frame.Hframe.create ~kind:Frame.Hframe.Rr ~nr:0 ~pf:true);
       status = Channel.Link.Rx_ok;
-      t_sent = 0.;
     };
   Sim.Engine.run h.engine;
   match !(h.sent) with
@@ -135,7 +133,6 @@ let test_poll_rerequests_missing () =
         Frame.Wire.Hdlc_control
           (Frame.Hframe.create ~kind:Frame.Hframe.Rr ~nr:0 ~pf:true);
       status = Channel.Link.Rx_ok;
-      t_sent = 0.;
     };
   Sim.Engine.run h.engine;
   Alcotest.(check int) "re-SREJed on poll" 2 (srejs ())

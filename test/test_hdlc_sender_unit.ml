@@ -46,7 +46,6 @@ let control h ?(pf = false) kind nr =
       Channel.Link.frame =
         Frame.Wire.Hdlc_control (Frame.Hframe.create ~kind ~nr ~pf);
       status = Channel.Link.Rx_ok;
-      t_sent = 0.;
     };
   Sim.Engine.run h.engine ~until:(Sim.Engine.now h.engine +. 1e-3)
 

@@ -42,7 +42,6 @@ let arrive h ?(status = Channel.Link.Rx_ok) seq =
         Frame.Wire.Data
           (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "unit"));
       status;
-      t_sent = Sim.Engine.now h.engine;
     }
 
 let run_for h dt = Sim.Engine.run h.engine ~until:(Sim.Engine.now h.engine +. dt)
@@ -123,7 +122,6 @@ let test_enforced_nak_replays_old_errors () =
       Channel.Link.frame =
         Frame.Wire.Control (Frame.Cframe.request_nak ~issue_time:0.);
       status = Channel.Link.Rx_ok;
-      t_sent = 0.;
     };
   run_for h 1e-4;
   (* a regular checkpoint may interleave; find the enforced answer *)
@@ -312,7 +310,6 @@ let prop_ledger_matches_reference =
                 Channel.Link.frame =
                   Frame.Wire.Control (Frame.Cframe.request_nak ~issue_time:0.);
                 status = Channel.Link.Rx_ok;
-                t_sent = 0.;
               };
             (* long enough for the link to serialise any earlier answer *)
             run_for h 1e-3;

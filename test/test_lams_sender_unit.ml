@@ -72,10 +72,17 @@ let checkpoint h ?issue_time ~next_expected naks =
           (Frame.Cframe.checkpoint ~cp_seq:0 ~issue_time ~stop_go:false
              ~enforced:false ~next_expected ~naks);
       status = Channel.Link.Rx_ok;
-      t_sent = issue_time;
     }
 
 let txed_seqs h = List.rev_map fst !(h.txed)
+
+(* Report the delivery of [seq] now: the delay the sender adds to the
+   [delivery_delay] metric, or [None] when it adds none. *)
+let deliver h seq =
+  let d = h.metrics.Dlc.Metrics.delivery_delay in
+  let n = Stats.Online.count d and sum = Stats.Online.sum d in
+  Lams_dlc.Sender.note_delivered h.sender seq;
+  if Stats.Online.count d = n then None else Some (Stats.Online.sum d -. sum)
 
 let resolved h = List.rev !(h.resolved)
 
@@ -221,8 +228,16 @@ let test_scrambled_seq_gap () =
   Alcotest.(check int)
     "six outstanding" 6
     (Lams_dlc.Sender.outstanding h.sender);
-  Alcotest.(check (option (float 0.))) "offer time across the gap" (Some 1e-3)
-    (Lams_dlc.Sender.offer_time_of_seq h.sender 1_000_004);
+  (* delays on both sides of the gap: seq 1 sits at its slot from the
+     front, 1_000_004 only a binary search finds *)
+  let now = Sim.Engine.now h.engine in
+  Alcotest.(check (option (float 1e-12))) "delay below the gap" (Some now)
+    (deliver h 1);
+  Alcotest.(check (option (float 1e-12))) "delay across the gap"
+    (Some (now -. 1e-3))
+    (deliver h 1_000_004);
+  Alcotest.(check (option (float 0.))) "no delay inside the gap" None
+    (deliver h 500_000);
   (* NAKs on both sides of the gap act; one inside it is a phantom *)
   checkpoint h ~issue_time:0. ~next_expected:0 [ 1; 500_000; 1_000_004 ];
   run_for h 1e-3;
@@ -232,9 +247,9 @@ let test_scrambled_seq_gap () =
   Alcotest.(check (list (pair int string)))
     "resent above the gap" [ (1_000_006, "p1"); (1_000_007, "p4") ]
     (List.filteri (fun i _ -> i < 2) !(h.txed) |> List.rev);
-  Alcotest.(check (option (float 0.))) "retransmission keeps the offer time"
-    (Some 0.)
-    (Lams_dlc.Sender.offer_time_of_seq h.sender 1_000_006);
+  Alcotest.(check (option (float 1e-12))) "retransmission keeps the offer time"
+    (Some (Sim.Engine.now h.engine))
+    (deliver h 1_000_006);
   check_outstanding h [ 500_000; 1_000_002 ] ~expect:false;
   (* coverage releases on both sides, requeues at and above the frontier *)
   h.resolved := [];

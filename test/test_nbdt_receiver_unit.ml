@@ -43,7 +43,6 @@ let arrive h ?(status = Channel.Link.Rx_ok) seq =
         Frame.Wire.Data
           (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "unit"));
       status;
-      t_sent = 0.;
     }
 
 let run_for h dt = Sim.Engine.run h.engine ~until:(Sim.Engine.now h.engine +. dt)

@@ -87,6 +87,120 @@ let prop_merge_equals_whole =
          || Float.abs (Stats.Online.mean m -. Stats.Online.mean whole)
             <= 1e-6 *. (1. +. Float.abs (Stats.Online.mean whole))))
 
+(* The accumulator as it was with an int count, kept as the reference
+   for the flat all-float record: every statistic must agree bit for
+   bit. *)
+module Int_count_online = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable min : float;
+    mutable max : float;
+    mutable sum : float;
+  }
+
+  let create () =
+    { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; sum = 0. }
+
+  let add t x =
+    t.n <- t.n + 1;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x;
+    t.sum <- t.sum +. x
+
+  let merge a b =
+    if a.n = 0 then { b with n = b.n }
+    else if b.n = 0 then { a with n = a.n }
+    else begin
+      let n = a.n + b.n in
+      let fa = float_of_int a.n and fb = float_of_int b.n in
+      let fn = float_of_int n in
+      let delta = b.mean -. a.mean in
+      let mean = a.mean +. (delta *. fb /. fn) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn) in
+      {
+        n;
+        mean;
+        m2;
+        min = Float.min a.min b.min;
+        max = Float.max a.max b.max;
+        sum = a.sum +. b.sum;
+      }
+    end
+
+  let mean t = if t.n = 0 then nan else t.mean
+  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+  let stddev t = sqrt (variance t)
+
+  let t_crit df =
+    let table =
+      [|
+        12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
+        2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
+        2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045; 2.042;
+      |]
+    in
+    if df < 1 then nan
+    else if df <= 30 then table.(df - 1)
+    else if df <= 40 then 2.021
+    else if df <= 60 then 2.000
+    else if df <= 120 then 1.980
+    else 1.96
+
+  let ci95_halfwidth t =
+    if t.n < 2 then 0.
+    else t_crit (t.n - 1) *. stddev t /. sqrt (float_of_int t.n)
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every statistic of [o] equals the reference's, bit for bit. *)
+let agrees o (r : Int_count_online.t) =
+  Stats.Online.count o = r.n
+  && same_bits (Stats.Online.mean o) (Int_count_online.mean r)
+  && same_bits (Stats.Online.variance o) (Int_count_online.variance r)
+  && same_bits (Stats.Online.stddev o) (Int_count_online.stddev r)
+  && same_bits (Stats.Online.min o) r.min
+  && same_bits (Stats.Online.max o) r.max
+  && same_bits (Stats.Online.sum o) r.sum
+  && same_bits (Stats.Online.ci95_halfwidth o) (Int_count_online.ci95_halfwidth r)
+
+let prop_online_matches_int_count =
+  let sample =
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range (-1e9) 1e9;
+          map float_of_int (int_range (-5) 5);
+          oneofl [ 0.; -0.; 1e-300; 1e300; 0.1 ];
+        ])
+  in
+  (* list lengths start at 0 and 1: empty and singleton accumulators *)
+  let samples = QCheck2.Gen.(list_size (int_range 0 40) sample) in
+  QCheck2.Test.make ~name:"online matches the int-count accumulator bit for bit"
+    ~count:500 (QCheck2.Gen.pair samples samples)
+    (fun (xs, ys) ->
+      let build xs =
+        let o = Stats.Online.create () and r = Int_count_online.create () in
+        List.iter
+          (fun x ->
+            Stats.Online.add o x;
+            Int_count_online.add r x)
+          xs;
+        (o, r)
+      in
+      let a, ra = build xs and b, rb = build ys in
+      let empty, rempty = build [] in
+      agrees a ra && agrees b rb
+      && agrees (Stats.Online.merge a b) (Int_count_online.merge ra rb)
+      && agrees (Stats.Online.merge b a) (Int_count_online.merge rb ra)
+      && agrees (Stats.Online.merge empty a) (Int_count_online.merge rempty ra)
+      && agrees (Stats.Online.merge a empty) (Int_count_online.merge ra rempty))
+
 let test_histogram_basic () =
   let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
   List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -1.; 10.; 15. ];
@@ -178,6 +292,7 @@ let suite =
     Alcotest.test_case "online merge" `Quick test_online_merge;
     Alcotest.test_case "online merge empty" `Quick test_online_merge_empty;
     QCheck_alcotest.to_alcotest prop_merge_equals_whole;
+    QCheck_alcotest.to_alcotest prop_online_matches_int_count;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basic;
     Alcotest.test_case "histogram bounds" `Quick test_histogram_bounds;
     Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
