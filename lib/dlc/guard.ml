@@ -103,9 +103,11 @@ let create config ~probe ~hooks ~deliver =
      released, so [nak-after-release] must not count them. *)
   (match hooks.feedback with
   | Checkpointed _ ->
-      Probe.subscribe probe (fun ~now:_ -> function
-        | Probe.Requeued { seq; _ } -> Hashtbl.replace t.requeued seq ()
-        | _ -> ())
+      Probe.listen probe
+        {
+          Probe.no_handlers with
+          requeued = (fun ~seq ~payload:_ -> Hashtbl.replace t.requeued seq ());
+        }
   | Supervisory _ -> ());
   t
 

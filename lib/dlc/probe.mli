@@ -8,8 +8,19 @@
     into protocol internals.
 
     Every session owns a probe (a fresh one is created when none is
-    passed in); emitting to a probe with no subscribers costs one list
-    match, so the instrumentation is always on. *)
+    passed in). The six per-frame kinds have typed emit calls
+    ({!offered}, {!tx}, {!released}, {!requeued}, {!delivered},
+    {!cp_emitted}) that pass unboxed fields to each subscriber's
+    {!handlers} record and build no event value. An emit to a probe
+    with no subscriber allocates nothing, so emitters call them
+    unguarded. Typed emits carry no timestamp: handlers read {!now},
+    the clock of the engine bound with {!set_clock}. The rare kinds go
+    through {!emit} with an explicit [~now].
+
+    Handlers fire synchronously, in subscription order, whichever way
+    they were subscribed and whichever way the event was emitted: a
+    trace recorder subscribed before an oracle sees an event before the
+    violation it triggers. *)
 
 type link_state = Link_up | Link_retargeting | Link_down | Link_failed
 (** Lifecycle of the physical link as seen by the handover layer:
@@ -84,14 +95,71 @@ type t
 
 val create : unit -> t
 
-val subscribe : t -> (now:float -> event -> unit) -> unit
-(** Handlers fire synchronously, in subscription order, at emission. *)
+val set_clock : t -> Sim.Engine.t -> unit
+(** Stamp typed emits with this engine's time. Senders and receivers
+    bind their engine at creation; until then {!now} reads [0.]. *)
 
-val active : t -> bool
-(** [true] iff at least one handler is subscribed. Emitting to an
-    inactive probe is a no-op, but the event payload itself is
-    constructed (allocated) at the call site — per-frame emitters guard
-    with [if Probe.active p then emit ...] so unobserved sessions run
-    allocation-free. *)
+val now : t -> float
+(** The time of the event being dispatched. Typed handlers read it here
+    rather than as an argument, which would box it. *)
+
+val clock : t -> float array
+(** The one-element array that {!now} reads. A handler that must not
+    box the time, even where {!now} is not inlined, reads element 0 of
+    [clock p] while it runs; the array itself changes between events. *)
+
+(** Per-kind handlers of one subscriber. [other] receives every kind
+    without a typed emit, with its timestamp. *)
+type handlers = {
+  offered : Frame.Payload.t -> unit;
+  tx : seq:int -> payload:Frame.Payload.t -> retx:bool -> unit;
+  released : seq:int -> payload:Frame.Payload.t -> unit;
+  requeued : seq:int -> payload:Frame.Payload.t -> unit;
+  delivered : seq:int -> payload:Frame.Payload.t -> unit;
+  cp_emitted :
+    cp_seq:int ->
+    next_expected:int ->
+    enforced:bool ->
+    stop_go:bool ->
+    naks:int list ->
+    unit;
+  other : now:float -> event -> unit;
+}
+
+val no_handlers : handlers
+(** Every handler ignores its event; override the fields you need. *)
+
+val listen : t -> handlers -> unit
+(** Subscribe a handler record. *)
+
+val subscribe : t -> (now:float -> event -> unit) -> unit
+(** Subscribe one callback for every kind. Typed emits then build the
+    event and box the time for it, so per-frame observers use
+    {!listen}. *)
+
+val offered : t -> Frame.Payload.t -> unit
+
+val tx : t -> seq:int -> payload:Frame.Payload.t -> retx:bool -> unit
+
+val released : t -> seq:int -> payload:Frame.Payload.t -> unit
+
+val requeued : t -> seq:int -> payload:Frame.Payload.t -> unit
+
+val delivered : t -> seq:int -> payload:Frame.Payload.t -> unit
+
+val cp_emitted :
+  t ->
+  cp_seq:int ->
+  next_expected:int ->
+  enforced:bool ->
+  stop_go:bool ->
+  naks:int list ->
+  unit
+(** The typed emits: [cp_emitted p ~cp_seq ...] is
+    [emit p ~now:(now p) (Cp_emitted { cp_seq; ... })], without the
+    event value, and likewise for the other five. *)
 
 val emit : t -> now:float -> event -> unit
+(** Publish any event at [now]. A per-frame kind is split into its
+    fields and dispatched to the typed handlers, which read [now]
+    through {!now} while they run. Allocates nothing itself. *)

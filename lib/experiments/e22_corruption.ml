@@ -75,7 +75,8 @@ type outcome = {
   unconverged : bool;  (** a window was still open (with anomalies) at end *)
   completed : bool;
   delivered : int;
-  violations : Oracle.violation list;
+  violations : Oracle.violation list;  (* the first 200 *)
+  violation_count : int;
 }
 
 let max_or_zero = List.fold_left max 0.
@@ -199,6 +200,7 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
       completed = Dlc.Metrics.unique_delivered metrics >= frames;
       delivered = Dlc.Metrics.unique_delivered metrics;
       violations = Oracle.violations oracle;
+      violation_count = Oracle.violation_count oracle;
     }
   in
   (match capture with Some c -> Trace.Capture.finish c | None -> ());
@@ -256,7 +258,8 @@ type handover_outcome = {
   h_declared : bool;
   h_unconverged : bool;
   sessions : int;
-  h_violations : Oracle.violation list;
+  h_violations : Oracle.violation list;  (* the first 200 *)
+  h_violation_count : int;
 }
 
 let h_fingerprint ~seed spec =
@@ -350,6 +353,7 @@ let run_handover ?recorder ~seed spec =
       h_unconverged = Oracle.Transfer.unconverged transfer;
       sessions = stats.Handover.Manager.sessions_created;
       h_violations = Oracle.Transfer.violations transfer;
+      h_violation_count = Oracle.Transfer.violation_count transfer;
     }
   in
   (match capture with Some c -> Trace.Capture.finish c | None -> ());
@@ -377,7 +381,7 @@ let outcome_metrics o =
     ("unconverged", b o.unconverged);
     ("completed", b o.completed);
     ("delivered", f o.delivered);
-    ("oracle_violations", f (List.length o.violations));
+    ("oracle_violations", f o.violation_count);
   ]
 
 let handover_metrics o =
@@ -393,7 +397,7 @@ let handover_metrics o =
     ("unconverged", b o.h_unconverged);
     ("completed", b (o.messages_completed >= h_messages));
     ("delivered", f o.messages_completed);
-    ("oracle_violations", f (List.length o.h_violations));
+    ("oracle_violations", f o.h_violation_count);
   ]
 
 let handover_point ~label spec =
@@ -510,8 +514,8 @@ let run ?spec ?(quick = false) ppf =
                 (o.converged + if o.unconverged then 1 else 0);
               Printf.sprintf "%.2f" (o.time_to_convergence *. 1e3);
               (if o.declared_failure then "yes" else "-");
-              (if o.violations = [] then "clean"
-               else string_of_int (List.length o.violations));
+              (if o.violation_count = 0 then "clean"
+               else string_of_int o.violation_count);
             ])
         rows)
     vs;
@@ -529,8 +533,8 @@ let run ?spec ?(quick = false) ppf =
         (oh.h_converged + if oh.h_unconverged then 1 else 0);
       Printf.sprintf "%.2f" (oh.h_time_to_convergence *. 1e3);
       (if oh.h_declared then "yes" else "-");
-      (if oh.h_violations = [] then "clean"
-       else string_of_int (List.length oh.h_violations));
+      (if oh.h_violation_count = 0 then "clean"
+       else string_of_int oh.h_violation_count);
     ];
   Report.table ppf table;
   Report.note ppf

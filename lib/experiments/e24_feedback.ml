@@ -281,7 +281,7 @@ let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
       time_to_resync = max_or_zero resync_times;
       unresolved = Oracle.Feedback.unresolved feedback;
       wrongful = Oracle.Feedback.wrongful_releases feedback;
-      violations = List.length (Oracle.violations oracle);
+      violations = Oracle.violation_count oracle;
       delivered = Dlc.Metrics.unique_delivered metrics;
       completed = Dlc.Metrics.unique_delivered metrics >= frames;
       goodput_floor =

@@ -277,20 +277,16 @@ let run_watched ?faults ?reverse_faults ?recorder ~watch cfg protocol =
          else 0.);
     }
   in
-  let violations =
-    match oracle with
-    | None -> []
-    | Some o ->
-        Oracle.finalize o;
-        Oracle.violations o
-  in
+  Option.iter Oracle.finalize oracle;
   (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  (result, violations)
+  (result, oracle)
 
 let run ?recorder cfg protocol = fst (run_watched ?recorder ~watch:false cfg protocol)
 
 let run_checked ?faults ?reverse_faults ?recorder cfg protocol =
-  run_watched ?faults ?reverse_faults ?recorder ~watch:true cfg protocol
+  match run_watched ?faults ?reverse_faults ?recorder ~watch:true cfg protocol with
+  | result, Some oracle -> (result, Oracle.violations oracle)
+  | result, None -> (result, [])
 
 (* --- matrix points ------------------------------------------------------ *)
 
@@ -329,9 +325,11 @@ let matrix_point ?faults ?reverse_faults ?(check = false) ~label cfg protocol =
         and reverse_faults = Option.map (fun mk -> mk ~seed) reverse_faults in
         if check || Option.is_some faults || Option.is_some reverse_faults
         then begin
-          let r, violations = run_checked ?faults ?reverse_faults cfg protocol in
-          matrix_metrics r
-          @ [ ("oracle_violations", float_of_int (List.length violations)) ]
+          let r, oracle =
+            run_watched ?faults ?reverse_faults ~watch:true cfg protocol
+          in
+          let count = Option.fold ~none:0 ~some:Oracle.violation_count oracle in
+          matrix_metrics r @ [ ("oracle_violations", float_of_int count) ]
         end
         else matrix_metrics (run cfg protocol));
   }

@@ -98,7 +98,8 @@ val matrix_point :
 (** A matrix point that runs this scenario with the replicate's derived
     seed substituted for [cfg.seed]. With [check:true] or any fault
     script the run goes through {!run_checked} and the metric vector
-    gains an [oracle_violations] count; fault constructors receive the
+    gains an [oracle_violations] count ({!Oracle.violation_count}, past
+    the list's cap too); fault constructors receive the
     replicate seed so adversary scripts can vary per replicate while
     staying reproducible. *)
 

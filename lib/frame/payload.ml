@@ -58,3 +58,73 @@ module Tbl = Hashtbl.Make (struct
 
   let hash = hash
 end)
+
+module Index = struct
+  type payload = t
+
+  (* Open addressing with linear probing, as [Dlc.Int_index]: [slots]
+     holds [id + 1] (0 marks an empty slot) and stays at most half
+     full, [keys] maps an id back to its payload. The hash is FNV-1a
+     over the stem, computed here rather than by the runtime's
+     [caml_hash]. *)
+  type t = {
+    mutable slots : int array;
+    mutable keys : payload array;
+    mutable count : int;
+  }
+
+  let create () = { slots = Array.make 64 0; keys = Array.make 32 empty; count = 0 }
+
+  let length t = t.count
+
+  let key t id = t.keys.(id)
+
+  let hash p =
+    let h = ref (0x0bf29ce484222325 lxor p.len) in
+    for i = 0 to String.length p.stem - 1 do
+      h := (!h lxor Char.code (String.unsafe_get p.stem i)) * 0x100000001b3
+    done;
+    !h lxor (!h lsr 29)
+
+  let[@inline] same a b = a == b || (a.len = b.len && String.equal a.stem b.stem)
+
+  (* The slot holding [p]'s id, or the empty slot where it would go. *)
+  let slot slots keys p =
+    let mask = Array.length slots - 1 in
+    let i = ref (hash p land mask) in
+    while
+      let s = Array.unsafe_get slots !i in
+      s <> 0 && not (same (Array.unsafe_get keys (s - 1)) p)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let find t p = Array.unsafe_get t.slots (slot t.slots t.keys p) - 1
+
+  let grow t =
+    let n = 2 * Array.length t.slots in
+    let slots = Array.make n 0 and keys = Array.make (n / 2) empty in
+    Array.blit t.keys 0 keys 0 t.count;
+    for id = 0 to t.count - 1 do
+      Array.unsafe_set slots (slot slots keys (Array.unsafe_get keys id)) (id + 1)
+    done;
+    t.slots <- slots;
+    t.keys <- keys
+
+  let rec add t p =
+    let i = slot t.slots t.keys p in
+    let s = Array.unsafe_get t.slots i in
+    if s <> 0 then s - 1
+    else if t.count = Array.length t.keys then begin
+      grow t;
+      add t p
+    end
+    else begin
+      let id = t.count in
+      t.count <- id + 1;
+      t.keys.(id) <- p;
+      Array.unsafe_set t.slots i (id + 1);
+      id
+    end
+end

@@ -50,3 +50,28 @@ val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by payload, hashing the stem only. *)
+
+(** Dense ids for payloads, in first-seen order: an observer keeps
+    per-frame state in flat arrays indexed by the id its payload gets
+    here. Looking a payload up or adding one allocates nothing, and the
+    stem is hashed without a runtime call; the table allocates only
+    when it doubles. Payloads are never removed. *)
+module Index : sig
+  type payload = t
+
+  type t
+
+  val create : unit -> t
+
+  val length : t -> int
+  (** Payloads added so far; ids run from 0 to [length t - 1]. *)
+
+  val find : t -> payload -> int
+  (** The payload's id, or [-1] when no {!equal} payload was added. *)
+
+  val add : t -> payload -> int
+  (** The payload's id, adding it first when it is new. *)
+
+  val key : t -> int -> payload
+  (** The payload with this id (the first of its {!equal} class). *)
+end

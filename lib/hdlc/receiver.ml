@@ -22,6 +22,7 @@ type t = {
 }
 
 let create engine ~params ~reverse ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   {
     engine;
     params;
@@ -56,16 +57,8 @@ let send_control t ~kind ~nr ~pf =
         [ nr ]
     | Frame.Hframe.Rr -> []
   in
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)
-      (Dlc.Probe.Cp_emitted
-         {
-           cp_seq = t.controls_emitted;
-           next_expected = nr;
-           enforced = false;
-           stop_go = false;
-           naks;
-         });
+  Dlc.Probe.cp_emitted t.probe ~cp_seq:t.controls_emitted ~next_expected:nr
+    ~enforced:false ~stop_go:false ~naks;
   t.controls_emitted <- t.controls_emitted + 1;
   Channel.Link.send t.reverse
     (Frame.Wire.Hdlc_control (Frame.Hframe.create ~kind ~nr ~pf))
@@ -75,9 +68,7 @@ let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
     t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   Dlc.Metrics.set_last_delivery_time t.metrics (Sim.Engine.now t.engine);
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)
-      (Dlc.Probe.Delivered { seq; payload });
+  Dlc.Probe.delivered t.probe ~seq ~payload;
   match t.on_deliver with None -> () | Some f -> f ~payload ~seq
 
 (* In-order delivery plus draining of buffered successors. *)

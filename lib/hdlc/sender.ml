@@ -43,10 +43,6 @@ let backlog t = Queue.length t.fresh + Hashtbl.length t.inflight
 
 let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 
-(* Per-frame events are allocated at the call site; guard the hot ones so
-   an unobserved session stays allocation-free on its steady-state path. *)
-let probe_on t = Dlc.Probe.active t.probe
-
 let in_window t = Frame.Seqnum.sub t.sp t.v_s t.v_a
 
 let window_open t = in_window t < t.params.Params.window
@@ -150,8 +146,7 @@ and transmit t ~seq ~fl ~is_retx ~pf =
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
-  if probe_on t then
-    emit t (Dlc.Probe.Tx { seq; payload = fl.payload; retx = is_retx });
+  Dlc.Probe.tx t.probe ~seq ~payload:fl.payload ~retx:is_retx;
   Channel.Link.send t.forward wire;
   if pf then begin
     t.poll_outstanding <- true;
@@ -190,8 +185,7 @@ and on_timeout t =
         fl.retries <- fl.retries + 1;
         (* the previous poll (if any) evidently got no answer *)
         t.poll_outstanding <- false;
-        if probe_on t then
-          emit t (Dlc.Probe.Requeued { seq = t.v_a; payload = fl.payload });
+        Dlc.Probe.requeued t.probe ~seq:t.v_a ~payload:fl.payload;
         Queue.add (t.v_a, true) t.retx;
         ensure_timer_running t;
         maybe_send t
@@ -199,8 +193,7 @@ and on_timeout t =
 
 let release t seq fl =
   Hashtbl.remove t.inflight seq;
-  if probe_on t then
-    emit t (Dlc.Probe.Released { seq; payload = fl.payload });
+  Dlc.Probe.released t.probe ~seq ~payload:fl.payload;
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
     (Sim.Engine.now t.engine -. fl.first_tx_time)
@@ -227,8 +220,7 @@ let ack_below t nr =
 let on_srej t nr =
   match Hashtbl.find_opt t.inflight nr with
   | Some fl ->
-      if probe_on t then
-        emit t (Dlc.Probe.Requeued { seq = nr; payload = fl.payload });
+      Dlc.Probe.requeued t.probe ~seq:nr ~payload:fl.payload;
       Queue.add (nr, false) t.retx
   | None -> ()
 
@@ -239,8 +231,7 @@ let on_rej t nr =
   while Frame.Seqnum.sub t.sp t.v_s !seq > 0 do
     (match Hashtbl.find_opt t.inflight !seq with
     | Some fl ->
-        if probe_on t then
-          emit t (Dlc.Probe.Requeued { seq = !seq; payload = fl.payload });
+        Dlc.Probe.requeued t.probe ~seq:!seq ~payload:fl.payload;
         Queue.add (!seq, false) t.retx
     | None -> ());
     seq := Frame.Seqnum.succ t.sp !seq
@@ -289,8 +280,7 @@ let force_resync t =
           emit t Dlc.Probe.Recovery_started
         end;
         t.poll_outstanding <- false;
-        if probe_on t then
-          emit t (Dlc.Probe.Requeued { seq = t.v_a; payload = fl.payload });
+        Dlc.Probe.requeued t.probe ~seq:t.v_a ~payload:fl.payload;
         Queue.add (t.v_a, true) t.retx;
         ensure_timer_running t;
         maybe_send t
@@ -309,8 +299,7 @@ let offer t payload =
     t.metrics.Dlc.Metrics.offered <- t.metrics.Dlc.Metrics.offered + 1;
     if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
       Dlc.Metrics.set_first_offer_time t.metrics now;
-    if probe_on t then
-      emit t (Dlc.Probe.Offered { payload });
+    Dlc.Probe.offered t.probe payload;
     Queue.add (payload, now) t.fresh;
     sample_buffer t;
     maybe_send t;
@@ -322,6 +311,7 @@ let stop t =
   stop_timer t
 
 let create engine ~params ~forward ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   let t =
     {
       engine;

@@ -72,16 +72,8 @@ let send_checkpoint t ~enforced ~naks =
     Frame.Cframe.checkpoint ~cp_seq:t.cp_seq ~issue_time:now
       ~stop_go:t.stop_state ~enforced ~next_expected:t.next_expected ~naks
   in
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now
-      (Dlc.Probe.Cp_emitted
-         {
-           cp_seq = t.cp_seq;
-           next_expected = t.next_expected;
-           enforced;
-           stop_go = t.stop_state;
-           naks;
-         });
+  Dlc.Probe.cp_emitted t.probe ~cp_seq:t.cp_seq ~next_expected:t.next_expected
+    ~enforced ~stop_go:t.stop_state ~naks;
   t.cp_seq <- t.cp_seq + 1;
   t.checkpoints_sent <- t.checkpoints_sent + 1;
   t.metrics.Dlc.Metrics.control_sent <- t.metrics.Dlc.Metrics.control_sent + 1;
@@ -110,6 +102,7 @@ let schedule_next_cp t =
       : Sim.Engine.event_id)
 
 let create engine ~params ~reverse ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   let t =
     {
       engine;
@@ -157,9 +150,7 @@ let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
     t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   Dlc.Metrics.set_last_delivery_time t.metrics (Sim.Engine.now t.engine);
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)
-      (Dlc.Probe.Delivered { seq; payload });
+  Dlc.Probe.delivered t.probe ~seq ~payload;
   enqueue t;
   match t.on_deliver with None -> () | Some f -> f ~payload ~seq
 

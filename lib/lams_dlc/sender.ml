@@ -141,10 +141,6 @@ let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
 let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 
-(* Per-frame events are allocated at the call site; guard the hot ones so
-   an unobserved session stays allocation-free on its steady-state path. *)
-let probe_on t = Dlc.Probe.active t.probe
-
 (* Track the numbering span actually in use: oldest live outstanding seq
    (the front of the ring) to next_seq-1. *)
 let update_span t =
@@ -198,8 +194,7 @@ and transmit t pend ~is_retx =
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
-  if probe_on t then
-    emit t (Dlc.Probe.Tx { seq; payload = pend.payload; retx = is_retx });
+  Dlc.Probe.tx t.probe ~seq ~payload:pend.payload ~retx:is_retx;
   Channel.Link.send t.forward wire;
   (* Stop-Go pacing: at full rate the next frame may follow back-to-back;
      a reduced rate factor stretches the inter-frame spacing. *)
@@ -308,14 +303,14 @@ let release t j seq =
   let pend = t.ring_pend.(j) in
   resolve t j;
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
-  if probe_on t then emit t (Dlc.Probe.Released { seq; payload = pend.payload });
+  Dlc.Probe.released t.probe ~seq ~payload:pend.payload;
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
     (Sim.Engine.now t.engine -. first_tx_time pend)
 
 let queue_retransmission t j seq =
   let pend = t.ring_pend.(j) in
   resolve t j;
-  if probe_on t then emit t (Dlc.Probe.Requeued { seq; payload = pend.payload });
+  Dlc.Probe.requeued t.probe ~seq ~payload:pend.payload;
   Queue.add pend t.retx
 
 (* A recursive walk, not [List.iter]: no closure per checkpoint. *)
@@ -452,7 +447,7 @@ let offer t payload =
     t.metrics.Dlc.Metrics.offered <- t.metrics.Dlc.Metrics.offered + 1;
     if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
       Dlc.Metrics.set_first_offer_time t.metrics now;
-    if probe_on t then emit t (Dlc.Probe.Offered { payload });
+    Dlc.Probe.offered t.probe payload;
     Queue.add { payload; times = [| now; nan |] } t.fresh;
     sample_buffer t;
     maybe_send t;
@@ -509,6 +504,7 @@ let drain_unresolved t =
   List.rev !out
 
 let create engine ~params ~forward ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   let t =
     {
       engine;

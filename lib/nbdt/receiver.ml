@@ -42,16 +42,8 @@ let send_report t =
     Frame.Cframe.checkpoint ~cp_seq:t.report_seq ~issue_time:now
       ~stop_go:false ~enforced:false ~next_expected:advertised ~naks
   in
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now
-      (Dlc.Probe.Cp_emitted
-         {
-           cp_seq = t.report_seq;
-           next_expected = advertised;
-           enforced = false;
-           stop_go = false;
-           naks;
-         });
+  Dlc.Probe.cp_emitted t.probe ~cp_seq:t.report_seq ~next_expected:advertised
+    ~enforced:false ~stop_go:false ~naks;
   t.report_seq <- t.report_seq + 1;
   t.reports_sent <- t.reports_sent + 1;
   t.metrics.Dlc.Metrics.control_sent <- t.metrics.Dlc.Metrics.control_sent + 1;
@@ -66,6 +58,7 @@ let schedule_report t =
       : Sim.Engine.event_id)
 
 let create engine ~params ~reverse ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   let t =
     {
       engine;
@@ -98,9 +91,7 @@ let deliver t ~payload ~seq =
   t.metrics.Dlc.Metrics.payload_bytes_delivered <-
     t.metrics.Dlc.Metrics.payload_bytes_delivered + Frame.Payload.length payload;
   Dlc.Metrics.set_last_delivery_time t.metrics (Sim.Engine.now t.engine);
-  if Dlc.Probe.active t.probe then
-    Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine)
-      (Dlc.Probe.Delivered { seq; payload });
+  Dlc.Probe.delivered t.probe ~seq ~payload;
   match t.on_deliver with None -> () | Some f -> f ~payload ~seq
 
 (* Invariant: seqs < frontier are received unless listed in missing. *)

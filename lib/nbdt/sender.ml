@@ -40,10 +40,6 @@ let backlog t =
 
 let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 
-(* Per-frame events are allocated at the call site; guard the hot ones so
-   an unobserved session stays allocation-free on its steady-state path. *)
-let probe_on t = Dlc.Probe.active t.probe
-
 let outstanding t = Hashtbl.length t.inflight
 
 let batches_completed t = t.batches_completed
@@ -132,8 +128,7 @@ and transmit t ~seq ~fl ~is_retx =
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
-  if probe_on t then
-    emit t (Dlc.Probe.Tx { seq; payload = fl.payload; retx = is_retx });
+  Dlc.Probe.tx t.probe ~seq ~payload:fl.payload ~retx:is_retx;
   Channel.Link.send t.forward wire;
   update_watchdog t;
   maybe_send t
@@ -185,8 +180,7 @@ and on_watchdog t =
             fl.retries <- fl.retries + 1;
             if not fl.queued_retx then begin
               fl.queued_retx <- true;
-              if probe_on t then
-                emit t (Dlc.Probe.Requeued { seq; payload = fl.payload });
+              Dlc.Probe.requeued t.probe ~seq ~payload:fl.payload;
               Queue.add seq t.retx
             end;
             (* re-arm for the same target: expiry counts retries *)
@@ -196,8 +190,7 @@ and on_watchdog t =
 
 let release t seq fl =
   Hashtbl.remove t.inflight seq;
-  if probe_on t then
-    emit t (Dlc.Probe.Released { seq; payload = fl.payload });
+  Dlc.Probe.released t.probe ~seq ~payload:fl.payload;
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
     (Sim.Engine.now t.engine -. fl.first_tx_time)
@@ -229,8 +222,7 @@ let on_report t (report : Frame.Cframe.checkpoint) =
                    > t.params.Params.retx_cooldown
               then begin
                 fl.queued_retx <- true;
-                if probe_on t then
-                  emit t (Dlc.Probe.Requeued { seq; payload = fl.payload });
+                Dlc.Probe.requeued t.probe ~seq ~payload:fl.payload;
                 Queue.add seq t.retx
               end
             end
@@ -300,8 +292,7 @@ let force_resync t =
         match Hashtbl.find_opt t.inflight seq with
         | Some fl when not fl.queued_retx ->
             fl.queued_retx <- true;
-            if probe_on t then
-              emit t (Dlc.Probe.Requeued { seq; payload = fl.payload });
+            Dlc.Probe.requeued t.probe ~seq ~payload:fl.payload;
             Queue.add seq t.retx
         | _ -> ())
       t.order;
@@ -322,8 +313,7 @@ let offer t payload =
     t.metrics.Dlc.Metrics.offered <- t.metrics.Dlc.Metrics.offered + 1;
     if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
       Dlc.Metrics.set_first_offer_time t.metrics now;
-    if probe_on t then
-      emit t (Dlc.Probe.Offered { payload });
+    Dlc.Probe.offered t.probe payload;
     Queue.add (payload, now) t.fresh;
     sample_buffer t;
     maybe_send t;
@@ -335,6 +325,7 @@ let stop t =
   stop_watchdog t
 
 let create engine ~params ~forward ~metrics ~probe =
+  Dlc.Probe.set_clock probe engine;
   let t =
     {
       engine;

@@ -8,19 +8,39 @@ type violation = { time : float; invariant : string; detail : string }
 let pp_violation ppf v =
   Format.fprintf ppf "[%.6f] %s: %s" v.time v.invariant v.detail
 
-(* Per-payload lifecycle, keyed by payload descriptor (unique per test
-   stream; LAMS-DLC renumbers copies, so the payload is the only stable
-   name for a logical frame). *)
-type prec = {
-  mutable offer_index : int;
-  mutable tx_count : int;
-  mutable last_tx : float;
-  mutable first_seq : int;  (* wire number of the first copy *)
-  mutable released : bool;
-  mutable delivered : int;
-}
+(* Per-frame state lives in flat columns indexed by a frame id, which
+   [frames] gives each payload descriptor in first-seen order (unique
+   per test stream; LAMS-DLC renumbers copies, so the payload is the
+   only stable name for a logical frame). Per-wire-number state lives in
+   columns indexed by the id [seqs] gives each sequence number. *)
 
-type nak_run = { mutable last_r : int; mutable count : int }
+(* [frame_ints] stride: one row of [f_fields] ints per frame *)
+let f_offer_index = 0
+
+let f_tx_count = 1
+
+let f_first_seq = 2  (* wire number of the first copy *)
+
+let f_released = 3  (* 0 or 1 *)
+
+let f_delivered = 4
+
+let f_fields = 5
+
+(* [seq_ints] stride: one row of [s_fields] ints per wire number *)
+let s_delivered = 0  (* LAMS/NBDT deliveries under this number *)
+
+let s_used = 1  (* LAMS freshness: 1 once a copy went out under it *)
+
+let s_fields = 2
+
+(* [nak_ints] stride: one row per NAKed wire number, by the id
+   [nak_seqs] gives it, which is also its run's rank among all runs *)
+let n_count = 0  (* regular checkpoints that NAKed it *)
+
+let n_last_r = 1  (* the last of them *)
+
+let n_fields = 2
 
 (* Convergence mode (Dolev et al. self-stabilisation): each
    State_corrupted probe event opens a suspect window. Violations inside
@@ -48,9 +68,14 @@ type t = {
   name : string;
   mutable violations : violation list;  (* newest first *)
   mutable violation_count : int;
-  payloads : prec Frame.Payload.Tbl.t;
-  delivered_seq : (int, int) Hashtbl.t;  (* wire seq -> delivery count *)
-  tx_seq_used : (int, unit) Hashtbl.t;  (* LAMS freshness *)
+  mutable wrongful_releases : int;
+  frames : Frame.Payload.Index.t;  (* payload -> frame id *)
+  mutable frame_ints : int array;
+  mutable frame_last_tx : float array;  (* nan before the first copy *)
+  seqs : Dlc.Int_index.t;
+  mutable seq_ints : int array;
+  nak_seqs : Dlc.Int_index.t;
+  mutable nak_ints : int array;
   mutable last_tx_seq : int;  (* LAMS monotony; -1 before first Tx *)
   mutable offer_counter : int;
   mutable last_delivered_offer : int;  (* HDLC order; -1 initially *)
@@ -61,7 +86,6 @@ type t = {
   mutable last_cp_seq : int;
   mutable last_next_expected : int;
   mutable regular_cps : int;  (* regular checkpoints seen on reverse tx *)
-  nak_runs : (int, nak_run) Hashtbl.t;
   mutable finalized : bool;
   mutable on_violation : (violation -> unit) option;
   mutable convergence : convergence option;
@@ -69,6 +93,15 @@ type t = {
 }
 
 let max_recorded = 200
+
+(* The no-wrongful-release invariant (see {!Feedback}). *)
+let wrongful invariant =
+  invariant = "released-undelivered" || invariant = "release-before-ack"
+
+let record t v =
+  t.violation_count <- t.violation_count + 1;
+  if wrongful v.invariant then t.wrongful_releases <- t.wrongful_releases + 1;
+  if t.violation_count <= max_recorded then t.violations <- v :: t.violations
 
 let violate t ~time invariant detail =
   match t.convergence with
@@ -85,10 +118,8 @@ let violate t ~time invariant detail =
       if c.tolerated_count <= max_recorded then
         c.tolerated <- { time; invariant; detail } :: c.tolerated
   | _ ->
-      t.violation_count <- t.violation_count + 1;
       let v = { time; invariant; detail } in
-      if t.violation_count <= max_recorded then
-        t.violations <- v :: t.violations;
+      record t v;
       (match t.on_violation with None -> () | Some f -> f v)
 
 let create ?(name = "oracle") profile =
@@ -97,9 +128,14 @@ let create ?(name = "oracle") profile =
     name;
     violations = [];
     violation_count = 0;
-    payloads = Frame.Payload.Tbl.create 1024;
-    delivered_seq = Hashtbl.create 1024;
-    tx_seq_used = Hashtbl.create 1024;
+    wrongful_releases = 0;
+    frames = Frame.Payload.Index.create ();
+    frame_ints = Array.make (1024 * f_fields) 0;
+    frame_last_tx = Array.make 1024 nan;
+    seqs = Dlc.Int_index.create ();
+    seq_ints = Array.make (1024 * s_fields) 0;
+    nak_seqs = Dlc.Int_index.create ();
+    nak_ints = Array.make (256 * n_fields) 0;
     last_tx_seq = -1;
     offer_counter = 0;
     last_delivered_offer = -1;
@@ -110,7 +146,6 @@ let create ?(name = "oracle") profile =
     last_cp_seq = -1;
     last_next_expected = 0;
     regular_cps = 0;
-    nak_runs = Hashtbl.create 256;
     finalized = false;
     on_violation = None;
     convergence = None;
@@ -154,22 +189,44 @@ let close_window t c ~now ~emit =
               (Dlc.Probe.Converged { after; anomalies = c.window_anomalies })
         | None -> ()
 
-let find_or_add t payload =
-  match Frame.Payload.Tbl.find_opt t.payloads payload with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          offer_index = -1;
-          tx_count = 0;
-          last_tx = nan;
-          first_seq = -1;
-          released = false;
-          delivered = 0;
-        }
-      in
-      Frame.Payload.Tbl.replace t.payloads payload r;
-      r
+let grow_ints a n =
+  let b = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let[@inline] fget t id field = Array.unsafe_get t.frame_ints ((id * f_fields) + field)
+
+let[@inline] fset t id field v =
+  Array.unsafe_set t.frame_ints ((id * f_fields) + field) v
+
+let[@inline] sget t id field = Array.unsafe_get t.seq_ints ((id * s_fields) + field)
+
+let[@inline] sset t id field v =
+  Array.unsafe_set t.seq_ints ((id * s_fields) + field) v
+
+(* The payload's frame id, registering a fresh frame when it is new. *)
+let frame_id t payload =
+  let fresh = Frame.Payload.Index.length t.frames in
+  let id = Frame.Payload.Index.add t.frames payload in
+  if id = fresh then begin
+    let n = Array.length t.frame_last_tx in
+    if id >= n then begin
+      t.frame_ints <- grow_ints t.frame_ints ((id + 1) * f_fields);
+      let last_tx = Array.make (2 * n) nan in
+      Array.blit t.frame_last_tx 0 last_tx 0 n;
+      t.frame_last_tx <- last_tx
+    end;
+    fset t id f_offer_index (-1);
+    fset t id f_first_seq (-1)
+  end;
+  id
+
+(* The wire number's id, registering it when it is new. *)
+let seq_id t seq =
+  let id = Dlc.Int_index.add t.seqs seq in
+  if (id + 1) * s_fields > Array.length t.seq_ints then
+    t.seq_ints <- grow_ints t.seq_ints ((id + 1) * s_fields);
+  id
 
 let recovery_overlaps t ~lo ~hi =
   List.exists (fun (s, e) -> s <= hi && e >= lo) t.recovery_episodes
@@ -181,18 +238,23 @@ let short p =
 
 (* --- semantic (probe) events ------------------------------------------- *)
 
-let on_offered t ~now:_ payload =
-  let r = find_or_add t payload in
-  if r.offer_index < 0 then begin
-    r.offer_index <- t.offer_counter;
+(* The handlers read the event's time from [clock.(0)] (see
+   {!Dlc.Probe.clock}): as a float argument it would be boxed. *)
+
+let on_offered t payload =
+  let id = frame_id t payload in
+  if fget t id f_offer_index < 0 then begin
+    fset t id f_offer_index t.offer_counter;
     t.offer_counter <- t.offer_counter + 1
   end
 
-let on_tx t ~now ~seq ~payload ~retx =
-  let r = find_or_add t payload in
-  if r.tx_count = 0 then r.first_seq <- seq;
-  r.tx_count <- r.tx_count + 1;
-  r.last_tx <- now;
+let on_tx t clock ~seq ~payload ~retx =
+  let now = Array.unsafe_get clock 0 in
+  let id = frame_id t payload in
+  let tx_count = fget t id f_tx_count + 1 in
+  if tx_count = 1 then fset t id f_first_seq seq;
+  fset t id f_tx_count tx_count;
+  Array.unsafe_set t.frame_last_tx id now;
   (match t.profile with
   | Lams _ ->
       if seq <= t.last_tx_seq then
@@ -201,16 +263,17 @@ let on_tx t ~now ~seq ~payload ~retx =
                            sequence stream strictly increasing"
              seq t.last_tx_seq);
       if seq > t.last_tx_seq then t.last_tx_seq <- seq;
-      if Hashtbl.mem t.tx_seq_used seq then
+      let s = seq_id t seq in
+      if sget t s s_used = 1 then
         violate t ~time:now "seq-reuse"
           (Printf.sprintf "wire seq %d assigned to a second copy" seq)
-      else Hashtbl.replace t.tx_seq_used seq ()
+      else sset t s s_used 1
   | Hdlc { window; seq_bits } ->
       let modulus = 1 lsl seq_bits in
       if seq < 0 || seq >= modulus then
         violate t ~time:now "seq-range"
           (Printf.sprintf "wire seq %d outside [0, %d)" seq modulus);
-      if r.tx_count = 1 && not r.released then begin
+      if tx_count = 1 && fget t id f_released = 0 then begin
         t.inflight <- t.inflight + 1;
         if t.inflight > window then
           violate t ~time:now "window-overflow"
@@ -218,28 +281,29 @@ let on_tx t ~now ~seq ~payload ~retx =
                t.inflight window)
       end
   | Nbdt ->
-      if retx && seq <> r.first_seq then
+      if retx && seq <> fget t id f_first_seq then
         violate t ~time:now "seq-stable"
           (Printf.sprintf
              "retransmission of %s renumbered %d -> %d; NBDT numbers are \
               absolute"
-             (short payload) r.first_seq seq));
-  if r.released then
+             (short payload) (fget t id f_first_seq) seq));
+  if fget t id f_released = 1 then
     violate t ~time:now "tx-after-release"
       (Printf.sprintf "copy of %s (seq %d) sent after its buffer slot was \
                        released"
          (short payload) seq)
 
-let on_released t ~now ~seq ~payload =
-  let r = find_or_add t payload in
-  if r.tx_count = 0 then
+let on_released t clock ~seq ~payload =
+  let now = Array.unsafe_get clock 0 in
+  let id = frame_id t payload in
+  if fget t id f_tx_count = 0 then
     violate t ~time:now "release-unsent"
       (Printf.sprintf "released %s (seq %d) without any transmission"
          (short payload) seq);
-  if r.released then
+  if fget t id f_released = 1 then
     violate t ~time:now "double-release"
       (Printf.sprintf "second release of %s (seq %d)" (short payload) seq);
-  if r.delivered = 0 then
+  if fget t id f_delivered = 0 then
     violate t ~time:now "released-undelivered"
       (Printf.sprintf
          "buffer slot of %s (seq %d) freed but the receiver never delivered \
@@ -253,10 +317,11 @@ let on_released t ~now ~seq ~payload =
              "seq %d released but no checkpoint has advanced next_expected \
               past it (last advertised %d)"
              seq t.last_next_expected);
-      let hold = now -. r.last_tx in
+      let last_tx = Array.unsafe_get t.frame_last_tx id in
+      let hold = now -. last_tx in
       if
         hold > holding_bound
-        && not (recovery_overlaps t ~lo:r.last_tx ~hi:now)
+        && not (recovery_overlaps t ~lo:last_tx ~hi:now)
       then
         violate t ~time:now "holding-bound"
           (Printf.sprintf
@@ -271,56 +336,62 @@ let on_released t ~now ~seq ~payload =
               it (last advertised %d)"
              seq t.last_next_expected)
   | Hdlc _ -> t.inflight <- t.inflight - 1);
-  r.released <- true
+  fset t id f_released 1
 
-let on_requeued t ~now ~seq ~payload =
-  let r = find_or_add t payload in
-  if r.released then
-    violate t ~time:now "requeue-after-release"
+let on_requeued t clock ~seq ~payload =
+  let id = frame_id t payload in
+  if fget t id f_released = 1 then
+    violate t ~time:(Array.unsafe_get clock 0) "requeue-after-release"
       (Printf.sprintf "%s (seq %d) queued for retransmission after release"
          (short payload) seq)
 
-let on_delivered t ~now ~seq ~payload =
-  let r = find_or_add t payload in
-  if r.tx_count = 0 then
+let on_delivered t clock ~seq ~payload =
+  let now = Array.unsafe_get clock 0 in
+  let id = frame_id t payload in
+  let tx_count = fget t id f_tx_count in
+  if tx_count = 0 then
     violate t ~time:now "delivered-unsent"
       (Printf.sprintf "receiver delivered %s (seq %d) never transmitted"
          (short payload) seq);
-  r.delivered <- r.delivered + 1;
-  if r.delivered > r.tx_count then
+  let delivered = fget t id f_delivered + 1 in
+  fset t id f_delivered delivered;
+  if delivered > tx_count then
     violate t ~time:now "delivery-overcount"
       (Printf.sprintf "%s delivered %d times but only %d copies were sent"
-         (short payload) r.delivered r.tx_count);
-  (match t.profile with
+         (short payload) delivered tx_count);
+  match t.profile with
   | Hdlc _ ->
-      if r.delivered > 1 then
+      if delivered > 1 then
         violate t ~time:now "duplicate-delivery"
           (Printf.sprintf "HDLC delivered %s twice" (short payload));
-      if r.offer_index <= t.last_delivered_offer then
+      let offer_index = fget t id f_offer_index in
+      if offer_index <= t.last_delivered_offer then
         violate t ~time:now "reorder"
           (Printf.sprintf
              "HDLC delivered offer #%d after offer #%d; in-sequence \
               delivery is its contract"
-             r.offer_index t.last_delivered_offer)
-      else t.last_delivered_offer <- r.offer_index
+             offer_index t.last_delivered_offer)
+      else t.last_delivered_offer <- offer_index
   | Lams _ | Nbdt ->
-      let n =
-        match Hashtbl.find_opt t.delivered_seq seq with
-        | Some n -> n + 1
-        | None -> 1
-      in
-      Hashtbl.replace t.delivered_seq seq n;
+      let s = seq_id t seq in
+      let n = sget t s s_delivered + 1 in
+      sset t s s_delivered n;
       if n > 1 then
         violate t ~time:now "per-seq-duplicate"
-          (Printf.sprintf "wire seq %d delivered %d times" seq n))
+          (Printf.sprintf "wire seq %d delivered %d times" seq n)
 
-let on_probe_event t ~now ev =
+let on_checkpoint_emitted t ~now =
+  (* checkpoint emission is checked on the reverse-link tap, which sees
+     the wire frame itself; here checkpoints only pace the suspect
+     window of convergence mode *)
+  match t.convergence with
+  | Some c when c.window_open <> None ->
+      c.cps_since <- c.cps_since + 1;
+      if c.cps_since >= c.k then close_window t c ~now ~emit:true
+  | _ -> ()
+
+let on_rare_event t ~now ev =
   match (ev : Dlc.Probe.event) with
-  | Offered { payload } -> on_offered t ~now payload
-  | Tx { seq; payload; retx } -> on_tx t ~now ~seq ~payload ~retx
-  | Released { seq; payload } -> on_released t ~now ~seq ~payload
-  | Requeued { seq; payload } -> on_requeued t ~now ~seq ~payload
-  | Delivered { seq; payload } -> on_delivered t ~now ~seq ~payload
   | Recovery_started ->
       if t.recovery_open = None then t.recovery_open <- Some now
   | Recovery_completed -> (
@@ -342,19 +413,6 @@ let on_probe_event t ~now ev =
           c.declared <- true;
           c.window_open <- None
       | _ -> ())
-  | Link_transition _ ->
-      (* lifecycle bookkeeping only; the handover-level safety check
-         lives in {!Transfer}, which watches payloads across sessions *)
-      ()
-  | Cp_emitted _ -> (
-      (* checkpoint emission is checked on the reverse-link tap, which
-         sees the wire frame itself; here checkpoints only pace the
-         suspect window of convergence mode *)
-      match t.convergence with
-      | Some c when c.window_open <> None ->
-          c.cps_since <- c.cps_since + 1;
-          if c.cps_since >= c.k then close_window t c ~now ~emit:true
-      | _ -> ())
   | State_corrupted _ -> (
       match t.convergence with
       | None -> ()
@@ -370,15 +428,41 @@ let on_probe_event t ~now ev =
             (* a fresh injection restarts the clean-checkpoint count *)
             c.cps_since <- 0
           end)
-  | Converged _ -> ()
+  | Link_transition _ ->
+      (* lifecycle bookkeeping only; the handover-level safety check
+         lives in {!Transfer}, which watches payloads across sessions *)
+      ()
   | Cp_quarantined _ | Resync_forced _ ->
       (* guard-layer feedback hygiene; accounted by {!Feedback}, neutral
          for the per-session safety invariants *)
       ()
+  | Converged _ | Offered _ | Tx _ | Released _ | Requeued _ | Delivered _
+  | Cp_emitted _ ->
+      (* the per-frame kinds arrive through the typed handlers *)
+      ()
 
 let observe t probe =
   t.probe <- Some probe;
-  Dlc.Probe.subscribe probe (fun ~now ev -> on_probe_event t ~now ev)
+  Dlc.Probe.listen probe
+    {
+      offered = (fun payload -> on_offered t payload);
+      tx =
+        (fun ~seq ~payload ~retx ->
+          on_tx t (Dlc.Probe.clock probe) ~seq ~payload ~retx);
+      released =
+        (fun ~seq ~payload -> on_released t (Dlc.Probe.clock probe) ~seq ~payload);
+      requeued =
+        (fun ~seq ~payload -> on_requeued t (Dlc.Probe.clock probe) ~seq ~payload);
+      delivered =
+        (fun ~seq ~payload ->
+          on_delivered t (Dlc.Probe.clock probe) ~seq ~payload);
+      cp_emitted =
+        (fun ~cp_seq:_ ~next_expected:_ ~enforced:_ ~stop_go:_ ~naks:_ ->
+          match t.convergence with
+          | None -> ()
+          | Some _ -> on_checkpoint_emitted t ~now:(Dlc.Probe.now probe));
+      other = (fun ~now ev -> on_rare_event t ~now ev);
+    }
 
 (* --- reverse-link (checkpoint emission) observation --------------------- *)
 
@@ -402,22 +486,27 @@ let on_checkpoint_tx t ~now (cp : Frame.Cframe.checkpoint) =
       t.regular_cps <- r + 1;
       List.iter
         (fun seq ->
-          match Hashtbl.find_opt t.nak_runs seq with
-          | None -> Hashtbl.replace t.nak_runs seq { last_r = r; count = 1 }
-          | Some run ->
-              if run.last_r <> r - 1 then
-                violate t ~time:now "nak-gap"
-                  (Printf.sprintf
-                     "NAK for seq %d in regular checkpoints #%d and #%d: \
-                      cumulation must be consecutive"
-                     seq run.last_r r)
-              else if run.count >= c_depth then
-                violate t ~time:now "nak-overrun"
-                  (Printf.sprintf
-                     "NAK for seq %d advertised %d times; c_depth is %d" seq
-                     (run.count + 1) c_depth);
-              run.last_r <- r;
-              run.count <- run.count + 1)
+          let n = Dlc.Int_index.add t.nak_seqs seq in
+          if (n + 1) * n_fields > Array.length t.nak_ints then
+            t.nak_ints <- grow_ints t.nak_ints ((n + 1) * n_fields);
+          let row = n * n_fields in
+          let count = t.nak_ints.(row + n_count) in
+          if count > 0 then begin
+            let last_r = t.nak_ints.(row + n_last_r) in
+            if last_r <> r - 1 then
+              violate t ~time:now "nak-gap"
+                (Printf.sprintf
+                   "NAK for seq %d in regular checkpoints #%d and #%d: \
+                    cumulation must be consecutive"
+                   seq last_r r)
+            else if count >= c_depth then
+              violate t ~time:now "nak-overrun"
+                (Printf.sprintf
+                   "NAK for seq %d advertised %d times; c_depth is %d" seq
+                   (count + 1) c_depth)
+          end;
+          t.nak_ints.(row + n_last_r) <- r;
+          t.nak_ints.(row + n_count) <- count + 1)
         cp.Frame.Cframe.naks
   | _ -> ()
 
@@ -460,6 +549,21 @@ let attach t ~probe ~duplex =
 
 (* --- finalisation ------------------------------------------------------- *)
 
+(* The order in which [Hashtbl.iter] would visit these NAK runs, had
+   they been added to a [Hashtbl.create 256] keyed by seq in ordinal
+   order (as the oracle kept them before its state went flat): bucket
+   by bucket, newest first within a bucket. Violation lists and flight
+   dumps keep their order. *)
+let in_table_order t runs =
+  let total = Dlc.Int_index.length t.nak_seqs in
+  let rec buckets b = if total > 2 * b then buckets (2 * b) else b in
+  let mask = buckets 256 - 1 in
+  let bucket n = Hashtbl.hash (Dlc.Int_index.key t.nak_seqs n) land mask in
+  List.stable_sort
+    (fun a b ->
+      match Int.compare (bucket a) (bucket b) with 0 -> Int.compare b a | c -> c)
+    runs
+
 let finalize t =
   if not t.finalized then begin
     t.finalized <- true;
@@ -472,8 +576,7 @@ let finalize t =
         else begin
           c.unconverged_at_finalize <- true;
           c.window_open <- None;
-          t.violation_count <- t.violation_count + 1;
-          let v =
+          record t
             {
               time = nan;
               invariant = "non-convergence";
@@ -484,28 +587,36 @@ let finalize t =
                    checkpoints"
                   c.window_anomalies c.cps_since c.k;
             }
-          in
-          if t.violation_count <= max_recorded then
-            t.violations <- v :: t.violations
         end
     | _ -> ());
     match t.profile with
     | Lams { c_depth; _ } ->
-        Hashtbl.iter
-          (fun seq run ->
-            (* a run still open when the session stopped is truncated, not
-               wrong; only runs that ended early mid-session under-report *)
-            if run.count < c_depth && run.last_r < t.regular_cps - 1 then
-              violate t ~time:nan "nak-underrun"
-                (Printf.sprintf
-                   "NAK for seq %d advertised only %d of %d times and its \
-                    run ended at checkpoint #%d of %d"
-                   seq run.count c_depth run.last_r (t.regular_cps - 1)))
-          t.nak_runs
+        (* a run still open when the session stopped is truncated, not
+           wrong; only runs that ended early mid-session under-report *)
+        let count n = t.nak_ints.((n * n_fields) + n_count)
+        and last_r n = t.nak_ints.((n * n_fields) + n_last_r) in
+        let short_runs = ref [] in
+        for n = Dlc.Int_index.length t.nak_seqs - 1 downto 0 do
+          if count n < c_depth && last_r n < t.regular_cps - 1 then
+            short_runs := n :: !short_runs
+        done;
+        List.iter
+          (fun n ->
+            violate t ~time:nan "nak-underrun"
+              (Printf.sprintf
+                 "NAK for seq %d advertised only %d of %d times and its run \
+                  ended at checkpoint #%d of %d"
+                 (Dlc.Int_index.key t.nak_seqs n)
+                 (count n) c_depth (last_r n) (t.regular_cps - 1)))
+          (in_table_order t !short_runs)
     | Hdlc _ | Nbdt -> ()
   end
 
 let violations t = List.rev t.violations
+
+let violation_count t = t.violation_count
+
+let wrongful_releases t = t.wrongful_releases
 
 let ok t = t.violation_count = 0
 
@@ -826,6 +937,8 @@ module Transfer = struct
 
   let violations s = List.rev s.viols
 
+  let violation_count s = s.viol_count
+
   let ok s = s.viol_count = 0
 
   let convergence_times s =
@@ -965,13 +1078,7 @@ module Feedback = struct
 
   let unresolved t = t.episode_open <> None
 
-  let wrongful_releases t =
-    List.length
-      (List.filter
-         (fun v ->
-           v.invariant = "released-undelivered"
-           || v.invariant = "release-before-ack")
-         (violations t.oracle))
+  let wrongful_releases t = wrongful_releases t.oracle
 
   let goodput_floor t ~lo ~hi =
     let first = int_of_float (ceil (lo /. t.bucket)) in

@@ -116,7 +116,16 @@ val finalize : t -> unit
     exempted). Idempotent. *)
 
 val violations : t -> violation list
-(** Chronological. Meaningful any time; complete after {!finalize}. *)
+(** Chronological. Meaningful any time; complete after {!finalize}. The
+    list keeps the first 200 violations; {!violation_count} counts them
+    all. *)
+
+val violation_count : t -> int
+(** Every violation recorded so far, past the list's cap too. *)
+
+val wrongful_releases : t -> int
+(** Violations of the no-wrongful-release invariant
+    (["released-undelivered"] / ["release-before-ack"]), all of them. *)
 
 val ok : t -> bool
 
@@ -216,6 +225,10 @@ module Transfer : sig
       which are exempt from the loss check. Idempotent. *)
 
   val violations : t -> violation list
+  (** The first 200, chronological. *)
+
+  val violation_count : t -> int
+  (** All of them, past the list's cap too. *)
 
   val ok : t -> bool
 
@@ -281,8 +294,9 @@ module Feedback : sig
   (** A disturbance episode was still open when the run ended. *)
 
   val wrongful_releases : t -> int
-  (** Recorded base-oracle violations of the no-wrongful-release
-      invariant (["released-undelivered"] / ["release-before-ack"]). *)
+  (** Base-oracle violations of the no-wrongful-release invariant
+      (["released-undelivered"] / ["release-before-ack"]): the oracle's
+      {!Oracle.wrongful_releases}, which counts past the list's cap. *)
 
   val goodput_floor : t -> lo:float -> hi:float -> float
   (** Minimum bucketed delivery rate (payload bits/s) over the buckets

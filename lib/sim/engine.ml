@@ -5,48 +5,67 @@ let never = Event_queue.never
 (* The clock lives in a one-element float array rather than a mutable
    record field: flat float-array stores/loads stay unboxed on
    non-flambda builds, and Event_queue reads/writes it directly
-   (add_after, pop_run) so the schedule/execute hot path never
-   materialises a boxed float.
+   (pop_run) so the schedule/execute hot path never materialises a
+   boxed float.
 
    Payloads are Obj.t so one queue carries both callback shapes without
    a variant wrapper; bit 0 of the aux word tags the shape. The casts
    are confined to [schedule*] and [dispatch]. *)
 
-type t = { clock : float array; queue : Obj.t Event_queue.t }
+type t = {
+  clock : float array;
+  arg : float array;  (* one element: the time handed to Event_queue.add_cell *)
+  queue : Obj.t Event_queue.t;
+}
 
 let dispatch payload aux =
   if aux land 1 = 0 then (Obj.obj payload : unit -> unit) ()
   else (Obj.obj payload : int -> unit) (aux asr 1)
 
 let create () =
-  { clock = [| 0. |]; queue = Event_queue.create ~capacity:1024 ~dummy:(Obj.repr 0) () }
+  {
+    clock = [| 0. |];
+    arg = [| 0. |];
+    queue = Event_queue.create ~capacity:1024 ~dummy:(Obj.repr 0) ();
+  }
 
 let now t = Array.unsafe_get t.clock 0
 
-let schedule t ~delay f =
-  if delay < 0. then
-    invalid_arg (Printf.sprintf "Engine.schedule: negative delay %g" delay);
-  Event_queue.add_after t.queue ~clock:t.clock ~delay ~aux:0 (Obj.repr f)
+let clock t = t.clock
 
-let schedule_at t ~time f =
-  let clk = Array.unsafe_get t.clock 0 in
-  if time < clk then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time clk);
-  Event_queue.add_aux t.queue ~time ~aux:0 (Obj.repr f)
+(* The [schedule*] functions are inlined into their callers, so a
+   computed [~delay] or [~time] stays an unboxed local and reaches the
+   queue through [arg]. Their error branches live out of line: a
+   [Printf] call in the body would stop the inlining. *)
 
-let schedule_fn t ~delay ~fn ~arg =
-  if delay < 0. then
-    invalid_arg (Printf.sprintf "Engine.schedule: negative delay %g" delay);
-  Event_queue.add_after t.queue ~clock:t.clock ~delay ~aux:((arg lsl 1) lor 1)
-    (Obj.repr fn)
+let[@inline never] negative_delay delay =
+  invalid_arg (Printf.sprintf "Engine.schedule: negative delay %g" delay)
 
-let schedule_at_fn t ~time ~fn ~arg =
-  let clk = Array.unsafe_get t.clock 0 in
-  if time < clk then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time clk);
-  Event_queue.add_aux t.queue ~time ~aux:((arg lsl 1) lor 1) (Obj.repr fn)
+let[@inline never] in_the_past time clk =
+  invalid_arg
+    (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time clk)
+
+let[@inline] add_at t time aux payload =
+  Array.unsafe_set t.arg 0 time;
+  Event_queue.add_cell t.queue ~cell:t.arg ~aux payload
+
+let[@inline] schedule t ~delay f =
+  if delay < 0. then negative_delay delay;
+  add_at t (Array.unsafe_get t.clock 0 +. delay) 0 (Obj.repr f)
+
+let[@inline] schedule_at t ~time f =
+  if time < Array.unsafe_get t.clock 0 then
+    in_the_past time (Array.unsafe_get t.clock 0);
+  add_at t time 0 (Obj.repr f)
+
+let[@inline] schedule_fn t ~delay ~fn ~arg =
+  if delay < 0. then negative_delay delay;
+  add_at t (Array.unsafe_get t.clock 0 +. delay) ((arg lsl 1) lor 1) (Obj.repr fn)
+
+let[@inline] schedule_at_fn t ~time ~fn ~arg =
+  if time < Array.unsafe_get t.clock 0 then
+    in_the_past time (Array.unsafe_get t.clock 0);
+  add_at t time ((arg lsl 1) lor 1) (Obj.repr fn)
 
 let cancel t id = Event_queue.cancel t.queue id
 

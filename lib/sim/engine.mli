@@ -30,6 +30,11 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time. *)
 
+val clock : t -> float array
+(** The one-element array whose element is {!now}. Read it, never write
+    it. A component that must read the time where a float argument
+    would be boxed keeps this array instead ({!Dlc.Probe} does). *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay]. Raises
     [Invalid_argument] on a negative delay — the same contract as

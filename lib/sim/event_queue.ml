@@ -310,8 +310,8 @@ let next_wheel_tick t =
 
 (* --- tier selection ----------------------------------------------------- *)
 
-(* The tick computation is written out at each use site rather than
-   shared through a float-taking helper: non-flambda builds box floats
+(* The tick computation is written out at each use site, or shared
+   only through [@inline always] helpers: non-flambda builds box floats
    at non-inlined call boundaries, and add/pop must stay allocation
    free. *)
 
@@ -336,7 +336,8 @@ let[@inline always] fill_slot t slot time aux payload =
   Array.unsafe_set t.states slot st_pending;
   t.live <- t.live + 1
 
-let add_aux t ~time ~aux payload =
+(* Every add path ends here, inlined, so its [time] stays unboxed. *)
+let[@inline always] insert t time aux payload =
   let slot = alloc_slot t in
   fill_slot t slot time aux payload;
   let tick =
@@ -346,18 +347,11 @@ let add_aux t ~time ~aux payload =
   enqueue_slot t slot tick;
   (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
 
-let add t ~time payload = add_aux t ~time ~aux:0 payload
+let add_aux t ~time ~aux payload = insert t time aux payload
 
-let add_after t ~clock ~delay ~aux payload =
-  let time = Array.unsafe_get clock 0 +. delay in
-  let slot = alloc_slot t in
-  fill_slot t slot time aux payload;
-  let tick =
-    if time >= far_time then far_tick
-    else int_of_float (time *. ticks_per_sec)
-  in
-  enqueue_slot t slot tick;
-  (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
+let add t ~time payload = insert t time 0 payload
+
+let add_cell t ~cell ~aux payload = insert t (Array.unsafe_get cell 0) aux payload
 
 (* --- handles ------------------------------------------------------------ *)
 

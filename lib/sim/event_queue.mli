@@ -60,13 +60,12 @@ val add_aux : 'a t -> time:float -> aux:int -> 'a -> id
     payload and handed back by {!pop_run} — room for a dispatch tag or a
     small argument without allocating a wrapper. {!add} stores [0]. *)
 
-val add_after : 'a t -> clock:float array -> delay:float -> aux:int -> 'a -> id
-(** [add_after q ~clock ~delay ~aux v] is
-    [add_aux q ~time:(clock.(0) +. delay) ~aux v], with the sum computed
-    inside this module: the timestamp flows from the clock cell into the
-    arena's float array without materialising an intermediate boxed
-    float (non-flambda builds box cross-module float returns, and the
-    scheduling hot path must not allocate). *)
+val add_cell : 'a t -> cell:float array -> aux:int -> 'a -> id
+(** [add_cell q ~cell ~aux v] is [add_aux q ~time:cell.(0) ~aux v]. The
+    caller stores the time into a one-element float array, unboxed, and
+    this call reads it back: a float argument to a call that is not
+    inlined would be boxed on non-flambda builds. {!Engine}'s inlined
+    [schedule*] functions use it. *)
 
 val cancel : 'a t -> id -> bool
 (** [cancel q id] removes the event if it is still pending. Returns

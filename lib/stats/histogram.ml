@@ -21,13 +21,16 @@ let create ~lo ~hi ~bins =
     total = 0;
   }
 
-let add t x =
+(* Inlined, so a computed [x] reaches it unboxed; the int clamp is a
+   branch, where [Stdlib.min] would be a call. *)
+let[@inline] add t x =
   t.total <- t.total + 1;
   if x < t.lo then t.underflow <- t.underflow + 1
   else if x >= t.hi then t.overflow <- t.overflow + 1
   else begin
     let i = int_of_float ((x -. t.lo) /. t.width) in
-    let i = Stdlib.min i (Array.length t.counts - 1) in
+    let last = Array.length t.counts - 1 in
+    let i = if i < last then i else last in
     t.counts.(i) <- t.counts.(i) + 1
   end
 

@@ -7,11 +7,63 @@ type kind =
 
 type t = { i : int; time : float; kind : kind }
 
-let name e =
+(* Tag numbers: the six per-frame probe kinds first, as the recorder's
+   ring stores them without an event value. *)
+let tag_names =
+  [|
+    "offered"; "tx"; "retx"; "released"; "requeued"; "delivered";
+    "recovery-started"; "recovery-completed"; "failure-declared"; "link-up";
+    "link-retargeting"; "link-down"; "link-failed"; "cp"; "cp-nak";
+    "state-corrupted"; "converged"; "cp-quarantined"; "resync-forced"; "fault";
+    "violation";
+  |]
+
+let tags = Array.length tag_names
+
+let tag_offered = 0
+
+let tag_tx ~retx = if retx then 2 else 1
+
+let tag_released = 3
+
+let tag_requeued = 4
+
+let tag_delivered = 5
+
+let tag_cp ~naks = if naks = [] then 13 else 14
+
+let tag_fault = 19
+
+let tag_violation = 20
+
+let tag_name tag = tag_names.(tag)
+
+let probe_tag : Dlc.Probe.event -> int = function
+  | Offered _ -> tag_offered
+  | Tx { retx; _ } -> tag_tx ~retx
+  | Released _ -> tag_released
+  | Requeued _ -> tag_requeued
+  | Delivered _ -> tag_delivered
+  | Recovery_started -> 6
+  | Recovery_completed -> 7
+  | Failure_declared -> 8
+  | Link_transition { state = Link_up } -> 9
+  | Link_transition { state = Link_retargeting } -> 10
+  | Link_transition { state = Link_down } -> 11
+  | Link_transition { state = Link_failed } -> 12
+  | Cp_emitted { naks; _ } -> tag_cp ~naks
+  | State_corrupted _ -> 15
+  | Converged _ -> 16
+  | Cp_quarantined _ -> 17
+  | Resync_forced _ -> 18
+
+let tag e =
   match e.kind with
-  | Probe ev -> Dlc.Probe.event_name ev
-  | Fault _ -> "fault"
-  | Violation _ -> "violation"
+  | Probe ev -> probe_tag ev
+  | Fault _ -> tag_fault
+  | Violation _ -> tag_violation
+
+let name e = tag_names.(tag e)
 
 let payload_label p = Frame.Payload.prefix p 16
 

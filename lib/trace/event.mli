@@ -25,6 +25,36 @@ val name : t -> string
 (** Stable event tag: {!Dlc.Probe.event_name} for probe events,
     ["fault"] / ["violation"] otherwise. *)
 
+(** {2 Tag numbers}
+
+    Each tag name has a number in [\[0, tags)], so per-tag state lives
+    in arrays. *)
+
+val tags : int
+
+val tag : t -> int
+
+val probe_tag : Dlc.Probe.event -> int
+
+val tag_name : int -> string
+(** [tag_name (tag e) = name e]. *)
+
+val tag_offered : int
+
+val tag_tx : retx:bool -> int
+
+val tag_released : int
+
+val tag_requeued : int
+
+val tag_delivered : int
+
+val tag_cp : naks:int list -> int
+
+val tag_fault : int
+
+val tag_violation : int
+
 val payload_label : Frame.Payload.t -> string
 (** First 16 bytes of a payload's image — enough to identify a frame
     built by {!Workload.Arrivals.default_payload} without dumping the

@@ -21,6 +21,23 @@ val create : unit -> t
 
 val observe : t -> Event.t -> unit
 
+(** {2 Typed entry points}
+
+    What {!observe} does for one event, without the event value. The
+    event's time is element 0 of [at], read unboxed. {!Recorder} calls
+    these from its typed probe handlers. *)
+
+val count_tag : t -> int -> unit
+(** An event of this {!Event.tag} that feeds no distribution. *)
+
+val tx : t -> at:float array -> seq:int -> retx:bool -> unit
+
+val released : t -> at:float array -> seq:int -> unit
+
+val requeued : t -> at:float array -> seq:int -> unit
+
+val cp_emitted : t -> at:float array -> naks:int list -> unit
+
 val events : t -> int
 (** Total events observed. *)
 

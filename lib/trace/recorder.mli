@@ -10,7 +10,12 @@
 
     An optional sink sees every event as it is recorded, for full-stream
     JSONL capture; the ring exists so that violation forensics stay
-    cheap even when no full trace was requested. *)
+    cheap even when no full trace was requested.
+
+    The ring is kept as flat columns (tag, sequence number, payload,
+    time, and one column for the rare kinds), filled from the probe's
+    typed handlers. An {!Event.t} is built, and a fault's frame
+    formatted, only for the sink, a flight freeze or {!ring_events}. *)
 
 type t
 
@@ -24,9 +29,6 @@ val capacity : t -> int
 val set_sink : t -> (Event.t -> unit) -> unit
 (** Called synchronously for every recorded event, after it enters the
     ring. One sink; later calls replace. *)
-
-val record : t -> now:float -> Event.kind -> unit
-(** Low-level entry point; the [attach_*] functions call this. *)
 
 val attach_probe : t -> Dlc.Probe.t -> unit
 (** Record every semantic event. Subscribe the recorder {e before}

@@ -145,6 +145,43 @@ let test_scenario_words_per_frame ~max_words protocol () =
       "Scenario.run allocates %.1f words per delivered frame (gate: %g)" per_frame
       max_words
 
+(* The six typed emits to a probe nobody listens to: the emitters call
+   them unguarded on every frame. *)
+let test_probe_idle_emits () =
+  let probe = Dlc.Probe.create () in
+  let payload = Frame.Payload.of_string "idle" and naks = [ 3; 5 ] in
+  gate ~what:"typed Probe emits, no subscriber" ~max_words:0. (fun () ->
+      Dlc.Probe.offered probe payload;
+      Dlc.Probe.tx probe ~seq:1 ~payload ~retx:false;
+      Dlc.Probe.released probe ~seq:1 ~payload;
+      Dlc.Probe.requeued probe ~seq:1 ~payload;
+      Dlc.Probe.delivered probe ~seq:1 ~payload;
+      Dlc.Probe.cp_emitted probe ~cp_seq:1 ~next_expected:2 ~enforced:false
+        ~stop_go:false ~naks)
+
+(* The observed session: Scenario.default checked by the oracle with a
+   flight recorder attached, as E21-E24 and lams-storm-checked run. *)
+let test_checked_words_per_frame ~max_words () =
+  let config = Experiments.Scenario.default in
+  let protocol =
+    Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params config)
+  in
+  let recorder = Trace.Recorder.create ~name:"alloc" () in
+  let w0 = Gc.minor_words () in
+  let r, violations =
+    Experiments.Scenario.run_checked ~recorder config protocol
+  in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "no violation" 0 (List.length violations);
+  let per_frame =
+    words /. float_of_int r.Experiments.Scenario.metrics.Dlc.Metrics.delivered
+  in
+  if per_frame > max_words then
+    Alcotest.failf
+      "Scenario.run_checked ~recorder allocates %.1f words per delivered frame \
+       (gate: %g)"
+      per_frame max_words
+
 let suite =
   [
     Alcotest.test_case "default_payload: at most 8 words" `Quick
@@ -167,4 +204,9 @@ let suite =
     Alcotest.test_case "Stats.Online.add: 0 words" `Quick test_online_add;
     Alcotest.test_case "idle Link.send to arrival: at most 11 words" `Quick
       test_link_send_idle;
+    Alcotest.test_case "typed probe emits, no subscriber: 0 words" `Quick
+      test_probe_idle_emits;
+    Alcotest.test_case "checked LAMS session with a recorder within 78 words per frame"
+      `Quick
+      (test_checked_words_per_frame ~max_words:78.);
   ]

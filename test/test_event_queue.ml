@@ -133,8 +133,10 @@ let test_vacated_slots_release_payloads () =
 let test_pop_run_clock_and_stops () =
   let q = Sim.Event_queue.create ~dummy:0 () in
   let clock = [| 0. |] in
-  ignore (Sim.Event_queue.add_after q ~clock ~delay:1. ~aux:7 1);
-  ignore (Sim.Event_queue.add_after q ~clock ~delay:2. ~aux:0 2);
+  let cell = [| 1. |] in
+  ignore (Sim.Event_queue.add_cell q ~cell ~aux:7 1);
+  cell.(0) <- 2.;
+  ignore (Sim.Event_queue.add_cell q ~cell ~aux:0 2);
   ignore (Sim.Event_queue.add q ~time:3. 3);
   let seen = ref [] in
   let k v aux = seen := (v, aux, clock.(0)) :: !seen in

@@ -43,4 +43,5 @@ let () =
       ("soak", Test_soak.suite);
       ("golden", Test_golden.suite);
       ("alloc", Test_alloc.suite);
+      ("observers", Test_observers.suite);
     ]

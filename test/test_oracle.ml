@@ -374,6 +374,36 @@ let prop_safety_under_any_fault_script =
       Oracle.finalize t.Proto_harness.oracle;
       Oracle.ok t.Proto_harness.oracle)
 
+(* The violation list is capped at 200; the counts are not. 300
+   releases of frames nobody delivered are 300 wrongful releases. *)
+let test_counts_past_the_cap () =
+  let oracle =
+    Oracle.create (Oracle.Lams { c_depth = 3; holding_bound = infinity })
+  in
+  let probe = Dlc.Probe.create () in
+  Oracle.observe oracle probe;
+  let feedback = Oracle.Feedback.create oracle in
+  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  Oracle.Transfer.observe transfer probe;
+  for seq = 0 to 299 do
+    let payload = Proto_harness.payload seq in
+    Dlc.Probe.emit probe ~now:0. (Dlc.Probe.Tx { seq; payload; retx = false });
+    Dlc.Probe.emit probe ~now:0. (Dlc.Probe.Released { seq; payload })
+  done;
+  Alcotest.(check int) "list capped" 200 (List.length (Oracle.violations oracle));
+  Alcotest.(check int) "violation_count" 300 (Oracle.violation_count oracle);
+  Alcotest.(check int) "wrongful_releases" 300
+    (Oracle.Feedback.wrongful_releases feedback);
+  (* and a delivery of a payload never offered, 300 times over *)
+  for seq = 0 to 299 do
+    Dlc.Probe.emit probe ~now:0.
+      (Dlc.Probe.Delivered { seq; payload = Proto_harness.payload seq })
+  done;
+  Alcotest.(check int) "transfer list capped" 200
+    (List.length (Oracle.Transfer.violations transfer));
+  Alcotest.(check int) "transfer violation_count" 300
+    (Oracle.Transfer.violation_count transfer)
+
 let suite =
   [
     Alcotest.test_case "kill checkpoints 3-5 -> enforced recovery" `Quick
@@ -400,4 +430,6 @@ let suite =
     Alcotest.test_case "broken c_depth=0 trips no-loss" `Quick
       test_broken_c_depth0_trips_no_loss;
     QCheck_alcotest.to_alcotest prop_safety_under_any_fault_script;
+    Alcotest.test_case "violation counts past the list's cap" `Quick
+      test_counts_past_the_cap;
   ]
