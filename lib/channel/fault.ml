@@ -92,9 +92,12 @@ type mode =
 let log_capacity = 512
 
 (* Stale-replay memory: the last few control frames seen crossing this
-   link, newest first. Control frames are low-rate, so a short list is
-   both sufficient and cheap. *)
+   link. Control frames are low-rate, so a short ring suffices. *)
 let stale_ring_depth = 16
+
+(* Inert frame filling the rings' unused slots. *)
+let no_frame =
+  Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:Frame.Payload.empty)
 
 type t = {
   mode : mode;
@@ -102,9 +105,15 @@ type t = {
   mutable i_count : int;  (* I-frames classified so far *)
   mutable c_count : int;  (* control frames classified so far *)
   mutable hits : int;
-  log_buf : (float * string) option array;  (* circular, capacity fixed *)
+  (* The last [log_capacity] hits, circular, in three columns: frames
+     are immutable, so [log] formats them only when it is read. *)
+  log_at : float array;
+  log_action : action array;
+  log_frame : Frame.Wire.t array;
   mutable log_pos : int;  (* next write slot *)
-  mutable stale_ring : Frame.Wire.t list;  (* newest first *)
+  stale_ring : Frame.Wire.t array;  (* [stale_ring_depth] slots *)
+  mutable stale_head : int;  (* slot of the newest frame *)
+  mutable stale_len : int;  (* frames held *)
   mutable observers : (now:float -> action -> Frame.Wire.t -> unit) list;
       (* newest last; all invoked *)
 }
@@ -148,9 +157,13 @@ let compile spec =
     i_count = 0;
     c_count = 0;
     hits = 0;
-    log_buf = Array.make log_capacity None;
+    log_at = Array.make log_capacity 0.;
+    log_action = Array.make log_capacity Drop;
+    log_frame = Array.make log_capacity no_frame;
     log_pos = 0;
-    stale_ring = [];
+    stale_ring = Array.make stale_ring_depth no_frame;
+    stale_head = 0;
+    stale_len = 0;
     observers = [];
   }
 
@@ -227,12 +240,14 @@ let forge t action frame =
               ~next_expected:cp.Frame.Cframe.next_expected
               ~naks:cp.Frame.Cframe.naks))
   | ( Inject_stale_cp { back },
-      (Frame.Wire.Control _ | Frame.Wire.Hdlc_control _) ) -> (
-      match t.stale_ring with
-      | [] -> None
-      | ring ->
-          let n = List.length ring in
-          Some (List.nth ring (min (max back 0) (n - 1))))
+      (Frame.Wire.Control _ | Frame.Wire.Hdlc_control _) ) ->
+      if t.stale_len = 0 then None
+      else begin
+        let age = min (max back 0) (t.stale_len - 1) in
+        Some
+          t.stale_ring.((t.stale_head - age + stale_ring_depth)
+                        mod stale_ring_depth)
+      end
   | _ -> None
 
 (* Resolve an action against a concrete frame: [None] means the action
@@ -257,10 +272,9 @@ let action_name = function
 
 let record t ~now action frame =
   t.hits <- t.hits + 1;
-  t.log_buf.(t.log_pos) <-
-    Some
-      ( now,
-        Format.asprintf "%s %a" (action_name action) Frame.Wire.pp frame );
+  t.log_at.(t.log_pos) <- now;
+  t.log_action.(t.log_pos) <- action;
+  t.log_frame.(t.log_pos) <- frame;
   t.log_pos <- (t.log_pos + 1) mod log_capacity;
   List.iter (fun f -> f ~now action frame) t.observers
 
@@ -269,12 +283,9 @@ let record t ~now action frame =
 let note_frame t frame =
   match frame with
   | Frame.Wire.Control _ | Frame.Wire.Hdlc_control _ ->
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      t.stale_ring <- take stale_ring_depth (frame :: t.stale_ring)
+      t.stale_head <- (t.stale_head + 1) mod stale_ring_depth;
+      t.stale_ring.(t.stale_head) <- frame;
+      if t.stale_len < stale_ring_depth then t.stale_len <- t.stale_len + 1
   | Frame.Wire.Data _ -> ()
 
 let decision t ~now frame =
@@ -366,9 +377,10 @@ let log t =
   let n = log_retained t in
   let start = (t.log_pos - n + log_capacity) mod log_capacity in
   List.init n (fun i ->
-      match t.log_buf.((start + i) mod log_capacity) with
-      | Some e -> e
-      | None -> assert false)
+      let j = (start + i) mod log_capacity in
+      ( t.log_at.(j),
+        Format.asprintf "%s %a" (action_name t.log_action.(j)) Frame.Wire.pp
+          t.log_frame.(j) ))
 
 let sel_name = function
   | I_seq s -> Printf.sprintf "I-frame seq=%d" s

@@ -133,9 +133,13 @@ let queue_length t = Queue.length t.queue
 
 let tx_time t frame = float_of_int (Frame.Wire.size_bits frame) /. t.data_rate_bps
 
-let propagation_delay t ~at =
+let[@inline never] negative_distance () = invalid_arg "Link: negative distance"
+
+(* Inlined, here and into the senders, so neither [at] nor the result is
+   boxed; [at] is boxed only for the [distance_m] closure. *)
+let[@inline] propagation_delay t ~at =
   let d = t.distance_m at in
-  if d < 0. then invalid_arg "Link: negative distance";
+  if d < 0. then negative_distance ();
   d /. speed_of_light
 
 let is_up t = t.up
@@ -281,9 +285,7 @@ let serial_done t =
   let departure = Sim.Engine.now t.engine in
   let frame = t.cur_frame in
   t.cur_frame <- dummy_frame;
-  let d = t.distance_m departure in
-  if d < 0. then invalid_arg "Link: negative distance";
-  let arrival = departure +. (d /. speed_of_light) in
+  let arrival = departure +. propagation_delay t ~at:departure in
   (* FIFO clamp: arrivals never reorder. *)
   let last = Array.unsafe_get t.last_arrival 0 in
   let arrival = if arrival < last then last else arrival in

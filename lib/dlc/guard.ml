@@ -63,7 +63,7 @@ type t = {
   mutable last_cp_seq : int;  (* -1 = no baseline *)
   mutable max_ne : int;
   mutable held : Channel.Link.rx option;  (* awaiting cross-CP confirmation *)
-  requeued : (int, unit) Hashtbl.t;
+  requeued : Int_index.t;
       (* naks already forwarded to the sender, and the sender's own requeues *)
   mutable distrust : int;
   mutable resync_attempts : int;
@@ -88,7 +88,7 @@ let create config ~probe ~hooks ~deliver =
       last_cp_seq = -1;
       max_ne = 0;
       held = None;
-      requeued = Hashtbl.create 256;
+      requeued = Int_index.create ();
       distrust = 0;
       resync_attempts = 0;
       quarantine_count = 0;
@@ -106,7 +106,8 @@ let create config ~probe ~hooks ~deliver =
       Probe.listen probe
         {
           Probe.no_handlers with
-          requeued = (fun ~seq ~payload:_ -> Hashtbl.replace t.requeued seq ());
+          requeued =
+            (fun ~seq ~payload:_ -> ignore (Int_index.add t.requeued seq : int));
         }
   | Supervisory _ -> ());
   t
@@ -185,7 +186,9 @@ let nak_after_release t ~is_outstanding ~next_seq
     (cp : Frame.Cframe.checkpoint) =
   List.exists
     (fun s ->
-      s < next_seq && (not (is_outstanding s)) && not (Hashtbl.mem t.requeued s))
+      s < next_seq
+      && (not (is_outstanding s))
+      && Int_index.find t.requeued s < 0)
     cp.Frame.Cframe.naks
 
 (* Does [later] accuse [earlier] of forging an implicit ACK? [earlier]
@@ -201,7 +204,9 @@ let contradicts ~is_outstanding ~(earlier : Frame.Cframe.checkpoint)
     later.Frame.Cframe.naks
 
 let deliver_cp t rx (cp : Frame.Cframe.checkpoint) =
-  List.iter (fun s -> Hashtbl.replace t.requeued s ()) cp.Frame.Cframe.naks;
+  List.iter
+    (fun s -> ignore (Int_index.add t.requeued s : int))
+    cp.Frame.Cframe.naks;
   t.deliver rx
 
 let on_checkpoint t rx (cp : Frame.Cframe.checkpoint) ~next_seq

@@ -25,12 +25,15 @@ type t = {
   mutable cp_seq : int;
   mutable queue_len : int;
   mutable stop_state : bool;
+  (* pending drains, a binary min-heap on (instant, stamp) in two
+     columns; see [settle] *)
+  mutable drain_at : float array;
+  mutable drain_stamp : int array;
+  mutable drains : int;
   mutable on_deliver : (payload:Frame.Payload.t -> seq:int -> unit) option;
   mutable running : bool;
   mutable checkpoints_sent : int;
-  (* engine callbacks allocated once at [create], not per event *)
-  mutable drain_fn : unit -> unit;
-  mutable cp_tick : unit -> unit;
+  mutable cp_tick : unit -> unit;  (* allocated once at [create] *)
 }
 
 (* --- receiving-buffer occupancy model ---------------------------------- *)
@@ -38,12 +41,15 @@ type t = {
 (* Each arrival occupies the buffer until drained. With an unlimited upper
    layer a frame leaves after [t_proc]; with [recv_drain_rate = Some r]
    departures are spaced 1/r apart, so sustained arrival above r grows the
-   queue and trips the Stop-Go hysteresis. *)
+   queue and trips the Stop-Go hysteresis.
 
-let service_time t =
-  match t.params.Params.recv_drain_rate with
-  | None -> t.params.Params.t_proc
-  | Some r -> 1. /. r
+   A drain lowers [queue_len] and updates the hysteresis, nothing else,
+   so it is not an engine event. Each is kept as its instant and a
+   stamp, the engine's [next_seq] where the drain would have been
+   scheduled, and [settle] runs, before every read of the occupancy,
+   exactly the drains that the engine's (time, seq) order puts before
+   the current point (see {!Sim.Engine.last_seq}). With a finite drain
+   rate the instants are not monotone, hence the heap. *)
 
 let update_stop_go t =
   if t.stop_state then begin
@@ -53,20 +59,84 @@ let update_stop_go t =
   else if t.queue_len > t.params.Params.recv_high_watermark then
     t.stop_state <- true
 
+let[@inline] drain_before t i j =
+  let a = Array.unsafe_get t.drain_at i and b = Array.unsafe_get t.drain_at j in
+  a < b
+  || (a = b && Array.unsafe_get t.drain_stamp i < Array.unsafe_get t.drain_stamp j)
+
+let swap_drains t i j =
+  let a = Array.unsafe_get t.drain_at i and s = Array.unsafe_get t.drain_stamp i in
+  Array.unsafe_set t.drain_at i (Array.unsafe_get t.drain_at j);
+  Array.unsafe_set t.drain_stamp i (Array.unsafe_get t.drain_stamp j);
+  Array.unsafe_set t.drain_at j a;
+  Array.unsafe_set t.drain_stamp j s
+
+let rec sift_up t i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if drain_before t i p then begin
+      swap_drains t i p;
+      sift_up t p
+    end
+  end
+
+let rec sift_down t i =
+  let l = (2 * i) + 1 in
+  if l < t.drains then begin
+    let c = if l + 1 < t.drains && drain_before t (l + 1) l then l + 1 else l in
+    if drain_before t c i then begin
+      swap_drains t i c;
+      sift_down t c
+    end
+  end
+
+let[@inline never] grow_drains t =
+  let n = 2 * Array.length t.drain_stamp in
+  let at = Array.make n 0. and stamp = Array.make n 0 in
+  Array.blit t.drain_at 0 at 0 t.drains;
+  Array.blit t.drain_stamp 0 stamp 0 t.drains;
+  t.drain_at <- at;
+  t.drain_stamp <- stamp
+
+(* Run, in order, every drain due before the current point. *)
+let settle t =
+  if t.drains > 0 then begin
+    let now = Sim.Engine.now t.engine and last = Sim.Engine.last_seq t.engine in
+    while
+      t.drains > 0
+      &&
+      let d = Array.unsafe_get t.drain_at 0 in
+      d < now || (d = now && Array.unsafe_get t.drain_stamp 0 <= last)
+    do
+      t.drains <- t.drains - 1;
+      swap_drains t 0 t.drains;
+      sift_down t 0;
+      t.queue_len <- t.queue_len - 1;
+      update_stop_go t
+    done
+  end
+
 let enqueue t =
+  settle t;
   t.queue_len <- t.queue_len + 1;
   Dlc.Metrics.sample_recv_buffer t.metrics t.queue_len;
   update_stop_go t;
   let delay =
     match t.params.Params.recv_drain_rate with
     | None -> t.params.Params.t_proc
-    | Some _ -> float_of_int t.queue_len *. service_time t
+    | Some r -> float_of_int t.queue_len *. (1. /. r)
   in
-  ignore (Sim.Engine.schedule t.engine ~delay t.drain_fn : Sim.Engine.event_id)
+  let n = t.drains in
+  if n = Array.length t.drain_stamp then grow_drains t;
+  Array.unsafe_set t.drain_at n (Sim.Engine.now t.engine +. delay);
+  Array.unsafe_set t.drain_stamp n (Sim.Engine.next_seq t.engine);
+  t.drains <- n + 1;
+  sift_up t n
 
 (* --- checkpoint emission ------------------------------------------------ *)
 
 let send_checkpoint t ~enforced ~naks =
+  settle t;
   let now = Sim.Engine.now t.engine in
   let cp =
     Frame.Cframe.checkpoint ~cp_seq:t.cp_seq ~issue_time:now
@@ -119,17 +189,15 @@ let create engine ~params ~reverse ~metrics ~probe =
       cp_seq = 0;
       queue_len = 0;
       stop_state = false;
+      drain_at = Array.make 8 0.;
+      drain_stamp = Array.make 8 0;
+      drains = 0;
       on_deliver = None;
       running = true;
       checkpoints_sent = 0;
-      drain_fn = ignore;
       cp_tick = ignore;
     }
   in
-  t.drain_fn <-
-    (fun () ->
-      t.queue_len <- t.queue_len - 1;
-      update_stop_go t);
   t.cp_tick <-
     (fun () ->
       if t.running then begin
@@ -198,9 +266,13 @@ let next_expected t = t.next_expected
 
 let outstanding_naks t = Seq_set.to_list t.error_log
 
-let queue_length t = t.queue_len
+let queue_length t =
+  settle t;
+  t.queue_len
 
-let stop_state t = t.stop_state
+let stop_state t =
+  settle t;
+  t.stop_state
 
 let checkpoints_sent t = t.checkpoints_sent
 

@@ -2,19 +2,46 @@ let src = Logs.Src.create "lams_dlc.sender" ~doc:"LAMS-DLC sender"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* A buffered payload. Its two instants live in a float array, stored
-   unboxed; as float fields of this mixed record each would be a box. *)
-type pending = {
-  payload : Frame.Payload.t;
-  times : float array;  (* [| offer; first transmission, nan until then |] *)
-}
+(* A FIFO of buffer slots: a growable ring of ints. *)
+module Fifo = struct
+  type t = { mutable buf : int array; mutable head : int; mutable len : int }
 
-let[@inline] offer_time pend = Array.unsafe_get pend.times 0
+  let create () = { buf = Array.make 16 0; head = 0; len = 0 }
 
-let[@inline] first_tx_time pend = Array.unsafe_get pend.times 1
+  let length q = q.len
 
-(* Fills the ring slots of resolved frames; compared physically. *)
-let resolved = { payload = Frame.Payload.empty; times = [| nan; nan |] }
+  let is_empty q = q.len = 0
+
+  (* the [i]-th from the front; the capacity is a power of two *)
+  let[@inline] nth q i =
+    Array.unsafe_get q.buf ((q.head + i) land (Array.length q.buf - 1))
+
+  let[@inline never] grow q =
+    let buf = Array.make (2 * Array.length q.buf) 0 in
+    for i = 0 to q.len - 1 do
+      buf.(i) <- nth q i
+    done;
+    q.buf <- buf;
+    q.head <- 0
+
+  let push q x =
+    if q.len = Array.length q.buf then grow q;
+    Array.unsafe_set q.buf ((q.head + q.len) land (Array.length q.buf - 1)) x;
+    q.len <- q.len + 1
+
+  let pop q =
+    let x = Array.unsafe_get q.buf q.head in
+    q.head <- (q.head + 1) land (Array.length q.buf - 1);
+    q.len <- q.len - 1;
+    x
+
+  let clear q =
+    q.head <- 0;
+    q.len <- 0
+end
+
+(* The ring slot of a resolved frame. *)
+let resolved = -1
 
 type t = {
   engine : Sim.Engine.t;
@@ -23,17 +50,25 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable next_seq : int;
+  (* The sending buffer: each buffered payload holds a slot, an index
+     into these flat columns, from [offer] until its release. A slot's
+     instants stay unboxed in float arrays. *)
+  mutable payloads : Frame.Payload.t array;
+  mutable offer_at : float array;
+  mutable first_tx_at : float array;  (* nan until the first transmission *)
+  mutable free : int array;  (* a stack of the [n_free] free slots *)
+  mutable n_free : int;
   (* Transmitted frames in transmission order, which is ascending seq: a
-     ring of parallel columns, [ring_len] slots from [ring_head]. A
-     resolved frame's slot holds [resolved] until it reaches the front. *)
+     ring of parallel columns, [ring_len] entries from [ring_head]. A
+     resolved frame's entry holds [resolved] until it reaches the front. *)
   mutable ring_seq : int array;
-  mutable ring_pend : pending array;
+  mutable ring_slot : int array;
   mutable ring_arrival : float array;  (* predicted arrival at the receiver *)
   mutable ring_head : int;
   mutable ring_len : int;
-  mutable live : int;  (* unresolved slots *)
-  fresh : pending Queue.t;  (* never-transmitted payloads *)
-  retx : pending Queue.t;  (* awaiting retransmission *)
+  mutable live : int;  (* unresolved entries *)
+  fresh : Fifo.t;  (* slots of never-transmitted payloads *)
+  retx : Fifo.t;  (* awaiting retransmission *)
   mutable rate_factor : float;
   next_allowed_tx : float array;  (* one element: written per frame, unboxed *)
   mutable wakeup_scheduled : bool;
@@ -51,52 +86,91 @@ type t = {
   mutable wakeup_fn : unit -> unit;  (* allocated once at [create] *)
 }
 
+(* --- buffer slots ------------------------------------------------------- *)
+
+let[@inline never] grow_slots t =
+  let cap = Array.length t.payloads in
+  let payloads = Array.make (2 * cap) Frame.Payload.empty
+  and offer_at = Array.make (2 * cap) nan
+  and first_tx_at = Array.make (2 * cap) nan
+  and free = Array.make (2 * cap) 0 in
+  Array.blit t.payloads 0 payloads 0 cap;
+  Array.blit t.offer_at 0 offer_at 0 cap;
+  Array.blit t.first_tx_at 0 first_tx_at 0 cap;
+  Array.blit t.free 0 free 0 t.n_free;
+  for s = (2 * cap) - 1 downto cap do
+    free.(t.n_free) <- s;
+    t.n_free <- t.n_free + 1
+  done;
+  t.payloads <- payloads;
+  t.offer_at <- offer_at;
+  t.first_tx_at <- first_tx_at;
+  t.free <- free
+
+(* A fresh slot holding [payload]; the caller sets its instants. *)
+let alloc_slot t payload =
+  if t.n_free = 0 then grow_slots t;
+  t.n_free <- t.n_free - 1;
+  let s = Array.unsafe_get t.free t.n_free in
+  Array.unsafe_set t.payloads s payload;
+  s
+
+let free_slot t s =
+  Array.unsafe_set t.payloads s Frame.Payload.empty;
+  Array.unsafe_set t.free t.n_free s;
+  t.n_free <- t.n_free + 1
+
 (* --- the outstanding ring --------------------------------------------- *)
 
-(* Physical index of the [i]-th slot from the front; capacity is a power
+(* Physical index of the [i]-th entry from the front; capacity is a power
    of two. *)
 let slot t i = (t.ring_head + i) land (Array.length t.ring_seq - 1)
 
-let push t seq pend arrival =
+let[@inline never] grow_ring t =
   let cap = Array.length t.ring_seq in
-  if t.ring_len = cap then begin
-    let seqs = Array.make (2 * cap) 0
-    and pends = Array.make (2 * cap) resolved
-    and arrivals = Array.make (2 * cap) 0. in
-    for i = 0 to cap - 1 do
-      let j = slot t i in
-      seqs.(i) <- t.ring_seq.(j);
-      pends.(i) <- t.ring_pend.(j);
-      arrivals.(i) <- t.ring_arrival.(j)
-    done;
-    t.ring_seq <- seqs;
-    t.ring_pend <- pends;
-    t.ring_arrival <- arrivals;
-    t.ring_head <- 0
-  end;
+  let seqs = Array.make (2 * cap) 0
+  and slots = Array.make (2 * cap) resolved
+  and arrivals = Array.make (2 * cap) 0. in
+  for i = 0 to cap - 1 do
+    let j = slot t i in
+    seqs.(i) <- t.ring_seq.(j);
+    slots.(i) <- t.ring_slot.(j);
+    arrivals.(i) <- t.ring_arrival.(j)
+  done;
+  t.ring_seq <- seqs;
+  t.ring_slot <- slots;
+  t.ring_arrival <- arrivals;
+  t.ring_head <- 0
+
+(* Inlined into [transmit], so [arrival] is not boxed. *)
+let[@inline] push t seq s arrival =
+  if t.ring_len = Array.length t.ring_seq then grow_ring t;
   let j = slot t t.ring_len in
-  t.ring_seq.(j) <- seq;
-  t.ring_pend.(j) <- pend;
-  t.ring_arrival.(j) <- arrival;
+  Array.unsafe_set t.ring_seq j seq;
+  Array.unsafe_set t.ring_slot j s;
+  Array.unsafe_set t.ring_arrival j arrival;
   t.ring_len <- t.ring_len + 1;
   t.live <- t.live + 1
 
+(* The buffer slot of ring entry [j], which is then resolved. *)
 let resolve t j =
-  t.ring_pend.(j) <- resolved;
-  t.live <- t.live - 1
+  let s = t.ring_slot.(j) in
+  t.ring_slot.(j) <- resolved;
+  t.live <- t.live - 1;
+  s
 
-(* Drop resolved slots from the front; afterwards the front, if any, is
+(* Drop resolved entries from the front; afterwards the front, if any, is
    the oldest unresolved frame. *)
 let rec trim t =
-  if t.ring_len > 0 && t.ring_pend.(t.ring_head) == resolved then begin
+  if t.ring_len > 0 && t.ring_slot.(t.ring_head) = resolved then begin
     t.ring_head <- slot t 1;
     t.ring_len <- t.ring_len - 1;
     trim t
   end
 
-(* Physical index of the unresolved slot holding [seq], or -1. Seqs in
+(* Physical index of the unresolved entry holding [seq], or -1. Seqs in
    the ring ascend by one except across a [scramble_send_seq] gap, so
-   [seq] is first looked for [seq - front] slots from the front; a
+   [seq] is first looked for [seq - front] entries from the front; a
    binary search finds it when a gap lies in between. *)
 let find t seq =
   let i =
@@ -114,10 +188,10 @@ let find t seq =
       end
   in
   let j = slot t i in
-  if i < t.ring_len && t.ring_seq.(j) = seq && t.ring_pend.(j) != resolved then j
+  if i < t.ring_len && t.ring_seq.(j) = seq && t.ring_slot.(j) <> resolved then j
   else -1
 
-let backlog t = Queue.length t.fresh + Queue.length t.retx + t.live
+let backlog t = Fifo.length t.fresh + Fifo.length t.retx + t.live
 
 let outstanding t = t.live
 
@@ -135,7 +209,7 @@ let note_delivered t seq =
   let j = find t seq in
   if j >= 0 then
     Stats.Online.add t.metrics.Dlc.Metrics.delivery_delay
-      (Sim.Engine.now t.engine -. offer_time t.ring_pend.(j))
+      (Sim.Engine.now t.engine -. t.offer_at.(t.ring_slot.(j)))
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -155,15 +229,15 @@ let update_span t =
 let rec maybe_send t =
   if (not t.failed) && not t.stopped then begin
     (* retransmissions first; new frames only when not halted *)
-    let is_retx = not (Queue.is_empty t.retx) in
+    let is_retx = not (Fifo.is_empty t.retx) in
     if
-      (is_retx || ((not t.halted) && not (Queue.is_empty t.fresh)))
+      (is_retx || ((not t.halted) && not (Fifo.is_empty t.fresh)))
       && not (Channel.Link.busy t.forward)
       (* a busy link's on_idle callback re-enters maybe_send *)
     then begin
       let now = Sim.Engine.now t.engine in
       if now < Array.unsafe_get t.next_allowed_tx 0 then schedule_wakeup t
-      else transmit t (Queue.pop (if is_retx then t.retx else t.fresh)) ~is_retx
+      else transmit t (Fifo.pop (if is_retx then t.retx else t.fresh)) ~is_retx
     end
   end
 
@@ -176,10 +250,11 @@ and schedule_wakeup t =
     ignore (Sim.Engine.schedule t.engine ~delay t.wakeup_fn : Sim.Engine.event_id)
   end
 
-and transmit t pend ~is_retx =
+and transmit t s ~is_retx =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  let iframe = Frame.Iframe.create ~seq ~payload:pend.payload in
+  let payload = Array.unsafe_get t.payloads s in
+  let iframe = Frame.Iframe.create ~seq ~payload in
   let wire = Frame.Wire.Data iframe in
   let now = Sim.Engine.now t.engine in
   let tx = Channel.Link.tx_time t.forward wire in
@@ -187,14 +262,15 @@ and transmit t pend ~is_retx =
   let arrival_estimate =
     departure +. Channel.Link.propagation_delay t.forward ~at:departure
   in
-  if Float.is_nan (first_tx_time pend) then Array.unsafe_set pend.times 1 now;
-  push t seq pend arrival_estimate;
+  if Float.is_nan (Array.unsafe_get t.first_tx_at s) then
+    Array.unsafe_set t.first_tx_at s now;
+  push t seq s arrival_estimate;
   update_span t;
   if is_retx then
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
-  Dlc.Probe.tx t.probe ~seq ~payload:pend.payload ~retx:is_retx;
+  Dlc.Probe.tx t.probe ~seq ~payload ~retx:is_retx;
   Channel.Link.send t.forward wire;
   (* Stop-Go pacing: at full rate the next frame may follow back-to-back;
      a reduced rate factor stretches the inter-frame spacing. *)
@@ -298,20 +374,19 @@ and start_cp_timer_if_needed t =
 
 (* --- checkpoint processing ---------------------------------------------- *)
 
-(* Both resolve the frame in slot [j], which holds [seq]. *)
+(* Both resolve the frame in ring entry [j], which holds [seq]. *)
 let release t j seq =
-  let pend = t.ring_pend.(j) in
-  resolve t j;
+  let s = resolve t j in
   t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
-  Dlc.Probe.released t.probe ~seq ~payload:pend.payload;
+  Dlc.Probe.released t.probe ~seq ~payload:t.payloads.(s);
   Stats.Online.add t.metrics.Dlc.Metrics.holding_time
-    (Sim.Engine.now t.engine -. first_tx_time pend)
+    (Sim.Engine.now t.engine -. t.first_tx_at.(s));
+  free_slot t s
 
 let queue_retransmission t j seq =
-  let pend = t.ring_pend.(j) in
-  resolve t j;
-  Dlc.Probe.requeued t.probe ~seq ~payload:pend.payload;
-  Queue.add pend t.retx
+  let s = resolve t j in
+  Dlc.Probe.requeued t.probe ~seq ~payload:t.payloads.(s);
+  Fifo.push t.retx s
 
 (* A recursive walk, not [List.iter]: no closure per checkpoint. *)
 let rec requeue_naked t = function
@@ -448,7 +523,10 @@ let offer t payload =
     if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
       Dlc.Metrics.set_first_offer_time t.metrics now;
     Dlc.Probe.offered t.probe payload;
-    Queue.add { payload; times = [| now; nan |] } t.fresh;
+    let s = alloc_slot t payload in
+    Array.unsafe_set t.offer_at s now;
+    Array.unsafe_set t.first_tx_at s nan;
+    Fifo.push t.fresh s;
     sample_buffer t;
     maybe_send t;
     true
@@ -470,36 +548,24 @@ let drain_unresolved t =
      then queued retransmissions (all certainly undelivered), then
      never-transmitted frames *)
   let out = ref [] in
+  let take s verdict =
+    out :=
+      { payload = t.payloads.(s); offer_time = t.offer_at.(s); verdict } :: !out;
+    free_slot t s
+  in
   for i = 0 to t.ring_len - 1 do
     let j = slot t i in
-    let pend = t.ring_pend.(j) in
-    if pend != resolved then begin
-      resolve t j;
-      out :=
-        {
-          payload = pend.payload;
-          offer_time = offer_time pend;
-          verdict = `Suspicious;
-        }
-        :: !out
-    end
+    if t.ring_slot.(j) <> resolved then take (resolve t j) `Suspicious
   done;
   t.ring_head <- 0;
   t.ring_len <- 0;
-  Queue.iter
-    (fun (pend : pending) ->
-      out :=
-        { payload = pend.payload; offer_time = offer_time pend; verdict = `Not_delivered }
-        :: !out)
-    t.retx;
-  Queue.clear t.retx;
-  Queue.iter
-    (fun (pend : pending) ->
-      out :=
-        { payload = pend.payload; offer_time = offer_time pend; verdict = `Not_delivered }
-        :: !out)
-    t.fresh;
-  Queue.clear t.fresh;
+  List.iter
+    (fun q ->
+      for i = 0 to Fifo.length q - 1 do
+        take (Fifo.nth q i) `Not_delivered
+      done;
+      Fifo.clear q)
+    [ t.retx; t.fresh ];
   sample_buffer t;
   List.rev !out
 
@@ -513,14 +579,19 @@ let create engine ~params ~forward ~metrics ~probe =
       metrics;
       probe;
       next_seq = 0;
+      payloads = Array.make 64 Frame.Payload.empty;
+      offer_at = Array.make 64 nan;
+      first_tx_at = Array.make 64 nan;
+      free = Array.init 64 (fun i -> 63 - i);
+      n_free = 64;
       ring_seq = Array.make 64 0;
-      ring_pend = Array.make 64 resolved;
+      ring_slot = Array.make 64 resolved;
       ring_arrival = Array.make 64 0.;
       ring_head = 0;
       ring_len = 0;
       live = 0;
-      fresh = Queue.create ();
-      retx = Queue.create ();
+      fresh = Fifo.create ();
+      retx = Fifo.create ();
       rate_factor = 1.;
       next_allowed_tx = [| 0. |];
       wakeup_scheduled = false;
@@ -562,8 +633,14 @@ let duplicate_buffer_entry t =
     trim t;
     if t.ring_len = 0 then None
     else begin
-      let seq = t.ring_seq.(t.ring_head) in
-      Queue.add t.ring_pend.(t.ring_head) t.retx;
+      (* The copy gets a slot of its own: the original's is freed when
+         it is released. An outstanding frame's instants never change
+         again, so the copy's are the same. *)
+      let seq = t.ring_seq.(t.ring_head) and s = t.ring_slot.(t.ring_head) in
+      let c = alloc_slot t t.payloads.(s) in
+      t.offer_at.(c) <- t.offer_at.(s);
+      t.first_tx_at.(c) <- t.first_tx_at.(s);
+      Fifo.push t.retx c;
       maybe_send t;
       Some
         (Printf.sprintf "duplicated unreleased seq %d into the retx queue" seq)

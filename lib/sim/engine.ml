@@ -16,6 +16,8 @@ type t = {
   clock : float array;
   arg : float array;  (* one element: the time handed to Event_queue.add_cell *)
   queue : Obj.t Event_queue.t;
+  mutable caught_up : bool;
+      (* every event due by the clock has run: [last_seq] reads max_int *)
 }
 
 let dispatch payload aux =
@@ -27,6 +29,7 @@ let create () =
     clock = [| 0. |];
     arg = [| 0. |];
     queue = Event_queue.create ~capacity:1024 ~dummy:(Obj.repr 0) ();
+    caught_up = true;
   }
 
 let now t = Array.unsafe_get t.clock 0
@@ -73,29 +76,47 @@ let is_scheduled t id = Event_queue.is_pending t.queue id
 
 let pending t = Event_queue.length t.queue
 
+let[@inline] next_seq t = Event_queue.next_seq t.queue
+
+let[@inline] last_seq t =
+  if t.caught_up then max_int else Event_queue.last_seq t.queue
+
+(* [caught_up] is cleared before events run, so it stays clear when a
+   callback raises, and set again once nothing due by the clock is
+   left. *)
+
 let step t =
+  t.caught_up <- false;
   match
     Event_queue.pop_run t.queue ~clock:t.clock ~until:infinity ~max_events:1
       ~k:dispatch
   with
   | Max_events -> true
-  | Drained -> false
+  | Drained ->
+      t.caught_up <- true;
+      false
   | Deferred -> assert false (* no event time exceeds [infinity] *)
 
 let run ?until ?max_events t =
   let u = match until with None -> infinity | Some u -> u in
   let m = match max_events with None -> max_int | Some m -> m in
+  if m > 0 then t.caught_up <- false;
   match Event_queue.pop_run t.queue ~clock:t.clock ~until:u ~max_events:m
           ~k:dispatch
   with
   | Deferred ->
       (* only reachable with a finite [until] *)
-      Array.unsafe_set t.clock 0 u
-  | Drained | Max_events ->
+      Array.unsafe_set t.clock 0 u;
+      t.caught_up <- true
+  | Drained | Max_events as stop ->
       if
         until <> None
         && Array.unsafe_get t.clock 0 < u
         && Event_queue.is_empty t.queue
-      then Array.unsafe_set t.clock 0 u
+      then begin
+        Array.unsafe_set t.clock 0 u;
+        t.caught_up <- true
+      end
+      else if stop = Drained then t.caught_up <- true
 
 let run_until_quiet t = run t

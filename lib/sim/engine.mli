@@ -67,16 +67,42 @@ val is_scheduled : t -> event_id -> bool
 val pending : t -> int
 (** Number of scheduled, not-yet-fired events. *)
 
+(** {2 The event order}
+
+    Events run in [(time, seq)] order, where [seq] numbers insertions.
+    A component can keep cheap events of its own outside the queue and
+    settle them in place: it stamps each with {!next_seq} where it
+    would have scheduled it, and treats an event stamped [s] at instant
+    [d] as run iff [d < now t], or [d = now t] and [s <= last_seq t].
+    The queued events keep their relative order, so the component sees
+    the same interleaving as if it had scheduled them. Such events are
+    not in the queue: {!run} and {!step} neither run nor count them, so
+    a bare [run] ends at the last queued event, before any later
+    settled-in-place instant. *)
+
+val next_seq : t -> int
+(** The [seq] the next scheduled event will get: the number of events
+    scheduled so far. Reading it consumes nothing. *)
+
+val last_seq : t -> int
+(** The [seq] of the event running now, or of the one that ran last.
+    It is [max_int] on a fresh engine and once {!run} has advanced the
+    clock to its [~until] or drained the queue, when every event due by
+    the clock has run. It stays at the last event run after [run]
+    stops on [~max_events], after {!step} runs one, and after a
+    callback raises. *)
+
 val step : t -> bool
 (** Execute the next event, if any. Returns [false] when the queue is
     empty. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** [run t] executes events until the queue drains. [?until] stops the
-    clock at that instant (events at exactly [until] still fire);
-    [?max_events] bounds the number of events executed — a guard against
-    runaway simulations. On reaching [until], the clock is advanced to
-    [until] even if no event fired there. *)
+(** [run t] executes events until the queue drains; the clock is then
+    the time of the last event run. [?until] stops the clock at that
+    instant (events at exactly [until] still fire); [?max_events] bounds
+    the number of events executed — a guard against runaway
+    simulations. On reaching [until], the clock is advanced to [until]
+    even if no event fired there. *)
 
 val run_until_quiet : t -> unit
 (** Alias for [run] without bounds; drains the queue. *)

@@ -49,6 +49,7 @@ type 'a t = {
   mutable link : int array; (* free list / bucket chains; -1 terminates *)
   mutable free_head : int;
   mutable next_seq : int;
+  mutable last_seq : int; (* seq of the event popped last, -1 before any *)
   mutable live : int;
   (* near heap: slots with tick <= cursor, exact (time, seq) order *)
   mutable near : int array;
@@ -108,6 +109,7 @@ let create ?(capacity = 256) ~dummy () =
     link = Array.init cap (fun i -> if i + 1 = cap then -1 else i + 1);
     free_head = 0;
     next_seq = 0;
+    last_seq = -1;
     live = 0;
     near = Array.make 64 0;
     near_size = 0;
@@ -122,6 +124,10 @@ let create ?(capacity = 256) ~dummy () =
 let length t = t.live
 
 let is_empty t = t.live = 0
+
+let next_seq t = t.next_seq
+
+let last_seq t = t.last_seq
 
 (* --- arena -------------------------------------------------------------- *)
 
@@ -487,6 +493,7 @@ let pop t =
     let root = near_pop_root t in
     let time = Array.unsafe_get t.times root in
     let payload = Array.unsafe_get t.payloads root in
+    t.last_seq <- Array.unsafe_get t.seqs root;
     t.live <- t.live - 1;
     free_slot t root;
     Some (time, payload)
@@ -521,6 +528,7 @@ let pop_run t ~clock ~until ~max_events ~k =
           Array.unsafe_set clock 0 time;
           let payload = Array.unsafe_get t.payloads root in
           let aux = Array.unsafe_get t.auxs root in
+          t.last_seq <- Array.unsafe_get t.seqs root;
           t.live <- t.live - 1;
           (* recycle before running: the callback may reuse the slot *)
           free_slot t root;

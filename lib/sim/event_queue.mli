@@ -52,6 +52,15 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 (** Number of live (non-cancelled) events. *)
 
+val next_seq : 'a t -> int
+(** The tie-break number the next added event will get: the count of
+    events added so far. Reading it consumes nothing. *)
+
+val last_seq : 'a t -> int
+(** The tie-break number of the event {!pop} or {!pop_run} removed
+    last, set before {!pop_run} calls [k] on it; [-1] before the first
+    pop. *)
+
 val add : 'a t -> time:float -> 'a -> id
 (** [add q ~time v] schedules [v] at [time] and returns its handle. *)
 

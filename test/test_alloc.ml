@@ -182,6 +182,54 @@ let test_checked_words_per_frame ~max_words () =
        (gate: %g)"
       per_frame max_words
 
+(* One LAMS frame through the sender: offered, put on the wire, carried
+   by the link to a receiver that drops it, and released by a
+   checkpoint. The buffer slot, the rings and the engine reuse their
+   storage. In the release build the loop allocates 14 words: the
+   I-frame and its wire box (5), the departure boxed for the link's
+   [distance_m] closure, once by the sender and once by the link (4),
+   the link's [rx] record (3) and the checkpoint's boxed rate factor
+   (2). The dev profile adds the floats boxed at cross-module calls; a
+   sender that allocates per buffered frame (a record, its float array
+   and a queue cell) fails the gate. *)
+let test_sender_frame_lifecycle ~max_words () =
+  let engine = Sim.Engine.create () in
+  let forward =
+    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:1000. ~data_rate_bps:1e9
+      ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  Channel.Link.set_receiver forward (fun _ -> ());
+  (* a 1 s checkpoint interval keeps the checkpoint timer quiet *)
+  let params = { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 1. } in
+  let sender =
+    Lams_dlc.Sender.create engine ~params ~forward ~metrics:(Dlc.Metrics.create ())
+      ~probe:(Dlc.Probe.create ())
+  in
+  let payload = Frame.Payload.of_string "lifecycle" in
+  let warmup = 10 and calls = 1_000 in
+  let checkpoints =
+    Array.init (warmup + calls) (fun i ->
+        {
+          Channel.Link.frame =
+            Frame.Wire.Control
+              (Frame.Cframe.checkpoint ~cp_seq:i ~issue_time:1e9 ~stop_go:false
+                 ~enforced:false ~next_expected:(i + 1) ~naks:[]);
+          status = Channel.Link.Rx_ok;
+        })
+  in
+  let next = ref 0 in
+  gate ~warmup ~calls ~what:"LAMS frame offered, transmitted and released"
+    ~max_words (fun () ->
+      ignore (Lams_dlc.Sender.offer sender payload : bool);
+      (* the end of serialisation and the arrival *)
+      ignore (Sim.Engine.step engine : bool);
+      ignore (Sim.Engine.step engine : bool);
+      Lams_dlc.Sender.on_rx sender checkpoints.(!next);
+      incr next);
+  Alcotest.(check int) "every frame released" 0 (Lams_dlc.Sender.backlog sender)
+
 let suite =
   [
     Alcotest.test_case "default_payload: at most 8 words" `Quick
@@ -195,8 +243,8 @@ let suite =
     Alcotest.test_case "rng draws: 0 words" `Quick test_rng_draws;
     Alcotest.test_case "LAMS receiver NAK marking: at most 1 word" `Quick
       test_receiver_nak_marking;
-    Alcotest.test_case "LAMS session within 75 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:75. (fun c ->
+    Alcotest.test_case "LAMS session within 64 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:64. (fun c ->
            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
     Alcotest.test_case "SR-HDLC session within 95 words per frame" `Quick
       (test_scenario_words_per_frame ~max_words:95. (fun c ->
@@ -206,7 +254,10 @@ let suite =
       test_link_send_idle;
     Alcotest.test_case "typed probe emits, no subscriber: 0 words" `Quick
       test_probe_idle_emits;
-    Alcotest.test_case "checked LAMS session with a recorder within 78 words per frame"
+    Alcotest.test_case "checked LAMS session with a recorder within 69 words per frame"
       `Quick
-      (test_checked_words_per_frame ~max_words:78.);
+      (test_checked_words_per_frame ~max_words:69.);
+    Alcotest.test_case "LAMS frame offered, sent and released: at most 44 words"
+      `Quick
+      (test_sender_frame_lifecycle ~max_words:44.);
   ]

@@ -74,6 +74,40 @@ let test_step () =
   Alcotest.(check bool) "one step" true (Sim.Engine.step e);
   Alcotest.(check bool) "drained" false (Sim.Engine.step e)
 
+(* [next_seq] and [last_seq] expose the (time, seq) order to components
+   that settle events of their own in place. *)
+let test_event_order_values () =
+  let e = Sim.Engine.create () in
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.Engine.next_seq e);
+  Alcotest.(check int) "a fresh engine is caught up" max_int (Sim.Engine.last_seq e);
+  let seen = ref [] in
+  let note () = seen := (Sim.Engine.last_seq e, Sim.Engine.next_seq e) :: !seen in
+  let at time f = ignore (Sim.Engine.schedule_at e ~time f : Sim.Engine.event_id) in
+  at 1. note;
+  at 1. note;
+  at 2. (fun () ->
+      note ();
+      at 2. note);
+  at 3. (fun () -> failwith "boom");
+  Alcotest.(check int) "four scheduled" 4 (Sim.Engine.next_seq e);
+  Sim.Engine.run e ~max_events:1;
+  Alcotest.(check (list (pair int int))) "inside a callback" [ (0, 4) ] !seen;
+  Alcotest.(check int) "after max_events: the last event run" 0
+    (Sim.Engine.last_seq e);
+  Sim.Engine.run e ~until:1.5;
+  Alcotest.(check int) "after run ~until: caught up" max_int (Sim.Engine.last_seq e);
+  Sim.Engine.run e ~until:2.5;
+  Alcotest.(check (list (pair int int)))
+    "seqs in (time, seq) order; reading consumes none"
+    [ (0, 4); (1, 4); (2, 4); (4, 5) ]
+    (List.rev !seen);
+  Alcotest.check_raises "the callback raises" (Failure "boom") (fun () ->
+      Sim.Engine.run e);
+  Alcotest.(check int) "after a raise: the raising event" 3 (Sim.Engine.last_seq e);
+  Alcotest.(check (float 0.)) "at its time" 3. (Sim.Engine.now e);
+  Sim.Engine.run e;
+  Alcotest.(check int) "after draining: caught up" max_int (Sim.Engine.last_seq e)
+
 (* --- Timer --- *)
 
 let test_timer_fires () =
@@ -196,4 +230,5 @@ let suite =
     Alcotest.test_case "timer restart after fire" `Quick test_timer_restart_after_fire;
     Alcotest.test_case "timer remaining" `Quick test_timer_remaining;
     Alcotest.test_case "timer set_duration" `Quick test_timer_set_duration;
+    Alcotest.test_case "event order values" `Quick test_event_order_values;
   ]

@@ -9,7 +9,7 @@ type harness = {
   sent : Frame.Cframe.checkpoint list ref;  (* newest first *)
 }
 
-let make ?(w_cp = 1e-3) ?(c_depth = 3) () =
+let make ?(w_cp = 1e-3) ?(c_depth = 3) ?(tune = Fun.id) () =
   let engine = Sim.Engine.create () in
   (* reverse link: captures what the receiver emits *)
   let reverse =
@@ -27,7 +27,7 @@ let make ?(w_cp = 1e-3) ?(c_depth = 3) () =
       | _ -> ());
   Channel.Link.set_receiver reverse (fun _ -> ());
   let params =
-    { Lams_dlc.Params.default with Lams_dlc.Params.w_cp; c_depth }
+    tune { Lams_dlc.Params.default with Lams_dlc.Params.w_cp; c_depth }
   in
   let receiver =
     Lams_dlc.Receiver.create engine ~params ~reverse
@@ -322,6 +322,43 @@ let prop_ledger_matches_reference =
       List.iter step ops;
       true)
 
+(* Drains settle in the engine's (time, seq) order, ties included. A
+   frame arrives at 1/8 s and drains at 1/4 s, the instant of the first
+   checkpoint. The checkpoint tick was scheduled before the drain, so it
+   still counts the frame: with both watermarks at 0 it says Stop. An
+   event scheduled after the drain, at the same instant, finds it gone.
+   All instants are dyadic, so the tie is exact. *)
+let test_drain_tie_order () =
+  let h =
+    make ~w_cp:0.25
+      ~tune:(fun p ->
+        {
+          p with
+          Lams_dlc.Params.t_proc = 0.125;
+          recv_high_watermark = 0;
+          recv_low_watermark = 0;
+        })
+      ()
+  in
+  let after = ref None in
+  let at time f = ignore (Sim.Engine.schedule_at h.engine ~time f : Sim.Engine.event_id) in
+  at 0.125 (fun () ->
+      arrive h 0;
+      at 0.25 (fun () ->
+          after :=
+            Some
+              ( Lams_dlc.Receiver.queue_length h.receiver,
+                Lams_dlc.Receiver.stop_state h.receiver )));
+  Sim.Engine.run h.engine ~until:0.375;
+  let cp = latest_cp h in
+  Alcotest.(check int) "one checkpoint" 0 cp.Frame.Cframe.cp_seq;
+  Alcotest.(check bool) "the earlier tick sees the frame: Stop" true
+    cp.Frame.Cframe.stop_go;
+  Alcotest.(check (option (pair int bool)))
+    "a later event at the drain instant sees it drained" (Some (0, false)) !after;
+  Alcotest.(check int) "drained for good" 0
+    (Lams_dlc.Receiver.queue_length h.receiver)
+
 let suite =
   [
     Alcotest.test_case "clean stream: empty naks" `Quick test_clean_stream_empty_naks;
@@ -339,4 +376,6 @@ let suite =
     Alcotest.test_case "checkpoint cadence" `Quick test_checkpoint_cadence;
     QCheck_alcotest.to_alcotest prop_seq_set_matches_set;
     QCheck_alcotest.to_alcotest prop_ledger_matches_reference;
+    Alcotest.test_case "drains settle in (time, seq) order" `Quick
+      test_drain_tie_order;
   ]

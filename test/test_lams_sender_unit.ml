@@ -267,6 +267,35 @@ let test_scrambled_seq_gap () =
     "three awaiting delivery" 3
     (Lams_dlc.Sender.backlog h.sender)
 
+(* A duplicated entry has a buffer slot of its own. Here the copy is
+   still queued when its original is released, and new payloads are
+   offered before the copy goes out: a copy that shared the original's
+   slot would find it freed and handed to one of them. *)
+let test_duplicate_outlives_original () =
+  let h = make () in
+  (* 1,000 bytes keep the 1 Gbit/s link busy for about 8 us *)
+  let big = String.make 1000 'a' in
+  Alcotest.(check bool) "offered" true
+    (Lams_dlc.Sender.offer h.sender (Frame.Payload.of_string big));
+  run_for h 2e-6;
+  Alcotest.(check (option string)) "duplicated while seq 0 is on the wire"
+    (Some "duplicated unreleased seq 0 into the retx queue")
+    (Lams_dlc.Sender.duplicate_buffer_entry h.sender);
+  checkpoint h ~issue_time:1. ~next_expected:1 [];
+  Alcotest.(check (list string)) "original released" [ "released 0" ] (resolved h);
+  offer h ~first:1 2;
+  run_for h 1e-3;
+  Alcotest.(check (list (pair int string)))
+    "the copy carries its own payload"
+    [ (0, big); (1, big); (2, "p1"); (3, "p2") ]
+    (List.rev !(h.txed));
+  Alcotest.(check (option (float 1e-12))) "copy's delay runs from the original offer"
+    (Some (Sim.Engine.now h.engine))
+    (deliver h 1);
+  Alcotest.(check (option (float 1e-12))) "a new payload's from its own"
+    (Some (Sim.Engine.now h.engine -. 2e-6))
+    (deliver h 2)
+
 let suite =
   [
     Alcotest.test_case "coverage releases below next_expected, requeues the rest"
@@ -280,4 +309,6 @@ let suite =
       test_duplicate_entry_and_span_peak;
     Alcotest.test_case "scrambled seq gap of 1,000,000" `Quick
       test_scrambled_seq_gap;
+    Alcotest.test_case "duplicate outlives its released original" `Quick
+      test_duplicate_outlives_original;
   ]
