@@ -704,29 +704,30 @@ let corruption_outcome_json (o : Experiments.E22_corruption.outcome) =
         string_of_int (List.length o.Experiments.E22_corruption.violations) );
     ]
 
-let corruption_handover_json (o : Experiments.E22_corruption.handover_outcome) =
+let corruption_handover_json (h : Experiments.E22_corruption.handover_outcome) =
+  let o = h.Experiments.E22_corruption.outcome in
   json_obj
     [
       ("variant", Stats.Jsonstr.escape "handover");
-      ("script", Stats.Jsonstr.escape o.Experiments.E22_corruption.h_spec);
-      ("injected", string_of_int o.Experiments.E22_corruption.h_injected);
-      ("skipped", string_of_int o.Experiments.E22_corruption.h_skipped);
+      ("script", Stats.Jsonstr.escape o.Experiments.E22_corruption.spec);
+      ("injected", string_of_int o.Experiments.E22_corruption.injected);
+      ("skipped", string_of_int o.Experiments.E22_corruption.skipped);
       ( "converged_windows",
-        string_of_int o.Experiments.E22_corruption.h_converged );
+        string_of_int o.Experiments.E22_corruption.converged );
       ( "time_to_convergence",
         Stats.Jsonstr.float_repr
-          o.Experiments.E22_corruption.h_time_to_convergence );
-      ("tolerated", string_of_int o.Experiments.E22_corruption.h_tolerated);
-      ("casualties", string_of_int o.Experiments.E22_corruption.casualties);
+          o.Experiments.E22_corruption.time_to_convergence );
+      ("tolerated", string_of_int o.Experiments.E22_corruption.tolerated);
+      ("casualties", string_of_int h.Experiments.E22_corruption.casualties);
       ( "declared_failure",
-        string_of_bool o.Experiments.E22_corruption.h_declared );
+        string_of_bool o.Experiments.E22_corruption.declared_failure );
       ( "unconverged",
-        string_of_bool o.Experiments.E22_corruption.h_unconverged );
+        string_of_bool o.Experiments.E22_corruption.unconverged );
       ( "messages_completed",
-        string_of_int o.Experiments.E22_corruption.messages_completed );
-      ("sessions", string_of_int o.Experiments.E22_corruption.sessions);
+        string_of_int o.Experiments.E22_corruption.delivered );
+      ("sessions", string_of_int h.Experiments.E22_corruption.sessions);
       ( "oracle_violations",
-        string_of_int (List.length o.Experiments.E22_corruption.h_violations)
+        string_of_int (List.length o.Experiments.E22_corruption.violations)
       );
     ]
 
@@ -754,8 +755,9 @@ let print_corruption_outcome ~json (o : Experiments.E22_corruption.outcome) =
   end
 
 let print_corruption_handover ~json
-    (o : Experiments.E22_corruption.handover_outcome) =
-  if json then print_endline (corruption_handover_json o)
+    (h : Experiments.E22_corruption.handover_outcome) =
+  let o = h.Experiments.E22_corruption.outcome in
+  if json then print_endline (corruption_handover_json h)
   else begin
     Format.printf
       "handover under %s:@.  %d injected (%d skipped), %d suspect \
@@ -763,20 +765,20 @@ let print_corruption_handover ~json
        tolerated anomalies, %d casualties on the ledger; declared \
        failure: %b; unconverged: %b@.  %d message(s) reassembled across \
        %d session(s)@."
-      o.Experiments.E22_corruption.h_spec
-      o.Experiments.E22_corruption.h_injected
-      o.Experiments.E22_corruption.h_skipped
-      o.Experiments.E22_corruption.h_converged
-      o.Experiments.E22_corruption.h_time_to_convergence
-      o.Experiments.E22_corruption.h_tolerated
-      o.Experiments.E22_corruption.casualties
-      o.Experiments.E22_corruption.h_declared
-      o.Experiments.E22_corruption.h_unconverged
-      o.Experiments.E22_corruption.messages_completed
-      o.Experiments.E22_corruption.sessions;
+      o.Experiments.E22_corruption.spec
+      o.Experiments.E22_corruption.injected
+      o.Experiments.E22_corruption.skipped
+      o.Experiments.E22_corruption.converged
+      o.Experiments.E22_corruption.time_to_convergence
+      o.Experiments.E22_corruption.tolerated
+      h.Experiments.E22_corruption.casualties
+      o.Experiments.E22_corruption.declared_failure
+      o.Experiments.E22_corruption.unconverged
+      o.Experiments.E22_corruption.delivered
+      h.Experiments.E22_corruption.sessions;
     List.iter
       (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
-      o.Experiments.E22_corruption.h_violations
+      o.Experiments.E22_corruption.violations
   end
 
 let handover_run_cmd =

@@ -434,23 +434,11 @@ let describe t =
 
 (* ---- script text format ------------------------------------------------- *)
 
-let parse_kv tok =
-  match String.index_opt tok '=' with
-  | None -> None
-  | Some i ->
-      Some
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
+let parse_kv = Script.parse_kv
 
-let int_of ~what v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "%s: bad integer %S" what v)
+let int_of = Script.int_of
 
-let float_of ~what v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: bad number %S" what v)
+let float_of = Script.float_of
 
 let ( let* ) = Result.bind
 
@@ -620,44 +608,8 @@ let parse_adversary_line tokens =
              lies;
            })
 
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go i acc adversary = function
-    | [] -> (
-        match (adversary, List.rev acc) with
-        | Some a, [] -> Ok a
-        | Some _, _ :: _ ->
-            Error "fault script: cannot mix adversary with rule lines"
-        | None, [] -> Error "fault script: empty script"
-        | None, rules -> Ok (Rules rules))
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | None -> line
-          | Some j -> String.sub line 0 j
-        in
-        let tokens =
-          String.split_on_char ' ' line
-          |> List.concat_map (String.split_on_char '\t')
-          |> List.filter (fun s -> s <> "")
-        in
-        match tokens with
-        | [] -> go (i + 1) acc adversary rest
-        | "adversary" :: args -> (
-            match parse_adversary_line args with
-            | Ok a ->
-                if adversary <> None then
-                  Error (Printf.sprintf "line %d: duplicate adversary line" i)
-                else go (i + 1) acc (Some a) rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" i e))
-        | _ -> (
-            match parse_rule_line tokens with
-            | Ok r -> go (i + 1) (r :: acc) adversary rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" i e)))
-  in
-  go 1 [] None lines
+let of_string =
+  Script.parse ~what:"fault script" ~adversary:parse_adversary_line
+    ~rule:parse_rule_line ~rules:(fun rules -> Rules rules)
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_string text
-  | exception Sys_error e -> Error e
+let load = Script.load of_string

@@ -81,26 +81,41 @@ type outcome = {
    - [`Recovery]: on [Recovery_started], before the Request-NAK is sent
      — enforced recovery itself runs into the outage. *)
 let install_phase_cut engine ~probe ~duplex ~cut ~outage =
+  let armed = ref true in
+  let fire () =
+    if !armed then begin
+      armed := false;
+      Channel.Duplex.set_down duplex;
+      ignore
+        (Sim.Engine.schedule engine ~delay:outage (fun () ->
+             Channel.Duplex.set_up duplex)
+          : Sim.Engine.event_id)
+    end
+  in
   match cut with
   | `None -> ()
-  | (`First_tx | `First_nak | `Recovery) as phase ->
-      let armed = ref true in
-      Dlc.Probe.subscribe probe (fun ~now:_ ev ->
-          let hit =
-            match (phase, ev) with
-            | `First_tx, Dlc.Probe.Tx _ -> true
-            | `First_nak, Dlc.Probe.Cp_emitted { naks = _ :: _; _ } -> true
-            | `Recovery, Dlc.Probe.Recovery_started -> true
-            | _ -> false
-          in
-          if !armed && hit then begin
-            armed := false;
-            Channel.Duplex.set_down duplex;
-            ignore
-              (Sim.Engine.schedule engine ~delay:outage (fun () ->
-                   Channel.Duplex.set_up duplex)
-                : Sim.Engine.event_id)
-          end)
+  | `First_tx ->
+      Dlc.Probe.listen probe
+        {
+          Dlc.Probe.no_handlers with
+          tx = (fun ~seq:_ ~payload:_ ~retx:_ -> fire ());
+        }
+  | `First_nak ->
+      Dlc.Probe.listen probe
+        {
+          Dlc.Probe.no_handlers with
+          cp_emitted =
+            (fun ~cp_seq:_ ~next_expected:_ ~enforced:_ ~stop_go:_ ~naks ->
+              match naks with _ :: _ -> fire () | [] -> ());
+        }
+  | `Recovery ->
+      Dlc.Probe.listen probe
+        {
+          Dlc.Probe.no_handlers with
+          other =
+            (fun ~now:_ -> function
+              | Dlc.Probe.Recovery_started -> fire () | _ -> ());
+        }
 
 (* Plan.t and setup are pure data, so the task's whole configuration can
    be content-addressed in one Marshal digest — the capture filename
@@ -108,11 +123,7 @@ let install_phase_cut engine ~probe ~duplex ~cut ~outage =
 let fingerprint ~seed setup =
   Digest.to_hex (Digest.string (Marshal.to_string (seed, setup) []))
 
-let run_transfer ~seed setup =
-  let capture =
-    Trace.Capture.start ~proto:"handover" ~seed
-      ~fingerprint:(fingerprint ~seed setup) ()
-  in
+let transfer ?recorder ?corrupt ~seed setup =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed in
   let duplex =
@@ -129,10 +140,13 @@ let run_transfer ~seed setup =
         duplex.Channel.Duplex.forward
   | None -> ());
   let probe = Dlc.Probe.create () in
-  (match capture with
-  | Some c -> Trace.Recorder.attach_probe (Trace.Capture.recorder c) probe
+  (match recorder with
+  | Some r -> Trace.Recorder.attach_probe r probe
   | None -> ());
-  let transfer = Oracle.Transfer.create ~name:"e21-transfer" in
+  let transfer = Oracle.Transfer.create ~name:"handover-transfer" in
+  (match corrupt with
+  | Some (_, k) -> Oracle.Transfer.set_convergence transfer ~k
+  | None -> ());
   Oracle.Transfer.observe transfer probe;
   let manager =
     Handover.Manager.create ~probe engine ~params:setup.params ~duplex
@@ -140,6 +154,12 @@ let run_transfer ~seed setup =
   in
   Handover.Manager.set_on_suspicious_replay manager
     (Oracle.Transfer.mark_suspicious transfer);
+  (match corrupt with
+  | Some (schedule, _) ->
+      Handover.Manager.set_corruptor
+        ~on_casualty:(Oracle.Transfer.declare_casualty transfer)
+        manager schedule
+  | None -> ());
   install_phase_cut engine ~probe ~duplex ~cut:setup.cut
     ~outage:setup.cut_outage;
   List.iter
@@ -209,7 +229,17 @@ let run_transfer ~seed setup =
       violation_count = Oracle.Transfer.violation_count transfer;
     }
   in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
+  (outcome, transfer)
+
+let run_transfer ~seed setup =
+  let capture =
+    Trace.Capture.start ~proto:"handover" ~seed
+      ~fingerprint:(fingerprint ~seed setup) ()
+  in
+  let outcome, _ =
+    transfer ?recorder:(Option.map Trace.Capture.recorder capture) ~seed setup
+  in
+  Option.iter Trace.Capture.finish capture;
   outcome
 
 (* --- matrix points ------------------------------------------------------- *)

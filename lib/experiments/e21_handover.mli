@@ -59,6 +59,19 @@ type outcome = {
 val run_transfer : seed:int -> setup -> outcome
 (** One full journey; captures a trace when {!Trace.Config} is set. *)
 
+val transfer :
+  ?recorder:Trace.Recorder.t ->
+  ?corrupt:Dlc.Corrupt.t * int ->
+  seed:int ->
+  setup ->
+  outcome * Oracle.Transfer.t
+(** The journey of {!run_transfer}, recorded into [recorder] when given.
+    [corrupt = (schedule, k)] dispatches a compiled corruption schedule
+    into whichever session is live, runs the {!Oracle.Transfer} check in
+    convergence mode with budget [k], and puts the carryover entries the
+    schedule destroys on its casualty ledger (E22's handover row). The
+    finalized check comes back for its convergence summary. *)
+
 val outcome_metrics : outcome -> (string * float) list
 (** The outcome as a matrix metric vector; [oracle_violations] is
     {!outcome.violation_count}. *)

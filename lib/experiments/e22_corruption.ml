@@ -81,27 +81,28 @@ type outcome = {
 
 let max_or_zero = List.fold_left max 0.
 
-let fingerprint ~seed ~variant spec =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [ string_of_int seed; variant; Dlc.Corrupt.describe spec ]))
-
-let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
-  let tag = variant_tag variant in
-  let corrupt = Dlc.Corrupt.compile spec in
+(* A content-addressed capture when {!Trace.Config} is set and the caller
+   records nothing itself; the recorder to use either way. *)
+let capture ?recorder ~proto ~seed fingerprint =
   let capture =
     match (recorder, Trace.Config.get ()) with
     | Some _, _ | None, None -> None
     | None, Some _ ->
-        Trace.Capture.start ~proto:("e22-" ^ tag) ~seed
-          ~fingerprint:(fingerprint ~seed ~variant:tag corrupt)
+        Trace.Capture.start ~proto ~seed
+          ~fingerprint:
+            (Digest.to_hex (Digest.string (String.concat "|" fingerprint)))
           ()
   in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
+  match capture with
+  | Some c -> (capture, Some (Trace.Capture.recorder c))
+  | None -> (None, recorder)
+
+let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
+  let tag = variant_tag variant in
+  let corrupt = Dlc.Corrupt.compile spec in
+  let capture, recorder =
+    capture ?recorder ~proto:("e22-" ^ tag) ~seed
+      [ string_of_int seed; tag; Dlc.Corrupt.describe corrupt ]
   in
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed in
@@ -155,9 +156,6 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
   (match recorder with
   | Some r -> Trace.Recorder.attach_oracle r oracle
   | None -> ());
-  let declared = ref false in
-  Dlc.Probe.subscribe probe (fun ~now:_ ev ->
-      match ev with Dlc.Probe.Failure_declared -> declared := true | _ -> ());
   Dlc.Corrupt.install corrupt engine ~surface ~probe;
   (* open-loop traffic at half the line rate: the HDLC window keeps
      headroom, so the send-side scramble class stays applicable *)
@@ -185,18 +183,19 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
   session.Dlc.Session.stop ();
   Sim.Engine.run engine ~until:(horizon +. 1.);
   Oracle.finalize oracle;
-  let conv = Oracle.convergence_times oracle in
+  let conv = Oracle.convergence oracle in
   let outcome =
     {
       variant = tag;
       spec = Dlc.Corrupt.describe corrupt;
       injected = Dlc.Corrupt.hits corrupt;
       skipped = Dlc.Corrupt.skipped corrupt;
-      converged = List.length conv;
-      time_to_convergence = max_or_zero conv;
-      tolerated = Oracle.tolerated_count oracle;
-      declared_failure = !declared || Oracle.failure_during_window oracle;
-      unconverged = Oracle.unconverged oracle;
+      converged = List.length conv.times;
+      time_to_convergence = max_or_zero conv.times;
+      tolerated = conv.tolerated;
+      declared_failure =
+        metrics.Dlc.Metrics.failures_detected > 0 || conv.declared;
+      unconverged = conv.unconverged;
       completed = Dlc.Metrics.unique_delivered metrics >= frames;
       delivered = Dlc.Metrics.unique_delivered metrics;
       violations = Oracle.violations oracle;
@@ -208,156 +207,58 @@ let run_one ?recorder ?k:k_override ?(frames = n_frames) ~seed variant spec =
 
 (* --- corruption across a handover (carryover staleness) ----------------- *)
 
-(* The E21 geometry, reused: three contact windows over a 600 km
-   crosslink, one logical transfer of fragmented messages riding a
-   Handover.Manager — now with a corruption schedule dispatched into
-   whichever session is live, and the cross-handover transfer oracle in
-   convergence mode with a casualty ledger for destroyed carryover
-   entries. *)
-let h_windows =
-  [
-    { Orbit.Contact.t_start = 0.; t_end = 0.025 };
-    { Orbit.Contact.t_start = 0.035; t_end = 0.060 };
-    { Orbit.Contact.t_start = 0.070; t_end = 0.095 };
-  ]
-
-let h_plan = Handover.Plan.scripted_exn ~retarget_overhead:2e-3 h_windows
-
-let h_params =
-  {
-    Lams_dlc.Params.default with
-    Lams_dlc.Params.w_cp = 1e-3;
-    c_depth = 3;
-    request_nak_retries = 3;
-  }
-
-(* Big enough that the transfer is still in flight at every window
-   close: carryover snapshots then hold real unresolved entries for the
-   stale-carryover class to destroy, and mid-transfer injections from
-   the soak land on live traffic. 10 x 100 kB at 300 Mbit/s is ~27 ms of
-   line time against 25 ms contact windows. *)
-let h_messages = 10
-
-let h_msg_bytes = 100_000
-
-let h_mtu = 1024
-
-let h_horizon = 0.15
+(* E21's transfer with 100 kB messages, big enough that the transfer is
+   still in flight at every window close: carryover snapshots then hold
+   real unresolved entries for the stale-carryover class to destroy, and
+   mid-transfer injections from the soak land on live traffic. 10 x 100
+   kB at 300 Mbit/s is ~27 ms of line time against 25 ms contact
+   windows. The corruption schedule is dispatched into whichever session
+   is live, and the cross-handover transfer oracle runs in convergence
+   mode with a casualty ledger for destroyed carryover entries. *)
+let handover_setup = { E21_handover.default_setup with msg_bytes = 100_000 }
 
 let h_k = 12
 
 type handover_outcome = {
-  h_spec : string;
-  messages_completed : int;
-  h_injected : int;
-  h_skipped : int;
-  h_converged : int;
-  h_time_to_convergence : float;
-  h_tolerated : int;
+  outcome : outcome;
   casualties : int;  (** payloads destroyed by corruption, exempted losses *)
-  h_declared : bool;
-  h_unconverged : bool;
   sessions : int;
-  h_violations : Oracle.violation list;  (* the first 200 *)
-  h_violation_count : int;
 }
-
-let h_fingerprint ~seed spec =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [ "e22-handover"; string_of_int seed; Dlc.Corrupt.describe spec ]))
 
 let run_handover ?recorder ~seed spec =
   let corrupt = Dlc.Corrupt.compile spec in
-  let capture =
-    match (recorder, Trace.Config.get ()) with
-    | Some _, _ | None, None -> None
-    | None, Some _ ->
-        Trace.Capture.start ~proto:"e22-handover" ~seed
-          ~fingerprint:(h_fingerprint ~seed corrupt) ()
+  let capture, recorder =
+    capture ?recorder ~proto:"e22-handover" ~seed
+      [ "e22-handover"; string_of_int seed; Dlc.Corrupt.describe corrupt ]
   in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
+  let o, transfer =
+    E21_handover.transfer ?recorder ~corrupt:(corrupt, h_k) ~seed
+      handover_setup
   in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:600_000.
-      ~data_rate_bps:300e6
-      ~iframe_error:(Channel.Error_model.uniform ~ber:1e-6 ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:1e-7 ())
-  in
-  let probe = Dlc.Probe.create () in
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_probe r probe
-  | None -> ());
-  let transfer = Oracle.Transfer.create ~name:"e22-transfer" in
-  Oracle.Transfer.set_convergence transfer ~k:h_k;
-  Oracle.Transfer.observe transfer probe;
-  let manager =
-    Handover.Manager.create ~probe engine ~params:h_params ~duplex ~plan:h_plan
-  in
-  Handover.Manager.set_on_suspicious_replay manager
-    (Oracle.Transfer.mark_suspicious transfer);
-  Handover.Manager.set_corruptor
-    ~on_casualty:(Oracle.Transfer.declare_casualty transfer)
-    manager corrupt;
-  let reseq = Netstack.Resequencer.create () in
-  let completed_msgs = ref 0 in
-  Netstack.Resequencer.set_on_message reseq (fun ~src:_ ~msg_id ~body:_ ->
-      incr completed_msgs;
-      Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);
-  Handover.Manager.set_on_deliver manager (fun ~payload ->
-      match Workload.Messages.decode (Frame.Payload.to_string payload) with
-      | Ok frag -> Netstack.Resequencer.push reseq frag
-      | Error e -> failwith ("e22: undecodable fragment: " ^ e));
-  let payloads =
-    List.concat_map
-      (fun msg_id ->
-        let body =
-          String.init h_msg_bytes (fun i ->
-              Char.chr ((((msg_id * 131) + (i * 7)) land 0x3f) + 48))
-        in
-        List.map
-          (fun f -> Frame.Payload.of_string (Workload.Messages.encode f))
-          (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2 ~mtu:h_mtu
-             body))
-      (List.init h_messages (fun i -> i))
-  in
-  List.iter
-    (fun p ->
-      if not (Handover.Manager.offer manager p) then
-        failwith "e22: manager refused an offer before plan end")
-    payloads;
-  Sim.Engine.run engine ~until:h_horizon;
-  Handover.Manager.stop manager;
-  Sim.Engine.run engine ~until:(h_horizon +. 1.);
-  let retained = Handover.Manager.retained manager in
-  Oracle.Transfer.finalize ~retained transfer;
-  let stats = Handover.Manager.stats manager in
-  let conv = Oracle.Transfer.convergence_times transfer in
+  let conv = Oracle.Transfer.convergence transfer in
   let outcome =
     {
-      h_spec = Dlc.Corrupt.describe corrupt;
-      messages_completed = !completed_msgs;
-      h_injected = Dlc.Corrupt.hits corrupt;
-      h_skipped = Dlc.Corrupt.skipped corrupt;
-      h_converged = List.length conv;
-      h_time_to_convergence = max_or_zero conv;
-      h_tolerated = Oracle.Transfer.tolerated_count transfer;
-      casualties = Oracle.Transfer.casualties_lost transfer;
-      h_declared = Oracle.Transfer.failure_during_window transfer;
-      h_unconverged = Oracle.Transfer.unconverged transfer;
-      sessions = stats.Handover.Manager.sessions_created;
-      h_violations = Oracle.Transfer.violations transfer;
-      h_violation_count = Oracle.Transfer.violation_count transfer;
+      variant = "handover";
+      spec = Dlc.Corrupt.describe corrupt;
+      injected = Dlc.Corrupt.hits corrupt;
+      skipped = Dlc.Corrupt.skipped corrupt;
+      converged = List.length conv.times;
+      time_to_convergence = max_or_zero conv.times;
+      tolerated = conv.tolerated;
+      declared_failure = conv.declared;
+      unconverged = conv.unconverged;
+      completed = o.E21_handover.completed;
+      delivered = o.E21_handover.messages_completed;
+      violations = o.E21_handover.violations;
+      violation_count = o.E21_handover.violation_count;
     }
   in
   (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  {
+    outcome;
+    casualties = Oracle.Transfer.casualties_lost transfer;
+    sessions = o.E21_handover.sessions;
+  }
 
 let carryover_spec =
   Dlc.Corrupt.Rules
@@ -384,21 +285,7 @@ let outcome_metrics o =
     ("oracle_violations", f o.violation_count);
   ]
 
-let handover_metrics o =
-  let f = float_of_int in
-  let b v = if v then 1. else 0. in
-  [
-    ("injected", f o.h_injected);
-    ("skipped", f o.h_skipped);
-    ("converged_windows", f o.h_converged);
-    ("time_to_convergence", o.h_time_to_convergence);
-    ("tolerated", f o.h_tolerated);
-    ("declared_failure", b o.h_declared);
-    ("unconverged", b o.h_unconverged);
-    ("completed", b (o.messages_completed >= h_messages));
-    ("delivered", f o.messages_completed);
-    ("oracle_violations", f o.h_violation_count);
-  ]
+let handover_metrics o = outcome_metrics o.outcome
 
 let handover_point ~label spec =
   {
@@ -498,44 +385,28 @@ let run ?spec ?(quick = false) ppf =
         in
         List.map (fun (cname, klass) -> (cname, `Spec (spec_of klass))) cs
   in
+  let add_row cname o =
+    Stats.Table.add_row table
+      [
+        o.variant;
+        cname;
+        (if o.injected > 0 then string_of_int o.injected
+         else Printf.sprintf "%d skip" o.skipped);
+        string_of_int o.tolerated;
+        Printf.sprintf "%d/%d" o.converged
+          (o.converged + if o.unconverged then 1 else 0);
+        Printf.sprintf "%.2f" (o.time_to_convergence *. 1e3);
+        (if o.declared_failure then "yes" else "-");
+        (if o.violation_count = 0 then "clean"
+         else string_of_int o.violation_count);
+      ]
+  in
   List.iter
     (fun v ->
-      List.iter
-        (fun (cname, `Spec s) ->
-          let o = run_one ~seed:11 v s in
-          Stats.Table.add_row table
-            [
-              o.variant;
-              cname;
-              (if o.injected > 0 then string_of_int o.injected
-               else Printf.sprintf "%d skip" o.skipped);
-              string_of_int o.tolerated;
-              Printf.sprintf "%d/%d" o.converged
-                (o.converged + if o.unconverged then 1 else 0);
-              Printf.sprintf "%.2f" (o.time_to_convergence *. 1e3);
-              (if o.declared_failure then "yes" else "-");
-              (if o.violation_count = 0 then "clean"
-               else string_of_int o.violation_count);
-            ])
-        rows)
+      List.iter (fun (cname, `Spec s) -> add_row cname (run_one ~seed:11 v s)) rows)
     vs;
-  let oh =
-    run_handover ~seed:11 (Option.value spec ~default:carryover_spec)
-  in
-  Stats.Table.add_row table
-    [
-      "handover";
-      "carryover-stale";
-      (if oh.h_injected > 0 then string_of_int oh.h_injected
-       else Printf.sprintf "%d skip" oh.h_skipped);
-      string_of_int oh.h_tolerated;
-      Printf.sprintf "%d/%d" oh.h_converged
-        (oh.h_converged + if oh.h_unconverged then 1 else 0);
-      Printf.sprintf "%.2f" (oh.h_time_to_convergence *. 1e3);
-      (if oh.h_declared then "yes" else "-");
-      (if oh.h_violation_count = 0 then "clean"
-       else string_of_int oh.h_violation_count);
-    ];
+  add_row "carryover-stale"
+    (run_handover ~seed:11 (Option.value spec ~default:carryover_spec)).outcome;
   Report.table ppf table;
   Report.note ppf
     "Expect: every row clean with a finite time-to-convergence, or an\n\

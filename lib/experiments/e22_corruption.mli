@@ -69,27 +69,20 @@ val run_one :
     traces). *)
 
 type handover_outcome = {
-  h_spec : string;
-  messages_completed : int;
-  h_injected : int;
-  h_skipped : int;
-  h_converged : int;
-  h_time_to_convergence : float;
-  h_tolerated : int;
+  outcome : outcome;
+      (** variant ["handover"]; [delivered] counts the messages
+          reassembled at the sink *)
   casualties : int;  (** payloads destroyed by corruption, exempted losses *)
-  h_declared : bool;
-  h_unconverged : bool;
   sessions : int;
-  h_violations : Oracle.violation list;  (** the first 200 *)
-  h_violation_count : int;  (** all of them *)
 }
 
 val run_handover :
   ?recorder:Trace.Recorder.t -> seed:int -> Dlc.Corrupt.spec -> handover_outcome
-(** One multi-window transfer (the E21 geometry) with the corruption
-    schedule dispatched into whichever session is live, carryover rules
-    corrupting close-time snapshots, and {!Oracle.Transfer} in
-    convergence mode with destroyed entries on the casualty ledger. *)
+(** One multi-window transfer ({!E21_handover.transfer} with 100 kB
+    messages) with the corruption schedule dispatched into whichever
+    session is live, carryover rules corrupting close-time snapshots,
+    and {!Oracle.Transfer} in convergence mode with destroyed entries on
+    the casualty ledger. *)
 
 val carryover_spec : Dlc.Corrupt.spec
 (** Canonical carryover corruption: drop 1 entry, flip the survivors'
@@ -100,8 +93,7 @@ val outcome_metrics : outcome -> (string * float) list
     {!outcome.violation_count}. *)
 
 val handover_metrics : handover_outcome -> (string * float) list
-(** Likewise for a handover run; [oracle_violations] is
-    [h_violation_count]. *)
+(** {!outcome_metrics} of the run's [outcome]. *)
 
 val points : quick:bool -> Runner.point list
 

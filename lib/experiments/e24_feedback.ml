@@ -205,7 +205,7 @@ let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
         (Nbdt.Session.as_dlc s, Nbdt.Session.probe s, Oracle.Nbdt)
   in
   let oracle = Oracle.create ~name:("e24-" ^ tag) profile in
-  let feedback = Oracle.Feedback.create ~bucket:1e-3 oracle in
+  let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
   (* recorder first, oracle second, so a probe event and the violation it
      triggers land in the flight ring in causal order *)
   (match recorder with
@@ -280,7 +280,7 @@ let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
       resolved = List.length resync_times;
       time_to_resync = max_or_zero resync_times;
       unresolved = Oracle.Feedback.unresolved feedback;
-      wrongful = Oracle.Feedback.wrongful_releases feedback;
+      wrongful = Oracle.wrongful_releases oracle;
       violations = Oracle.violation_count oracle;
       delivered = Dlc.Metrics.unique_delivered metrics;
       completed = Dlc.Metrics.unique_delivered metrics >= frames;

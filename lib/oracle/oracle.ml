@@ -42,32 +42,176 @@ let n_last_r = 1  (* the last of them *)
 
 let n_fields = 2
 
+(* --- the violation ledger ----------------------------------------------- *)
+
+let max_recorded = 200
+
+(* The first [max_recorded] violations, newest first, and an exact count;
+   [kind] names them in the report's header. *)
+type ledger = {
+  name : string;
+  kind : string;
+  mutable recorded : violation list;
+  mutable count : int;
+}
+
+let ledger ~name ~kind = { name; kind; recorded = []; count = 0 }
+
+let record l v =
+  l.count <- l.count + 1;
+  if l.count <= max_recorded then l.recorded <- v :: l.recorded
+
+let recorded l = List.rev l.recorded
+
+let report_of l =
+  if l.count = 0 then ""
+  else begin
+    let b = Buffer.create 256 in
+    Buffer.add_string b
+      (Printf.sprintf "%s: %d %s violation(s)\n" l.name l.count l.kind);
+    List.iter
+      (fun v -> Buffer.add_string b (Format.asprintf "  %a\n" pp_violation v))
+      (recorded l);
+    if l.count > max_recorded then
+      Buffer.add_string b
+        (Printf.sprintf "  ... %d more suppressed\n" (l.count - max_recorded));
+    Buffer.contents b
+  end
+
+(* --- the suspect window (convergence mode) ------------------------------- *)
+
 (* Convergence mode (Dolev et al. self-stabilisation): each
    State_corrupted probe event opens a suspect window. Violations inside
    the window are recorded as tolerated anomalies instead of failures;
    the window closes — with a Converged probe event carrying the
    time-to-convergence — once [k] checkpoints have been emitted with the
-   anomalies stopped. [k = 0] never opens the window: every
-   post-injection anomaly stays a real violation (the tripwire). *)
-type convergence = {
+   anomalies stopped, or without one when the protocol declares failure.
+   [k = 0] never opens the window: every post-injection anomaly stays a
+   real violation (the tripwire). The base oracle and {!Transfer} each
+   hold one; which violations it absorbs is the caller's rule. *)
+type window = {
   k : int;
-  mutable window_open : float option;  (* injection time *)
+  mutable opened : float option;  (* injection time *)
   mutable cps_since : int;  (* checkpoints since the last injection *)
-  mutable window_anomalies : int;
+  mutable anomalies : int;  (* in the open window *)
   mutable last_anomaly : float;
-  mutable tolerated : violation list;  (* newest first *)
-  mutable tolerated_count : int;
+  mutable tolerated : int;
   mutable injections : int;
   mutable declared : bool;  (* some window ended in a declared failure *)
-  mutable conv_times : float list;  (* newest first *)
-  mutable unconverged_at_finalize : bool;
+  mutable times : float list;  (* newest first *)
+  mutable unconverged : bool;  (* open with anomalies at finalize *)
 }
+
+let window ~who ~k =
+  if k < 0 then invalid_arg (who ^ ".set_convergence: k must be >= 0");
+  {
+    k;
+    opened = None;
+    cps_since = 0;
+    anomalies = 0;
+    last_anomaly = neg_infinity;
+    tolerated = 0;
+    injections = 0;
+    declared = false;
+    times = [];
+    unconverged = false;
+  }
+
+let suspect w = match w.opened with Some _ -> true | None -> false
+
+let inject w ~now =
+  w.injections <- w.injections + 1;
+  if w.k > 0 then begin
+    (match w.opened with
+    | None ->
+        w.opened <- Some now;
+        w.anomalies <- 0;
+        w.last_anomaly <- neg_infinity
+    | Some _ -> ());
+    (* a fresh injection restarts the clean-checkpoint count *)
+    w.cps_since <- 0
+  end
+
+let tolerate w ~time =
+  w.anomalies <- w.anomalies + 1;
+  w.tolerated <- w.tolerated + 1;
+  if (not (Float.is_nan time)) && time > w.last_anomaly then
+    w.last_anomaly <- time
+
+(* Close the window opened at [t0]; its time-to-convergence runs from the
+   injection to the last anomaly. *)
+let converge w t0 =
+  let after =
+    if w.anomalies = 0 || w.last_anomaly < t0 then 0.
+    else w.last_anomaly -. t0
+  in
+  w.times <- after :: w.times;
+  w.opened <- None;
+  after
+
+(* A checkpoint emitted on [probe]: the [k]th since the last injection
+   closes the window and publishes Converged there. *)
+let checkpoint w probe =
+  match w.opened with
+  | None -> ()
+  | Some t0 ->
+      w.cps_since <- w.cps_since + 1;
+      if w.cps_since >= w.k then begin
+        let after = converge w t0 in
+        Dlc.Probe.emit probe ~now:(Dlc.Probe.now probe)
+          (Dlc.Probe.Converged { after; anomalies = w.anomalies })
+      end
+
+(* a declared failure is a legitimate self-stabilisation outcome: the
+   suspect window closes without a Converged event *)
+let fail w =
+  if suspect w then begin
+    w.declared <- true;
+    w.opened <- None
+  end
+
+(* At the end of the run a window still open closes trivially when it
+   saw no anomaly; with anomalies it is recorded as non-convergence. *)
+let finish w ledger =
+  match w.opened with
+  | None -> ()
+  | Some t0 when w.anomalies = 0 -> ignore (converge w t0 : float)
+  | Some _ ->
+      w.unconverged <- true;
+      w.opened <- None;
+      record ledger
+        {
+          time = nan;
+          invariant = "non-convergence";
+          detail =
+            Printf.sprintf
+              "suspect window still open at end of run: %d anomalies after \
+               the last injection and only %d of %d clean checkpoints"
+              w.anomalies w.cps_since w.k;
+        }
+
+type convergence = {
+  times : float list;
+  tolerated : int;
+  declared : bool;
+  unconverged : bool;
+}
+
+let summary = function
+  | None -> { times = []; tolerated = 0; declared = false; unconverged = false }
+  | Some (w : window) ->
+      {
+        times = List.rev w.times;
+        tolerated = w.tolerated;
+        declared = w.declared;
+        unconverged = w.unconverged || suspect w;
+      }
+
+(* --- the base oracle ------------------------------------------------------ *)
 
 type t = {
   profile : profile;
-  name : string;
-  mutable violations : violation list;  (* newest first *)
-  mutable violation_count : int;
+  ledger : ledger;
   mutable wrongful_releases : int;
   frames : Frame.Payload.Index.t;  (* payload -> frame id *)
   mutable frame_ints : int array;
@@ -88,46 +232,31 @@ type t = {
   mutable regular_cps : int;  (* regular checkpoints seen on reverse tx *)
   mutable finalized : bool;
   mutable on_violation : (violation -> unit) option;
-  mutable convergence : convergence option;
-  mutable probe : Dlc.Probe.t option;  (* to publish Converged events *)
+  mutable window : window option;
 }
-
-let max_recorded = 200
 
 (* The no-wrongful-release invariant (see {!Feedback}). *)
 let wrongful invariant =
   invariant = "released-undelivered" || invariant = "release-before-ack"
 
-let record t v =
-  t.violation_count <- t.violation_count + 1;
-  if wrongful v.invariant then t.wrongful_releases <- t.wrongful_releases + 1;
-  if t.violation_count <= max_recorded then t.violations <- v :: t.violations
-
 let violate t ~time invariant detail =
-  match t.convergence with
-  | Some c when c.window_open <> None || (c.injections > 0 && Float.is_nan time)
-    ->
+  match t.window with
+  | Some w when suspect w || (w.injections > 0 && Float.is_nan time) ->
       (* suspect window, or a post-mortem (finalize-time, [nan]-stamped)
          check after an injection — those aggregate over the whole run
          and cannot be attributed to any one window: a tolerated
          anomaly, not a failure *)
-      c.window_anomalies <- c.window_anomalies + 1;
-      c.tolerated_count <- c.tolerated_count + 1;
-      if (not (Float.is_nan time)) && time > c.last_anomaly then
-        c.last_anomaly <- time;
-      if c.tolerated_count <= max_recorded then
-        c.tolerated <- { time; invariant; detail } :: c.tolerated
+      tolerate w ~time
   | _ ->
       let v = { time; invariant; detail } in
-      record t v;
+      record t.ledger v;
+      if wrongful invariant then t.wrongful_releases <- t.wrongful_releases + 1;
       (match t.on_violation with None -> () | Some f -> f v)
 
 let create ?(name = "oracle") profile =
   {
     profile;
-    name;
-    violations = [];
-    violation_count = 0;
+    ledger = ledger ~name ~kind:"invariant";
     wrongful_releases = 0;
     frames = Frame.Payload.Index.create ();
     frame_ints = Array.make (1024 * f_fields) 0;
@@ -148,46 +277,12 @@ let create ?(name = "oracle") profile =
     regular_cps = 0;
     finalized = false;
     on_violation = None;
-    convergence = None;
-    probe = None;
+    window = None;
   }
 
 let set_on_violation t f = t.on_violation <- Some f
 
-let set_convergence t ~k =
-  if k < 0 then invalid_arg "Oracle.set_convergence: k must be >= 0";
-  t.convergence <-
-    Some
-      {
-        k;
-        window_open = None;
-        cps_since = 0;
-        window_anomalies = 0;
-        last_anomaly = neg_infinity;
-        tolerated = [];
-        tolerated_count = 0;
-        injections = 0;
-        declared = false;
-        conv_times = [];
-        unconverged_at_finalize = false;
-      }
-
-let close_window t c ~now ~emit =
-  match c.window_open with
-  | None -> ()
-  | Some t0 ->
-      let after =
-        if c.window_anomalies = 0 || c.last_anomaly < t0 then 0.
-        else c.last_anomaly -. t0
-      in
-      c.conv_times <- after :: c.conv_times;
-      c.window_open <- None;
-      if emit then
-        match t.probe with
-        | Some p ->
-            Dlc.Probe.emit p ~now
-              (Dlc.Probe.Converged { after; anomalies = c.window_anomalies })
-        | None -> ()
+let set_convergence t ~k = t.window <- Some (window ~who:"Oracle" ~k)
 
 let grow_ints a n =
   let b = Array.make (max n (2 * Array.length a)) 0 in
@@ -380,16 +475,6 @@ let on_delivered t clock ~seq ~payload =
         violate t ~time:now "per-seq-duplicate"
           (Printf.sprintf "wire seq %d delivered %d times" seq n)
 
-let on_checkpoint_emitted t ~now =
-  (* checkpoint emission is checked on the reverse-link tap, which sees
-     the wire frame itself; here checkpoints only pace the suspect
-     window of convergence mode *)
-  match t.convergence with
-  | Some c when c.window_open <> None ->
-      c.cps_since <- c.cps_since + 1;
-      if c.cps_since >= c.k then close_window t c ~now ~emit:true
-  | _ -> ()
-
 let on_rare_event t ~now ev =
   match (ev : Dlc.Probe.event) with
   | Recovery_started ->
@@ -406,28 +491,9 @@ let on_rare_event t ~now ev =
       (match t.recovery_open with
       | None -> t.recovery_open <- Some now
       | _ -> ());
-      (* a declared failure is a legitimate self-stabilisation outcome:
-         the suspect window closes without a Converged event *)
-      (match t.convergence with
-      | Some c when c.window_open <> None ->
-          c.declared <- true;
-          c.window_open <- None
-      | _ -> ())
+      (match t.window with Some w -> fail w | None -> ())
   | State_corrupted _ -> (
-      match t.convergence with
-      | None -> ()
-      | Some c ->
-          c.injections <- c.injections + 1;
-          if c.k > 0 then begin
-            (match c.window_open with
-            | None ->
-                c.window_open <- Some now;
-                c.window_anomalies <- 0;
-                c.last_anomaly <- neg_infinity
-            | Some _ -> ());
-            (* a fresh injection restarts the clean-checkpoint count *)
-            c.cps_since <- 0
-          end)
+      match t.window with Some w -> inject w ~now | None -> ())
   | Link_transition _ ->
       (* lifecycle bookkeeping only; the handover-level safety check
          lives in {!Transfer}, which watches payloads across sessions *)
@@ -442,7 +508,6 @@ let on_rare_event t ~now ev =
       ()
 
 let observe t probe =
-  t.probe <- Some probe;
   Dlc.Probe.listen probe
     {
       offered = (fun payload -> on_offered t payload);
@@ -458,9 +523,10 @@ let observe t probe =
           on_delivered t (Dlc.Probe.clock probe) ~seq ~payload);
       cp_emitted =
         (fun ~cp_seq:_ ~next_expected:_ ~enforced:_ ~stop_go:_ ~naks:_ ->
-          match t.convergence with
-          | None -> ()
-          | Some _ -> on_checkpoint_emitted t ~now:(Dlc.Probe.now probe));
+          (* checkpoint emission is checked on the reverse-link tap,
+             which sees the wire frame itself; here checkpoints only pace
+             the suspect window of convergence mode *)
+          match t.window with Some w -> checkpoint w probe | None -> ());
       other = (fun ~now ev -> on_rare_event t ~now ev);
     }
 
@@ -567,28 +633,7 @@ let in_table_order t runs =
 let finalize t =
   if not t.finalized then begin
     t.finalized <- true;
-    (match t.convergence with
-    | Some c when c.window_open <> None ->
-        if c.window_anomalies = 0 then
-          (* injection with no observable anomaly before the run ended:
-             trivially converged *)
-          close_window t c ~now:nan ~emit:false
-        else begin
-          c.unconverged_at_finalize <- true;
-          c.window_open <- None;
-          record t
-            {
-              time = nan;
-              invariant = "non-convergence";
-              detail =
-                Printf.sprintf
-                  "suspect window still open at end of run: %d anomalies \
-                   after the last injection and only %d of %d clean \
-                   checkpoints"
-                  c.window_anomalies c.cps_since c.k;
-            }
-        end
-    | _ -> ());
+    (match t.window with Some w -> finish w t.ledger | None -> ());
     match t.profile with
     | Lams { c_depth; _ } ->
         (* a run still open when the session stopped is truncated, not
@@ -612,55 +657,17 @@ let finalize t =
     | Hdlc _ | Nbdt -> ()
   end
 
-let violations t = List.rev t.violations
+let violations t = recorded t.ledger
 
-let violation_count t = t.violation_count
+let violation_count t = t.ledger.count
 
 let wrongful_releases t = t.wrongful_releases
 
-let ok t = t.violation_count = 0
+let ok t = t.ledger.count = 0
 
-let convergence_times t =
-  match t.convergence with None -> [] | Some c -> List.rev c.conv_times
+let convergence t = summary t.window
 
-let tolerated_anomalies t =
-  match t.convergence with None -> [] | Some c -> List.rev c.tolerated
-
-let tolerated_count t =
-  match t.convergence with None -> 0 | Some c -> c.tolerated_count
-
-let injections_seen t =
-  match t.convergence with None -> 0 | Some c -> c.injections
-
-let unconverged t =
-  match t.convergence with
-  | None -> false
-  | Some c -> c.unconverged_at_finalize || c.window_open <> None
-
-let failure_during_window t =
-  match t.convergence with None -> false | Some c -> c.declared
-
-let report t =
-  if ok t then ""
-  else begin
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "%s: %d invariant violation(s)\n" t.name
-         t.violation_count);
-    List.iter
-      (fun v ->
-        Buffer.add_string b (Format.asprintf "  %a\n" pp_violation v))
-      (violations t);
-    if t.violation_count > max_recorded then
-      Buffer.add_string b
-        (Printf.sprintf "  ... %d more suppressed\n"
-           (t.violation_count - max_recorded));
-    Buffer.contents b
-  end
-
-let check t =
-  finalize t;
-  if not (ok t) then failwith (report t)
+let report t = report_of t.ledger
 
 module Stream = struct
   type nonrec t = {
@@ -699,16 +706,13 @@ module Transfer = struct
   }
 
   type nonrec t = {
-    name : string;
     payloads : trec Frame.Payload.Tbl.t;
     sink_seen : (int, float) Hashtbl.t;
     mutable sessions_spanned : int;
     mutable failures_declared : int;
-    mutable viols : violation list;  (* newest first *)
-    mutable viol_count : int;
+    ledger : ledger;
     mutable finalized : bool;
-    mutable conv : convergence option;
-    mutable probe : Dlc.Probe.t option;
+    mutable window : window option;
     casualties : unit Frame.Payload.Tbl.t;
         (* payloads destroyed by state corruption; their loss is a
            declared casualty, not a transfer violation *)
@@ -717,37 +721,18 @@ module Transfer = struct
 
   let create ~name =
     {
-      name;
       payloads = Frame.Payload.Tbl.create 1024;
       sink_seen = Hashtbl.create 256;
       sessions_spanned = 0;
       failures_declared = 0;
-      viols = [];
-      viol_count = 0;
+      ledger = ledger ~name ~kind:"cross-handover";
       finalized = false;
-      conv = None;
-      probe = None;
+      window = None;
       casualties = Frame.Payload.Tbl.create 16;
       casualties_lost = 0;
     }
 
-  let set_convergence s ~k =
-    if k < 0 then invalid_arg "Oracle.Transfer.set_convergence: k must be >= 0";
-    s.conv <-
-      Some
-        {
-          k;
-          window_open = None;
-          cps_since = 0;
-          window_anomalies = 0;
-          last_anomaly = neg_infinity;
-          tolerated = [];
-          tolerated_count = 0;
-          injections = 0;
-          declared = false;
-          conv_times = [];
-          unconverged_at_finalize = false;
-        }
+  let set_convergence s ~k = s.window <- Some (window ~who:"Oracle.Transfer" ~k)
 
   let declare_casualty s payload = Frame.Payload.Tbl.replace s.casualties payload ()
 
@@ -756,18 +741,9 @@ module Transfer = struct
        here: finalize-time losses attributable to corruption are exempted
        one by one through the casualty ledger, so any remaining
        transfer-loss is a real violation *)
-    match s.conv with
-    | Some c when c.window_open <> None ->
-        c.window_anomalies <- c.window_anomalies + 1;
-        c.tolerated_count <- c.tolerated_count + 1;
-        if (not (Float.is_nan time)) && time > c.last_anomaly then
-          c.last_anomaly <- time;
-        if c.tolerated_count <= max_recorded then
-          c.tolerated <- { time; invariant; detail } :: c.tolerated
-    | _ ->
-        s.viol_count <- s.viol_count + 1;
-        if s.viol_count <= max_recorded then
-          s.viols <- { time; invariant; detail } :: s.viols
+    match s.window with
+    | Some w when suspect w -> tolerate w ~time
+    | _ -> record s.ledger { time; invariant; detail }
 
   let find_or_add s payload =
     match Frame.Payload.Tbl.find_opt s.payloads payload with
@@ -786,88 +762,61 @@ module Transfer = struct
 
   let mark_suspicious s payload = (find_or_add s payload).suspicious <- true
 
-  let close_window s c ~now ~emit =
-    match c.window_open with
-    | None -> ()
-    | Some t0 ->
-        let after =
-          if c.window_anomalies = 0 || c.last_anomaly < t0 then 0.
-          else c.last_anomaly -. t0
-        in
-        c.conv_times <- after :: c.conv_times;
-        c.window_open <- None;
-        if emit then
-          match s.probe with
-          | Some p ->
-              Dlc.Probe.emit p ~now
-                (Dlc.Probe.Converged { after; anomalies = c.window_anomalies })
-          | None -> ()
+  let on_delivered s clock payload =
+    let r = find_or_add s payload in
+    r.deliveries <- r.deliveries + 1;
+    if r.offers = 0 then
+      violate s ~time:(Array.unsafe_get clock 0) "transfer-unoffered"
+        (Printf.sprintf "%s delivered but never offered" (short payload))
+    else if r.deliveries > r.offers then
+      violate s ~time:(Array.unsafe_get clock 0) "transfer-duplicate"
+        (Printf.sprintf
+           "%s delivered %d times against %d offer(s): more copies than the \
+            handover replayed"
+           (short payload) r.deliveries r.offers)
+    else if r.deliveries > 1 && not r.suspicious then
+      violate s ~time:(Array.unsafe_get clock 0) "transfer-verdict"
+        (Printf.sprintf
+           "%s delivered %d times but was never classified `Suspicious: the \
+            §3.3 handoff verdict lied"
+           (short payload) r.deliveries)
 
   let observe s probe =
-    s.probe <- Some probe;
-    Dlc.Probe.subscribe probe (fun ~now ev ->
-        match (ev : Dlc.Probe.event) with
-        | Offered { payload } ->
+    Dlc.Probe.listen probe
+      {
+        Dlc.Probe.no_handlers with
+        offered =
+          (fun payload ->
             let r = find_or_add s payload in
-            r.offers <- r.offers + 1
-        | Released { payload; _ } -> (
+            r.offers <- r.offers + 1);
+        released =
+          (fun ~seq:_ ~payload ->
             (* a buffer slot freed while the state is suspect and the
                payload was never delivered is a casualty candidate: the
                corruption may have destroyed it outright (Dolev et al.
                allow bounded casualties during stabilisation) *)
-            match s.conv with
-            | Some c when c.window_open <> None ->
+            match s.window with
+            | Some w when suspect w ->
                 if (find_or_add s payload).deliveries = 0 then
                   declare_casualty s payload
-            | _ -> ())
-        | State_corrupted _ -> (
-            match s.conv with
-            | None -> ()
-            | Some c ->
-                c.injections <- c.injections + 1;
-                if c.k > 0 then begin
-                  (match c.window_open with
-                  | None ->
-                      c.window_open <- Some now;
-                      c.window_anomalies <- 0;
-                      c.last_anomaly <- neg_infinity
-                  | Some _ -> ());
-                  c.cps_since <- 0
-                end)
-        | Cp_emitted _ -> (
-            match s.conv with
-            | Some c when c.window_open <> None ->
-                c.cps_since <- c.cps_since + 1;
-                if c.cps_since >= c.k then close_window s c ~now ~emit:true
-            | _ -> ())
-        | Delivered { payload; _ } ->
-            let r = find_or_add s payload in
-            r.deliveries <- r.deliveries + 1;
-            if r.offers = 0 then
-              violate s ~time:now "transfer-unoffered"
-                (Printf.sprintf "%s delivered but never offered" (short payload))
-            else if r.deliveries > r.offers then
-              violate s ~time:now "transfer-duplicate"
-                (Printf.sprintf
-                   "%s delivered %d times against %d offer(s): more copies \
-                    than the handover replayed"
-                   (short payload) r.deliveries r.offers)
-            else if r.deliveries > 1 && not r.suspicious then
-              violate s ~time:now "transfer-verdict"
-                (Printf.sprintf
-                   "%s delivered %d times but was never classified \
-                    `Suspicious: the §3.3 handoff verdict lied"
-                   (short payload) r.deliveries)
-        | Link_transition { state = Dlc.Probe.Link_up } ->
-            s.sessions_spanned <- s.sessions_spanned + 1
-        | Failure_declared ->
-            s.failures_declared <- s.failures_declared + 1;
-            (match s.conv with
-            | Some c when c.window_open <> None ->
-                c.declared <- true;
-                c.window_open <- None
-            | _ -> ())
-        | _ -> ())
+            | _ -> ());
+        delivered =
+          (fun ~seq:_ ~payload -> on_delivered s (Dlc.Probe.clock probe) payload);
+        cp_emitted =
+          (fun ~cp_seq:_ ~next_expected:_ ~enforced:_ ~stop_go:_ ~naks:_ ->
+            match s.window with Some w -> checkpoint w probe | None -> ());
+        other =
+          (fun ~now ev ->
+            match (ev : Dlc.Probe.event) with
+            | State_corrupted _ -> (
+                match s.window with Some w -> inject w ~now | None -> ())
+            | Link_transition { state = Dlc.Probe.Link_up } ->
+                s.sessions_spanned <- s.sessions_spanned + 1
+            | Failure_declared -> (
+                s.failures_declared <- s.failures_declared + 1;
+                match s.window with Some w -> fail w | None -> ())
+            | _ -> ());
+      }
 
   let on_sink s ~now key =
     if Hashtbl.mem s.sink_seen key then
@@ -885,28 +834,7 @@ module Transfer = struct
   let finalize ?(retained = []) s =
     if not s.finalized then begin
       s.finalized <- true;
-      (match s.conv with
-      | Some c when c.window_open <> None ->
-          if c.window_anomalies = 0 then close_window s c ~now:nan ~emit:false
-          else begin
-            c.unconverged_at_finalize <- true;
-            c.window_open <- None;
-            s.viol_count <- s.viol_count + 1;
-            if s.viol_count <= max_recorded then
-              s.viols <-
-                {
-                  time = nan;
-                  invariant = "non-convergence";
-                  detail =
-                    Printf.sprintf
-                      "suspect window still open at end of run: %d anomalies \
-                       after the last injection and only %d of %d clean \
-                       checkpoints"
-                      c.window_anomalies c.cps_since c.k;
-                }
-                :: s.viols
-          end
-      | _ -> ());
+      (match s.window with Some w -> finish w s.ledger | None -> ());
       let kept = Frame.Payload.Tbl.create (List.length retained) in
       List.iter (fun p -> Frame.Payload.Tbl.replace kept p ()) retained;
       (* losses in first-seen order, whatever the table's layout *)
@@ -935,57 +863,18 @@ module Transfer = struct
         (List.sort (fun (a, _) (b, _) -> Int.compare a b) lost)
     end
 
-  let violations s = List.rev s.viols
+  let violations s = recorded s.ledger
 
-  let violation_count s = s.viol_count
+  let violation_count s = s.ledger.count
 
-  let ok s = s.viol_count = 0
+  let ok s = s.ledger.count = 0
 
-  let convergence_times s =
-    match s.conv with None -> [] | Some c -> List.rev c.conv_times
-
-  let tolerated_anomalies s =
-    match s.conv with None -> [] | Some c -> List.rev c.tolerated
-
-  let tolerated_count s =
-    match s.conv with None -> 0 | Some c -> c.tolerated_count
-
-  let injections_seen s =
-    match s.conv with None -> 0 | Some c -> c.injections
-
-  let unconverged s =
-    match s.conv with
-    | None -> false
-    | Some c -> c.unconverged_at_finalize || c.window_open <> None
-
-  let failure_during_window s =
-    match s.conv with None -> false | Some c -> c.declared
+  let convergence s = summary s.window
 
   let casualties_lost s = s.casualties_lost
 
-  let report s =
-    if ok s then ""
-    else begin
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "%s: %d cross-handover violation(s)\n" s.name
-           s.viol_count);
-      List.iter
-        (fun v -> Buffer.add_string b (Format.asprintf "  %a\n" pp_violation v))
-        (violations s);
-      if s.viol_count > max_recorded then
-        Buffer.add_string b
-          (Printf.sprintf "  ... %d more suppressed\n"
-             (s.viol_count - max_recorded));
-      Buffer.contents b
-    end
-
-  let check ?retained s =
-    finalize ?retained s;
-    if not (ok s) then failwith (report s)
+  let report s = report_of s.ledger
 end
-
-type oracle = t
 
 module Feedback = struct
   (* Feedback-safety mode: under lying feedback the headline invariant —
@@ -993,13 +882,12 @@ module Feedback = struct
      oracle ("released-undelivered" fires at release time, and
      "release-before-ack" compares against checkpoint EMISSION, which is
      upstream of the lie injection point and therefore never fooled).
-     This wrapper adds the degradation ledger: lie exposure, guard
+     Beside it, this module keeps the degradation ledger: lie exposure, guard
      reactions (quarantines, forced resyncs), time from the first
      disturbance of an episode to the recovery that resolves it, and a
      bucketed goodput series for blackout floors. *)
 
   type t = {
-    oracle : oracle;
     bucket : float;  (* goodput bucket width, seconds *)
     mutable faults_seen : int;  (* any reverse-channel fault hit *)
     mutable lies_seen : int;  (* clean-looking forgeries among them *)
@@ -1011,10 +899,9 @@ module Feedback = struct
     buckets : (int, int) Hashtbl.t;  (* bucket index -> payload bytes *)
   }
 
-  let create ?(bucket = 10e-3) oracle =
+  let create ?(bucket = 10e-3) () =
     if bucket <= 0. then invalid_arg "Oracle.Feedback.create: bucket <= 0";
     {
-      oracle;
       bucket;
       faults_seen = 0;
       lies_seen = 0;
@@ -1036,33 +923,38 @@ module Feedback = struct
     if lie then t.lies_seen <- t.lies_seen + 1;
     mark_disturbance t ~now
 
+  let on_delivered t clock payload =
+    let i = int_of_float (Array.unsafe_get clock 0 /. t.bucket) in
+    let b = match Hashtbl.find_opt t.buckets i with Some b -> b | None -> 0 in
+    Hashtbl.replace t.buckets i (b + Frame.Payload.length payload)
+
   let observe t probe =
-    Dlc.Probe.subscribe probe (fun ~now ev ->
-        match (ev : Dlc.Probe.event) with
-        | Cp_quarantined _ ->
-            t.quarantines <- t.quarantines + 1;
-            mark_disturbance t ~now
-        | Resync_forced _ -> t.resyncs <- t.resyncs + 1
-        | Recovery_completed -> (
-            match t.episode_open with
-            | Some t0 ->
-                t.resync_times <- (now -. t0) :: t.resync_times;
+    Dlc.Probe.listen probe
+      {
+        Dlc.Probe.no_handlers with
+        delivered =
+          (fun ~seq:_ ~payload -> on_delivered t (Dlc.Probe.clock probe) payload);
+        other =
+          (fun ~now ev ->
+            match (ev : Dlc.Probe.event) with
+            | Cp_quarantined _ ->
+                t.quarantines <- t.quarantines + 1;
+                mark_disturbance t ~now
+            | Resync_forced _ -> t.resyncs <- t.resyncs + 1
+            | Recovery_completed -> (
+                match t.episode_open with
+                | Some t0 ->
+                    t.resync_times <- (now -. t0) :: t.resync_times;
+                    t.episode_open <- None
+                | None -> ())
+            | Failure_declared ->
+                t.failure_declared <- true;
+                (* a declared failure resolves the episode explicitly:
+                   the sender refuses further progress instead of
+                   resyncing *)
                 t.episode_open <- None
-            | None -> ())
-        | Failure_declared ->
-            t.failure_declared <- true;
-            (* a declared failure resolves the episode explicitly: the
-               sender refuses further progress instead of resyncing *)
-            t.episode_open <- None
-        | Delivered { payload; _ } ->
-            let i = int_of_float (now /. t.bucket) in
-            let b =
-              match Hashtbl.find_opt t.buckets i with
-              | Some b -> b
-              | None -> 0
-            in
-            Hashtbl.replace t.buckets i (b + Frame.Payload.length payload)
-        | _ -> ())
+            | _ -> ());
+      }
 
   let faults_seen t = t.faults_seen
 
@@ -1077,8 +969,6 @@ module Feedback = struct
   let resync_times t = List.rev t.resync_times
 
   let unresolved t = t.episode_open <> None
-
-  let wrongful_releases t = wrongful_releases t.oracle
 
   let goodput_floor t ~lo ~hi =
     let first = int_of_float (ceil (lo /. t.bucket)) in

@@ -31,7 +31,8 @@
       [next_expected] never regresses.
 
     Violations are collected, not raised, so one run reports every
-    broken invariant; {!check} turns them into a test failure.
+    broken invariant: {!finalize} runs the end-of-run checks, {!ok}
+    tells whether any fired and {!report} lists them.
 
     {b Convergence mode} ({!set_convergence}): for self-stabilisation
     experiments that corrupt live session state on purpose (Dolev et
@@ -43,7 +44,7 @@
     when the protocol declares failure (a legitimate stabilisation
     outcome). [k = 0] never opens a window, so every post-injection
     anomaly stays a real violation: the tripwire that proves the oracle
-    still bites. *)
+    still bites. {!Transfer} runs the same window across handovers. *)
 
 type profile =
   | Lams of { c_depth : int; holding_bound : float }
@@ -70,8 +71,9 @@ val set_on_violation : t -> (violation -> unit) -> unit
     flight recorder uses this to snapshot its ring at the first fault. *)
 
 val observe : t -> Dlc.Probe.t -> unit
-(** Subscribe to a session's semantic events. Also remembers the probe
-    so convergence mode can publish {!Dlc.Probe.Converged} events. *)
+(** Subscribe to a session's semantic events. Convergence mode publishes
+    {!Dlc.Probe.Converged} on the probe whose checkpoint closed the
+    window. *)
 
 val set_convergence : t -> k:int -> unit
 (** Enable convergence mode: tolerate a suspect window after each
@@ -81,27 +83,26 @@ val set_convergence : t -> k:int -> unit
     at least one injection was seen, since they cannot be attributed to
     any one window. *)
 
-val convergence_times : t -> float list
-(** Time-to-convergence of each closed suspect window, chronological:
-    the interval from injection to the last tolerated anomaly (0 when
-    the injection caused no observable anomaly). *)
+(** What the suspect windows of a convergence-mode checker saw, from
+    either checker ({!convergence}, {!Transfer.convergence}); all zero
+    when convergence mode is off. *)
+type convergence = {
+  times : float list;
+      (** time-to-convergence of each window closed by [k] clean
+          checkpoints, chronological: the interval from injection to the
+          last tolerated anomaly (0 when the injection caused no
+          observable anomaly) *)
+  tolerated : int;  (** anomalies absorbed by suspect windows *)
+  declared : bool;
+      (** some window was closed by a declared failure rather than by
+          [k] clean checkpoints *)
+  unconverged : bool;
+      (** a window with anomalies was still open at finalize — the run
+          ended before stabilisation; a ["non-convergence"] violation is
+          recorded too *)
+}
 
-val tolerated_anomalies : t -> violation list
-(** Anomalies absorbed by suspect windows, chronological (capped like
-    {!violations}). *)
-
-val tolerated_count : t -> int
-
-val injections_seen : t -> int
-
-val unconverged : t -> bool
-(** True when a suspect window with anomalies was still open at
-    {!finalize} — the run ended before stabilisation; a
-    ["non-convergence"] violation is recorded too. *)
-
-val failure_during_window : t -> bool
-(** True when some suspect window was closed by a declared failure
-    rather than by [k] clean checkpoints. *)
+val convergence : t -> convergence
 
 val observe_reverse : t -> Channel.Link.t -> unit
 (** Tap the reverse (receiver-to-sender) link to watch checkpoints and
@@ -131,9 +132,6 @@ val ok : t -> bool
 
 val report : t -> string
 (** Human-readable multi-line summary, empty-string when clean. *)
-
-val check : t -> unit
-(** [finalize] then raise [Failure] with {!report} unless {!ok}. *)
 
 (** Order checker for post-resequencer streams: {!Netstack.Resequencer}
     must hand each source's messages to the application in strictly
@@ -203,17 +201,7 @@ module Transfer : sig
       {!Handover.Carryover} snapshot). Its end-of-run loss is counted in
       {!casualties_lost} instead of violating conservation. *)
 
-  val convergence_times : t -> float list
-
-  val tolerated_anomalies : t -> violation list
-
-  val tolerated_count : t -> int
-
-  val injections_seen : t -> int
-
-  val unconverged : t -> bool
-
-  val failure_during_window : t -> bool
+  val convergence : t -> convergence
 
   val casualties_lost : t -> int
   (** Offered payloads neither delivered nor retained whose loss was
@@ -233,13 +221,7 @@ module Transfer : sig
   val ok : t -> bool
 
   val report : t -> string
-
-  val check : ?retained:Frame.Payload.t list -> t -> unit
-  (** {!finalize} then raise [Failure] with {!report} unless {!ok}. *)
 end
-
-type oracle = t
-(** Alias so {!Feedback} can name the base oracle in its signature. *)
 
 (** Feedback-safety ledger for Byzantine-feedback experiments.
 
@@ -247,8 +229,9 @@ type oracle = t
     already enforced by the base oracle: ["released-undelivered"] fires
     at release time, and ["release-before-ack"] compares against
     checkpoint {e emission} (the reverse-link tap), which sits upstream
-    of the lie-injection point and therefore never ingests a forgery.
-    This wrapper aggregates the degradation story around that invariant:
+    of the lie-injection point and therefore never ingests a forgery;
+    {!Oracle.wrongful_releases} counts its violations. This ledger
+    aggregates the degradation story around that invariant:
     how much lying the channel did, how the {!Dlc.Guard} layer reacted
     (quarantines, forced resyncs, declared failure), how long each
     disturbance episode took to resolve, and a bucketed goodput series
@@ -256,7 +239,7 @@ type oracle = t
 module Feedback : sig
   type t
 
-  val create : ?bucket:float -> oracle -> t
+  val create : ?bucket:float -> unit -> t
   (** [bucket] is the goodput bucket width in seconds (default 10 ms). *)
 
   val observe : t -> Dlc.Probe.t -> unit
@@ -292,11 +275,6 @@ module Feedback : sig
 
   val unresolved : t -> bool
   (** A disturbance episode was still open when the run ended. *)
-
-  val wrongful_releases : t -> int
-  (** Base-oracle violations of the no-wrongful-release invariant
-      (["released-undelivered"] / ["release-before-ack"]): the oracle's
-      {!Oracle.wrongful_releases}, which counts past the list's cap. *)
 
   val goodput_floor : t -> lo:float -> hi:float -> float
   (** Minimum bucketed delivery rate (payload bits/s) over the buckets

@@ -100,23 +100,29 @@ let step t =
 let run ?until ?max_events t =
   let u = match until with None -> infinity | Some u -> u in
   let m = match max_events with None -> max_int | Some m -> m in
-  if m > 0 then t.caught_up <- false;
-  match Event_queue.pop_run t.queue ~clock:t.clock ~until:u ~max_events:m
-          ~k:dispatch
-  with
-  | Deferred ->
-      (* only reachable with a finite [until] *)
-      Array.unsafe_set t.clock 0 u;
-      t.caught_up <- true
-  | Drained | Max_events as stop ->
-      if
-        until <> None
-        && Array.unsafe_get t.clock 0 < u
-        && Event_queue.is_empty t.queue
-      then begin
+  (* nothing is due before the clock: an [until] behind it returns at
+     once rather than setting the clock back *)
+  if u < Array.unsafe_get t.clock 0 then ()
+  else begin
+    if m > 0 then t.caught_up <- false;
+    match
+      Event_queue.pop_run t.queue ~clock:t.clock ~until:u ~max_events:m
+        ~k:dispatch
+    with
+    | Deferred ->
+        (* only reachable with a finite [until] *)
         Array.unsafe_set t.clock 0 u;
         t.caught_up <- true
-      end
-      else if stop = Drained then t.caught_up <- true
+    | Drained | Max_events as stop ->
+        if
+          until <> None
+          && Array.unsafe_get t.clock 0 < u
+          && Event_queue.is_empty t.queue
+        then begin
+          Array.unsafe_set t.clock 0 u;
+          t.caught_up <- true
+        end
+        else if stop = Drained then t.caught_up <- true
+  end
 
 let run_until_quiet t = run t

@@ -102,7 +102,9 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     instant (events at exactly [until] still fire); [?max_events] bounds
     the number of events executed — a guard against runaway
     simulations. On reaching [until], the clock is advanced to [until]
-    even if no event fired there. *)
+    even if no event fired there. An [until] before {!now} returns at
+    once, since nothing can be due before the clock: the clock never
+    runs backwards, and the queue and {!last_seq} stay as they are. *)
 
 val run_until_quiet : t -> unit
 (** Alias for [run] without bounds; drains the queue. *)

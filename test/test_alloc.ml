@@ -230,6 +230,24 @@ let test_sender_frame_lifecycle ~max_words () =
       incr next);
   Alcotest.(check int) "every frame released" 0 (Lams_dlc.Sender.backlog sender)
 
+(* The handover and feedback checks on a probe: Oracle.Transfer in
+   convergence mode, its suspect window closed, and Oracle.Feedback. As
+   typed listeners they build no event and box no time per emit. *)
+let test_transfer_feedback_emits () =
+  let probe = Dlc.Probe.create () in
+  let transfer = Oracle.Transfer.create ~name:"alloc" in
+  Oracle.Transfer.set_convergence transfer ~k:12;
+  Oracle.Transfer.observe transfer probe;
+  Oracle.Feedback.observe (Oracle.Feedback.create ()) probe;
+  let payload = Frame.Payload.of_string "watched" and naks = [ 3; 5 ] in
+  gate ~what:"typed Probe emits to Transfer and Feedback" ~max_words:0.
+    (fun () ->
+      Dlc.Probe.tx probe ~seq:1 ~payload ~retx:false;
+      Dlc.Probe.released probe ~seq:1 ~payload;
+      Dlc.Probe.requeued probe ~seq:1 ~payload;
+      Dlc.Probe.cp_emitted probe ~cp_seq:1 ~next_expected:2 ~enforced:false
+        ~stop_go:false ~naks)
+
 let suite =
   [
     Alcotest.test_case "default_payload: at most 8 words" `Quick
@@ -260,4 +278,6 @@ let suite =
     Alcotest.test_case "LAMS frame offered, sent and released: at most 44 words"
       `Quick
       (test_sender_frame_lifecycle ~max_words:44.);
+    Alcotest.test_case "typed probe emits to Transfer and Feedback: 0 words"
+      `Quick test_transfer_feedback_emits;
   ]

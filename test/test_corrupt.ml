@@ -204,13 +204,84 @@ let test_fault_observers_compose () =
 (* --- handover carryover corruption -------------------------------------- *)
 
 let test_handover_carryover () =
-  let o = E22.run_handover ~seed:11 E22.carryover_spec in
-  Alcotest.(check int) "snapshot corrupted once" 1 o.E22.h_injected;
-  Alcotest.(check bool) "transfer oracle clean" true (o.E22.h_violations = []);
-  Alcotest.(check bool) "reconverged" false o.E22.h_unconverged;
-  Alcotest.(check int) "all messages reassembled" 10 o.E22.messages_completed;
+  let o = (E22.run_handover ~seed:11 E22.carryover_spec).E22.outcome in
+  Alcotest.(check int) "snapshot corrupted once" 1 o.E22.injected;
+  Alcotest.(check bool) "transfer oracle clean" true (o.E22.violations = []);
+  Alcotest.(check bool) "reconverged" false o.E22.unconverged;
+  Alcotest.(check int) "all messages reassembled" 10 o.E22.delivered;
   Alcotest.(check bool) "anomalies stayed in the window" true
-    (o.E22.h_tolerated > 0)
+    (o.E22.tolerated > 0)
+
+(* The exact metrics and trace of the canonical stale-carryover run at
+   seed 11, floats compared by their bits. *)
+let test_handover_pinned () =
+  let capture = Trace.Capture.create ~name:"e22-handover" () in
+  let o =
+    E22.run_handover ~recorder:(Trace.Capture.recorder capture) ~seed:11
+      E22.carryover_spec
+  in
+  let bits = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) in
+  Alcotest.(check (list (pair string int64)))
+    "handover metrics"
+    (bits
+       [
+         ("injected", 1.);
+         ("skipped", 0.);
+         ("converged_windows", 1.);
+         ("time_to_convergence", 0x1.1653b5866392ap-6);
+         ("tolerated", 107.);
+         ("declared_failure", 0.);
+         ("unconverged", 0.);
+         ("completed", 1.);
+         ("delivered", 10.);
+         ("oracle_violations", 0.);
+       ])
+    (bits (E22.handover_metrics o));
+  Alcotest.(check string) "trace MD5" "d64857dee87017b74a66bae2b83ec470"
+    (Digest.to_hex (Digest.string (Trace.Capture.jsonl capture)))
+
+(* Fault and corruption scripts read their lines through one reader
+   (Channel.Script); its error texts reach the CLI verbatim. *)
+let test_script_error_texts () =
+  let errors parse inputs =
+    List.map
+      (fun input -> match parse input with Ok _ -> "accepted" | Error e -> e)
+      inputs
+  in
+  let fault_adversary = "adversary seed=1 p-iframe=0.1"
+  and corrupt_adversary =
+    "adversary seed=1 start=0. stop=0.1 mean-gap=0.01 classes=nak-truncate"
+  in
+  Alcotest.(check (list string))
+    "fault script"
+    [
+      "fault script: empty script";
+      "line 2: duplicate adversary line";
+      "fault script: cannot mix adversary with rule lines";
+      "line 3: i-seq: bad integer \"x\"";
+    ]
+    (errors Channel.Fault.of_string
+       [
+         "";
+         fault_adversary ^ "\n" ^ fault_adversary;
+         "drop i-seq=1\n" ^ fault_adversary;
+         "# head\ndrop i-seq=1\ndrop i-seq=x";
+       ]);
+  Alcotest.(check (list string))
+    "corrupt script"
+    [
+      "corrupt script: empty script";
+      "line 2: duplicate adversary line";
+      "corrupt script: cannot mix adversary with rule lines";
+      "line 3: delta: bad integer \"x\"";
+    ]
+    (errors C.of_string
+       [
+         "";
+         corrupt_adversary ^ "\n" ^ corrupt_adversary;
+         "at 0.001 nak-truncate\n" ^ corrupt_adversary;
+         "at 0.001 nak-truncate\n\nat 0.002 seq-scramble-send delta=x";
+       ])
 
 (* --- golden corruption trace -------------------------------------------- *)
 
@@ -267,4 +338,8 @@ let suite =
     Alcotest.test_case "golden corruption trace" `Quick test_golden_trace;
     Alcotest.test_case "soak: jobs-count determinism" `Quick
       test_soak_jobs_determinism;
+    Alcotest.test_case "handover: metrics and trace pinned at seed 11" `Quick
+      test_handover_pinned;
+    Alcotest.test_case "script: error texts of both formats" `Quick
+      test_script_error_texts;
   ]

@@ -51,10 +51,10 @@ let prop_converge_or_declare =
       let seed =
         Sim.Rng.derive_seed ~root:0xE22 [ C.describe (C.compile spec) ]
       in
-      let o = E22.run_handover ~seed spec in
+      let o = (E22.run_handover ~seed spec).E22.outcome in
       (* convergence or an explicit declaration — but never a real
          oracle violation, and never a window left open at the end *)
-      o.E22.h_violations = [] && not o.E22.h_unconverged)
+      o.E22.violations = [] && not o.E22.unconverged)
 
 (* The soak's own adversary derivation must be stable: the CI soak's
    byte-equality across --jobs depends on every schedule being a pure

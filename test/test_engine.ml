@@ -56,6 +56,31 @@ let test_run_until () =
   Sim.Engine.run e;
   Alcotest.(check int) "all fired" 10 !count
 
+(* An [until] behind the clock returns at once: the clock does not run
+   back, so the past stays closed to [schedule_at] and events keep their
+   time order. *)
+let test_run_until_past () =
+  let e = Sim.Engine.create () in
+  let order = ref [] in
+  let at time =
+    ignore
+      (Sim.Engine.schedule_at e ~time (fun () -> order := time :: !order)
+        : Sim.Engine.event_id)
+  in
+  at 5.;
+  at 10.;
+  Sim.Engine.run e ~until:5.;
+  let last = Sim.Engine.last_seq e in
+  Sim.Engine.run e ~until:2.;
+  Alcotest.(check (float 0.)) "clock stays" 5. (Sim.Engine.now e);
+  Alcotest.(check int) "queue stays" 1 (Sim.Engine.pending e);
+  Alcotest.(check int) "last_seq stays" last (Sim.Engine.last_seq e);
+  Alcotest.check_raises "the past stays past"
+    (Invalid_argument "Engine.schedule_at: time 3 is before now 5")
+    (fun () -> at 3.);
+  Sim.Engine.run e;
+  Alcotest.(check (list (float 0.))) "time order" [ 5.; 10. ] (List.rev !order)
+
 let test_max_events () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
@@ -231,4 +256,5 @@ let suite =
     Alcotest.test_case "timer remaining" `Quick test_timer_remaining;
     Alcotest.test_case "timer set_duration" `Quick test_timer_set_duration;
     Alcotest.test_case "event order values" `Quick test_event_order_values;
+    Alcotest.test_case "run until behind the clock" `Quick test_run_until_past;
   ]

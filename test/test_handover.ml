@@ -503,6 +503,46 @@ let test_chaos_soak () =
     "no schedule trips the oracle" []
     Experiments.Soak.(unsafe_points handover report)
 
+(* --- E21's transfers, pinned ------------------------------------------- *)
+
+(* The exact metric vectors of E21's base run and its three phase cuts at
+   seed 11, floats compared by their bits: the soaks compare these runs
+   only across --jobs, so a rewiring of the transfer would otherwise move
+   them unseen. *)
+let pinned_transfer ~carried ~dup_dropped =
+  [
+    ("messages_completed", 10.);
+    ("payloads", 30.);
+    ("dup_dropped", dup_dropped);
+    ("windows_opened", 3.);
+    ("sessions", 3.);
+    ("mid_window_failures", 0.);
+    ("carried_over", carried);
+    ("suspicious_carried", carried);
+    ("retained", 0.);
+    ("link_transitions", 9.);
+    ("completed", 1.);
+    ("oracle_violations", 0.);
+  ]
+
+let check_bits label expected actual =
+  let bits = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) in
+  Alcotest.(check (list (pair string int64))) label (bits expected) (bits actual)
+
+let test_transfers_pinned () =
+  let module E21 = Experiments.E21_handover in
+  let cut c = { E21.default_setup with E21.cut = c; drop_nth_iframe = Some 3 } in
+  List.iter
+    (fun (label, setup, expected) ->
+      check_bits label expected
+        (E21.outcome_metrics (E21.run_transfer ~seed:11 setup)))
+    [
+      ("3-windows", E21.default_setup, pinned_transfer ~carried:0. ~dup_dropped:0.);
+      ("first-tx", cut `First_tx, pinned_transfer ~carried:0. ~dup_dropped:0.);
+      ("first-nak", cut `First_nak, pinned_transfer ~carried:2. ~dup_dropped:2.);
+      ("recovery", cut `Recovery, pinned_transfer ~carried:0. ~dup_dropped:0.);
+    ]
+
 let suite =
   [
     Alcotest.test_case "plan parse round-trip" `Quick test_plan_parse_roundtrip;
@@ -531,4 +571,6 @@ let suite =
     Alcotest.test_case "failure declared by all variants" `Quick
       test_failure_declared_all_variants;
     Alcotest.test_case "chaos soak 50 schedules" `Slow test_chaos_soak;
+    Alcotest.test_case "E21 transfers pinned at seed 11" `Quick
+      test_transfers_pinned;
   ]

@@ -382,7 +382,6 @@ let test_counts_past_the_cap () =
   in
   let probe = Dlc.Probe.create () in
   Oracle.observe oracle probe;
-  let feedback = Oracle.Feedback.create oracle in
   let transfer = Oracle.Transfer.create ~name:"transfer" in
   Oracle.Transfer.observe transfer probe;
   for seq = 0 to 299 do
@@ -392,8 +391,7 @@ let test_counts_past_the_cap () =
   done;
   Alcotest.(check int) "list capped" 200 (List.length (Oracle.violations oracle));
   Alcotest.(check int) "violation_count" 300 (Oracle.violation_count oracle);
-  Alcotest.(check int) "wrongful_releases" 300
-    (Oracle.Feedback.wrongful_releases feedback);
+  Alcotest.(check int) "wrongful_releases" 300 (Oracle.wrongful_releases oracle);
   (* and a delivery of a payload never offered, 300 times over *)
   for seq = 0 to 299 do
     Dlc.Probe.emit probe ~now:0.
@@ -403,6 +401,176 @@ let test_counts_past_the_cap () =
     (List.length (Oracle.Transfer.violations transfer));
   Alcotest.(check int) "transfer violation_count" 300
     (Oracle.Transfer.violation_count transfer)
+
+(* --- the suspect window, one script through both checkers ---------------- *)
+
+let lams_oracle () =
+  Oracle.create (Oracle.Lams { c_depth = 3; holding_bound = infinity })
+
+let emit probe now ev = Dlc.Probe.emit probe ~now ev
+
+let inject probe now =
+  emit probe now (Dlc.Probe.State_corrupted { klass = "test"; detail = "" })
+
+(* A delivery nobody sent or offered: two anomalies for the base oracle
+   (delivered-unsent, delivery-overcount), one for the transfer check
+   (transfer-unoffered). *)
+let ghost probe now seq =
+  emit probe now
+    (Dlc.Probe.Delivered
+       { seq; payload = Frame.Payload.of_string (Printf.sprintf "ghost-%d" seq) })
+
+let checkpoint probe now =
+  emit probe now
+    (Dlc.Probe.Cp_emitted
+       {
+         cp_seq = 0;
+         next_expected = 0;
+         enforced = false;
+         stop_go = false;
+         naks = [];
+       })
+
+(* The base oracle and the transfer check on one probe, both in
+   convergence mode with budget [k], and the Converged events they
+   publish. *)
+let two_checkers ~k =
+  let probe = Dlc.Probe.create () in
+  let oracle = lams_oracle () in
+  Oracle.set_convergence oracle ~k;
+  Oracle.observe oracle probe;
+  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  Oracle.Transfer.set_convergence transfer ~k;
+  Oracle.Transfer.observe transfer probe;
+  let converged = ref [] in
+  Dlc.Probe.listen probe
+    {
+      Dlc.Probe.no_handlers with
+      other =
+        (fun ~now:_ -> function
+          | Dlc.Probe.Converged { after; anomalies } ->
+              converged := (after, anomalies) :: !converged
+          | _ -> ());
+    };
+  (probe, oracle, transfer, converged)
+
+let test_one_suspect_window () =
+  let probe, oracle, transfer, converged = two_checkers ~k:2 in
+  let check_both what f =
+    f ("oracle: " ^ what) (Oracle.convergence oracle);
+    f ("transfer: " ^ what) (Oracle.Transfer.convergence transfer)
+  in
+  (* a window still open reads as unconverged *)
+  let is_open what expected =
+    check_both what (fun msg c ->
+        Alcotest.(check bool) msg expected c.Oracle.unconverged)
+  in
+  inject probe 1.0;
+  is_open "an injection opens the window" true;
+  ghost probe 1.5 7;
+  Alcotest.(check (pair int int))
+    "anomalies tolerated" (2, 1)
+    ( (Oracle.convergence oracle).tolerated,
+      (Oracle.Transfer.convergence transfer).tolerated );
+  Alcotest.(check (pair int int))
+    "no violation" (0, 0)
+    (Oracle.violation_count oracle, Oracle.Transfer.violation_count transfer);
+  checkpoint probe 2.0;
+  is_open "one clean checkpoint of two" true;
+  checkpoint probe 3.0;
+  is_open "two checkpoints close it" false;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "one Converged each, after = last anomaly - injection"
+    [ (0.5, 2); (0.5, 1) ]
+    (List.rev !converged);
+  check_both "time-to-convergence" (fun msg c ->
+      Alcotest.(check (list (float 0.))) msg [ 0.5 ] c.Oracle.times);
+  inject probe 4.0;
+  emit probe 4.5 Dlc.Probe.Failure_declared;
+  check_both "a declared failure closes it" (fun msg c ->
+      Alcotest.(check (pair bool bool)) msg (true, false)
+        (c.Oracle.declared, c.Oracle.unconverged));
+  Alcotest.(check int) "without Converged" 2 (List.length !converged);
+  inject probe 5.0;
+  ghost probe 5.5 8;
+  Oracle.finalize oracle;
+  Oracle.Transfer.finalize transfer;
+  is_open "open with anomalies at finalize: unconverged" true;
+  let invariants vs = List.map (fun v -> v.Oracle.invariant) vs in
+  Alcotest.(check (list string)) "oracle: non-convergence" [ "non-convergence" ]
+    (invariants (Oracle.violations oracle));
+  Alcotest.(check (list string)) "transfer: non-convergence"
+    [ "non-convergence" ]
+    (invariants (Oracle.Transfer.violations transfer));
+  check_both "windows closed by checkpoints" (fun msg c ->
+      Alcotest.(check int) msg 1 (List.length c.Oracle.times))
+
+let test_k0_opens_nothing () =
+  let probe, oracle, transfer, converged = two_checkers ~k:0 in
+  inject probe 1.0;
+  ghost probe 1.5 7;
+  checkpoint probe 2.0;
+  let o = Oracle.convergence oracle
+  and t = Oracle.Transfer.convergence transfer in
+  Alcotest.(check (pair int int))
+    "anomalies are violations" (2, 1)
+    (Oracle.violation_count oracle, Oracle.Transfer.violation_count transfer);
+  Alcotest.(check (pair int int))
+    "nothing tolerated" (0, 0) (o.tolerated, t.tolerated);
+  Alcotest.(check (pair bool bool))
+    "no window" (false, false) (o.unconverged, t.unconverged);
+  Alcotest.(check int) "no Converged" 0 (List.length !converged)
+
+(* The one rule the checkers do not share: once an injection was seen,
+   the base oracle tolerates its finalize-time ([nan]-stamped) checks,
+   which aggregate over the whole run; the transfer check records its
+   end-of-run losses. Both windows have closed cleanly here. *)
+let test_finalize_time_rule () =
+  let underrun ~injected =
+    let probe = Dlc.Probe.create () in
+    let oracle = lams_oracle () in
+    Oracle.set_convergence oracle ~k:2;
+    Oracle.observe oracle probe;
+    let engine = Sim.Engine.create () in
+    let reverse =
+      Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
+        ~distance_m:1000. ~data_rate_bps:1e9
+        ~iframe_error:Channel.Error_model.perfect
+        ~cframe_error:Channel.Error_model.perfect
+    in
+    Oracle.observe_reverse oracle reverse;
+    (* seq 5 NAKed once of c_depth = 3, then dropped: a NAK underrun *)
+    List.iter
+      (fun (cp_seq, naks) ->
+        Channel.Link.send reverse
+          (Frame.Wire.Control
+             (Frame.Cframe.checkpoint ~cp_seq ~issue_time:0. ~stop_go:false
+                ~enforced:false ~next_expected:0 ~naks)))
+      [ (0, [ 5 ]); (1, []) ];
+    Sim.Engine.run engine;
+    if injected then inject probe 1.0;
+    checkpoint probe 2.0;
+    checkpoint probe 3.0;
+    Oracle.finalize oracle;
+    ( List.map (fun v -> v.Oracle.invariant) (Oracle.violations oracle),
+      (Oracle.convergence oracle).tolerated )
+  in
+  Alcotest.(check (pair (list string) int)) "oracle, no injection"
+    ([ "nak-underrun" ], 0) (underrun ~injected:false);
+  Alcotest.(check (pair (list string) int)) "oracle, after an injection"
+    ([], 1) (underrun ~injected:true);
+  let probe = Dlc.Probe.create () in
+  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  Oracle.Transfer.set_convergence transfer ~k:2;
+  Oracle.Transfer.observe transfer probe;
+  emit probe 0.5 (Dlc.Probe.Offered { payload = Frame.Payload.of_string "lost" });
+  inject probe 1.0;
+  checkpoint probe 2.0;
+  checkpoint probe 3.0;
+  Oracle.Transfer.finalize transfer;
+  Alcotest.(check (list string)) "transfer, after an injection"
+    [ "transfer-loss" ]
+    (List.map (fun v -> v.Oracle.invariant) (Oracle.Transfer.violations transfer))
 
 let suite =
   [
@@ -432,4 +600,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_safety_under_any_fault_script;
     Alcotest.test_case "violation counts past the list's cap" `Quick
       test_counts_past_the_cap;
+    Alcotest.test_case "one suspect window in both checkers" `Quick
+      test_one_suspect_window;
+    Alcotest.test_case "k = 0 opens no window in either checker" `Quick
+      test_k0_opens_nothing;
+    Alcotest.test_case "finalize-time rule of each checker" `Quick
+      test_finalize_time_rule;
   ]
