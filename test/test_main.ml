@@ -32,6 +32,7 @@ let () =
       ("netstack", Test_netstack.suite);
       ("workload", Test_workload.suite);
       ("integration", Test_integration.suite);
+      ("scenario", Test_scenario.suite);
       ("bench-report", Test_bench_report.suite);
       ("runner", Test_runner.suite);
       ("trace", Test_trace.suite);
