@@ -67,14 +67,11 @@ let matrix_point ~label =
     Runner.label;
     run =
       (fun ~seed ->
-        let capture =
-          Trace.Capture.start ~proto:"disaster" ~seed
-            ~fingerprint:(Printf.sprintf "disaster|%s" label)
-            ()
+        let o =
+          Trace.Capture.around ~proto:"disaster" ~seed
+            ~fingerprint:(fun () -> Printf.sprintf "disaster|%s" label)
+            (fun recorder -> run ~seed ?recorder ())
         in
-        let recorder = Option.map Trace.Capture.recorder capture in
-        let o = run ~seed ?recorder () in
-        (match capture with Some c -> Trace.Capture.finish c | None -> ());
         let flight_events =
           match Trace.Recorder.flight o.recorder with
           | Some events -> List.length events

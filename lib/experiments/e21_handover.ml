@@ -232,15 +232,9 @@ let transfer ?recorder ?corrupt ~seed setup =
   (outcome, transfer)
 
 let run_transfer ~seed setup =
-  let capture =
-    Trace.Capture.start ~proto:"handover" ~seed
-      ~fingerprint:(fingerprint ~seed setup) ()
-  in
-  let outcome, _ =
-    transfer ?recorder:(Option.map Trace.Capture.recorder capture) ~seed setup
-  in
-  Option.iter Trace.Capture.finish capture;
-  outcome
+  Trace.Capture.around ~proto:"handover" ~seed
+    ~fingerprint:(fun () -> fingerprint ~seed setup)
+    (fun recorder -> fst (transfer ?recorder ~seed setup))
 
 (* --- matrix points ------------------------------------------------------- *)
 

@@ -16,11 +16,24 @@
 
 val name : string
 
+val link : Scenario.config
+(** The short, fast link E22 and E24 share: 150 km at 100 Mbit/s, 400
+    frames of 512 B offered at half the line rate, a 0.5 s horizon, and
+    I-frame / control-frame BERs of 1e-6 / 1e-7 (E24 runs it
+    noiseless). *)
+
 type variant = Lams | Sr_hdlc | Nbdt_bulk
+(** The three variants E22 and E24 compare; the CLI's [corrupt run] and
+    [feedback run] name them by {!variant_tag}. *)
 
 val variant_tag : variant -> string
 
 val variants : variant list
+
+val session : variant -> Scenario.session
+(** The variant's session on {!link}: LAMS-DLC with a 1 ms checkpoint
+    interval and C_depth 3, SR-HDLC with a 1.5 RTT timeout, NBDT with a
+    1 ms report interval. *)
 
 val convergence_k : variant -> int
 (** Per-variant suspect-window budget, in checkpoint emissions (LAMS

@@ -1,22 +1,11 @@
 let name = "E24 Byzantine feedback: lie classes x variants x guard"
 
-(* Same short, fast link as E22: the quantities under study are safety
-   (does a lying reverse channel ever cause a wrongful release?) and the
-   degradation envelope (how long until the guard forces the sender back
-   onto the truth?), not bandwidth-delay stress. Channels are noiseless;
-   every fault is scripted, so each row is a single deterministic
-   trajectory. *)
-let distance_m = 150_000.
-
-let data_rate_bps = 100e6
-
-let payload_bytes = 512
-
-let n_frames = 400
-
-let horizon = 0.5
-
-let rtt = 2. *. distance_m /. Channel.Link.speed_of_light
+(* E22's short, fast link, noiseless: the quantities under study are
+   safety (does a lying reverse channel ever cause a wrongful release?)
+   and the degradation envelope (how long until the guard forces the
+   sender back onto the truth?), not bandwidth-delay stress. Every fault
+   is scripted, so each row is a single deterministic trajectory. *)
+let link = { E22_corruption.link with ber = 0.; cframe_ber = 0. }
 
 (* Forward-path losses create the NAK material the lies then tamper
    with: three scripted I-frame drops (a two-frame burst and a single). *)
@@ -29,14 +18,11 @@ let blackout_from = 5e-3
 
 let blackout_until = 15e-3
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+type variant = E22_corruption.variant = Lams | Sr_hdlc | Nbdt_bulk
 
-let variant_tag = function
-  | Lams -> "lams"
-  | Sr_hdlc -> "sr-hdlc"
-  | Nbdt_bulk -> "nbdt"
+let variant_tag = E22_corruption.variant_tag
 
-let variants = [ Lams; Sr_hdlc; Nbdt_bulk ]
+let variants = E22_corruption.variants
 
 type lie = No_lie | Forge | Rewrite | Stale | Blackout
 
@@ -55,28 +41,12 @@ let lies = [ No_lie; Forge; Rewrite; Stale; Blackout ]
 let guard_config =
   { Dlc.Guard.default_config with Dlc.Guard.distrust_threshold = 1 }
 
-let lams_params ~guard_on =
-  {
-    Lams_dlc.Params.default with
-    Lams_dlc.Params.w_cp = 1e-3;
-    c_depth = 3;
-    guard = (if guard_on then Some guard_config else None);
-  }
-
-let hdlc_params ~guard_on =
-  {
-    Hdlc.Params.default with
-    Hdlc.Params.t_out = 1.5 *. rtt;
-    guard = (if guard_on then Some guard_config else None);
-  }
-
-let nbdt_params ~guard_on =
-  {
-    Nbdt.Params.default with
-    Nbdt.Params.report_interval = 1e-3;
-    resend_timeout = 5e-3;
-    guard = (if guard_on then Some guard_config else None);
-  }
+let session ~guard_on variant : Scenario.session =
+  let guard = if guard_on then Some guard_config else None in
+  match E22_corruption.session variant with
+  | `Lams p -> `Lams { p with Lams_dlc.Params.guard }
+  | `Hdlc p -> `Hdlc { p with Hdlc.Params.guard }
+  | `Nbdt p -> `Nbdt { p with Nbdt.Params.resend_timeout = 5e-3; guard }
 
 let forward_spec =
   Channel.Fault.Rules
@@ -152,146 +122,43 @@ let fingerprint ~seed ~variant ~lie ~guarded =
    [mark_at] opens a disturbance episode at a scripted instant (blackout
    windows produce no per-frame hit until the next frame flies),
    [floor_window] bounds the goodput-floor measurement. *)
-let run_core ?recorder ?(frames = n_frames) ~guard_on ~seed ~lie_name ~forward
-    ~reverse ~mark_at ~floor_window variant =
+let run_core ?recorder ?(frames = link.n_frames) ~guard_on ~seed ~lie_name
+    ~forward ~reverse ~mark_at ~floor_window variant =
   let tag = variant_tag variant in
-  let capture =
-    match (recorder, Trace.Config.get ()) with
-    | Some _, _ | None, None -> None
-    | None, Some _ ->
-        Trace.Capture.start ~proto:("e24-" ^ tag) ~seed
-          ~fingerprint:
-            (fingerprint ~seed ~variant:tag ~lie:lie_name ~guarded:guard_on)
-          ()
-  in
-  let recorder =
-    match capture with
-    | Some c -> Some (Trace.Capture.recorder c)
-    | None -> recorder
-  in
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m ~data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:0. ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:0. ())
-  in
-  let session, probe, profile =
-    match variant with
-    | Lams ->
-        let params = lams_params ~guard_on in
-        let s = Lams_dlc.Session.create engine ~params ~duplex in
-        ( Lams_dlc.Session.as_dlc s,
-          Lams_dlc.Session.probe s,
-          Oracle.Lams
-            {
-              c_depth = params.Lams_dlc.Params.c_depth;
-              holding_bound =
-                Lams_dlc.Params.holding_bound params ~rtt ~data_rate_bps;
-            } )
-    | Sr_hdlc ->
-        let params = hdlc_params ~guard_on in
-        let s = Hdlc.Session.create engine ~params ~duplex in
-        ( Hdlc.Session.as_dlc s,
-          Hdlc.Session.probe s,
-          Oracle.Hdlc
-            {
-              window = params.Hdlc.Params.window;
-              seq_bits = params.Hdlc.Params.seq_bits;
-            } )
-    | Nbdt_bulk ->
-        let params = nbdt_params ~guard_on in
-        let s = Nbdt.Session.create engine ~params ~duplex in
-        (Nbdt.Session.as_dlc s, Nbdt.Session.probe s, Oracle.Nbdt)
-  in
-  let oracle = Oracle.create ~name:("e24-" ^ tag) profile in
-  let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
-  (* recorder first, oracle second, so a probe event and the violation it
-     triggers land in the flight ring in causal order *)
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_probe r probe
-  | None -> ());
-  Oracle.attach oracle ~probe ~duplex;
-  Oracle.Feedback.observe feedback probe;
-  (match recorder with
-  | Some r -> Trace.Recorder.attach_oracle r oracle
-  | None -> ());
-  let forward_fault = Channel.Fault.compile forward in
-  Channel.Fault.install forward_fault duplex.Channel.Duplex.forward;
-  (match recorder with
-  | Some r ->
-      Trace.Recorder.attach_fault r ~link:"forward" forward_fault
-  | None -> ());
-  (match reverse with
-  | None -> ()
-  | Some spec ->
-      let fault = Channel.Fault.compile spec in
-      Channel.Fault.install fault duplex.Channel.Duplex.reverse;
-      Channel.Fault.set_observer fault (fun ~now action _frame ->
-          Oracle.Feedback.on_fault feedback ~now
-            ~lie:(Channel.Fault.is_lie action));
-      (match recorder with
-      | Some r -> Trace.Recorder.attach_fault r ~link:"reverse" fault
-      | None -> ()));
-  (match mark_at with
-  | None -> ()
-  | Some at ->
-      ignore
-        (Sim.Engine.schedule engine ~delay:at (fun () ->
-             Oracle.Feedback.mark_disturbance feedback
-               ~now:(Sim.Engine.now engine))
-          : Sim.Engine.event_id));
-  (* open-loop traffic at half the line rate, as in E22 *)
-  let line_fps =
-    data_rate_bps
-    /. float_of_int (8 * (payload_bytes + Frame.Wire.iframe_overhead_bytes))
-  in
-  let arrivals =
-    Workload.Arrivals.deterministic engine ~session ~rate:(0.5 *. line_fps)
-      ~count:frames
-      ~payload:(Workload.Arrivals.default_payload ~size:payload_bytes)
-  in
-  let metrics = session.Dlc.Session.metrics in
-  let finished () =
-    Workload.Arrivals.finished arrivals
-    && Dlc.Metrics.unique_delivered metrics >= frames
-  in
-  let rec watch () =
-    if finished () then session.Dlc.Session.stop ()
-    else if Sim.Engine.now engine < horizon then
-      ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
-  in
-  ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:horizon;
-  session.Dlc.Session.stop ();
-  Sim.Engine.run engine ~until:(horizon +. 1.);
-  Oracle.finalize oracle;
-  let resync_times = Oracle.Feedback.resync_times feedback in
-  let outcome =
-    {
-      variant = tag;
-      lie = lie_name;
-      guarded = guard_on;
-      faults = Oracle.Feedback.faults_seen feedback;
-      lies_told = Oracle.Feedback.lies_seen feedback;
-      quarantines = Oracle.Feedback.quarantines feedback;
-      resyncs = Oracle.Feedback.resyncs feedback;
-      failure_declared = Oracle.Feedback.failure_declared feedback;
-      resolved = List.length resync_times;
-      time_to_resync = max_or_zero resync_times;
-      unresolved = Oracle.Feedback.unresolved feedback;
-      wrongful = Oracle.wrongful_releases oracle;
-      violations = Oracle.violation_count oracle;
-      delivered = Dlc.Metrics.unique_delivered metrics;
-      completed = Dlc.Metrics.unique_delivered metrics >= frames;
-      goodput_floor =
-        (match floor_window with
-        | Some (lo, hi) -> Oracle.Feedback.goodput_floor feedback ~lo ~hi
-        | None -> nan);
-    }
-  in
-  (match capture with Some c -> Trace.Capture.finish c | None -> ());
-  outcome
+  Trace.Capture.around ?recorder ~proto:("e24-" ^ tag) ~seed
+    ~fingerprint:(fun () ->
+      fingerprint ~seed ~variant:tag ~lie:lie_name ~guarded:guard_on)
+    (fun recorder ->
+      let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
+      let r, oracle =
+        Scenario.run_session ?recorder ~faults:forward ?reverse_faults:reverse
+          ~oracle:("e24-" ^ tag) ~feedback:(feedback, mark_at)
+          { link with seed; n_frames = frames }
+          (session ~guard_on variant)
+      in
+      let oracle = Option.get oracle in
+      let resync_times = Oracle.Feedback.resync_times feedback in
+      {
+        variant = tag;
+        lie = lie_name;
+        guarded = guard_on;
+        faults = Oracle.Feedback.faults_seen feedback;
+        lies_told = Oracle.Feedback.lies_seen feedback;
+        quarantines = Oracle.Feedback.quarantines feedback;
+        resyncs = Oracle.Feedback.resyncs feedback;
+        failure_declared = Oracle.Feedback.failure_declared feedback;
+        resolved = List.length resync_times;
+        time_to_resync = max_or_zero resync_times;
+        unresolved = Oracle.Feedback.unresolved feedback;
+        wrongful = Oracle.wrongful_releases oracle;
+        violations = Oracle.violation_count oracle;
+        delivered = Dlc.Metrics.unique_delivered r.Scenario.metrics;
+        completed = r.Scenario.completed;
+        goodput_floor =
+          (match floor_window with
+          | Some (lo, hi) -> Oracle.Feedback.goodput_floor feedback ~lo ~hi
+          | None -> nan);
+      })
 
 let run_one ?recorder ?frames ~guard_on ~seed variant lie =
   run_core ?recorder ?frames ~guard_on ~seed ~lie_name:(lie_tag lie)
@@ -405,7 +272,8 @@ let run ?(quick = false) ppf =
     "noiseless %.0f km / %.0f Mbit/s link, %d x %d B frames, scripted \
      forward drops %s;@ reverse-channel lies per row; blackout window \
      [%.0f, %.0f) ms; guard: distrust threshold %d, %d resync retries@."
-    (distance_m /. 1000.) (data_rate_bps /. 1e6) n_frames payload_bytes
+    (link.distance_m /. 1000.) (link.data_rate_bps /. 1e6) link.n_frames
+    link.payload_bytes
     (String.concat "," (List.map string_of_int forward_drops))
     (blackout_from *. 1e3) (blackout_until *. 1e3)
     guard_config.Dlc.Guard.distrust_threshold
@@ -438,7 +306,7 @@ let run ?(quick = false) ppf =
               let outcome =
                 if o.failure_declared then "failure declared"
                 else if not o.completed then
-                  Printf.sprintf "STALLED (%d lost)" (n_frames - o.delivered)
+                  Printf.sprintf "STALLED (%d lost)" (link.n_frames - o.delivered)
                 else if o.unresolved then
                   (* full delivery with no explicit resync closing the
                      episode: the variant's own timeout machinery rode

@@ -15,7 +15,7 @@
 
 val name : string
 
-type variant = Lams | Sr_hdlc | Nbdt_bulk
+type variant = E22_corruption.variant = Lams | Sr_hdlc | Nbdt_bulk
 
 val variant_tag : variant -> string
 

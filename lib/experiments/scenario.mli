@@ -83,6 +83,36 @@ val run_checked :
     oracle itself, so its flight dump freezes at the first violation
     with the offending events still in the ring. *)
 
+type session =
+  [ `Lams of Lams_dlc.Params.t | `Hdlc of Hdlc.Params.t | `Nbdt of Nbdt.Params.t ]
+(** The DLC variant {!run_session} creates; a {!protocol} maps onto its
+    first two cases. *)
+
+val run_session :
+  ?faults:Channel.Fault.spec ->
+  ?reverse_faults:Channel.Fault.spec ->
+  ?recorder:Trace.Recorder.t ->
+  ?oracle:string ->
+  ?corrupt:Dlc.Corrupt.t * int ->
+  ?feedback:Oracle.Feedback.t * float option ->
+  config ->
+  session ->
+  result * Oracle.t option
+(** The one single-link runner behind {!run}, {!run_checked}, E17's
+    NBDT rows, E22's and E24's runs and the CLI's [sim]. In order, it
+    makes the seeded duplex from [cfg]; creates the session; attaches
+    [recorder] to its probe, then the protocol-matched {!Oracle} named
+    [oracle] (when given), then [recorder] to that oracle; compiles
+    [faults] / [reverse_faults] onto the forward / reverse link; installs
+    the [corrupt] schedule with convergence budget [k] on the oracle;
+    subscribes the {!Oracle.Feedback} ledger to the probe and the reverse
+    script and schedules its disturbance mark at the given instant;
+    schedules [cfg.blackout] and the traffic; then polls for completion
+    every 1 ms until [cfg.horizon], stops the session, drains the queue
+    up to [cfg.horizon + 10] and finalizes the oracle. [cfg.channel_trace]
+    is used as given: the process-wide default applies only through
+    {!run}, {!run_checked} and {!matrix_point}. *)
+
 val matrix_metrics : result -> (string * float) list
 (** Uniform per-replicate metric vector (efficiency, deliveries, loss,
     holding/delay means, ...) for {!Runner} points; booleans are 0/1. *)

@@ -896,7 +896,9 @@ module Feedback = struct
     mutable failure_declared : bool;
     mutable episode_open : float option;  (* first disturbance, open *)
     mutable resync_times : float list;  (* newest first *)
-    buckets : (int, int) Hashtbl.t;  (* bucket index -> payload bytes *)
+    mutable buckets : int array;
+        (* payload bytes per bucket index, grown by doubling: its length
+           follows the last delivery time over [bucket] *)
   }
 
   let create ?(bucket = 10e-3) () =
@@ -910,7 +912,7 @@ module Feedback = struct
       failure_declared = false;
       episode_open = None;
       resync_times = [];
-      buckets = Hashtbl.create 256;
+      buckets = Array.make 256 0;
     }
 
   let mark_disturbance t ~now =
@@ -925,8 +927,13 @@ module Feedback = struct
 
   let on_delivered t clock payload =
     let i = int_of_float (Array.unsafe_get clock 0 /. t.bucket) in
-    let b = match Hashtbl.find_opt t.buckets i with Some b -> b | None -> 0 in
-    Hashtbl.replace t.buckets i (b + Frame.Payload.length payload)
+    let n = Array.length t.buckets in
+    if i >= n then begin
+      let grown = Array.make (max (i + 1) (2 * n)) 0 in
+      Array.blit t.buckets 0 grown 0 n;
+      t.buckets <- grown
+    end;
+    t.buckets.(i) <- t.buckets.(i) + Frame.Payload.length payload
 
   let observe t probe =
     Dlc.Probe.listen probe
@@ -978,7 +985,7 @@ module Feedback = struct
       let worst = ref max_int in
       for i = first to last do
         let b =
-          match Hashtbl.find_opt t.buckets i with Some b -> b | None -> 0
+          if i >= 0 && i < Array.length t.buckets then t.buckets.(i) else 0
         in
         if b < !worst then worst := b
       done;

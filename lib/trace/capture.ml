@@ -1,26 +1,14 @@
-type t = { recorder : Recorder.t; buf : Buffer.t; base : string option }
+type t = { recorder : Recorder.t; buf : Buffer.t }
 
-let make ?capacity ~name base =
+let make ?capacity ~name () =
   let recorder = Recorder.create ?capacity ~name () in
   let buf = Buffer.create 65536 in
   Recorder.set_sink recorder (fun e ->
       Buffer.add_string buf (Event.to_line e);
       Buffer.add_char buf '\n');
-  { recorder; buf; base }
+  { recorder; buf }
 
-let create ~name () = make ~name None
-
-let start ?config ~proto ~seed ~fingerprint () =
-  let config = match config with Some c -> Some c | None -> Config.get () in
-  match config with
-  | None -> None
-  | Some c ->
-      let base =
-        Filename.concat c.Config.dir (Config.basename ~proto ~seed ~fingerprint)
-      in
-      Some
-        (make ~capacity:c.Config.capacity ~name:(Filename.basename base)
-           (Some base))
+let create ~name () = make ~name ()
 
 let recorder t = t.recorder
 
@@ -46,7 +34,15 @@ let outputs t ~path = files t ~stem:path ~trace:path
 
 let write t ~path = publish (outputs t ~path)
 
-let finish t =
-  match t.base with
-  | Some base -> publish (files t ~stem:base ~trace:(base ^ ".jsonl"))
-  | None -> invalid_arg "Trace.Capture.finish: capture was not started"
+let around ?recorder ~proto ~seed ~fingerprint run =
+  match (recorder, Config.get ()) with
+  | Some _, _ | None, None -> run recorder
+  | None, Some c ->
+      let base =
+        Filename.concat c.Config.dir
+          (Config.basename ~proto ~seed ~fingerprint:(fingerprint ()))
+      in
+      let t = make ~capacity:c.Config.capacity ~name:(Filename.basename base) () in
+      let v = run (Some t.recorder) in
+      publish (files t ~stem:base ~trace:(base ^ ".jsonl"));
+      v

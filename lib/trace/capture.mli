@@ -13,25 +13,15 @@
     complete files.
 
     Two forms: {!create} for an explicit path or in memory (the CLI's
-    [--trace FILE], the golden registry, tests), and {!start}/{!finish}
-    for the process-wide {!Config}'s content-addressed layout, where the
-    stream goes to [<base>.jsonl] and the sidecars to [<base>.metrics.json]
-    and [<base>.flight.jsonl], with [<base>] from {!Config.basename}. *)
+    [--trace FILE], the golden registry, tests), and {!around} for the
+    process-wide {!Config}'s content-addressed layout, where the stream
+    goes to [<base>.jsonl] and the sidecars to [<base>.metrics.json] and
+    [<base>.flight.jsonl], with [<base>] from {!Config.basename}. *)
 
 type t
 
 val create : name:string -> unit -> t
 (** An explicit-path or in-memory capture; [name] names the recorder. *)
-
-val start :
-  ?config:Config.t ->
-  proto:string ->
-  seed:int ->
-  fingerprint:string ->
-  unit ->
-  t option
-(** A content-addressed capture. [config] defaults to {!Config.get};
-    [None] when that is unset. *)
 
 val recorder : t -> Recorder.t
 
@@ -45,6 +35,16 @@ val write : t -> path:string -> unit
 (** Publish [path], [path.metrics.json] and, on violation,
     [path.flight.jsonl]. *)
 
-val finish : t -> unit
-(** Publish a {!start}ed capture under its content-addressed base.
-    Raises [Invalid_argument] on a capture from {!create}. *)
+val around :
+  ?recorder:Recorder.t ->
+  proto:string ->
+  seed:int ->
+  fingerprint:(unit -> string) ->
+  (Recorder.t option -> 'a) ->
+  'a
+(** [around ?recorder ~proto ~seed ~fingerprint run] is [run recorder]
+    when the caller records itself or {!Config} is unset. Otherwise [run]
+    records into a content-addressed capture under
+    [<dir>/<base>] ([<base>] from {!Config.basename}, with [fingerprint]
+    called once), published as [<base>.jsonl], [<base>.metrics.json] and
+    [<base>.flight.jsonl] after [run] returns. *)

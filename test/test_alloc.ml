@@ -232,7 +232,10 @@ let test_sender_frame_lifecycle ~max_words () =
 
 (* The handover and feedback checks on a probe: Oracle.Transfer in
    convergence mode, its suspect window closed, and Oracle.Feedback. As
-   typed listeners they build no event and box no time per emit. *)
+   typed listeners they build no event and box no time per emit. A
+   delivery to Feedback adds its bytes to a goodput bucket; once the
+   bucket array has grown past the latest time, that allocates nothing
+   either. *)
 let test_transfer_feedback_emits () =
   let probe = Dlc.Probe.create () in
   let transfer = Oracle.Transfer.create ~name:"alloc" in
@@ -246,7 +249,21 @@ let test_transfer_feedback_emits () =
       Dlc.Probe.released probe ~seq:1 ~payload;
       Dlc.Probe.requeued probe ~seq:1 ~payload;
       Dlc.Probe.cp_emitted probe ~cp_seq:1 ~next_expected:2 ~enforced:false
-        ~stop_go:false ~naks)
+        ~stop_go:false ~naks);
+  let delivered = Dlc.Probe.create () in
+  let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
+  Oracle.Feedback.observe feedback delivered;
+  (* 1,000 deliveries 1 ms apart, then the same 1,000 buckets again *)
+  let clock = Dlc.Probe.clock delivered and tick = ref 0 in
+  gate ~warmup:1_000 ~what:"delivered emit to Feedback" ~max_words:0.
+    (fun () ->
+      clock.(0) <- (float_of_int (!tick mod 1_000) +. 0.5) *. 1e-3;
+      incr tick;
+      Dlc.Probe.delivered delivered ~seq:1 ~payload);
+  Alcotest.(check (float 0.))
+    "every bucket holds two deliveries"
+    (float_of_int (8 * 2 * Frame.Payload.length payload) /. 1e-3)
+    (Oracle.Feedback.goodput_floor feedback ~lo:0. ~hi:1.)
 
 let suite =
   [

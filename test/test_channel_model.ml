@@ -207,21 +207,32 @@ let test_ge_batch_mixed_spans () =
 
 (* The batched GE path draws a different stream than sequential fate
    calls but must agree in distribution across the parameter space, not
-   just at one pinned operating point. *)
+   just at one pinned operating point. Each run spans [cycles] expected
+   burst cycles: bursts of b frames and gaps of g = 10 b frames, so
+   n = 11 b cycles frames. Its bad-frame fraction is a renewal-reward
+   average whose variance comes from the burst count and the burst and
+   gap lengths (geometric, sd = mean): ((1 - r)^2 b^2 + r^2 g^2) /
+   ((b + g) n) with r = b / (b + g), which is 200 / (1331 * 11 * cycles)
+   for every b. Two independent runs may differ by 6 sd of their
+   difference (0.081 at 150 cycles). Over 100,000 draws of this
+   generator the standardized difference had sd 1.04 and a largest
+   value of 4.8; a normal tail beyond 6 puts the false-failure rate near
+   1e-8 per draw, about 2e-7 per 15-draw run. *)
 let prop_ge_batch_vs_sequential =
   QCheck2.Test.make
     ~name:"GE fates_into distribution-compatible with sequential fate" ~count:15
+    ~print:QCheck2.Print.(triple int float int)
     QCheck2.Gen.(
       triple (int_range 0 1_000_000) (float_range 0.01 0.5) (int_range 2 40))
     (fun (seed, ber_bad, burst_frames) ->
-      let frame_bits = 1000. in
+      let frame_bits = 1000. and cycles = 150 in
       let mk () =
         EM.gilbert_elliott ~ber_good:0. ~ber_bad
           ~mean_burst_bits:(float_of_int burst_frames *. frame_bits)
           ~mean_gap_bits:(10. *. float_of_int burst_frames *. frame_bits)
           ()
       in
-      let n = 6_000 in
+      let n = 11 * burst_frames * cycles in
       let bad arr =
         Array.fold_left (fun a f -> if f = M.Clean then a else a + 1) 0 arr
       in
@@ -236,9 +247,8 @@ let prop_ge_batch_vs_sequential =
       M.fates_into batch r2 ~header_bits:100 ~payload_bits:900 batch_fates ~n;
       let p_seq = float_of_int (bad seq_fates) /. float_of_int n in
       let p_batch = float_of_int (bad batch_fates) /. float_of_int n in
-      (* generous bound: correlated frames mean few independent samples
-         at the long-burst end of the generator range *)
-      Float.abs (p_seq -. p_batch) <= 0.05 +. (0.5 *. Float.max p_seq p_batch))
+      let sd_diff = sqrt (2. *. 200. /. (1331. *. 11. *. float_of_int cycles)) in
+      Float.abs (p_seq -. p_batch) <= 6. *. sd_diff)
 
 (* --- calibration -------------------------------------------------------- *)
 
