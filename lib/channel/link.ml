@@ -44,16 +44,21 @@ type t = {
      [serial_done] handles end-of-serialisation for the single frame in
      the transmitter ([cur_*] fields), and [arrive_fn] delivers the
      oldest in-flight frame from the ring. Arrival times are clamped
-     monotone (FIFO below), so ring order is arrival order. Scalar
-     floats that cross event boundaries live in one-element float
-     arrays: flat float-array stores stay unboxed on non-flambda
-     builds, where a mutable float field in a mixed record would box on
-     every store. *)
+     monotone (FIFO below), so ring order is arrival order, and only
+     the head's arrival is an engine event: each frame keeps its
+     arrival instant and the engine tie-break number reserved at its
+     departure, and the head's arrival schedules the next. Scalar
+     floats that cross event boundaries live in float arrays: flat
+     float-array stores stay unboxed on non-flambda builds, where a
+     mutable float field in a mixed record would box on every store. *)
   mutable serial_done : unit -> unit;
   mutable arrive_fn : int -> unit;
   mutable cur_frame : Frame.Wire.t;
   mutable cur_lost : bool;  (* sent while down: lose it at departure *)
-  mutable ring_frames : Frame.Wire.t array;  (* capacity a power of two *)
+  (* the propagation ring: three columns, capacity a power of two *)
+  mutable ring_frames : Frame.Wire.t array;
+  mutable ring_at : float array;  (* arrival instants *)
+  mutable ring_seq : int array;  (* reserved engine tie-break numbers *)
   mutable ring_head : int;
   mutable ring_len : int;
   last_arrival : float array;
@@ -85,6 +90,8 @@ let make engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
       cur_frame = dummy_frame;
       cur_lost = false;
       ring_frames = Array.make 16 dummy_frame;
+      ring_at = Array.make 16 0.;
+      ring_seq = Array.make 16 0;
       ring_head = 0;
       ring_len = 0;
       last_arrival = [| 0. |];
@@ -234,20 +241,31 @@ let deliver t frame =
             f rx)
   end
 
-let ring_push t frame =
+let[@inline never] grow_ring t =
   let cap = Array.length t.ring_frames in
-  if t.ring_len = cap then begin
-    let nf = Array.make (2 * cap) dummy_frame in
-    for i = 0 to t.ring_len - 1 do
-      nf.(i) <- t.ring_frames.((t.ring_head + i) land (cap - 1))
-    done;
-    t.ring_frames <- nf;
-    t.ring_head <- 0
-  end;
-  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_frames - 1) in
-  Array.unsafe_set t.ring_frames i frame;
-  t.ring_len <- t.ring_len + 1
+  let frames = Array.make (2 * cap) dummy_frame
+  and at = Array.make (2 * cap) 0.
+  and seqs = Array.make (2 * cap) 0 in
+  for i = 0 to t.ring_len - 1 do
+    let j = (t.ring_head + i) land (cap - 1) in
+    frames.(i) <- t.ring_frames.(j);
+    at.(i) <- t.ring_at.(j);
+    seqs.(i) <- t.ring_seq.(j)
+  done;
+  t.ring_frames <- frames;
+  t.ring_at <- at;
+  t.ring_seq <- seqs;
+  t.ring_head <- 0
 
+let schedule_head t =
+  let i = t.ring_head in
+  ignore
+    (Sim.Engine.schedule_reserved t.engine ~time:(Array.unsafe_get t.ring_at i)
+       ~seq:(Array.unsafe_get t.ring_seq i) ~fn:t.arrive_fn ~arg:0
+      : Sim.Engine.event_id)
+
+(* The head's arrival: queue the next head's before delivering, so the
+   engine holds it even if the receiver raises. *)
 let arrive t =
   assert (t.ring_len > 0);
   let i = t.ring_head in
@@ -255,6 +273,7 @@ let arrive t =
   Array.unsafe_set t.ring_frames i dummy_frame;
   t.ring_head <- (i + 1) land (Array.length t.ring_frames - 1);
   t.ring_len <- t.ring_len - 1;
+  if t.ring_len > 0 then schedule_head t;
   deliver t frame
 
 (* Start serialising [frame] on the idle transmitter. *)
@@ -295,10 +314,16 @@ let serial_done t =
     if tapping t then tap t (Tap_lost frame)
   end
   else begin
-    ring_push t frame;
-    ignore
-      (Sim.Engine.schedule_at_fn t.engine ~time:arrival ~fn:t.arrive_fn ~arg:0
-        : Sim.Engine.event_id)
+    (* the arrival's tie-break number is taken here, where a queue of
+       every arrival would schedule it, so the run order is the same *)
+    let seq = Sim.Engine.reserve_seq t.engine in
+    if t.ring_len = Array.length t.ring_frames then grow_ring t;
+    let i = (t.ring_head + t.ring_len) land (Array.length t.ring_frames - 1) in
+    Array.unsafe_set t.ring_frames i frame;
+    Array.unsafe_set t.ring_at i arrival;
+    Array.unsafe_set t.ring_seq i seq;
+    t.ring_len <- t.ring_len + 1;
+    if t.ring_len = 1 then schedule_head t
   end;
   start_next t
 

@@ -89,6 +89,7 @@ type t = {
   mutable hits : int;
   mutable skipped : int;
   mutable log : (float * string) list;  (* newest first *)
+  mutable stopped : bool;  (* timed injections no longer fire *)
 }
 
 let compile spec =
@@ -111,7 +112,7 @@ let compile spec =
             classes = Array.of_list classes;
           }
   in
-  { mode; spec; hits = 0; skipped = 0; log = [] }
+  { mode; spec; hits = 0; skipped = 0; log = []; stopped = false }
 
 let of_rules rules = compile (Rules rules)
 
@@ -155,7 +156,7 @@ let install t engine ~surface ~probe =
             let rec arm ~time =
               ignore
                 (Sim.Engine.schedule_at engine ~time (fun () ->
-                     if cr.left > 0 then begin
+                     if cr.left > 0 && not t.stopped then begin
                        cr.left <- cr.left - 1;
                        apply t ~surface ~probe ~now:(Sim.Engine.now engine)
                          cr.r.klass;
@@ -173,11 +174,15 @@ let install t engine ~surface ~probe =
           if time < stop then
             ignore
               (Sim.Engine.schedule_at engine ~time (fun () ->
-                   let k = timed.(Sim.Rng.int rng (Array.length timed)) in
-                   apply t ~surface ~probe ~now:(Sim.Engine.now engine) k;
-                   arm ~time:(time +. Sim.Rng.exponential rng ~mean:mean_gap)))
+                   if not t.stopped then begin
+                     let k = timed.(Sim.Rng.int rng (Array.length timed)) in
+                     apply t ~surface ~probe ~now:(Sim.Engine.now engine) k;
+                     arm ~time:(time +. Sim.Rng.exponential rng ~mean:mean_gap)
+                   end))
         in
         arm ~time:(start +. Sim.Rng.exponential rng ~mean:mean_gap)
+
+let stop t = t.stopped <- true
 
 let take_carryover t ~now =
   match t.mode with

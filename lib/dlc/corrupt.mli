@@ -95,6 +95,11 @@ val install : t -> Sim.Engine.t -> surface:surface -> probe:Probe.t -> unit
     [State_corrupted] on [probe]. [Carryover_stale] rules are not timed:
     they arm {!take_carryover} instead. *)
 
+val stop : t -> unit
+(** Disarm the timed injections: none installed by {!install} fires
+    after this, so none counts as applied or skipped. Called when the
+    session the schedule targets stops. *)
+
 val take_carryover : t -> now:float -> (int * bool) option
 (** Called by the handover layer when a carryover snapshot is taken:
     if a [Carryover_stale] rule is armed ([at <= now], budget left),

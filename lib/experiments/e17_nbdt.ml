@@ -1,6 +1,8 @@
 let name = "E17 NBDT baselines vs LAMS-DLC"
 
-let run_nbdt cfg params = fst (Scenario.run_session cfg (`Nbdt params))
+(* The rows replay [--channel-trace] as the LAMS row does. *)
+let run_nbdt cfg params =
+  fst (Scenario.run_session (Scenario.resolve_trace cfg) (`Nbdt params))
 
 let row ~label (r : Scenario.result) =
   let m = r.Scenario.metrics in

@@ -177,9 +177,9 @@ let transfer ?recorder ?corrupt ~seed setup =
   let completed_msgs = ref 0 in
   (* the sink invariant is uniqueness, not id order: a retransmitted
      fragment of message k can arrive after message k+1 completed, so
-     completion order is legitimately loose — Oracle.Stream's strict
-     ordering only applies when messages finish transit one at a time
-     (see test_netstack's property) *)
+     completion order is legitimately loose — strictly increasing ids
+     hold only when messages finish transit one at a time (see
+     test_netstack's property) *)
   Netstack.Resequencer.set_on_message reseq (fun ~src:_ ~msg_id ~body:_ ->
       incr completed_msgs;
       Oracle.Transfer.on_sink transfer ~now:(Sim.Engine.now engine) msg_id);

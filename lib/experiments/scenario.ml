@@ -254,6 +254,13 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
           ~count:cfg.n_frames ~payload
   in
   let metrics = dlc.Dlc.Session.metrics in
+  (* a corruption schedule stops with its session *)
+  let stop () =
+    dlc.Dlc.Session.stop ();
+    match corrupt with
+    | Some (schedule, _) -> Dlc.Corrupt.stop schedule
+    | None -> ()
+  in
   (* Stop condition: all offered frames delivered (uniquely) or horizon.
      Poll with a watcher event so the run ends as soon as work is done. *)
   let finished () =
@@ -264,13 +271,13 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
     if finished () then
       (* stop periodic activity so the event queue can drain and the run
          ends at the completion instant instead of the horizon *)
-      dlc.Dlc.Session.stop ()
+      stop ()
     else if Sim.Engine.now engine < cfg.horizon then
       ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
   in
   ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
   Sim.Engine.run engine ~until:cfg.horizon;
-  dlc.Dlc.Session.stop ();
+  stop ();
   Sim.Engine.run engine ~until:(cfg.horizon +. 10.);
   let elapsed = Dlc.Metrics.elapsed metrics in
   let result =

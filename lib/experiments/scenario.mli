@@ -47,6 +47,11 @@ val set_default_channel_trace : Channel.Trace_model.data option -> unit
     into the config before fingerprinting and model construction. Set it
     before launching runs; worker domains only read. *)
 
+val resolve_trace : config -> config
+(** The config with that fallback filled in when its [channel_trace] is
+    [None]. {!run}, {!run_checked} and {!matrix_point} apply it;
+    {!run_session} takes its config as given. *)
+
 type result = {
   metrics : Dlc.Metrics.t;
   elapsed : float;  (** first offer to last delivery *)

@@ -69,7 +69,7 @@ type t = {
   mutable live : int;  (* unresolved entries *)
   fresh : Fifo.t;  (* slots of never-transmitted payloads *)
   retx : Fifo.t;  (* awaiting retransmission *)
-  mutable rate_factor : float;
+  rate_factor : float array;  (* one element: written per checkpoint, unboxed *)
   next_allowed_tx : float array;  (* one element: written per frame, unboxed *)
   mutable wakeup_scheduled : bool;
   mutable halted : bool;
@@ -197,7 +197,7 @@ let outstanding t = t.live
 
 let outstanding_span_peak t = t.span_peak
 
-let rate_factor t = t.rate_factor
+let rate_factor t = Array.unsafe_get t.rate_factor 0
 
 let halted t = t.halted
 
@@ -274,7 +274,8 @@ and transmit t s ~is_retx =
   Channel.Link.send t.forward wire;
   (* Stop-Go pacing: at full rate the next frame may follow back-to-back;
      a reduced rate factor stretches the inter-frame spacing. *)
-  Array.unsafe_set t.next_allowed_tx 0 (now +. (tx /. t.rate_factor));
+  Array.unsafe_set t.next_allowed_tx 0
+    (now +. (tx /. Array.unsafe_get t.rate_factor 0));
   (* the checkpoint timer must run from the first transmission so a link
      that never produces a single checkpoint is also detected *)
   start_cp_timer_if_needed t;
@@ -397,13 +398,12 @@ let rec requeue_naked t = function
       requeue_naked t rest
 
 let apply_stop_go t ~stop =
-  if stop then
-    t.rate_factor <-
-      Float.max t.params.Params.min_rate_factor
-        (t.rate_factor *. t.params.Params.rate_decrease_factor)
-  else
-    t.rate_factor <-
-      Float.min 1. (t.rate_factor +. t.params.Params.rate_increase_step)
+  let r = Array.unsafe_get t.rate_factor 0 in
+  Array.unsafe_set t.rate_factor 0
+    (if stop then
+       Float.max t.params.Params.min_rate_factor
+         (r *. t.params.Params.rate_decrease_factor)
+     else Float.min 1. (r +. t.params.Params.rate_increase_step))
 
 let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
   (* any checkpoint proves the link alive *)
@@ -592,7 +592,7 @@ let create engine ~params ~forward ~metrics ~probe =
       live = 0;
       fresh = Fifo.create ();
       retx = Fifo.create ();
-      rate_factor = 1.;
+      rate_factor = [| 1. |];
       next_allowed_tx = [| 0. |];
       wakeup_scheduled = false;
       halted = false;

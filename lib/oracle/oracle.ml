@@ -669,34 +669,6 @@ let convergence t = summary t.window
 
 let report t = report_of t.ledger
 
-module Stream = struct
-  type nonrec t = {
-    name : string;
-    mutable last : int;
-    mutable viols : violation list;
-  }
-
-  let create ~name = { name; last = min_int; viols = [] }
-
-  let push s ~now id =
-    if id <= s.last then
-      s.viols <-
-        {
-          time = now;
-          invariant = "stream-order";
-          detail =
-            Printf.sprintf "%s: id %d arrived after %d (duplicate or \
-                            reordered past the resequencer)"
-              s.name id s.last;
-        }
-        :: s.viols
-    else s.last <- id
-
-  let violations s = List.rev s.viols
-
-  let ok s = s.viols = []
-end
-
 module Transfer = struct
   type trec = {
     first_seen : int;  (* ordinal among the tracked payloads *)

@@ -133,21 +133,6 @@ val ok : t -> bool
 val report : t -> string
 (** Human-readable multi-line summary, empty-string when clean. *)
 
-(** Order checker for post-resequencer streams: {!Netstack.Resequencer}
-    must hand each source's messages to the application in strictly
-    increasing id order with no duplicates, whatever the links did. *)
-module Stream : sig
-  type t
-
-  val create : name:string -> t
-
-  val push : t -> now:float -> int -> unit
-
-  val violations : t -> violation list
-
-  val ok : t -> bool
-end
-
 (** Cross-handover no-loss / no-duplicate check, spanning session
     instances.
 

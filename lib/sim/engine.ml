@@ -70,6 +70,15 @@ let[@inline] schedule_at_fn t ~time ~fn ~arg =
     in_the_past time (Array.unsafe_get t.clock 0);
   add_at t time ((arg lsl 1) lor 1) (Obj.repr fn)
 
+let reserve_seq t = Event_queue.reserve_seq t.queue
+
+let[@inline] schedule_reserved t ~time ~seq ~fn ~arg =
+  if time < Array.unsafe_get t.clock 0 then
+    in_the_past time (Array.unsafe_get t.clock 0);
+  Array.unsafe_set t.arg 0 time;
+  Event_queue.add_reserved t.queue ~cell:t.arg ~seq
+    ~aux:((arg lsl 1) lor 1) (Obj.repr fn)
+
 let cancel t id = Event_queue.cancel t.queue id
 
 let is_scheduled t id = Event_queue.is_pending t.queue id

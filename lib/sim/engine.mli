@@ -1,16 +1,21 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock and an event queue (an arena-backed
-    timer wheel, see {!Event_queue}). Components schedule callbacks at
-    future instants; [run] pops events in timestamp order (ties broken
-    by scheduling order) and executes them, advancing the clock. All
-    times are in seconds of simulated time.
+    [(time, seq)] heap, see {!Event_queue}). Components schedule
+    callbacks at future instants; [run] pops events in timestamp order
+    (ties broken by scheduling order) and executes them, advancing the
+    clock. All times are in seconds of simulated time.
 
     Scheduling is allocation-free in steady state. [schedule] and
     [schedule_at] take a [unit -> unit] closure; hot paths that would
     otherwise close over fresh state per frame should pre-allocate one
     [int -> unit] callback and pass the varying part through
-    {!schedule_fn}'s integer argument instead. *)
+    {!schedule_fn}'s integer argument instead.
+
+    The queue holds few events: a component with many future events of
+    its own keeps them itself and queues only the next one (see "The
+    event order" below). A link direction queues one arrival however
+    many frames are in flight. *)
 
 type t
 
@@ -65,7 +70,9 @@ val is_scheduled : t -> event_id -> bool
     cancelled. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-fired events. *)
+(** Number of scheduled, not-yet-fired events. A busy link direction
+    ([Channel.Link]) counts one, its next arrival, however many frames
+    it has in flight: the rest wait in the link's ring. *)
 
 (** {2 The event order}
 
@@ -78,11 +85,33 @@ val pending : t -> int
     the same interleaving as if it had scheduled them. Such events are
     not in the queue: {!run} and {!step} neither run nor count them, so
     a bare [run] ends at the last queued event, before any later
-    settled-in-place instant. *)
+    settled-in-place instant.
+
+    A component whose events run in the order it creates them (a FIFO
+    of future instants, such as a link's frames in flight) can instead
+    queue only the first: it takes each event's [seq] with
+    {!reserve_seq} where it would have scheduled the event, and
+    schedules it with {!schedule_reserved} once its predecessor runs.
+    Each event keeps the [(time, seq)] key it would have had, so the run
+    order, {!next_seq} and {!last_seq} are as if every event had been
+    queued at once. The component must schedule a reserved event before
+    any event it precedes runs; scheduling it from its predecessor's
+    callback does that. *)
 
 val next_seq : t -> int
 (** The [seq] the next scheduled event will get: the number of events
-    scheduled so far. Reading it consumes nothing. *)
+    scheduled and of numbers reserved so far. Reading it consumes
+    nothing. *)
+
+val reserve_seq : t -> int
+(** Take the next [seq] now, for an event scheduled later with
+    {!schedule_reserved}: returns {!next_seq} and moves it on by one. *)
+
+val schedule_reserved :
+  t -> time:float -> seq:int -> fn:(int -> unit) -> arg:int -> event_id
+(** {!schedule_at_fn} with a [seq] taken earlier by {!reserve_seq},
+    each used at most once. Raises [Invalid_argument] if [time] is in
+    the simulated past or [seq] was never reserved. *)
 
 val last_seq : t -> int
 (** The [seq] of the event running now, or of the one that ran last.

@@ -3,29 +3,21 @@
     Events live in an {e arena} of reusable slots (struct-of-arrays:
     times, tie-break sequence numbers, payloads) recycled through a free
     list, so steady-state scheduling allocates nothing. Pending events
-    are indexed by a three-tier structure keyed by the event's {e tick}
-    (its timestamp quantised to 2{^-14} s):
+    are ordered by one 4-ary min-heap on [(time, seq)], where [seq]
+    numbers the events in the order they were added (or their numbers
+    reserved, see {!reserve_seq}): events with equal timestamps pop in
+    that order, the determinism contract the simulations depend on.
 
-    - a {b near heap} — a 4-ary min-heap over [(time, seq)] holding
-      every event at or before the current tick cursor, so the pop order
-      is exact;
-    - a {b timer wheel} — 1024 unsorted buckets covering the next
-      ~62.5 ms, where the near-horizon bulk (frame serialisation, timer
-      re-arms) lands in O(1);
-    - an {b overflow heap} — a second [(time, seq)] min-heap for
-      timestamps beyond the wheel horizon.
+    The queue stays small: a link keeps its frames in flight in its own
+    ring and queues only the earliest arrival ({!Engine.pending}), so a
+    plain heap is as fast as a timer wheel would be, and simpler.
 
-    When the near heap drains, the cursor advances to the next populated
-    tick and that tick's events (wheel bucket and/or overflow prefix)
-    are dumped into the near heap, restoring exact order. Events with
-    equal timestamps therefore still pop in insertion order, regardless
-    of which tier they travelled through — the determinism contract the
-    simulations depend on.
-
-    Handles are generation-tagged integers: cancellation is O(1), a
-    stale handle (slot since recycled) is detected and refused, and a
-    cancelled or fired event's payload slot is immediately reset to the
-    queue's [dummy] so the queue never pins dead payloads. *)
+    Handles are generation-tagged integers: a stale handle (slot since
+    recycled) is detected and refused. Cancellation removes the event
+    from the heap at once, in O(log n), so a restarted timer leaves no
+    dead entry behind, and a cancelled or fired event's payload slot is
+    reset to the queue's [dummy] so the queue never pins dead
+    payloads. *)
 
 type 'a t
 (** Queue holding payloads of type ['a]. *)
@@ -50,11 +42,11 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of pending events. *)
 
 val next_seq : 'a t -> int
 (** The tie-break number the next added event will get: the count of
-    events added so far. Reading it consumes nothing. *)
+    numbers handed out so far. Reading it consumes nothing. *)
 
 val last_seq : 'a t -> int
 (** The tie-break number of the event {!pop} or {!pop_run} removed
@@ -64,38 +56,46 @@ val last_seq : 'a t -> int
 val add : 'a t -> time:float -> 'a -> id
 (** [add q ~time v] schedules [v] at [time] and returns its handle. *)
 
-val add_aux : 'a t -> time:float -> aux:int -> 'a -> id
-(** Like {!add} with an auxiliary integer stored (unboxed) alongside the
-    payload and handed back by {!pop_run} — room for a dispatch tag or a
-    small argument without allocating a wrapper. {!add} stores [0]. *)
-
 val add_cell : 'a t -> cell:float array -> aux:int -> 'a -> id
-(** [add_cell q ~cell ~aux v] is [add_aux q ~time:cell.(0) ~aux v]. The
-    caller stores the time into a one-element float array, unboxed, and
-    this call reads it back: a float argument to a call that is not
-    inlined would be boxed on non-flambda builds. {!Engine}'s inlined
-    [schedule*] functions use it. *)
+(** [add_cell q ~cell ~aux v] schedules [v] at [cell.(0)] with an
+    auxiliary integer stored (unboxed) alongside the payload and handed
+    back by {!pop_run}: room for a dispatch tag or a small argument
+    without a wrapper ({!add} stores [0]). The caller stores the time
+    into a one-element float array, unboxed, and this call reads it
+    back: a float argument to a call that is not inlined would be boxed
+    on non-flambda builds. {!Engine}'s inlined [schedule*] functions use
+    it. *)
+
+val reserve_seq : 'a t -> int
+(** Take the next tie-break number now, for an event added later with
+    {!add_reserved}: the number {!next_seq} reads, which it then moves
+    past. *)
+
+val add_reserved : 'a t -> cell:float array -> seq:int -> aux:int -> 'a -> id
+(** {!add_cell} with a number taken earlier by {!reserve_seq}, so the
+    event sorts among equal-time events as if it had been added when
+    its number was taken. Each reserved number is to be used at most
+    once. Raises [Invalid_argument] if [seq] was never handed out. *)
 
 val cancel : 'a t -> id -> bool
 (** [cancel q id] removes the event if it is still pending. Returns
     [false] when the event already fired, was already cancelled, or the
-    handle is stale. Removal from the indexing tier is lazy, but the
-    payload slot is cleared immediately. *)
+    handle is stale. *)
 
 val is_pending : 'a t -> id -> bool
 (** Whether the handle names an event that has neither fired nor been
     cancelled. *)
 
 val peek_time : 'a t -> float option
-(** Timestamp of the earliest live event, if any. *)
+(** Timestamp of the earliest pending event, if any. *)
 
 val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest live event. Allocates the result;
+(** Remove and return the earliest pending event. Allocates the result;
     drain loops that must not allocate use {!pop_run}. *)
 
 type run_stop =
-  | Drained  (** no live events left *)
-  | Deferred  (** the earliest live event lies beyond [until] *)
+  | Drained  (** no pending events left *)
+  | Deferred  (** the earliest pending event lies beyond [until] *)
   | Max_events  (** the [max_events] budget was consumed *)
 
 val pop_run :
@@ -105,7 +105,7 @@ val pop_run :
   max_events:int ->
   k:('a -> int -> unit) ->
   run_stop
-(** [pop_run q ~clock ~until ~max_events ~k] pops live events in
+(** [pop_run q ~clock ~until ~max_events ~k] pops events in
     [(time, seq)] order while their time is [<= until], writing each
     event's timestamp into [clock.(0)] and then calling
     [k payload aux], until the queue drains, the next event lies beyond

@@ -3,7 +3,9 @@ type t = {
   mutable duration : float;
   on_expire : unit -> unit;
   mutable armed : Engine.event_id;
-  mutable expires_at : float;
+  expires_at : float array;
+      (* one element, stored on every [start]: a float field of this
+         mixed record would box there *)
   mutable fire : unit -> unit;
       (* allocated once at [create]; [start] re-arms it without closing
          over anything per call *)
@@ -17,7 +19,7 @@ let create engine ~duration ~on_expire =
       duration;
       on_expire;
       armed = Engine.never;
-      expires_at = 0.;
+      expires_at = [| 0. |];
       fire = ignore;
     }
   in
@@ -34,7 +36,8 @@ let stop t =
 
 let start t =
   stop t;
-  t.expires_at <- Engine.now t.engine +. t.duration;
+  Array.unsafe_set t.expires_at 0
+    (Array.unsafe_get (Engine.clock t.engine) 0 +. t.duration);
   t.armed <- Engine.schedule t.engine ~delay:t.duration t.fire
 
 let reset = start
@@ -47,5 +50,5 @@ let set_duration t d =
 
 let remaining t =
   if Engine.is_scheduled t.engine t.armed then
-    Some (Float.max 0. (t.expires_at -. Engine.now t.engine))
+    Some (Float.max 0. (Array.unsafe_get t.expires_at 0 -. Engine.now t.engine))
   else None

@@ -47,19 +47,21 @@ let test_coded_path_status () =
         (Channel.Coded_path.transmit_status path descriptor_frame
           : Channel.Link.status))
 
-(* Steady-state scheduling through the arena and timer wheel: delays
-   spanning the near heap, the wheel buckets and the overflow heap (80 ms
-   is past the wheel horizon), one pre-allocated callback, float delays
-   bound once so none is boxed per call. *)
+(* Steady-state scheduling through the arena and the heap: delays from
+   half a microsecond to 80 ms, one pre-allocated callback, float delays
+   bound once so none is boxed per call, and every third event cancels
+   the one scheduled before it, wherever it sits in the heap. *)
 let test_engine_schedule () =
   let e = Sim.Engine.create () in
   let noop _ = () in
   let d0 = 5e-7 and d1 = 6.1e-5 and d2 = 9.7e-4 and d3 = 8e-2 in
-  gate ~what:"Engine.schedule_fn (three tiers) + run" ~max_words:0. (fun () ->
+  let prev = ref Sim.Engine.never in
+  gate ~what:"Engine.schedule_fn + cancel + run" ~max_words:0. (fun () ->
       for i = 0 to 99 do
         let d = match i land 3 with 0 -> d0 | 1 -> d1 | 2 -> d2 | _ -> d3 in
-        ignore
-          (Sim.Engine.schedule_fn e ~delay:d ~fn:noop ~arg:i : Sim.Engine.event_id)
+        let id = Sim.Engine.schedule_fn e ~delay:d ~fn:noop ~arg:i in
+        if i mod 3 = 0 then ignore (Sim.Engine.cancel e !prev : bool);
+        prev := id
       done;
       Sim.Engine.run e)
 
@@ -185,13 +187,13 @@ let test_checked_words_per_frame ~max_words () =
 (* One LAMS frame through the sender: offered, put on the wire, carried
    by the link to a receiver that drops it, and released by a
    checkpoint. The buffer slot, the rings and the engine reuse their
-   storage. In the release build the loop allocates 14 words: the
-   I-frame and its wire box (5), the departure boxed for the link's
-   [distance_m] closure, once by the sender and once by the link (4),
-   the link's [rx] record (3) and the checkpoint's boxed rate factor
-   (2). The dev profile adds the floats boxed at cross-module calls; a
-   sender that allocates per buffered frame (a record, its float array
-   and a queue cell) fails the gate. *)
+   storage. In the release build the loop allocates 12 words: the
+   I-frame and its wire box, the departure boxed for the link's
+   [distance_m] closure, by the sender and by the link, and the link's
+   [rx] record; the checkpoint allocates nothing. The dev profile adds
+   the floats boxed at cross-module calls; a sender that allocates per
+   buffered frame (a record, its float array and a queue cell) fails the
+   gate. *)
 let test_sender_frame_lifecycle ~max_words () =
   let engine = Sim.Engine.create () in
   let forward =
@@ -229,6 +231,43 @@ let test_sender_frame_lifecycle ~max_words () =
       Lams_dlc.Sender.on_rx sender checkpoints.(!next);
       incr next);
   Alcotest.(check int) "every frame released" 0 (Lams_dlc.Sender.backlog sender)
+
+(* A NAK-free checkpoint reaching an idle sender, its Stop-Go bit
+   alternately set and clear: it restarts the checkpoint timer and
+   scales the rate factor down or back up. Neither the timer's expiry
+   nor the rate factor is a float field of a mixed record, so neither
+   store boxes. *)
+let test_checkpoint_stop_go ~max_words () =
+  let engine = Sim.Engine.create () in
+  let forward =
+    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:1000. ~data_rate_bps:1e9
+      ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  let sender =
+    Lams_dlc.Sender.create engine ~params:Lams_dlc.Params.default ~forward
+      ~metrics:(Dlc.Metrics.create ()) ~probe:(Dlc.Probe.create ())
+  in
+  let warmup = 10 and calls = 1_000 in
+  let checkpoints =
+    Array.init (warmup + calls) (fun i ->
+        {
+          Channel.Link.frame =
+            Frame.Wire.Control
+              (Frame.Cframe.checkpoint ~cp_seq:i ~issue_time:0.
+                 ~stop_go:(i land 1 = 0) ~enforced:false ~next_expected:0 ~naks:[]);
+          status = Channel.Link.Rx_ok;
+        })
+  in
+  let next = ref 0 in
+  gate ~warmup ~calls ~what:"NAK-free checkpoint at the sender" ~max_words
+    (fun () ->
+      Lams_dlc.Sender.on_rx sender checkpoints.(!next);
+      incr next);
+  Alcotest.(check bool) "the rate factor moved" true
+    (Lams_dlc.Sender.rate_factor sender < 1.);
+  Alcotest.(check int) "one timer armed" 1 (Sim.Engine.pending engine)
 
 (* The handover and feedback checks on a probe: Oracle.Transfer in
    convergence mode, its suspect window closed, and Oracle.Feedback. As
@@ -273,7 +312,7 @@ let suite =
       test_scratch_encode;
     Alcotest.test_case "coded-path status of a descriptor frame: 0 words" `Quick
       test_coded_path_status;
-    Alcotest.test_case "engine schedule, three tiers: 0 words" `Quick
+    Alcotest.test_case "engine schedule, cancel and run: 0 words" `Quick
       test_engine_schedule;
     Alcotest.test_case "rng draws: 0 words" `Quick test_rng_draws;
     Alcotest.test_case "LAMS receiver NAK marking: at most 1 word" `Quick
@@ -297,4 +336,6 @@ let suite =
       (test_sender_frame_lifecycle ~max_words:44.);
     Alcotest.test_case "typed probe emits to Transfer and Feedback: 0 words"
       `Quick test_transfer_feedback_emits;
+    Alcotest.test_case "NAK-free checkpoint at the sender: 0 words" `Quick
+      (test_checkpoint_stop_go ~max_words:0.);
   ]

@@ -356,6 +356,122 @@ let test_moving_link_distance () =
         Alcotest.failf "growing distance not reflected: %g vs %g" a b
   | _ -> Alcotest.fail "expected two arrivals"
 
+(* [n] back-to-back 1 kB frames on a link [distance_m] at 300 Mbit/s:
+   the arrival instant of each frame in the order they arrived, each
+   frame's departure instant, and the most events the engine held at
+   once while they flew. *)
+let fly ~distance_m ~n =
+  let engine = Sim.Engine.create () in
+  let link =
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:12) ~distance_m
+      ~data_rate_bps:300e6 ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  let departures = Array.make n nan in
+  let arrivals = ref [] in
+  let peak = ref 0 in
+  let watch () = peak := max !peak (Sim.Engine.pending engine) in
+  (* a frame departs one serialisation time after it starts, the float
+     the link's end-of-serialisation event is scheduled at *)
+  let started = ref 0 in
+  Channel.Link.set_tap link (function
+    | Channel.Link.Tap_tx f ->
+        departures.(!started) <-
+          Sim.Engine.now engine +. Channel.Link.tx_time link f;
+        incr started;
+        watch ()
+    | _ -> ());
+  Channel.Link.set_receiver link (fun rx ->
+      watch ();
+      match rx.Channel.Link.frame with
+      | Frame.Wire.Data i ->
+          arrivals := (i.Frame.Iframe.seq, Sim.Engine.now engine) :: !arrivals
+      | _ -> ());
+  for seq = 0 to n - 1 do
+    Channel.Link.send link (iframe ~seq ~bytes:1024)
+  done;
+  Sim.Engine.run engine;
+  (List.rev !arrivals, departures, !peak, link)
+
+(* A 4,000 km link at 300 Mbit/s keeps about 480 frames in flight, but
+   the engine holds only the transmitter's end of serialisation and the
+   oldest frame's arrival: the others wait in the link's ring. Each
+   still lands at its departure plus the light time, in FIFO order. *)
+let test_link_one_pending_arrival () =
+  let n = 2_000 in
+  let arrivals, departures, peak, link =
+    fly ~distance_m:(fun _ -> 4_000_000.) ~n
+  in
+  Alcotest.(check (list int)) "FIFO order" (List.init n Fun.id)
+    (List.map fst arrivals);
+  List.iter
+    (fun (seq, at) ->
+      let dep = departures.(seq) in
+      let expected = dep +. Channel.Link.propagation_delay link ~at:dep in
+      if at <> expected then
+        Alcotest.failf "frame %d arrived at %h, not %h" seq at expected)
+    arrivals;
+  if peak > 3 then Alcotest.failf "%d events pending while frames flew" peak
+
+(* A distance shrinking faster than light would make later frames
+   overtake earlier ones; the link clamps each arrival to the previous
+   one instead, so frames land in FIFO order, many at one instant. *)
+let test_link_fifo_clamp_shrinking () =
+  let n = 100 in
+  let arrivals, departures, _, link =
+    fly ~distance_m:(fun t -> 4_000_000. -. (1e9 *. t)) ~n
+  in
+  Alcotest.(check (list int)) "FIFO order" (List.init n Fun.id)
+    (List.map fst arrivals);
+  let clamped = ref 0 in
+  ignore
+    (List.fold_left
+       (fun last (seq, at) ->
+         let dep = departures.(seq) in
+         let light = dep +. Channel.Link.propagation_delay link ~at:dep in
+         if light < last then incr clamped;
+         let expected = if light < last then last else light in
+         if at <> expected then
+           Alcotest.failf "frame %d arrived at %h, not %h" seq at expected;
+         expected)
+       0. arrivals
+      : float);
+  if !clamped = 0 then Alcotest.fail "the distance never shrank fast enough"
+
+(* An event scheduled, after a frame departed, at exactly that frame's
+   arrival instant runs after the arrival, as it would if every arrival
+   were queued at departure: the link takes each arrival's engine
+   tie-break number at departure, not when the frame reaches the front
+   of its ring. *)
+let test_link_arrival_keeps_departure_order () =
+  let engine = Sim.Engine.create () in
+  let link = make_link engine 13 in
+  let log = ref [] in
+  Channel.Link.set_receiver link (fun rx ->
+      match rx.Channel.Link.frame with
+      | Frame.Wire.Data i ->
+          let what = Printf.sprintf "frame %d" i.Frame.Iframe.seq in
+          log := (what, Sim.Engine.now engine) :: !log
+      | _ -> ());
+  let f0 = iframe ~seq:0 ~bytes:112 and f1 = iframe ~seq:1 ~bytes:112 in
+  Channel.Link.send link f0;
+  Channel.Link.send link f1;
+  (* frame 1 departs after both serialisations and arrives ~10 ms later,
+     after frame 0 *)
+  let dep1 = Channel.Link.tx_time link f0 +. Channel.Link.tx_time link f1 in
+  let arr1 = dep1 +. Channel.Link.propagation_delay link ~at:dep1 in
+  let mark () = log := ("mark", Sim.Engine.now engine) :: !log in
+  let at time f =
+    ignore (Sim.Engine.schedule_at engine ~time f : Sim.Engine.event_id)
+  in
+  at (dep1 +. 1e-4) (fun () -> at arr1 mark);
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "arrival before the later event"
+    [ "frame 0"; "frame 1"; "mark" ]
+    (List.rev_map fst !log);
+  Alcotest.(check bool) "one instant" true
+    (List.for_all (fun (what, at) -> what = "frame 0" || at = arr1) !log)
+
 (* --- error positions and the bit-level coded path --- *)
 
 let test_error_positions_rate () =
@@ -477,6 +593,12 @@ let suite =
     Alcotest.test_case "control frames use control model" `Quick
       test_control_frames_use_control_model;
     Alcotest.test_case "moving link distance" `Quick test_moving_link_distance;
+    Alcotest.test_case "link queues one arrival" `Quick
+      test_link_one_pending_arrival;
+    Alcotest.test_case "link FIFO clamp on a shrinking distance" `Quick
+      test_link_fifo_clamp_shrinking;
+    Alcotest.test_case "link arrival keeps its departure order" `Quick
+      test_link_arrival_keeps_departure_order;
     Alcotest.test_case "error positions rate" `Slow test_error_positions_rate;
     Alcotest.test_case "error positions perfect" `Quick test_error_positions_perfect;
     Alcotest.test_case "coded path clean roundtrip" `Quick test_coded_path_clean_roundtrip;

@@ -201,6 +201,25 @@ let test_fault_observers_compose () =
   Alcotest.(check (list int))
     "both observers fired, in registration order" [ 1; 2 ] (List.rev !calls)
 
+(* A schedule that outlives its session stops with it. The 400-frame
+   stream is done well before 0.1 s, so none of the ten injections
+   fires, neither after the completion stop nor after the horizon, and
+   none counts as skipped. *)
+let test_schedule_stops_with_session () =
+  let spec =
+    match C.of_string "at 0.1 every 0.5 copies 10 nak-truncate" with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun variant ->
+      let o = E22.run_one ~seed:11 variant spec in
+      let tag = E22.variant_tag variant in
+      Alcotest.(check bool) (tag ^ ": completed") true o.E22.completed;
+      Alcotest.(check (pair int int))
+        (tag ^ ": injected, skipped") (0, 0) (o.E22.injected, o.E22.skipped))
+    [ E22.Lams; E22.Sr_hdlc ]
+
 (* --- handover carryover corruption -------------------------------------- *)
 
 let test_handover_carryover () =
@@ -333,6 +352,8 @@ let suite =
       `Quick test_tripwire_k0;
     Alcotest.test_case "fault observers compose" `Quick
       test_fault_observers_compose;
+    Alcotest.test_case "schedule stops with its session" `Quick
+      test_schedule_stops_with_session;
     Alcotest.test_case "handover: stale carryover converges" `Quick
       test_handover_carryover;
     Alcotest.test_case "golden corruption trace" `Quick test_golden_trace;

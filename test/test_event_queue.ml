@@ -153,14 +153,36 @@ let test_pop_run_clock_and_stops () =
   Alcotest.(check (list (triple int int (float 1e-9))))
     "remaining event" [ (3, 0, 3.) ] (List.rev !seen)
 
-(* Model-based differential test: the arena/wheel/overflow queue against
-   a sorted association list over random add/cancel/pop/peek
-   interleavings. The reference pops in exact (time, insertion) order —
-   the same contract as the plain 4-ary heap this structure replaced —
-   so this also pins that the tie-break order is unchanged. Time
-   generation mixes sub-horizon values (wheel buckets), multi-second
-   values (overflow heap), and ~1e14 (tick saturation); a small arena
-   plus pops/cancels exercises growth and generation reuse of slots. *)
+(* A number taken with [reserve_seq] orders its event as if it had been
+   added then: it pops before a later add at the same time. A number
+   never handed out is refused. *)
+let test_reserved_number_keeps_its_place () =
+  let q = Sim.Event_queue.create ~dummy:"" () in
+  let seq = Sim.Event_queue.reserve_seq q in
+  ignore (Sim.Event_queue.add q ~time:1. "added");
+  ignore (Sim.Event_queue.add_reserved q ~cell:[| 1. |] ~seq ~aux:0 "reserved");
+  let pop () =
+    match Sim.Event_queue.pop q with
+    | Some (_, v) -> v
+    | None -> Alcotest.fail "queue empty"
+  in
+  Alcotest.(check string) "reserved first" "reserved" (pop ());
+  Alcotest.(check string) "then the later add" "added" (pop ());
+  Alcotest.check_raises "unreserved number"
+    (Invalid_argument "Event_queue.add_reserved: seq 2 not reserved")
+    (fun () ->
+      ignore (Sim.Event_queue.add_reserved q ~cell:[| 1. |] ~seq:2 ~aux:0 "x"))
+
+(* Model-based differential test: the arena-backed heap against a
+   sorted association list over random interleavings of adds, reserved
+   numbers added later, cancels, pops and peeks. The reference pops in
+   exact (time, seq) order, where seq is the insertion number or the
+   number reserved for the event, so this also pins the tie-break order.
+   Times mix the near future, seconds, far-future values and ~1e14, and
+   a few fixed values force ties between fresh and reserved numbers.
+   Cancels hit the root, any live event and the newest one, which sits
+   near the end of the heap, as well as stale and fired handles; a
+   small arena exercises growth and generation reuse of slots. *)
 let prop_matches_reference_model =
   let time_gen =
     QCheck2.Gen.(
@@ -170,6 +192,7 @@ let prop_matches_reference_model =
           float_range 0. 2.;
           float_range 0. 1e6;
           return 1.5e14;
+          oneofl [ 0.25; 0.5 ];
         ])
   in
   let op_gen =
@@ -177,7 +200,12 @@ let prop_matches_reference_model =
       frequency
         [
           (4, map (fun t -> `Add t) time_gen);
+          (1, return `Reserve);
+          (2, map2 (fun i t -> `Add_reserved (i, t)) (int_range 0 10_000) time_gen);
           (2, map (fun i -> `Cancel i) (int_range 0 10_000));
+          (1, return `Cancel_root);
+          (1, map (fun i -> `Cancel_live i) (int_range 0 10_000));
+          (1, return `Cancel_newest);
           (2, return `Pop);
           (1, return `Peek);
         ])
@@ -187,7 +215,7 @@ let prop_matches_reference_model =
     QCheck2.Gen.(list_size (int_range 1 200) op_gen)
     (fun ops ->
       let q = Sim.Event_queue.create ~capacity:16 ~dummy:(-1) () in
-      (* reference: (time, insertion seq, key) sorted by (time, seq) *)
+      (* reference: (time, seq, key) sorted by (time, seq) *)
       let model = ref [] in
       let insert entry =
         let time, seq, _ = entry in
@@ -199,48 +227,84 @@ let prop_matches_reference_model =
         in
         model := go !model
       in
-      let handles = ref [] in
+      let handles = ref [] in  (* (key, id), newest first *)
+      let reserved = ref [] in  (* numbers taken and not yet used *)
       let next_seq = ref 0 in
       let next_key = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
+      let add_model time seq id =
+        let key = !next_key in
+        incr next_key;
+        insert (time, seq, key);
+        handles := (key, id) :: !handles
+      in
+      let live key = List.exists (fun (_, _, k) -> k = key) !model in
+      let cancel key =
+        let id = List.assoc key !handles in
+        check (Sim.Event_queue.cancel q id = live key);
+        (* a second cancel of the same handle must refuse *)
+        check (not (Sim.Event_queue.cancel q id));
+        check (not (Sim.Event_queue.is_pending q id));
+        model := List.filter (fun (_, _, k) -> k <> key) !model
+      in
+      let cancel_rank i =
+        match !model with
+        | [] -> ()
+        | m ->
+            let _, _, key = List.nth m (i mod List.length m) in
+            cancel key
+      in
       List.iter
         (fun op ->
-          if !ok then
-            match op with
+          if !ok then begin
+            (match op with
             | `Add time ->
-                let key = !next_key in
-                incr next_key;
-                let id = Sim.Event_queue.add q ~time key in
-                insert (time, !next_seq, key);
+                let id = Sim.Event_queue.add q ~time !next_key in
+                add_model time !next_seq id;
+                incr next_seq
+            | `Reserve ->
+                let seq = Sim.Event_queue.reserve_seq q in
+                check (seq = !next_seq);
                 incr next_seq;
-                handles := (key, id) :: !handles
+                reserved := seq :: !reserved
+            | `Add_reserved (i, time) -> (
+                match !reserved with
+                | [] -> ()
+                | r ->
+                    let seq = List.nth r (i mod List.length r) in
+                    reserved := List.filter (fun s -> s <> seq) r;
+                    let id =
+                      Sim.Event_queue.add_reserved q ~cell:[| time |] ~seq
+                        ~aux:0 !next_key
+                    in
+                    add_model time seq id)
             | `Cancel i ->
                 let n = List.length !handles in
-                if n > 0 then begin
-                  let key, id = List.nth !handles (i mod n) in
-                  let in_model =
-                    List.exists (fun (_, _, k) -> k = key) !model
-                  in
-                  check (Sim.Event_queue.cancel q id = in_model);
-                  (* a second cancel of the same handle must refuse *)
-                  check (not (Sim.Event_queue.cancel q id));
-                  model := List.filter (fun (_, _, k) -> k <> key) !model
-                end
+                if n > 0 then cancel (fst (List.nth !handles (i mod n)))
+            | `Cancel_root -> cancel_rank 0
+            | `Cancel_live i -> cancel_rank i
+            | `Cancel_newest -> (
+                match List.find_opt (fun (k, _) -> live k) !handles with
+                | Some (key, _) -> cancel key
+                | None -> ())
             | `Pop -> (
                 match (Sim.Event_queue.pop q, !model) with
                 | None, [] -> ()
-                | Some (t, k), (mt, _, mk) :: rest ->
+                | Some (t, k), (mt, ms, mk) :: rest ->
                     check (t = mt && k = mk);
+                    check (Sim.Event_queue.last_seq q = ms);
                     model := rest
                 | _ -> check false)
             | `Peek -> (
                 match (Sim.Event_queue.peek_time q, !model) with
                 | None, [] -> ()
                 | Some t, (mt, _, _) :: _ -> check (t = mt)
-                | _ -> check false))
+                | _ -> check false));
+            check (Sim.Event_queue.next_seq q = !next_seq);
+            check (Sim.Event_queue.length q = List.length !model)
+          end)
         ops;
-      check (Sim.Event_queue.length q = List.length !model);
       !ok)
 
 let suite =
@@ -254,6 +318,8 @@ let suite =
       test_vacated_slots_release_payloads;
     Alcotest.test_case "pop_run clock writes and stop reasons" `Quick
       test_pop_run_clock_and_stops;
+    Alcotest.test_case "reserved number keeps its place" `Quick
+      test_reserved_number_keeps_its_place;
     QCheck_alcotest.to_alcotest prop_pop_sorted;
     QCheck_alcotest.to_alcotest prop_cancel_removes;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;

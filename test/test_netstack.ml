@@ -206,10 +206,9 @@ let test_resequencer_id_reuse_after_wraparound () =
     [ (65_535, "before-wrap"); (0, "after-wrap") ]
     (List.rev !got)
 
-(* Post-resequencer ordering invariant, checked by the oracle's stream
-   checker: per source, completed messages come out in increasing
-   msg_id order when the source emits them in order, however fragments
-   interleave. *)
+(* Post-resequencer ordering invariant: per source, completed messages
+   come out in increasing msg_id order when the source emits them in
+   order, however fragments interleave. *)
 let prop_resequencer_stream_order =
   QCheck2.Test.make ~name:"completion order equals submission order"
     ~count:100
@@ -219,12 +218,13 @@ let prop_resequencer_stream_order =
          (what a LAMS link with renumbered retransmissions produces),
          but messages themselves finish transit one after another; the
          resequencer must then complete them in strictly increasing
-         msg_id order, which Oracle.Stream checks verbatim *)
+         msg_id order, with no duplicate *)
       let rng = Sim.Rng.create ~seed in
       let r = Netstack.Resequencer.create () in
-      let stream = Oracle.Stream.create ~name:"reseq" in
+      let last = ref min_int and ordered = ref true in
       Netstack.Resequencer.set_on_message r (fun ~src:_ ~msg_id ~body:_ ->
-          Oracle.Stream.push stream ~now:0. msg_id);
+          if msg_id <= !last then ordered := false;
+          last := msg_id);
       List.iter
         (fun id ->
           let frags =
@@ -235,7 +235,7 @@ let prop_resequencer_stream_order =
           Sim.Rng.shuffle rng frags;
           Array.iter (Netstack.Resequencer.push r) frags)
         (List.init 20 Fun.id);
-      Oracle.Stream.ok stream && Netstack.Resequencer.completed r = 20)
+      !ordered && Netstack.Resequencer.completed r = 20)
 
 (* --- Network --- *)
 

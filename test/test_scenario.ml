@@ -92,10 +92,30 @@ let test_nbdt_replays_channel_trace () =
   Alcotest.(check bool) "the trace's damaged frames are retransmitted" true
     (retx traced > 0)
 
+(* E17's NBDT rows replay the process-wide channel trace
+   ([--channel-trace]) as its LAMS row does: with the golden trace set,
+   the quick row moves. *)
+let test_e17_nbdt_replays_default_trace () =
+  let _, row = e17 "ber=1e-05/nbdt-continuous" in
+  let plain = row () in
+  let trace = Channel.Trace_model.load "data/channel-trace-golden.trace" in
+  let traced =
+    Fun.protect
+      ~finally:(fun () -> Experiments.Scenario.set_default_channel_trace None)
+      (fun () ->
+        Experiments.Scenario.set_default_channel_trace (Some trace);
+        row ())
+  in
+  Alcotest.(check bool) "the trace moves the row" true (plain <> traced);
+  Alcotest.(check (list (pair string (float 0.)))) "and only while set" plain
+    (row ())
+
 let suite =
   [
     Alcotest.test_case "single-session outcome vectors pinned at seed 11"
       `Quick test_single_sessions_pinned;
     Alcotest.test_case "NBDT replays the channel trace" `Quick
       test_nbdt_replays_channel_trace;
+    Alcotest.test_case "E17's NBDT rows replay the default trace" `Quick
+      test_e17_nbdt_replays_default_trace;
   ]
