@@ -84,8 +84,7 @@ let contact_plan_arg =
   Arg.(value & opt (some string) None
        & info [ "contact-plan" ] ~docv:"FILE" ~doc)
 
-(* Shared --corrupt-script flag (the `run`, `handover run` and `corrupt`
-   commands). *)
+(* Shared --corrupt-script flag (the `run` and `corrupt run` commands). *)
 let corrupt_script_arg =
   let doc =
     "State-corruption script: '#' comments, then either one rule per \
@@ -643,8 +642,7 @@ let outcome_json (o : Experiments.E21_handover.outcome) =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* JSON/text printers for corruption-run outcomes (shared by `handover
-   run --corrupt-script` and `corrupt run`). Hand-rolled like
+(* JSON/text printers for `corrupt run` outcomes. Hand-rolled like
    [outcome_json] so float formatting matches the benchmark pipeline. *)
 let json_obj fields =
   let buf = Buffer.create 512 in
@@ -761,12 +759,9 @@ let handover_run_cmd =
      handover manager migrates LAMS-DLC sessions across the contact \
      plan's windows while the cross-handover oracle checks that no \
      payload is lost, and none duplicated beyond its Suspicious budget. \
-     Exits non-zero on any oracle violation. With \
-     $(b,--corrupt-script): the transfer instead runs E22's \
-     mid-handover corruption scenario (the script's rules mutate the \
-     live session and carryover snapshots; $(b,--contact-plan), \
-     $(b,--messages) and $(b,--cut) do not apply) with the \
-     cross-handover oracle in convergence mode."
+     Exits non-zero on any oracle violation. To drive a corruption \
+     script into a transfer, use $(b,corrupt run handover \
+     --corrupt-script)."
   in
   let seed =
     Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
@@ -793,17 +788,8 @@ let handover_run_cmd =
                    its arrival) or $(b,recovery) (during enforced \
                    recovery).")
   in
-  let run plan_file corrupt_file seed messages cut json trace_dir =
+  let run plan_file seed messages cut json trace_dir =
     set_trace_config trace_dir;
-    match corrupt_file with
-    | Some path ->
-        let spec = load_corrupt_script path in
-        let o = Experiments.E22_corruption.run_handover ~seed spec in
-        print_corruption_handover ~json o;
-        gate Experiments.Soak.corrupt
-          (Experiments.E22_corruption.handover_metrics o);
-        `Ok ()
-    | None -> (
     let plan =
       match plan_file with
       | None -> Ok None
@@ -845,13 +831,13 @@ let handover_run_cmd =
         end;
         gate Experiments.Soak.handover
           (Experiments.E21_handover.outcome_metrics o);
-        `Ok ())
+        `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ contact_plan_arg $ corrupt_script_arg $ seed $ messages
-       $ cut $ outcome_json_arg $ trace_dir_arg))
+        (const run $ contact_plan_arg $ seed $ messages $ cut $ outcome_json_arg
+       $ trace_dir_arg))
 
 let handover_cmd =
   let doc =

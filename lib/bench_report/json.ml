@@ -73,8 +73,6 @@ let to_string ?(indent = 0) v =
   go 0 v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string ~indent:2 v)
-
 (* --- parsing ------------------------------------------------------------ *)
 
 exception Fail of int * string

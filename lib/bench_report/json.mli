@@ -20,9 +20,6 @@ val to_string : ?indent:int -> t -> string
 (** Render. [?indent] > 0 pretty-prints with that step; default 0 is
     compact one-line output. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-prints with indent 2. *)
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; trailing garbage is an error. The
     error string carries a byte offset. *)

@@ -7,8 +7,8 @@
     replicate count, all results, fully determined by
     [(experiments, points, replicates, root_seed)] and independent of
     [--jobs] — and optional run {!meta} (host, timestamp, worker count),
-    which is excluded from {!equal_results} and can be omitted at write
-    time so byte-level diffs of two runs compare only results. *)
+    which can be omitted at write time so byte-level diffs of two runs
+    compare only results. *)
 
 type stat = {
   count : int;  (** replicates folded in (see {!Stats.Online.count}) *)
@@ -52,23 +52,9 @@ val collect_meta : jobs:int -> meta
 
 val stat_of_online : Stats.Online.t -> stat
 
-val strip_meta : t -> t
-
 val to_json : ?with_meta:bool -> t -> Json.t
 (** [with_meta] defaults to [true]; [false] emits only the deterministic
     part (also the case when [t.meta] is [None]). *)
 
-val of_json : Json.t -> (t, string) result
-
-val equal_results : t -> t -> bool
-(** Equality of the deterministic parts (meta ignored), via rendered
-    JSON so that NaN-valued stats compare equal — the runner's
-    [--jobs 1] / [--jobs N] contract. *)
-
 val write : ?with_meta:bool -> string -> t -> unit
 (** Write pretty-printed JSON (trailing newline) to the path. *)
-
-val read : string -> (t, string) result
-
-val find : t -> string -> experiment option
-(** Look up an experiment by id. *)

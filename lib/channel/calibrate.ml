@@ -153,10 +153,6 @@ let fit ?(burst_close_gap = 2) ~frame_bits data =
     end
   end
 
-let model f =
-  Error_model.gilbert_elliott ~ber_good:f.ber_good ~ber_bad:f.ber_bad
-    ~mean_burst_bits:f.mean_burst_bits ~mean_gap_bits:f.mean_gap_bits ()
-
 let rel_err ~observed ~model =
   if observed = 0. && model = 0. then 0.
   else abs_float (model -. observed) /. Float.max (abs_float observed) 1e-12

@@ -47,10 +47,6 @@ val fit :
     parameters. Raises [Invalid_argument] only on nonsensical
     arguments ([frame_bits <= 0], [burst_close_gap < 0]). *)
 
-val model : fit -> Model.t
-(** The calibrated twin: a fresh {!Error_model.gilbert_elliott} with
-    the fitted parameters. *)
-
 val residual : fit -> float
 (** Scalar fit quality: the larger of the relative errors on the two
     matched statistics (error rate and error-given-error). 0 is a

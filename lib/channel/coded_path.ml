@@ -135,10 +135,6 @@ let transmit_status t frame =
   | Frame.Codec.V_payload_corrupt -> Link.Rx_payload_corrupt
   | Frame.Codec.V_header_corrupt -> Link.Rx_header_corrupt
 
-let last_bit_errors t = t.last_bit_errors
-
-let last_residual_errors t = t.last_residual_errors
-
 let residual_fer t frame ~trials =
   if trials <= 0 then invalid_arg "Coded_path.residual_fer: trials must be > 0";
   let bad = ref 0 in

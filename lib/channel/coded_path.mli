@@ -34,17 +34,10 @@ val transmit : t -> Frame.Wire.t -> outcome * Frame.Wire.t option
 
 val transmit_status : t -> Frame.Wire.t -> Link.status
 (** Same channel pass as {!transmit} but classifies via
-    {!Frame.Codec.verify} without materialising the decoded frame or an
-    outcome record — with an in-place code (e.g. [Fec.Code.identity])
-    the whole pass reuses per-path scratch and allocates nothing in
-    steady state. Error counts from the pass are readable afterwards
-    via {!last_bit_errors} / {!last_residual_errors}. *)
-
-val last_bit_errors : t -> int
-(** Channel errors injected during the most recent transmit. *)
-
-val last_residual_errors : t -> int
-(** Errors left after FEC decoding in the most recent transmit. *)
+    {!Frame.Codec.verify_slice} without materialising the decoded frame
+    or an outcome record — with an in-place code (e.g.
+    [Fec.Code.identity]) the whole pass reuses per-path scratch and
+    allocates nothing in steady state. *)
 
 val coded_bits : t -> Frame.Wire.t -> int
 (** On-air size of the frame under its class's FEC. *)

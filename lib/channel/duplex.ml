@@ -19,23 +19,6 @@ let create_static engine ~rng ~distance_m ~data_rate_bps ~iframe_error
   create engine ~rng ~distance_m:(fun _ -> distance_m) ~data_rate_bps
     ~iframe_error ~cframe_error
 
-let create_asymmetric engine ~rng ~distance_m ~data_rate_bps ~up ~down =
-  let up_iframe, up_cframe = up and down_iframe, down_cframe = down in
-  (* same two-split discipline as [create] so an asymmetric duplex built
-     from two copies of one model draws exactly like the symmetric one *)
-  let rng_fwd = Sim.Rng.split rng and rng_rev = Sim.Rng.split rng in
-  let forward =
-    Link.create engine ~rng:rng_fwd ~distance_m ~data_rate_bps
-      ~iframe_error:(Error_model.copy up_iframe)
-      ~cframe_error:(Error_model.copy up_cframe)
-  in
-  let reverse =
-    Link.create engine ~rng:rng_rev ~distance_m ~data_rate_bps
-      ~iframe_error:(Error_model.copy down_iframe)
-      ~cframe_error:(Error_model.copy down_cframe)
-  in
-  { forward; reverse }
-
 let set_down t =
   Link.set_down t.forward;
   Link.set_down t.reverse

@@ -24,23 +24,6 @@ val create_static :
   cframe_error:Error_model.t ->
   t
 
-val create_asymmetric :
-  Sim.Engine.t ->
-  rng:Sim.Rng.t ->
-  distance_m:(float -> float) ->
-  data_rate_bps:float ->
-  up:Error_model.t * Error_model.t ->
-  down:Error_model.t * Error_model.t ->
-  t
-(** Distinct channel models per direction: [up] supplies the
-    (iframe, cframe) models for the forward path, [down] for the
-    reverse — an uplink fighting atmospheric turbulence while the
-    downlink rides a clean beam, or a replayed trace one way and its
-    calibrated twin the other. Models are copied per direction, and the
-    RNG split order matches {!create}, so [create_asymmetric ~up:(i, c)
-    ~down:(i, c)] draws identically to [create ~iframe_error:i
-    ~cframe_error:c]. *)
-
 val set_down : t -> unit
 (** Both directions. *)
 

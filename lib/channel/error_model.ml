@@ -362,11 +362,8 @@ let gilbert_elliott ?(frame_loss = 0.) ~ber_good ~ber_bad ~mean_burst_bits
 (* --- dispatch (aliases of the Model wrappers) --------------------------- *)
 
 let fate = Model.fate
-let fates_into = Model.fates_into
-let fates = Model.fates
 let advance = Model.advance
 let error_positions_into = Model.error_positions_into
-let error_positions = Model.error_positions
 let frame_error_prob = Model.frame_error_prob
 let copy = Model.copy
 let describe = Model.describe

@@ -54,30 +54,6 @@ val fate : t -> Sim.Rng.t -> header_bits:int -> payload_bits:int -> fate
     header/payload sizes) skip the [expm1]/[log1p] pair after the first
     frame; the draw stream is unchanged. *)
 
-val fates_into :
-  t -> Sim.Rng.t -> header_bits:int -> payload_bits:int -> fate array -> n:int -> unit
-(** [fates_into t rng ~header_bits ~payload_bits dst ~n] draws the fates
-    of [n] consecutive identically-sized frames into [dst.(0..n-1)],
-    advancing burst state across the whole span — the bulk entry point
-    for sweep-style consumers (residual-FER loops, long trace replays)
-    that would otherwise pay per-frame call and sampling overhead.
-    Given a caller-provided [dst] the only allocation left is float
-    boxing at the probability-draw boundaries (a few minor words per
-    frame on non-flambda builds).
-
-    For [perfect] and [uniform] the draws are stream-identical to [n]
-    successive {!fate} calls. For Gilbert–Elliott the batch is
-    vectorised per burst: the sojourn schedule is walked once across the
-    span (one geometric draw per sojourn rather than per frame segment),
-    so the distribution matches sequential {!fate} calls but the draw
-    stream differs — do not mix the two on a path that must replay a
-    recorded trace byte-for-byte. Raises [Invalid_argument] if
-    [n < 0 || n > Array.length dst]. *)
-
-val fates : t -> Sim.Rng.t -> header_bits:int -> payload_bits:int -> n:int -> fate array
-(** Convenience wrapper around {!fates_into} that allocates the result
-    array. *)
-
 val advance : t -> Sim.Rng.t -> bits:int -> unit
 (** Advance the burst-state chain as if [bits] bit-times passed with
     nothing transmitted. Mispointing is a wall-clock process: the link
@@ -93,10 +69,6 @@ val error_positions_into :
     and damaged bit by bit — the scratch vector is reused per frame, so
     sampling allocates nothing in steady state. [Lost] outcomes do not
     occur at this level (frame loss is a frame-scale abstraction). *)
-
-val error_positions : t -> Sim.Rng.t -> bits:int -> int list
-(** List-returning convenience over {!error_positions_into}; allocates
-    (tests and cold paths only). *)
 
 val frame_error_prob : t -> bits:int -> float
 (** Analytic frame-error probability (any bit error or loss) for a frame

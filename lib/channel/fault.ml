@@ -87,10 +87,6 @@ type mode =
       lies : action array;
     }
 
-(* Retained log entries; [hits] stays the exact total so multi-hour
-   chaos soaks keep a counter while memory stays bounded. *)
-let log_capacity = 512
-
 (* Stale-replay memory: the last few control frames seen crossing this
    link. Control frames are low-rate, so a short ring suffices. *)
 let stale_ring_depth = 16
@@ -104,13 +100,6 @@ type t = {
   spec : spec;
   mutable i_count : int;  (* I-frames classified so far *)
   mutable c_count : int;  (* control frames classified so far *)
-  mutable hits : int;
-  (* The last [log_capacity] hits, circular, in three columns: frames
-     are immutable, so [log] formats them only when it is read. *)
-  log_at : float array;
-  log_action : action array;
-  log_frame : Frame.Wire.t array;
-  mutable log_pos : int;  (* next write slot *)
   stale_ring : Frame.Wire.t array;  (* [stale_ring_depth] slots *)
   mutable stale_head : int;  (* slot of the newest frame *)
   mutable stale_len : int;  (* frames held *)
@@ -156,11 +145,6 @@ let compile spec =
     spec;
     i_count = 0;
     c_count = 0;
-    hits = 0;
-    log_at = Array.make log_capacity 0.;
-    log_action = Array.make log_capacity Drop;
-    log_frame = Array.make log_capacity no_frame;
-    log_pos = 0;
     stale_ring = Array.make stale_ring_depth no_frame;
     stale_head = 0;
     stale_len = 0;
@@ -271,11 +255,6 @@ let action_name = function
   | Inject_stale_cp _ -> "inject-stale-cp"
 
 let record t ~now action frame =
-  t.hits <- t.hits + 1;
-  t.log_at.(t.log_pos) <- now;
-  t.log_action.(t.log_pos) <- action;
-  t.log_frame.(t.log_pos) <- frame;
-  t.log_pos <- (t.log_pos + 1) mod log_capacity;
   List.iter (fun f -> f ~now action frame) t.observers
 
 (* Remember control frames after deciding their fate, so a stale-replay
@@ -368,19 +347,6 @@ let decision t ~now frame =
   result
 
 let install t link = Link.set_fault link (fun ~now frame -> decision t ~now frame)
-
-let hits t = t.hits
-
-let log_retained t = min t.hits log_capacity
-
-let log t =
-  let n = log_retained t in
-  let start = (t.log_pos - n + log_capacity) mod log_capacity in
-  List.init n (fun i ->
-      let j = (start + i) mod log_capacity in
-      ( t.log_at.(j),
-        Format.asprintf "%s %a" (action_name t.log_action.(j)) Frame.Wire.pp
-          t.log_frame.(j) ))
 
 let sel_name = function
   | I_seq s -> Printf.sprintf "I-frame seq=%d" s

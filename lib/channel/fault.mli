@@ -134,27 +134,8 @@ val compile : spec -> t
 val of_rules : rule list -> t
 (** [compile (Rules rules)]. *)
 
-val decision : t -> now:float -> Frame.Wire.t -> Link.fault_decision
-(** Classify one frame and advance script state. Exposed for tests; the
-    normal path is {!install}. *)
-
 val install : t -> Link.t -> unit
 (** [Link.set_fault] with this script's decision function. *)
-
-val hits : t -> int
-(** Total frames affected (dropped, corrupted or replaced) so far —
-    exact even after the log ring has started overwriting. *)
-
-val log : t -> (float * string) list
-(** Chronological record of the most recent applied faults, for
-    debugging and for shrinking failing schedules. Bounded: only the
-    last {!log_capacity} entries are retained ({!hits} keeps the exact
-    total), so multi-hour chaos soaks no longer grow without limit. *)
-
-val log_capacity : int
-
-val log_retained : t -> int
-(** Entries currently held in the ring: [min (hits t) log_capacity]. *)
 
 val describe : t -> string
 (** Stable one-line description of the spec — deterministic across runs,
@@ -164,14 +145,11 @@ val describe : t -> string
 val action_name : action -> string
 
 val set_observer : t -> (now:float -> action -> Frame.Wire.t -> unit) -> unit
-(** Fires synchronously whenever this script affects a frame (the same
-    moments {!log} records), letting a tracer interleave fault hits with
+(** Fires synchronously whenever this script affects a frame (dropped,
+    corrupted or replaced), letting a tracer interleave fault hits with
     protocol events; the frame passed is the original, pre-substitution
     arrival. Observers compose: every registered observer fires, in
     registration order. *)
 
-val of_string : string -> (spec, string) result
-(** Parse the script text format above. *)
-
 val load : string -> (spec, string) result
-(** [of_string] on a file's contents. *)
+(** Parse a file in the script text format above. *)

@@ -111,8 +111,6 @@ let make engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
 
 let set_receiver t f = t.receiver <- Some f
 
-let set_tap t f = t.taps <- [ f ]
-
 let add_tap t f = t.taps <- t.taps @ [ f ]
 
 (* A recursive walk, not [List.iter]: no closure per tapped event. *)
@@ -129,8 +127,6 @@ let tap t ev = tap_each ev t.taps
 let[@inline] tapping t = t.taps <> []
 
 let set_fault t f = t.fault <- Some f
-
-let clear_fault t = t.fault <- None
 
 let set_on_idle t f = t.on_idle <- Some f
 
@@ -332,13 +328,6 @@ let create engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
   t.serial_done <- (fun () -> serial_done t);
   t.arrive_fn <- (fun _ -> arrive t);
   t
-
-let create_static engine ~rng ~distance_m ~data_rate_bps ~iframe_error
-    ~cframe_error =
-  if distance_m < 0. then invalid_arg "Link.create_static: negative distance";
-  create engine ~rng
-    ~distance_m:(fun _ -> distance_m)
-    ~data_rate_bps ~iframe_error ~cframe_error
 
 (* The queue is empty whenever the transmitter is idle, so an idle
    transmitter takes [frame] directly, without a queue cell. *)

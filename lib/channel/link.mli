@@ -50,16 +50,6 @@ val create :
 
 val speed_of_light : float
 
-val create_static :
-  Sim.Engine.t ->
-  rng:Sim.Rng.t ->
-  distance_m:float ->
-  data_rate_bps:float ->
-  iframe_error:Error_model.t ->
-  cframe_error:Error_model.t ->
-  t
-(** Fixed-distance convenience. *)
-
 val set_receiver : t -> (rx -> unit) -> unit
 (** Install the arrival callback. Frames delivered before a receiver is
     installed are dropped (counted as lost). *)
@@ -69,14 +59,11 @@ type tap_event =
   | Tap_rx of rx  (** arrived (possibly corrupted) *)
   | Tap_lost of Frame.Wire.t  (** vanished: outage or channel loss *)
 
-val set_tap : t -> (tap_event -> unit) -> unit
-(** Passive observation of everything the link does, for tracing and
-    debugging; does not affect delivery. Replaces every tap installed so
-    far (historic single-tap behaviour). *)
-
 val add_tap : t -> (tap_event -> unit) -> unit
-(** Append an additional tap; all installed taps fire in installation
-    order. Lets a tracer and an invariant oracle observe the same link. *)
+(** Passive observation of everything the link does, for tracing and
+    debugging; does not affect delivery. Taps are never replaced: all
+    installed taps fire in installation order, so a tracer, a fate
+    recorder and an invariant oracle can observe the same link. *)
 
 type fault_decision =
   | Pass  (** leave the frame to the stochastic error model *)
@@ -98,8 +85,6 @@ val set_fault : t -> (now:float -> Frame.Wire.t -> fault_decision) -> unit
     arrival time {e before} the stochastic error model; any decision
     other than [Pass] overrides the model for that frame. Used by
     {!Fault} to script reproducible loss/corruption schedules. *)
-
-val clear_fault : t -> unit
 
 val send : t -> Frame.Wire.t -> unit
 (** Enqueue for transmission. Starts serialising immediately when the

@@ -39,7 +39,6 @@ module Positions = struct
       Array.unsafe_set buf (!j + 1) v
     done
 
-  let to_list t = List.init t.len (fun i -> Array.unsafe_get t.buf i)
 end
 
 type t = {
@@ -71,18 +70,8 @@ let[@inline] advance t rng ~bits = if bits > 0 then t.m_advance rng ~bits
 
 let error_positions_into t rng ~bits dst = t.m_error_positions_into rng ~bits dst
 
-let error_positions t rng ~bits =
-  let dst = Positions.create () in
-  t.m_error_positions_into rng ~bits dst;
-  Positions.to_list dst
-
 let frame_error_prob t ~bits = t.m_frame_error_prob ~bits
 
 let copy t = t.m_copy ()
 
 let describe t = t.m_describe ()
-
-let sequential_fates_into f rng ~header_bits ~payload_bits dst ~n =
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i (f rng ~header_bits ~payload_bits)
-  done

@@ -42,8 +42,6 @@ module Positions : sig
 
   val sort : t -> unit
   (** In-place ascending sort of the filled prefix; allocation-free. *)
-
-  val to_list : t -> int list
 end
 
 type t = {
@@ -94,24 +92,8 @@ val error_positions_into : t -> Sim.Rng.t -> bits:int -> Positions.t -> unit
 (** Append this frame's flipped-bit positions (ascending, distinct, in
     [0, bits)) to [dst] without clearing it first. *)
 
-val error_positions : t -> Sim.Rng.t -> bits:int -> int list
-(** List-returning convenience over {!error_positions_into} (allocates;
-    tests and cold paths only). *)
-
 val frame_error_prob : t -> bits:int -> float
 
 val copy : t -> t
 
 val describe : t -> string
-
-val sequential_fates_into :
-  (Sim.Rng.t -> header_bits:int -> payload_bits:int -> fate) ->
-  Sim.Rng.t ->
-  header_bits:int ->
-  payload_bits:int ->
-  fate array ->
-  n:int ->
-  unit
-(** Default batch implementation for backends with no vectorised path:
-    [n] sequential fate draws, stream-identical to calling the fate
-    closure [n] times. *)

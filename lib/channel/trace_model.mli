@@ -84,8 +84,6 @@ val replay : ?policy:policy -> ?offset:int -> data -> Model.t
 
     Raises [Invalid_argument] on an empty trace. *)
 
-val replay_describe_policy : policy -> string
-
 (** {2 Scripted scenario generators}
 
     Offline generators that synthesise trace files for scenarios the

@@ -37,16 +37,6 @@ type surface = {
   replay_reverse : copies:int -> back:int -> string option;
 }
 
-let null_surface =
-  {
-    scramble_send_seq = (fun ~delta:_ -> None);
-    scramble_recv_seq = (fun ~delta:_ -> None);
-    poison_nak_ledger = (fun ~seqs:_ -> None);
-    truncate_nak_ledger = (fun () -> None);
-    duplicate_buffer_entry = (fun () -> None);
-    replay_reverse = (fun ~copies:_ ~back:_ -> None);
-  }
-
 type rule = { at : float; period : float option; copies : int; klass : klass }
 
 let rule ?(copies = 1) ?period ~at klass =
@@ -88,7 +78,6 @@ type t = {
   spec : spec;
   mutable hits : int;
   mutable skipped : int;
-  mutable log : (float * string) list;  (* newest first *)
   mutable stopped : bool;  (* timed injections no longer fire *)
 }
 
@@ -112,13 +101,9 @@ let compile spec =
             classes = Array.of_list classes;
           }
   in
-  { mode; spec; hits = 0; skipped = 0; log = []; stopped = false }
+  { mode; spec; hits = 0; skipped = 0; stopped = false }
 
-let of_rules rules = compile (Rules rules)
-
-let applied t ~now ~klass ~detail =
-  t.hits <- t.hits + 1;
-  t.log <- (now, Printf.sprintf "%s: %s" klass detail) :: t.log
+let applied t = t.hits <- t.hits + 1
 
 (* Apply one injection through the surface. Publishing State_corrupted
    only on success keeps "unsupported on this variant" runs trivially
@@ -137,13 +122,9 @@ let apply t ~surface ~probe ~now klass =
   match detail with
   | Some d ->
       let name = klass_name klass in
-      applied t ~now ~klass:name ~detail:d;
+      applied t;
       Probe.emit probe ~now (Probe.State_corrupted { klass = name; detail = d })
-  | None ->
-      t.skipped <- t.skipped + 1;
-      t.log <-
-        (now, Printf.sprintf "%s: not applicable, skipped" (klass_name klass))
-        :: t.log
+  | None -> t.skipped <- t.skipped + 1
 
 let is_carryover = function Carryover_stale _ -> true | _ -> false
 
@@ -215,7 +196,6 @@ let take_carryover t ~now =
 
 let hits t = t.hits
 let skipped t = t.skipped
-let log t = List.rev t.log
 
 let rule_describe r =
   Printf.sprintf "at %g%s%s %s%s" r.at

@@ -41,11 +41,6 @@ type klass =
           positions old, [copies] times (duplicating / non-FIFO reverse
           channel per Dolev et al.) *)
 
-val klass_name : klass -> string
-(** Stable tag: ["seq-scramble-send"], ["seq-scramble-recv"],
-    ["nak-poison"], ["nak-truncate"], ["buffer-duplicate"],
-    ["carryover-stale"], ["reverse-replay"]. *)
-
 type surface = {
   scramble_send_seq : delta:int -> string option;
   scramble_recv_seq : delta:int -> string option;
@@ -58,9 +53,6 @@ type surface = {
     and returns a human-readable description of what changed, or [None]
     if the class does not apply (unsupported variant, empty buffer,
     nothing captured yet). *)
-
-val null_surface : surface
-(** Every mutator returns [None]. *)
 
 type rule
 
@@ -86,9 +78,6 @@ type t
 
 val compile : spec -> t
 
-val of_rules : rule list -> t
-(** [compile (Rules rules)]. *)
-
 val install : t -> Sim.Engine.t -> surface:surface -> probe:Probe.t -> unit
 (** Schedule every timed injection on [engine]. Each firing applies its
     class through [surface]; applied injections publish
@@ -105,9 +94,9 @@ val take_carryover : t -> now:float -> (int * bool) option
     if a [Carryover_stale] rule is armed ([at <= now], budget left),
     consume one copy and return its [(drop, flip)] arguments. *)
 
-val applied : t -> now:float -> klass:string -> detail:string -> unit
-(** Record an externally applied injection (the handover layer applies
-    carryover corruption itself) so {!hits} and {!log} stay complete. *)
+val applied : t -> unit
+(** Count an externally applied injection (the handover layer applies
+    carryover corruption itself) so {!hits} stays complete. *)
 
 val hits : t -> int
 (** Injections actually applied so far. *)
@@ -115,20 +104,13 @@ val hits : t -> int
 val skipped : t -> int
 (** Injections attempted on an unsupported / empty surface. *)
 
-val log : t -> (float * string) list
-(** Chronological record of every injection, for debugging and for
-    shrinking failing schedules. *)
-
 val describe : t -> string
 (** Stable one-line description of the spec — deterministic across
     runs, so it can seed content-addressed trace file names. *)
 
-val of_string : string -> (spec, string) result
-(** Parse the textual corruption-script format (see EXPERIMENTS.md):
-    one directive per line, [#] comments. Rule lines are
+val load : string -> (spec, string) result
+(** Parse a corruption-script file (see EXPERIMENTS.md): one directive
+    per line, [#] comments. Rule lines are
     [at T [every P] [copies N] KLASS [k=v ...]]; a single
     [adversary seed=S start=A stop=B mean-gap=G classes=k1,k2] line
     selects adversary mode. *)
-
-val load : string -> (spec, string) result
-(** {!of_string} on the contents of a file. *)

@@ -30,12 +30,6 @@ let validate_opt = function
       | Ok _ -> Ok ()
       | Error msg -> Error ("guard: " ^ msg))
 
-let pp_opt ppf = function
-  | None -> ()
-  | Some c ->
-      Format.fprintf ppf " guard=[distrust %d resyncs %d jump %d hold %b]"
-        c.distrust_threshold c.resync_retries c.max_cp_jump c.confirm_hold
-
 type feedback_hooks =
   | Checkpointed of {
       next_seq : unit -> int;
@@ -67,8 +61,6 @@ type t = {
       (* naks already forwarded to the sender, and the sender's own requeues *)
   mutable distrust : int;
   mutable resync_attempts : int;
-  mutable quarantine_count : int;
-  mutable resync_count : int;
   mutable failed : bool;
   mutable c_ordinal : int;  (* supervisory-frame ordinal, for event ids *)
 }
@@ -91,8 +83,6 @@ let create config ~probe ~hooks ~deliver =
       requeued = Int_index.create ();
       distrust = 0;
       resync_attempts = 0;
-      quarantine_count = 0;
-      resync_count = 0;
       failed = false;
       c_ordinal = 0;
     }
@@ -112,16 +102,6 @@ let create config ~probe ~hooks ~deliver =
   | Supervisory _ -> ());
   t
 
-let quarantines t = t.quarantine_count
-
-let resyncs_forced t = t.resync_count
-
-let distrust t = t.distrust
-
-let failed t = t.failed
-
-let pending t = t.held <> None
-
 (* --- escalation ladder --------------------------------------------------- *)
 
 let escalate t =
@@ -136,7 +116,6 @@ let escalate t =
       t.hooks.declare_failure ()
     end
     else begin
-      t.resync_count <- t.resync_count + 1;
       Probe.emit t.probe ~now:(t.hooks.now ())
         (Probe.Resync_forced { attempt = t.resync_attempts });
       (* the resync answer re-anchors the cp_seq baseline: a forged
@@ -147,7 +126,6 @@ let escalate t =
   end
 
 let quarantine t ~id ~reason =
-  t.quarantine_count <- t.quarantine_count + 1;
   t.distrust <- t.distrust + 1;
   Probe.emit t.probe ~now:(t.hooks.now ())
     (Probe.Cp_quarantined { cp_seq = id; reason; distrust = t.distrust });

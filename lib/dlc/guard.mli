@@ -64,16 +64,9 @@ type config = {
 
 val default_config : config
 
-val validate_config : config -> (config, string) result
-
 val validate_opt : config option -> (unit, string) result
 (** Check the [guard] field of a variant's params: [Ok] for [None] or a
-    valid config, else ["guard: "] and {!validate_config}'s reason. *)
-
-val pp_opt : Format.formatter -> config option -> unit
-(** Print the [guard] field of a variant's params as
-    [" guard=[distrust D resyncs R jump J hold B]"], or nothing for
-    [None]. *)
+    valid config, else ["guard: "] and the reason it is invalid. *)
 
 (** Ground truth the guard checks feedback against, per variant
     family. All functions are consulted at frame-arrival time. *)
@@ -113,18 +106,3 @@ val create :
 val on_rx : t -> Channel.Link.rx -> unit
 (** Install this as the reverse link's receiver in place of the
     sender's handler. *)
-
-val quarantines : t -> int
-(** Feedback frames discarded as implausible so far. *)
-
-val resyncs_forced : t -> int
-
-val distrust : t -> int
-(** Current escalation counter (reset by solicited truth or a forced
-    resync). *)
-
-val failed : t -> bool
-(** The guard exhausted [resync_retries] and declared failure. *)
-
-val pending : t -> bool
-(** A checkpoint is currently held awaiting confirmation. *)

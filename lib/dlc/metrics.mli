@@ -38,9 +38,6 @@ val create : unit -> t
 val first_offer_time : t -> float
 (** Instant of the first offer; [nan] until one is made. *)
 
-val last_delivery_time : t -> float
-(** Instant of the latest delivery; [nan] until one is made. *)
-
 val set_first_offer_time : t -> float -> unit
 
 val set_last_delivery_time : t -> float -> unit

@@ -1,11 +1,5 @@
 type link_state = Link_up | Link_retargeting | Link_down | Link_failed
 
-let link_state_name = function
-  | Link_up -> "up"
-  | Link_retargeting -> "retargeting"
-  | Link_down -> "down"
-  | Link_failed -> "failed"
-
 type event =
   | Offered of { payload : Frame.Payload.t }
   | Tx of { seq : int; payload : Frame.Payload.t; retx : bool }
@@ -27,24 +21,6 @@ type event =
   | Converged of { after : float; anomalies : int }
   | Cp_quarantined of { cp_seq : int; reason : string; distrust : int }
   | Resync_forced of { attempt : int }
-
-let event_name = function
-  | Offered _ -> "offered"
-  | Tx { retx = false; _ } -> "tx"
-  | Tx { retx = true; _ } -> "retx"
-  | Released _ -> "released"
-  | Requeued _ -> "requeued"
-  | Delivered _ -> "delivered"
-  | Recovery_started -> "recovery-started"
-  | Recovery_completed -> "recovery-completed"
-  | Failure_declared -> "failure-declared"
-  | Link_transition { state } -> "link-" ^ link_state_name state
-  | Cp_emitted { naks = []; _ } -> "cp"
-  | Cp_emitted _ -> "cp-nak"
-  | State_corrupted _ -> "state-corrupted"
-  | Converged _ -> "converged"
-  | Cp_quarantined _ -> "cp-quarantined"
-  | Resync_forced _ -> "resync-forced"
 
 type handlers = {
   offered : Frame.Payload.t -> unit;

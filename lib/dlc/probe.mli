@@ -27,8 +27,6 @@ type link_state = Link_up | Link_retargeting | Link_down | Link_failed
     contact open, laser retargeting at contact start, inter-contact gap,
     or permanently failed (schedule exhausted). *)
 
-val link_state_name : link_state -> string
-
 type event =
   | Offered of { payload : Frame.Payload.t }
       (** accepted into the sending buffer *)
@@ -88,8 +86,6 @@ type event =
           round for NBDT, a supervisory poll for HDLC); [attempt]
           counts forced resyncs since the guard last trusted the
           feedback stream. *)
-
-val event_name : event -> string
 
 type t
 

@@ -74,7 +74,6 @@ module type S = sig
 
   val sender : t -> sender
   val receiver : t -> receiver
-  val metrics : t -> Metrics.t
   val probe : t -> Probe.t
   val guard : t -> Guard.t option
   val corrupt_surface : t -> Corrupt.surface
@@ -169,7 +168,6 @@ module Make (V : VARIANT) = struct
 
   let sender t = t.sender
   let receiver t = t.receiver
-  let metrics t = t.metrics
   let probe t = t.probe
   let guard t = t.guard
 

@@ -104,7 +104,6 @@ module type S = sig
 
   val sender : t -> sender
   val receiver : t -> receiver
-  val metrics : t -> Metrics.t
   val probe : t -> Probe.t
 
   val guard : t -> Guard.t option

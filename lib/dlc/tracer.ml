@@ -41,19 +41,13 @@ let on_tap t engine ~direction tap_event =
   record t { t = Sim.Engine.now engine; direction; happening }
 
 let attach t engine ~forward ~reverse =
-  Channel.Link.set_tap forward (on_tap t engine ~direction:Forward);
-  Channel.Link.set_tap reverse (on_tap t engine ~direction:Reverse)
+  Channel.Link.add_tap forward (on_tap t engine ~direction:Forward);
+  Channel.Link.add_tap reverse (on_tap t engine ~direction:Reverse)
 
 let events t =
   List.init t.len (fun i ->
       let idx = (t.head - t.len + i + (2 * t.capacity)) mod t.capacity in
       t.buf.(idx))
-
-let count t = t.len
-
-let clear t =
-  t.len <- 0;
-  t.head <- 0
 
 let happening_text = function
   | Sent s -> Printf.sprintf "tx   %s" s

@@ -23,15 +23,11 @@ val create : ?capacity:int -> unit -> t
 
 val attach :
   t -> Sim.Engine.t -> forward:Channel.Link.t -> reverse:Channel.Link.t -> unit
-(** Install taps on both directions (their shared engine supplies the
-    timestamps). Replaces any previous tap. *)
+(** Add a tap on each direction (their shared engine supplies the
+    timestamps); taps installed before keep firing. *)
 
 val events : t -> event list
 (** Chronological (oldest first). *)
-
-val count : t -> int
-
-val clear : t -> unit
 
 val pp_timeline :
   ?limit:int -> ?from_t:float -> Format.formatter -> t -> unit

@@ -61,24 +61,3 @@ let run ?(seed = 7) ?(frames = 20) ?(capacity = Trace.Config.default_capacity)
   Sim.Engine.run engine;
   Oracle.finalize oracle;
   { recorder; violations = Oracle.violations oracle }
-
-let matrix_point ~label =
-  {
-    Runner.label;
-    run =
-      (fun ~seed ->
-        let o =
-          Trace.Capture.around ~proto:"disaster" ~seed
-            ~fingerprint:(fun () -> Printf.sprintf "disaster|%s" label)
-            (fun recorder -> run ~seed ?recorder ())
-        in
-        let flight_events =
-          match Trace.Recorder.flight o.recorder with
-          | Some events -> List.length events
-          | None -> 0
-        in
-        [
-          ("oracle_violations", float_of_int (List.length o.violations));
-          ("flight_dump_events", float_of_int flight_events);
-        ]);
-  }

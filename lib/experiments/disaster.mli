@@ -32,11 +32,3 @@ val run :
     quiescence on a loss-free 100 Mbit/s, 1,000 km link. An explicit
     [recorder] (e.g. one owned by a {!Trace.Capture}) replaces the
     internally created one; [capacity] is then ignored. *)
-
-val matrix_point : label:string -> Runner.point
-(** A {!Runner} point wrapping {!run} (the replicate seed substitutes
-    for the default). Reports [oracle_violations] and
-    [flight_dump_events]; when {!Trace.Config.set} capture is active the
-    replicate publishes content-addressed [.jsonl] / [.flight.jsonl]
-    files exactly like {!Scenario}-based points, so flight dumps can be
-    compared byte-for-byte across worker counts. *)

@@ -207,6 +207,10 @@ let transfer ?recorder ?corrupt ~seed setup =
     payloads;
   Sim.Engine.run engine ~until:setup.horizon;
   Handover.Manager.stop manager;
+  (* a corruption schedule stops with its transfer, before the drain *)
+  (match corrupt with
+  | Some (schedule, _) -> Dlc.Corrupt.stop schedule
+  | None -> ());
   Sim.Engine.run engine ~until:(setup.horizon +. 1.);
   let retained = Handover.Manager.retained manager in
   Oracle.Transfer.finalize ~retained transfer;

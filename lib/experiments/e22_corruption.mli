@@ -35,15 +35,11 @@ val session : variant -> Scenario.session
     interval and C_depth 3, SR-HDLC with a 1.5 RTT timeout, NBDT with a
     1 ms report interval. *)
 
-val convergence_k : variant -> int
-(** Per-variant suspect-window budget, in checkpoint emissions (LAMS
-    checkpoints / NBDT reports are periodic; HDLC supervisory frames are
-    per-arrival, hence the larger budget). *)
-
 val classes : (string * Dlc.Corrupt.klass) list
 (** The six timed corruption classes with canonical arguments, keyed by
-    their stable {!Dlc.Corrupt.klass_name} tag. Carryover staleness (the
-    seventh class) is exercised by {!run_handover}. *)
+    their stable tag (["nak-truncate"], ["reverse-replay"], ...).
+    Carryover staleness (the seventh class) is exercised by
+    {!run_handover}. *)
 
 val spec_of : Dlc.Corrupt.klass -> Dlc.Corrupt.spec
 (** One injection of [klass] at the canonical mid-stream instant. *)
@@ -110,13 +106,10 @@ val handover_metrics : handover_outcome -> (string * float) list
 
 val points : quick:bool -> Runner.point list
 
-val soak_spec : seed:int -> Dlc.Corrupt.spec
-(** The soak's seed-derived adversary schedule (exposed so the fuzz
-    tests can reuse the derivation). *)
-
 val soak_experiment : schedules:int -> Runner.experiment
 (** The mid-handover corruption soak's schedules ({!Soak.corrupt}): one
-    matrix point per {!soak_spec} schedule. *)
+    matrix point per schedule, each an adversary script derived from the
+    replicate's seed. *)
 
 val run : ?spec:Dlc.Corrupt.spec -> ?quick:bool -> Format.formatter -> unit
 (** Print the E22 report. [spec] (e.g. loaded from a [--corrupt-script]

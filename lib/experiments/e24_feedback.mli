@@ -17,23 +17,11 @@ val name : string
 
 type variant = E22_corruption.variant = Lams | Sr_hdlc | Nbdt_bulk
 
-val variant_tag : variant -> string
-
-val variants : variant list
-
 type lie = No_lie | Forge | Rewrite | Stale | Blackout
 
 val lie_tag : lie -> string
 
 val lies : lie list
-
-val guard_config : Dlc.Guard.config
-(** The matrix's guard configuration: paper defaults with
-    [distrust_threshold = 1], so a single quarantine forces a resync
-    (one lie is already proof on a noiseless scripted channel). *)
-
-val reverse_spec : lie -> Channel.Fault.spec option
-(** The reverse-link lie script for each class; [None] for {!No_lie}. *)
 
 type outcome = {
   variant : string;
@@ -87,10 +75,6 @@ val outcome_metrics : outcome -> (string * float) list
     [completed] and [failure_declared] among them; booleans are 0/1). *)
 
 val points : quick:bool -> Runner.point list
-
-val soak_reverse_spec : seed:int -> Channel.Fault.spec
-(** The soak's seed-derived lying-adversary schedule (exposed so the
-    fuzz tests can reuse the derivation). *)
 
 val soak_experiment : schedules:int -> Runner.experiment
 (** The lying-feedback soak's schedules ({!Soak.feedback}): guard always

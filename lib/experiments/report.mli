@@ -10,13 +10,5 @@ val table : Format.formatter -> Stats.Table.t -> unit
 val ratio : float -> float -> float
 (** [ratio a b = a /. b], guarding the zero denominator with [nan]. *)
 
-val stat_cell : Bench_report.Matrix_report.stat -> string
-(** ["mean +-ci95"] (mean alone when a single replicate ran). *)
-
-val matrix_table : Format.formatter -> Bench_report.Matrix_report.experiment -> unit
-(** One table per experiment: a row per point, a column per metric,
-    cells rendered with {!stat_cell}. Metric columns follow the first
-    point's metric order; points with other metric sets show ["-"]. *)
-
 val matrix : Format.formatter -> Bench_report.Matrix_report.t -> unit
 (** Human-readable rendering of a whole matrix report. *)

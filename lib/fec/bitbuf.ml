@@ -68,13 +68,6 @@ let blit_prefix dst src ~bits =
   end;
   dst.len <- bits
 
-let of_bits bits =
-  let t = create () in
-  List.iter (push t) bits;
-  t
-
-let to_bits t = List.init t.len (get t)
-
 let append dst src =
   for i = 0 to src.len - 1 do
     push dst (get src i)
@@ -88,22 +81,3 @@ let sub t ~pos ~len =
     push r (get t i)
   done;
   r
-
-let equal a b =
-  a.len = b.len
-  &&
-  let rec loop i = i >= a.len || (get a i = get b i && loop (i + 1)) in
-  loop 0
-
-let hamming_distance a b =
-  if a.len <> b.len then invalid_arg "Bitbuf.hamming_distance: length mismatch";
-  let d = ref 0 in
-  for i = 0 to a.len - 1 do
-    if get a i <> get b i then incr d
-  done;
-  !d
-
-let pp ppf t =
-  for i = 0 to t.len - 1 do
-    Format.pp_print_char ppf (if get t i then '1' else '0')
-  done

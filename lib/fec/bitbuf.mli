@@ -37,10 +37,6 @@ val blit_prefix : t -> t -> bits:int -> unit
     [sub ~pos:0 ~len:bits]. Whole-byte blit rather than per-bit copy;
     trailing bits of a partial final byte are zeroed. *)
 
-val of_bits : bool list -> t
-
-val to_bits : t -> bool list
-
 val length : t -> int
 (** Number of bits. *)
 
@@ -54,10 +50,3 @@ val append : t -> t -> unit
 (** [append dst src] pushes all bits of [src] onto [dst]. *)
 
 val sub : t -> pos:int -> len:int -> t
-
-val equal : t -> t -> bool
-
-val hamming_distance : t -> t -> int
-(** Raises [Invalid_argument] on length mismatch. *)
-
-val pp : Format.formatter -> t -> unit

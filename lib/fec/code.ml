@@ -63,9 +63,3 @@ let with_interleaver il c =
 
 let rate t ~data_bits =
   float_of_int data_bits /. float_of_int (t.coded_bits ~data_bits)
-
-let roundtrip_ok t s =
-  let src = Bitbuf.of_string s in
-  let data_bits = Bitbuf.length src in
-  let decoded = t.decode (t.encode src) ~data_bits in
-  Bitbuf.equal src decoded

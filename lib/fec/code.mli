@@ -25,8 +25,6 @@ val identity : t
 
 val hamming74 : t
 
-val conv : Conv_code.t -> t
-
 val conv_default : t
 (** The k=7, 171/133 code. *)
 
@@ -37,7 +35,3 @@ val with_interleaver : Interleaver.t -> t -> t
 
 val rate : t -> data_bits:int -> float
 (** Effective code rate [data_bits / coded_bits] at a given size. *)
-
-val roundtrip_ok : t -> string -> bool
-(** Sanity check used by tests: encode then decode an uncorrupted string
-    and compare. *)

@@ -224,6 +224,3 @@ let decode_reference t coded ~data_bits =
     Bitbuf.push dst bits.(i)
   done;
   dst
-
-let free_distance_lower_bound t =
-  if t.k = 7 && t.g1 = 0o171 && t.g2 = 0o133 then 10 else 3

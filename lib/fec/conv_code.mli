@@ -16,11 +16,6 @@
 
 type t
 
-val create : ?constraint_length:int -> ?generators:int * int -> unit -> t
-(** Defaults: [constraint_length = 7], [generators = (0o171, 0o133)].
-    Requires [2 <= constraint_length <= 12] and generators that fit in
-    [constraint_length] bits. *)
-
 val default : t
 
 val encode : t -> Bitbuf.t -> Bitbuf.t
@@ -40,9 +35,3 @@ val decode_reference : t -> Bitbuf.t -> data_bits:int -> Bitbuf.t
     use only. *)
 
 val coded_bits : t -> data_bits:int -> int
-
-val free_distance_lower_bound : t -> int
-(** Conservative bound used by tests: the default code has free distance
-    10, so any 4 or fewer channel errors in a block are always
-    corrected. For non-default parameters this returns a safe small
-    value (3). *)

@@ -28,14 +28,7 @@ let div a b =
 
 let inv a = div 1 a
 
-let pow a n =
-  if n < 0 then invalid_arg "Gf256.pow: negative exponent";
-  if a = 0 then if n = 0 then 1 else 0
-  else exp_table.(log_table.(a) * n mod 255)
-
 let alpha_pow i = exp_table.(((i mod 255) + 255) mod 255)
-
-let log a = if a = 0 then invalid_arg "Gf256.log: log of zero" else log_table.(a)
 
 let poly_eval p x =
   (* Horner, highest degree first in the fold *)

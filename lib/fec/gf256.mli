@@ -9,18 +9,12 @@ val mul : int -> int -> int
 val div : int -> int -> int
 (** Raises [Division_by_zero] when the divisor is 0. *)
 
-val pow : int -> int -> int
-(** [pow a n] for [n >= 0]; [pow 0 0 = 1]. *)
-
 val inv : int -> int
 (** Multiplicative inverse; raises [Division_by_zero] on 0. *)
 
 val alpha_pow : int -> int
 (** [alpha_pow i] = α^i for the primitive element α = 2; any integer
     exponent (reduced mod 255). *)
-
-val log : int -> int
-(** Discrete log base α; raises [Invalid_argument] on 0. *)
 
 val poly_eval : int array -> int -> int
 (** Evaluate a polynomial (coefficients lowest-degree first) at a

@@ -45,16 +45,3 @@ let decode coded ~data_bits =
   Bitbuf.sub dst ~pos:0 ~len:data_bits
 
 let coded_bits ~data_bits = (data_bits + 3) / 4 * 7
-
-let encode_string s = Bitbuf.to_string (encode (Bitbuf.of_string s))
-
-let decode_string s ~data_bytes =
-  let coded = Bitbuf.of_string s in
-  let data_bits = 8 * data_bytes in
-  let needed = coded_bits ~data_bits in
-  if Bitbuf.length coded < needed then
-    invalid_arg "Hamming.decode_string: too short";
-  (* strip byte-boundary padding down to whole blocks *)
-  let whole = Bitbuf.length coded / 7 * 7 in
-  let coded = Bitbuf.sub coded ~pos:0 ~len:whole in
-  Bitbuf.to_string (decode coded ~data_bits)

@@ -14,10 +14,5 @@ val decode : Bitbuf.t -> data_bits:int -> Bitbuf.t
     [coded]'s length is not a multiple of 7 or too short for
     [data_bits]. *)
 
-val encode_string : string -> string
-(** Byte-level convenience: encode, pad to byte boundary. *)
-
-val decode_string : string -> data_bytes:int -> string
-
 val coded_bits : data_bits:int -> int
 (** Coded length for a given data length (after padding to nibbles). *)

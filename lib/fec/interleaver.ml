@@ -44,5 +44,3 @@ let permute t src ~inverse =
 let interleave t src = permute t src ~inverse:false
 
 let deinterleave t src = permute t src ~inverse:true
-
-let max_dispersed_burst t = t.rows

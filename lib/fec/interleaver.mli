@@ -26,7 +26,3 @@ val interleave : t -> Bitbuf.t -> Bitbuf.t
 (** Raises [Invalid_argument] unless the length divides into blocks. *)
 
 val deinterleave : t -> Bitbuf.t -> Bitbuf.t
-
-val max_dispersed_burst : t -> int
-(** Longest channel burst guaranteed to place at most one error in any
-    deinterleaved run of [cols] bits — equals [rows]. *)

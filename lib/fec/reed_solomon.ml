@@ -16,10 +16,6 @@ let create ~n ~k =
     invalid_arg "Reed_solomon.create: n - k must be even";
   { n; k; generator = make_generator (n - k) }
 
-let n t = t.n
-
-let k t = t.k
-
 let t_correctable t = (t.n - t.k) / 2
 
 (* Systematic encoding: parity = (data(x) * x^(n-k)) mod g(x), computed

@@ -8,29 +8,11 @@
 
     Decoding is the classic chain: syndromes → Berlekamp–Massey error
     locator → Chien search → Forney magnitudes. A pattern with more than
-    [t] errors is (with high probability) flagged [Error `Uncorrectable]
-    rather than silently mis-decoded; the CRC layer above catches the
-    rest. *)
+    [t] errors is (with high probability) detected, and its block left
+    as received rather than silently mis-decoded; the CRC layer above
+    catches the rest. *)
 
 type t
-
-val create : n:int -> k:int -> t
-(** Requires [0 < k < n <= 255] and [n - k] even. *)
-
-val n : t -> int
-
-val k : t -> int
-
-val t_correctable : t -> int
-(** [(n - k) / 2]. *)
-
-val encode : t -> Bytes.t -> Bytes.t
-(** [encode rs data] for exactly [k] data bytes; returns the [n]-byte
-    systematic codeword (data followed by parity). *)
-
-val decode : t -> Bytes.t -> (Bytes.t, [ `Uncorrectable ]) result
-(** [decode rs codeword] for exactly [n] bytes; corrects in place up to
-    [t] byte errors and returns the [k] data bytes. *)
 
 val code : n:int -> k:int -> Code.t
 (** Wrap as a generic {!Code.t}: data is chunked into [k]-byte blocks

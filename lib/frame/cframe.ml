@@ -19,24 +19,8 @@ let checkpoint ~cp_seq ~issue_time ~stop_go ~enforced ~next_expected ~naks =
 
 let request_nak ~issue_time = Request_nak { issue_time }
 
-let is_nak = function
-  | Checkpoint { naks = _ :: _; _ } -> true
-  | Checkpoint _ | Request_nak _ -> false
-
 let issue_time = function
   | Checkpoint { issue_time; _ } | Request_nak { issue_time } -> issue_time
-
-let equal a b =
-  match (a, b) with
-  | Checkpoint a, Checkpoint b ->
-      a.cp_seq = b.cp_seq
-      && a.issue_time = b.issue_time
-      && a.stop_go = b.stop_go
-      && a.enforced = b.enforced
-      && a.next_expected = b.next_expected
-      && a.naks = b.naks
-  | Request_nak a, Request_nak b -> a.issue_time = b.issue_time
-  | Checkpoint _, Request_nak _ | Request_nak _, Checkpoint _ -> false
 
 let pp ppf = function
   | Checkpoint c ->

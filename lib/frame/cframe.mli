@@ -47,11 +47,6 @@ val checkpoint :
 
 val request_nak : issue_time:float -> t
 
-val is_nak : t -> bool
-(** A checkpoint carrying at least one sequence number. *)
-
 val issue_time : t -> float
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

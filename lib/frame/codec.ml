@@ -5,13 +5,6 @@ type error =
   | Payload_corrupt of { seq : int }
   | Control_corrupt
 
-let error_to_string = function
-  | Truncated -> "truncated frame"
-  | Unknown_tag t -> Printf.sprintf "unknown frame tag 0x%02x" t
-  | Header_corrupt -> "header CRC mismatch"
-  | Payload_corrupt { seq } -> Printf.sprintf "payload CRC mismatch (seq=%d)" seq
-  | Control_corrupt -> "control frame CRC mismatch"
-
 let tag_iframe = 0x01
 
 let tag_checkpoint = 0x02
@@ -87,11 +80,6 @@ let encode_into frame b ~pos:base =
       put_u16 b (base + 7) (Crc.crc16 b ~pos:base ~len:7));
   size
 
-let encode frame =
-  let b = Bytes.create (Wire.size_bytes frame) in
-  let _ = encode_into frame b ~pos:0 in
-  b
-
 (* Reusable encode buffer: grows monotonically, never shrinks, so a
    steady-state sender allocates nothing per frame. *)
 type scratch = { mutable buf : Bytes.t }
@@ -109,10 +97,6 @@ let encode_scratch_into scratch frame =
   size
 
 let scratch_buffer scratch = scratch.buf
-
-let encode_scratch scratch frame =
-  let size = encode_scratch_into scratch frame in
-  (scratch.buf, size)
 
 (* Decoders read from the slice [base, base+len) of [b]; [len] checks are
    against the slice, not the whole buffer, so a scratch buffer longer
@@ -258,13 +242,3 @@ let verify_slice b ~pos ~len =
         else V_ok
     | _ -> V_header_corrupt
   end
-
-let verify ?(pos = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  verify_slice b ~pos ~len
-
-let flip_bit b i =
-  if i < 0 || i >= 8 * Bytes.length b then
-    invalid_arg "Codec.flip_bit: bit index out of range";
-  let byte = i / 8 and bit = 7 - (i mod 8) in
-  Bytes.set_uint8 b byte (Bytes.get_uint8 b byte lxor (1 lsl bit))

@@ -58,10 +58,6 @@ let crc16 ?(init = 0xffff) b ~pos ~len =
   done;
   !crc
 
-let crc16_string s =
-  let b = Bytes.unsafe_of_string s in
-  crc16 b ~pos:0 ~len:(Bytes.length b)
-
 let crc32_tables =
   let t = Array.make 1024 0 in
   for n = 0 to 255 do
@@ -108,13 +104,3 @@ let crc32_int ?(init = 0) b ~pos ~len =
     incr i
   done;
   !crc lxor 0xFFFFFFFF
-
-let crc32 ?init b ~pos ~len =
-  let init =
-    match init with None -> 0 | Some prev -> Int32.to_int prev land 0xFFFFFFFF
-  in
-  Int32.of_int (crc32_int ~init b ~pos ~len)
-
-let crc32_string s =
-  let b = Bytes.unsafe_of_string s in
-  crc32 b ~pos:0 ~len:(Bytes.length b)

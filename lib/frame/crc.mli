@@ -10,16 +10,8 @@ val crc16 : ?init:int -> Bytes.t -> pos:int -> len:int -> int
 (** CCITT-FALSE over [len] bytes starting at [pos]. Result in [0, 0xFFFF].
     [?init] allows incremental computation (default 0xFFFF). *)
 
-val crc16_string : string -> int
-
-val crc32 : ?init:int32 -> Bytes.t -> pos:int -> len:int -> int32
-(** IEEE CRC-32 (reflected, init/xorout 0xFFFFFFFF) over the slice.
-    [?init] must be a value previously returned by [crc32] when chaining. *)
-
 val crc32_int : ?init:int -> Bytes.t -> pos:int -> len:int -> int
-(** {!crc32} with the 32-bit result carried in a native [int] — the
-    allocation-free variant for per-frame hot paths (a boxed [int32]
-    return costs three minor words per call). Result in
-    [[0, 0xFFFFFFFF]]; [?init] takes a previous [crc32_int] result. *)
-
-val crc32_string : string -> int32
+(** IEEE CRC-32 (reflected, init/xorout 0xFFFFFFFF) over the slice,
+    carried in a native [int] so per-frame hot paths allocate nothing.
+    Result in [[0, 0xFFFFFFFF]]; [?init] takes a previous [crc32_int]
+    result when chaining. *)

@@ -6,8 +6,6 @@ let create ~kind ~nr ~pf =
   if nr < 0 then invalid_arg "Hframe.create: negative nr";
   { kind; nr; pf }
 
-let equal a b = a.kind = b.kind && a.nr = b.nr && a.pf = b.pf
-
 let kind_name = function Rr -> "RR" | Rej -> "REJ" | Srej -> "SREJ"
 
 let pp ppf t =

@@ -14,6 +14,4 @@ type t = { kind : kind; nr : int; pf : bool }
 
 val create : kind:kind -> nr:int -> pf:bool -> t
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

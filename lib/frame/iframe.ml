@@ -4,8 +4,4 @@ let create ~seq ~payload =
   if seq < 0 then invalid_arg "Iframe.create: negative seq";
   { seq; payload }
 
-let payload_bytes t = Payload.length t.payload
-
-let equal a b = a.seq = b.seq && Payload.equal a.payload b.payload
-
 let pp ppf t = Format.fprintf ppf "I(seq=%d, %dB)" t.seq (Payload.length t.payload)

@@ -11,8 +11,4 @@ type t = { seq : int; payload : Payload.t }
 
 val create : seq:int -> payload:Payload.t -> t
 
-val payload_bytes : t -> int
-
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

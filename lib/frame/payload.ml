@@ -46,11 +46,6 @@ let equal a b = a.len = b.len && String.equal a.stem b.stem
 
 let hash p = Hashtbl.hash p.stem lxor p.len
 
-let pp ppf p =
-  let pad = p.len - String.length p.stem in
-  if pad = 0 then Format.pp_print_string ppf p.stem
-  else Format.fprintf ppf "%s+%d%c" p.stem pad fill
-
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -77,8 +72,6 @@ module Index = struct
 
   let length t = t.count
 
-  let key t id = t.keys.(id)
-
   let hash p =
     let h = ref (0x0bf29ce484222325 lxor p.len) in
     for i = 0 to String.length p.stem - 1 do
@@ -99,8 +92,6 @@ module Index = struct
       i := (!i + 1) land mask
     done;
     !i
-
-  let find t p = Array.unsafe_get t.slots (slot t.slots t.keys p) - 1
 
   let grow t =
     let n = 2 * Array.length t.slots in

@@ -42,12 +42,6 @@ val blit : t -> Bytes.t -> int -> unit
 val equal : t -> t -> bool
 (** Byte-image equality. *)
 
-val hash : t -> int
-(** Compatible with {!equal}; reads the stem, never the fill. *)
-
-val pp : Format.formatter -> t -> unit
-(** The stem and the length, e.g. [0000000042|+1013x]. *)
-
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by payload, hashing the stem only. *)
 
@@ -66,12 +60,6 @@ module Index : sig
   val length : t -> int
   (** Payloads added so far; ids run from 0 to [length t - 1]. *)
 
-  val find : t -> payload -> int
-  (** The payload's id, or [-1] when no {!equal} payload was added. *)
-
   val add : t -> payload -> int
   (** The payload's id, adding it first when it is new. *)
-
-  val key : t -> int -> payload
-  (** The payload with this id (the first of its {!equal} class). *)
 end

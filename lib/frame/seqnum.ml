@@ -7,10 +7,6 @@ let space ~bits =
 
 let modulus sp = sp.modulus
 
-let bits sp = sp.bits
-
-let zero _sp = 0
-
 let succ sp x = (x + 1) land sp.mask
 
 let add sp a b = (a + b) land sp.mask
@@ -21,9 +17,3 @@ let in_window sp ~lo ~size x =
   if size < 0 || size > sp.modulus then
     invalid_arg "Seqnum.in_window: bad window size";
   sub sp x lo < size
-
-let compare_in_window sp ~base a b = compare (sub sp a base) (sub sp b base)
-
-let validate sp x = x >= 0 && x < sp.modulus
-
-let pp sp ppf x = Format.fprintf ppf "%d (mod %d)" x sp.modulus

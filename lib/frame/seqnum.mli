@@ -17,10 +17,6 @@ val space : bits:int -> space
 
 val modulus : space -> int
 
-val bits : space -> int
-
-val zero : space -> int
-
 val succ : space -> int -> int
 
 val add : space -> int -> int -> int
@@ -32,12 +28,3 @@ val sub : space -> int -> int -> int
 val in_window : space -> lo:int -> size:int -> int -> bool
 (** [in_window sp ~lo ~size x]: does [x] lie in the half-open cyclic
     interval [lo, lo+size)? Requires [0 <= size <= modulus]. *)
-
-val compare_in_window : space -> base:int -> int -> int -> int
-(** Total order on numbers interpreted relative to [base]: numbers are
-    compared by forward distance from [base]. *)
-
-val validate : space -> int -> bool
-(** Is the raw int a member of the space? *)
-
-val pp : space -> Format.formatter -> int -> unit

@@ -21,10 +21,6 @@ val iframe_overhead_bytes : int
 val cframe_base_bytes : int
 (** Bytes of a LAMS checkpoint with an empty NAK list. *)
 
-val cframe_nak_entry_bytes : int
-
-val request_nak_bytes : int
-
 val hframe_bytes : int
 
 val size_bytes : t -> int

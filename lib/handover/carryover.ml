@@ -1,19 +1,13 @@
 type t = {
   closed_at : float;
   unresolved : Lams_dlc.Sender.unresolved list;  (* oldest first *)
-  nak_ledger : int list;
 }
 
 let snapshot ~now session =
   let sender = Lams_dlc.Session.sender session in
-  let receiver = Lams_dlc.Session.receiver session in
   Lams_dlc.Sender.stop sender;
-  Lams_dlc.Receiver.stop receiver;
-  {
-    closed_at = now;
-    unresolved = Lams_dlc.Sender.drain_unresolved sender;
-    nak_ledger = Lams_dlc.Receiver.outstanding_naks receiver;
-  }
+  Lams_dlc.Receiver.stop (Lams_dlc.Session.receiver session);
+  { closed_at = now; unresolved = Lams_dlc.Sender.drain_unresolved sender }
 
 let closed_at t = t.closed_at
 
@@ -21,17 +15,11 @@ let unresolved t = t.unresolved
 
 let payloads t = List.map (fun u -> u.Lams_dlc.Sender.payload) t.unresolved
 
-let nak_ledger t = t.nak_ledger
-
 let count verdict t =
   List.length
     (List.filter (fun u -> u.Lams_dlc.Sender.verdict = verdict) t.unresolved)
 
-let not_delivered t = count `Not_delivered t
-
 let suspicious t = count `Suspicious t
-
-let is_empty t = t.unresolved = []
 
 let corrupt ?(drop = 0) ?(flip = false) t =
   let drop = max 0 drop in
@@ -57,13 +45,3 @@ let corrupt ?(drop = 0) ?(flip = false) t =
   in
   ( { t with unresolved = kept },
     List.map (fun u -> u.Lams_dlc.Sender.payload) dropped )
-
-let replay t ~offer ~on_suspicious =
-  let rec go n = function
-    | [] -> n
-    | u :: rest ->
-        if u.Lams_dlc.Sender.verdict = `Suspicious then
-          on_suspicious u.Lams_dlc.Sender.payload;
-        if offer u.Lams_dlc.Sender.payload then go (n + 1) rest else n
-  in
-  go 0 t.unresolved

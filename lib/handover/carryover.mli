@@ -28,15 +28,7 @@ val unresolved : t -> Lams_dlc.Sender.unresolved list
 val payloads : t -> Frame.Payload.t list
 (** The unresolved payloads, oldest first. *)
 
-val nak_ledger : t -> int list
-(** The receiver's outstanding NAKs at close (old session's numbering),
-    ascending. *)
-
-val not_delivered : t -> int
-
 val suspicious : t -> int
-
-val is_empty : t -> bool
 
 val corrupt : ?drop:int -> ?flip:bool -> t -> t * Frame.Payload.t list
 (** Deterministic snapshot corruption for self-stabilisation tests:
@@ -44,13 +36,3 @@ val corrupt : ?drop:int -> ?flip:bool -> t -> t * Frame.Payload.t list
     returned — casualties destroyed with the state) and, when [flip],
     invert every surviving §3.3 verdict ([`Not_delivered] <->
     [`Suspicious]). The input is untouched. *)
-
-val replay :
-  t ->
-  offer:(Frame.Payload.t -> bool) ->
-  on_suspicious:(Frame.Payload.t -> unit) ->
-  int
-(** Offer every payload, oldest first, stopping at the first refusal;
-    returns how many were accepted. [on_suspicious] fires (before the
-    offer) for each [`Suspicious] payload so observers can budget the
-    permissible duplicates. *)

@@ -1,11 +1,5 @@
 type state = Up | Retargeting | Down | Failed
 
-let state_name = function
-  | Up -> "up"
-  | Retargeting -> "retargeting"
-  | Down -> "down"
-  | Failed -> "failed"
-
 let probe_state = function
   | Up -> Dlc.Probe.Link_up
   | Retargeting -> Dlc.Probe.Link_retargeting

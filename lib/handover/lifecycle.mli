@@ -16,10 +16,6 @@
 
 type state = Up | Retargeting | Down | Failed
 
-val state_name : state -> string
-
-val probe_state : state -> Dlc.Probe.link_state
-
 type t
 
 val create :

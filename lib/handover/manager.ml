@@ -23,7 +23,6 @@ type t = {
   mutable dlc : Dlc.Session.t option;
   mutable on_deliver : (payload:Frame.Payload.t -> unit) option;
   mutable on_suspicious : (Frame.Payload.t -> unit) option;
-  mutable last_carryover : Carryover.t option;
   stats : stats;
   mutable draining : bool;
   mutable corrupt : Dlc.Corrupt.t option;
@@ -87,7 +86,7 @@ let close_session t =
                     (List.length (Carryover.unresolved co))
                     (if flip then ", verdicts flipped" else "")
                 in
-                Dlc.Corrupt.applied cr ~now ~klass:"carryover-stale" ~detail;
+                Dlc.Corrupt.applied cr;
                 Dlc.Probe.emit t.probe ~now
                   (Dlc.Probe.State_corrupted
                      { klass = "carryover-stale"; detail });
@@ -97,7 +96,6 @@ let close_session t =
                 Log.info (fun m -> m "%s" detail);
                 co')
       in
-      t.last_carryover <- Some co;
       t.stats.carried_over <-
         t.stats.carried_over + List.length (Carryover.unresolved co);
       t.stats.suspicious_carried <-
@@ -169,7 +167,6 @@ let create ?probe engine ~params ~duplex ~plan =
       dlc = None;
       on_deliver = None;
       on_suspicious = None;
-      last_carryover = None;
       corrupt = None;
       on_casualty = None;
       stats =
@@ -241,19 +238,6 @@ let set_on_deliver t f = t.on_deliver <- Some f
 let set_on_suspicious_replay t f = t.on_suspicious <- Some f
 
 let lifecycle t = t.lifecycle
-
-let probe t = t.probe
-
-let current_session t = t.session
-
-let last_carryover t = t.last_carryover
-
-let pending t = Queue.length t.buffer
-
-let session_backlog t =
-  match t.session with
-  | Some s -> Lams_dlc.Sender.backlog (Lams_dlc.Session.sender s)
-  | None -> 0
 
 let retained t = List.of_seq (Queue.to_seq t.buffer)
 

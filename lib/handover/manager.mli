@@ -65,17 +65,6 @@ val set_on_suspicious_replay : t -> (Frame.Payload.t -> unit) -> unit
 
 val lifecycle : t -> Lifecycle.t
 
-val probe : t -> Dlc.Probe.t
-
-val current_session : t -> Lams_dlc.Session.t option
-
-val last_carryover : t -> Carryover.t option
-
-val pending : t -> int
-(** Payloads in the manager-level buffer (not offered to any session). *)
-
-val session_backlog : t -> int
-
 val retained : t -> Frame.Payload.t list
 (** Every payload in the manager-level buffer, oldest first. A live
     session's unresolved frames are not included — call {!stop} first to

@@ -24,35 +24,19 @@ let validate ~retarget_overhead windows =
     in
     check neg_infinity windows
 
-let scripted ~retarget_overhead windows = validate ~retarget_overhead windows
-
 let scripted_exn ~retarget_overhead windows =
-  match scripted ~retarget_overhead windows with
+  match validate ~retarget_overhead windows with
   | Ok t -> t
   | Error msg -> invalid_arg ("Handover.Plan.scripted: " ^ msg)
-
-let of_orbits ?step ?max_range_m ~retarget_overhead o1 o2 ~from_t ~until_t =
-  let windows = Orbit.Contact.windows ?step ?max_range_m o1 o2 ~from_t ~until_t in
-  scripted_exn ~retarget_overhead windows
 
 let windows t = t.windows
 
 let retarget_overhead t = t.retarget_overhead
 
-let usable_windows t =
-  List.filter_map
-    (fun w -> Orbit.Contact.usable w ~retarget_overhead:t.retarget_overhead)
-    t.windows
-
 let end_time t =
   match List.rev t.windows with
   | [] -> None
   | w :: _ -> Some w.Orbit.Contact.t_end
-
-let total_usable t =
-  List.fold_left
-    (fun acc w -> acc +. Orbit.Contact.duration w)
-    0. (usable_windows t)
 
 (* --- textual plan files -------------------------------------------------- *)
 
@@ -97,17 +81,6 @@ let of_string s =
   match go 1 None [] lines with
   | Ok t -> Ok t
   | Error msg -> Error ("contact plan: " ^ msg)
-
-let to_string t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "retarget %.17g\n" t.retarget_overhead);
-  List.iter
-    (fun w ->
-      Buffer.add_string b
-        (Printf.sprintf "window %.17g %.17g\n" w.Orbit.Contact.t_start
-           w.Orbit.Contact.t_end))
-    t.windows;
-  Buffer.contents b
 
 let load path =
   match

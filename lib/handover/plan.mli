@@ -2,9 +2,9 @@
 
     A plan is an ordered, non-overlapping list of {!Orbit.Contact}
     windows plus the terminal re-targeting overhead paid at the start of
-    every window (§1, §3.2). Plans come from orbital geometry
-    ({!of_orbits}), from test scripts ({!scripted}), or from a plan file
-    ({!load}) in the format accepted by [lams_dlc_cli --contact-plan]:
+    every window (§1, §3.2). Plans come from a window list
+    ({!scripted_exn}) or from a plan file ({!load}) in the format
+    accepted by [lams_dlc_cli --contact-plan]:
 
     {v
     # comment; blank lines ignored
@@ -15,42 +15,16 @@
 
 type t
 
-val scripted :
-  retarget_overhead:float -> Orbit.Contact.window list -> (t, string) result
-(** Windows must be in increasing time order, pairwise disjoint, each
-    with [t_end > t_start]; [retarget_overhead >= 0]. *)
-
 val scripted_exn : retarget_overhead:float -> Orbit.Contact.window list -> t
-(** Raises [Invalid_argument] where {!scripted} returns [Error]. *)
-
-val of_orbits :
-  ?step:float ->
-  ?max_range_m:float ->
-  retarget_overhead:float ->
-  Orbit.Circular_orbit.t ->
-  Orbit.Circular_orbit.t ->
-  from_t:float ->
-  until_t:float ->
-  t
-(** {!Orbit.Contact.windows} of the pair, packaged as a plan. *)
+(** Raises [Invalid_argument] on a negative overhead or on windows that
+    are empty, reversed or out of order. *)
 
 val windows : t -> Orbit.Contact.window list
 
 val retarget_overhead : t -> float
 
-val usable_windows : t -> Orbit.Contact.window list
-(** Each window shrunk by {!Orbit.Contact.usable}; windows fully
-    consumed by retargeting are dropped. *)
-
 val end_time : t -> float option
 (** [t_end] of the last window; [None] for an empty plan. *)
-
-val total_usable : t -> float
-
-val of_string : string -> (t, string) result
-
-val to_string : t -> string
-(** Round-trips through {!of_string}. *)
 
 val load : string -> (t, string) result
 (** Read a plan file; errors mention the offending line. *)

@@ -43,12 +43,3 @@ let validate t =
   else if t.max_retries < 1 then
     err "max_retries must be >= 1 (got %d)" t.max_retries
   else Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
-
-let mode_name = function Selective_repeat -> "SR" | Go_back_n -> "GBN"
-
-let pp ppf t =
-  Format.fprintf ppf "%s%s W=%d M=%d t_out=%gs t_proc=%gs sbuf=%d N2=%d%a"
-    (mode_name t.mode)
-    (if t.stutter then "+ST" else "")
-    t.window (modulus t) t.t_out t.t_proc t.send_buffer_capacity t.max_retries
-    Dlc.Guard.pp_opt t.guard

@@ -42,5 +42,3 @@ val default : t
 val validate : t -> (t, string) result
 
 val modulus : t -> int
-
-val pp : Format.formatter -> t -> unit

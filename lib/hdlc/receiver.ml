@@ -42,8 +42,6 @@ let create engine ~params ~reverse ~metrics ~probe =
 
 let set_on_deliver t f = t.on_deliver <- Some f
 
-let v_r t = t.v_r
-
 let buffered t = Hashtbl.length t.buffer
 
 let stop t = t.stopped <- true

@@ -27,9 +27,6 @@ val on_rx : t -> Channel.Link.rx -> unit
 
 val set_on_deliver : t -> (payload:Frame.Payload.t -> seq:int -> unit) -> unit
 
-val v_r : t -> int
-(** Next in-sequence number expected. *)
-
 val buffered : t -> int
 (** Out-of-order frames currently held (SR mode). *)
 

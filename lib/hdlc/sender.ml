@@ -51,8 +51,6 @@ let window_stalled t = (not (window_open t)) && Queue.is_empty t.retx
 
 let failed t = t.failed
 
-let set_on_failure t f = t.on_failure <- Some f
-
 (* [find], not [find_opt]: no option per delivered frame. *)
 let note_delivered t seq =
   match Hashtbl.find t.inflight seq with

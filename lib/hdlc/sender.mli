@@ -40,8 +40,6 @@ val window_stalled : t -> bool
 
 val failed : t -> bool
 
-val set_on_failure : t -> (unit -> unit) -> unit
-
 val v_s : t -> int
 (** Send state variable V(S) — ground truth for {!Dlc.Guard}. *)
 

@@ -79,12 +79,3 @@ let resolving_period t ~rtt =
 
 let holding_bound t ~rtt ~data_rate_bps =
   resolving_period t ~rtt +. t.w_cp +. (65536. /. data_rate_bps) +. 1e-3
-
-let pp ppf t =
-  Format.fprintf ppf
-    "w_cp=%gs c_depth=%d t_proc=%gs sbuf=%d wm=[%d,%d] drain=%s rate=[x%g,+%g,min %g] retries=%d margin=%g%a"
-    t.w_cp t.c_depth t.t_proc t.send_buffer_capacity t.recv_low_watermark
-    t.recv_high_watermark
-    (match t.recv_drain_rate with None -> "inf" | Some r -> Printf.sprintf "%g/s" r)
-    t.rate_decrease_factor t.rate_increase_step t.min_rate_factor
-    t.request_nak_retries t.coverage_margin Dlc.Guard.pp_opt t.guard

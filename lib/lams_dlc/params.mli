@@ -86,5 +86,3 @@ val holding_bound : t -> rtt:float -> data_rate_bps:float -> float
 (** The holding bound the LAMS oracle checks: {!resolving_period} plus
     slack for checkpoint phase ([w_cp]), serialisation (64 KiB at
     [data_rate_bps]) and processing (1 ms). *)
-
-val pp : Format.formatter -> t -> unit

@@ -43,12 +43,3 @@ let validate t =
   else if not (t.retx_cooldown >= 0.) then
     err "retx_cooldown must be >= 0 (got %g)" t.retx_cooldown
   else Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
-
-let mode_name = function Multiphase -> "multiphase" | Continuous -> "continuous"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "nbdt %s report=%gs batch=%d t_resend=%gs t_proc=%gs sbuf=%d N2=%d misses<=%d%a"
-    (mode_name t.mode) t.report_interval t.batch_size t.resend_timeout t.t_proc
-    t.send_buffer_capacity t.max_retries t.max_report_misses Dlc.Guard.pp_opt
-    t.guard

@@ -52,5 +52,3 @@ val default : t
     retransmission cooldown, N2 = 10. *)
 
 val validate : t -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

@@ -40,13 +40,7 @@ let backlog t =
 
 let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 
-let outstanding t = Hashtbl.length t.inflight
-
 let batches_completed t = t.batches_completed
-
-let failed t = t.failed
-
-let set_on_failure t f = t.on_failure <- Some f
 
 (* [find], not [find_opt]: no option per delivered frame. *)
 let note_delivered t seq =

@@ -30,14 +30,8 @@ val on_rx : t -> Channel.Link.rx -> unit
 
 val backlog : t -> int
 
-val outstanding : t -> int
-
 val batches_completed : t -> int
 (** Multiphase phase count (0 in continuous mode). *)
-
-val failed : t -> bool
-
-val set_on_failure : t -> (unit -> unit) -> unit
 
 val next_seq : t -> int
 (** Next unused stable number — ground truth for {!Dlc.Guard}. *)

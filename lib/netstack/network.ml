@@ -182,8 +182,6 @@ let send_message t ~src ~dst ~mtu body =
 
 let set_on_message t f = t.on_message <- Some f
 
-let messages_delivered t = t.delivered
-
 let fragments_in_transit t =
   Array.fold_left
     (fun acc node ->

@@ -34,8 +34,6 @@ val set_on_message :
   t -> (dst:int -> src:int -> msg_id:int -> body:string -> unit) -> unit
 (** Delivery callback, fired once per completed message. *)
 
-val messages_delivered : t -> int
-
 val fragments_in_transit : t -> int
 (** Fragments somewhere in the subnet: node queues plus resequencer
     buffers (does not include frames inside DLC senders). *)

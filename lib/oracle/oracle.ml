@@ -63,21 +63,6 @@ let record l v =
 
 let recorded l = List.rev l.recorded
 
-let report_of l =
-  if l.count = 0 then ""
-  else begin
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "%s: %d %s violation(s)\n" l.name l.count l.kind);
-    List.iter
-      (fun v -> Buffer.add_string b (Format.asprintf "  %a\n" pp_violation v))
-      (recorded l);
-    if l.count > max_recorded then
-      Buffer.add_string b
-        (Printf.sprintf "  ... %d more suppressed\n" (l.count - max_recorded));
-    Buffer.contents b
-  end
-
 (* --- the suspect window (convergence mode) ------------------------------- *)
 
 (* Convergence mode (Dolev et al. self-stabilisation): each
@@ -663,11 +648,7 @@ let violation_count t = t.ledger.count
 
 let wrongful_releases t = t.wrongful_releases
 
-let ok t = t.ledger.count = 0
-
 let convergence t = summary t.window
-
-let report t = report_of t.ledger
 
 module Transfer = struct
   type trec = {
@@ -839,13 +820,10 @@ module Transfer = struct
 
   let violation_count s = s.ledger.count
 
-  let ok s = s.ledger.count = 0
-
   let convergence s = summary s.window
 
   let casualties_lost s = s.casualties_lost
 
-  let report s = report_of s.ledger
 end
 
 module Feedback = struct

@@ -31,8 +31,8 @@
       [next_expected] never regresses.
 
     Violations are collected, not raised, so one run reports every
-    broken invariant: {!finalize} runs the end-of-run checks, {!ok}
-    tells whether any fired and {!report} lists them.
+    broken invariant: {!finalize} runs the end-of-run checks and
+    {!violations} lists them.
 
     {b Convergence mode} ({!set_convergence}): for self-stabilisation
     experiments that corrupt live session state on purpose (Dolev et
@@ -128,11 +128,6 @@ val wrongful_releases : t -> int
 (** Violations of the no-wrongful-release invariant
     (["released-undelivered"] / ["release-before-ack"]), all of them. *)
 
-val ok : t -> bool
-
-val report : t -> string
-(** Human-readable multi-line summary, empty-string when clean. *)
-
 (** Cross-handover no-loss / no-duplicate check, spanning session
     instances.
 
@@ -202,10 +197,6 @@ module Transfer : sig
 
   val violation_count : t -> int
   (** All of them, past the list's cap too. *)
-
-  val ok : t -> bool
-
-  val report : t -> string
 end
 
 (** Feedback-safety ledger for Byzantine-feedback experiments.

@@ -61,21 +61,3 @@ let position t ~at =
     (a *. ((x_orb *. cos_o) -. (y_orb *. cos_i *. sin_o)))
     (a *. ((x_orb *. sin_o) +. (y_orb *. cos_i *. cos_o)))
     (a *. (y_orb *. sin_i))
-
-(* The RAAN-drift cross terms (~raan_rate * a ~ 1 m/s) are neglected:
-   velocity is exact for Keplerian motion and a 1e-4 approximation under
-   J2. *)
-let velocity t ~at =
-  let a = semi_major_axis t in
-  let w = angular_velocity t +. arg_lat_rate_correction t in
-  let u = t.phase_rad +. (w *. at) in
-  let cos_u = cos u and sin_u = sin u in
-  let cos_i = cos t.inclination_rad and sin_i = sin t.inclination_rad in
-  let raan = t.raan_rad +. (raan_rate t *. at) in
-  let cos_o = cos raan and sin_o = sin raan in
-  (* d/dt of position: u' = w *)
-  let xd = -.sin_u and yd = cos_u in
-  Vec3.make
-    (a *. w *. ((xd *. cos_o) -. (yd *. cos_i *. sin_o)))
-    (a *. w *. ((xd *. sin_o) +. (yd *. cos_i *. cos_o)))
-    (a *. w *. (yd *. sin_i))

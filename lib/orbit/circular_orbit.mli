@@ -9,12 +9,6 @@
 val earth_radius_m : float
 (** 6,371 km mean radius. *)
 
-val mu_earth : float
-(** Standard gravitational parameter, m^3/s^2. *)
-
-val j2 : float
-(** Earth's second zonal harmonic, 1.08263e-3. *)
-
 type t = {
   altitude_m : float;  (** above mean Earth radius *)
   inclination_rad : float;
@@ -40,16 +34,8 @@ val raan_rate : t -> float
 (** Secular nodal drift dΩ/dt (rad/s); 0 when J2 is disabled. Negative
     (westward) for prograde orbits. *)
 
-val semi_major_axis : t -> float
-
 val period : t -> float
 (** Orbital period, seconds: [2π√(a³/μ)]. *)
 
-val angular_velocity : t -> float
-(** rad/s. *)
-
 val position : t -> at:float -> Vec3.t
 (** ECI position at simulated time [at]. *)
-
-val velocity : t -> at:float -> Vec3.t
-(** ECI velocity (analytic derivative). *)

@@ -38,46 +38,6 @@ let walker ~total ~planes ~phasing ~altitude_m ~inclination_rad =
 
 let size t = Array.length t.sats
 
-let satellites t = t.sats
-
 let sat t id =
   if id < 0 || id >= size t then invalid_arg "Constellation.sat: bad id";
   t.sats.(id)
-
-let id_of t ~plane ~index =
-  let plane = ((plane mod t.planes) + t.planes) mod t.planes in
-  let index = ((index mod t.per_plane) + t.per_plane) mod t.per_plane in
-  (plane * t.per_plane) + index
-
-let intra_plane_neighbors t id =
-  let s = sat t id in
-  if t.per_plane < 2 then []
-  else begin
-    let fwd = id_of t ~plane:s.plane ~index:(s.index_in_plane + 1) in
-    let bwd = id_of t ~plane:s.plane ~index:(s.index_in_plane - 1) in
-    if fwd = bwd then [ fwd ] else [ bwd; fwd ]
-  end
-
-let inter_plane_neighbors t id =
-  let s = sat t id in
-  if t.planes < 2 then []
-  else begin
-    let left = id_of t ~plane:(s.plane - 1) ~index:s.index_in_plane in
-    let right = id_of t ~plane:(s.plane + 1) ~index:s.index_in_plane in
-    if left = right then [ left ] else [ left; right ]
-  end
-
-let neighbors t id =
-  List.sort_uniq compare (intra_plane_neighbors t id @ inter_plane_neighbors t id)
-  |> List.filter (fun n -> n <> id)
-
-let visible_pairs t ~at =
-  let n = size t in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Geometry.line_of_sight (sat t i).orbit (sat t j).orbit ~at then
-        acc := (i, j) :: !acc
-    done
-  done;
-  List.rev !acc

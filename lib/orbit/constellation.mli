@@ -22,20 +22,5 @@ val walker :
 
 val size : t -> int
 
-val satellites : t -> sat array
-
 val sat : t -> int -> sat
 (** By id, [0 <= id < size]. *)
-
-val intra_plane_neighbors : t -> int -> int list
-(** The two satellites adjacent along the same plane (ring). *)
-
-val inter_plane_neighbors : t -> int -> int list
-(** Same-index satellites in the adjacent planes (ring of planes). *)
-
-val neighbors : t -> int -> int list
-(** Union of intra- and inter-plane neighbours — the usual ±2 laser-head
-    topology under SWAP limits (paper §2.1 point 4). *)
-
-val visible_pairs : t -> at:float -> (int * int) list
-(** All pairs with line of sight at [at]; [fst < snd]. O(n²). *)

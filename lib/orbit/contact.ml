@@ -64,6 +64,3 @@ let sample_fold o1 o2 w ~samples ~init ~f =
 
 let mean_distance o1 o2 w ~samples =
   sample_fold o1 o2 w ~samples ~init:0. ~f:( +. ) /. float_of_int samples
-
-let max_distance o1 o2 w ~samples =
-  sample_fold o1 o2 w ~samples ~init:0. ~f:Float.max

@@ -36,6 +36,3 @@ val distance_fn : Circular_orbit.t -> Circular_orbit.t -> float -> float
 
 val mean_distance :
   Circular_orbit.t -> Circular_orbit.t -> window -> samples:int -> float
-
-val max_distance :
-  Circular_orbit.t -> Circular_orbit.t -> window -> samples:int -> float

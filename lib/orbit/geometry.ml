@@ -1,12 +1,6 @@
 let distance_m o1 o2 ~at =
   Vec3.distance (Circular_orbit.position o1 ~at) (Circular_orbit.position o2 ~at)
 
-let relative_speed o1 o2 ~at =
-  let p = Vec3.sub (Circular_orbit.position o1 ~at) (Circular_orbit.position o2 ~at) in
-  let v = Vec3.sub (Circular_orbit.velocity o1 ~at) (Circular_orbit.velocity o2 ~at) in
-  let d = Vec3.norm p in
-  if d = 0. then Vec3.norm v else Float.abs (Vec3.dot p v /. d)
-
 (* Closest approach of segment [a,b] to the origin: clamp the projection
    of -a onto (b-a) to the segment. *)
 let min_segment_altitude a b =

@@ -2,10 +2,6 @@
 
 val distance_m : Circular_orbit.t -> Circular_orbit.t -> at:float -> float
 
-val relative_speed : Circular_orbit.t -> Circular_orbit.t -> at:float -> float
-(** Magnitude of the range rate (m/s), numerically from the analytic
-    velocities. *)
-
 val line_of_sight :
   ?grazing_altitude_m:float ->
   Circular_orbit.t ->
@@ -15,7 +11,3 @@ val line_of_sight :
 (** Is the straight-line path between the two satellites clear of the
     Earth (plus [grazing_altitude_m] of atmosphere, default 100 km)?
     Computed from the minimum distance of the segment to the geocentre. *)
-
-val min_segment_altitude : Vec3.t -> Vec3.t -> float
-(** Closest approach of the segment [a, b] to the geocentre, minus the
-    Earth radius (negative = the segment dips below the surface). *)

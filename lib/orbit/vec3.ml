@@ -2,8 +2,6 @@ type t = { x : float; y : float; z : float }
 
 let make x y z = { x; y; z }
 
-let zero = { x = 0.; y = 0.; z = 0. }
-
 let add a b = { x = a.x +. b.x; y = a.y +. b.y; z = a.z +. b.z }
 
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y; z = a.z -. b.z }
@@ -12,22 +10,8 @@ let scale k v = { x = k *. v.x; y = k *. v.y; z = k *. v.z }
 
 let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
 
-let cross a b =
-  {
-    x = (a.y *. b.z) -. (a.z *. b.y);
-    y = (a.z *. b.x) -. (a.x *. b.z);
-    z = (a.x *. b.y) -. (a.y *. b.x);
-  }
-
 let norm2 v = dot v v
 
 let norm v = sqrt (norm2 v)
 
 let distance a b = norm (sub a b)
-
-let normalize v =
-  let n = norm v in
-  if n = 0. then invalid_arg "Vec3.normalize: zero vector";
-  scale (1. /. n) v
-
-let pp ppf v = Format.fprintf ppf "(%.3g, %.3g, %.3g)" v.x v.y v.z

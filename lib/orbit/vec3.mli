@@ -4,8 +4,6 @@ type t = { x : float; y : float; z : float }
 
 val make : float -> float -> float -> t
 
-val zero : t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -14,15 +12,8 @@ val scale : float -> t -> t
 
 val dot : t -> t -> float
 
-val cross : t -> t -> t
-
 val norm : t -> float
 
 val norm2 : t -> float
 
 val distance : t -> t -> float
-
-val normalize : t -> t
-(** Raises [Invalid_argument] on the zero vector. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,9 +5,6 @@
     degrades to [Array.map]. Callers must not depend on execution order
     — only on the result array, which is always in input order. *)
 
-val parallelism_available : bool
-(** [true] when this build can actually run work items concurrently. *)
-
 val default_jobs : unit -> int
 (** A sensible worker count for this machine:
     [Domain.recommended_domain_count] on OCaml 5, [1] on the sequential

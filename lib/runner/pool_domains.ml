@@ -4,8 +4,6 @@
    Results land in distinct slots, so the only cross-domain
    synchronisation is the cursor and the final joins. *)
 
-let parallelism_available = true
-
 let default_jobs () = Domain.recommended_domain_count ()
 
 let map ~jobs f a =

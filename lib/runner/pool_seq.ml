@@ -2,8 +2,6 @@
    exist (see dune rules; pool_domains.ml is the multicore version).
    Same contract, one worker. *)
 
-let parallelism_available = false
-
 let default_jobs () = 1
 
 let map ~jobs:_ f a = Array.map f a

@@ -23,7 +23,7 @@
 
 module Pool : module type of Pool
 (** The worker pool backing {!run}, re-exported for callers that need
-    {!Pool.default_jobs} / {!Pool.parallelism_available}. *)
+    {!Pool.default_jobs}. *)
 
 type point = { label : string; run : seed:int -> (string * float) list }
 (** One parameter point. [run ~seed] executes a single replicate with
@@ -34,13 +34,6 @@ type point = { label : string; run : seed:int -> (string * float) list }
     wall clock — it may be called from any domain, in any order. *)
 
 type experiment = { id : string; name : string; points : point list }
-
-val seed_of_task :
-  root_seed:int -> experiment_id:string -> point_label:string ->
-  replicate:int -> int
-(** The runner's seed derivation, exposed so tests can pin it:
-    [Rng.derive_seed ~root:root_seed [experiment_id; point_label;
-    string_of_int replicate]]. *)
 
 val task_count : replicates:int -> experiment list -> int
 

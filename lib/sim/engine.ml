@@ -61,15 +61,6 @@ let[@inline] schedule_at t ~time f =
     in_the_past time (Array.unsafe_get t.clock 0);
   add_at t time 0 (Obj.repr f)
 
-let[@inline] schedule_fn t ~delay ~fn ~arg =
-  if delay < 0. then negative_delay delay;
-  add_at t (Array.unsafe_get t.clock 0 +. delay) ((arg lsl 1) lor 1) (Obj.repr fn)
-
-let[@inline] schedule_at_fn t ~time ~fn ~arg =
-  if time < Array.unsafe_get t.clock 0 then
-    in_the_past time (Array.unsafe_get t.clock 0);
-  add_at t time ((arg lsl 1) lor 1) (Obj.repr fn)
-
 let reserve_seq t = Event_queue.reserve_seq t.queue
 
 let[@inline] schedule_reserved t ~time ~seq ~fn ~arg =
@@ -93,18 +84,6 @@ let[@inline] last_seq t =
 (* [caught_up] is cleared before events run, so it stays clear when a
    callback raises, and set again once nothing due by the clock is
    left. *)
-
-let step t =
-  t.caught_up <- false;
-  match
-    Event_queue.pop_run t.queue ~clock:t.clock ~until:infinity ~max_events:1
-      ~k:dispatch
-  with
-  | Max_events -> true
-  | Drained ->
-      t.caught_up <- true;
-      false
-  | Deferred -> assert false (* no event time exceeds [infinity] *)
 
 let run ?until ?max_events t =
   let u = match until with None -> infinity | Some u -> u in
@@ -133,5 +112,3 @@ let run ?until ?max_events t =
         end
         else if stop = Drained then t.caught_up <- true
   end
-
-let run_until_quiet t = run t

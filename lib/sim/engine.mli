@@ -7,10 +7,11 @@
     clock. All times are in seconds of simulated time.
 
     Scheduling is allocation-free in steady state. [schedule] and
-    [schedule_at] take a [unit -> unit] closure; hot paths that would
-    otherwise close over fresh state per frame should pre-allocate one
-    [int -> unit] callback and pass the varying part through
-    {!schedule_fn}'s integer argument instead.
+    [schedule_at] take a [unit -> unit] closure. A component with an
+    event per frame keeps the events in its own FIFO and queues one at
+    a time with {!schedule_reserved}, whose pre-allocated
+    [int -> unit] callback takes the varying part as an integer, so no
+    closure is built per frame.
 
     The queue holds few events: a component with many future events of
     its own keeps them itself and queues only the next one (see "The
@@ -50,17 +51,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** [schedule_at t ~time f] runs [f] at absolute [time]; raises
     [Invalid_argument] if [time] is in the simulated past. *)
 
-val schedule_fn : t -> delay:float -> fn:(int -> unit) -> arg:int -> event_id
-(** Like {!schedule}, but runs [fn arg] at expiry. [fn] can be
-    pre-allocated once per component and reused for every frame, with
-    the per-event state packed into [arg] — no closure is created per
-    call. [arg] must fit in 62 bits (it is tag-packed alongside the
-    callback). Raises [Invalid_argument] on a negative delay. *)
-
-val schedule_at_fn : t -> time:float -> fn:(int -> unit) -> arg:int -> event_id
-(** {!schedule_fn} at an absolute time; raises [Invalid_argument] if
-    [time] is in the simulated past. *)
-
 val cancel : t -> event_id -> bool
 (** Cancel a pending event. [false] if it already fired, was cancelled,
     or the handle is stale/[never]. *)
@@ -83,7 +73,7 @@ val pending : t -> int
     [d] as run iff [d < now t], or [d = now t] and [s <= last_seq t].
     The queued events keep their relative order, so the component sees
     the same interleaving as if it had scheduled them. Such events are
-    not in the queue: {!run} and {!step} neither run nor count them, so
+    not in the queue: {!run} neither runs nor counts them, so
     a bare [run] ends at the last queued event, before any later
     settled-in-place instant.
 
@@ -109,21 +99,19 @@ val reserve_seq : t -> int
 
 val schedule_reserved :
   t -> time:float -> seq:int -> fn:(int -> unit) -> arg:int -> event_id
-(** {!schedule_at_fn} with a [seq] taken earlier by {!reserve_seq},
-    each used at most once. Raises [Invalid_argument] if [time] is in
-    the simulated past or [seq] was never reserved. *)
+(** Runs [fn arg] at absolute [time], with a [seq] taken earlier by
+    {!reserve_seq}, each used at most once. [fn] can be pre-allocated
+    once per component and reused for every event, with the per-event
+    state packed into [arg] (at most 62 bits). Raises
+    [Invalid_argument] if [time] is in the simulated past or [seq] was
+    never reserved. *)
 
 val last_seq : t -> int
 (** The [seq] of the event running now, or of the one that ran last.
     It is [max_int] on a fresh engine and once {!run} has advanced the
     clock to its [~until] or drained the queue, when every event due by
     the clock has run. It stays at the last event run after [run]
-    stops on [~max_events], after {!step} runs one, and after a
-    callback raises. *)
-
-val step : t -> bool
-(** Execute the next event, if any. Returns [false] when the queue is
-    empty. *)
+    stops on [~max_events] and after a callback raises. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** [run t] executes events until the queue drains; the clock is then
@@ -134,6 +122,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     even if no event fired there. An [until] before {!now} returns at
     once, since nothing can be due before the clock: the clock never
     runs backwards, and the queue and {!last_seq} stay as they are. *)
-
-val run_until_quiet : t -> unit
-(** Alias for [run] without bounds; drains the queue. *)

@@ -190,8 +190,6 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let add t ~time payload = insert t time (reserve_seq t) 0 payload
-
 let add_cell t ~cell ~aux payload =
   insert t (Array.unsafe_get cell 0) (reserve_seq t) aux payload
 
@@ -228,22 +226,6 @@ let cancel t id =
 let is_pending t id = holder t id >= 0
 
 (* --- popping ------------------------------------------------------------ *)
-
-let peek_time t =
-  if t.size = 0 then None
-  else Some (Array.unsafe_get t.times (Array.unsafe_get t.heap 0))
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let root = Array.unsafe_get t.heap 0 in
-    remove_at t 0;
-    let time = Array.unsafe_get t.times root in
-    let payload = Array.unsafe_get t.payloads root in
-    t.last_seq <- Array.unsafe_get t.seqs root;
-    free_slot t root;
-    Some (time, payload)
-  end
 
 type run_stop = Drained | Deferred | Max_events
 

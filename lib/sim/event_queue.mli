@@ -36,7 +36,7 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] is an empty queue. [dummy] is the inert payload
     written into vacated slots (popped, cancelled, or freshly grown) so
     the arena retains no reference to dead payloads; it is never
-    returned by {!pop}. [capacity] (default 256) sizes the initial
+    handed to {!pop_run}'s [k]. [capacity] (default 256) sizes the initial
     arena; it grows on demand. *)
 
 val is_empty : 'a t -> bool
@@ -49,18 +49,15 @@ val next_seq : 'a t -> int
     numbers handed out so far. Reading it consumes nothing. *)
 
 val last_seq : 'a t -> int
-(** The tie-break number of the event {!pop} or {!pop_run} removed
-    last, set before {!pop_run} calls [k] on it; [-1] before the first
+(** The tie-break number of the event {!pop_run} removed last, set
+    before {!pop_run} calls [k] on it; [-1] before the first
     pop. *)
-
-val add : 'a t -> time:float -> 'a -> id
-(** [add q ~time v] schedules [v] at [time] and returns its handle. *)
 
 val add_cell : 'a t -> cell:float array -> aux:int -> 'a -> id
 (** [add_cell q ~cell ~aux v] schedules [v] at [cell.(0)] with an
     auxiliary integer stored (unboxed) alongside the payload and handed
     back by {!pop_run}: room for a dispatch tag or a small argument
-    without a wrapper ({!add} stores [0]). The caller stores the time
+    without a wrapper. The caller stores the time
     into a one-element float array, unboxed, and this call reads it
     back: a float argument to a call that is not inlined would be boxed
     on non-flambda builds. {!Engine}'s inlined [schedule*] functions use
@@ -85,13 +82,6 @@ val cancel : 'a t -> id -> bool
 val is_pending : 'a t -> id -> bool
 (** Whether the handle names an event that has neither fired nor been
     cancelled. *)
-
-val peek_time : 'a t -> float option
-(** Timestamp of the earliest pending event, if any. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest pending event. Allocates the result;
-    drain loops that must not allocate use {!pop_run}. *)
 
 type run_stop =
   | Drained  (** no pending events left *)

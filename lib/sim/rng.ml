@@ -31,8 +31,6 @@ let split t =
   let seed = bits64 t in
   of_int64 (mix64 seed)
 
-let copy t = { state = Bytes.copy t.state }
-
 (* Top 53 bits -> float in [0,1). *)
 let[@inline] unit_float t =
   let x = Int64.shift_right_logical (bits64 t) 11 in
@@ -48,8 +46,6 @@ let[@inline] int t n =
      modulo bias is < n / 2^62, negligible for simulation use. *)
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   x mod n
-
-let[@inline] bool t = Int64.logand (bits64 t) 1L = 1L
 
 let[@inline] bernoulli t ~p =
   if p <= 0. then false
@@ -137,13 +133,3 @@ let derive_bits ~root path =
 
 let derive_seed ~root path =
   Int64.to_int (derive_bits ~root path) land max_int
-
-let derive ~root path = of_int64 (mix64 (derive_bits ~root path))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

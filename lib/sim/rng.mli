@@ -18,9 +18,6 @@ val split : t -> t
     Use one stream per stochastic component (channel, arrivals, ...) so
     that changing one component's draw count does not perturb others. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val derive_seed : root:int -> string list -> int
 (** [derive_seed ~root path] hashes [root] and the path components into a
     non-negative seed. Replicated experiments use it to give every
@@ -32,24 +29,11 @@ val derive_seed : root:int -> string list -> int
     streams; a component list is length-prefixed, so [["ab"; "c"]] and
     [["a"; "bc"]] differ. *)
 
-val derive : root:int -> string list -> t
-(** [derive ~root path] is a generator seeded from the full 64-bit
-    derivation of [derive_seed] (not truncated to [int]). *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform on [0, n-1]. Requires [n > 0]. *)
 
 val float : t -> float -> float
 (** [float t x] is uniform on [0, x). Requires [x > 0.]. *)
-
-val unit_float : t -> float
-(** Uniform on [0, 1). *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. [p] is clamped to
@@ -70,6 +54,3 @@ val binomial : t -> n:int -> p:float -> int
     (the low-BER regime where a normal approximation would round every
     draw to 0) and a normal approximation otherwise. Suitable for sampling
     bit-error counts in long frames at any BER. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

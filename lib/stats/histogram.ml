@@ -91,16 +91,3 @@ let mean_estimate t =
     acc := !acc +. (t.hi *. float_of_int t.overflow);
     !acc /. float_of_int t.total
   end
-
-let pp ppf t =
-  Format.fprintf ppf "histogram [%g,%g) n=%d under=%d over=%d@." t.lo t.hi
-    t.total t.underflow t.overflow;
-  let maxc = Array.fold_left Stdlib.max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        let lo, hi = bin_bounds t i in
-        let bar = String.make (c * 40 / maxc) '#' in
-        Format.fprintf ppf "  [%10.4g,%10.4g) %8d %s@." lo hi c bar
-      end)
-    t.counts

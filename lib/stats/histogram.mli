@@ -35,6 +35,3 @@ val percentile : t -> float -> float
 
 val mean_estimate : t -> float
 (** Mean estimated from bin midpoints. *)
-
-val pp : Format.formatter -> t -> unit
-(** ASCII sparkline-style dump, one row per nonempty bin. *)

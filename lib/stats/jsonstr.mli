@@ -1,8 +1,8 @@
 (** JSON text fragments for the stats emitters.
 
     [stats] sits below the JSON-value library in [bench_report], so
-    {!Table.to_json_string} and {!Online.to_json_string} print JSON text
-    directly; these are the two shared pieces. *)
+    {!Online.to_json_string} prints JSON text directly; these are the
+    two pieces it shares with the CLI's hand-rolled printers. *)
 
 val escape : string -> string
 (** The string as a quoted JSON string literal. *)

@@ -24,24 +24,6 @@ let[@inline] add t x =
   if x > t.max then t.max <- x;
   t.sum <- t.sum +. x
 
-let merge a b =
-  if a.n = 0. then { b with n = b.n }
-  else if b.n = 0. then { a with n = a.n }
-  else begin
-    let n = a.n +. b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. b.n /. n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
-    {
-      n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      sum = a.sum +. b.sum;
-    }
-  end
-
 let count t = int_of_float t.n
 
 let mean t = if t.n = 0. then nan else t.mean
@@ -53,8 +35,6 @@ let stddev t = sqrt (variance t)
 let min t = t.min
 
 let max t = t.max
-
-let sum t = t.sum
 
 (* Two-sided 97.5% Student-t quantiles by degrees of freedom. With the
    handful of replicates a matrix run typically has (3-10), the normal

@@ -10,17 +10,10 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val merge : t -> t -> t
-(** Combine two accumulators as if all observations had gone to one
-    (Chan et al. parallel update). Inputs are not modified. *)
-
 val count : t -> int
 
 val mean : t -> float
 (** [nan] when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two observations. *)
 
 val stddev : t -> float
 
@@ -29,8 +22,6 @@ val min : t -> float
 
 val max : t -> float
 (** [neg_infinity] when empty. *)
-
-val sum : t -> float
 
 val ci95_halfwidth : t -> float
 (** Half-width of a Student-t 95% confidence interval for the mean

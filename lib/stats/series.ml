@@ -2,45 +2,9 @@ type t = { name : string; mutable rev_points : (float * float) list }
 
 let create ~name = { name; rev_points = [] }
 
-let name t = t.name
-
 let add t ~x ~y = t.rev_points <- (x, y) :: t.rev_points
 
 let points t = List.rev t.rev_points
-
-let length t = List.length t.rev_points
-
-let xs t = List.map fst (points t)
-
-let ys t = List.map snd (points t)
-
-let map_y t ~f =
-  { name = t.name; rev_points = List.map (fun (x, y) -> (x, f y)) t.rev_points }
-
-let pp_table ppf series =
-  let cols = List.map (fun s -> Array.of_list (points s)) series in
-  let rows =
-    List.fold_left (fun acc c -> Stdlib.max acc (Array.length c)) 0 cols
-  in
-  let cell v = Printf.sprintf "%12.6g" v in
-  let header =
-    String.concat " "
-      ("           x" :: List.map (fun s -> Printf.sprintf "%12s" s.name) series)
-  in
-  Format.fprintf ppf "%s@." header;
-  for i = 0 to rows - 1 do
-    let x =
-      match cols with
-      | c :: _ when i < Array.length c -> cell (fst c.(i))
-      | _ -> "           -"
-    in
-    let cells =
-      List.map
-        (fun c -> if i < Array.length c then cell (snd c.(i)) else "           -")
-        cols
-    in
-    Format.fprintf ppf "%s@." (String.concat " " (x :: cells))
-  done
 
 let pp_ascii_plot ?(width = 72) ?(height = 20) ppf series =
   let all = List.concat_map points series in

@@ -8,27 +8,7 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val add : t -> x:float -> y:float -> unit
-
-val points : t -> (float * float) list
-(** In insertion order. *)
-
-val length : t -> int
-
-val ys : t -> float list
-
-val xs : t -> float list
-
-val map_y : t -> f:(float -> float) -> t
-(** Fresh series with transformed y values, same name. *)
-
-val pp_table : Format.formatter -> t list -> unit
-(** Render several series sharing the same x grid as a column-aligned
-    table: header [x name1 name2 ...], one row per x. Series are aligned
-    by position (row i of each series); ragged series render available
-    cells only. *)
 
 val pp_ascii_plot :
   ?width:int -> ?height:int -> Format.formatter -> t list -> unit

@@ -32,21 +32,3 @@ let pp ppf t =
   let rule = String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)) in
   Format.fprintf ppf "%s@." rule;
   List.iter (fun r -> Format.fprintf ppf "%s@." (render r)) rows
-
-let to_string t = Format.asprintf "%a" pp t
-
-let to_json_string t =
-  let buf = Buffer.create 256 in
-  let row_to_json row =
-    "[" ^ String.concat "," (List.map Jsonstr.escape row) ^ "]"
-  in
-  Buffer.add_string buf "{\"header\":";
-  Buffer.add_string buf (row_to_json t.header);
-  Buffer.add_string buf ",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (row_to_json row))
-    (List.rev t.rev_rows);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf

@@ -17,9 +17,3 @@ val add_float_row : t -> string -> float list -> unit
     [%.6g]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-
-val to_json_string : t -> string
-(** The table as a JSON object [{"header": [...], "rows": [[...], ...]}],
-    for machine-readable experiment output. *)

@@ -25,9 +25,6 @@ val create : name:string -> unit -> t
 
 val recorder : t -> Recorder.t
 
-val jsonl : t -> string
-(** The full event stream so far, one newline-terminated line per event. *)
-
 val outputs : t -> path:string -> (string * string) list
 (** The [(file, content)] pairs {!write} would publish under [path]. *)
 

@@ -21,10 +21,6 @@ type t = {
   kind : kind;
 }
 
-val name : t -> string
-(** Stable event tag: {!Dlc.Probe.event_name} for probe events,
-    ["fault"] / ["violation"] otherwise. *)
-
 (** {2 Tag numbers}
 
     Each tag name has a number in [\[0, tags)], so per-tag state lives
@@ -37,7 +33,8 @@ val tag : t -> int
 val probe_tag : Dlc.Probe.event -> int
 
 val tag_name : int -> string
-(** [tag_name (tag e) = name e]. *)
+(** The stable name of a tag, e.g. ["retx"], ["cp-nak"], ["link-up"],
+    ["fault"]: the JSONL [ev] field and the metrics' count keys. *)
 
 val tag_offered : int
 
@@ -55,22 +52,7 @@ val tag_fault : int
 
 val tag_violation : int
 
-val payload_label : Frame.Payload.t -> string
-(** First 16 bytes of a payload's image — enough to identify a frame
-    built by {!Workload.Arrivals.default_payload} without dumping the
-    kilobyte. *)
-
-val to_json : t -> Bench_report.Json.t
-
 val to_line : t -> string
 (** Single-line JSON, no trailing newline. *)
-
-val of_json : Bench_report.Json.t -> (t, string) result
-(** Inverse of {!to_json} up to payload truncation: a payload comes
-    back as its label followed by fill up to the recorded [len], so its
-    length and first 16 bytes are exact (and a
-    {!Workload.Arrivals.default_payload} comes back whole). This is the
-    schema check: every required field of the event's kind must be
-    present and well-typed. *)
 
 val of_line : string -> (t, string) result

@@ -20,16 +20,8 @@ val create : ?data_only:bool -> unit -> t
 val attach : t -> Channel.Link.t -> unit
 (** Adds a tap ({!Channel.Link.add_tap}); existing taps keep firing. *)
 
-val observe : t -> Channel.Link.tap_event -> unit
-(** The tap itself, for callers managing their own tap fan-out. *)
-
 val length : t -> int
 (** Frames captured so far. *)
 
-val fates : t -> Channel.Trace_model.data
-(** Snapshot of the captured fate sequence. *)
-
 val save : ?comment:string -> t -> string -> unit
 (** Write the captured trace in the v1 trace-file format. *)
-
-val fate_of_status : Channel.Link.status -> Channel.Model.fate

@@ -178,22 +178,6 @@ let observe t (e : Event.t) =
   | Event.Probe (Dlc.Probe.Cp_emitted { naks; _ }) -> cp_emitted t ~at ~naks
   | _ -> count_tag t (Event.tag e)
 
-let events t = t.events
-
-let count t name =
-  let rec go i =
-    if i = Event.tags then 0
-    else if Event.tag_name i = name then t.counts.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let holding t = t.holding
-
-let nak_latency t = t.nak_latency
-
-let cp_occupancy t = t.cp_occupancy
-
 let sorted_counts t =
   List.init Event.tags (fun i -> (Event.tag_name i, t.counts.(i)))
   |> List.filter (fun (_, n) -> n > 0)

@@ -38,21 +38,6 @@ val requeued : t -> at:float array -> seq:int -> unit
 
 val cp_emitted : t -> at:float array -> naks:int list -> unit
 
-val events : t -> int
-(** Total events observed. *)
-
-val count : t -> string -> int
-(** Occurrences of one event tag ({!Event.name}); 0 when absent. *)
-
-val holding : t -> Stats.Histogram.t
-
-val nak_latency : t -> Stats.Histogram.t
-
-val cp_occupancy : t -> Stats.Histogram.t
-
-val to_fields : t -> (string * float) list
-(** Flat deterministic summary (sorted counter names, histogram count /
-    mean / p50 / p95 / p99 / overflow) for report pipelines. *)
-
 val to_json : t -> Bench_report.Json.t
-(** {!to_fields} plus the nonempty bins of each histogram. *)
+(** The event total, the per-tag counts and each histogram's summary
+    and nonempty bins. *)

@@ -1,7 +1,7 @@
 (* A ring of flat columns. Every slot has a tag ({!Event.tag}) and a
    time; the per-frame probe kinds keep their fields in [seqs] and
    [payloads], every other kind keeps its event in [rares]. An [Event.t]
-   is built only for the sink, a flight freeze or [ring_events]. *)
+   is built only for the sink or a flight freeze. *)
 
 type rare =
   | Kind of Event.kind
@@ -43,10 +43,6 @@ let create ?(capacity = 512) ~name () =
     metrics = Metrics.create ();
     at = [| 0. |];
   }
-
-let name t = t.name
-
-let capacity t = t.capacity
 
 let set_sink t f = t.sink <- Some f
 
@@ -176,7 +172,5 @@ let flight_jsonl t =
         events;
       Buffer.contents b)
     t.flight
-
-let violations t = t.violations
 
 let metrics t = t.metrics

@@ -15,16 +15,12 @@
     The ring is kept as flat columns (tag, sequence number, payload,
     time, and one column for the rare kinds), filled from the probe's
     typed handlers. An {!Event.t} is built, and a fault's frame
-    formatted, only for the sink, a flight freeze or {!ring_events}. *)
+    formatted, only for the sink or a flight freeze. *)
 
 type t
 
 val create : ?capacity:int -> name:string -> unit -> t
 (** [capacity] is the ring size (default 512, must be positive). *)
-
-val name : t -> string
-
-val capacity : t -> int
 
 val set_sink : t -> (Event.t -> unit) -> unit
 (** Called synchronously for every recorded event, after it enters the
@@ -46,9 +42,6 @@ val attach_oracle : t -> Oracle.t -> unit
 val events_recorded : t -> int
 (** Total events since creation (not bounded by the ring). *)
 
-val ring_events : t -> Event.t list
-(** Current ring contents, chronological. *)
-
 val flight : t -> Event.t list option
 (** The frozen snapshot: ring contents at the instant of the first
     violation, ending with that violation's record. [None] while no
@@ -56,7 +49,5 @@ val flight : t -> Event.t list option
 
 val flight_jsonl : t -> string option
 (** {!flight} as newline-terminated JSONL. *)
-
-val violations : t -> int
 
 val metrics : t -> Metrics.t

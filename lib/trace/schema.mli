@@ -1,18 +1,12 @@
 (** JSONL trace validation.
 
     A valid trace is a sequence of newline-separated JSON objects, each
-    decodable by {!Event.of_json} (required fields present and
+    decodable by {!Event.of_line} (required fields present and
     well-typed, tag consistent with payload), with strictly increasing
     event indices. Full traces start at index 0 with step 1; flight
     dumps start anywhere (the ring cut them out of a longer stream) but
     stay strictly increasing. *)
 
-val validate_line : string -> (Event.t, string) result
-
-val validate : string -> (int, string) result
-(** Validate a whole trace (file contents). Returns the number of
-    events, or the first error prefixed with its 1-based line number.
-    The empty trace is valid. *)
-
 val validate_file : string -> (int, string) result
-(** {!validate} on a file's contents; [Error] on read failure. *)
+(** The number of events in a valid trace file, or the first line that
+    fails; [Error] also on a read failure. *)

@@ -1,7 +1,5 @@
 type t = { mutable offered : int; total : int }
 
-let count_offered t = t.offered
-
 let finished t = t.offered >= t.total
 
 (* Decimal digits of [n >= 0]. *)
@@ -50,52 +48,6 @@ let deterministic engine ~session ~rate ~count ~payload =
     end
   in
   ignore (Sim.Engine.schedule engine ~delay:0. tick : Sim.Engine.event_id);
-  t
-
-let poisson engine ~rng ~session ~rate ~count ~payload =
-  if rate <= 0. then invalid_arg "Arrivals.poisson: rate must be > 0";
-  let t = { offered = 0; total = count } in
-  let rec tick () =
-    if t.offered < t.total then begin
-      if session.Dlc.Session.offer (payload t.offered) then
-        t.offered <- t.offered + 1;
-      if t.offered < t.total then begin
-        let delay = Sim.Rng.exponential rng ~mean:(1. /. rate) in
-        ignore (Sim.Engine.schedule engine ~delay tick : Sim.Engine.event_id)
-      end
-    end
-  in
-  ignore (Sim.Engine.schedule engine ~delay:0. tick : Sim.Engine.event_id);
-  t
-
-let on_off engine ~rng ~session ~burst_rate ~mean_on ~mean_off ~count ~payload =
-  if burst_rate <= 0. || mean_on <= 0. || mean_off <= 0. then
-    invalid_arg "Arrivals.on_off: rates and means must be > 0";
-  let t = { offered = 0; total = count } in
-  let interval = 1. /. burst_rate in
-  let rec on_tick until =
-    if t.offered < t.total then begin
-      if Sim.Engine.now engine >= until then begin
-        let off = Sim.Rng.exponential rng ~mean:mean_off in
-        ignore
-          (Sim.Engine.schedule engine ~delay:off (fun () -> start_burst ())
-            : Sim.Engine.event_id)
-      end
-      else begin
-        if session.Dlc.Session.offer (payload t.offered) then
-          t.offered <- t.offered + 1;
-        ignore
-          (Sim.Engine.schedule engine ~delay:interval (fun () -> on_tick until)
-            : Sim.Engine.event_id)
-      end
-    end
-  and start_burst () =
-    if t.offered < t.total then begin
-      let dur = Sim.Rng.exponential rng ~mean:mean_on in
-      on_tick (Sim.Engine.now engine +. dur)
-    end
-  in
-  ignore (Sim.Engine.schedule engine ~delay:0. start_burst : Sim.Engine.event_id);
   t
 
 let saturating engine ~session ~count ~payload =

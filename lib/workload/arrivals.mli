@@ -2,12 +2,10 @@
 
     Each generator offers payloads to the session on its own schedule and
     retries refused offers. [saturating] keeps the sender's buffer topped
-    up — the paper's "high traffic" regime; [deterministic] and [poisson]
-    model the open-loop regimes; [on_off] produces bursty sources. *)
+    up — the paper's "high traffic" regime; [deterministic] is the
+    open-loop regime. *)
 
 type t
-
-val count_offered : t -> int
 
 val finished : t -> bool
 (** All requested payloads have been accepted by the session. *)
@@ -21,29 +19,6 @@ val deterministic :
   t
 (** One payload every [1/rate] seconds, [count] total. Refused offers are
     retried at the next tick (the tick is not consumed). *)
-
-val poisson :
-  Sim.Engine.t ->
-  rng:Sim.Rng.t ->
-  session:Dlc.Session.t ->
-  rate:float ->
-  count:int ->
-  payload:(int -> Frame.Payload.t) ->
-  t
-(** Exponential inter-arrivals with mean [1/rate]. *)
-
-val on_off :
-  Sim.Engine.t ->
-  rng:Sim.Rng.t ->
-  session:Dlc.Session.t ->
-  burst_rate:float ->
-  mean_on:float ->
-  mean_off:float ->
-  count:int ->
-  payload:(int -> Frame.Payload.t) ->
-  t
-(** Markov-modulated: exponentially distributed ON periods emitting at
-    [burst_rate], separated by exponential OFF periods. *)
 
 val saturating :
   Sim.Engine.t ->

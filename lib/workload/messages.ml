@@ -46,7 +46,3 @@ let decode s =
             else Ok { msg_id; src; dst; index; count; body }
         | _ -> Error "non-integer fragment header field")
   end
-
-let pp ppf f =
-  Format.fprintf ppf "msg%d[%d/%d] %d->%d (%dB)" f.msg_id (f.index + 1) f.count
-    f.src f.dst (String.length f.body)

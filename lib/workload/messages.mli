@@ -24,5 +24,3 @@ val encode : fragment -> string
 
 val decode : string -> (fragment, string) result
 (** Inverse of [encode]; [Error] describes the malformation. *)
-
-val pp : Format.formatter -> fragment -> unit

@@ -131,9 +131,16 @@ let offer_all t n =
       Alcotest.failf "offer %d refused" i
   done
 
+(* Fails with every violation, one per line. *)
+let assert_no_violations = function
+  | [] -> ()
+  | vs ->
+      let line = Format.asprintf "%a" Oracle.pp_violation in
+      Alcotest.fail (String.concat "\n" (List.map line vs))
+
 let assert_oracle t =
   Oracle.finalize t.oracle;
-  if not (Oracle.ok t.oracle) then Alcotest.failf "%s" (Oracle.report t.oracle)
+  assert_no_violations (Oracle.violations t.oracle)
 
 let run_to_completion ?(horizon = 60.) ?(check_oracle = true) t =
   Sim.Engine.run t.engine ~until:horizon;
@@ -162,3 +169,47 @@ let in_order t =
       if p <> payload i then
         Alcotest.failf "position %d: got %s" i (Frame.Payload.to_string p))
     (List.rev t.delivery_order)
+
+(* Scripts, plans and traces reach the library from files
+   ([Fault.load], [Corrupt.load], [Plan.load], [Schema.validate_file]);
+   [from_file load text] goes the same way. *)
+let from_file load text =
+  let path = Filename.temp_file "script" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      load path)
+
+(* What an installed fault script does to each of [frames], sent one at
+   a time over a clean link: the decision the far end observes. *)
+let fault_decisions fault frames =
+  let engine = Sim.Engine.create () in
+  let link =
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  Channel.Fault.install fault link;
+  Channel.Link.set_receiver link ignore;
+  let sent = ref (List.hd frames) and out = ref [] in
+  Channel.Link.add_tap link (function
+    | Channel.Link.Tap_tx _ -> ()
+    | Channel.Link.Tap_lost _ -> out := Channel.Link.Drop :: !out
+    | Channel.Link.Tap_rx { frame; status } ->
+        let d =
+          match status with
+          | Channel.Link.Rx_ok when frame == !sent -> Channel.Link.Pass
+          | Channel.Link.Rx_ok -> Channel.Link.Replace frame
+          | Channel.Link.Rx_payload_corrupt -> Channel.Link.Corrupt_payload
+          | Channel.Link.Rx_header_corrupt -> Channel.Link.Corrupt_header
+        in
+        out := d :: !out);
+  List.iter
+    (fun f ->
+      sent := f;
+      Channel.Link.send link f;
+      Sim.Engine.run engine)
+    frames;
+  List.rev !out

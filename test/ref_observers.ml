@@ -40,7 +40,7 @@ module Metrics = struct
 
   let observe t (e : Trace.Event.t) =
     t.events <- t.events + 1;
-    bump t (Trace.Event.name e);
+    bump t (Trace.Event.tag_name (Trace.Event.tag e));
     match e.Trace.Event.kind with
     | Trace.Event.Probe (Dlc.Probe.Tx { seq; _ }) ->
         Hashtbl.replace t.last_tx seq e.Trace.Event.time

@@ -53,13 +53,13 @@ let test_coded_path_status () =
    the one scheduled before it, wherever it sits in the heap. *)
 let test_engine_schedule () =
   let e = Sim.Engine.create () in
-  let noop _ = () in
+  let noop () = () in
   let d0 = 5e-7 and d1 = 6.1e-5 and d2 = 9.7e-4 and d3 = 8e-2 in
   let prev = ref Sim.Engine.never in
-  gate ~what:"Engine.schedule_fn + cancel + run" ~max_words:0. (fun () ->
+  gate ~what:"Engine.schedule + cancel + run" ~max_words:0. (fun () ->
       for i = 0 to 99 do
         let d = match i land 3 with 0 -> d0 | 1 -> d1 | 2 -> d2 | _ -> d3 in
-        let id = Sim.Engine.schedule_fn e ~delay:d ~fn:noop ~arg:i in
+        let id = Sim.Engine.schedule e ~delay:d noop in
         if i mod 3 = 0 then ignore (Sim.Engine.cancel e !prev : bool);
         prev := id
       done;
@@ -79,8 +79,8 @@ let test_online_add () =
 let test_link_send_idle () =
   let engine = Sim.Engine.create () in
   let link =
-    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -88,7 +88,7 @@ let test_link_send_idle () =
   Channel.Link.set_receiver link (fun _ -> incr received);
   gate ~what:"idle Link.send up to its arrival" ~max_words:11. (fun () ->
       Channel.Link.send link descriptor_frame;
-      Sim.Engine.run_until_quiet engine);
+      Sim.Engine.run engine);
   Alcotest.(check int) "every frame arrived" 1_010 !received
 
 let test_rng_draws () =
@@ -103,8 +103,8 @@ let test_rng_draws () =
 let test_receiver_nak_marking () =
   let engine = Sim.Engine.create () in
   let reverse =
-    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -194,11 +194,13 @@ let test_checked_words_per_frame ~max_words () =
    the floats boxed at cross-module calls; a sender that allocates per
    buffered frame (a record, its float array and a queue cell) fails the
    gate. *)
+let two = Some 2
+
 let test_sender_frame_lifecycle ~max_words () =
   let engine = Sim.Engine.create () in
   let forward =
-    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -226,8 +228,7 @@ let test_sender_frame_lifecycle ~max_words () =
     ~max_words (fun () ->
       ignore (Lams_dlc.Sender.offer sender payload : bool);
       (* the end of serialisation and the arrival *)
-      ignore (Sim.Engine.step engine : bool);
-      ignore (Sim.Engine.step engine : bool);
+      Sim.Engine.run ?max_events:two engine;
       Lams_dlc.Sender.on_rx sender checkpoints.(!next);
       incr next);
   Alcotest.(check int) "every frame released" 0 (Lams_dlc.Sender.backlog sender)
@@ -240,8 +241,8 @@ let test_sender_frame_lifecycle ~max_words () =
 let test_checkpoint_stop_go ~max_words () =
   let engine = Sim.Engine.create () in
   let forward =
-    Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in

@@ -85,22 +85,6 @@ let test_online_empty_to_json () =
       Alcotest.(check bool) "mean null" true (Json.member "mean" j = Some Json.Null);
       Alcotest.(check bool) "min null" true (Json.member "min" j = Some Json.Null)
 
-let test_table_to_json () =
-  let t = Stats.Table.create ~header:[ "n"; "value" ] in
-  Stats.Table.add_row t [ "1"; "a \"quoted\" cell" ];
-  Stats.Table.add_float_row t "2" [ 0.5 ];
-  match Json.of_string (Stats.Table.to_json_string t) with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-      let strings l = List.map (fun c -> Option.get (Json.to_str c)) l in
-      Alcotest.(check (list string)) "header" [ "n"; "value" ]
-        (strings (Option.get (Option.bind (Json.member "header" j) Json.to_list)));
-      let rows = Option.get (Option.bind (Json.member "rows" j) Json.to_list) in
-      Alcotest.(check int) "two rows" 2 (List.length rows);
-      Alcotest.(check (list string)) "row with escapes"
-        [ "1"; "a \"quoted\" cell" ]
-        (strings (Option.get (Json.to_list (List.nth rows 0))))
-
 let suite =
   [
     Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
@@ -110,5 +94,4 @@ let suite =
     Alcotest.test_case "stats: Online.to_json_string" `Quick test_online_to_json;
     Alcotest.test_case "stats: empty Online emits nulls" `Quick
       test_online_empty_to_json;
-    Alcotest.test_case "stats: Table.to_json_string" `Quick test_table_to_json;
   ]

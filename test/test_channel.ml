@@ -123,20 +123,20 @@ let test_fates_into_uniform_stream_identical () =
         Channel.Error_model.fate seq_model r1 ~header_bits:104 ~payload_bits:8192)
   in
   let got = Array.make n Channel.Error_model.Clean in
-  Channel.Error_model.fates_into batch_model r2 ~header_bits:104
+  Channel.Model.fates_into batch_model r2 ~header_bits:104
     ~payload_bits:8192 got ~n;
   Array.iteri
     (fun i f ->
       if f <> expected.(i) then Alcotest.failf "fate %d diverged" i)
     got;
   Alcotest.(check bool) "rng streams aligned" true
-    (Sim.Rng.unit_float r1 = Sim.Rng.unit_float r2)
+    (Sim.Rng.float r1 1. = Sim.Rng.float r2 1.)
 
 let test_fates_into_perfect_and_bounds () =
   let rng = Sim.Rng.create ~seed:12 in
   let dst = Array.make 8 Channel.Error_model.Lost in
   (* only the first n slots are written *)
-  Channel.Error_model.fates_into Channel.Error_model.perfect rng ~header_bits:8
+  Channel.Model.fates_into Channel.Error_model.perfect rng ~header_bits:8
     ~payload_bits:8 dst ~n:5;
   Array.iteri
     (fun i f ->
@@ -147,11 +147,11 @@ let test_fates_into_perfect_and_bounds () =
     dst;
   Alcotest.check_raises "n too large"
     (Invalid_argument "Channel.Model.fates_into: n out of range") (fun () ->
-      Channel.Error_model.fates_into Channel.Error_model.perfect rng
+      Channel.Model.fates_into Channel.Error_model.perfect rng
         ~header_bits:8 ~payload_bits:8 dst ~n:9);
   Alcotest.check_raises "negative n"
     (Invalid_argument "Channel.Model.fates_into: n out of range") (fun () ->
-      Channel.Error_model.fates_into Channel.Error_model.perfect rng
+      Channel.Model.fates_into Channel.Error_model.perfect rng
         ~header_bits:8 ~payload_bits:8 dst ~n:(-1))
 
 let test_fates_into_ge_matches_sequential_rate () =
@@ -178,7 +178,7 @@ let test_fates_into_ge_matches_sequential_rate () =
   let batch_model = mk () in
   let r2 = Sim.Rng.create ~seed:14 in
   let batch_fates = Array.make n Channel.Error_model.Clean in
-  Channel.Error_model.fates_into batch_model r2 ~header_bits:104
+  Channel.Model.fates_into batch_model r2 ~header_bits:104
     ~payload_bits:8192 batch_fates ~n;
   let p_seq = float_of_int (bad_of seq_fates) /. float_of_int n in
   let p_batch = float_of_int (bad_of batch_fates) /. float_of_int n in
@@ -188,19 +188,19 @@ let test_fates_into_ge_matches_sequential_rate () =
 let test_fates_allocates_fresh_array () =
   let model = Channel.Error_model.uniform ~ber:1e-3 () in
   let rng = Sim.Rng.create ~seed:15 in
-  let a = Channel.Error_model.fates model rng ~header_bits:8 ~payload_bits:64 ~n:10 in
+  let a = Channel.Model.fates model rng ~header_bits:8 ~payload_bits:64 ~n:10 in
   Alcotest.(check int) "length" 10 (Array.length a);
   let empty =
-    Channel.Error_model.fates model rng ~header_bits:8 ~payload_bits:64 ~n:0
+    Channel.Model.fates model rng ~header_bits:8 ~payload_bits:64 ~n:0
   in
   Alcotest.(check int) "empty" 0 (Array.length empty)
 
 (* --- Link --- *)
 
 let make_link ?(ber = 0.) ?(distance = 3_000_000.) engine seed =
-  Channel.Link.create_static engine
+  Channel.Link.create engine
     ~rng:(Sim.Rng.create ~seed)
-    ~distance_m:distance ~data_rate_bps:1e6
+    ~distance_m:(fun _ -> distance) ~data_rate_bps:1e6
     ~iframe_error:(Channel.Error_model.uniform ~ber ())
     ~cframe_error:Channel.Error_model.perfect
 
@@ -317,9 +317,9 @@ let test_control_frames_use_control_model () =
   let engine = Sim.Engine.create () in
   (* I-frame channel destroys everything; control channel is perfect *)
   let link =
-    Channel.Link.create_static engine
+    Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:6)
-      ~distance_m:1000. ~data_rate_bps:1e6
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e6
       ~iframe_error:(Channel.Error_model.uniform ~ber:1.0 ())
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -374,7 +374,7 @@ let fly ~distance_m ~n =
   (* a frame departs one serialisation time after it starts, the float
      the link's end-of-serialisation event is scheduled at *)
   let started = ref 0 in
-  Channel.Link.set_tap link (function
+  Channel.Link.add_tap link (function
     | Channel.Link.Tap_tx f ->
         departures.(!started) <-
           Sim.Engine.now engine +. Channel.Link.tx_time link f;
@@ -474,13 +474,21 @@ let test_link_arrival_keeps_departure_order () =
 
 (* --- error positions and the bit-level coded path --- *)
 
+(* The error positions of one frame, through the scratch vector the
+   coded path uses. *)
+let error_positions model rng ~bits =
+  let scratch = Channel.Model.Positions.create () in
+  Channel.Model.error_positions_into model rng ~bits scratch;
+  let module P = Channel.Model.Positions in
+  List.init (P.length scratch) (P.get scratch)
+
 let test_error_positions_rate () =
   let model = Channel.Error_model.uniform ~ber:0.01 () in
   let rng = Sim.Rng.create ~seed:9 in
   let total = ref 0 in
   let trials = 200 and bits = 10_000 in
   for _ = 1 to trials do
-    let ps = Channel.Error_model.error_positions model rng ~bits in
+    let ps = error_positions model rng ~bits in
     List.iter (fun p -> if p < 0 || p >= bits then Alcotest.failf "pos %d" p) ps;
     (* sorted and distinct *)
     let rec check = function
@@ -499,7 +507,7 @@ let test_error_positions_rate () =
 let test_error_positions_perfect () =
   let rng = Sim.Rng.create ~seed:10 in
   Alcotest.(check (list int)) "no errors" []
-    (Channel.Error_model.error_positions Channel.Error_model.perfect rng ~bits:1000)
+    (error_positions Channel.Error_model.perfect rng ~bits:1000)
 
 let coded_path ?(error_model = Channel.Error_model.perfect) ?(seed = 11) () =
   Channel.Coded_path.create

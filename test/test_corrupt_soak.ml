@@ -60,7 +60,12 @@ let prop_converge_or_declare =
    byte-equality across --jobs depends on every schedule being a pure
    function of the root seed. *)
 let test_soak_spec_derivation () =
-  let d seed = C.describe (C.compile (E22.soak_spec ~seed)) in
+  let d root_seed =
+    Bench_report.Json.to_string
+      (Bench_report.Matrix_report.to_json ~with_meta:false
+         (Runner.run ~jobs:1 ~root_seed ~replicates:1
+            [ E22.soak_experiment ~schedules:2 ]))
+  in
   Alcotest.(check string) "same seed, same schedule" (d 7) (d 7);
   Alcotest.(check bool) "different seeds diverge" true (d 7 <> d 8)
 

@@ -98,9 +98,45 @@ let test_tracer_records_both_directions () =
 
 let test_tracer_ring_buffer_caps () =
   let tracer = run_traced ~capacity:16 in
-  Alcotest.(check int) "capped" 16 (Dlc.Tracer.count tracer);
-  Dlc.Tracer.clear tracer;
-  Alcotest.(check int) "cleared" 0 (Dlc.Tracer.count tracer)
+  Alcotest.(check int) "capped" 16 (List.length (Dlc.Tracer.events tracer))
+
+(* The timeline example's lossy session with a fate recorder on the
+   forward link, attached before or after a tracer: the tracer adds its
+   taps, so the recorder captures the same fates either way. *)
+let fates_captured ~tracer_first =
+  let engine = Sim.Engine.create () in
+  let duplex =
+    Channel.Duplex.create_static engine ~rng:(Sim.Rng.create ~seed:1234)
+      ~distance_m:150_000. ~data_rate_bps:100e6
+      ~iframe_error:(Channel.Error_model.uniform ~ber:2e-5 ())
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  let forward = duplex.Channel.Duplex.forward in
+  let tracer = Dlc.Tracer.create () and fates = Trace.Fates.create () in
+  let reverse = duplex.Channel.Duplex.reverse in
+  let attach_tracer () = Dlc.Tracer.attach tracer engine ~forward ~reverse in
+  if tracer_first then attach_tracer ();
+  Trace.Fates.attach fates forward;
+  if not tracer_first then attach_tracer ();
+  let params =
+    { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 3e-4; c_depth = 3 }
+  in
+  let session = Lams_dlc.Session.create engine ~params ~duplex in
+  let dlc = Lams_dlc.Session.as_dlc session in
+  dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
+  for i = 0 to 29 do
+    ignore (dlc.offer (Workload.Arrivals.default_payload ~size:1024 i) : bool)
+  done;
+  Sim.Engine.run engine ~until:0.05;
+  dlc.stop ();
+  Sim.Engine.run engine;
+  Trace.Fates.length fates
+
+let test_tracer_keeps_earlier_taps () =
+  let before = fates_captured ~tracer_first:true in
+  Alcotest.(check bool) "fates captured" true (before > 0);
+  Alcotest.(check int) "a later tracer keeps the recorder" before
+    (fates_captured ~tracer_first:false)
 
 let test_tracer_timeline_renders () =
   let tracer = run_traced ~capacity:1000 in
@@ -120,6 +156,8 @@ let suite =
     Alcotest.test_case "tracer both directions" `Quick
       test_tracer_records_both_directions;
     Alcotest.test_case "tracer ring buffer" `Quick test_tracer_ring_buffer_caps;
+    Alcotest.test_case "tracer keeps earlier taps" `Quick
+      test_tracer_keeps_earlier_taps;
     Alcotest.test_case "tracer timeline renders" `Quick test_tracer_timeline_renders;
     Alcotest.test_case "unique and loss" `Quick test_unique_and_loss;
     Alcotest.test_case "buffer sampling peaks" `Quick test_buffer_sampling_peaks;

@@ -94,10 +94,17 @@ let test_max_events () =
 
 let test_step () =
   let e = Sim.Engine.create () in
-  Alcotest.(check bool) "empty step" false (Sim.Engine.step e);
-  ignore (Sim.Engine.schedule e ~delay:1. (fun () -> ()));
-  Alcotest.(check bool) "one step" true (Sim.Engine.step e);
-  Alcotest.(check bool) "drained" false (Sim.Engine.step e)
+  let fired = ref 0 in
+  Sim.Engine.run e ~max_events:1;
+  Alcotest.(check (float 0.)) "empty step" 0. (Sim.Engine.now e);
+  ignore (Sim.Engine.schedule e ~delay:1. (fun () -> incr fired));
+  ignore (Sim.Engine.schedule e ~delay:2. (fun () -> incr fired));
+  Sim.Engine.run e ~max_events:1;
+  Alcotest.(check (pair int (float 0.)))
+    "one step" (1, 1.) (!fired, Sim.Engine.now e);
+  Sim.Engine.run e ~max_events:1;
+  Sim.Engine.run e ~max_events:1;
+  Alcotest.(check (pair int int)) "drained" (2, 0) (!fired, Sim.Engine.pending e)
 
 (* [next_seq] and [last_seq] expose the (time, seq) order to components
    that settle events of their own in place. *)

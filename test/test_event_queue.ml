@@ -1,40 +1,59 @@
 (* Tests for the simulation event queue: ordering, tie-breaking,
    cancellation. *)
 
+(* The queue through the two calls the engine makes: [add_cell] with
+   the time in a one-element cell, and [pop_run], here one event at a
+   time. *)
+let add q ~time v = Sim.Event_queue.add_cell q ~cell:[| time |] ~aux:0 v
+
+let pop q =
+  let clock = [| nan |] and popped = ref None in
+  ignore
+    (Sim.Event_queue.pop_run q ~clock ~until:infinity ~max_events:1
+       ~k:(fun v _ -> popped := Some v)
+      : Sim.Event_queue.run_stop);
+  Option.map (fun v -> (clock.(0), v)) !popped
+
+(* Whether no pending event is due before [t]. *)
+let none_before q t =
+  Sim.Event_queue.pop_run q ~clock:[| nan |] ~until:(Float.pred t) ~max_events:1
+    ~k:(fun _ _ -> ())
+  <> Sim.Event_queue.Max_events
+
 let test_pop_order () =
   let q = Sim.Event_queue.create ~dummy:"" () in
-  ignore (Sim.Event_queue.add q ~time:3. "c");
-  ignore (Sim.Event_queue.add q ~time:1. "a");
-  ignore (Sim.Event_queue.add q ~time:2. "b");
-  let pop () =
-    match Sim.Event_queue.pop q with
+  ignore (add q ~time:3. "c");
+  ignore (add q ~time:1. "a");
+  ignore (add q ~time:2. "b");
+  let next () =
+    match pop q with
     | Some (_, v) -> v
     | None -> Alcotest.fail "queue empty"
   in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "drained" true (Sim.Event_queue.pop q = None)
+  Alcotest.(check string) "first" "a" (next ());
+  Alcotest.(check string) "second" "b" (next ());
+  Alcotest.(check string) "third" "c" (next ());
+  Alcotest.(check bool) "drained" true (pop q = None)
 
 
 let test_tie_break_fifo () =
   let q = Sim.Event_queue.create ~dummy:(-1) () in
   for i = 0 to 9 do
-    ignore (Sim.Event_queue.add q ~time:5. i)
+    ignore (add q ~time:5. i)
   done;
   for i = 0 to 9 do
-    match Sim.Event_queue.pop q with
+    match pop q with
     | Some (_, v) -> Alcotest.(check int) "insertion order" i v
     | None -> Alcotest.fail "queue empty"
   done
 
 let test_cancel () =
   let q = Sim.Event_queue.create ~dummy:"" () in
-  let id1 = Sim.Event_queue.add q ~time:1. "a" in
-  let _id2 = Sim.Event_queue.add q ~time:2. "b" in
+  let id1 = add q ~time:1. "a" in
+  let _id2 = add q ~time:2. "b" in
   Alcotest.(check bool) "cancel pending" true (Sim.Event_queue.cancel q id1);
   Alcotest.(check bool) "double cancel fails" false (Sim.Event_queue.cancel q id1);
-  (match Sim.Event_queue.pop q with
+  (match pop q with
   | Some (_, v) -> Alcotest.(check string) "skips cancelled" "b" v
   | None -> Alcotest.fail "queue empty");
   Alcotest.(check bool) "cancel after fire fails" false
@@ -42,22 +61,23 @@ let test_cancel () =
 
 let test_length_tracks_live () =
   let q = Sim.Event_queue.create ~dummy:() () in
-  let id = Sim.Event_queue.add q ~time:1. () in
-  ignore (Sim.Event_queue.add q ~time:2. ());
+  let id = add q ~time:1. () in
+  ignore (add q ~time:2. ());
   Alcotest.(check int) "two live" 2 (Sim.Event_queue.length q);
   ignore (Sim.Event_queue.cancel q id : bool);
   Alcotest.(check int) "one live after cancel" 1 (Sim.Event_queue.length q);
-  ignore (Sim.Event_queue.pop q);
+  ignore (pop q);
   Alcotest.(check int) "zero after pop" 0 (Sim.Event_queue.length q);
   Alcotest.(check bool) "is_empty" true (Sim.Event_queue.is_empty q)
 
 let test_peek_time_skips_cancelled () =
   let q = Sim.Event_queue.create ~dummy:() () in
-  let id = Sim.Event_queue.add q ~time:1. () in
-  ignore (Sim.Event_queue.add q ~time:5. ());
+  let id = add q ~time:1. () in
+  ignore (add q ~time:5. ());
   ignore (Sim.Event_queue.cancel q id : bool);
-  Alcotest.(check (option (float 1e-9))) "peek is 5" (Some 5.)
-    (Sim.Event_queue.peek_time q)
+  Alcotest.(check bool) "nothing due before 5" true (none_before q 5.);
+  Alcotest.(check (option (pair (float 1e-9) unit))) "pops 5" (Some (5., ()))
+    (pop q)
 
 let prop_pop_sorted =
   QCheck2.Test.make ~name:"event queue pops in nondecreasing time order"
@@ -65,9 +85,9 @@ let prop_pop_sorted =
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0. 1000.))
     (fun times ->
       let q = Sim.Event_queue.create ~dummy:() () in
-      List.iter (fun time -> ignore (Sim.Event_queue.add q ~time ())) times;
+      List.iter (fun time -> ignore (add q ~time ())) times;
       let rec drain last =
-        match Sim.Event_queue.pop q with
+        match pop q with
         | None -> true
         | Some (t, _) -> t >= last && drain t
       in
@@ -80,7 +100,7 @@ let prop_cancel_removes =
       let q = Sim.Event_queue.create ~dummy:0 () in
       let ids =
         List.map
-          (fun (time, cancel) -> (Sim.Event_queue.add q ~time ~-1, cancel))
+          (fun (time, cancel) -> (add q ~time ~-1, cancel))
           entries
       in
       let cancelled =
@@ -95,7 +115,7 @@ let prop_cancel_removes =
       in
       let expected = List.length entries - List.length cancelled in
       let rec count acc =
-        match Sim.Event_queue.pop q with
+        match pop q with
         | None -> acc
         | Some _ -> count (acc + 1)
       in
@@ -116,11 +136,11 @@ let test_vacated_slots_release_payloads () =
        n > capacity forces arena growth along the way *)
     let payload = String.make 16 (Char.chr (65 + (i mod 26))) in
     Weak.set w i (Some payload);
-    let id = Sim.Event_queue.add q ~time:(float_of_int i) payload in
+    let id = add q ~time:(float_of_int i) payload in
     if i mod 3 = 0 then ignore (Sim.Event_queue.cancel q id : bool)
   done;
   let rec drain () =
-    match Sim.Event_queue.pop q with Some _ -> drain () | None -> ()
+    match pop q with Some _ -> drain () | None -> ()
   in
   drain ();
   Gc.full_major ();
@@ -137,7 +157,7 @@ let test_pop_run_clock_and_stops () =
   ignore (Sim.Event_queue.add_cell q ~cell ~aux:7 1);
   cell.(0) <- 2.;
   ignore (Sim.Event_queue.add_cell q ~cell ~aux:0 2);
-  ignore (Sim.Event_queue.add q ~time:3. 3);
+  ignore (add q ~time:3. 3);
   let seen = ref [] in
   let k v aux = seen := (v, aux, clock.(0)) :: !seen in
   let stop = Sim.Event_queue.pop_run q ~clock ~until:2.5 ~max_events:10 ~k in
@@ -159,10 +179,10 @@ let test_pop_run_clock_and_stops () =
 let test_reserved_number_keeps_its_place () =
   let q = Sim.Event_queue.create ~dummy:"" () in
   let seq = Sim.Event_queue.reserve_seq q in
-  ignore (Sim.Event_queue.add q ~time:1. "added");
+  ignore (add q ~time:1. "added");
   ignore (Sim.Event_queue.add_reserved q ~cell:[| 1. |] ~seq ~aux:0 "reserved");
   let pop () =
-    match Sim.Event_queue.pop q with
+    match pop q with
     | Some (_, v) -> v
     | None -> Alcotest.fail "queue empty"
   in
@@ -260,7 +280,7 @@ let prop_matches_reference_model =
           if !ok then begin
             (match op with
             | `Add time ->
-                let id = Sim.Event_queue.add q ~time !next_key in
+                let id = add q ~time !next_key in
                 add_model time !next_seq id;
                 incr next_seq
             | `Reserve ->
@@ -289,7 +309,7 @@ let prop_matches_reference_model =
                 | Some (key, _) -> cancel key
                 | None -> ())
             | `Pop -> (
-                match (Sim.Event_queue.pop q, !model) with
+                match (pop q, !model) with
                 | None, [] -> ()
                 | Some (t, k), (mt, ms, mk) :: rest ->
                     check (t = mt && k = mk);
@@ -297,10 +317,9 @@ let prop_matches_reference_model =
                     model := rest
                 | _ -> check false)
             | `Peek -> (
-                match (Sim.Event_queue.peek_time q, !model) with
-                | None, [] -> ()
-                | Some t, (mt, _, _) :: _ -> check (t = mt)
-                | _ -> check false));
+                match !model with
+                | [] -> check (Sim.Event_queue.is_empty q)
+                | (mt, _, _) :: _ -> check (none_before q mt)));
             check (Sim.Event_queue.next_seq q = !next_seq);
             check (Sim.Event_queue.length q = List.length !model)
           end)

@@ -1,9 +1,9 @@
 (* Tests for the Byzantine-feedback hardening layer: lie-script parsing,
    the no-false-positive guard property (honest feedback is never
    quarantined, for any variant, seed or channel noise), per-lie-class
-   detection and recovery, the capped fault-log ring, adversary
-   RNG-stream compatibility, the golden lying-feedback trace, and E24
-   soak determinism across worker counts. *)
+   detection and recovery, adversary RNG-stream compatibility, the
+   golden lying-feedback trace, and E24 soak determinism across worker
+   counts. *)
 
 module E24 = Experiments.E24_feedback
 module F = Channel.Fault
@@ -11,7 +11,7 @@ module F = Channel.Fault
 (* --- lie-script parsing -------------------------------------------------- *)
 
 let same_spec msg input expected =
-  match F.of_string input with
+  match Proto_harness.from_file F.load input with
   | Error e -> Alcotest.failf "%s: unexpected parse error: %s" msg e
   | Ok spec ->
       Alcotest.(check string)
@@ -47,13 +47,13 @@ let test_lie_script_parse () =
        ())
 
 let test_lie_script_rejects () =
-  (match F.of_string "forge-ack cp-nak copies=zero" with
+  (match Proto_harness.from_file F.load "forge-ack cp-nak copies=zero" with
   | Ok _ -> Alcotest.fail "malformed copies accepted"
   | Error _ -> ());
-  (match F.of_string "blackout from=0.01" with
+  (match Proto_harness.from_file F.load "blackout from=0.01" with
   | Ok _ -> Alcotest.fail "blackout without until accepted"
   | Error _ -> ());
-  match F.of_string "adversary seed=1 p-lie=0.5 lies=drop" with
+  match Proto_harness.from_file F.load "adversary seed=1 p-lie=0.5 lies=drop" with
   | Ok _ -> Alcotest.fail "drop accepted as a lie class"
   | Error _ -> ()
 
@@ -69,34 +69,36 @@ let guard_cfg = Dlc.Guard.default_config
 let honest_run ~variant ~seed ~ber =
   let cber = ber /. 10. in
   let n = 80 in
-  let t, guard =
+  let t, probe =
     match variant with
     | 0 ->
         let params =
           { Lams_dlc.Params.default with Lams_dlc.Params.guard = Some guard_cfg }
         in
         let t, s = Proto_harness.lams ~seed ~ber ~cber ~params () in
-        (t, Lams_dlc.Session.guard s)
+        (t, Lams_dlc.Session.probe s)
     | 1 ->
         let params =
           { Hdlc.Params.default with Hdlc.Params.guard = Some guard_cfg }
         in
         let t, s = Proto_harness.hdlc ~seed ~ber ~cber ~params () in
-        (t, Hdlc.Session.guard s)
+        (t, Hdlc.Session.probe s)
     | _ ->
         let params =
           { Nbdt.Params.default with Nbdt.Params.guard = Some guard_cfg }
         in
         let t, s = Proto_harness.nbdt ~seed ~ber ~cber ~params () in
-        (t, Nbdt.Session.guard s)
+        (t, Nbdt.Session.probe s)
   in
+  (* the guard reports each quarantine and forced resync on the probe;
+     it can only fail after one *)
+  let alarms = ref 0 in
+  Dlc.Probe.subscribe probe (fun ~now:_ -> function
+    | Dlc.Probe.Cp_quarantined _ | Dlc.Probe.Resync_forced _ -> incr alarms
+    | _ -> ());
   Proto_harness.offer_all t n;
   Proto_harness.run_to_completion t ~horizon:120.;
-  let g = Option.get guard in
-  Dlc.Guard.quarantines g = 0
-  && Dlc.Guard.resyncs_forced g = 0
-  && (not (Dlc.Guard.failed g))
-  && Hashtbl.length t.Proto_harness.delivered = n
+  !alarms = 0 && Hashtbl.length t.Proto_harness.delivered = n
 
 let prop_no_false_positives =
   QCheck2.Test.make
@@ -191,33 +193,8 @@ let test_fault_free_rows_never_quarantine () =
       Alcotest.(check bool) "completed" true o.E24.completed)
     [ E24.Lams; E24.Sr_hdlc; E24.Nbdt_bulk ]
 
-(* --- capped fault log ring ----------------------------------------------- *)
-
 let p_frame seq =
   Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:(Frame.Payload.of_string "p"))
-
-let test_fault_log_ring_capped () =
-  let fault = F.of_rules [ F.rule F.Any_iframe F.Drop ] in
-  let n = F.log_capacity + 57 in
-  for i = 0 to n - 1 do
-    let frame = p_frame i in
-    match F.decision fault ~now:(float_of_int i) frame with
-    | Channel.Link.Drop -> ()
-    | _ -> Alcotest.fail "rule did not drop"
-  done;
-  Alcotest.(check int) "hits counts every fault" n (F.hits fault);
-  Alcotest.(check int) "ring retains exactly the capacity" F.log_capacity
-    (F.log_retained fault);
-  Alcotest.(check int) "log list matches the retained count" F.log_capacity
-    (List.length (F.log fault));
-  (* the ring keeps the newest entries *)
-  match F.log fault with
-  | (t0, _) :: _ ->
-      Alcotest.(check (float 1e-9))
-        "oldest retained entry is hit n - capacity"
-        (float_of_int (n - F.log_capacity))
-        t0
-  | [] -> Alcotest.fail "empty log"
 
 (* --- adversary RNG-stream compatibility ---------------------------------- *)
 
@@ -227,15 +204,14 @@ let test_adversary_stream_compat () =
      on control-frame lies must not perturb the I-frame fate stream of
      an otherwise identical adversary *)
   let decisions spec =
-    let t = F.compile spec in
-    List.init 300 (fun i ->
-        let frame = p_frame i in
-        match F.decision t ~now:(float_of_int i *. 1e-4) frame with
+    List.map
+      (function
         | Channel.Link.Pass -> 'p'
         | Channel.Link.Drop -> 'd'
         | Channel.Link.Corrupt_payload -> 'c'
         | Channel.Link.Corrupt_header -> 'h'
         | Channel.Link.Replace _ -> 'r')
+      (Proto_harness.fault_decisions (F.compile spec) (List.init 300 p_frame))
   in
   let legacy = F.adversary ~seed:42 ~p_iframe:0.1 () in
   let lying =
@@ -301,8 +277,6 @@ let suite =
       `Quick test_blackout_safe;
     Alcotest.test_case "lie-free rows never quarantine" `Quick
       test_fault_free_rows_never_quarantine;
-    Alcotest.test_case "fault log ring is capped" `Quick
-      test_fault_log_ring_capped;
     Alcotest.test_case "adversary RNG-stream compatibility" `Quick
       test_adversary_stream_compat;
     Alcotest.test_case "golden lying-feedback trace" `Quick test_golden_trace;

@@ -35,7 +35,7 @@ let check_entry entry =
   List.iter
     (fun (name, contents) ->
       (if Filename.check_suffix name ".jsonl" then
-         match Trace.Schema.validate contents with
+         match Trace.Schema.validate_file (Filename.concat data_dir name) with
          | Ok n -> Alcotest.(check bool) (name ^ ": events") true (n > 100)
          | Error e -> Alcotest.failf "%s breaks the trace schema: %s" name e);
       Alcotest.(check string)

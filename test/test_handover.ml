@@ -15,6 +15,15 @@ let feq name a b ~eps =
 
 (* --- Plan ---------------------------------------------------------------- *)
 
+let make_duplex engine =
+  Channel.Duplex.create_static engine
+    ~rng:(Sim.Rng.create ~seed:1)
+    ~distance_m:600_000. ~data_rate_bps:300e6
+    ~iframe_error:Channel.Error_model.perfect
+    ~cframe_error:Channel.Error_model.perfect
+
+let parse = Proto_harness.from_file Plan.load
+
 let test_plan_parse_roundtrip () =
   let text =
     "# three contacts\n\
@@ -24,24 +33,16 @@ let test_plan_parse_roundtrip () =
      window 0.035 0.06\n\
      window 0.07 0.095\n"
   in
-  match Plan.of_string text with
+  match parse text with
   | Error e -> Alcotest.fail e
-  | Ok p -> (
+  | Ok p ->
       feq "retarget" 0.002 (Plan.retarget_overhead p) ~eps:0.;
-      Alcotest.(check int) "window count" 3 (List.length (Plan.windows p));
-      feq "end time" 0.095 (Option.get (Plan.end_time p)) ~eps:0.;
-      (* usable lifetime: each window loses the 2 ms retarget overhead *)
-      feq "total usable" (0.075 -. 3. *. 0.002) (Plan.total_usable p) ~eps:1e-12;
-      match Plan.of_string (Plan.to_string p) with
-      | Error e -> Alcotest.failf "round-trip rejected: %s" e
-      | Ok p' ->
-          (* %.17g serialisation must round-trip floats exactly *)
-          Alcotest.(check bool) "round-trips exactly" true
-            (Plan.windows p = Plan.windows p'
-            && Plan.retarget_overhead p = Plan.retarget_overhead p'))
+      Alcotest.(check bool) "windows read exactly" true
+        (Plan.windows p = [ w 0. 0.025; w 0.035 0.06; w 0.07 0.095 ]);
+      feq "end time" 0.095 (Option.get (Plan.end_time p)) ~eps:0.
 
 let expect_plan_error text needle =
-  match Plan.of_string text with
+  match parse text with
   | Ok _ -> Alcotest.failf "accepted invalid plan %S" text
   | Error e ->
       if not (Astring.String.is_infix ~affix:needle e) then
@@ -55,35 +56,29 @@ let test_plan_parse_errors () =
   expect_plan_error "retarget banana\n" "line 1";
   expect_plan_error "window 0\n" "line 1";
   expect_plan_error "frobnicate 1 2\n" "expected";
-  (match Plan.scripted ~retarget_overhead:(-1.) [ w 0. 1. ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative overhead accepted");
-  match Plan.scripted ~retarget_overhead:0. [] with
-  | Ok p ->
-      Alcotest.(check bool) "empty plan has no end" true (Plan.end_time p = None);
-      feq "empty plan usable" 0. (Plan.total_usable p) ~eps:0.
-  | Error e -> Alcotest.failf "empty plan rejected: %s" e
+  expect_plan_error "retarget -1\nwindow 0 1\n" "retarget";
+  let p = Plan.scripted_exn ~retarget_overhead:0. [] in
+  Alcotest.(check bool) "empty plan has no end" true (Plan.end_time p = None)
 
 let test_plan_usable_windows () =
   (* the second window is shorter than the retargeting overhead and
-     never comes up; usable_windows must drop it, not return an empty
-     interval *)
+     never comes up: the link is up once, from 0.6 to 1 *)
   let p = Plan.scripted_exn ~retarget_overhead:0.6 [ w 0. 1.; w 2. 2.5 ] in
-  (match Plan.usable_windows p with
-  | [ u ] ->
-      feq "shrunk start" 0.6 u.Orbit.Contact.t_start ~eps:1e-12;
-      feq "kept end" 1. u.Orbit.Contact.t_end ~eps:1e-12
-  | us -> Alcotest.failf "expected 1 usable window, got %d" (List.length us));
-  feq "total usable" 0.4 (Plan.total_usable p) ~eps:1e-12
+  let engine = Sim.Engine.create () in
+  let lc = Lifecycle.create engine ~plan:p ~duplex:(make_duplex engine) () in
+  let ups = ref [] in
+  Lifecycle.subscribe lc (fun ~now ~old_state next ->
+      let close (s, e) = if Float.is_nan e then (s, now) else (s, e) in
+      if next = Lifecycle.Up then ups := (now, nan) :: !ups
+      else if old_state = Lifecycle.Up then ups := List.map close !ups);
+  Sim.Engine.run engine;
+  match !ups with
+  | [ (s, e) ] ->
+      feq "shrunk start" 0.6 s ~eps:1e-12;
+      feq "kept end" 1. e ~eps:1e-12
+  | us -> Alcotest.failf "expected 1 usable window, got %d" (List.length us)
 
 (* --- Lifecycle ----------------------------------------------------------- *)
-
-let make_duplex engine =
-  Channel.Duplex.create_static engine
-    ~rng:(Sim.Rng.create ~seed:1)
-    ~distance_m:600_000. ~data_rate_bps:300e6
-    ~iframe_error:Channel.Error_model.perfect
-    ~cframe_error:Channel.Error_model.perfect
 
 let test_lifecycle_schedule () =
   let engine = Sim.Engine.create () in
@@ -119,17 +114,20 @@ let test_lifecycle_schedule () =
   List.iter2
     (fun (te, se) (tg, sg) ->
       feq "transition time" te tg ~eps:1e-9;
-      Alcotest.(check string) "state" (Lifecycle.state_name se)
-        (Lifecycle.state_name sg))
+      Alcotest.(check bool) "state" true (se = sg))
     expect got;
   Alcotest.(check int) "transitions counter" 6 (Lifecycle.transitions lc);
   Alcotest.(check bool) "terminal failed" true (Lifecycle.state lc = Failed);
   Alcotest.(check bool) "dark after failure" false
     (Channel.Link.is_up duplex.Channel.Duplex.forward);
   (* the probe mirrors every transition *)
-  Alcotest.(check (list string)) "probe transitions"
-    (List.map (fun (_, s) -> Lifecycle.state_name s) expect)
-    (List.rev_map Dlc.Probe.link_state_name !probed);
+  Alcotest.(check bool) "probe transitions" true
+    (List.rev !probed
+    = Dlc.Probe.
+        [
+          Link_retargeting; Link_up; Link_down; Link_retargeting; Link_up;
+          Link_failed;
+        ]);
   match Lifecycle.history lc with
   | (t0, Lifecycle.Down) :: rest ->
       feq "history starts at creation" 0. t0 ~eps:0.;
@@ -192,36 +190,13 @@ let test_carryover_snapshot_and_replay () =
   Sim.Engine.run engine ~until:0.004;
   let co = Carryover.snapshot ~now:(Sim.Engine.now engine) session in
   feq "closed at" 0.004 (Carryover.closed_at co) ~eps:1e-9;
-  Alcotest.(check bool) "not empty" false (Carryover.is_empty co);
+  Alcotest.(check int) "all five unresolved" 5
+    (List.length (Carryover.unresolved co));
   Alcotest.(check (list string)) "payloads oldest first"
     (List.map Frame.Payload.to_string payloads)
     (List.map Frame.Payload.to_string (Carryover.payloads co));
-  Alcotest.(check int) "verdicts partition the drain" 5
-    (Carryover.not_delivered co + Carryover.suspicious co);
-  Alcotest.(check (list int)) "silent receiver has no NAK ledger" []
-    (Carryover.nak_ledger co);
-  (* replay: oldest first, stop at first refusal, suspicious flagged
-     before the offer *)
-  let accepted = ref [] in
-  let flagged = ref 0 in
-  let n =
-    Carryover.replay co
-      ~offer:(fun p ->
-        if List.length !accepted < 3 then begin
-          accepted := p :: !accepted;
-          true
-        end
-        else false)
-      ~on_suspicious:(fun _ -> incr flagged)
-  in
-  Alcotest.(check int) "stopped at first refusal" 3 n;
-  Alcotest.(check (list string)) "replay order" [ "co-0"; "co-1"; "co-2" ]
-    (List.rev_map Frame.Payload.to_string !accepted);
-  (* a run without checkpoints leaves every frame Suspicious; the flag
-     fires once per attempted offer (3 accepted + the refused 4th), not
-     for payloads replay never reached *)
-  Alcotest.(check int) "all drained frames suspicious" 5 (Carryover.suspicious co);
-  Alcotest.(check int) "suspicious flagged per attempt" 4 !flagged
+  (* a run without checkpoints leaves every frame Suspicious *)
+  Alcotest.(check int) "all drained frames suspicious" 5 (Carryover.suspicious co)
 
 let test_carryover_empty_after_completion () =
   let engine = Sim.Engine.create () in
@@ -232,7 +207,8 @@ let test_carryover_empty_after_completion () =
   ignore (dlc.Dlc.Session.offer (Frame.Payload.of_string "only") : bool);
   Sim.Engine.run engine ~until:1.;
   let co = Carryover.snapshot ~now:1. session in
-  Alcotest.(check bool) "nothing unresolved" true (Carryover.is_empty co)
+  Alcotest.(check int) "nothing unresolved" 0
+    (List.length (Carryover.unresolved co))
 
 (* --- Manager ------------------------------------------------------------- *)
 
@@ -249,9 +225,10 @@ let run_manager ?(n = 30) ?(params = lams_params) ?(horizon = 0.15) ?on_duplex
     ~plan () =
   let engine = Sim.Engine.create () in
   let duplex = make_duplex engine in
-  let mgr = Manager.create engine ~params ~duplex ~plan in
+  let probe = Dlc.Probe.create () in
+  let mgr = Manager.create ~probe engine ~params ~duplex ~plan in
   let transfer = Oracle.Transfer.create ~name:"test-transfer" in
-  Oracle.Transfer.observe transfer (Manager.probe mgr);
+  Oracle.Transfer.observe transfer probe;
   Manager.set_on_suspicious_replay mgr (Oracle.Transfer.mark_suspicious transfer);
   let delivered = Hashtbl.create 64 in
   Manager.set_on_deliver mgr (fun ~payload ->
@@ -283,8 +260,7 @@ let test_manager_three_windows_zero_loss () =
   Alcotest.(check int) "nothing retained" 0 (List.length (Manager.retained mgr));
   Alcotest.(check int) "spans three windows" 3
     (Oracle.Transfer.sessions_spanned transfer);
-  if not (Oracle.Transfer.ok transfer) then
-    Alcotest.fail (Oracle.Transfer.report transfer)
+  Proto_harness.assert_no_violations (Oracle.Transfer.violations transfer)
 
 let test_manager_blackout_carryover () =
   (* unscheduled outages inside windows force carryovers; the transfer
@@ -308,8 +284,7 @@ let test_manager_blackout_carryover () =
   in
   check_all_delivered ~n:30 delivered;
   Alcotest.(check int) "nothing retained" 0 (List.length (Manager.retained mgr));
-  if not (Oracle.Transfer.ok transfer) then
-    Alcotest.fail (Oracle.Transfer.report transfer)
+  Proto_harness.assert_no_violations (Oracle.Transfer.violations transfer)
 
 let test_manager_mid_window_failure_successor () =
   (* an outage long enough to exhaust the Request-NAK backoff makes the
@@ -338,8 +313,7 @@ let test_manager_mid_window_failure_successor () =
   Alcotest.(check bool) "oracle saw the failures" true
     (Oracle.Transfer.failures_declared transfer >= 1);
   check_all_delivered ~n:30 delivered;
-  if not (Oracle.Transfer.ok transfer) then
-    Alcotest.fail (Oracle.Transfer.report transfer)
+  Proto_harness.assert_no_violations (Oracle.Transfer.violations transfer)
 
 let test_manager_refuses_after_failed () =
   let engine = Sim.Engine.create () in
@@ -352,7 +326,7 @@ let test_manager_refuses_after_failed () =
   Alcotest.(check bool) "offer refused" false
     (Manager.offer mgr (Frame.Payload.of_string "late"));
   (* payloads stranded in the buffer stay accounted *)
-  Alcotest.(check int) "nothing pending" 0 (Manager.pending mgr)
+  Alcotest.(check int) "nothing pending" 0 (List.length (Manager.retained mgr))
 
 (* --- adversarial-phase link cuts (E21 scenarios) ------------------------- *)
 
@@ -429,7 +403,7 @@ let test_flight_dump_records_failure_declared () =
       (* every line is schema-valid, including the renamed event *)
       List.iter
         (fun line ->
-          match Trace.Schema.validate_line line with
+          match Trace.Event.of_line line with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "flight line invalid: %s (%s)" e line)
         lines;

@@ -10,14 +10,14 @@ type harness = {
 let make ?(mode = Hdlc.Params.Selective_repeat) ?(window = 4) () =
   let engine = Sim.Engine.create () in
   let forward =
-    Channel.Link.create_static engine
+    Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
   let txed = ref [] in
-  Channel.Link.set_tap forward (fun ev ->
+  Channel.Link.add_tap forward (fun ev ->
       match ev with
       | Channel.Link.Tap_tx (Frame.Wire.Data i) ->
           txed := i.Frame.Iframe.seq :: !txed

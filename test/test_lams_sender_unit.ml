@@ -14,14 +14,14 @@ type harness = {
 let make () =
   let engine = Sim.Engine.create () in
   let forward =
-    Channel.Link.create_static engine
+    Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
   let txed = ref [] in
-  Channel.Link.set_tap forward (fun ev ->
+  Channel.Link.add_tap forward (fun ev ->
       match ev with
       | Channel.Link.Tap_tx (Frame.Wire.Data i) ->
           txed :=
@@ -80,9 +80,13 @@ let txed_seqs h = List.rev_map fst !(h.txed)
    [delivery_delay] metric, or [None] when it adds none. *)
 let deliver h seq =
   let d = h.metrics.Dlc.Metrics.delivery_delay in
-  let n = Stats.Online.count d and sum = Stats.Online.sum d in
+  let total () =
+    let n = Stats.Online.count d in
+    if n = 0 then 0. else Stats.Online.mean d *. float_of_int n
+  in
+  let n = Stats.Online.count d and before = total () in
   Lams_dlc.Sender.note_delivered h.sender seq;
-  if Stats.Online.count d = n then None else Some (Stats.Online.sum d -. sum)
+  if Stats.Online.count d = n then None else Some (total () -. before)
 
 let resolved h = List.rev !(h.resolved)
 

@@ -45,4 +45,5 @@ let () =
       ("golden", Test_golden.suite);
       ("alloc", Test_alloc.suite);
       ("observers", Test_observers.suite);
+      ("exports", Test_exports.suite);
     ]

@@ -85,13 +85,16 @@ let test_report_loss_recovered () =
 
 let test_blackout_failure () =
   let t, session = Proto_harness.nbdt ~params:continuous () in
+  let failed = ref false in
+  Dlc.Probe.subscribe (Nbdt.Session.probe session) (fun ~now:_ -> function
+    | Dlc.Probe.Failure_declared -> failed := true
+    | _ -> ());
   ignore
     (Sim.Engine.schedule t.Proto_harness.engine ~delay:0.002 (fun () ->
          Channel.Duplex.set_down t.Proto_harness.duplex));
   Proto_harness.offer_all t 100;
   Proto_harness.run_to_completion t ~horizon:30.;
-  Alcotest.(check bool) "failed after retries" true
-    (Nbdt.Sender.failed (Nbdt.Session.sender session));
+  Alcotest.(check bool) "failed after retries" true !failed;
   Alcotest.(check bool) "offers refused" false
     (t.Proto_harness.dlc.Dlc.Session.offer (Frame.Payload.of_string "x"))
 

@@ -11,14 +11,14 @@ type harness = {
 let make ?(report_interval = 1e-3) ?(max_report_misses = 512) () =
   let engine = Sim.Engine.create () in
   let reverse =
-    Channel.Link.create_static engine
+    Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:1000. ~data_rate_bps:1e9
+      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
   let sent = ref [] in
-  Channel.Link.set_tap reverse (fun ev ->
+  Channel.Link.add_tap reverse (fun ev ->
       match ev with
       | Channel.Link.Tap_tx (Frame.Wire.Control (Frame.Cframe.Checkpoint cp)) ->
           sent := cp :: !sent

@@ -3,7 +3,9 @@
 
 (* --- Messages --- *)
 
-let frag = Alcotest.testable Workload.Messages.pp (fun a b ->
+let pp_frag ppf f = Format.pp_print_string ppf (Workload.Messages.encode f)
+
+let frag = Alcotest.testable pp_frag (fun a b ->
     a.Workload.Messages.msg_id = b.Workload.Messages.msg_id
     && a.Workload.Messages.src = b.Workload.Messages.src
     && a.Workload.Messages.dst = b.Workload.Messages.dst
@@ -209,6 +211,16 @@ let test_resequencer_id_reuse_after_wraparound () =
 (* Post-resequencer ordering invariant: per source, completed messages
    come out in increasing msg_id order when the source emits them in
    order, however fragments interleave. *)
+
+(* Fisher-Yates on the simulator's generator. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Sim.Rng.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
 let prop_resequencer_stream_order =
   QCheck2.Test.make ~name:"completion order equals submission order"
     ~count:100
@@ -232,7 +244,7 @@ let prop_resequencer_stream_order =
               (Workload.Messages.fragment_message ~msg_id:id ~src:0 ~dst:1
                  ~mtu:3 (Printf.sprintf "message-%04d" id))
           in
-          Sim.Rng.shuffle rng frags;
+          shuffle rng frags;
           Array.iter (Netstack.Resequencer.push r) frags)
         (List.init 20 Fun.id);
       !ordered && Netstack.Resequencer.completed r = 20)

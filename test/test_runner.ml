@@ -21,10 +21,10 @@ let synth_experiment ~id ~n_points =
               (fun ~seed ->
                 let rng = Sim.Rng.create ~seed in
                 for _ = 1 to 1 + (i mod 7) do
-                  ignore (Sim.Rng.bits64 rng : int64)
+                  ignore (Sim.Rng.float rng 1. : float)
                 done;
                 [
-                  ("x", Sim.Rng.unit_float rng);
+                  ("x", Sim.Rng.float rng 1.);
                   ("y", float_of_int (Sim.Rng.int rng 1000));
                 ]);
           });
@@ -74,8 +74,6 @@ let test_real_scenario_point_parallel () =
   in
   let a = Runner.run ~jobs:1 ~root_seed:11 ~replicates:2 exps in
   let b = Runner.run ~jobs:4 ~root_seed:11 ~replicates:2 exps in
-  Alcotest.(check bool) "equal_results" true
-    (Bench_report.Matrix_report.equal_results a b);
   Alcotest.(check string) "byte-identical json" (render a) (render b)
 
 let test_fold_counts_and_spread () =
@@ -119,11 +117,30 @@ let test_fold_counts_and_spread () =
         (s.Bench_report.Matrix_report.stddev > 0.)
   | _ -> Alcotest.fail "expected one experiment"
 
+(* A point that reports the low bits of the seed it was handed. *)
 let test_seed_of_task_matches_rng_derivation () =
-  Alcotest.(check int) "runner seed = Rng.derive_seed"
-    (Sim.Rng.derive_seed ~root:42 [ "e6"; "ber=1e-5"; "0" ])
-    (Runner.seed_of_task ~root_seed:42 ~experiment_id:"e6"
-       ~point_label:"ber=1e-5" ~replicate:0)
+  let low seed = float_of_int (seed land 0xFFFFF) in
+  let exps =
+    [
+      {
+        Runner.id = "e6";
+        name = "seed echo";
+        points =
+          [
+            {
+              Runner.label = "ber=1e-5";
+              run = (fun ~seed -> [ ("seed", low seed) ]);
+            };
+          ];
+      };
+    ]
+  in
+  match (Runner.run ~jobs:1 ~root_seed:42 ~replicates:1 exps).experiments with
+  | [ { points = [ { metrics = [ ("seed", s) ]; _ } ]; _ } ] ->
+      Alcotest.(check (float 0.)) "runner seed = Rng.derive_seed"
+        (low (Sim.Rng.derive_seed ~root:42 [ "e6"; "ber=1e-5"; "0" ]))
+        s.Bench_report.Matrix_report.mean
+  | _ -> Alcotest.fail "expected one point with one metric"
 
 let test_task_count () =
   let exps =
@@ -183,35 +200,6 @@ let test_task_exception_propagates () =
       with Failure m -> Alcotest.(check string) "task error re-raised" "boom" m)
     [ 1; 4 ]
 
-let test_report_roundtrip () =
-  let exps = [ synth_experiment ~id:"rt" ~n_points:2 ] in
-  let r = Runner.run ~jobs:2 ~root_seed:3 ~replicates:3 exps in
-  let r =
-    {
-      r with
-      Bench_report.Matrix_report.meta =
-        Some (Bench_report.Matrix_report.collect_meta ~jobs:2);
-    }
-  in
-  match Bench_report.Matrix_report.of_json (Bench_report.Matrix_report.to_json r) with
-  | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
-  | Ok r' ->
-      Alcotest.(check string) "roundtrip preserves document"
-        (render ~with_meta:true r) (render ~with_meta:true r');
-      Alcotest.(check bool) "results equal after roundtrip" true
-        (Bench_report.Matrix_report.equal_results r r')
-
-let test_wrong_schema_rejected () =
-  let exps = [ synth_experiment ~id:"sv" ~n_points:1 ] in
-  let r = Runner.run ~jobs:1 ~replicates:1 exps in
-  let doc =
-    Bench_report.Matrix_report.to_json
-      { r with Bench_report.Matrix_report.schema_version = 999 }
-  in
-  match Bench_report.Matrix_report.of_json doc with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "schema_version 999 should be rejected"
-
 let suite =
   [
     Alcotest.test_case "jobs do not change results" `Quick
@@ -230,6 +218,4 @@ let suite =
       test_inconsistent_metrics_rejected;
     Alcotest.test_case "task exception propagates" `Quick
       test_task_exception_propagates;
-    Alcotest.test_case "matrix report roundtrip" `Quick test_report_roundtrip;
-    Alcotest.test_case "wrong schema rejected" `Quick test_wrong_schema_rejected;
   ]

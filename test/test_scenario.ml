@@ -22,7 +22,7 @@ let e22 variant cname =
   )
 
 let e24 variant lie guard_on =
-  ( Printf.sprintf "e24 %s/%s/%s" (E24.variant_tag variant) (E24.lie_tag lie)
+  ( Printf.sprintf "e24 %s/%s/%s" (E22.variant_tag variant) (E24.lie_tag lie)
       (if guard_on then "guard" else "bare"),
     fun () -> E24.outcome_metrics (E24.run_one ~guard_on ~seed:11 variant lie) )
 

@@ -4,7 +4,16 @@
 
 (* --- event / schema roundtrip --------------------------------------- *)
 
+module Json = Bench_report.Json
+
 let p = Frame.Payload.of_string
+
+(* A capture's JSONL stream, as [Capture.write] would publish it. *)
+let jsonl capture =
+  List.assoc "t.jsonl" (Trace.Capture.outputs capture ~path:"t.jsonl")
+
+(* The trace checker the CLI runs, on a stream written to a file. *)
+let validate = Proto_harness.from_file Trace.Schema.validate_file
 
 let sample_events =
   [
@@ -43,8 +52,9 @@ let decode_offered payload =
 let test_event_payload_truncation () =
   let long = p (String.init 100 (fun i -> Char.chr (65 + (i mod 26)))) in
   let back = decode_offered long in
-  Alcotest.(check string) "truncated to label" "ABCDEFGHIJKLMNOP"
-    (Trace.Event.payload_label back);
+  Alcotest.(check string) "truncated to label"
+    ("ABCDEFGHIJKLMNOP" ^ String.make 84 'x')
+    (Frame.Payload.to_string back);
   Alcotest.(check int) "length kept" 100 (Frame.Payload.length back);
   (* a default payload's label holds its whole stem: it decodes exactly *)
   let frame = Workload.Arrivals.default_payload ~size:1024 42 in
@@ -59,13 +69,13 @@ let test_schema_accepts_stream () =
     String.concat ""
       (List.map (fun e -> Trace.Event.to_line e ^ "\n") sample_events)
   in
-  match Trace.Schema.validate content with
+  match validate content with
   | Ok n -> Alcotest.(check int) "event count" (List.length sample_events) n
   | Error msg -> Alcotest.fail msg
 
 let test_schema_rejects () =
   let reject what content =
-    match Trace.Schema.validate content with
+    match validate content with
     | Ok _ -> Alcotest.failf "%s accepted" what
     | Error _ -> ()
   in
@@ -105,7 +115,7 @@ let traced_run seed =
   let _result, violations =
     Experiments.Scenario.run_checked ~faults:drop5_spec ~recorder cfg proto
   in
-  (Trace.Capture.jsonl capture, recorder, violations)
+  (jsonl capture, recorder, violations)
 
 let test_same_seed_same_bytes () =
   let a, ra, va = traced_run 42 and b, rb, vb = traced_run 42 in
@@ -116,7 +126,7 @@ let test_same_seed_same_bytes () =
   Alcotest.(check int) "same violations" (List.length va) (List.length vb);
   Alcotest.(check bool) "stream is non-trivial" true
     (Trace.Recorder.events_recorded ra > 30);
-  match Trace.Schema.validate a with
+  match validate a with
   | Ok n ->
       Alcotest.(check int) "validates with full count"
         (Trace.Recorder.events_recorded ra) n
@@ -137,7 +147,7 @@ let noisy_run seed =
     Experiments.Scenario.run ~recorder:(Trace.Capture.recorder capture) cfg
       proto
   in
-  Trace.Capture.jsonl capture
+  jsonl capture
 
 let test_different_seed_different_bytes () =
   let a = noisy_run 42 and b = noisy_run 43 in
@@ -146,7 +156,10 @@ let test_different_seed_different_bytes () =
 let test_fault_events_recorded () =
   let jsonl, recorder, _ = traced_run 7 in
   Alcotest.(check bool) "fault hit recorded" true
-    (Trace.Recorder.metrics recorder |> fun m -> Trace.Metrics.count m "fault" >= 1);
+    (let metrics = Trace.Metrics.to_json (Trace.Recorder.metrics recorder) in
+     match Json.member "count_fault" metrics with
+     | Some n -> Json.to_float n >= Some 1.
+     | None -> false);
   Alcotest.(check bool) "fault line present" true
     (Astring.String.is_infix ~affix:"\"ev\":\"fault\"" jsonl)
 
@@ -191,7 +204,7 @@ let test_flight_dump_contains_offender () =
       (match Trace.Recorder.flight_jsonl recorder with
       | None -> Alcotest.fail "no flight jsonl"
       | Some content -> (
-          match Trace.Schema.validate content with
+          match validate content with
           | Ok n -> Alcotest.(check int) "dump validates" (List.length events) n
           | Error msg -> Alcotest.fail msg))
 
@@ -233,6 +246,21 @@ let rm_rf dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* The disaster as a runner point whose replicates capture
+   content-addressed traces, the way every experiment's points do. *)
+let disaster_point =
+  {
+    Runner.label = "drop5";
+    run =
+      (fun ~seed ->
+        let o =
+          Trace.Capture.around ~proto:"disaster" ~seed
+            ~fingerprint:(fun () -> "disaster|drop5")
+            (fun recorder -> Experiments.Disaster.run ~seed ?recorder ())
+        in
+        [ ("oracle_violations", float_of_int (List.length o.violations)) ]);
+  }
+
 let run_matrix_traced ~jobs ~dir =
   Trace.Config.set (Some { Trace.Config.dir; capacity = 128 });
   Fun.protect
@@ -243,7 +271,7 @@ let run_matrix_traced ~jobs ~dir =
           {
             Runner.id = "disaster";
             name = "trace disaster";
-            points = [ Experiments.Disaster.matrix_point ~label:"drop5" ];
+            points = [ disaster_point ];
           };
         ]
       in
@@ -295,19 +323,8 @@ let test_metrics_replay_matches_live () =
            match Trace.Event.of_line line with
            | Ok e -> Trace.Metrics.observe replayed e
            | Error msg -> Alcotest.fail msg);
-  Alcotest.(check int) "event totals" (Trace.Metrics.events live)
-    (Trace.Metrics.events replayed);
-  let live_fields = Trace.Metrics.to_fields live
-  and replay_fields = Trace.Metrics.to_fields replayed in
-  Alcotest.(check int) "field counts" (List.length live_fields)
-    (List.length replay_fields);
-  List.iter2
-    (fun (ka, va) (kb, vb) ->
-      Alcotest.(check string) "field name" ka kb;
-      let both_nan = Float.is_nan va && Float.is_nan vb in
-      if not (both_nan || va = vb) then
-        Alcotest.failf "field %s: live %g, replayed %g" ka va vb)
-    live_fields replay_fields
+  let json m = Json.to_string (Trace.Metrics.to_json m) in
+  Alcotest.(check string) "same metrics" (json live) (json replayed)
 
 let suite =
   [
