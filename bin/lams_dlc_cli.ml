@@ -349,7 +349,7 @@ let metrics_json ~protocol ~extra (m : Dlc.Metrics.t) =
 let file_capture = function
   | None -> (None, fun () -> ())
   | Some path ->
-      let c = Trace.Capture.create ~name:(Filename.basename path) () in
+      let c = Trace.Capture.create () in
       (Some (Trace.Capture.recorder c), fun () -> Trace.Capture.write c ~path)
 
 let sim_cmd =
@@ -507,7 +507,7 @@ let trace_run_cmd =
                    drop) and dump the flight recorder.")
   in
   let run out seed frames disaster =
-    let capture = Trace.Capture.create ~name:(Filename.basename out) () in
+    let capture = Trace.Capture.create () in
     let recorder = Trace.Capture.recorder capture in
     let violations =
       if disaster then
@@ -1253,55 +1253,37 @@ let channel_record_cmd =
         n_frames = frames;
         payload_bytes = payload;
         horizon = 120.;
+        ber;
+        burst =
+          Option.map
+            (fun mean_burst_bits ->
+              {
+                Experiments.Scenario.ber_good = ber;
+                ber_bad;
+                mean_burst_bits;
+                mean_gap_bits = gap_bits;
+              })
+            burst_bits;
       }
     in
-    let iframe_error =
-      match burst_bits with
-      | None -> Channel.Error_model.uniform ~ber ()
-      | Some burst ->
-          Channel.Error_model.gilbert_elliott ~ber_good:ber ~ber_bad
-            ~mean_burst_bits:burst ~mean_gap_bits:gap_bits ()
-    in
-    let engine = Sim.Engine.create () in
-    let rng = Sim.Rng.create ~seed in
-    let duplex =
-      Channel.Duplex.create_static engine ~rng
-        ~distance_m:cfg.Experiments.Scenario.distance_m
-        ~data_rate_bps:cfg.Experiments.Scenario.data_rate_bps ~iframe_error
-        ~cframe_error:
-          (Channel.Error_model.uniform
-             ~ber:cfg.Experiments.Scenario.cframe_ber ())
-    in
     let fates = Trace.Fates.create () in
-    Trace.Fates.attach fates duplex.Channel.Duplex.forward;
-    let params = Experiments.Scenario.default_lams_params cfg in
-    let session = Lams_dlc.Session.create engine ~params ~duplex in
-    let dlc = Lams_dlc.Session.as_dlc session in
-    dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
-    ignore
-      (Workload.Arrivals.saturating engine ~session:dlc ~count:frames
-         ~payload:(Workload.Arrivals.default_payload ~size:payload)
-        : Workload.Arrivals.t);
-    let m = dlc.Dlc.Session.metrics in
-    let rec watch () =
-      if Dlc.Metrics.unique_delivered m >= frames then dlc.Dlc.Session.stop ()
-      else if Sim.Engine.now engine < cfg.Experiments.Scenario.horizon then
-        ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
+    let r, _ =
+      Experiments.Scenario.run_session
+        ~setup:(fun _ duplex _ ->
+          Trace.Fates.attach fates duplex.Channel.Duplex.forward)
+        cfg
+        (`Lams (Experiments.Scenario.default_lams_params cfg))
     in
-    ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
-    Sim.Engine.run engine ~until:cfg.Experiments.Scenario.horizon;
-    dlc.Dlc.Session.stop ();
-    Sim.Engine.run engine;
     let comment =
       Printf.sprintf
         "recorded: lams forward-link I-frame fates seed=%d frames=%d %s" seed
         frames
-        (Channel.Error_model.describe iframe_error)
+        (Channel.Error_model.describe (Experiments.Scenario.iframe_error cfg))
     in
     Trace.Fates.save ~comment fates out;
     Format.printf "%s: %d fates captured (%d unique deliveries)@." out
       (Trace.Fates.length fates)
-      (Dlc.Metrics.unique_delivered m)
+      (Dlc.Metrics.unique_delivered r.Experiments.Scenario.metrics)
   in
   Cmd.v (Cmd.info "record" ~doc)
     Term.(

@@ -9,23 +9,8 @@ type t =
 
 (* --- printing ----------------------------------------------------------- *)
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Stats.Jsonstr.escape quotes and escapes a string for the whole repo. *)
+let escape_to buf s = Buffer.add_string buf (Stats.Jsonstr.escape s)
 
 (* One float emitter for the whole repo: Stats.Jsonstr.float_repr is the
    shortest round-tripping decimal, with non-finite values as "null". *)

@@ -11,7 +11,7 @@ let run ?(seed = 7) ?(frames = 20) ?(capacity = Trace.Config.default_capacity)
   let recorder =
     match recorder with
     | Some r -> r
-    | None -> Trace.Recorder.create ~capacity ~name:"disaster" ()
+    | None -> Trace.Recorder.create ~capacity ()
   in
   let engine = Sim.Engine.create () in
   let duplex =
@@ -47,8 +47,7 @@ let run ?(seed = 7) ?(frames = 20) ?(capacity = Trace.Config.default_capacity)
   Trace.Recorder.attach_fault recorder ~link:"forward" fault;
   Channel.Fault.install fault duplex.Channel.Duplex.forward;
   let oracle =
-    Oracle.create ~name:"disaster-oracle"
-      (Oracle.Lams { c_depth = 0; holding_bound = 1.0 })
+    Oracle.create (Oracle.Lams { c_depth = 0; holding_bound = 1.0 })
   in
   Oracle.attach oracle ~probe ~duplex;
   Trace.Recorder.attach_oracle recorder oracle;

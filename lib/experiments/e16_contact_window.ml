@@ -20,49 +20,45 @@ let pair () =
 let data_rate = 3e6
 
 let run_window ~seed ~o1 ~o2 ~window ~protocol =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed in
   let t_start = window.Orbit.Contact.t_start in
   let duration = Orbit.Contact.duration window in
   let distance_m at = Orbit.Geometry.distance_m o1 o2 ~at:(at +. t_start) in
-  let duplex =
-    Channel.Duplex.create engine ~rng ~distance_m ~data_rate_bps:data_rate
-      ~iframe_error:(Channel.Error_model.uniform ~ber:1e-5 ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:1e-8 ())
-  in
-  let dlc =
+  let session =
     match protocol with
     | `Lams ->
-        let params =
+        `Lams
           {
             Lams_dlc.Params.default with
             Lams_dlc.Params.w_cp = 20e-3;
             link_lifetime_end = Some duration;
           }
-        in
-        Lams_dlc.Session.as_dlc (Lams_dlc.Session.create engine ~params ~duplex)
     | `Hdlc ->
         let rtt = 2. *. distance_m 0. /. Channel.Link.speed_of_light in
-        let params = { Hdlc.Params.default with Hdlc.Params.t_out = 1.5 *. rtt } in
-        Hdlc.Session.as_dlc (Hdlc.Session.create engine ~params ~duplex)
+        `Hdlc { Hdlc.Params.default with Hdlc.Params.t_out = 1.5 *. rtt }
   in
-  dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
   (* more traffic than the window can carry: the link, not the source,
-     is the bottleneck *)
-  let plenty = int_of_float (duration *. data_rate /. 8000.) * 2 in
-  ignore
-    (Workload.Arrivals.saturating engine ~session:dlc ~count:plenty
-       ~payload:(Workload.Arrivals.default_payload ~size:1024)
-      : Workload.Arrivals.t);
-  ignore
-    (Sim.Engine.schedule engine ~delay:duration (fun () ->
-         Channel.Duplex.set_down duplex;
-         dlc.Dlc.Session.stop ())
-      : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:(duration +. 1.);
-  dlc.Dlc.Session.stop ();
-  Sim.Engine.run engine ~max_events:1_000_000;
-  Dlc.Metrics.unique_delivered dlc.Dlc.Session.metrics
+     is the bottleneck; the window closes at its end, where the link
+     goes down and the session stops *)
+  let cfg =
+    {
+      Scenario.default with
+      Scenario.seed;
+      data_rate_bps = data_rate;
+      n_frames = int_of_float (duration *. data_rate /. 8000.) * 2;
+      horizon = duration;
+      blackout = Some (duration, 10.);
+    }
+  in
+  let r, _ =
+    Scenario.run_session
+      ~duplex:(fun engine ->
+        Channel.Duplex.create engine ~rng:(Sim.Rng.create ~seed) ~distance_m
+          ~data_rate_bps:data_rate
+          ~iframe_error:(Channel.Error_model.uniform ~ber:1e-5 ())
+          ~cframe_error:(Channel.Error_model.uniform ~ber:1e-8 ()))
+      cfg session
+  in
+  Dlc.Metrics.unique_delivered r.Scenario.metrics
 
 let points ~quick =
   let o1, o2 = pair () in

@@ -3,43 +3,31 @@ let name = "E19 delivery-delay distribution at moderate load"
 (* delays are recovered from the payload prefix: default_payload embeds
    the frame index, and deterministic arrivals offer frame i at i/rate *)
 let run_one ~cfg ~rate ~protocol =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed:cfg.Scenario.seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:cfg.Scenario.distance_m
-      ~data_rate_bps:cfg.Scenario.data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.cframe_ber ())
-  in
-  let dlc =
-    match protocol with
-    | `Lams ->
-        Lams_dlc.Session.as_dlc
-          (Lams_dlc.Session.create engine
-             ~params:(Scenario.default_lams_params cfg) ~duplex)
-    | `Hdlc ->
-        Hdlc.Session.as_dlc
-          (Hdlc.Session.create engine ~params:(Scenario.default_hdlc_params cfg)
-             ~duplex)
-  in
   let hist = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:100_000 in
   let online = Stats.Online.create () in
-  dlc.Dlc.Session.set_on_deliver (fun ~payload ->
-      match int_of_string_opt (Frame.Payload.prefix payload 10) with
-      | Some i ->
-          let offered_at = float_of_int i /. rate in
-          let delay = Sim.Engine.now engine -. offered_at in
-          Stats.Histogram.add hist delay;
-          Stats.Online.add online delay
-      | None -> ());
+  let setup engine _duplex probe =
+    Dlc.Probe.listen probe
+      {
+        Dlc.Probe.no_handlers with
+        delivered =
+          (fun ~seq:_ ~payload ->
+            match int_of_string_opt (Frame.Payload.prefix payload 10) with
+            | Some i ->
+                let offered_at = float_of_int i /. rate in
+                let delay = Sim.Engine.now engine -. offered_at in
+                Stats.Histogram.add hist delay;
+                Stats.Online.add online delay
+            | None -> ());
+      }
+  in
+  let session =
+    match protocol with
+    | `Lams -> `Lams (Scenario.default_lams_params cfg)
+    | `Hdlc -> `Hdlc (Scenario.default_hdlc_params cfg)
+  in
   ignore
-    (Workload.Arrivals.deterministic engine ~session:dlc ~rate
-       ~count:cfg.Scenario.n_frames
-       ~payload:(Workload.Arrivals.default_payload ~size:cfg.Scenario.payload_bytes)
-      : Workload.Arrivals.t);
-  Sim.Engine.run engine ~until:cfg.Scenario.horizon;
-  dlc.Dlc.Session.stop ();
-  Sim.Engine.run engine;
+    (Scenario.run_session ~setup { cfg with Scenario.traffic = `Rate rate } session
+      : Scenario.result * Oracle.t option);
   (online, hist)
 
 let points ~quick =

@@ -143,7 +143,7 @@ let transfer ?recorder ?corrupt ~seed setup =
   (match recorder with
   | Some r -> Trace.Recorder.attach_probe r probe
   | None -> ());
-  let transfer = Oracle.Transfer.create ~name:"handover-transfer" in
+  let transfer = Oracle.Transfer.create () in
   (match corrupt with
   | Some (_, k) -> Oracle.Transfer.set_convergence transfer ~k
   | None -> ());

@@ -97,8 +97,7 @@ let run_one ?recorder ?k ?(frames = link.n_frames) ~seed variant spec =
       (fingerprint [ string_of_int seed; tag; Dlc.Corrupt.describe corrupt ])
     (fun recorder ->
       let r, oracle =
-        Scenario.run_session ?recorder ~oracle:("e22-" ^ tag)
-          ~corrupt:(corrupt, k)
+        Scenario.run_session ?recorder ~oracle:true ~corrupt:(corrupt, k)
           { link with seed; n_frames = frames }
           (session variant)
       in

@@ -130,9 +130,34 @@ let run_core ?recorder ?(frames = link.n_frames) ~guard_on ~seed ~lie_name
       fingerprint ~seed ~variant:tag ~lie:lie_name ~guarded:guard_on)
     (fun recorder ->
       let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
+      (* the lie script and the ledger attach after the runner's forward
+         script: the recorder sees each reverse fault before the ledger *)
+      let setup engine duplex probe =
+        Option.iter
+          (fun spec ->
+            let f = Channel.Fault.compile spec in
+            Option.iter
+              (fun r -> Trace.Recorder.attach_fault r ~link:"reverse" f)
+              recorder;
+            Channel.Fault.install f duplex.Channel.Duplex.reverse;
+            Channel.Fault.set_observer f (fun ~now action _frame ->
+                Oracle.Feedback.on_fault feedback ~now
+                  ~lie:(Channel.Fault.is_lie action)))
+          reverse;
+        Oracle.Feedback.observe feedback probe;
+        (* a blackout window produces no fault hit until the next frame
+           flies, so the episode opens at the scripted instant *)
+        Option.iter
+          (fun at ->
+            ignore
+              (Sim.Engine.schedule engine ~delay:at (fun () ->
+                   Oracle.Feedback.mark_disturbance feedback
+                     ~now:(Sim.Engine.now engine))
+                : Sim.Engine.event_id))
+          mark_at
+      in
       let r, oracle =
-        Scenario.run_session ?recorder ~faults:forward ?reverse_faults:reverse
-          ~oracle:("e24-" ^ tag) ~feedback:(feedback, mark_at)
+        Scenario.run_session ?recorder ~faults:forward ~oracle:true ~setup
           { link with seed; n_frames = frames }
           (session ~guard_on variant)
       in

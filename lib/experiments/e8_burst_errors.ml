@@ -24,7 +24,6 @@ type outcome = {
 }
 
 let run_one ~cfg ~burst_frames ~protocol =
-  let engine = Sim.Engine.create () in
   let frame_bits = float_of_int (Scenario.iframe_bits cfg) in
   (* ber_bad = 0.5 models full tracking loss: during a burst nothing
      survives, not even short control frames — the §3.3 scenario. The
@@ -40,43 +39,25 @@ let run_one ~cfg ~burst_frames ~protocol =
       ~mean_gap_bits:(2. *. gap_frames *. frame_bits)
       ()
   in
-  let duplex = shared_burst_duplex engine ~seed:cfg.Scenario.seed ~cfg ~model in
-  let dlc, failed_fn =
+  let session =
     match protocol with
-    | `Lams ->
-        let params = Scenario.default_lams_params cfg in
-        let s = Lams_dlc.Session.create engine ~params ~duplex in
-        ( Lams_dlc.Session.as_dlc s,
-          fun () -> Lams_dlc.Sender.failed (Lams_dlc.Session.sender s) )
-    | `Hdlc ->
-        let params = Scenario.default_hdlc_params cfg in
-        let s = Hdlc.Session.create engine ~params ~duplex in
-        ( Hdlc.Session.as_dlc s,
-          fun () -> Hdlc.Sender.failed (Hdlc.Session.sender s) )
+    | `Lams -> `Lams (Scenario.default_lams_params cfg)
+    | `Hdlc -> `Hdlc (Scenario.default_hdlc_params cfg)
   in
-  dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
-  ignore
-    (Workload.Arrivals.saturating engine ~session:dlc ~count:cfg.Scenario.n_frames
-       ~payload:(Workload.Arrivals.default_payload ~size:cfg.Scenario.payload_bytes)
-      : Workload.Arrivals.t);
-  (* stop as soon as everything got through *)
-  let m = dlc.Dlc.Session.metrics in
-  let rec watch () =
-    if Dlc.Metrics.unique_delivered m >= cfg.Scenario.n_frames then
-      dlc.Dlc.Session.stop ()
-    else if Sim.Engine.now engine < cfg.Scenario.horizon then
-      ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
+  let r, _ =
+    Scenario.run_session
+      ~duplex:(fun engine ->
+        shared_burst_duplex engine ~seed:cfg.Scenario.seed ~cfg ~model)
+      cfg session
   in
-  ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:cfg.Scenario.horizon;
-  dlc.Dlc.Session.stop ();
-  Sim.Engine.run engine;
+  let m = r.Scenario.metrics in
   {
     efficiency =
       Dlc.Metrics.throughput_efficiency m ~iframe_time:(Scenario.t_f cfg);
     loss = Dlc.Metrics.loss m;
     enforced = m.Dlc.Metrics.enforced_recoveries;
-    failed = failed_fn ();
+    (* both senders count a declaration as they set their failed flag *)
+    failed = m.Dlc.Metrics.failures_detected > 0;
     delivered = Dlc.Metrics.unique_delivered m;
   }
 

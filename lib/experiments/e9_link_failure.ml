@@ -9,99 +9,62 @@ type outcome = {
   delivered : int;
 }
 
-let run_lams ~blackout_start ~blackout_len ~n ~cfg =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed:cfg.Scenario.seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:cfg.Scenario.distance_m
-      ~data_rate_bps:cfg.Scenario.data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.cframe_ber ())
-  in
-  let params =
-    (* match HDLC's N2 = 10 retry budget so the two protocols face the
-       same give-up boundary *)
+(* The LAMS sender's halt flag, kept from its probe: [Recovery_started]
+   and [Failure_declared] set it and [Recovery_completed] clears it, as
+   the sender does. A 0.5 ms watch samples it, so [halt_detected_at]
+   and [recovered_at] are quantised to that grid. The watch stops once
+   both are known, the sender has failed, or nothing else is pending. *)
+let watch_halts ~horizon ~halt_at ~recover_at engine _duplex probe =
+  let halted = ref false and failed = ref false in
+  Dlc.Probe.listen probe
     {
-      (Scenario.default_lams_params cfg) with
-      Lams_dlc.Params.request_nak_retries = 10;
-    }
-  in
-  let session = Lams_dlc.Session.create engine ~params ~duplex in
-  let dlc = Lams_dlc.Session.as_dlc session in
-  let sender = Lams_dlc.Session.sender session in
-  let payload = Workload.Arrivals.default_payload ~size:cfg.Scenario.payload_bytes in
-  ignore
-    (Workload.Arrivals.saturating engine ~session:dlc ~count:n ~payload
-      : Workload.Arrivals.t);
-  ignore
-    (Sim.Engine.schedule engine ~delay:blackout_start (fun () ->
-         Channel.Duplex.set_down duplex)
-      : Sim.Engine.event_id);
-  ignore
-    (Sim.Engine.schedule engine ~delay:(blackout_start +. blackout_len) (fun () ->
-         Channel.Duplex.set_up duplex)
-      : Sim.Engine.event_id);
-  (* watch the sender's halt flag at fine granularity *)
-  let halt_at = ref nan and recover_at = ref nan in
+      Dlc.Probe.no_handlers with
+      other =
+        (fun ~now:_ -> function
+          | Dlc.Probe.Recovery_started -> halted := true
+          | Dlc.Probe.Recovery_completed -> halted := false
+          | Dlc.Probe.Failure_declared ->
+              halted := true;
+              failed := true
+          | _ -> ());
+    };
   let rec watch () =
-    if Lams_dlc.Sender.halted sender && Float.is_nan !halt_at then
-      halt_at := Sim.Engine.now engine;
+    let now = Sim.Engine.now engine in
+    if !halted && Float.is_nan !halt_at then halt_at := now;
     if
       (not (Float.is_nan !halt_at))
-      && Float.is_nan !recover_at
-      && (not (Lams_dlc.Sender.halted sender))
-      && not (Lams_dlc.Sender.failed sender)
-    then recover_at := Sim.Engine.now engine;
-    if Sim.Engine.now engine < cfg.Scenario.horizon then
-      ignore (Sim.Engine.schedule engine ~delay:5e-4 watch : Sim.Engine.event_id)
+      && Float.is_nan !recover_at && (not !halted) && not !failed
+    then recover_at := now;
+    if
+      now < horizon && Float.is_nan !recover_at && (not !failed)
+      && Sim.Engine.pending engine > 0
+    then ignore (Sim.Engine.schedule engine ~delay:5e-4 watch : Sim.Engine.event_id)
   in
-  watch ();
-  Sim.Engine.run engine ~until:cfg.Scenario.horizon;
-  dlc.Dlc.Session.stop ();
-  Sim.Engine.run engine;
-  let m = dlc.Dlc.Session.metrics in
+  watch ()
+
+let run_one ~blackout_start ~blackout_len ~cfg protocol =
+  let cfg = { cfg with Scenario.blackout = Some (blackout_start, blackout_len) } in
+  let halt_at = ref nan and recover_at = ref nan in
+  let session, setup =
+    match protocol with
+    | `Lams ->
+        (* match HDLC's N2 = 10 retry budget so the two protocols face
+           the same give-up boundary *)
+        ( `Lams
+            {
+              (Scenario.default_lams_params cfg) with
+              Lams_dlc.Params.request_nak_retries = 10;
+            },
+          Some (watch_halts ~horizon:cfg.Scenario.horizon ~halt_at ~recover_at)
+        )
+    | `Hdlc -> (`Hdlc (Scenario.default_hdlc_params cfg), None)
+  in
+  let r, _ = Scenario.run_session ?setup cfg session in
+  let m = r.Scenario.metrics in
   {
     halt_detected_at = !halt_at;
     recovered_at = !recover_at;
-    declared_failed = Lams_dlc.Sender.failed sender;
-    loss = Dlc.Metrics.loss m;
-    duplicates = m.Dlc.Metrics.duplicates;
-    delivered = Dlc.Metrics.unique_delivered m;
-  }
-
-let run_hdlc ~blackout_start ~blackout_len ~n ~cfg =
-  let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed:cfg.Scenario.seed in
-  let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:cfg.Scenario.distance_m
-      ~data_rate_bps:cfg.Scenario.data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:cfg.Scenario.cframe_ber ())
-  in
-  let session =
-    Hdlc.Session.create engine ~params:(Scenario.default_hdlc_params cfg) ~duplex
-  in
-  let dlc = Hdlc.Session.as_dlc session in
-  let payload = Workload.Arrivals.default_payload ~size:cfg.Scenario.payload_bytes in
-  ignore
-    (Workload.Arrivals.saturating engine ~session:dlc ~count:n ~payload
-      : Workload.Arrivals.t);
-  ignore
-    (Sim.Engine.schedule engine ~delay:blackout_start (fun () ->
-         Channel.Duplex.set_down duplex)
-      : Sim.Engine.event_id);
-  ignore
-    (Sim.Engine.schedule engine ~delay:(blackout_start +. blackout_len) (fun () ->
-         Channel.Duplex.set_up duplex)
-      : Sim.Engine.event_id);
-  Sim.Engine.run engine ~until:cfg.Scenario.horizon;
-  dlc.Dlc.Session.stop ();
-  Sim.Engine.run engine;
-  let m = dlc.Dlc.Session.metrics in
-  {
-    halt_detected_at = nan;
-    recovered_at = nan;
-    declared_failed = Hdlc.Sender.failed (Hdlc.Session.sender session);
+    declared_failed = m.Dlc.Metrics.failures_detected > 0;
     loss = Dlc.Metrics.loss m;
     duplicates = m.Dlc.Metrics.duplicates;
     delivered = Dlc.Metrics.unique_delivered m;
@@ -130,16 +93,16 @@ let points ~quick =
           run =
             (fun ~seed ->
               metrics
-                (run_lams ~blackout_start ~blackout_len ~n
-                   ~cfg:{ cfg with Scenario.seed }));
+                (run_one ~blackout_start ~blackout_len
+                   ~cfg:{ cfg with Scenario.seed } `Lams));
         };
         {
           Runner.label = Printf.sprintf "blackout=%g/hdlc" blackout_len;
           run =
             (fun ~seed ->
               metrics
-                (run_hdlc ~blackout_start ~blackout_len ~n
-                   ~cfg:{ cfg with Scenario.seed }));
+                (run_one ~blackout_start ~blackout_len
+                   ~cfg:{ cfg with Scenario.seed } `Hdlc));
         };
       ])
     blackouts
@@ -173,8 +136,8 @@ let run ?(quick = false) ppf =
   let blackouts = if quick then [ 0.02; 1.0 ] else [ 0.01; 0.02; 0.05; 0.2; 1.0 ] in
   List.iter
     (fun blackout_len ->
-      let o = run_lams ~blackout_start ~blackout_len ~n ~cfg in
-      let h = run_hdlc ~blackout_start ~blackout_len ~n ~cfg in
+      let o = run_one ~blackout_start ~blackout_len ~cfg `Lams in
+      let h = run_one ~blackout_start ~blackout_len ~cfg `Hdlc in
       Stats.Table.add_row table
         [
           Printf.sprintf "%g" blackout_len;

@@ -35,7 +35,7 @@ let captured name run =
     name;
     generate =
       (fun () ->
-        let capture = Trace.Capture.create ~name () in
+        let capture = Trace.Capture.create () in
         let failures = run (Trace.Capture.recorder capture) in
         { files = Trace.Capture.outputs capture ~path:name; failures });
   }

@@ -102,23 +102,19 @@ let default_lams_params cfg =
      while bounding holding times well below the RTT scale *)
   { Lams_dlc.Params.default with Lams_dlc.Params.w_cp = 64. *. t_f cfg }
 
-let error_models cfg =
-  let iframe_error =
-    match (cfg.channel_trace, cfg.burst) with
-    | Some data, _ ->
-        (* the replicate seed selects the trace window: replicates see
-           distinct stretches of one recording, each fully deterministic
-           (replay consumes no RNG), so --jobs stays byte-identical *)
-        Channel.Trace_model.replay ~policy:Channel.Trace_model.Loop
-          ~offset:cfg.seed data
-    | None, None -> Channel.Error_model.uniform ~ber:cfg.ber ()
-    | None, Some b ->
-        Channel.Error_model.gilbert_elliott ~ber_good:b.ber_good
-          ~ber_bad:b.ber_bad ~mean_burst_bits:b.mean_burst_bits
-          ~mean_gap_bits:b.mean_gap_bits ()
-  in
-  let cframe_error = Channel.Error_model.uniform ~ber:cfg.cframe_ber () in
-  (iframe_error, cframe_error)
+let iframe_error cfg =
+  match (cfg.channel_trace, cfg.burst) with
+  | Some data, _ ->
+      (* the replicate seed selects the trace window: replicates see
+         distinct stretches of one recording, each fully deterministic
+         (replay consumes no RNG), so --jobs stays byte-identical *)
+      Channel.Trace_model.replay ~policy:Channel.Trace_model.Loop
+        ~offset:cfg.seed data
+  | None, None -> Channel.Error_model.uniform ~ber:cfg.ber ()
+  | None, Some b ->
+      Channel.Error_model.gilbert_elliott ~ber_good:b.ber_good
+        ~ber_bad:b.ber_bad ~mean_burst_bits:b.mean_burst_bits
+        ~mean_gap_bits:b.mean_gap_bits ()
 
 type session =
   [ `Lams of Lams_dlc.Params.t | `Hdlc of Hdlc.Params.t | `Nbdt of Nbdt.Params.t ]
@@ -140,14 +136,18 @@ let oracle_profile cfg : session -> Oracle.profile = function
         }
   | `Nbdt _ -> Oracle.Nbdt
 
-let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
-    (session : session) =
+let run_session ?faults ?reverse_faults ?recorder ?(oracle = false) ?corrupt
+    ?duplex ?setup cfg (session : session) =
   let engine = Sim.Engine.create () in
-  let rng = Sim.Rng.create ~seed:cfg.seed in
-  let iframe_error, cframe_error = error_models cfg in
   let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:cfg.distance_m
-      ~data_rate_bps:cfg.data_rate_bps ~iframe_error ~cframe_error
+    match duplex with
+    | Some make -> make engine
+    | None ->
+        Channel.Duplex.create_static engine
+          ~rng:(Sim.Rng.create ~seed:cfg.seed)
+          ~distance_m:cfg.distance_m ~data_rate_bps:cfg.data_rate_bps
+          ~iframe_error:(iframe_error cfg)
+          ~cframe_error:(Channel.Error_model.uniform ~ber:cfg.cframe_ber ())
   in
   (* the corruption surface and the span peak are read on demand *)
   let dlc, probe, surface, span_peak =
@@ -173,14 +173,14 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
           fun () -> 0 )
   in
   let oracle =
-    match oracle with
-    | None -> None
-    | Some name ->
-        let o = Oracle.create ~name (oracle_profile cfg session) in
-        (match corrupt with
-        | Some (_, k) -> Oracle.set_convergence o ~k
-        | None -> ());
-        Some o
+    if oracle then begin
+      let o = Oracle.create (oracle_profile cfg session) in
+      (match corrupt with
+      | Some (_, k) -> Oracle.set_convergence o ~k
+      | None -> ());
+      Some o
+    end
+    else None
   in
   (* recorder first, oracle second: a probe event and the violation it
      triggers then land in the ring in causal order *)
@@ -195,43 +195,19 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
     (match recorder with
     | Some r -> Trace.Recorder.attach_fault r ~link:name f
     | None -> ());
-    Channel.Fault.install f link;
-    f
+    Channel.Fault.install f link
   in
   (match faults with
-  | Some spec ->
-      ignore
-        (install_fault spec duplex.Channel.Duplex.forward ~name:"forward"
-          : Channel.Fault.t)
+  | Some spec -> install_fault spec duplex.Channel.Duplex.forward ~name:"forward"
   | None -> ());
-  let reverse =
-    match reverse_faults with
-    | Some spec ->
-        Some (install_fault spec duplex.Channel.Duplex.reverse ~name:"reverse")
-    | None -> None
-  in
+  (match reverse_faults with
+  | Some spec -> install_fault spec duplex.Channel.Duplex.reverse ~name:"reverse"
+  | None -> ());
   (match corrupt with
   | Some (schedule, _) ->
       Dlc.Corrupt.install schedule engine ~surface:(surface ()) ~probe
   | None -> ());
-  (match feedback with
-  | Some (fb, mark_at) -> (
-      Oracle.Feedback.observe fb probe;
-      (match reverse with
-      | Some f ->
-          Channel.Fault.set_observer f (fun ~now action _frame ->
-              Oracle.Feedback.on_fault fb ~now ~lie:(Channel.Fault.is_lie action))
-      | None -> ());
-      (* a blackout window produces no fault hit until the next frame
-         flies, so the episode opens at the scripted instant *)
-      match mark_at with
-      | Some at ->
-          ignore
-            (Sim.Engine.schedule engine ~delay:at (fun () ->
-                 Oracle.Feedback.mark_disturbance fb ~now:(Sim.Engine.now engine))
-              : Sim.Engine.event_id)
-      | None -> ())
-  | None -> ());
+  (match setup with Some f -> f engine duplex probe | None -> ());
   (match cfg.blackout with
   | Some (start, len) ->
       ignore
@@ -262,7 +238,9 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
     | None -> ()
   in
   (* Stop condition: all offered frames delivered (uniquely) or horizon.
-     Poll with a watcher event so the run ends as soon as work is done. *)
+     Poll with a watcher event so the run ends as soon as work is done.
+     With no other event pending nothing can deliver a frame any more,
+     so the poll stops re-arming and the run drains to its end. *)
   let finished () =
     Workload.Arrivals.finished arrivals
     && Dlc.Metrics.unique_delivered metrics >= cfg.n_frames
@@ -272,7 +250,8 @@ let run_session ?faults ?reverse_faults ?recorder ?oracle ?corrupt ?feedback cfg
       (* stop periodic activity so the event queue can drain and the run
          ends at the completion instant instead of the horizon *)
       stop ()
-    else if Sim.Engine.now engine < cfg.horizon then
+    else if Sim.Engine.now engine < cfg.horizon && Sim.Engine.pending engine > 0
+    then
       ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id)
   in
   ignore (Sim.Engine.schedule engine ~delay:1e-3 watch : Sim.Engine.event_id);
@@ -324,14 +303,10 @@ let run_watched ?faults ?reverse_faults ?recorder ~watch cfg protocol =
     ~fingerprint:(fun () ->
       trace_fingerprint ?faults ?reverse_faults ~watch cfg protocol)
     (fun recorder ->
-      let oracle, session =
-        match protocol with
-        | Lams p -> ("scenario-lams-oracle", `Lams p)
-        | Hdlc p -> ("scenario-hdlc-oracle", `Hdlc p)
+      let session =
+        match protocol with Lams p -> `Lams p | Hdlc p -> `Hdlc p
       in
-      run_session ?faults ?reverse_faults ?recorder
-        ?oracle:(if watch then Some oracle else None)
-        cfg session)
+      run_session ?faults ?reverse_faults ?recorder ~oracle:watch cfg session)
 
 let run ?recorder cfg protocol = fst (run_watched ?recorder ~watch:false cfg protocol)
 

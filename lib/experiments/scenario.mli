@@ -97,26 +97,32 @@ val run_session :
   ?faults:Channel.Fault.spec ->
   ?reverse_faults:Channel.Fault.spec ->
   ?recorder:Trace.Recorder.t ->
-  ?oracle:string ->
+  ?oracle:bool ->
   ?corrupt:Dlc.Corrupt.t * int ->
-  ?feedback:Oracle.Feedback.t * float option ->
+  ?duplex:(Sim.Engine.t -> Channel.Duplex.t) ->
+  ?setup:(Sim.Engine.t -> Channel.Duplex.t -> Dlc.Probe.t -> unit) ->
   config ->
   session ->
   result * Oracle.t option
-(** The one single-link runner behind {!run}, {!run_checked}, E17's
-    NBDT rows, E22's and E24's runs and the CLI's [sim]. In order, it
-    makes the seeded duplex from [cfg]; creates the session; attaches
-    [recorder] to its probe, then the protocol-matched {!Oracle} named
-    [oracle] (when given), then [recorder] to that oracle; compiles
-    [faults] / [reverse_faults] onto the forward / reverse link; installs
-    the [corrupt] schedule with convergence budget [k] on the oracle;
-    subscribes the {!Oracle.Feedback} ledger to the probe and the reverse
-    script and schedules its disturbance mark at the given instant;
-    schedules [cfg.blackout] and the traffic; then polls for completion
-    every 1 ms until [cfg.horizon], stops the session, drains the queue
-    up to [cfg.horizon + 10] and finalizes the oracle. [cfg.channel_trace]
-    is used as given: the process-wide default applies only through
-    {!run}, {!run_checked} and {!matrix_point}. *)
+(** The one single-link runner. {!run}, {!run_checked},
+    {!matrix_point}, E8, E9, E16, E17's NBDT rows, E19, E22's and E24's
+    runs and the CLI's [sim] and [channel record] all call it. In order,
+    it makes the duplex: [duplex engine] when given (E8's shared
+    burst chain, E16's orbital geometry), else the seeded static duplex
+    of [cfg]; creates the session; attaches [recorder] to its probe,
+    then the protocol-matched {!Oracle} (with [~oracle:true]), then
+    [recorder] to that oracle; compiles [faults] / [reverse_faults] onto
+    the forward / reverse link; installs the [corrupt] schedule with
+    convergence budget [k] on the oracle; calls [setup engine duplex
+    probe], where a caller adds its own observers, scripts and events
+    (E9's halt watch, E19's delay histogram, E24's reverse lie script
+    and its lie ledger, [channel record]'s fate tap); schedules
+    [cfg.blackout] and the traffic; then polls for completion every
+    1 ms until [cfg.horizon] or until no other event is pending, stops
+    the session, drains the queue up to [cfg.horizon + 10] and finalizes
+    the oracle. [cfg.channel_trace] is used as given: the process-wide
+    default applies only through {!run}, {!run_checked} and
+    {!matrix_point}. *)
 
 val matrix_metrics : result -> (string * float) list
 (** Uniform per-replicate metric vector (efficiency, deliveries, loss,
@@ -137,6 +143,10 @@ val matrix_point :
     the list's cap too); fault constructors receive the
     replicate seed so adversary scripts can vary per replicate while
     staying reproducible. *)
+
+val iframe_error : config -> Channel.Error_model.t
+(** A fresh I-frame error model of [cfg]: its channel trace, else its
+    [burst] chain, else uniform [ber]; the one {!run_session} builds. *)
 
 val iframe_bits : config -> int
 

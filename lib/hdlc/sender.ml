@@ -49,8 +49,6 @@ let window_open t = in_window t < t.params.Params.window
 
 let window_stalled t = (not (window_open t)) && Queue.is_empty t.retx
 
-let failed t = t.failed
-
 (* [find], not [find_opt]: no option per delivered frame. *)
 let note_delivered t seq =
   match Hashtbl.find t.inflight seq with

@@ -38,8 +38,6 @@ val in_window : t -> int
 val window_stalled : t -> bool
 (** Window full: transmission blocked awaiting acknowledgement. *)
 
-val failed : t -> bool
-
 val v_s : t -> int
 (** Send state variable V(S) — ground truth for {!Dlc.Guard}. *)
 

@@ -46,16 +46,10 @@ let n_fields = 2
 
 let max_recorded = 200
 
-(* The first [max_recorded] violations, newest first, and an exact count;
-   [kind] names them in the report's header. *)
-type ledger = {
-  name : string;
-  kind : string;
-  mutable recorded : violation list;
-  mutable count : int;
-}
+(* The first [max_recorded] violations, newest first, and an exact count. *)
+type ledger = { mutable recorded : violation list; mutable count : int }
 
-let ledger ~name ~kind = { name; kind; recorded = []; count = 0 }
+let ledger () = { recorded = []; count = 0 }
 
 let record l v =
   l.count <- l.count + 1;
@@ -238,10 +232,10 @@ let violate t ~time invariant detail =
       if wrongful invariant then t.wrongful_releases <- t.wrongful_releases + 1;
       (match t.on_violation with None -> () | Some f -> f v)
 
-let create ?(name = "oracle") profile =
+let create ?name:_ profile =
   {
     profile;
-    ledger = ledger ~name ~kind:"invariant";
+    ledger = ledger ();
     wrongful_releases = 0;
     frames = Frame.Payload.Index.create ();
     frame_ints = Array.make (1024 * f_fields) 0;
@@ -672,13 +666,13 @@ module Transfer = struct
     mutable casualties_lost : int;
   }
 
-  let create ~name =
+  let create () =
     {
       payloads = Frame.Payload.Tbl.create 1024;
       sink_seen = Hashtbl.create 256;
       sessions_spanned = 0;
       failures_declared = 0;
-      ledger = ledger ~name ~kind:"cross-handover";
+      ledger = ledger ();
       finalized = false;
       window = None;
       casualties = Frame.Payload.Tbl.create 16;

@@ -64,6 +64,8 @@ val pp_violation : Format.formatter -> violation -> unit
 type t
 
 val create : ?name:string -> profile -> t
+(** [name] is ignored: nothing reads it. It stays until perfbench, which
+    still passes it, drops it. *)
 
 val set_on_violation : t -> (violation -> unit) -> unit
 (** Hook fired synchronously on {e every} violation (including those past
@@ -149,7 +151,7 @@ val wrongful_releases : t -> int
 module Transfer : sig
   type t
 
-  val create : name:string -> t
+  val create : unit -> t
 
   val observe : t -> Dlc.Probe.t -> unit
   (** Subscribe to the handover manager's shared probe. *)

@@ -20,8 +20,8 @@
 
 type t
 
-val create : name:string -> unit -> t
-(** An explicit-path or in-memory capture; [name] names the recorder. *)
+val create : unit -> t
+(** An explicit-path or in-memory capture. *)
 
 val recorder : t -> Recorder.t
 

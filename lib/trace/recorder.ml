@@ -9,7 +9,6 @@ type rare =
       (** formatted into an [Event.Fault] when an event is built *)
 
 type t = {
-  name : string;
   capacity : int;
   tags : int array;
   seqs : int array;
@@ -25,10 +24,9 @@ type t = {
   at : float array;  (* one element: the time of a rare event *)
 }
 
-let create ?(capacity = 512) ~name () =
+let create ?(capacity = 512) ?name:_ () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   {
-    name;
     capacity;
     tags = Array.make capacity 0;
     seqs = Array.make capacity 0;

@@ -19,8 +19,10 @@
 
 type t
 
-val create : ?capacity:int -> name:string -> unit -> t
-(** [capacity] is the ring size (default 512, must be positive). *)
+val create : ?capacity:int -> ?name:string -> unit -> t
+(** [capacity] is the ring size (default 512, must be positive). [name]
+    is ignored: nothing reads it. It stays until perfbench, which still
+    passes it, drops it. *)
 
 val set_sink : t -> (Event.t -> unit) -> unit
 (** Called synchronously for every recorded event, after it enters the

@@ -52,7 +52,7 @@ let lams ?seed ?ber ?cber ?distance ?(rate = 100e6) ?iframe_error ?faults
   let duplex = make_duplex ?seed ?ber ?cber ?distance ~rate ?iframe_error engine in
   let session = Lams_dlc.Session.create engine ~params ~duplex in
   let oracle =
-    Oracle.create ~name:"lams-oracle"
+    Oracle.create
       (Oracle.Lams
          {
            c_depth = params.Lams_dlc.Params.c_depth;
@@ -79,7 +79,7 @@ let nbdt ?seed ?ber ?cber ?distance ?rate ?iframe_error ?faults
   let engine = Sim.Engine.create () in
   let duplex = make_duplex ?seed ?ber ?cber ?distance ?rate ?iframe_error engine in
   let session = Nbdt.Session.create engine ~params ~duplex in
-  let oracle = Oracle.create ~name:"nbdt-oracle" Oracle.Nbdt in
+  let oracle = Oracle.create Oracle.Nbdt in
   Oracle.attach oracle ~probe:(Nbdt.Session.probe session) ~duplex;
   install_faults ~faults ~reverse_faults duplex;
   let t =
@@ -101,7 +101,7 @@ let hdlc ?seed ?ber ?cber ?distance ?rate ?iframe_error ?faults
   let duplex = make_duplex ?seed ?ber ?cber ?distance ?rate ?iframe_error engine in
   let session = Hdlc.Session.create engine ~params ~duplex in
   let oracle =
-    Oracle.create ~name:"hdlc-oracle"
+    Oracle.create
       (Oracle.Hdlc
          {
            window = params.Hdlc.Params.window;

@@ -168,7 +168,7 @@ let test_checked_words_per_frame ~max_words () =
   let protocol =
     Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params config)
   in
-  let recorder = Trace.Recorder.create ~name:"alloc" () in
+  let recorder = Trace.Recorder.create () in
   let w0 = Gc.minor_words () in
   let r, violations =
     Experiments.Scenario.run_checked ~recorder config protocol
@@ -278,7 +278,7 @@ let test_checkpoint_stop_go ~max_words () =
    either. *)
 let test_transfer_feedback_emits () =
   let probe = Dlc.Probe.create () in
-  let transfer = Oracle.Transfer.create ~name:"alloc" in
+  let transfer = Oracle.Transfer.create () in
   Oracle.Transfer.set_convergence transfer ~k:12;
   Oracle.Transfer.observe transfer probe;
   Oracle.Feedback.observe (Oracle.Feedback.create ()) probe;

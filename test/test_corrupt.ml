@@ -284,7 +284,7 @@ let test_handover_carryover () =
 (* The exact metrics and trace of the canonical stale-carryover run at
    seed 11, floats compared by their bits. *)
 let test_handover_pinned () =
-  let capture = Trace.Capture.create ~name:"e22-handover" () in
+  let capture = Trace.Capture.create () in
   let o =
     E22.run_handover ~recorder:(Trace.Capture.recorder capture) ~seed:11
       E22.carryover_spec

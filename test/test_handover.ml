@@ -227,7 +227,7 @@ let run_manager ?(n = 30) ?(params = lams_params) ?(horizon = 0.15) ?on_duplex
   let duplex = make_duplex engine in
   let probe = Dlc.Probe.create () in
   let mgr = Manager.create ~probe engine ~params ~duplex ~plan in
-  let transfer = Oracle.Transfer.create ~name:"test-transfer" in
+  let transfer = Oracle.Transfer.create () in
   Oracle.Transfer.observe transfer probe;
   Manager.set_on_suspicious_replay mgr (Oracle.Transfer.mark_suspicious transfer);
   let delivered = Hashtbl.create 64 in
@@ -370,10 +370,10 @@ let test_flight_dump_records_failure_declared () =
   let probe = Dlc.Probe.create () in
   let mgr = Manager.create ~probe engine ~params ~duplex ~plan in
   Manager.set_on_deliver mgr (fun ~payload:_ -> ());
-  let recorder = Trace.Recorder.create ~name:"handover-flight" () in
+  let recorder = Trace.Recorder.create () in
   Trace.Recorder.attach_probe recorder probe;
   let oracle =
-    Oracle.create ~name:"per-session-on-shared-probe"
+    Oracle.create
       (Oracle.Lams
          { c_depth = params.Lams_dlc.Params.c_depth; holding_bound = 1. })
   in

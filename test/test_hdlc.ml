@@ -113,14 +113,14 @@ let test_duplicate_arrivals_counted_not_delivered () =
 
 let test_failure_after_n2 () =
   let params = { sr with Hdlc.Params.max_retries = 3; t_out = 5e-3 } in
-  let t, session = Proto_harness.hdlc ~params () in
+  let t, _session = Proto_harness.hdlc ~params () in
   ignore
     (Sim.Engine.schedule t.Proto_harness.engine ~delay:0.001 (fun () ->
          Channel.Duplex.set_down t.Proto_harness.duplex));
   Proto_harness.offer_all t 50;
   Proto_harness.run_to_completion t ~horizon:5.;
-  Alcotest.(check bool) "failed after N2" true
-    (Hdlc.Sender.failed (Hdlc.Session.sender session));
+  Alcotest.(check int) "failed after N2" 1
+    t.Proto_harness.dlc.Dlc.Session.metrics.Dlc.Metrics.failures_detected;
   Alcotest.(check bool) "offers refused" false
     (t.Proto_harness.dlc.Dlc.Session.offer (Frame.Payload.of_string "x"))
 

@@ -4,6 +4,7 @@
 type harness = {
   engine : Sim.Engine.t;
   sender : Hdlc.Sender.t;
+  metrics : Dlc.Metrics.t;
   txed : int list ref;  (* I-frame seqs in transmission order, newest first *)
 }
 
@@ -26,11 +27,12 @@ let make ?(mode = Hdlc.Params.Selective_repeat) ?(window = 4) () =
   let params =
     { Hdlc.Params.default with Hdlc.Params.mode; window; seq_bits = 3 }
   in
+  let metrics = Dlc.Metrics.create () in
   let sender =
-    Hdlc.Sender.create engine ~params ~forward ~metrics:(Dlc.Metrics.create ())
+    Hdlc.Sender.create engine ~params ~forward ~metrics
       ~probe:(Dlc.Probe.create ())
   in
-  { engine; sender; txed }
+  { engine; sender; metrics; txed }
 
 let offer_n h n =
   for i = 0 to n - 1 do
@@ -99,7 +101,8 @@ let test_stale_rr_ignored () =
   (* repeat of the same cumulative ack: harmless *)
   Alcotest.(check int) "no double release" 2
     (4 - Hdlc.Sender.in_window h.sender + 2 - 2);
-  Alcotest.(check bool) "not failed" false (Hdlc.Sender.failed h.sender)
+  Alcotest.(check int) "no failure declared" 0
+    h.metrics.Dlc.Metrics.failures_detected
 
 let test_modulo_wrap_window () =
   (* seq_bits = 3: after 8 frames the numbers wrap; the window arithmetic

@@ -82,7 +82,7 @@ let run_case c =
         let s = Nbdt.Session.create engine ~params:Nbdt.Params.default ~duplex in
         (Nbdt.Session.as_dlc s, Nbdt.Session.probe s)
   in
-  let recorder = Trace.Recorder.create ~capacity:64 ~name:"flat" () in
+  let recorder = Trace.Recorder.create ~capacity:64 () in
   let oracle = Oracle.create c.profile in
   let ref_recorder = Ref.Recorder.create ~capacity:64 () in
   let ref_oracle = Ref.Oracle.create c.profile in

@@ -262,8 +262,7 @@ let test_broken_c_depth0_trips_no_loss () =
   Channel.Link.set_receiver duplex.Channel.Duplex.reverse (fun rx ->
       Lams_dlc.Sender.on_rx sender rx);
   let oracle =
-    Oracle.create ~name:"broken-config"
-      (Oracle.Lams { c_depth = 0; holding_bound = 1.0 })
+    Oracle.create (Oracle.Lams { c_depth = 0; holding_bound = 1.0 })
   in
   Oracle.attach oracle ~probe ~duplex;
   let faults =
@@ -392,7 +391,7 @@ let test_counts_past_the_cap () =
   in
   let probe = Dlc.Probe.create () in
   Oracle.observe oracle probe;
-  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  let transfer = Oracle.Transfer.create () in
   Oracle.Transfer.observe transfer probe;
   for seq = 0 to 299 do
     let payload = Proto_harness.payload seq in
@@ -449,7 +448,7 @@ let two_checkers ~k =
   let oracle = lams_oracle () in
   Oracle.set_convergence oracle ~k;
   Oracle.observe oracle probe;
-  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  let transfer = Oracle.Transfer.create () in
   Oracle.Transfer.set_convergence transfer ~k;
   Oracle.Transfer.observe transfer probe;
   let converged = ref [] in
@@ -570,7 +569,7 @@ let test_finalize_time_rule () =
   Alcotest.(check (pair (list string) int)) "oracle, after an injection"
     ([], 1) (underrun ~injected:true);
   let probe = Dlc.Probe.create () in
-  let transfer = Oracle.Transfer.create ~name:"transfer" in
+  let transfer = Oracle.Transfer.create () in
   Oracle.Transfer.set_convergence transfer ~k:2;
   Oracle.Transfer.observe transfer probe;
   emit probe 0.5 (Dlc.Probe.Offered { payload = Frame.Payload.of_string "lost" });

@@ -97,7 +97,7 @@ let drop5_spec =
 let traced_run seed =
   (* Small checked scenario with a scripted forward drop; returns the
      full JSONL stream and the recorder. *)
-  let capture = Trace.Capture.create ~name:"test" () in
+  let capture = Trace.Capture.create () in
   let recorder = Trace.Capture.recorder capture in
   let cfg =
     {
@@ -136,7 +136,7 @@ let noisy_run seed =
   (* On a clean channel with a scripted fault the seed changes nothing
      (that is the point of the determinism tests above); to see the seed
      in the trace the channel must be lossy. *)
-  let capture = Trace.Capture.create ~name:"noisy" () in
+  let capture = Trace.Capture.create () in
   let cfg =
     { Experiments.Scenario.default with seed; n_frames = 50; horizon = 5. }
   in
