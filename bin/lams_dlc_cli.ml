@@ -1,10 +1,10 @@
 (* Command-line front end for the reproduction experiments.
 
    Usage:
-     lams_dlc_cli list
-     lams_dlc_cli run [e1 e5 ...] [--quick] [--jobs N]
-     lams_dlc_cli run --all [--quick]
-     lams_dlc_cli experiments run [e1 e5 ...] --replicates R --jobs N --json
+     lams_dlc_cli experiments list [--quick]
+     lams_dlc_cli experiments run [e1 e5 ... | --all] [--quick] [--jobs N]
+       [--replicates R] [--json]
+     lams_dlc_cli sim -p lams|sr|nbdt ...
      lams_dlc_cli handover|corrupt|feedback run|soak ...
      lams_dlc_cli golden regen *)
 
@@ -46,7 +46,7 @@ let variant_enum =
     (fun v -> (Experiments.E22_corruption.variant_tag v, v))
     Experiments.E22_corruption.variants
 
-(* Shared --channel-trace flag (`run`, `sim`, `experiments run`): replay
+(* Shared --channel-trace flag (`sim`, `experiments run`): replay
    a recorded channel trace on the I-frame channel of every scenario run
    in this process. *)
 let channel_trace_arg =
@@ -73,7 +73,7 @@ let set_channel_trace path =
   Experiments.Scenario.set_default_channel_trace
     (Option.map load_channel_trace path)
 
-(* Shared --contact-plan flag (the `run` and `handover run` commands). *)
+(* The --contact-plan flag of `handover run`. *)
 let contact_plan_arg =
   let doc =
     "Contact plan file: '#' comments, an optional 'retarget <seconds>' \
@@ -84,7 +84,7 @@ let contact_plan_arg =
   Arg.(value & opt (some string) None
        & info [ "contact-plan" ] ~docv:"FILE" ~doc)
 
-(* Shared --corrupt-script flag (the `run` and `corrupt run` commands). *)
+(* The --corrupt-script flag of `corrupt run`. *)
 let corrupt_script_arg =
   let doc =
     "State-corruption script: '#' comments, then either one rule per \
@@ -103,7 +103,7 @@ let load_corrupt_script path =
       Format.eprintf "%s: %s@." path e;
       exit 2
 
-(* Flags shared by `run` and `experiments run`. *)
+(* Flags of `experiments run`. *)
 let ids_arg =
   Arg.(value & pos_all string []
        & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e24). Default: all.")
@@ -116,7 +116,7 @@ let quick_arg =
   Arg.(value & flag
        & info [ "quick" ] ~doc:"Smaller sweeps for a fast smoke run.")
 
-(* Shared by `run`, `experiments run` and the soaks. *)
+(* Shared by `experiments run` and the soaks. *)
 let jobs_arg =
   let doc =
     "Worker count; the output is identical for any value. Needs OCaml >= 5 \
@@ -136,62 +136,6 @@ let select_experiments ids all =
             Format.eprintf "unknown experiment %S (try 'experiments list')@." id;
             exit 2)
       ids
-
-let list_cmd =
-  let doc = "List the available experiments (paper-evaluation reproductions)." in
-  let run () =
-    List.iter
-      (fun e ->
-        Format.printf "%-4s %s@." e.Experiments.All.id e.Experiments.All.name)
-      Experiments.All.all
-  in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
-
-let run_cmd =
-  let doc = "Run experiments and print their paper-vs-simulation tables." in
-  let run ids quick all jobs plan_file corrupt_file trace_dir channel_trace =
-    set_trace_config trace_dir;
-    set_channel_trace channel_trace;
-    let plan =
-      match plan_file with
-      | None -> None
-      | Some path -> (
-          match Handover.Plan.load path with
-          | Ok p -> Some p
-          | Error e ->
-              Format.eprintf "%s@." e;
-              exit 2)
-    in
-    let corrupt = Option.map load_corrupt_script corrupt_file in
-    let selected = select_experiments ids all in
-    match (plan, corrupt) with
-    | None, None ->
-        if all || ids = [] then
-          Experiments.All.run_all ~quick ?jobs Format.std_formatter
-        else
-          List.iter
-            (fun e -> e.Experiments.All.run ~quick Format.std_formatter)
-            selected
-    | plan, corrupt ->
-        (* a plan override only affects E21, a corruption script only
-           E22; render sequentially so the overrides don't have to cross
-           worker domains *)
-        List.iter
-          (fun e ->
-            match (e.Experiments.All.id, plan, corrupt) with
-            | "e21", Some p, _ ->
-                Experiments.E21_handover.run ~plan:p ~quick
-                  Format.std_formatter
-            | "e22", _, Some spec ->
-                Experiments.E22_corruption.run ~spec ~quick
-                  Format.std_formatter
-            | _ -> e.Experiments.All.run ~quick Format.std_formatter)
-          selected
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ ids_arg $ quick_arg $ all_arg $ jobs_arg $ contact_plan_arg
-      $ corrupt_script_arg $ trace_dir_arg $ channel_trace_arg)
 
 (* --- experiments: the replicated matrix runner ------------------------- *)
 
@@ -233,8 +177,8 @@ let matrix_opts =
     const make $ jobs_arg $ root_seed $ json $ out $ no_meta $ trace_dir_arg)
 
 (* Attach run metadata (unless --no-meta), write --out, then print the
-   report as JSON or as text tables. *)
-let print_matrix o report =
+   report as JSON or, through [text], as text tables. *)
+let print_matrix ~text o report =
   let with_meta = not o.no_meta in
   let report =
     if with_meta then
@@ -252,7 +196,7 @@ let print_matrix o report =
     print_endline
       (Bench_report.Json.to_string ~indent:2
          (Bench_report.Matrix_report.to_json ~with_meta report))
-  else Experiments.Report.matrix Format.std_formatter report
+  else text Format.std_formatter report
 
 let experiments_list_cmd =
   let doc = "List experiments with their matrix point counts." in
@@ -276,7 +220,9 @@ let experiments_run_cmd =
      selected experiments, $(b,--replicates) times each with an \
      independent derived seed, in parallel across $(b,--jobs) workers. \
      Results (mean / stddev / 95% CI per metric) are identical for any \
-     job count."
+     job count. The text output is each experiment's paper-vs-simulation \
+     report, its simulated cells read from the matrix (with their CI \
+     when $(b,--replicates) is above 1); $(b,--json) gives every metric."
   in
   let replicates =
     Arg.(value & opt int 1
@@ -292,7 +238,7 @@ let experiments_run_cmd =
     let experiments =
       Experiments.All.matrix ~quick (select_experiments ids all)
     in
-    print_matrix o
+    print_matrix ~text:(Experiments.All.report ~quick) o
       (Runner.run ~jobs:o.jobs ~root_seed:o.root_seed ~replicates experiments)
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -550,32 +496,16 @@ let trace_summary_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file.")
   in
   let run file =
+    let metrics = Trace.Metrics.create () in
     match
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+      Trace.Schema.fold_file file ~init:() (fun () ev ->
+          Trace.Metrics.observe metrics ev)
     with
-    | exception Sys_error e -> `Error (false, e)
-    | content -> (
-        let metrics = Trace.Metrics.create () in
-        let rec feed lineno = function
-          | [] -> Ok ()
-          | "" :: rest when List.for_all (String.equal "") rest -> Ok ()
-          | line :: rest -> (
-              match Trace.Event.of_line line with
-              | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-              | Ok ev ->
-                  Trace.Metrics.observe metrics ev;
-                  feed (lineno + 1) rest)
-        in
-        match feed 1 (String.split_on_char '\n' content) with
-        | Error e -> `Error (false, Printf.sprintf "%s: %s" file e)
-        | Ok () ->
-            print_endline
-              (Bench_report.Json.to_string ~indent:2
-                 (Trace.Metrics.to_json metrics));
-            `Ok ())
+    | Error e -> `Error (false, Printf.sprintf "%s: %s" file e)
+    | Ok () ->
+        print_endline
+          (Bench_report.Json.to_string ~indent:2 (Trace.Metrics.to_json metrics));
+        `Ok ()
   in
   Cmd.v (Cmd.info "summary" ~doc) Term.(ret (const run $ file))
 
@@ -605,7 +535,7 @@ let soak_cmd ~doc (h : Experiments.Soak.harness) =
     let report =
       Experiments.Soak.run ~jobs:o.jobs ~root_seed:o.root_seed ~schedules h
     in
-    print_matrix o report;
+    print_matrix ~text:Experiments.Report.matrix o report;
     match Experiments.Soak.unsafe_points h report with
     | [] -> ()
     | labels ->
@@ -1278,7 +1208,7 @@ let channel_record_cmd =
       Printf.sprintf
         "recorded: lams forward-link I-frame fates seed=%d frames=%d %s" seed
         frames
-        (Channel.Error_model.describe (Experiments.Scenario.iframe_error cfg))
+        (Channel.Model.describe (Experiments.Scenario.iframe_error cfg))
     in
     Trace.Fates.save ~comment fates out;
     Format.printf "%s: %d fates captured (%d unique deliveries)@." out
@@ -1346,8 +1276,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd;
-            run_cmd;
             sim_cmd;
             experiments_cmd;
             trace_cmd;

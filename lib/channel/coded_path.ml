@@ -72,7 +72,7 @@ let channel_pass t frame =
   in
   let n = Fec.Bitbuf.length coded in
   Model.Positions.clear t.flips;
-  Error_model.error_positions_into t.error_model t.rng ~bits:n t.flips;
+  Model.error_positions_into t.error_model t.rng ~bits:n t.flips;
   let nflips = Model.Positions.length t.flips in
   for i = 0 to nflips - 1 do
     let pos = Model.Positions.unsafe_get t.flips i in

@@ -4,13 +4,13 @@ let create engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
   let rng_fwd = Sim.Rng.split rng and rng_rev = Sim.Rng.split rng in
   let forward =
     Link.create engine ~rng:rng_fwd ~distance_m ~data_rate_bps
-      ~iframe_error:(Error_model.copy iframe_error)
-      ~cframe_error:(Error_model.copy cframe_error)
+      ~iframe_error:(Model.copy iframe_error)
+      ~cframe_error:(Model.copy cframe_error)
   in
   let reverse =
     Link.create engine ~rng:rng_rev ~distance_m ~data_rate_bps
-      ~iframe_error:(Error_model.copy iframe_error)
-      ~cframe_error:(Error_model.copy cframe_error)
+      ~iframe_error:(Model.copy iframe_error)
+      ~cframe_error:(Model.copy cframe_error)
   in
   { forward; reverse }
 

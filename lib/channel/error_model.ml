@@ -359,15 +359,6 @@ let gilbert_elliott ?(frame_loss = 0.) ~ber_good ~ber_bad ~mean_burst_bits
       state = Good;
     }
 
-(* --- dispatch (aliases of the Model wrappers) --------------------------- *)
-
-let fate = Model.fate
-let advance = Model.advance
-let error_positions_into = Model.error_positions_into
-let frame_error_prob = Model.frame_error_prob
-let copy = Model.copy
-let describe = Model.describe
-
 let ber_for_frame_error_prob ~bits ~fer =
   if bits <= 0 then invalid_arg "ber_for_frame_error_prob: bits must be > 0";
   if not (fer >= 0. && fer < 1.) then

@@ -11,7 +11,8 @@
     Each constructor here is a backend of the pluggable {!Model}
     interface: [type t = Model.t], so these synthetic processes compose
     freely with {!Trace_model} replay and {!Calibrate} fits anywhere a
-    channel model is consumed ({!Link}, {!Coded_path}, {!Duplex}).
+    channel model is consumed ({!Link}, {!Coded_path}, {!Duplex}), and
+    are drawn from through {!Model}'s dispatch functions.
 
     A frame's fate distinguishes header and payload damage because the
     receiver can still identify (and therefore NAK) a frame whose header
@@ -32,7 +33,12 @@ val perfect : t
 
 val uniform : ?frame_loss:float -> ber:float -> unit -> t
 (** Independent bit errors at rate [ber]; additionally each frame is
-    wholly lost with probability [frame_loss] (default 0). *)
+    wholly lost with probability [frame_loss] (default 0). Frame loss is
+    a frame-scale abstraction: {!Model.error_positions_into} never loses
+    a frame. The per-frame error probability is memoised by bit count,
+    so steady links (constant header/payload sizes) skip the
+    [expm1]/[log1p] pair after the first frame; the draw stream is
+    unchanged. {!Model.frame_error_prob} is exact. *)
 
 val gilbert_elliott :
   ?frame_loss:float ->
@@ -45,35 +51,11 @@ val gilbert_elliott :
 (** Two-state chain: the {e bad} (mispointing) state has BER [ber_bad]
     and mean sojourn [mean_burst_bits]; the {e good} state has
     [ber_good] and mean sojourn [mean_gap_bits]. Sojourns are geometric
-    (memoryless per bit). *)
-
-val fate : t -> Sim.Rng.t -> header_bits:int -> payload_bits:int -> fate
-(** Draw the fate of one frame and advance burst state by
-    [header_bits + payload_bits]. For [uniform], the per-frame error
-    probability is memoised by bit count, so steady links (constant
-    header/payload sizes) skip the [expm1]/[log1p] pair after the first
-    frame; the draw stream is unchanged. *)
-
-val advance : t -> Sim.Rng.t -> bits:int -> unit
-(** Advance the burst-state chain as if [bits] bit-times passed with
-    nothing transmitted. Mispointing is a wall-clock process: the link
-    layer calls this for idle gaps so that a stalled sender can outwait a
-    burst. No-op for memoryless models. *)
-
-val error_positions_into :
-  t -> Sim.Rng.t -> bits:int -> Model.Positions.t -> unit
-(** Exact bit-level sampling: append the positions (ascending, distinct,
-    in [0, bits)) where the channel flips a bit to the caller's scratch
-    vector, advancing burst state by [bits]. Used by the bit-level coded
-    path ({!Coded_path}) where frames are really serialised, FEC-encoded
-    and damaged bit by bit — the scratch vector is reused per frame, so
-    sampling allocates nothing in steady state. [Lost] outcomes do not
-    occur at this level (frame loss is a frame-scale abstraction). *)
-
-val frame_error_prob : t -> bits:int -> float
-(** Analytic frame-error probability (any bit error or loss) for a frame
-    of [bits] bits. Exact for [perfect] and [uniform]; for
-    Gilbert–Elliott it is the stationary-state approximation. *)
+    (memoryless per bit). Mispointing is a wall-clock process: the link
+    calls {!Model.advance} over idle gaps, so a stalled sender can
+    outwait a burst. {!Model.frame_error_prob} is the stationary-state
+    approximation: the BER averaged over the chain's stationary
+    distribution. *)
 
 val ber_for_frame_error_prob : bits:int -> fer:float -> float
 (** Inverse of the uniform model's FER: the BER that gives frame error
@@ -83,8 +65,3 @@ val p_any_error : ber:float -> bits:int -> float
 (** P[at least one error in [bits] bits at rate [ber]], computed without
     float underflow. Shared by the synthetic backends, {!Calibrate}'s
     moment matching, and trace analysis. *)
-
-val copy : t -> t
-(** Independent copy with the same parameters and current state. *)
-
-val describe : t -> string

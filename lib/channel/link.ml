@@ -209,8 +209,8 @@ let deliver t frame =
       | Replace _ -> Error_model.Clean
       | Pass ->
           let model = error_model t frame in
-          Error_model.advance model t.rng ~bits:idle_bits;
-          Error_model.fate model t.rng ~header_bits ~payload_bits
+          Model.advance model t.rng ~bits:idle_bits;
+          Model.fate model t.rng ~header_bits ~payload_bits
     in
     match fate with
     | Error_model.Lost ->

@@ -1,156 +1,39 @@
 type t = {
   id : string;
   name : string;
-  run : ?quick:bool -> Format.formatter -> unit;
+  report :
+    quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit;
   points : quick:bool -> Runner.point list;
 }
 
+let entry id name report points = { id; name; report; points }
+
 let all =
   [
-    {
-      id = "e1";
-      name = E1_mean_periods.name;
-      run = E1_mean_periods.run;
-      points = E1_mean_periods.points;
-    };
-    {
-      id = "e2";
-      name = E2_low_traffic_delay.name;
-      run = E2_low_traffic_delay.run;
-      points = E2_low_traffic_delay.points;
-    };
-    {
-      id = "e3";
-      name = E3_holding_time.name;
-      run = E3_holding_time.run;
-      points = E3_holding_time.points;
-    };
-    {
-      id = "e4";
-      name = E4_transparent_buffer.name;
-      run = E4_transparent_buffer.run;
-      points = E4_transparent_buffer.points;
-    };
-    {
-      id = "e5";
-      name = E5_throughput_vs_n.name;
-      run = E5_throughput_vs_n.run;
-      points = E5_throughput_vs_n.points;
-    };
-    {
-      id = "e6";
-      name = E6_throughput_vs_ber.name;
-      run = E6_throughput_vs_ber.run;
-      points = E6_throughput_vs_ber.points;
-    };
-    {
-      id = "e7";
-      name = E7_ablation.name;
-      run = E7_ablation.run;
-      points = E7_ablation.points;
-    };
-    {
-      id = "e8";
-      name = E8_burst_errors.name;
-      run = E8_burst_errors.run;
-      points = E8_burst_errors.points;
-    };
-    {
-      id = "e9";
-      name = E9_link_failure.name;
-      run = E9_link_failure.run;
-      points = E9_link_failure.points;
-    };
-    {
-      id = "e10";
-      name = E10_ntotal.name;
-      run = E10_ntotal.run;
-      points = E10_ntotal.points;
-    };
-    {
-      id = "e11";
-      name = E11_retransmission_prob.name;
-      run = E11_retransmission_prob.run;
-      points = E11_retransmission_prob.points;
-    };
-    {
-      id = "e12";
-      name = E12_numbering.name;
-      run = E12_numbering.run;
-      points = E12_numbering.points;
-    };
-    {
-      id = "e13";
-      name = E13_arq_variants.name;
-      run = E13_arq_variants.run;
-      points = E13_arq_variants.points;
-    };
-    {
-      id = "e14";
-      name = E14_window_scaling.name;
-      run = E14_window_scaling.run;
-      points = E14_window_scaling.points;
-    };
-    {
-      id = "e15";
-      name = E15_fec_residual.name;
-      run = E15_fec_residual.run;
-      points = E15_fec_residual.points;
-    };
-    {
-      id = "e16";
-      name = E16_contact_window.name;
-      run = E16_contact_window.run;
-      points = E16_contact_window.points;
-    };
-    {
-      id = "e17";
-      name = E17_nbdt.name;
-      run = E17_nbdt.run;
-      points = E17_nbdt.points;
-    };
-    {
-      id = "e18";
-      name = E18_hybrid_arq.name;
-      run = E18_hybrid_arq.run;
-      points = E18_hybrid_arq.points;
-    };
-    {
-      id = "e19";
-      name = E19_delay_distribution.name;
-      run = E19_delay_distribution.run;
-      points = E19_delay_distribution.points;
-    };
-    {
-      id = "e20";
-      name = E20_multihop.name;
-      run = E20_multihop.run;
-      points = E20_multihop.points;
-    };
-    {
-      id = "e21";
-      name = E21_handover.name;
-      run = (fun ?quick ppf -> E21_handover.run ?quick ppf);
-      points = E21_handover.points;
-    };
-    {
-      id = "e22";
-      name = E22_corruption.name;
-      run = (fun ?quick ppf -> E22_corruption.run ?quick ppf);
-      points = E22_corruption.points;
-    };
-    {
-      id = "e23";
-      name = E23_trace_replay.name;
-      run = (fun ?quick ppf -> E23_trace_replay.run ?quick ppf);
-      points = E23_trace_replay.points;
-    };
-    {
-      id = "e24";
-      name = E24_feedback.name;
-      run = E24_feedback.run;
-      points = E24_feedback.points;
-    };
+    E1_mean_periods.(entry "e1" name report points);
+    E2_low_traffic_delay.(entry "e2" name report points);
+    E3_holding_time.(entry "e3" name report points);
+    E4_transparent_buffer.(entry "e4" name report points);
+    E5_throughput_vs_n.(entry "e5" name report points);
+    E6_throughput_vs_ber.(entry "e6" name report points);
+    E7_ablation.(entry "e7" name report points);
+    E8_burst_errors.(entry "e8" name report points);
+    E9_link_failure.(entry "e9" name report points);
+    E10_ntotal.(entry "e10" name report points);
+    E11_retransmission_prob.(entry "e11" name report points);
+    E12_numbering.(entry "e12" name report points);
+    E13_arq_variants.(entry "e13" name report points);
+    E14_window_scaling.(entry "e14" name report points);
+    E15_fec_residual.(entry "e15" name report points);
+    E16_contact_window.(entry "e16" name report points);
+    E17_nbdt.(entry "e17" name report points);
+    E18_hybrid_arq.(entry "e18" name report points);
+    E19_delay_distribution.(entry "e19" name report points);
+    E20_multihop.(entry "e20" name report points);
+    E21_handover.(entry "e21" name report points);
+    E22_corruption.(entry "e22" name report points);
+    E23_trace_replay.(entry "e23" name report points);
+    E24_feedback.(entry "e24" name report points);
   ]
 
 let find id =
@@ -162,22 +45,8 @@ let matrix ?(quick = false) selected =
     (fun e -> { Runner.id = e.id; name = e.name; points = e.points ~quick })
     selected
 
-let run_all ?quick ?jobs ppf =
-  let jobs =
-    max 1 (match jobs with Some j -> j | None -> Runner.Pool.default_jobs ())
-  in
-  (* Render every report into its own buffer (safe to do from any
-     domain: each run builds a private engine and formatter), then print
-     in registry order so the output is independent of the job count. *)
-  let outputs =
-    Runner.Pool.map ~jobs
-      (fun e ->
-        let buf = Buffer.create 4096 in
-        let bppf = Format.formatter_of_buffer buf in
-        e.run ?quick bppf;
-        Format.pp_print_flush bppf ();
-        Buffer.contents buf)
-      (Array.of_list all)
-  in
-  Array.iter (Format.pp_print_string ppf) outputs;
-  Format.pp_print_flush ppf ()
+let report ~quick ppf (r : Bench_report.Matrix_report.t) =
+  Report.matrix ppf r ~render:(fun ppf (m : Bench_report.Matrix_report.experiment) ->
+      match find m.id with
+      | Some e -> e.report ~quick m ppf
+      | None -> invalid_arg ("All.report: unknown experiment " ^ m.id))

@@ -3,7 +3,9 @@
 type t = {
   id : string;
   name : string;
-  run : ?quick:bool -> Format.formatter -> unit;
+  report :
+    quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit;
+      (** The text report, rendered from this experiment's matrix run. *)
   points : quick:bool -> Runner.point list;
       (** Parameter points for the replicated matrix runner. *)
 }
@@ -16,8 +18,7 @@ val find : string -> t option
 val matrix : ?quick:bool -> t list -> Runner.experiment list
 (** Package experiments for {!Runner.run}. [quick] defaults to false. *)
 
-val run_all : ?quick:bool -> ?jobs:int -> Format.formatter -> unit
-(** Print every experiment's report in registry order. Reports are
-    rendered concurrently across [jobs] workers (each into a private
-    buffer) and printed sequentially, so the text is identical for any
-    job count. [jobs] defaults to {!Runner.Pool.default_jobs}. *)
+val report : quick:bool -> Format.formatter -> Bench_report.Matrix_report.t -> unit
+(** Print a matrix report as text: the {!Report.matrix} header, then the
+    report of each experiment it holds, in its order. [quick] must be
+    the mode the matrix ran in, so each report walks the same grid. *)

@@ -1,65 +1,9 @@
 let name = "E11 retransmission probability (NAK-only advantage)"
 
-(* per-transmission retransmission fraction *)
-let sim_p_r (r : Scenario.result) =
-  let m = r.Scenario.metrics in
-  let total = m.Dlc.Metrics.iframes_sent + m.Dlc.Metrics.retransmissions in
-  if total = 0 then nan
-  else float_of_int m.Dlc.Metrics.retransmissions /. float_of_int total
-
-let points ~quick =
+(* Per BER: P_F of an I-frame, the LAMS config and the HDLC config. *)
+let grid ~quick =
   let n = if quick then 500 else 3000 in
-  List.concat_map
-    (fun ber ->
-      let base = { Scenario.default with Scenario.ber; n_frames = n } in
-      let p_f =
-        Analysis.Common.p_any_error ~ber ~bits:(Scenario.iframe_bits base)
-      in
-      let hdlc_cfg =
-        {
-          base with
-          Scenario.cframe_ber =
-            Channel.Error_model.ber_for_frame_error_prob
-              ~bits:(Scenario.cframe_bits ~protocol_kind:`Hdlc)
-              ~fer:p_f;
-        }
-      in
-      let lams_cfg = { base with Scenario.cframe_ber = 1e-9 } in
-      [
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "ber=%g/lams" ber)
-          lams_cfg
-          (Scenario.Lams (Scenario.default_lams_params lams_cfg));
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "ber=%g/hdlc" ber)
-          hdlc_cfg
-          (Scenario.Hdlc (Scenario.default_hdlc_params hdlc_cfg));
-      ])
-    (if quick then [ 1e-5 ] else [ 3e-6; 1e-5; 3e-5; 1e-4 ])
-
-let run ?(quick = false) ppf =
-  Report.section ppf ~id:"E11"
-    ~title:"retransmission probability: NAK-only vs pos-ack (P_C = P_F)";
-  Report.note ppf
-    "Per paper §2: HDLC's (piggybacked) acknowledgements fail as often as\n\
-     I-frames (P_C = P_F), giving P_R = 2P_F - P_F^2; LAMS-DLC commands ride\n\
-     their own strong FEC (assumption 4) and only the I-frame loss counts,\n\
-     P_R = P_F. The HDLC control channel is degraded accordingly; the LAMS\n\
-     one keeps its designed coding.";
-  let n = if quick then 500 else 3000 in
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "ber";
-          "P_F";
-          "lams P_R model";
-          "lams P_R sim";
-          "hdlc P_R model";
-          "hdlc P_R sim";
-        ]
-  in
-  List.iter
+  List.map
     (fun ber ->
       let base = { Scenario.default with Scenario.ber; n_frames = n } in
       let p_f =
@@ -77,18 +21,60 @@ let run ?(quick = false) ppf =
         }
       in
       (* LAMS keeps assumption 4: strongly coded commands *)
-      let lams_cfg = { base with Scenario.cframe_ber = 1e-9 } in
-      let lams =
-        Scenario.run lams_cfg (Scenario.Lams (Scenario.default_lams_params lams_cfg))
-      in
-      let hdlc =
-        Scenario.run hdlc_cfg (Scenario.Hdlc (Scenario.default_hdlc_params hdlc_cfg))
-      in
-      let p_r_hdlc = p_f +. p_f -. (p_f *. p_f) in
+      (ber, p_f, { base with Scenario.cframe_ber = 1e-9 }, hdlc_cfg))
+    (if quick then [ 1e-5 ] else [ 3e-6; 1e-5; 3e-5; 1e-4 ])
+
+let label ber tag = Printf.sprintf "ber=%g/%s" ber tag
+
+let points ~quick =
+  List.concat_map
+    (fun (ber, _, lams_cfg, hdlc_cfg) ->
+      [
+        Scenario.matrix_point ~label:(label ber "lams") lams_cfg
+          (Scenario.Lams (Scenario.default_lams_params lams_cfg));
+        Scenario.matrix_point ~label:(label ber "hdlc") hdlc_cfg
+          (Scenario.Hdlc (Scenario.default_hdlc_params hdlc_cfg));
+      ])
+    (grid ~quick)
+
+(* per-transmission retransmission fraction *)
+let sim_p_r e label =
+  let m = Report.mean e label in
+  Report.ratio (m "retransmissions") (m "iframes_sent" +. m "retransmissions")
+
+let report ~quick e ppf =
+  Report.section ppf ~id:"E11"
+    ~title:"retransmission probability: NAK-only vs pos-ack (P_C = P_F)";
+  Report.note ppf
+    "Per paper §2: HDLC's (piggybacked) acknowledgements fail as often as\n\
+     I-frames (P_C = P_F), giving P_R = 2P_F - P_F^2; LAMS-DLC commands ride\n\
+     their own strong FEC (assumption 4) and only the I-frame loss counts,\n\
+     P_R = P_F. The HDLC control channel is degraded accordingly; the LAMS\n\
+     one keeps its designed coding.";
+  let table =
+    Stats.Table.create
+      ~header:
+        [
+          "ber";
+          "P_F";
+          "lams P_R model";
+          "lams P_R sim";
+          "hdlc P_R model";
+          "hdlc P_R sim";
+        ]
+  in
+  List.iter
+    (fun (ber, p_f, _, _) ->
       Stats.Table.add_float_row table
         (Printf.sprintf "%g" ber)
-        [ p_f; p_f; sim_p_r lams; p_r_hdlc; sim_p_r hdlc ])
-    (if quick then [ 1e-5 ] else [ 3e-6; 1e-5; 3e-5; 1e-4 ]);
+        [
+          p_f;
+          p_f;
+          sim_p_r e (label ber "lams");
+          p_f +. p_f -. (p_f *. p_f);
+          sim_p_r e (label ber "hdlc");
+        ])
+    (grid ~quick);
   Report.table ppf table;
   Report.note ppf
     "The HDLC sim sits between P_F and the model because cumulative RRs\n\

@@ -12,4 +12,6 @@ val name : string
 val points : quick:bool -> Runner.point list
 (** Parameter points for the replicated matrix runner. *)
 
-val run : ?quick:bool -> Format.formatter -> unit
+val report :
+  quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit
+(** Print the text report from the experiment's matrix run. *)

@@ -14,4 +14,8 @@ val name : string
 val points : quick:bool -> Runner.point list
 (** Parameter points for the replicated matrix runner. *)
 
-val run : ?quick:bool -> Format.formatter -> unit
+val report :
+  quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit
+(** Print the text report. It ignores the matrix experiment and runs
+    its own sessions at the default seed, because the receive-buffer
+    peak is not a matrix metric. *)

@@ -60,7 +60,11 @@ let run_window ~seed ~o1 ~o2 ~window ~protocol =
   in
   Dlc.Metrics.unique_delivered r.Scenario.metrics
 
-let points ~quick =
+(* The pair's contact windows over four orbits, and the first window of
+   at least 120 s truncated to the lifetime slice simulated: 30 s in
+   quick mode, else 120 s (the matrix multiplies every point by the
+   replicate count). *)
+let contact ~quick =
   let o1, o2 = pair () in
   let horizon = 4. *. Orbit.Circular_orbit.period o1 in
   let windows = Orbit.Contact.windows o1 o2 ~from_t:0. ~until_t:horizon in
@@ -74,8 +78,6 @@ let points ~quick =
         | w :: _ -> w
         | [] -> failwith "no contact window found")
   in
-  (* shorter lifetime slices than the report run: the matrix multiplies
-     every point by the replicate count *)
   let lifetime_budget = if quick then 30. else 120. in
   let window =
     {
@@ -85,8 +87,16 @@ let points ~quick =
           (window.Orbit.Contact.t_start +. lifetime_budget);
     }
   in
-  let t_f = 8296. /. data_rate in
-  let overheads = if quick then [ 0.; 15. ] else [ 0.; 15.; 30.; 60. ] in
+  (o1, o2, horizon, windows, window)
+
+let t_f = 8296. /. data_rate
+
+let overheads ~quick = if quick then [ 0.; 15. ] else [ 0.; 15.; 30.; 60. ]
+
+let label overhead tag = Printf.sprintf "retarget=%g/%s" overhead tag
+
+let points ~quick =
+  let o1, o2, _, _, window = contact ~quick in
   List.concat_map
     (fun overhead ->
       match Orbit.Contact.usable window ~retarget_overhead:overhead with
@@ -96,7 +106,7 @@ let points ~quick =
           List.map
             (fun (tag, protocol) ->
               {
-                Runner.label = Printf.sprintf "retarget=%g/%s" overhead tag;
+                Runner.label = label overhead tag;
                 run =
                   (fun ~seed ->
                     let delivered =
@@ -109,45 +119,21 @@ let points ~quick =
                     ]);
               })
             [ ("lams", `Lams); ("hdlc", `Hdlc) ])
-    overheads
+    (overheads ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E16"
     ~title:"contact window: lifetime, retargeting overhead, volume";
-  let o1, o2 = pair () in
-  let horizon = 4. *. Orbit.Circular_orbit.period o1 in
-  let windows = Orbit.Contact.windows o1 o2 ~from_t:0. ~until_t:horizon in
-  let window =
-    match
-      List.find_opt (fun w -> Orbit.Contact.duration w >= 120.) windows
-    with
-    | Some w -> w
-    | None -> (
-        match windows with
-        | w :: _ -> w
-        | [] -> failwith "no contact window found")
-  in
-  (* simulate a representative lifetime slice so the event count stays
-     tractable; overhead fractions refer to this budget *)
-  let lifetime_budget = if quick then 60. else 240. in
-  let window =
-    {
-      window with
-      Orbit.Contact.t_end =
-        Float.min window.Orbit.Contact.t_end
-          (window.Orbit.Contact.t_start +. lifetime_budget);
-    }
-  in
-  let duration = Orbit.Contact.duration window in
+  let o1, o2, horizon, windows, window = contact ~quick in
   Format.fprintf ppf
     "pair: 1,000 km vs 2,000 km counter-plane orbits; first long \
      window truncated to a %.0f s lifetime slice (of %d windows in %.0f s);@ \
      mean range %.0f km; link rate %.0f Mbit/s (scaled; overhead fractions \
      are rate-independent)@."
-    duration (List.length windows) horizon
+    (Orbit.Contact.duration window)
+    (List.length windows) horizon
     (Orbit.Contact.mean_distance o1 o2 window ~samples:50 /. 1000.)
     (data_rate /. 1e6);
-  let t_f = 8296. /. data_rate in
   let table =
     Stats.Table.create
       ~header:
@@ -161,7 +147,6 @@ let run ?(quick = false) ppf =
           "hdlc eff";
         ]
   in
-  let overheads = if quick then [ 0.; 30. ] else [ 0.; 15.; 30.; 60.; 120. ] in
   List.iter
     (fun overhead ->
       match Orbit.Contact.usable window ~retarget_overhead:overhead with
@@ -169,21 +154,20 @@ let run ?(quick = false) ppf =
           Stats.Table.add_row table
             [ Printf.sprintf "%g" overhead; "0"; "-"; "-"; "-"; "-"; "-" ]
       | Some usable ->
-          let usable_s = Orbit.Contact.duration usable in
-          let lams = run_window ~seed:5 ~o1 ~o2 ~window:usable ~protocol:`Lams in
-          let hdlc = run_window ~seed:5 ~o1 ~o2 ~window:usable ~protocol:`Hdlc in
-          let eff n = float_of_int n *. t_f /. usable_s in
+          let lams = Report.cell e (label overhead "lams") in
+          let hdlc = Report.cell e (label overhead "hdlc") in
           Stats.Table.add_row table
             [
               Printf.sprintf "%g" overhead;
-              Printf.sprintf "%.0f" usable_s;
-              string_of_int lams;
-              Printf.sprintf "%.1f" (float_of_int lams /. 1024.);
-              Printf.sprintf "%.3f" (eff lams);
-              string_of_int hdlc;
-              Printf.sprintf "%.3f" (eff hdlc);
+              Printf.sprintf "%.0f" (Orbit.Contact.duration usable);
+              lams "delivered";
+              Printf.sprintf "%.1f"
+                (Report.mean e (label overhead "lams") "delivered" /. 1024.);
+              lams "efficiency";
+              hdlc "delivered";
+              hdlc "efficiency";
             ])
-    overheads;
+    (overheads ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: deliverable volume shrinks linearly with retargeting overhead\n\

@@ -4,17 +4,6 @@ let name = "E17 NBDT baselines vs LAMS-DLC"
 let run_nbdt cfg params =
   fst (Scenario.run_session (Scenario.resolve_trace cfg) (`Nbdt params))
 
-let row ~label (r : Scenario.result) =
-  let m = r.Scenario.metrics in
-  [
-    label;
-    Printf.sprintf "%.4f" r.Scenario.efficiency;
-    Printf.sprintf "%.4f" (Stats.Online.mean m.Dlc.Metrics.holding_time);
-    string_of_int m.Dlc.Metrics.send_buffer_peak;
-    string_of_int m.Dlc.Metrics.retransmissions;
-    string_of_int (Dlc.Metrics.loss m);
-  ]
-
 let nbdt_metrics (r : Scenario.result) =
   let m = r.Scenario.metrics in
   [
@@ -54,27 +43,27 @@ let sweep ~quick =
         ] ))
     (if quick then [ 1e-5 ] else [ 1e-6; 1e-5; 1e-4 ])
 
+let label ber tag = Printf.sprintf "ber=%g/%s" ber tag
+
 let points ~quick =
   List.concat_map
     (fun (ber, cfg, nbdt) ->
       List.map
         (fun (tag, params) ->
           {
-            Runner.label = Printf.sprintf "ber=%g/%s" ber tag;
+            Runner.label = label ber tag;
             run =
               (fun ~seed ->
                 nbdt_metrics (run_nbdt { cfg with Scenario.seed } params));
           })
         nbdt
       @ [
-          Scenario.matrix_point
-            ~label:(Printf.sprintf "ber=%g/lams" ber)
-            cfg
+          Scenario.matrix_point ~label:(label ber "lams") cfg
             (Scenario.Lams (Scenario.default_lams_params cfg));
         ])
     (sweep ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E17" ~title:"NBDT baselines vs LAMS-DLC";
   let table =
     Stats.Table.create
@@ -82,16 +71,20 @@ let run ?(quick = false) ppf =
         [ "ber / protocol"; "efficiency"; "holding s"; "sbuf peak"; "retx"; "loss" ]
   in
   List.iter
-    (fun (ber, cfg, nbdt) ->
-      let lbl s = Printf.sprintf "%g %s" ber s in
+    (fun (ber, _, nbdt) ->
       List.iter
-        (fun (tag, params) ->
-          Stats.Table.add_row table (row ~label:(lbl tag) (run_nbdt cfg params)))
-        nbdt;
-      let lams =
-        Scenario.run cfg (Scenario.Lams (Scenario.default_lams_params cfg))
-      in
-      Stats.Table.add_row table (row ~label:(lbl "lams") lams))
+        (fun tag ->
+          let cell = Report.cell e (label ber tag) in
+          Stats.Table.add_row table
+            [
+              Printf.sprintf "%g %s" ber tag;
+              cell "efficiency";
+              cell "holding_time_mean";
+              cell "send_buffer_peak";
+              cell "retransmissions";
+              cell "loss";
+            ])
+        (List.map fst nbdt @ [ "lams" ]))
     (sweep ~quick);
   Report.table ppf table;
   Report.note ppf

@@ -40,6 +40,19 @@ let run_hybrid ~cfg ~code_rate ~residual =
     *. t_f_raw /. elapsed
   else 0.
 
+(* codes carry no run state, but construct them per point anyway to keep
+   every task self-contained *)
+let schemes =
+  [
+    ("arq-only", None);
+    ("rs255-223", Some (fun () -> Fec.Reed_solomon.code ~n:255 ~k:223));
+    ("hamming74", Some (fun () -> Fec.Code.hamming74));
+  ]
+
+let bers ~quick = if quick then [ 1e-5; 1e-3 ] else [ 1e-6; 1e-5; 1e-4; 3e-4; 1e-3 ]
+
+let label ber tag = Printf.sprintf "ber=%g/%s" ber tag
+
 let points ~quick =
   let n = if quick then 500 else 2000 in
   let trials = if quick then 60 else 300 in
@@ -49,16 +62,6 @@ let points ~quick =
          ~payload:(Workload.Arrivals.default_payload ~size:1024 0))
   in
   let raw_bits = Frame.Wire.size_bits frame in
-  (* codes carry no run state, but construct them per point anyway to
-     keep every task self-contained *)
-  let schemes =
-    [
-      ("arq-only", None);
-      ("rs255-223", Some (fun () -> Fec.Reed_solomon.code ~n:255 ~k:223));
-      ("hamming74", Some (fun () -> Fec.Code.hamming74));
-    ]
-  in
-  let bers = if quick then [ 1e-5; 1e-3 ] else [ 1e-6; 1e-5; 1e-4; 3e-4; 1e-3 ] in
   List.concat_map
     (fun ber ->
       let cfg =
@@ -67,7 +70,7 @@ let points ~quick =
       List.map
         (fun (tag, code) ->
           {
-            Runner.label = Printf.sprintf "ber=%g/%s" ber tag;
+            Runner.label = label ber tag;
             run =
               (fun ~seed ->
                 let cfg = { cfg with Scenario.seed } in
@@ -94,59 +97,29 @@ let points ~quick =
                 ]);
           })
         schemes)
-    bers
+    (bers ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E18" ~title:"Type-I hybrid ARQ (FEC under the ARQ)";
-  let n = if quick then 500 else 2000 in
-  let trials = if quick then 60 else 300 in
-  let frame =
-    Frame.Wire.Data
-      (Frame.Iframe.create ~seq:0
-         ~payload:(Workload.Arrivals.default_payload ~size:1024 0))
-  in
-  let raw_bits = Frame.Wire.size_bits frame in
-  let schemes =
-    [
-      ("arq-only", None);
-      ("hybrid rs(255,223)", Some (Fec.Reed_solomon.code ~n:255 ~k:223));
-      ("hybrid hamming74", Some Fec.Code.hamming74);
-    ]
-  in
-  let bers = if quick then [ 1e-5; 1e-3 ] else [ 1e-6; 1e-5; 1e-4; 3e-4; 1e-3 ] in
   let table =
     Stats.Table.create
       ~header:[ "ber"; "scheme"; "code rate"; "residual P_F"; "efficiency" ]
   in
   List.iter
     (fun ber ->
-      let cfg = { Scenario.default with Scenario.ber; n_frames = n; horizon = 120. } in
       List.iter
-        (fun (label, code) ->
-          let rate, residual, eff =
-            match code with
-            | None ->
-                let p_f = Analysis.Common.p_any_error ~ber ~bits:raw_bits in
-                let r =
-                  Scenario.run { cfg with Scenario.cframe_ber = 1e-9 }
-                    (Scenario.Lams (Scenario.default_lams_params cfg))
-                in
-                (1., p_f, r.Scenario.efficiency)
-            | Some code ->
-                let rate = Fec.Code.rate code ~data_bits:raw_bits in
-                let residual = residual_fer ~seed:97 ~code ~ber ~trials ~frame in
-                (rate, residual, run_hybrid ~cfg ~code_rate:rate ~residual)
-          in
+        (fun (tag, _) ->
+          let cell = Report.cell e (label ber tag) in
           Stats.Table.add_row table
             [
               Printf.sprintf "%g" ber;
-              label;
-              Printf.sprintf "%.3f" rate;
-              Printf.sprintf "%.4f" residual;
-              Printf.sprintf "%.4f" eff;
+              tag;
+              cell "code_rate";
+              cell "residual_fer";
+              cell "efficiency";
             ])
         schemes)
-    bers;
+    (bers ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: the low-rate Hamming hybrid is pure overhead until extreme\n\

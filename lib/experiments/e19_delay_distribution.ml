@@ -30,16 +30,27 @@ let run_one ~cfg ~rate ~protocol =
       : Scenario.result * Oracle.t option);
   (online, hist)
 
-let points ~quick =
+let config ~quick =
   let n = if quick then 1000 else 5000 in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 120. } in
+  { Scenario.default with Scenario.n_frames = n; horizon = 120. }
+
+(* 4% of line rate sits under SR-HDLC's ~6% window duty cycle (both
+   protocols stable); 50% exceeds it (HDLC queue diverges) *)
+let loads = [ ("4%", 0.04); ("50%", 0.5) ]
+
+let protocols = [ ("lams", `Lams); ("hdlc", `Hdlc) ]
+
+let label load_label tag = Printf.sprintf "load=%s/%s" load_label tag
+
+let points ~quick =
+  let cfg = config ~quick in
   List.concat_map
     (fun (load_label, load) ->
       let rate = load /. Scenario.t_f cfg in
       List.map
         (fun (tag, protocol) ->
           {
-            Runner.label = Printf.sprintf "load=%s/%s" load_label tag;
+            Runner.label = label load_label tag;
             run =
               (fun ~seed ->
                 let online, hist =
@@ -54,47 +65,27 @@ let points ~quick =
                   ("delivered", Stats.Online.count online |> float_of_int);
                 ]);
           })
-        [ ("lams", `Lams); ("hdlc", `Hdlc) ])
-    [ ("4%", 0.04); ("50%", 0.5) ]
+        protocols)
+    loads
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E19" ~title:"delivery-delay distribution";
-  let n = if quick then 1000 else 5000 in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 120. } in
   Format.fprintf ppf "one-way flight = %.1f ms@."
-    (1000. *. Scenario.rtt cfg /. 2.);
+    (1000. *. Scenario.rtt (config ~quick) /. 2.);
+  let keys = [ "delay_mean_s"; "delay_p50_s"; "delay_p95_s"; "delay_p99_s"; "delay_max_s" ] in
   let table =
     Stats.Table.create
-      ~header:
-        [
-          "load / protocol";
-          "mean ms";
-          "p50 ms";
-          "p95 ms";
-          "p99 ms";
-          "max ms";
-        ]
+      ~header:[ "load / protocol"; "mean s"; "p50 s"; "p95 s"; "p99 s"; "max s" ]
   in
-  (* 4% of line rate sits under SR-HDLC's ~6% window duty cycle (both
-     protocols stable); 50% exceeds it (HDLC queue diverges) *)
   List.iter
-    (fun (load_label, load) ->
-      let rate = load /. Scenario.t_f cfg in
+    (fun (load_label, _) ->
       List.iter
-        (fun (label, protocol) ->
-          let online, hist = run_one ~cfg ~rate ~protocol in
-          let ms x = Printf.sprintf "%.2f" (1000. *. x) in
+        (fun (tag, _) ->
           Stats.Table.add_row table
-            [
-              Printf.sprintf "%s %s" load_label label;
-              ms (Stats.Online.mean online);
-              ms (Stats.Histogram.percentile hist 50.);
-              ms (Stats.Histogram.percentile hist 95.);
-              ms (Stats.Histogram.percentile hist 99.);
-              ms (Stats.Online.max online);
-            ])
-        [ ("lams", `Lams); ("sr-hdlc", `Hdlc) ])
-    [ ("4%", 0.04); ("50%", 0.5) ];
+            (Printf.sprintf "%s %s" load_label tag
+            :: List.map (Report.cell e (label load_label tag)) keys))
+        protocols)
+    loads;
   Report.table ppf table;
   Report.note ppf
     "Expect: at 4% load (inside SR-HDLC's ~6% duty cycle) both protocols\n\

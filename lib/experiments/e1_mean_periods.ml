@@ -1,57 +1,47 @@
 let name = "E1 mean periods s-bar vs BER"
 
-let points ~quick =
+let grid ~quick =
   let n_frames = if quick then 300 else 2000 in
   let bers = if quick then [ 1e-6; 1e-4 ] else [ 1e-6; 3e-6; 1e-5; 3e-5; 1e-4 ] in
+  List.map (fun ber -> (ber, { Scenario.default with Scenario.ber; n_frames })) bers
+
+let label ber tag = Printf.sprintf "ber=%g/%s" ber tag
+
+let points ~quick =
   List.concat_map
-    (fun ber ->
-      let cfg = { Scenario.default with Scenario.ber; n_frames } in
+    (fun (ber, cfg) ->
       [
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "ber=%g/lams" ber)
-          cfg
+        Scenario.matrix_point ~label:(label ber "lams") cfg
           (Scenario.Lams (Scenario.default_lams_params cfg));
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "ber=%g/hdlc" ber)
-          cfg
+        Scenario.matrix_point ~label:(label ber "hdlc") cfg
           (Scenario.Hdlc (Scenario.default_hdlc_params cfg));
       ])
-    bers
+    (grid ~quick)
 
-let sim_s_bar (r : Scenario.result) =
-  let m = r.Scenario.metrics in
-  let sent = m.Dlc.Metrics.iframes_sent + m.Dlc.Metrics.retransmissions in
-  let delivered = Dlc.Metrics.unique_delivered m in
-  if delivered = 0 then nan else float_of_int sent /. float_of_int delivered
+(* (first transmissions + retransmissions) / frames delivered *)
+let sim_s_bar e label =
+  let m = Report.mean e label in
+  Report.ratio (m "iframes_sent" +. m "retransmissions") (m "delivered")
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E1" ~title:"mean periods s-bar vs BER";
-  let n_frames = if quick then 300 else 2000 in
-  let bers = [ 1e-6; 3e-6; 1e-5; 3e-5; 1e-4 ] in
   let table =
     Stats.Table.create
       ~header:
         [ "ber"; "P_F"; "lams model"; "lams sim"; "hdlc model"; "hdlc sim" ]
   in
   List.iter
-    (fun ber ->
-      let cfg = { Scenario.default with Scenario.ber; n_frames } in
+    (fun (ber, cfg) ->
       let lams_link = Scenario.analytic_link cfg ~protocol_kind:`Lams in
       let hdlc_link = Scenario.analytic_link cfg ~protocol_kind:`Hdlc in
-      let lams =
-        Scenario.run cfg (Scenario.Lams (Scenario.default_lams_params cfg))
-      in
-      let hdlc =
-        Scenario.run cfg (Scenario.Hdlc (Scenario.default_hdlc_params cfg))
-      in
       Stats.Table.add_float_row table
         (Printf.sprintf "%g" ber)
         [
           lams_link.Analysis.Common.p_f;
           Analysis.Lams_model.s_bar lams_link;
-          sim_s_bar lams;
+          sim_s_bar e (label ber "lams");
           Analysis.Hdlc_model.s_bar hdlc_link;
-          sim_s_bar hdlc;
+          sim_s_bar e (label ber "hdlc");
         ])
-    bers;
+    (grid ~quick);
   Report.table ppf table

@@ -59,20 +59,30 @@ let run_one ~cfg ~hops ~messages ~message_bytes ~protocol =
     Stats.Online.max latency,
     Netstack.Resequencer.duplicates_dropped reseq )
 
+let messages ~quick = if quick then 10 else 40
+
+let message_bytes = 16_384
+
+let config = { Scenario.default with Scenario.ber = 1e-5; horizon = 60. }
+
+let hops ~quick = if quick then [ 2 ] else [ 1; 2; 4 ]
+
+let protocols = [ ("lams", `Lams); ("hdlc", `Hdlc) ]
+
+let label hops tag = Printf.sprintf "hops=%d/%s" hops tag
+
 let points ~quick =
-  let messages = if quick then 10 else 40 in
-  let message_bytes = 16_384 in
-  let cfg = { Scenario.default with Scenario.ber = 1e-5; horizon = 60. } in
+  let messages = messages ~quick in
   List.concat_map
     (fun hops ->
       List.map
         (fun (tag, protocol) ->
           {
-            Runner.label = Printf.sprintf "hops=%d/%s" hops tag;
+            Runner.label = label hops tag;
             run =
               (fun ~seed ->
                 let n, mean, worst, dups =
-                  run_one ~cfg:{ cfg with Scenario.seed } ~hops ~messages
+                  run_one ~cfg:{ config with Scenario.seed } ~hops ~messages
                     ~message_bytes ~protocol
                 in
                 [
@@ -82,46 +92,41 @@ let points ~quick =
                   ("dups_dropped", float_of_int dups);
                 ]);
           })
-        [ ("lams", `Lams); ("hdlc", `Hdlc) ])
-    (if quick then [ 2 ] else [ 1; 2; 4 ])
+        protocols)
+    (hops ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E20" ~title:"multi-hop store-and-forward";
-  let messages = if quick then 10 else 40 in
-  let message_bytes = 16_384 in
-  let cfg = { Scenario.default with Scenario.ber = 1e-5; horizon = 60. } in
   Format.fprintf ppf
     "%d messages of %d kB, fragmented at %d B, one per 2 ms; per-hop flight %.1f ms@."
-    messages (message_bytes / 1024) cfg.Scenario.payload_bytes
-    (1000. *. Scenario.rtt cfg /. 2.);
+    (messages ~quick) (message_bytes / 1024) config.Scenario.payload_bytes
+    (1000. *. Scenario.rtt config /. 2.);
   let table =
     Stats.Table.create
       ~header:
         [
           "hops / protocol";
           "delivered";
-          "mean latency ms";
-          "max latency ms";
+          "mean latency s";
+          "max latency s";
           "dups dropped";
         ]
   in
   List.iter
     (fun hops ->
       List.iter
-        (fun (label, protocol) ->
-          let n, mean, worst, dups =
-            run_one ~cfg ~hops ~messages ~message_bytes ~protocol
-          in
+        (fun (tag, _) ->
+          let cell = Report.cell e (label hops tag) in
           Stats.Table.add_row table
             [
-              Printf.sprintf "%d %s" hops label;
-              Printf.sprintf "%d/%d" n messages;
-              Printf.sprintf "%.2f" (1000. *. mean);
-              Printf.sprintf "%.2f" (1000. *. worst);
-              string_of_int dups;
+              Printf.sprintf "%d %s" hops tag;
+              cell "delivered";
+              cell "latency_mean_s";
+              cell "latency_max_s";
+              cell "dups_dropped";
             ])
-        [ ("lams", `Lams); ("sr-hdlc", `Hdlc) ])
-    (if quick then [ 2 ] else [ 1; 2; 4 ]);
+        protocols)
+    (hops ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: LAMS-DLC end-to-end latency ~ hops x one-way flight plus one\n\

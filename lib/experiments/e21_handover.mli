@@ -85,7 +85,6 @@ val soak_experiment : schedules:int -> Runner.experiment
     any schedule index reproduces identically on any worker of any
     [--jobs] run). *)
 
-val run : ?plan:Handover.Plan.t -> ?quick:bool -> Format.formatter -> unit
-(** Print the E21 report. [plan] overrides the scripted three-window
-    contact plan for every scenario (e.g. loaded from a file via
-    {!Handover.Plan.load}); default {!default_setup}'s plan. *)
+val report :
+  quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit
+(** Print the E21 report from its matrix run. *)

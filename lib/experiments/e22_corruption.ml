@@ -206,20 +206,20 @@ let handover_point ~label spec =
     run = (fun ~seed -> handover_metrics (run_handover ~seed spec));
   }
 
-let points ~quick =
+(* The single-session rows: variant and corruption class. *)
+let grid ~quick =
   let vs = if quick then [ Lams ] else variants in
   let cs = if quick then [ List.hd classes ] else classes in
-  List.concat_map
-    (fun v ->
-      List.map
-        (fun (cname, klass) ->
-          {
-            Runner.label = Printf.sprintf "%s/%s" (variant_tag v) cname;
-            run =
-              (fun ~seed -> outcome_metrics (run_one ~seed v (spec_of klass)));
-          })
-        cs)
-    vs
+  List.concat_map (fun v -> List.map (fun (cname, klass) -> (v, cname, klass)) cs) vs
+
+let points ~quick =
+  List.map
+    (fun (v, cname, klass) ->
+      {
+        Runner.label = Printf.sprintf "%s/%s" (variant_tag v) cname;
+        run = (fun ~seed -> outcome_metrics (run_one ~seed v (spec_of klass)));
+      })
+    (grid ~quick)
   @ [ handover_point ~label:"handover/carryover-stale" carryover_spec ]
 
 (* --- mid-handover corruption soak ---------------------------------------- *)
@@ -261,7 +261,7 @@ let soak_experiment ~schedules =
 
 (* --- report -------------------------------------------------------------- *)
 
-let run ?spec ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E22"
     ~title:"self-stabilisation: convergence after live-state corruption";
   Format.fprintf ppf
@@ -278,48 +278,35 @@ let run ?spec ?(quick = false) ppf =
           "variant";
           "class";
           "inj";
+          "skip";
           "tolerated";
           "converged";
-          "ttc (ms)";
+          "unconverged";
+          "ttc s";
           "declared";
           "oracle";
         ]
   in
-  let vs = if quick then [ Lams ] else variants in
-  (* a script override replaces the canonical one-shot classes: every
-     variant runs the whole script (the carryover row keeps its spec
-     unless the script is the override) *)
-  let rows =
-    match spec with
-    | Some s -> [ ("script", `Spec s) ]
-    | None ->
-        let cs =
-          if quick then [ List.hd classes; List.nth classes 3 ] else classes
-        in
-        List.map (fun (cname, klass) -> (cname, `Spec (spec_of klass))) cs
-  in
-  let add_row cname o =
-    Stats.Table.add_row table
-      [
-        o.variant;
-        cname;
-        (if o.injected > 0 then string_of_int o.injected
-         else Printf.sprintf "%d skip" o.skipped);
-        string_of_int o.tolerated;
-        Printf.sprintf "%d/%d" o.converged
-          (o.converged + if o.unconverged then 1 else 0);
-        Printf.sprintf "%.2f" (o.time_to_convergence *. 1e3);
-        (if o.declared_failure then "yes" else "-");
-        (if o.violation_count = 0 then "clean"
-         else string_of_int o.violation_count);
-      ]
-  in
   List.iter
-    (fun v ->
-      List.iter (fun (cname, `Spec s) -> add_row cname (run_one ~seed:11 v s)) rows)
-    vs;
-  add_row "carryover-stale"
-    (run_handover ~seed:11 (Option.value spec ~default:carryover_spec)).outcome;
+    (fun (variant, cname) ->
+      let label = variant ^ "/" ^ cname in
+      let cell = Report.cell e label in
+      Stats.Table.add_row table
+        [
+          variant;
+          cname;
+          cell "injected";
+          cell "skipped";
+          cell "tolerated";
+          cell "converged_windows";
+          cell "unconverged";
+          cell "time_to_convergence";
+          cell "declared_failure";
+          (if Report.mean e label "oracle_violations" = 0. then "clean"
+           else cell "oracle_violations");
+        ])
+    (List.map (fun (v, cname, _) -> (variant_tag v, cname)) (grid ~quick)
+    @ [ ("handover", "carryover-stale") ]);
   Report.table ppf table;
   Report.note ppf
     "Expect: every row clean with a finite time-to-convergence, or an\n\

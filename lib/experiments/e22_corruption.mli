@@ -111,8 +111,6 @@ val soak_experiment : schedules:int -> Runner.experiment
     matrix point per schedule, each an adversary script derived from the
     replicate's seed. *)
 
-val run : ?spec:Dlc.Corrupt.spec -> ?quick:bool -> Format.formatter -> unit
-(** Print the E22 report. [spec] (e.g. loaded from a [--corrupt-script]
-    file via {!Dlc.Corrupt.load}) replaces the canonical per-class
-    one-shot schedules: every variant, and the handover row, then runs
-    the whole script. *)
+val report :
+  quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit
+(** Print the E22 report from its matrix run. *)

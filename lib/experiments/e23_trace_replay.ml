@@ -154,12 +154,14 @@ let base_cfg ~quick =
 
 let trace_frames cfg = 4 * cfg.Scenario.n_frames
 
+let label spec = Printf.sprintf "%s/%s" spec.origin spec.tag
+
 let points ~quick =
   let cfg = base_cfg ~quick in
   List.map
     (fun spec ->
       {
-        Runner.label = Printf.sprintf "%s/%s" spec.origin spec.tag;
+        Runner.label = label spec;
         run =
           (fun ~seed ->
             let cfg = { cfg with Scenario.seed } in
@@ -179,7 +181,7 @@ let points ~quick =
       })
     (specs ~cfg)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E23"
     ~title:"trace replay vs calibrated Gilbert-Elliott twin";
   let cfg = base_cfg ~quick in
@@ -204,19 +206,20 @@ let run ?(quick = false) ppf =
   in
   List.iter
     (fun spec ->
-      let o = study ~cfg ~trace_frames:(trace_frames cfg) spec in
+      let label = label spec in
+      let cell = Report.cell e label in
+      let fit_ok = Report.mean e label "fit_ok" in
       Stats.Table.add_row table
         [
-          Printf.sprintf "%s/%s" spec.origin spec.tag;
-          Printf.sprintf "%.4f" o.trace_error_rate;
-          (match o.fit with Ok _ -> "ge" | Error _ -> "fallback");
-          (match o.fit with
-          | Ok f -> Printf.sprintf "%.3f" (Channel.Calibrate.residual f)
-          | Error _ -> "-");
-          Printf.sprintf "%.4f" o.eff_replay;
-          Printf.sprintf "%.4f" o.eff_twin;
-          Printf.sprintf "%+.1f%%" (100. *. o.divergence);
-          string_of_int o.violations;
+          label;
+          cell "trace_error_rate";
+          (if fit_ok = 1. then "ge" else if fit_ok = 0. then "fallback"
+           else cell "fit_ok");
+          (if fit_ok = 0. then "-" else cell "fit_residual");
+          cell "eff_replay";
+          cell "eff_twin";
+          cell "divergence";
+          cell "oracle_violations";
         ])
     (specs ~cfg);
   Report.table ppf table;

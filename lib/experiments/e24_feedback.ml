@@ -220,7 +220,8 @@ let outcome_metrics o =
     ("goodput_floor", (if Float.is_nan o.goodput_floor then 0. else o.goodput_floor));
   ]
 
-let points ~quick =
+(* The rows: variant, lie class and guard setting, with their label. *)
+let grid ~quick =
   let vs = if quick then [ Lams ] else variants in
   let ls = if quick then [ No_lie; Forge ] else lies in
   List.concat_map
@@ -229,16 +230,23 @@ let points ~quick =
         (fun l ->
           List.map
             (fun guard_on ->
-              {
-                Runner.label =
-                  Printf.sprintf "%s/%s/%s" (variant_tag v) (lie_tag l)
-                    (if guard_on then "guard" else "bare");
-                run =
-                  (fun ~seed -> outcome_metrics (run_one ~guard_on ~seed v l));
-              })
+              ( Printf.sprintf "%s/%s/%s" (variant_tag v) (lie_tag l)
+                  (if guard_on then "guard" else "bare"),
+                v,
+                l,
+                guard_on ))
             [ false; true ])
         ls)
     vs
+
+let points ~quick =
+  List.map
+    (fun (label, v, l, guard_on) ->
+      {
+        Runner.label;
+        run = (fun ~seed -> outcome_metrics (run_one ~guard_on ~seed v l));
+      })
+    (grid ~quick)
 
 (* --- lie soak ------------------------------------------------------------ *)
 
@@ -290,7 +298,20 @@ let soak_experiment ~schedules =
 
 (* --- report -------------------------------------------------------------- *)
 
-let run ?(quick = false) ppf =
+(* A row's outcome word, from its replicate means: any declared failure,
+   then any stall, then any episode left to the variant's own timeouts *)
+let outcome_word e label =
+  let m = Report.mean e label in
+  if m "failure_declared" > 0. then "failure declared"
+  else if m "completed" < 1. then
+    Printf.sprintf "STALLED (%g lost)" (float_of_int link.n_frames -. m "delivered")
+  else if m "unresolved" > 0. then
+    (* full delivery with no explicit resync closing the episode: the
+       variant's own timeout machinery rode out the disturbance *)
+    "converged (implicit)"
+  else "converged"
+
+let report ~quick e ppf =
   Report.section ppf ~id:"E24"
     ~title:"Byzantine feedback: lie classes x variants x guard";
   Format.fprintf ppf
@@ -313,49 +334,30 @@ let run ?(quick = false) ppf =
           "lies";
           "quar";
           "resync";
-          "ttr (ms)";
+          "ttr s";
           "wrongful";
           "delivered";
           "outcome";
         ]
   in
-  let vs = if quick then [ Lams ] else variants in
-  let ls = if quick then [ No_lie; Forge; Blackout ] else lies in
   List.iter
-    (fun v ->
-      List.iter
-        (fun l ->
-          List.iter
-            (fun guard_on ->
-              let o = run_one ~guard_on ~seed:11 v l in
-              let outcome =
-                if o.failure_declared then "failure declared"
-                else if not o.completed then
-                  Printf.sprintf "STALLED (%d lost)" (link.n_frames - o.delivered)
-                else if o.unresolved then
-                  (* full delivery with no explicit resync closing the
-                     episode: the variant's own timeout machinery rode
-                     out the disturbance *)
-                  "converged (implicit)"
-                else "converged"
-              in
-              Stats.Table.add_row table
-                [
-                  o.variant;
-                  o.lie;
-                  (if o.guarded then "on" else "off");
-                  string_of_int o.lies_told;
-                  string_of_int o.quarantines;
-                  string_of_int o.resyncs;
-                  Printf.sprintf "%.2f" (o.time_to_resync *. 1e3);
-                  (if o.wrongful = 0 then "0"
-                   else Printf.sprintf "%d !!" o.wrongful);
-                  string_of_int o.delivered;
-                  outcome;
-                ])
-            [ false; true ])
-        ls)
-    vs;
+    (fun (label, v, l, guard_on) ->
+      let cell = Report.cell e label in
+      Stats.Table.add_row table
+        [
+          variant_tag v;
+          lie_tag l;
+          (if guard_on then "on" else "off");
+          cell "lies";
+          cell "quarantines";
+          cell "resyncs";
+          cell "time_to_resync";
+          (if Report.mean e label "wrongful_releases" = 0. then "0"
+           else cell "wrongful_releases" ^ " !!");
+          cell "delivered";
+          outcome_word e label;
+        ])
+    (grid ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: with the guard off, forge-ack causes oracle-detected wrongful\n\

@@ -80,4 +80,6 @@ val soak_experiment : schedules:int -> Runner.experiment
 (** The lying-feedback soak's schedules ({!Soak.feedback}): guard always
     on, variant rotated per schedule. *)
 
-val run : ?quick:bool -> Format.formatter -> unit
+val report :
+  quick:bool -> Bench_report.Matrix_report.experiment -> Format.formatter -> unit
+(** Print the text report from the experiment's matrix run. *)

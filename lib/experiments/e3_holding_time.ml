@@ -1,69 +1,56 @@
 let name = "E3 LAMS-DLC holding time H_frame"
 
-let points ~quick =
+(* The two sweeps: BER at the default checkpoint interval, then the
+   checkpoint interval at the default BER. Per point: its label, its row
+   name, its config and its params. *)
+let sweeps ~quick =
   let n_frames = if quick then 300 else 2000 in
-  let ber_points =
-    List.map
+  ( List.map
       (fun ber ->
         let cfg = { Scenario.default with Scenario.ber; n_frames } in
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "ber=%g" ber)
-          cfg
-          (Scenario.Lams (Scenario.default_lams_params cfg)))
-      (if quick then [ 1e-6; 1e-4 ] else [ 1e-6; 1e-5; 3e-5; 1e-4 ])
-  in
-  let w_cp_points =
+        ( Printf.sprintf "ber=%g" ber,
+          Printf.sprintf "%g" ber,
+          cfg,
+          Scenario.default_lams_params cfg ))
+      (if quick then [ 1e-6; 1e-4 ] else [ 1e-6; 1e-5; 3e-5; 1e-4 ]),
     List.map
       (fun mult ->
         let cfg = { Scenario.default with Scenario.n_frames } in
         let w_cp = float_of_int mult *. Scenario.t_f cfg in
-        Scenario.matrix_point
-          ~label:(Printf.sprintf "w_cp=%dtf" mult)
-          cfg
-          (Scenario.Lams { Lams_dlc.Params.default with Lams_dlc.Params.w_cp }))
-      (if quick then [ 16; 256 ] else [ 16; 64; 256; 1024 ])
-  in
-  ber_points @ w_cp_points
+        ( Printf.sprintf "w_cp=%dtf" mult,
+          string_of_int mult,
+          cfg,
+          { Lams_dlc.Params.default with Lams_dlc.Params.w_cp } ))
+      (if quick then [ 16; 256 ] else [ 16; 64; 256; 1024 ]) )
 
-let run ?(quick = false) ppf =
+let points ~quick =
+  let bers, w_cps = sweeps ~quick in
+  List.map
+    (fun (label, _, cfg, params) ->
+      Scenario.matrix_point ~label cfg (Scenario.Lams params))
+    (bers @ w_cps)
+
+let report ~quick e ppf =
   Report.section ppf ~id:"E3" ~title:"LAMS-DLC mean holding time H_frame";
-  let n_frames = if quick then 300 else 2000 in
-  (* sweep 1: BER at the default checkpoint interval *)
-  let t1 =
-    Stats.Table.create ~header:[ "ber"; "H model s"; "H sim s"; "ratio" ]
+  let table header sweep =
+    let t = Stats.Table.create ~header:[ header; "H model s"; "H sim s"; "ratio" ] in
+    List.iter
+      (fun (label, row, cfg, params) ->
+        let link = Scenario.analytic_link cfg ~protocol_kind:`Lams in
+        let model =
+          Analysis.Lams_model.holding_time link ~i_cp:params.Lams_dlc.Params.w_cp
+        in
+        Stats.Table.add_row t
+          [
+            row;
+            Printf.sprintf "%.6g" model;
+            Report.cell e label "holding_time_mean";
+            Printf.sprintf "%.6g"
+              (Report.ratio (Report.mean e label "holding_time_mean") model);
+          ])
+      sweep;
+    Report.table ppf t
   in
-  List.iter
-    (fun ber ->
-      let cfg = { Scenario.default with Scenario.ber; n_frames } in
-      let params = Scenario.default_lams_params cfg in
-      let link = Scenario.analytic_link cfg ~protocol_kind:`Lams in
-      let model =
-        Analysis.Lams_model.holding_time link ~i_cp:params.Lams_dlc.Params.w_cp
-      in
-      let r = Scenario.run cfg (Scenario.Lams params) in
-      let sim = Stats.Online.mean r.Scenario.metrics.Dlc.Metrics.holding_time in
-      Stats.Table.add_float_row t1
-        (Printf.sprintf "%g" ber)
-        [ model; sim; Report.ratio sim model ])
-    [ 1e-6; 1e-5; 3e-5; 1e-4 ];
-  Report.table ppf t1;
-  (* sweep 2: checkpoint interval at the default BER *)
-  let t2 =
-    Stats.Table.create
-      ~header:[ "w_cp (frame times)"; "H model s"; "H sim s"; "ratio" ]
-  in
-  List.iter
-    (fun mult ->
-      let cfg = { Scenario.default with Scenario.n_frames } in
-      let w_cp = float_of_int mult *. Scenario.t_f cfg in
-      let params =
-        { Lams_dlc.Params.default with Lams_dlc.Params.w_cp }
-      in
-      let link = Scenario.analytic_link cfg ~protocol_kind:`Lams in
-      let model = Analysis.Lams_model.holding_time link ~i_cp:w_cp in
-      let r = Scenario.run cfg (Scenario.Lams params) in
-      let sim = Stats.Online.mean r.Scenario.metrics.Dlc.Metrics.holding_time in
-      Stats.Table.add_float_row t2 (string_of_int mult)
-        [ model; sim; Report.ratio sim model ])
-    (if quick then [ 16; 256 ] else [ 16; 64; 256; 1024 ]);
-  Report.table ppf t2
+  let bers, w_cps = sweeps ~quick in
+  table "ber" bers;
+  table "w_cp (frame times)" w_cps

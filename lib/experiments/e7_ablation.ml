@@ -1,35 +1,35 @@
 let name = "E7 ablation: w_cp and c_depth"
 
-let points ~quick =
+(* the elevated control-frame BER makes checkpoint losses frequent
+   enough for the cumulation depth to matter *)
+let grid ~quick =
   let n = if quick then 500 else 2000 in
   let cfg = { Scenario.default with Scenario.n_frames = n; cframe_ber = 1e-4 } in
   let w_cps = if quick then [ 16; 256 ] else [ 16; 64; 256; 1024 ] in
   let depths = if quick then [ 1; 3 ] else [ 1; 2; 3; 5 ] in
-  List.concat_map
-    (fun w_mult ->
-      List.map
-        (fun depth ->
-          let params =
-            {
-              Lams_dlc.Params.default with
-              Lams_dlc.Params.w_cp = float_of_int w_mult *. Scenario.t_f cfg;
-              c_depth = depth;
-            }
-          in
-          Scenario.matrix_point
-            ~label:(Printf.sprintf "w_cp=%d/c_depth=%d" w_mult depth)
-            cfg (Scenario.Lams params))
-        depths)
-    w_cps
+  ( cfg,
+    List.concat_map
+      (fun w_mult -> List.map (fun depth -> (w_mult, depth)) depths)
+      w_cps )
 
-let run ?(quick = false) ppf =
+let label (w_mult, depth) = Printf.sprintf "w_cp=%d/c_depth=%d" w_mult depth
+
+let points ~quick =
+  let cfg, cells = grid ~quick in
+  List.map
+    (fun ((w_mult, depth) as c) ->
+      let params =
+        {
+          Lams_dlc.Params.default with
+          Lams_dlc.Params.w_cp = float_of_int w_mult *. Scenario.t_f cfg;
+          c_depth = depth;
+        }
+      in
+      Scenario.matrix_point ~label:(label c) cfg (Scenario.Lams params))
+    cells
+
+let report ~quick e ppf =
   Report.section ppf ~id:"E7" ~title:"ablation of w_cp and c_depth";
-  let n = if quick then 500 else 2000 in
-  let cfg = { Scenario.default with Scenario.n_frames = n; cframe_ber = 1e-4 } in
-  (* the elevated control-frame BER makes checkpoint losses frequent
-     enough for the cumulation depth to matter *)
-  let w_cps = if quick then [ 16; 256 ] else [ 16; 64; 256; 1024 ] in
-  let depths = if quick then [ 1; 3 ] else [ 1; 2; 3; 5 ] in
   let table =
     Stats.Table.create
       ~header:
@@ -43,29 +43,18 @@ let run ?(quick = false) ppf =
         ]
   in
   List.iter
-    (fun w_mult ->
-      List.iter
-        (fun depth ->
-          let params =
-            {
-              Lams_dlc.Params.default with
-              Lams_dlc.Params.w_cp = float_of_int w_mult *. Scenario.t_f cfg;
-              c_depth = depth;
-            }
-          in
-          let r = Scenario.run cfg (Scenario.Lams params) in
-          let m = r.Scenario.metrics in
-          Stats.Table.add_float_row table
-            (Printf.sprintf "%d / %d" w_mult depth)
-            [
-              r.Scenario.efficiency;
-              Stats.Online.mean m.Dlc.Metrics.holding_time;
-              float_of_int m.Dlc.Metrics.control_sent;
-              float_of_int m.Dlc.Metrics.enforced_recoveries;
-              float_of_int (Dlc.Metrics.loss m);
-            ])
-        depths)
-    w_cps;
+    (fun ((w_mult, depth) as c) ->
+      let cell = Report.cell e (label c) in
+      Stats.Table.add_row table
+        [
+          Printf.sprintf "%d / %d" w_mult depth;
+          cell "efficiency";
+          cell "holding_time_mean";
+          cell "control_sent";
+          cell "enforced_recoveries";
+          cell "loss";
+        ])
+    (snd (grid ~quick));
   Report.table ppf table;
   Report.note ppf
     "Expect: holding time grows with w_cp; control frames shrink with w_cp;\n\

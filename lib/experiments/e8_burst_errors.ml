@@ -61,16 +61,22 @@ let run_one ~cfg ~burst_frames ~protocol =
     delivered = Dlc.Metrics.unique_delivered m;
   }
 
-let points ~quick =
+let bursts ~quick = if quick then [ 4.; 64. ] else [ 1.; 4.; 16.; 64.; 256. ]
+
+let config ~quick =
   let n = if quick then 500 else 2000 in
-  let bursts = if quick then [ 4.; 64. ] else [ 1.; 4.; 16.; 64.; 256. ] in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 120. } in
+  { Scenario.default with Scenario.n_frames = n; horizon = 120. }
+
+let label burst_frames tag = Printf.sprintf "burst=%g/%s" burst_frames tag
+
+let points ~quick =
+  let cfg = config ~quick in
   List.concat_map
     (fun burst_frames ->
       List.map
         (fun (tag, protocol) ->
           {
-            Runner.label = Printf.sprintf "burst=%g/%s" burst_frames tag;
+            Runner.label = label burst_frames tag;
             run =
               (fun ~seed ->
                 let o =
@@ -85,13 +91,11 @@ let points ~quick =
                 ]);
           })
         [ ("lams", `Lams); ("hdlc", `Hdlc) ])
-    bursts
+    (bursts ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E8" ~title:"burst errors (Gilbert-Elliott, correlated)";
-  let n = if quick then 500 else 2000 in
-  let bursts = if quick then [ 4.; 64. ] else [ 1.; 4.; 16.; 64.; 256. ] in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 120. } in
+  let cfg = config ~quick in
   let lams_params = Scenario.default_lams_params cfg in
   let coverage =
     float_of_int lams_params.Lams_dlc.Params.c_depth
@@ -116,20 +120,20 @@ let run ?(quick = false) ppf =
   in
   List.iter
     (fun burst_frames ->
-      let lams = run_one ~cfg ~burst_frames ~protocol:`Lams in
-      let hdlc = run_one ~cfg ~burst_frames ~protocol:`Hdlc in
+      let lams = Report.cell e (label burst_frames "lams") in
+      let hdlc = Report.cell e (label burst_frames "hdlc") in
       Stats.Table.add_row table
         [
           Printf.sprintf "%g" burst_frames;
-          Printf.sprintf "%.4f" lams.efficiency;
-          string_of_int lams.loss;
-          string_of_int lams.enforced;
-          string_of_bool lams.failed;
-          Printf.sprintf "%.4f" hdlc.efficiency;
-          string_of_int hdlc.loss;
-          string_of_bool hdlc.failed;
+          lams "efficiency";
+          lams "loss";
+          lams "enforced_recoveries";
+          lams "failed";
+          hdlc "efficiency";
+          hdlc "loss";
+          hdlc "failed";
         ])
-    bursts;
+    (bursts ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: lams loss = 0 while bursts stay under the C_depth*W_cp\n\

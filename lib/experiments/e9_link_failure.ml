@@ -70,11 +70,18 @@ let run_one ~blackout_start ~blackout_len ~cfg protocol =
     delivered = Dlc.Metrics.unique_delivered m;
   }
 
-let points ~quick =
+let config ~quick =
   let n = if quick then 2000 else 10000 in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 30. } in
-  let blackout_start = 0.02 in
-  let blackouts = if quick then [ 0.02; 1.0 ] else [ 0.01; 0.02; 0.05; 0.2; 1.0 ] in
+  { Scenario.default with Scenario.n_frames = n; horizon = 30. }
+
+let blackout_start = 0.02
+
+let blackouts ~quick = if quick then [ 0.02; 1.0 ] else [ 0.01; 0.02; 0.05; 0.2; 1.0 ]
+
+let label blackout_len tag = Printf.sprintf "blackout=%g/%s" blackout_len tag
+
+let points ~quick =
+  let cfg = config ~quick in
   let metrics (o : outcome) =
     [
       ("halt_detected_at", o.halt_detected_at);
@@ -87,34 +94,25 @@ let points ~quick =
   in
   List.concat_map
     (fun blackout_len ->
-      [
-        {
-          Runner.label = Printf.sprintf "blackout=%g/lams" blackout_len;
-          run =
-            (fun ~seed ->
-              metrics
-                (run_one ~blackout_start ~blackout_len
-                   ~cfg:{ cfg with Scenario.seed } `Lams));
-        };
-        {
-          Runner.label = Printf.sprintf "blackout=%g/hdlc" blackout_len;
-          run =
-            (fun ~seed ->
-              metrics
-                (run_one ~blackout_start ~blackout_len
-                   ~cfg:{ cfg with Scenario.seed } `Hdlc));
-        };
-      ])
-    blackouts
+      List.map
+        (fun (tag, protocol) ->
+          {
+            Runner.label = label blackout_len tag;
+            run =
+              (fun ~seed ->
+                metrics
+                  (run_one ~blackout_start ~blackout_len
+                     ~cfg:{ cfg with Scenario.seed } protocol));
+          })
+        [ ("lams", `Lams); ("hdlc", `Hdlc) ])
+    (blackouts ~quick)
 
-let run ?(quick = false) ppf =
+let report ~quick e ppf =
   Report.section ppf ~id:"E9"
     ~title:"link blackout: enforced recovery and failure detection";
-  let n = if quick then 2000 else 10000 in
-  let cfg = { Scenario.default with Scenario.n_frames = n; horizon = 30. } in
-  let params = Scenario.default_lams_params cfg in
-  let silence = Lams_dlc.Params.checkpoint_timeout params in
-  let blackout_start = 0.02 in
+  let silence =
+    Lams_dlc.Params.checkpoint_timeout (Scenario.default_lams_params (config ~quick))
+  in
   Format.fprintf ppf
     "checkpoint silence threshold C_depth*W_cp = %.4f s; blackout starts at %.3f s@."
     silence blackout_start;
@@ -133,24 +131,23 @@ let run ?(quick = false) ppf =
           "hdlc delivered";
         ]
   in
-  let blackouts = if quick then [ 0.02; 1.0 ] else [ 0.01; 0.02; 0.05; 0.2; 1.0 ] in
   List.iter
     (fun blackout_len ->
-      let o = run_one ~blackout_start ~blackout_len ~cfg `Lams in
-      let h = run_one ~blackout_start ~blackout_len ~cfg `Hdlc in
+      let lams = Report.cell e (label blackout_len "lams") in
+      let hdlc = Report.cell e (label blackout_len "hdlc") in
       Stats.Table.add_row table
         [
           Printf.sprintf "%g" blackout_len;
-          Printf.sprintf "%.4f" o.halt_detected_at;
-          Printf.sprintf "%.4f" o.recovered_at;
-          string_of_bool o.declared_failed;
-          string_of_int o.loss;
-          string_of_int o.duplicates;
-          string_of_int o.delivered;
-          string_of_bool h.declared_failed;
-          string_of_int h.delivered;
+          lams "halt_detected_at";
+          lams "recovered_at";
+          lams "declared_failed";
+          lams "loss";
+          lams "duplicates";
+          lams "delivered";
+          hdlc "declared_failed";
+          hdlc "delivered";
         ])
-    blackouts;
+    (blackouts ~quick);
   Report.table ppf table;
   Report.note ppf
     "Expect: halt within C_depth*W_cp of the blackout; short blackouts\n\

@@ -2,8 +2,14 @@ type window = { t_start : float; t_end : float }
 
 let duration w = w.t_end -. w.t_start
 
-let linked ?(max_range_m = 10_000_000.) o1 o2 ~at =
+(* The paper's upper link distance, 10,000 km, also bounds the link. *)
+let max_range_m = 10_000_000.
+
+let linked o1 o2 ~at =
   Geometry.line_of_sight o1 o2 ~at && Geometry.distance_m o1 o2 ~at <= max_range_m
+
+(* Sampling period of the visibility scan, seconds. *)
+let step = 10.
 
 (* Refine a state change known to lie in (lo, hi] down to ~1 ms. *)
 let refine_edge cond ~lo ~hi =
@@ -16,10 +22,9 @@ let refine_edge cond ~lo ~hi =
   in
   loop lo hi
 
-let windows ?(step = 10.) ?max_range_m o1 o2 ~from_t ~until_t =
-  if step <= 0. then invalid_arg "Contact.windows: step must be > 0";
+let windows o1 o2 ~from_t ~until_t =
   if until_t < from_t then invalid_arg "Contact.windows: empty horizon";
-  let cond at = linked ?max_range_m o1 o2 ~at in
+  let cond at = linked o1 o2 ~at in
   let result = ref [] in
   let open_start = ref (if cond from_t then Some from_t else None) in
   let t = ref from_t in

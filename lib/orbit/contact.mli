@@ -12,17 +12,11 @@ type window = { t_start : float; t_end : float }
 val duration : window -> float
 
 val windows :
-  ?step:float ->
-  ?max_range_m:float ->
-  Circular_orbit.t ->
-  Circular_orbit.t ->
-  from_t:float ->
-  until_t:float ->
-  window list
+  Circular_orbit.t -> Circular_orbit.t -> from_t:float -> until_t:float -> window list
 (** Visibility-and-range windows of the pair inside [from_t, until_t],
-    found by sampling every [step] seconds (default 10) and refining each
-    edge by bisection to millisecond precision. [max_range_m] (default
-    10,000 km, the paper's upper link distance) also bounds the link. *)
+    found by sampling every 10 s and refining each edge by bisection to
+    millisecond precision. The range is bounded by 10,000 km, the
+    paper's upper link distance. *)
 
 val usable :
   window -> retarget_overhead:float -> window option

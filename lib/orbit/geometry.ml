@@ -13,7 +13,10 @@ let min_segment_altitude a b =
   let closest = Vec3.add a (Vec3.scale t ab) in
   Vec3.norm closest -. Circular_orbit.earth_radius_m
 
-let line_of_sight ?(grazing_altitude_m = 100_000.) o1 o2 ~at =
+(* The atmosphere a grazing path must clear, 100 km. *)
+let grazing_altitude_m = 100_000.
+
+let line_of_sight o1 o2 ~at =
   let a = Circular_orbit.position o1 ~at in
   let b = Circular_orbit.position o2 ~at in
   min_segment_altitude a b >= grazing_altitude_m

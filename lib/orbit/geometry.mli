@@ -2,12 +2,7 @@
 
 val distance_m : Circular_orbit.t -> Circular_orbit.t -> at:float -> float
 
-val line_of_sight :
-  ?grazing_altitude_m:float ->
-  Circular_orbit.t ->
-  Circular_orbit.t ->
-  at:float ->
-  bool
+val line_of_sight : Circular_orbit.t -> Circular_orbit.t -> at:float -> bool
 (** Is the straight-line path between the two satellites clear of the
-    Earth (plus [grazing_altitude_m] of atmosphere, default 100 km)?
+    Earth plus 100 km of atmosphere?
     Computed from the minimum distance of the segment to the geocentre. *)

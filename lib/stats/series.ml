@@ -6,7 +6,9 @@ let add t ~x ~y = t.rev_points <- (x, y) :: t.rev_points
 
 let points t = List.rev t.rev_points
 
-let pp_ascii_plot ?(width = 72) ?(height = 20) ppf series =
+let width = 72
+
+let pp_ascii_plot ?(height = 20) ppf series =
   let all = List.concat_map points series in
   match all with
   | [] -> Format.fprintf ppf "(empty plot)@."

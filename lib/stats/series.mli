@@ -10,7 +10,7 @@ val create : name:string -> t
 
 val add : t -> x:float -> y:float -> unit
 
-val pp_ascii_plot :
-  ?width:int -> ?height:int -> Format.formatter -> t list -> unit
+val pp_ascii_plot : ?height:int -> Format.formatter -> t list -> unit
 (** Crude scatter plot of up to 9 series (distinct digit markers) on a
-    shared canvas, with axis ranges taken from the data. *)
+    72-column canvas of [height] rows (default 20), with axis ranges
+    taken from the data. *)

@@ -1,26 +1,23 @@
-type t = {
-  buf : Buffer.t;
-  data_only : bool;
-}
+type t = { buf : Buffer.t }
 
 let fate_of_status = function
   | Channel.Link.Rx_ok -> Channel.Model.Clean
   | Channel.Link.Rx_payload_corrupt -> Channel.Model.Corrupt { header = false }
   | Channel.Link.Rx_header_corrupt -> Channel.Model.Corrupt { header = true }
 
-let create ?(data_only = true) () = { buf = Buffer.create 1024; data_only }
+let create () = { buf = Buffer.create 1024 }
 
-let wants t frame = (not t.data_only) || not (Frame.Wire.is_control frame)
+let wants frame = not (Frame.Wire.is_control frame)
 
 let observe t ev =
   match ev with
   | Channel.Link.Tap_tx _ -> ()
   | Channel.Link.Tap_rx rx ->
-      if wants t rx.Channel.Link.frame then
+      if wants rx.Channel.Link.frame then
         Buffer.add_char t.buf
           (Channel.Trace_model.fate_token (fate_of_status rx.Channel.Link.status))
   | Channel.Link.Tap_lost frame ->
-      if wants t frame then
+      if wants frame then
         Buffer.add_char t.buf (Channel.Trace_model.fate_token Channel.Model.Lost)
 
 let attach t link = Channel.Link.add_tap link (observe t)

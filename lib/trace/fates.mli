@@ -9,13 +9,13 @@
     backend and {!Channel.Calibrate}, closing the record → replay →
     calibrate loop on live simulations.
 
-    By default only data frames are captured ([data_only = true]): the
-    replayed trace then pairs with a clean control channel, matching the
-    paper's strong-FEC control-frame assumption. *)
+    Only data frames are captured: the replayed trace then pairs with a
+    clean control channel, matching the paper's strong-FEC control-frame
+    assumption. *)
 
 type t
 
-val create : ?data_only:bool -> unit -> t
+val create : unit -> t
 
 val attach : t -> Channel.Link.t -> unit
 (** Adds a tap ({!Channel.Link.add_tap}); existing taps keep firing. *)

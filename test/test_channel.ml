@@ -5,7 +5,7 @@ let test_perfect_never_corrupts () =
   let rng = Sim.Rng.create ~seed:1 in
   for _ = 1 to 1000 do
     match
-      Channel.Error_model.fate Channel.Error_model.perfect rng ~header_bits:100
+      Channel.Model.fate Channel.Error_model.perfect rng ~header_bits:100
         ~payload_bits:8000
     with
     | Channel.Error_model.Clean -> ()
@@ -16,12 +16,12 @@ let test_uniform_fer_matches_analytic () =
   let ber = 1e-4 in
   let bits = 8000 in
   let model = Channel.Error_model.uniform ~ber () in
-  let expected = Channel.Error_model.frame_error_prob model ~bits in
+  let expected = Channel.Model.frame_error_prob model ~bits in
   let rng = Sim.Rng.create ~seed:2 in
   let n = 50_000 in
   let bad = ref 0 in
   for _ = 1 to n do
-    match Channel.Error_model.fate model rng ~header_bits:104 ~payload_bits:(bits - 104) with
+    match Channel.Model.fate model rng ~header_bits:104 ~payload_bits:(bits - 104) with
     | Channel.Error_model.Clean -> ()
     | _ -> incr bad
   done;
@@ -32,18 +32,18 @@ let test_uniform_fer_matches_analytic () =
 let test_uniform_frame_loss () =
   let model = Channel.Error_model.uniform ~frame_loss:1. ~ber:0. () in
   let rng = Sim.Rng.create ~seed:3 in
-  (match Channel.Error_model.fate model rng ~header_bits:8 ~payload_bits:8 with
+  (match Channel.Model.fate model rng ~header_bits:8 ~payload_bits:8 with
   | Channel.Error_model.Lost -> ()
   | _ -> Alcotest.fail "expected loss");
   Alcotest.(check (float 1e-9)) "fer includes loss" 1.
-    (Channel.Error_model.frame_error_prob model ~bits:16)
+    (Channel.Model.frame_error_prob model ~bits:16)
 
 let test_ber_inverse () =
   let bits = 8104 in
   let fer = 0.08 in
   let ber = Channel.Error_model.ber_for_frame_error_prob ~bits ~fer in
   let model = Channel.Error_model.uniform ~ber () in
-  let recovered = Channel.Error_model.frame_error_prob model ~bits in
+  let recovered = Channel.Model.frame_error_prob model ~bits in
   if Float.abs (recovered -. fer) > 1e-9 then
     Alcotest.failf "inverse broken: %g != %g" recovered fer
 
@@ -58,7 +58,7 @@ let test_ge_stationary_rate () =
   let n = 100_000 in
   let bad = ref 0 in
   for _ = 1 to n do
-    match Channel.Error_model.fate model rng ~header_bits:1 ~payload_bits:0 with
+    match Channel.Model.fate model rng ~header_bits:1 ~payload_bits:0 with
     | Channel.Error_model.Clean -> ()
     | _ -> incr bad
   done;
@@ -79,7 +79,7 @@ let test_ge_burstiness () =
   let after_bad = ref 0 and after_bad_bad = ref 0 and total_bad = ref 0 in
   for _ = 1 to n do
     let bad =
-      match Channel.Error_model.fate model rng ~header_bits:10 ~payload_bits:0 with
+      match Channel.Model.fate model rng ~header_bits:10 ~payload_bits:0 with
       | Channel.Error_model.Clean -> false
       | _ -> true
     in
@@ -100,12 +100,12 @@ let test_copy_independent () =
     Channel.Error_model.gilbert_elliott ~ber_good:0. ~ber_bad:1.
       ~mean_burst_bits:10. ~mean_gap_bits:10. ()
   in
-  let copy = Channel.Error_model.copy model in
+  let copy = Channel.Model.copy model in
   let r1 = Sim.Rng.create ~seed:6 and r2 = Sim.Rng.create ~seed:6 in
   (* identical streams on copies with identical rngs *)
   for _ = 1 to 100 do
-    let a = Channel.Error_model.fate model r1 ~header_bits:5 ~payload_bits:5 in
-    let b = Channel.Error_model.fate copy r2 ~header_bits:5 ~payload_bits:5 in
+    let a = Channel.Model.fate model r1 ~header_bits:5 ~payload_bits:5 in
+    let b = Channel.Model.fate copy r2 ~header_bits:5 ~payload_bits:5 in
     if a <> b then Alcotest.fail "copies diverged under identical draws"
   done
 
@@ -120,7 +120,7 @@ let test_fates_into_uniform_stream_identical () =
   let n = 2_000 in
   let expected =
     Array.init n (fun _ ->
-        Channel.Error_model.fate seq_model r1 ~header_bits:104 ~payload_bits:8192)
+        Channel.Model.fate seq_model r1 ~header_bits:104 ~payload_bits:8192)
   in
   let got = Array.make n Channel.Error_model.Clean in
   Channel.Model.fates_into batch_model r2 ~header_bits:104
@@ -172,7 +172,7 @@ let test_fates_into_ge_matches_sequential_rate () =
   let r1 = Sim.Rng.create ~seed:13 in
   let seq_fates =
     Array.init n (fun _ ->
-        Channel.Error_model.fate seq_model r1 ~header_bits:104
+        Channel.Model.fate seq_model r1 ~header_bits:104
           ~payload_bits:8192)
   in
   let batch_model = mk () in
@@ -546,7 +546,7 @@ let test_coded_path_corrects_light_noise () =
   let frame = data ~seq:0 (String.make 64 'q') in
   let fer = Channel.Coded_path.residual_fer path frame ~trials:300 in
   let raw_fer =
-    Channel.Error_model.frame_error_prob
+    Channel.Model.frame_error_prob
       (Channel.Error_model.uniform ~ber:2e-4 ())
       ~bits:(8 * Frame.Wire.size_bytes frame)
   in

@@ -35,7 +35,7 @@ let allowlist =
     ( "Channel.Coded_path.transmit_status",
       Reference,
       "the same path, status only: its allocation gate in alloc" );
-    ( "Channel.Error_model.frame_error_prob",
+    ( "Channel.Model.frame_error_prob",
       Reference,
       "analytic FER the channel tests hold sampled rates to" );
     ( "Fec.Conv_code.decode_reference",

@@ -35,6 +35,7 @@ let () =
       ("scenario", Test_scenario.suite);
       ("bench-report", Test_bench_report.suite);
       ("runner", Test_runner.suite);
+      ("reports", Test_reports.suite);
       ("trace", Test_trace.suite);
       ("matrix-soak", Test_matrix_soak.suite);
       ("handover", Test_handover.suite);
