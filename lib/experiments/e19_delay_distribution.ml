@@ -1,7 +1,7 @@
 let name = "E19 delivery-delay distribution at moderate load"
 
-(* delays are recovered from the payload prefix: default_payload embeds
-   the frame index, and deterministic arrivals offer frame i at i/rate *)
+(* delays are recovered from the payload: default_payload carries the
+   offer index, and deterministic arrivals offer frame i at i/rate *)
 let run_one ~cfg ~rate ~protocol =
   let hist = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:100_000 in
   let online = Stats.Online.create () in
@@ -11,13 +11,12 @@ let run_one ~cfg ~rate ~protocol =
         Dlc.Probe.no_handlers with
         delivered =
           (fun ~seq:_ ~payload ->
-            match int_of_string_opt (Frame.Payload.prefix payload 10) with
-            | Some i ->
-                let offered_at = float_of_int i /. rate in
-                let delay = Sim.Engine.now engine -. offered_at in
-                Stats.Histogram.add hist delay;
-                Stats.Online.add online delay
-            | None -> ());
+            let i = Frame.Payload.index payload in
+            if i >= 0 then begin
+              let delay = Sim.Engine.now engine -. (float_of_int i /. rate) in
+              Stats.Histogram.add hist delay;
+              Stats.Online.add online delay
+            end);
       }
   in
   let session =

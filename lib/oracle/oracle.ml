@@ -645,97 +645,98 @@ let wrongful_releases t = t.wrongful_releases
 let convergence t = summary t.window
 
 module Transfer = struct
-  type trec = {
-    first_seen : int;  (* ordinal among the tracked payloads *)
-    mutable offers : int;
-    mutable deliveries : int;
-    mutable suspicious : bool;
-  }
+  (* Per-payload state lives in [ints], one row of [t_fields] ints per
+     id that [frames] gives a payload, in first-seen order: its offers,
+     its deliveries and its flags. The flags mark a payload granted a
+     duplicate budget, one destroyed by state corruption (its loss is a
+     declared casualty, not a transfer violation) and one the handover
+     layer still held at finalize. *)
+  let t_offers = 0 and t_deliveries = 1 and t_flags = 2 and t_fields = 3
+
+  let suspicious_bit = 1 and casualty_bit = 2 and retained_bit = 4
 
   type nonrec t = {
-    payloads : trec Frame.Payload.Tbl.t;
+    frames : Frame.Payload.Index.t;
+    mutable ints : int array;
     sink_seen : (int, float) Hashtbl.t;
     mutable sessions_spanned : int;
     mutable failures_declared : int;
     ledger : ledger;
     mutable finalized : bool;
     mutable window : window option;
-    casualties : unit Frame.Payload.Tbl.t;
-        (* payloads destroyed by state corruption; their loss is a
-           declared casualty, not a transfer violation *)
     mutable casualties_lost : int;
   }
 
   let create () =
     {
-      payloads = Frame.Payload.Tbl.create 1024;
+      frames = Frame.Payload.Index.create ();
+      ints = Array.make (1024 * t_fields) 0;
       sink_seen = Hashtbl.create 256;
       sessions_spanned = 0;
       failures_declared = 0;
       ledger = ledger ();
       finalized = false;
       window = None;
-      casualties = Frame.Payload.Tbl.create 16;
       casualties_lost = 0;
     }
 
   let set_convergence s ~k = s.window <- Some (window ~who:"Oracle.Transfer" ~k)
 
-  let declare_casualty s payload = Frame.Payload.Tbl.replace s.casualties payload ()
+  (* The payload's row offset in [ints], adding the payload when new. *)
+  let row s payload =
+    let row = Frame.Payload.Index.add s.frames payload * t_fields in
+    if row + t_fields > Array.length s.ints then
+      s.ints <- grow_ints s.ints (row + t_fields);
+    row
+
+  let[@inline] bump s row field =
+    let n = Array.unsafe_get s.ints (row + field) + 1 in
+    Array.unsafe_set s.ints (row + field) n;
+    n
+
+  let flag s row bit = s.ints.(row + t_flags) <- s.ints.(row + t_flags) lor bit
+
+  let declare_casualty s payload = flag s (row s payload) casualty_bit
 
   let violate s ~time invariant detail =
     (* unlike the per-session oracle there is no post-mortem tolerance
        here: finalize-time losses attributable to corruption are exempted
-       one by one through the casualty ledger, so any remaining
+       one by one through the casualty flag, so any remaining
        transfer-loss is a real violation *)
     match s.window with
     | Some w when suspect w -> tolerate w ~time
     | _ -> record s.ledger { time; invariant; detail }
 
-  let find_or_add s payload =
-    match Frame.Payload.Tbl.find_opt s.payloads payload with
-    | Some r -> r
-    | None ->
-        let r =
-          {
-            first_seen = Frame.Payload.Tbl.length s.payloads;
-            offers = 0;
-            deliveries = 0;
-            suspicious = false;
-          }
-        in
-        Frame.Payload.Tbl.replace s.payloads payload r;
-        r
-
-  let mark_suspicious s payload = (find_or_add s payload).suspicious <- true
+  let mark_suspicious s payload = flag s (row s payload) suspicious_bit
 
   let on_delivered s clock payload =
-    let r = find_or_add s payload in
-    r.deliveries <- r.deliveries + 1;
-    if r.offers = 0 then
+    let row = row s payload in
+    let deliveries = bump s row t_deliveries
+    and offers = Array.unsafe_get s.ints (row + t_offers) in
+    if offers = 0 then
       violate s ~time:(Array.unsafe_get clock 0) "transfer-unoffered"
         (Printf.sprintf "%s delivered but never offered" (short payload))
-    else if r.deliveries > r.offers then
+    else if deliveries > offers then
       violate s ~time:(Array.unsafe_get clock 0) "transfer-duplicate"
         (Printf.sprintf
            "%s delivered %d times against %d offer(s): more copies than the \
             handover replayed"
-           (short payload) r.deliveries r.offers)
-    else if r.deliveries > 1 && not r.suspicious then
+           (short payload) deliveries offers)
+    else if
+      deliveries > 1
+      && Array.unsafe_get s.ints (row + t_flags) land suspicious_bit = 0
+    then
       violate s ~time:(Array.unsafe_get clock 0) "transfer-verdict"
         (Printf.sprintf
            "%s delivered %d times but was never classified `Suspicious: the \
             §3.3 handoff verdict lied"
-           (short payload) r.deliveries)
+           (short payload) deliveries)
 
   let observe s probe =
     Dlc.Probe.listen probe
       {
         Dlc.Probe.no_handlers with
-        offered =
-          (fun payload ->
-            let r = find_or_add s payload in
-            r.offers <- r.offers + 1);
+        offered = (fun payload -> ignore (bump s (row s payload) t_offers : int));
         released =
           (fun ~seq:_ ~payload ->
             (* a buffer slot freed while the state is suspect and the
@@ -744,8 +745,8 @@ module Transfer = struct
                allow bounded casualties during stabilisation) *)
             match s.window with
             | Some w when suspect w ->
-                if (find_or_add s payload).deliveries = 0 then
-                  declare_casualty s payload
+                let row = row s payload in
+                if s.ints.(row + t_deliveries) = 0 then flag s row casualty_bit
             | _ -> ());
         delivered =
           (fun ~seq:_ ~payload -> on_delivered s (Dlc.Probe.clock probe) payload);
@@ -782,22 +783,17 @@ module Transfer = struct
     if not s.finalized then begin
       s.finalized <- true;
       (match s.window with Some w -> finish w s.ledger | None -> ());
-      let kept = Frame.Payload.Tbl.create (List.length retained) in
-      List.iter (fun p -> Frame.Payload.Tbl.replace kept p ()) retained;
-      (* losses in first-seen order, whatever the table's layout *)
-      let lost =
-        Frame.Payload.Tbl.fold
-          (fun payload r acc ->
-            if
-              r.offers > 0 && r.deliveries = 0
-              && not (Frame.Payload.Tbl.mem kept payload)
-            then (r.first_seen, payload) :: acc
-            else acc)
-          s.payloads []
-      in
-      List.iter
-        (fun (_, payload) ->
-          if Frame.Payload.Tbl.mem s.casualties payload then
+      List.iter (fun p -> flag s (row s p) retained_bit) retained;
+      (* losses in first-seen order, which is id order *)
+      for id = 0 to Frame.Payload.Index.length s.frames - 1 do
+        let row = id * t_fields in
+        let flags = s.ints.(row + t_flags) in
+        if
+          s.ints.(row + t_offers) > 0
+          && s.ints.(row + t_deliveries) = 0
+          && flags land retained_bit = 0
+        then
+          if flags land casualty_bit <> 0 then
             (* destroyed by an injected corruption: a counted casualty
                of self-stabilisation, not a protocol violation *)
             s.casualties_lost <- s.casualties_lost + 1
@@ -806,8 +802,8 @@ module Transfer = struct
               (Printf.sprintf
                  "%s offered but neither delivered nor retained: lost \
                   across the handover"
-                 (short payload)))
-        (List.sort (fun (a, _) (b, _) -> Int.compare a b) lost)
+                 (short (Frame.Payload.Index.key s.frames id)))
+      done
     end
 
   let violations s = recorded s.ledger
@@ -817,7 +813,6 @@ module Transfer = struct
   let convergence s = summary s.window
 
   let casualties_lost s = s.casualties_lost
-
 end
 
 module Feedback = struct
