@@ -31,6 +31,8 @@ let cell e label key = stat_cell (stat e label key)
 
 let mean e label key = (stat e label key).M.mean
 
+let count e label key = (stat e label key).M.count
+
 let matrix_table ppf (e : M.experiment) =
   let metric_names =
     match e.M.points with

@@ -25,6 +25,9 @@ val cell : Bench_report.Matrix_report.experiment -> string -> string -> string
 val mean : Bench_report.Matrix_report.experiment -> string -> string -> float
 (** The replicate mean {!cell} prints, for derived cells. *)
 
+val count : Bench_report.Matrix_report.experiment -> string -> string -> int
+(** The number of replicates folded into that mean. *)
+
 val matrix :
   ?render:(Format.formatter -> Bench_report.Matrix_report.experiment -> unit) ->
   Format.formatter ->

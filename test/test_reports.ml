@@ -86,6 +86,43 @@ let test_replicated_cells () =
   Alcotest.(check bool) ("the span cell carries its CI: " ^ row) true
     (contains row "+-")
 
+(* E11's full grid with the BER 1e-4 point of one protocol stopped
+   early in one of two replicates: the cell counts the stopped runs and
+   prints the delivered count as a mean, and the N2 note names SR-HDLC
+   only when an SR-HDLC run stopped. *)
+let test_e11_aborted_cell () =
+  let e = Option.get (Experiments.All.find "e11") in
+  let full tag =
+    let m = synthetic (Lazy.force quick_run) e in
+    let half mean =
+      { M.count = 2; mean; stddev = 0.; ci95 = 0.; min = 0.; max = 1. }
+    in
+    let stop (p : M.point) =
+      if p.label <> "ber=0.0001/" ^ tag then p
+      else
+        {
+          p with
+          metrics =
+            List.map
+              (fun (k, s) ->
+                match k with
+                | "completed" -> (k, half 0.5)
+                | "delivered" -> (k, half 1650.5)
+                | _ -> (k, s))
+              p.metrics;
+        }
+    in
+    render ~quick:false e { m with points = List.map stop m.points }
+  in
+  let n2 = "SR-HDLC stops once a frame's N2 retries are exhausted" in
+  List.iter
+    (fun tag ->
+      let text = full tag in
+      Alcotest.(check bool) (tag ^ ": the cell counts the stopped run") true
+        (contains text "ABORTED in 1 of 2 runs (mean 1650.5 of 3000 delivered)");
+      Alcotest.(check bool) (tag ^ ": N2 note") (tag = "hdlc") (contains text n2))
+    [ "lams"; "hdlc" ]
+
 let suite =
   [
     Alcotest.test_case "quick: every report renders from its matrix" `Quick
@@ -96,4 +133,6 @@ let suite =
       test_missing_point;
     Alcotest.test_case "replicated cells carry their CI" `Quick
       test_replicated_cells;
+    Alcotest.test_case "E11 counts the runs that stopped early" `Quick
+      test_e11_aborted_cell;
   ]
