@@ -21,11 +21,7 @@ let trace_dir_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR" ~doc)
 
 let set_trace_config dir =
-  Trace.Config.set
-    (Option.map
-       (fun dir ->
-         { Trace.Config.dir; capacity = Trace.Config.default_capacity })
-       dir)
+  Trace.Config.set (Option.map (fun dir -> { Trace.Config.dir }) dir)
 
 (* Shared --trace FILE flag of the single-run commands (`sim`, `corrupt
    run`, `feedback run`), published by [file_capture]. *)
@@ -34,6 +30,23 @@ let trace_file_arg =
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write the run's JSONL event trace to $(docv) (plus \
                  $(docv).metrics.json).")
+
+(* Reject a flag whose value is out of range before anything runs: a
+   usage error, exit code 2. *)
+let require ok ~flag ~range =
+  if not ok then begin
+    Format.eprintf "%s must be %s@." flag range;
+    exit 2
+  end
+
+let require_ber ~flag ber =
+  require (ber >= 0. && ber <= 1.) ~flag ~range:"in [0, 1]"
+
+let require_frames frames =
+  require (frames >= 1) ~flag:"--frames" ~range:">= 1"
+
+let require_payload payload =
+  require (payload >= 0) ~flag:"--payload" ~range:">= 0"
 
 (* Shared --json flag; [doc] says what is printed. *)
 let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
@@ -231,10 +244,7 @@ let experiments_run_cmd =
   in
   let run ids all quick replicates channel_trace o =
     set_channel_trace channel_trace;
-    if replicates < 1 then begin
-      Format.eprintf "--replicates must be >= 1@.";
-      exit 2
-    end;
+    require (replicates >= 1) ~flag:"--replicates" ~range:">= 1";
     let experiments =
       Experiments.All.matrix ~quick (select_experiments ids all)
     in
@@ -340,6 +350,16 @@ let sim_cmd =
   in
   let run protocol frames ber cber distance_km rate_mbps payload seed json
       trace_file channel_trace =
+    require_frames frames;
+    require_ber ~flag:"--ber" ber;
+    require_ber ~flag:"--control-ber" cber;
+    require
+      (Float.is_finite distance_km && distance_km >= 0.)
+      ~flag:"--distance" ~range:"finite and >= 0";
+    require
+      (Float.is_finite rate_mbps && rate_mbps > 0.)
+      ~flag:"--rate" ~range:"finite and > 0";
+    require_payload payload;
     let cfg =
       {
         Experiments.Scenario.default with
@@ -453,6 +473,7 @@ let trace_run_cmd =
                    drop) and dump the flight recorder.")
   in
   let run out seed frames disaster =
+    require_frames frames;
     let capture = Trace.Capture.create () in
     let recorder = Trace.Capture.recorder capture in
     let violations =
@@ -528,10 +549,7 @@ let soak_cmd ~doc (h : Experiments.Soak.harness) =
              ~doc:(Printf.sprintf "Random %s schedules to sweep." h.schedules))
   in
   let run schedules o =
-    if schedules < 1 then begin
-      Format.eprintf "--schedules must be >= 1@.";
-      exit 2
-    end;
+    require (schedules >= 1) ~flag:"--schedules" ~range:">= 1";
     let report =
       Experiments.Soak.run ~jobs:o.jobs ~root_seed:o.root_seed ~schedules h
     in
@@ -719,6 +737,7 @@ let handover_run_cmd =
                    recovery).")
   in
   let run plan_file seed messages cut json trace_dir =
+    require (messages >= 1) ~flag:"--messages" ~range:">= 1";
     set_trace_config trace_dir;
     let plan =
       match plan_file with
@@ -736,7 +755,6 @@ let handover_run_cmd =
               Option.value plan ~default:base.Experiments.E21_handover.plan;
             n_messages = messages;
             cut;
-            drop_nth_iframe = (if cut = `None then None else Some 3);
           }
         in
         let o = Experiments.E21_handover.run_transfer ~seed setup in
@@ -827,6 +845,12 @@ let corrupt_run_cmd =
                    default: E22's canonical stream length).")
   in
   let run variant klass script seed frames json trace_file =
+    Option.iter
+      (fun n ->
+        require (variant <> `Handover) ~flag:"--frames"
+          ~range:"omitted for the handover variant";
+        require_frames n)
+      frames;
     let spec =
       match (script, klass) with
       | Some _, Some _ ->
@@ -988,6 +1012,7 @@ let feedback_run_cmd =
                    length).")
   in
   let run variant lie lie_script no_guard seed frames json trace_file =
+    Option.iter require_frames frames;
     let module E = Experiments.E24_feedback in
     let lie_of_tag tag =
       List.find_opt (fun l -> E.lie_tag l = tag) E.lies
@@ -1079,6 +1104,8 @@ let channel_gen_cmd =
          & info [ "payload" ] ~docv:"BYTES" ~doc:"I-frame payload size.")
   in
   let run kind out frames seed payload =
+    require_frames frames;
+    require_payload payload;
     let comment, data =
       Channel.Trace_model.generate kind ~frames ~seed ~payload_bytes:payload
     in
@@ -1176,6 +1203,14 @@ let channel_record_cmd =
          & info [ "payload" ] ~docv:"BYTES" ~doc:"I-frame payload size.")
   in
   let run out frames seed ber burst_bits gap_bits ber_bad payload =
+    require_frames frames;
+    require_ber ~flag:"--ber" ber;
+    require_payload payload;
+    Option.iter
+      (fun bits -> require (bits >= 1.) ~flag:"--burst-bits" ~range:">= 1")
+      burst_bits;
+    require (gap_bits >= 1.) ~flag:"--gap-bits" ~range:">= 1";
+    require_ber ~flag:"--ber-bad" ber_bad;
     let cfg =
       {
         Experiments.Scenario.default with

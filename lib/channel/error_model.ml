@@ -9,13 +9,11 @@ type ge = {
   ber_bad : float;
   p_leave_bad : float;  (* per-bit probability of leaving Bad *)
   p_leave_good : float;
-  frame_loss : float;
   mutable state : ge_state;
 }
 
 type uniform = {
   ber : float;
-  frame_loss : float;
   (* Memoised P[any error in n bits] for the last two distinct bit
      counts seen. Header and payload sizes are constant on a steady
      link, so the per-frame expm1/log1p pair collapses to two table
@@ -103,16 +101,11 @@ let uniform_positions_into rng ~ber ~offset ~len dst =
 
 let rec uniform_model (u : uniform) =
   let fate rng ~header_bits ~payload_bits =
-    if u.frame_loss > 0. && Sim.Rng.bernoulli rng ~p:u.frame_loss then Lost
-    else begin
-      let header_bad = Sim.Rng.bernoulli rng ~p:(uniform_p u ~bits:header_bits) in
-      let payload_bad =
-        Sim.Rng.bernoulli rng ~p:(uniform_p u ~bits:payload_bits)
-      in
-      if header_bad then corrupt_header
-      else if payload_bad then corrupt_payload
-      else Clean
-    end
+    let header_bad = Sim.Rng.bernoulli rng ~p:(uniform_p u ~bits:header_bits) in
+    let payload_bad = Sim.Rng.bernoulli rng ~p:(uniform_p u ~bits:payload_bits) in
+    if header_bad then corrupt_header
+    else if payload_bad then corrupt_payload
+    else Clean
   in
   {
     Model.m_fate = fate;
@@ -123,42 +116,32 @@ let rec uniform_model (u : uniform) =
         let p_h = uniform_p u ~bits:header_bits in
         let p_p = uniform_p u ~bits:payload_bits in
         for i = 0 to n - 1 do
-          if u.frame_loss > 0. && Sim.Rng.bernoulli rng ~p:u.frame_loss then
-            Array.unsafe_set dst i Lost
-          else begin
-            let header_bad = Sim.Rng.bernoulli rng ~p:p_h in
-            let payload_bad = Sim.Rng.bernoulli rng ~p:p_p in
-            Array.unsafe_set dst i
-              (if header_bad then corrupt_header
-               else if payload_bad then corrupt_payload
-               else Clean)
-          end
+          let header_bad = Sim.Rng.bernoulli rng ~p:p_h in
+          let payload_bad = Sim.Rng.bernoulli rng ~p:p_p in
+          Array.unsafe_set dst i
+            (if header_bad then corrupt_header
+             else if payload_bad then corrupt_payload
+             else Clean)
         done);
     m_advance = (fun _rng ~bits:_ -> ());
     m_error_positions_into =
       (fun rng ~bits dst ->
         uniform_positions_into rng ~ber:u.ber ~offset:0 ~len:bits dst;
         Model.Positions.sort dst);
-    m_frame_error_prob =
-      (fun ~bits ->
-        let p_err = p_any_error ~ber:u.ber ~bits in
-        u.frame_loss +. ((1. -. u.frame_loss) *. p_err));
+    m_frame_error_prob = (fun ~bits -> p_any_error ~ber:u.ber ~bits);
     m_copy =
       (fun () ->
         (* fresh memo slots: the cache rebuilds itself, the draw stream
            is unaffected *)
         uniform_model { u with memo_bits1 = u.memo_bits1 });
-    m_describe =
-      (fun () -> Printf.sprintf "uniform(ber=%g, loss=%g)" u.ber u.frame_loss);
+    m_describe = (fun () -> Printf.sprintf "uniform(ber=%g)" u.ber);
   }
 
-let uniform ?(frame_loss = 0.) ~ber () =
+let uniform ~ber () =
   check_prob "ber" ber;
-  check_prob "frame_loss" frame_loss;
   uniform_model
     {
       ber;
-      frame_loss;
       memo_bits1 = -1;
       memo_p1 = 0.;
       memo_bits2 = -1;
@@ -270,34 +253,21 @@ let ge_fates_into g rng ~header_bits ~payload_bits dst ~n =
     !errored
   in
   for i = 0 to n - 1 do
-    if g.frame_loss > 0. && Sim.Rng.bernoulli rng ~p:g.frame_loss then begin
-      ignore (span_error (header_bits + payload_bits) : bool);
-      Array.unsafe_set dst i Lost
-    end
-    else begin
-      let header_bad = span_error header_bits in
-      let payload_bad = span_error payload_bits in
-      Array.unsafe_set dst i
-        (if header_bad then corrupt_header
-         else if payload_bad then corrupt_payload
-         else Clean)
-    end
+    let header_bad = span_error header_bits in
+    let payload_bad = span_error payload_bits in
+    Array.unsafe_set dst i
+      (if header_bad then corrupt_header
+       else if payload_bad then corrupt_payload
+       else Clean)
   done
 
 let rec ge_model (g : ge) =
   let fate rng ~header_bits ~payload_bits =
-    if g.frame_loss > 0. && Sim.Rng.bernoulli rng ~p:g.frame_loss then begin
-      (* still advance the chain so losses do not freeze burst state *)
-      ignore (ge_any_error g rng ~bits:(header_bits + payload_bits) : bool);
-      Lost
-    end
-    else begin
-      let header_bad = ge_any_error g rng ~bits:header_bits in
-      let payload_bad = ge_any_error g rng ~bits:payload_bits in
-      if header_bad then corrupt_header
-      else if payload_bad then corrupt_payload
-      else Clean
-    end
+    let header_bad = ge_any_error g rng ~bits:header_bits in
+    let payload_bad = ge_any_error g rng ~bits:payload_bits in
+    if header_bad then corrupt_header
+    else if payload_bad then corrupt_payload
+    else Clean
   in
   {
     Model.m_fate = fate;
@@ -333,8 +303,7 @@ let rec ge_model (g : ge) =
         (* stationary distribution of the two-state chain *)
         let pi_bad = g.p_leave_good /. (g.p_leave_good +. g.p_leave_bad) in
         let ber = (pi_bad *. g.ber_bad) +. ((1. -. pi_bad) *. g.ber_good) in
-        let p_err = p_any_error ~ber ~bits in
-        g.frame_loss +. ((1. -. g.frame_loss) *. p_err));
+        p_any_error ~ber ~bits);
     m_copy = (fun () -> ge_model { g with state = g.state });
     m_describe =
       (fun () ->
@@ -342,11 +311,9 @@ let rec ge_model (g : ge) =
           g.ber_good g.ber_bad (1. /. g.p_leave_bad) (1. /. g.p_leave_good));
   }
 
-let gilbert_elliott ?(frame_loss = 0.) ~ber_good ~ber_bad ~mean_burst_bits
-    ~mean_gap_bits () =
+let gilbert_elliott ~ber_good ~ber_bad ~mean_burst_bits ~mean_gap_bits () =
   check_prob "ber_good" ber_good;
   check_prob "ber_bad" ber_bad;
-  check_prob "frame_loss" frame_loss;
   if mean_burst_bits < 1. || mean_gap_bits < 1. then
     invalid_arg "Error_model.gilbert_elliott: mean sojourns must be >= 1 bit";
   ge_model
@@ -355,7 +322,6 @@ let gilbert_elliott ?(frame_loss = 0.) ~ber_good ~ber_bad ~mean_burst_bits
       ber_bad;
       p_leave_bad = 1. /. mean_burst_bits;
       p_leave_good = 1. /. mean_gap_bits;
-      frame_loss;
       state = Good;
     }
 

@@ -31,17 +31,14 @@ type t = Model.t
 val perfect : t
 (** Never corrupts. *)
 
-val uniform : ?frame_loss:float -> ber:float -> unit -> t
-(** Independent bit errors at rate [ber]; additionally each frame is
-    wholly lost with probability [frame_loss] (default 0). Frame loss is
-    a frame-scale abstraction: {!Model.error_positions_into} never loses
-    a frame. The per-frame error probability is memoised by bit count,
-    so steady links (constant header/payload sizes) skip the
-    [expm1]/[log1p] pair after the first frame; the draw stream is
-    unchanged. {!Model.frame_error_prob} is exact. *)
+val uniform : ber:float -> unit -> t
+(** Independent bit errors at rate [ber]. The per-frame error
+    probability is memoised by bit count, so steady links (constant
+    header/payload sizes) skip the [expm1]/[log1p] pair after the first
+    frame; the draw stream is unchanged. {!Model.frame_error_prob} is
+    exact. *)
 
 val gilbert_elliott :
-  ?frame_loss:float ->
   ber_good:float ->
   ber_bad:float ->
   mean_burst_bits:float ->

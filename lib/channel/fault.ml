@@ -57,17 +57,16 @@ let blackout ~from ~until =
     invalid_arg "Fault.blackout: window must satisfy from <= until";
   rule ~window:(from, until) Any_frame Drop
 
-let adversary ?(p_iframe = 0.) ?(p_control = 0.) ?window
-    ?(p_corrupt_payload = 0.) ?(p_corrupt_header = 0.) ?(p_lie = 0.)
-    ?(lies = []) ~seed () =
+let adversary ?(p_iframe = 0.) ?(p_control = 0.) ?(p_lie = 0.) ?(lies = [])
+    ~seed () =
   Adversary
     {
       seed;
       p_iframe;
       p_control;
-      window;
-      p_corrupt_payload;
-      p_corrupt_header;
+      window = None;
+      p_corrupt_payload = 0.;
+      p_corrupt_header = 0.;
       p_lie;
       lies;
     }

@@ -117,15 +117,15 @@ type spec = Rules of rule list | Adversary of adversary
 val adversary :
   ?p_iframe:float ->
   ?p_control:float ->
-  ?window:float * float ->
-  ?p_corrupt_payload:float ->
-  ?p_corrupt_header:float ->
   ?p_lie:float ->
   ?lies:action list ->
   seed:int ->
   unit ->
   spec
-(** All probabilities default to 0. *)
+(** A drop-and-lie adversary active for the whole run: each
+    probability defaults to 0, and the two corruption probabilities are
+    0. The script's [adversary] line sets every field, the corruption
+    probabilities and the window included. *)
 
 type t
 

@@ -119,10 +119,6 @@ let error_rate data =
     float_of_int !bad /. float_of_int n
   end
 
-type policy = Loop | Truncate
-
-let replay_describe_policy = function Loop -> "loop" | Truncate -> "truncate"
-
 (* Dense burst of flips at the start of the span: enough damage that the
    frame CRC cannot pass by accident, expressed at bit level so the
    coded path can exercise its FEC against it. *)
@@ -132,7 +128,7 @@ let burst_positions_into ~bits dst =
     Model.Positions.push dst i
   done
 
-let replay ?(policy = Loop) ?(offset = 0) data =
+let replay ?(offset = 0) data =
   let len = Array.length data in
   if len = 0 then invalid_arg "Trace_model.replay: empty trace";
   let err_rate = error_rate data in
@@ -142,9 +138,7 @@ let replay ?(policy = Loop) ?(offset = 0) data =
     let next () =
       let i = !dealt in
       incr dealt;
-      match policy with
-      | Loop -> data.(i mod len)
-      | Truncate -> if i < len then data.(i) else Model.Clean
+      data.(i mod len)
     in
     {
       Model.m_fate = (fun _rng ~header_bits:_ ~payload_bits:_ -> next ());
@@ -163,11 +157,8 @@ let replay ?(policy = Loop) ?(offset = 0) data =
       m_copy = (fun () -> make !dealt);
       m_describe =
         (fun () ->
-          Printf.sprintf "trace(frames=%d, policy=%s, pos=%d)" len
-            (replay_describe_policy policy)
-            (match policy with
-            | Loop -> !dealt mod len
-            | Truncate -> min !dealt len));
+          Printf.sprintf "trace(frames=%d, policy=loop, pos=%d)" len
+            (!dealt mod len));
     }
   in
   make (((offset mod len) + len) mod len)

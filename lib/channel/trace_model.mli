@@ -57,17 +57,13 @@ val error_rate : data -> float
 (** Fraction of frames whose fate is not [Clean] (0 on an empty
     trace). *)
 
-(** What replay does when the trace runs out. *)
-type policy =
-  | Loop  (** wrap to the start: the trace is treated as periodic *)
-  | Truncate  (** after the last recorded frame, every fate is [Clean] *)
-
-val replay : ?policy:policy -> ?offset:int -> data -> Model.t
+val replay : ?offset:int -> data -> Model.t
 (** [replay data] is a channel model that deals out the recorded fates
     in order, starting [offset] frames in (reduced modulo the trace
     length, so any offset is valid; default 0) — replicates can be given
     distinct windows of one trace while each stays fully deterministic.
-    [policy] defaults to [Loop].
+    The trace is periodic: past its last frame, replay wraps to the
+    start.
 
     Replay consumes no randomness: the RNG argument of the model calls
     is ignored, and [advance] is a no-op (the trace is frame-indexed,

@@ -1,34 +1,17 @@
-type config = {
-  distrust_threshold : int;
-  resync_retries : int;
-  max_cp_jump : int;
-  confirm_hold : bool;
-}
+(* Quarantines, since trust was last restored, that force an explicit
+   resynchronisation: one is already proof of lying. *)
+let distrust_threshold = 1
 
-let default_config =
-  {
-    distrust_threshold = 1;
-    resync_retries = 3;
-    max_cp_jump = 1024;
-    confirm_hold = true;
-  }
+(* Forced resyncs allowed before the guard declares failure. *)
+let resync_retries = 3
 
-let validate_config c =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if c.distrust_threshold < 1 then
-    err "distrust_threshold must be >= 1 (got %d)" c.distrust_threshold
-  else if c.resync_retries < 0 then
-    err "resync_retries must be >= 0 (got %d)" c.resync_retries
-  else if c.max_cp_jump < 1 then
-    err "max_cp_jump must be >= 1 (got %d)" c.max_cp_jump
-  else Ok c
+(* Largest plausible [cp_seq] advance between consecutive accepted
+   checkpoints. *)
+let max_cp_jump = 1024
 
-let validate_opt = function
-  | None -> Ok ()
-  | Some c -> (
-      match validate_config c with
-      | Ok _ -> Ok ()
-      | Error msg -> Error ("guard: " ^ msg))
+type config = unit
+
+let default_config = ()
 
 type feedback_hooks =
   | Checkpointed of {
@@ -50,7 +33,6 @@ type hooks = {
 }
 
 type t = {
-  config : config;
   probe : Probe.t;
   hooks : hooks;
   deliver : Channel.Link.rx -> unit;
@@ -65,15 +47,9 @@ type t = {
   mutable c_ordinal : int;  (* supervisory-frame ordinal, for event ids *)
 }
 
-let create config ~probe ~hooks ~deliver =
-  let config =
-    match validate_config config with
-    | Ok c -> c
-    | Error msg -> invalid_arg ("Guard.create: " ^ msg)
-  in
+let create ~probe ~hooks ~deliver =
   let t =
     {
-      config;
       probe;
       hooks;
       deliver;
@@ -105,13 +81,13 @@ let create config ~probe ~hooks ~deliver =
 (* --- escalation ladder --------------------------------------------------- *)
 
 let escalate t =
-  if (not t.failed) && t.distrust >= t.config.distrust_threshold then begin
+  if (not t.failed) && t.distrust >= distrust_threshold then begin
     t.distrust <- 0;
     (* whatever we were holding belongs to the feedback stream we just
        stopped trusting; the resynchronisation answer supersedes it *)
     t.held <- None;
     t.resync_attempts <- t.resync_attempts + 1;
-    if t.resync_attempts > t.config.resync_retries then begin
+    if t.resync_attempts > resync_retries then begin
       t.failed <- true;
       t.hooks.declare_failure ()
     end
@@ -146,7 +122,7 @@ let implausible_cp t ~next_seq (cp : Frame.Cframe.checkpoint) =
     Some "cp-seq-stale"
   else if
     t.last_cp_seq >= 0
-    && cp.Frame.Cframe.cp_seq > t.last_cp_seq + t.config.max_cp_jump
+    && cp.Frame.Cframe.cp_seq > t.last_cp_seq + max_cp_jump
   then Some "cp-seq-jump"
   else if cp.Frame.Cframe.next_expected > next_seq then Some "ne-overrun"
   else if cp.Frame.Cframe.next_expected < t.max_ne then Some "ne-regression"
@@ -216,7 +192,6 @@ let on_checkpoint t rx (cp : Frame.Cframe.checkpoint) ~next_seq
           t.resync_attempts <- 0;
           deliver_cp t rx cp
         end
-        else if not t.config.confirm_hold then deliver_cp t rx cp
         else begin
           (match t.held with
           | Some held_rx -> (
@@ -276,8 +251,7 @@ let on_supervisory t rx (h : Frame.Hframe.t) ~modulus ~v_s ~v_a
       | None -> ());
       if not t.failed then k ()
     in
-    if not t.config.confirm_hold then t.deliver rx
-    else if h.Frame.Hframe.pf then
+    if h.Frame.Hframe.pf then
       (* solicited Final responses complete timeout/poll recovery; the
          sender needs them now, so they bypass the hold *)
       confirm_then (fun () -> t.deliver rx)

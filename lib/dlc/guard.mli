@@ -13,7 +13,7 @@
     frontier, its unreleased buffer):
 
     - [cp-seq-stale] / [cp-seq-jump]: checkpoint numbers must advance,
-      and by at most [max_cp_jump];
+      and by at most 1024;
     - [ne-overrun]: the receiver cannot expect a frame the sender has
       not yet numbered;
     - [ne-regression]: the delivery frontier never moves backwards;
@@ -25,19 +25,21 @@
       that an earlier checkpoint lied its way past a release;
     - [nr-out-of-window] (HDLC): N(R) stays cyclically inside
       [v_a .. v_s];
-    - [forged-ack-contradiction]: with {!field:config.confirm_hold} on,
-      each regular checkpoint is held until its successor confirms it;
-      a successor that still NAKs a frame the held checkpoint covered
-      (while the sender still holds that frame) convicts the held one.
+    - [forged-ack-contradiction]: each regular checkpoint is held until
+      its successor confirms it; a successor that still NAKs a frame the
+      held checkpoint covered (while the sender still holds that frame)
+      convicts the held one. The hold costs one report interval of
+      release latency and catches forged implicit ACKs that are
+      consistent on their own.
 
     Implausible frames are {e quarantined} — discarded before the
     sender's state machine sees them — and published as
     {!Dlc.Probe.Cp_quarantined}. A distrust counter escalates:
-    [distrust_threshold] quarantines force an explicit
+    {!distrust_threshold} quarantines force an explicit
     resynchronisation ({!Dlc.Probe.Resync_forced} + the variant's
     [force_resync] hook — Enforced-NAK recovery for LAMS-DLC, a forced
     status-refresh round for NBDT, a supervisory poll for HDLC); after
-    [resync_retries] forced resyncs without regaining trust the guard
+    {!resync_retries} forced resyncs without regaining trust the guard
     declares failure. Solicited truth — an Enforced checkpoint, an
     HDLC Final response — bypasses the hold, restores trust and resets
     the retry budget.
@@ -47,26 +49,18 @@
     sender's ground truth), and the hold only ever delays a regular
     checkpoint by one report interval. *)
 
-type config = {
-  distrust_threshold : int;
-      (** quarantines (since trust was last restored) that trigger a
-          forced resynchronisation; >= 1 *)
-  resync_retries : int;
-      (** forced resyncs allowed before declaring failure; >= 0 *)
-  max_cp_jump : int;
-      (** largest plausible [cp_seq] advance between consecutive
-          accepted checkpoints; >= 1 *)
-  confirm_hold : bool;
-      (** hold each regular checkpoint until its successor confirms it
-          (adds one report interval of release latency; catches forged
-          implicit ACKs that are consistent on their own) *)
-}
+val distrust_threshold : int
+(** Quarantines, since trust was last restored, that force a
+    resynchronisation: 1. *)
+
+val resync_retries : int
+(** Forced resyncs allowed before the guard declares failure: 3. *)
+
+type config
+(** Switches a variant's guard on ([Some default_config] in its
+    params); the guard has no settings. *)
 
 val default_config : config
-
-val validate_opt : config option -> (unit, string) result
-(** Check the [guard] field of a variant's params: [Ok] for [None] or a
-    valid config, else ["guard: "] and the reason it is invalid. *)
 
 (** Ground truth the guard checks feedback against, per variant
     family. All functions are consulted at frame-arrival time. *)
@@ -93,15 +87,13 @@ type hooks = {
 type t
 
 val create :
-  config ->
   probe:Probe.t ->
   hooks:hooks ->
   deliver:(Channel.Link.rx -> unit) ->
   t
 (** [deliver] is the sender's original receive handler; the guard calls
     it for every admitted frame (and, untouched, for every non-feedback
-    or CRC-failed arrival). Raises [Invalid_argument] on an invalid
-    config. *)
+    or CRC-failed arrival). *)
 
 val on_rx : t -> Channel.Link.rx -> unit
 (** Install this as the reverse link's receiver in place of the

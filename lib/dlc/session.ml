@@ -120,9 +120,9 @@ module Make (V : VARIANT) = struct
     let guard =
       match V.guard params with
       | None -> None
-      | Some cfg ->
+      | Some _ ->
           Some
-            (Guard.create cfg ~probe
+            (Guard.create ~probe
                ~hooks:
                  {
                    Guard.now = (fun () -> Sim.Engine.now engine);

@@ -6,12 +6,12 @@ type outcome = {
 let payload ~size i =
   Workload.Arrivals.default_payload ~size i
 
-let run ?(seed = 7) ?(frames = 20) ?(capacity = Trace.Config.default_capacity)
-    ?(drop = 5) ?recorder () =
+(* The payload whose first copy the fault script drops. *)
+let dropped = 5
+
+let run ?(seed = 7) ?(frames = 20) ?recorder () =
   let recorder =
-    match recorder with
-    | Some r -> r
-    | None -> Trace.Recorder.create ~capacity ()
+    match recorder with Some r -> r | None -> Trace.Recorder.create ()
   in
   let engine = Sim.Engine.create () in
   let duplex =
@@ -42,7 +42,7 @@ let run ?(seed = 7) ?(frames = 20) ?(capacity = Trace.Config.default_capacity)
   Trace.Recorder.attach_probe recorder probe;
   let fault =
     Channel.Fault.(
-      of_rules [ rule ~copies:1 (I_payload (payload ~size:256 drop)) Drop ])
+      of_rules [ rule ~copies:1 (I_payload (payload ~size:256 dropped)) Drop ])
   in
   Trace.Recorder.attach_fault recorder ~link:"forward" fault;
   Channel.Fault.install fault duplex.Channel.Duplex.forward;

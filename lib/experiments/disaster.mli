@@ -20,15 +20,8 @@ type outcome = {
 }
 
 val run :
-  ?seed:int ->
-  ?frames:int ->
-  ?capacity:int ->
-  ?drop:int ->
-  ?recorder:Trace.Recorder.t ->
-  unit ->
-  outcome
-(** Defaults: seed 7, 20 frames, ring capacity {!Trace.Config.default_capacity},
-    drop the single first copy of frame [5]. The run is driven to
-    quiescence on a loss-free 100 Mbit/s, 1,000 km link. An explicit
-    [recorder] (e.g. one owned by a {!Trace.Capture}) replaces the
-    internally created one; [capacity] is then ignored. *)
+  ?seed:int -> ?frames:int -> ?recorder:Trace.Recorder.t -> unit -> outcome
+(** Defaults: seed 7, 20 frames. The script drops the single first copy
+    of frame [5]. The run is driven to quiescence on a loss-free
+    100 Mbit/s, 1,000 km link. An explicit [recorder] (e.g. one owned by
+    a {!Trace.Capture}) replaces the internally created one. *)

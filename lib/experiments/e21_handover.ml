@@ -1,25 +1,38 @@
 let name = "E21 multi-contact transfer: session handover across link lifetimes"
 
+type setup = {
+  plan : Handover.Plan.t;
+  n_messages : int;
+  msg_bytes : int;
+  blackouts : (float * float) list;  (* unscheduled outages: start, length *)
+  cut : [ `None | `First_tx | `First_nak | `Recovery ];
+}
+
 (* A short-range crosslink at full rate: the point here is window
    churn, not bandwidth-delay stress, so the geometry stays small and
    the windows short enough that a full multi-window journey is a
    few hundred thousand events. *)
-type setup = {
-  plan : Handover.Plan.t;
-  params : Lams_dlc.Params.t;
-  n_messages : int;
-  msg_bytes : int;
-  mtu : int;
-  distance_m : float;
-  data_rate_bps : float;
-  ber : float;
-  cframe_ber : float;
-  blackouts : (float * float) list;  (* unscheduled outages: start, length *)
-  cut : [ `None | `First_tx | `First_nak | `Recovery ];
-  cut_outage : float;
-  drop_nth_iframe : int option;  (* deterministic seed for a NAK *)
-  horizon : float;
-}
+let params =
+  {
+    Lams_dlc.Params.default with
+    Lams_dlc.Params.w_cp = 1e-3;
+    c_depth = 3;
+    request_nak_retries = 3;
+  }
+
+let mtu = 1024
+let distance_m = 600_000.
+let data_rate_bps = 300e6
+let ber = 1e-6
+let cframe_ber = 1e-7
+let horizon = 0.15
+
+(* Outage length of a phase cut. *)
+let cut_outage = 4e-3
+
+(* The I-frame a run with a phase cut drops, so that a NAK is there for
+   [`First_nak] to cut after. *)
+let cut_drop = 3
 
 let base_windows =
   [
@@ -33,25 +46,10 @@ let base_plan = Handover.Plan.scripted_exn ~retarget_overhead:2e-3 base_windows
 let default_setup =
   {
     plan = base_plan;
-    params =
-      {
-        Lams_dlc.Params.default with
-        Lams_dlc.Params.w_cp = 1e-3;
-        c_depth = 3;
-        request_nak_retries = 3;
-      };
     n_messages = 10;
     msg_bytes = 3000;
-    mtu = 1024;
-    distance_m = 600_000.;
-    data_rate_bps = 300e6;
-    ber = 1e-6;
-    cframe_ber = 1e-7;
     blackouts = [];
     cut = `None;
-    cut_outage = 4e-3;
-    drop_nth_iframe = None;
-    horizon = 0.15;
   }
 
 type outcome = {
@@ -80,14 +78,14 @@ type outcome = {
      checkpoint decision and the sender learning of the NAK;
    - [`Recovery]: on [Recovery_started], before the Request-NAK is sent
      — enforced recovery itself runs into the outage. *)
-let install_phase_cut engine ~probe ~duplex ~cut ~outage =
+let install_phase_cut engine ~probe ~duplex ~cut =
   let armed = ref true in
   let fire () =
     if !armed then begin
       armed := false;
       Channel.Duplex.set_down duplex;
       ignore
-        (Sim.Engine.schedule engine ~delay:outage (fun () ->
+        (Sim.Engine.schedule engine ~delay:cut_outage (fun () ->
              Channel.Duplex.set_up duplex)
           : Sim.Engine.event_id)
     end
@@ -127,18 +125,15 @@ let transfer ?recorder ?corrupt ~seed setup =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed in
   let duplex =
-    Channel.Duplex.create_static engine ~rng ~distance_m:setup.distance_m
-      ~data_rate_bps:setup.data_rate_bps
-      ~iframe_error:(Channel.Error_model.uniform ~ber:setup.ber ())
-      ~cframe_error:(Channel.Error_model.uniform ~ber:setup.cframe_ber ())
+    Channel.Duplex.create_static engine ~rng ~distance_m ~data_rate_bps
+      ~iframe_error:(Channel.Error_model.uniform ~ber ())
+      ~cframe_error:(Channel.Error_model.uniform ~ber:cframe_ber ())
   in
-  (match setup.drop_nth_iframe with
-  | Some n ->
-      Channel.Fault.install
-        (Channel.Fault.of_rules
-           [ Channel.Fault.rule (Channel.Fault.I_nth n) Channel.Fault.Drop ])
-        duplex.Channel.Duplex.forward
-  | None -> ());
+  if setup.cut <> `None then
+    Channel.Fault.install
+      (Channel.Fault.of_rules
+         [ Channel.Fault.rule (Channel.Fault.I_nth cut_drop) Channel.Fault.Drop ])
+      duplex.Channel.Duplex.forward;
   let probe = Dlc.Probe.create () in
   (match recorder with
   | Some r -> Trace.Recorder.attach_probe r probe
@@ -149,8 +144,7 @@ let transfer ?recorder ?corrupt ~seed setup =
   | None -> ());
   Oracle.Transfer.observe transfer probe;
   let manager =
-    Handover.Manager.create ~probe engine ~params:setup.params ~duplex
-      ~plan:setup.plan
+    Handover.Manager.create ~probe engine ~params ~duplex ~plan:setup.plan
   in
   Handover.Manager.set_on_suspicious_replay manager
     (Oracle.Transfer.mark_suspicious transfer);
@@ -160,8 +154,7 @@ let transfer ?recorder ?corrupt ~seed setup =
         ~on_casualty:(Oracle.Transfer.declare_casualty transfer)
         manager schedule
   | None -> ());
-  install_phase_cut engine ~probe ~duplex ~cut:setup.cut
-    ~outage:setup.cut_outage;
+  install_phase_cut engine ~probe ~duplex ~cut:setup.cut;
   List.iter
     (fun (start, len) ->
       ignore
@@ -196,8 +189,8 @@ let transfer ?recorder ?corrupt ~seed setup =
         in
         List.map
           (fun f -> Frame.Payload.of_string (Workload.Messages.encode f))
-          (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2
-             ~mtu:setup.mtu body))
+          (Workload.Messages.fragment_message ~msg_id ~src:1 ~dst:2 ~mtu
+             body))
       (List.init setup.n_messages (fun i -> i))
   in
   List.iter
@@ -205,13 +198,13 @@ let transfer ?recorder ?corrupt ~seed setup =
       if not (Handover.Manager.offer manager p) then
         failwith "e21: manager refused an offer before plan end")
     payloads;
-  Sim.Engine.run engine ~until:setup.horizon;
+  Sim.Engine.run engine ~until:horizon;
   Handover.Manager.stop manager;
   (* a corruption schedule stops with its transfer, before the drain *)
   (match corrupt with
   | Some (schedule, _) -> Dlc.Corrupt.stop schedule
   | None -> ());
-  Sim.Engine.run engine ~until:(setup.horizon +. 1.);
+  Sim.Engine.run engine ~until:(horizon +. 1.);
   let retained = Handover.Manager.retained manager in
   Oracle.Transfer.finalize ~retained transfer;
   let stats = Handover.Manager.stats manager in
@@ -260,7 +253,7 @@ let outcome_metrics o =
   ]
 
 let scenarios ~quick =
-  let cut c = { default_setup with cut = c; drop_nth_iframe = Some 3 } in
+  let cut c = { default_setup with cut = c } in
   let base = [ ("3-windows", default_setup) ] in
   let stress =
     [
@@ -320,9 +313,7 @@ let report ~quick e ppf =
     "contact plan: %a;@ %d messages x %d B (mtu %d) over a %.0f km link at \
      %.0f Mbit/s@."
     Handover.Plan.pp default_setup.plan default_setup.n_messages
-    default_setup.msg_bytes default_setup.mtu
-    (default_setup.distance_m /. 1000.)
-    (default_setup.data_rate_bps /. 1e6);
+    default_setup.msg_bytes mtu (distance_m /. 1000.) (data_rate_bps /. 1e6);
   let table =
     Stats.Table.create
       ~header:

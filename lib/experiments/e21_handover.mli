@@ -15,28 +15,22 @@ val name : string
 
 type setup = {
   plan : Handover.Plan.t;
-  params : Lams_dlc.Params.t;
   n_messages : int;
   msg_bytes : int;
-  mtu : int;
-  distance_m : float;
-  data_rate_bps : float;
-  ber : float;
-  cframe_ber : float;
   blackouts : (float * float) list;
       (** unscheduled outages as [(start, length)], seconds *)
   cut : [ `None | `First_tx | `First_nak | `Recovery ];
-      (** protocol-phase-triggered link cut (at most one per run) *)
-  cut_outage : float;  (** outage length of the phase cut, seconds *)
-  drop_nth_iframe : int option;
-      (** deterministic fault seeding the first NAK, for [`First_nak] *)
-  horizon : float;
+      (** protocol-phase-triggered link cut (at most one per run), a
+          4 ms outage; a run with a cut also drops I-frame 3, which
+          seeds the first NAK for [`First_nak] *)
 }
+(** Every run fragments at a 1024 B MTU over a 600 km crosslink at
+    300 Mbit/s (BER 1e-6, 1e-7 on control frames), with a 1 ms
+    checkpoint interval, until a 0.15 s horizon. *)
 
 val default_setup : setup
 (** Three 25 ms windows with 10 ms gaps, 2 ms retargeting overhead,
-    10 x 3000 B messages fragmented at a 1024 B MTU over a 600 km
-    crosslink at 300 Mbit/s. *)
+    10 x 3000 B messages, no blackout and no cut. *)
 
 type outcome = {
   messages_completed : int;

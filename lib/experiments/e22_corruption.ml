@@ -88,10 +88,10 @@ let max_or_zero = List.fold_left max 0.
 let fingerprint parts () =
   Digest.to_hex (Digest.string (String.concat "|" parts))
 
-let run_one ?recorder ?k ?(frames = link.n_frames) ~seed variant spec =
+let run_one ?recorder ?(frames = link.n_frames) ~seed variant spec =
   let tag = variant_tag variant in
   let corrupt = Dlc.Corrupt.compile spec in
-  let k = Option.value k ~default:(convergence_k variant) in
+  let k = convergence_k variant in
   Trace.Capture.around ?recorder ~proto:("e22-" ^ tag) ~seed
     ~fingerprint:
       (fingerprint [ string_of_int seed; tag; Dlc.Corrupt.describe corrupt ])

@@ -63,7 +63,6 @@ type outcome = {
 
 val run_one :
   ?recorder:Trace.Recorder.t ->
-  ?k:int ->
   ?frames:int ->
   seed:int ->
   variant ->
@@ -71,11 +70,8 @@ val run_one :
   outcome
 (** One single-session run under the given corruption schedule, with the
     convergence-mode oracle attached for the whole run. Captures a trace
-    when {!Trace.Config} is set (or records into [recorder]). [k]
-    overrides the variant's convergence budget; [k = 0] is the tripwire
-    setting — no suspect window ever opens, so every in-run anomaly is a
-    real violation. [frames] overrides the stream length (compact golden
-    traces). *)
+    when {!Trace.Config} is set (or records into [recorder]). [frames]
+    overrides the stream length (compact golden traces). *)
 
 type handover_outcome = {
   outcome : outcome;

@@ -35,14 +35,8 @@ let lie_tag = function
 
 let lies = [ No_lie; Forge; Rewrite; Stale; Blackout ]
 
-(* One quarantine is already proof of lying on a noiseless scripted
-   channel, so the guard escalates immediately; the paper-default retry
-   budget bounds the resync ladder. *)
-let guard_config =
-  { Dlc.Guard.default_config with Dlc.Guard.distrust_threshold = 1 }
-
 let session ~guard_on variant : Scenario.session =
-  let guard = if guard_on then Some guard_config else None in
+  let guard = if guard_on then Some Dlc.Guard.default_config else None in
   match E22_corruption.session variant with
   | `Lams p -> `Lams { p with Lams_dlc.Params.guard }
   | `Hdlc p -> `Hdlc { p with Hdlc.Params.guard }
@@ -129,7 +123,7 @@ let run_core ?recorder ?(frames = link.n_frames) ~guard_on ~seed ~lie_name
     ~fingerprint:(fun () ->
       fingerprint ~seed ~variant:tag ~lie:lie_name ~guarded:guard_on)
     (fun recorder ->
-      let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
+      let feedback = Oracle.Feedback.create () in
       (* the lie script and the ledger attach after the runner's forward
          script: the recorder sees each reverse fault before the ledger *)
       let setup engine duplex probe =
@@ -322,8 +316,7 @@ let report ~quick e ppf =
     link.payload_bytes
     (String.concat "," (List.map string_of_int forward_drops))
     (blackout_from *. 1e3) (blackout_until *. 1e3)
-    guard_config.Dlc.Guard.distrust_threshold
-    guard_config.Dlc.Guard.resync_retries;
+    Dlc.Guard.distrust_threshold Dlc.Guard.resync_retries;
   let table =
     Stats.Table.create
       ~header:

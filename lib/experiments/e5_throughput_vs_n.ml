@@ -64,7 +64,7 @@ let report ~quick e ppf =
     (grid ~quick);
   Report.table ppf table;
   Format.fprintf ppf "figure: efficiency vs offered frames N@.";
-  Stats.Series.pp_ascii_plot ~height:14 ppf [ s_lams; s_hdlc; s_lams_model ];
+  Stats.Series.pp_ascii_plot ppf [ s_lams; s_hdlc; s_lams_model ];
   Report.note ppf
     "Expect: lams efficiency rising towards ~0.9 with N; hdlc flat at the\n\
      window duty cycle (W*t_f / (W*t_f + R)); speedup >> 1 throughout."

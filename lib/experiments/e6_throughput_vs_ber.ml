@@ -54,4 +54,4 @@ let report ~quick e ppf =
     (grid ~quick);
   Report.table ppf table;
   Format.fprintf ppf "figure: efficiency vs log10(BER)@.";
-  Stats.Series.pp_ascii_plot ~height:14 ppf [ s_lams; s_hdlc ]
+  Stats.Series.pp_ascii_plot ppf [ s_lams; s_hdlc ]

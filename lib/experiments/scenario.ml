@@ -90,7 +90,8 @@ let analytic_link cfg ~protocol_kind =
   Analysis.Common.link_of_physical ~distance_m:cfg.distance_m
     ~data_rate_bps:cfg.data_rate_bps ~iframe_bits:(iframe_bits cfg)
     ~cframe_bits:(cframe_bits ~protocol_kind)
-    ~t_proc:10e-6 ~ber:(effective_ber cfg) ~cframe_ber:cfg.cframe_ber
+    ~t_proc:Lams_dlc.Params.t_proc ~ber:(effective_ber cfg)
+    ~cframe_ber:cfg.cframe_ber
 
 let default_hdlc_alpha cfg = 0.5 *. rtt cfg
 
@@ -108,8 +109,7 @@ let iframe_error cfg =
       (* the replicate seed selects the trace window: replicates see
          distinct stretches of one recording, each fully deterministic
          (replay consumes no RNG), so --jobs stays byte-identical *)
-      Channel.Trace_model.replay ~policy:Channel.Trace_model.Loop
-        ~offset:cfg.seed data
+      Channel.Trace_model.replay ~offset:cfg.seed data
   | None, None -> Channel.Error_model.uniform ~ber:cfg.ber ()
   | None, Some b ->
       Channel.Error_model.gilbert_elliott ~ber_good:b.ber_good
@@ -341,22 +341,8 @@ let matrix_metrics (r : result) =
     ("completed", if r.completed then 1. else 0.);
   ]
 
-let matrix_point ?faults ?reverse_faults ?(check = false) ~label cfg protocol =
+let matrix_point ~label cfg protocol =
   {
     Runner.label;
-    run =
-      (fun ~seed ->
-        let cfg = { cfg with seed } in
-        let faults =
-          Option.map (fun mk -> mk ~seed) faults
-        and reverse_faults = Option.map (fun mk -> mk ~seed) reverse_faults in
-        if check || Option.is_some faults || Option.is_some reverse_faults
-        then begin
-          let r, oracle =
-            run_watched ?faults ?reverse_faults ~watch:true cfg protocol
-          in
-          let count = Option.fold ~none:0 ~some:Oracle.violation_count oracle in
-          matrix_metrics r @ [ ("oracle_violations", float_of_int count) ]
-        end
-        else matrix_metrics (run cfg protocol));
+    run = (fun ~seed -> matrix_metrics (run { cfg with seed } protocol));
   }

@@ -128,21 +128,9 @@ val matrix_metrics : result -> (string * float) list
 (** Uniform per-replicate metric vector (efficiency, deliveries, loss,
     holding/delay means, ...) for {!Runner} points; booleans are 0/1. *)
 
-val matrix_point :
-  ?faults:(seed:int -> Channel.Fault.spec) ->
-  ?reverse_faults:(seed:int -> Channel.Fault.spec) ->
-  ?check:bool ->
-  label:string ->
-  config ->
-  protocol ->
-  Runner.point
+val matrix_point : label:string -> config -> protocol -> Runner.point
 (** A matrix point that runs this scenario with the replicate's derived
-    seed substituted for [cfg.seed]. With [check:true] or any fault
-    script the run goes through {!run_checked} and the metric vector
-    gains an [oracle_violations] count ({!Oracle.violation_count}, past
-    the list's cap too); fault constructors receive the
-    replicate seed so adversary scripts can vary per replicate while
-    staying reproducible. *)
+    seed substituted for [cfg.seed]. *)
 
 val iframe_error : config -> Channel.Error_model.t
 (** A fresh I-frame error model of [cfg]: its channel trace, else its

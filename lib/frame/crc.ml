@@ -29,11 +29,11 @@ let crc16_tables =
   done;
   t
 
-let crc16 ?(init = 0xffff) b ~pos ~len =
+let crc16 b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc.crc16: slice out of bounds";
   let t = crc16_tables in
-  let crc = ref init in
+  let crc = ref 0xffff in
   let i = ref pos in
   let stop = pos + len in
   while stop - !i >= 4 do
@@ -78,12 +78,11 @@ let crc32_tables =
 (* The worker keeps the running CRC in a native [int] end to end; the
    [int32]-typed wrapper below boxes only at its return, so hot encode
    paths that call [crc32_int] stay allocation-free. *)
-let crc32_int ?(init = 0) b ~pos ~len =
+let crc32_int b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc.crc32: slice out of bounds";
   let t = crc32_tables in
-  let start = (init land 0xFFFFFFFF) lxor 0xFFFFFFFF in
-  let crc = ref start in
+  let crc = ref 0xFFFFFFFF in
   let i = ref pos in
   let stop = pos + len in
   while stop - !i >= 4 do

@@ -6,9 +6,7 @@ type t = {
   seq_bits : int;
   window : int;
   t_out : float;
-  t_proc : float;
   send_buffer_capacity : int;
-  max_retries : int;
   guard : Dlc.Guard.config option;
 }
 
@@ -19,9 +17,7 @@ let default =
     seq_bits = 7;
     window = 63;
     t_out = 50e-3;
-    t_proc = 10e-6;
     send_buffer_capacity = 1_000_000;
-    max_retries = 10;
     guard = None;
   }
 
@@ -37,9 +33,6 @@ let validate t =
   else if t.mode = Go_back_n && t.window > modulus t - 1 then
     err "GBN window %d exceeds modulus-1 = %d" t.window (modulus t - 1)
   else if not (t.t_out > 0.) then err "t_out must be > 0 (got %g)" t.t_out
-  else if not (t.t_proc >= 0.) then err "t_proc must be >= 0 (got %g)" t.t_proc
   else if t.send_buffer_capacity < 1 then
     err "send_buffer_capacity must be >= 1 (got %d)" t.send_buffer_capacity
-  else if t.max_retries < 1 then
-    err "max_retries must be >= 1 (got %d)" t.max_retries
-  else Result.map (fun () -> t) (Dlc.Guard.validate_opt t.guard)
+  else Ok t

@@ -23,11 +23,7 @@ type t = {
   seq_bits : int;  (** modulus is [2^seq_bits]; 3 or 7 in real HDLC *)
   window : int;  (** send window W; [<= 2^(seq_bits-1)] for SR *)
   t_out : float;  (** retransmission timeout, seconds; paper: [R + alpha] *)
-  t_proc : float;  (** processing time per frame/command *)
   send_buffer_capacity : int;
-  max_retries : int;
-      (** per-frame retransmission attempts before the link is declared
-          failed (HDLC's N2) *)
   guard : Dlc.Guard.config option;
       (** when set, a {!Dlc.Guard} feedback-plausibility layer is
           interposed between the reverse link and the sender, hardening
@@ -36,8 +32,7 @@ type t = {
 }
 
 val default : t
-(** SR, no stutter, [seq_bits] = 7, [window] = 63, 50 ms timeout,
-    N2 = 10. *)
+(** SR, no stutter, [seq_bits] = 7, [window] = 63, 50 ms timeout. *)
 
 val validate : t -> (t, string) result
 

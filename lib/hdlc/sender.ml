@@ -62,6 +62,10 @@ let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 let stop_timer t =
   match t.timer with Some tm -> Sim.Timer.stop tm | None -> ()
 
+(* HDLC's N2: retransmissions of one frame before the link is declared
+   failed. *)
+let max_retries = 10
+
 let declare_failure t =
   if not t.failed then begin
     t.failed <- true;
@@ -176,7 +180,7 @@ and on_timeout t =
       (* v_a acknowledged but later frames may remain (SR gaps) *)
       if Hashtbl.length t.inflight > 0 then ensure_timer_running t
   | Some fl ->
-      if fl.retries >= t.params.Params.max_retries then declare_failure t
+      if fl.retries >= max_retries then declare_failure t
       else begin
         fl.retries <- fl.retries + 1;
         (* the previous poll (if any) evidently got no answer *)

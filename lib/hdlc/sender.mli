@@ -12,8 +12,8 @@
       transmission back to [n] (GBN mode);
     - a per-frame retransmission timer ([t_out]) drives timeout recovery;
       timeout retransmissions also set the P bit;
-    - a frame retried more than [max_retries] times (N2) declares the
-      link failed. *)
+    - a frame retried more than 10 times (HDLC's N2) declares the link
+      failed. *)
 
 type t
 

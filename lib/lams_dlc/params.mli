@@ -7,10 +7,12 @@
     consecutive checkpoint losses, and burst tolerance requires
     [c_depth * w_cp > mean burst length] (§3.3). *)
 
+val t_proc : float
+(** Frame/command processing time: 10 us. *)
+
 type t = {
   w_cp : float;  (** checkpoint interval, seconds. Must be > 0. *)
   c_depth : int;  (** cumulation depth, >= 1 *)
-  t_proc : float;  (** frame/command processing time, seconds, >= 0 *)
   send_buffer_capacity : int;
       (** max unreleased frames held by the sender; further offers are
           refused. The paper's transparent buffer size B_LAMS predicts
@@ -23,13 +25,6 @@ type t = {
           models the paper's transparent receiving buffer (frames leave
           after [t_proc]). [Some r] needs a finite [r > 0] and
           exercises flow control. *)
-  rate_decrease_factor : float;
-      (** multiplier applied to the sending rate on each Stop detection
-          (paper §3.4 "decreases the sending rate by some predefined
-          value"); in (0, 1). *)
-  rate_increase_step : float;
-      (** additive recovery of the rate factor per Go checkpoint *)
-  min_rate_factor : float;  (** floor for the rate factor, > 0 *)
   request_nak_retries : int;
       (** how many times the sender re-issues Request-NAK (on failure
           timeout or when a checkpoint shows the link is back) before
@@ -44,9 +39,6 @@ type t = {
       (** absolute simulated time after which a recovery is considered
           unreachable (paper: "provided that the expected response time
           is within the remaining link lifetime") *)
-  coverage_margin : float;
-      (** slack added to a frame's predicted arrival before a checkpoint
-          is considered to cover it; absorbs processing jitter. *)
   guard : Dlc.Guard.config option;
       (** when set, a {!Dlc.Guard} feedback-plausibility layer is
           interposed between the reverse link and the sender, hardening
@@ -55,8 +47,8 @@ type t = {
 }
 
 val default : t
-(** [w_cp] = 5 ms, [c_depth] = 3, [t_proc] = 10 us, generous buffers,
-    halve-on-stop / +0.1-on-go rate control, 3 Request-NAK retries. *)
+(** [w_cp] = 5 ms, [c_depth] = 3, generous buffers, 3 Request-NAK
+    retries, no guard. *)
 
 val validate : t -> (t, string) result
 (** Check all constraints; returns the value unchanged when valid. *)

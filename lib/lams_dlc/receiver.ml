@@ -123,7 +123,7 @@ let enqueue t =
   update_stop_go t;
   let delay =
     match t.params.Params.recv_drain_rate with
-    | None -> t.params.Params.t_proc
+    | None -> Params.t_proc
     | Some r -> float_of_int t.queue_len *. (1. /. r)
   in
   let n = t.drains in

@@ -304,7 +304,7 @@ and expected_response_time t =
     Channel.Link.tx_time t.forward
       (Frame.Wire.Control (Frame.Cframe.request_nak ~issue_time:now))
   in
-  rtt +. tx_req +. (2. *. t.params.Params.t_proc)
+  rtt +. tx_req +. (2. *. Params.t_proc)
 
 and initiate_enforced_recovery t =
   if (not t.failed) && not t.stopped then begin
@@ -397,13 +397,22 @@ let rec requeue_naked t = function
       if j >= 0 then queue_retransmission t j seq;
       requeue_naked t rest
 
+(* Stop-Go's "predefined value" (§3.4): each Stop multiplies the rate
+   factor by [rate_decrease_factor], down to [min_rate_factor]; each Go
+   adds [rate_increase_step], up to 1. *)
+let rate_decrease_factor = 0.5
+let rate_increase_step = 0.1
+let min_rate_factor = 0.05
+
 let apply_stop_go t ~stop =
   let r = Array.unsafe_get t.rate_factor 0 in
   Array.unsafe_set t.rate_factor 0
-    (if stop then
-       Float.max t.params.Params.min_rate_factor
-         (r *. t.params.Params.rate_decrease_factor)
-     else Float.min 1. (r +. t.params.Params.rate_increase_step))
+    (if stop then Float.max min_rate_factor (r *. rate_decrease_factor)
+     else Float.min 1. (r +. rate_increase_step))
+
+(* Slack added to a frame's predicted arrival before a checkpoint is
+   taken to cover it; absorbs processing jitter. *)
+let coverage_margin = 1e-6
 
 let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
   (* any checkpoint proves the link alive *)
@@ -468,8 +477,7 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
   let changed = ref (cp.Frame.Cframe.naks <> []) in
   if not t.halted then begin
     let horizon =
-      cp.Frame.Cframe.issue_time -. t.params.Params.t_proc
-      -. t.params.Params.coverage_margin
+      cp.Frame.Cframe.issue_time -. Params.t_proc -. coverage_margin
     in
     trim t;
     while t.ring_len > 0 && t.ring_arrival.(t.ring_head) <= horizon do

@@ -30,11 +30,7 @@ type t = {
           a silent tail; a timeout is the minimal fix (cf. the paper's
           complaint that NBDT "does not consider the reliability of
           protocol") *)
-  t_proc : float;
   send_buffer_capacity : int;
-  max_retries : int;  (** per-frame attempts before declaring failure *)
-  max_report_misses : int;
-      (** cap on missing entries per report (wire-size bound) *)
   retx_cooldown : float;
       (** ignore re-reports of a frame for this long after retransmitting
           it — a missing frame stays in every report until its
@@ -49,6 +45,6 @@ type t = {
 
 val default : t
 (** Continuous mode, 2 ms reports, batch 512, 60 ms watchdog, 30 ms
-    retransmission cooldown, N2 = 10. *)
+    retransmission cooldown. *)
 
 val validate : t -> (t, string) result

@@ -19,6 +19,9 @@ type t = {
   mutable report_tick : unit -> unit;  (* allocated once at [create] *)
 }
 
+(* Cap on missing entries per report: a bound on its wire size. *)
+let max_report_misses = 512
+
 let send_report t =
   (* oldest missing first; the cap bounds the report's wire size. When
      the cap truncates the list, the advertised frontier must be clamped
@@ -33,7 +36,7 @@ let send_report t =
         let kept, overflow = take (n - 1) rest in
         (x :: kept, overflow)
   in
-  let naks, overflow = take t.params.Params.max_report_misses misses in
+  let naks, overflow = take max_report_misses misses in
   let advertised =
     match overflow with None -> t.frontier | Some first_unreported -> first_unreported
   in

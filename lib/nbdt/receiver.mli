@@ -5,7 +5,7 @@
     has either been received or sits in [missing]; nothing at or above
     [frontier] has been identified yet. Reports reuse the checkpoint
     wire format — [next_expected] carries the frontier and [naks] the
-    missing list (capped at [max_report_misses], oldest first). *)
+    missing list (capped at 512 entries, oldest first). *)
 
 type t
 

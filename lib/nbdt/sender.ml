@@ -55,6 +55,10 @@ let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 let stop_watchdog t =
   match t.watchdog with Some w -> Sim.Timer.stop w | None -> ()
 
+(* Retransmissions of one frame before the link is declared failed (N2,
+   as in HDLC). *)
+let max_retries = 10
+
 let declare_failure t =
   if not t.failed then begin
     t.failed <- true;
@@ -169,7 +173,7 @@ and on_watchdog t =
       match Hashtbl.find_opt t.inflight seq with
       | None -> ()
       | Some fl ->
-          if fl.retries >= t.params.Params.max_retries then declare_failure t
+          if fl.retries >= max_retries then declare_failure t
           else begin
             fl.retries <- fl.retries + 1;
             if not fl.queued_retx then begin

@@ -826,8 +826,10 @@ module Feedback = struct
      disturbance of an episode to the recovery that resolves it, and a
      bucketed goodput series for blackout floors. *)
 
+  (* Goodput bucket width, seconds. *)
+  let bucket = 1e-3
+
   type t = {
-    bucket : float;  (* goodput bucket width, seconds *)
     mutable faults_seen : int;  (* any reverse-channel fault hit *)
     mutable lies_seen : int;  (* clean-looking forgeries among them *)
     mutable quarantines : int;
@@ -840,10 +842,8 @@ module Feedback = struct
            follows the last delivery time over [bucket] *)
   }
 
-  let create ?(bucket = 10e-3) () =
-    if bucket <= 0. then invalid_arg "Oracle.Feedback.create: bucket <= 0";
+  let create () =
     {
-      bucket;
       faults_seen = 0;
       lies_seen = 0;
       quarantines = 0;
@@ -865,7 +865,7 @@ module Feedback = struct
     mark_disturbance t ~now
 
   let on_delivered t clock payload =
-    let i = int_of_float (Array.unsafe_get clock 0 /. t.bucket) in
+    let i = int_of_float (Array.unsafe_get clock 0 /. bucket) in
     let n = Array.length t.buckets in
     if i >= n then begin
       let grown = Array.make (max (i + 1) (2 * n)) 0 in
@@ -917,8 +917,8 @@ module Feedback = struct
   let unresolved t = t.episode_open <> None
 
   let goodput_floor t ~lo ~hi =
-    let first = int_of_float (ceil (lo /. t.bucket)) in
-    let last = int_of_float (floor (hi /. t.bucket)) - 1 in
+    let first = int_of_float (ceil (lo /. bucket)) in
+    let last = int_of_float (floor (hi /. bucket)) - 1 in
     if last < first then nan
     else begin
       let worst = ref max_int in
@@ -928,6 +928,6 @@ module Feedback = struct
         in
         if b < !worst then worst := b
       done;
-      float_of_int (8 * !worst) /. t.bucket
+      float_of_int (8 * !worst) /. bucket
     end
 end

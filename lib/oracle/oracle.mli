@@ -217,8 +217,8 @@ end
 module Feedback : sig
   type t
 
-  val create : ?bucket:float -> unit -> t
-  (** [bucket] is the goodput bucket width in seconds (default 10 ms). *)
+  val create : unit -> t
+  (** Goodput is bucketed by 1 ms of delivery time. *)
 
   val observe : t -> Dlc.Probe.t -> unit
   (** Subscribe to the session probe: counts

@@ -8,7 +8,9 @@ let points t = List.rev t.rev_points
 
 let width = 72
 
-let pp_ascii_plot ?(height = 20) ppf series =
+let height = 14
+
+let pp_ascii_plot ppf series =
   let all = List.concat_map points series in
   match all with
   | [] -> Format.fprintf ppf "(empty plot)@."

@@ -1,14 +1,12 @@
 type t = { recorder : Recorder.t; buf : Buffer.t }
 
-let make ?capacity () =
-  let recorder = Recorder.create ?capacity () in
+let create () =
+  let recorder = Recorder.create () in
   let buf = Buffer.create 65536 in
   Recorder.set_sink recorder (fun e ->
       Buffer.add_string buf (Event.to_line e);
       Buffer.add_char buf '\n');
   { recorder; buf }
-
-let create () = make ()
 
 let recorder t = t.recorder
 
@@ -42,7 +40,7 @@ let around ?recorder ~proto ~seed ~fingerprint run =
         Filename.concat c.Config.dir
           (Config.basename ~proto ~seed ~fingerprint:(fingerprint ()))
       in
-      let t = make ~capacity:c.Config.capacity () in
+      let t = create () in
       let v = run (Some t.recorder) in
       publish (files t ~stem:base ~trace:(base ^ ".jsonl"));
       v

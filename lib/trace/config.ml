@@ -1,6 +1,4 @@
-type t = { dir : string; capacity : int }
-
-let default_capacity = 512
+type t = { dir : string }
 
 let current = ref None
 

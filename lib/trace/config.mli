@@ -13,10 +13,7 @@
 
 type t = {
   dir : string;  (** directory receiving the [.jsonl] files; created lazily *)
-  capacity : int;  (** flight-recorder ring size *)
 }
-
-val default_capacity : int
 
 val set : t option -> unit
 

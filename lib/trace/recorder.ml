@@ -8,8 +8,10 @@ type rare =
   | Fault_hit of { link : string; action : string; frame : Frame.Wire.t }
       (** formatted into an [Event.Fault] when an event is built *)
 
+(* Ring size: the events a flight dump holds before its violation. *)
+let capacity = 512
+
 type t = {
-  capacity : int;
   tags : int array;
   seqs : int array;
   payloads : Frame.Payload.t array;
@@ -24,10 +26,8 @@ type t = {
   at : float array;  (* one element: the time of a rare event *)
 }
 
-let create ?(capacity = 512) ?name:_ () =
-  if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
+let create ?name:_ () =
   {
-    capacity;
     tags = Array.make capacity 0;
     seqs = Array.make capacity 0;
     payloads = Array.make capacity Frame.Payload.empty;
@@ -64,17 +64,17 @@ let event_at t k i =
 
 let ring_events t =
   (* event [i] sits in slot [i mod capacity] *)
-  let n = min t.next t.capacity in
+  let n = min t.next capacity in
   List.init n (fun j ->
       let i = t.next - n + j in
-      event_at t (i mod t.capacity) i)
+      event_at t (i mod capacity) i)
 
 (* Claim the next slot for an event at [at.(0)]; returns it. *)
 let[@inline] claim t at tag =
   let k = t.pos in
   Array.unsafe_set t.tags k tag;
   Array.unsafe_set t.times k (Array.unsafe_get at 0);
-  t.pos <- (if k + 1 = t.capacity then 0 else k + 1);
+  t.pos <- (if k + 1 = capacity then 0 else k + 1);
   t.next <- t.next + 1;
   k
 

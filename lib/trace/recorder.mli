@@ -1,7 +1,7 @@
 (** Flight recorder: bounded ring buffer of trace events per session.
 
     A recorder subscribes to a session's {!Dlc.Probe} bus, to the fault
-    scripts on its links and to its {!Oracle}, keeps the last [capacity]
+    scripts on its links and to its {!Oracle}, keeps the last 512
     events in a ring, and accumulates {!Metrics} over the whole stream.
     When the oracle reports its {e first} violation the ring is frozen
     into a {e flight dump} — the violation record itself is appended
@@ -19,10 +19,9 @@
 
 type t
 
-val create : ?capacity:int -> ?name:string -> unit -> t
-(** [capacity] is the ring size (default 512, must be positive). [name]
-    is ignored: nothing reads it. It stays until perfbench, which still
-    passes it, drops it. *)
+val create : ?name:string -> unit -> t
+(** [name] is ignored: nothing reads it. It stays until perfbench,
+    which still passes it, drops it. *)
 
 val set_sink : t -> (Event.t -> unit) -> unit
 (** Called synchronously for every recorded event, after it enters the

@@ -17,14 +17,20 @@
    The resolution over-approximates where OCaml would need a type
    checker: an open reaches every later identifier of its enclosing
    bracket (or of the file), whatever local binding shadows it. So a
-   value can be counted as used when it is not, never the other way. *)
+   value can be counted as used when it is not, never the other way.
+
+   Optional arguments are matched by name alone: a [?x:] of a [val]
+   counts as passed when any [.ml] outside its own module writes the
+   label [~x], [~x:], [?x] or [?x:], whatever function it labels. *)
 
 (* Lexing *)
 
 type token =
   | Uid of string
   | Lid of string
-  | Label  (** [~name:] or [?name:] *)
+  | Label of { optional : bool; name : string }
+      (** [~name:] or [?name:]; a punned [~name] or [?name] is this
+          label followed by [Lid name] *)
   | Dot
   | Open of string  (** ( [ { sig struct begin object *)
   | Close
@@ -144,11 +150,12 @@ let tokens s =
         go (num i)
       else if (c = '~' || c = '?') && is_lower next then (
         let j = ident_end (i + 1) in
-        if j < n && s.[j] = ':' && not (j + 1 < n && s.[j + 1] = ':') then (
-          push Label;
-          go (j + 1))
+        let name = String.sub s (i + 1) (j - i - 1) in
+        push (Label { optional = c = '?'; name });
+        if j < n && s.[j] = ':' && not (j + 1 < n && s.[j + 1] = ':') then
+          go (j + 1)
         else (
-          push (Lid (String.sub s (i + 1) (j - i - 1)));
+          push (Lid name);
           go j))
       else if c = '.' && not (is_symbol next) then (
         push Dot;
@@ -225,6 +232,8 @@ type export = {
 
 type interface = {
   exports : export list;
+  optionals : (export * string) list;
+      (** each [?x:] of a [val]'s own arrows, with its declaration *)
   modules : string list;  (** every module path a caller can name *)
   parts : (string * string) list;
       (** [(m, v)]: a module type holds a module [m] with a [val v], so a
@@ -233,7 +242,7 @@ type interface = {
 
 let interface libs mlis =
   let direct = ref [] and in_types = ref [] and includes = ref [] in
-  let parts = ref [] in
+  let parts = ref [] and optionals = ref [] in
   let modules = ref (List.map (fun l -> String.capitalize_ascii l.name) libs) in
   List.iter
     (fun src ->
@@ -256,22 +265,38 @@ let interface libs mlis =
             |> Option.value ~default:file_path
           in
           let pending = ref `Other in
+          (* The [val] being declared and the bracket depth of its own
+             arrows, until its declaration ends. *)
+          let current = ref None in
           let record v =
             let p = prefix () in
+            let decl = { value = p ^ "." ^ v; key = p ^ "." ^ v; own } in
+            current := Some (decl, List.length !stack);
             if List.exists (function `Mtype _ -> true | _ -> false) !stack then (
               in_types := (p, v) :: !in_types;
               match List.find (function `Other -> false | _ -> true) !stack with
               | `Mod _ -> parts := (last_name p, v) :: !parts
               | _ -> ())
-            else
-              direct := { value = p ^ "." ^ v; key = p ^ "." ^ v; own } :: !direct
+            else direct := decl :: !direct
           in
           let i = ref 0 in
           while !i < n do
             (match toks.(!i) with
+            | Kw
+                ( "type" | "module" | "include" | "exception" | "open"
+                | "class" ) ->
+                current := None
+            | _ -> ());
+            (match toks.(!i) with
             | Kw ("val" | "external") -> (
+                current := None;
                 match if !i + 1 < n then toks.(!i + 1) else Close with
                 | Lid v -> record v
+                | _ -> ())
+            | Label { optional = true; name } -> (
+                match !current with
+                | Some (decl, depth) when List.length !stack = depth ->
+                    optionals := (decl, name) :: !optionals
                 | _ -> ())
             | Kw "module" when !i + 4 < n -> (
                 let at k = toks.(!i + k) in
@@ -295,6 +320,10 @@ let interface libs mlis =
                 stack := !pending :: !stack;
                 pending := `Other
             | Close -> (
+                (match !current with
+                | Some (_, depth) when List.length !stack = depth ->
+                    current := None
+                | _ -> ());
                 match !stack with _ :: rest -> stack := rest | [] -> ())
             | _ -> ());
             incr i
@@ -322,7 +351,12 @@ let interface libs mlis =
       (List.map (fun e -> { e with value = e.key; own = "" }) expanded)
     @ expanded
   in
-  { exports = List.rev_append !direct expanded; modules; parts = !parts }
+  {
+    exports = List.rev_append !direct expanded;
+    optionals = List.rev !optionals;
+    modules;
+    parts = !parts;
+  }
 
 (* References *)
 
@@ -462,6 +496,28 @@ let uses libs ~mlis ~mls =
       in
       (k, use))
     keys
+
+(* Every [?x:] of a [val], as ["Value.path ?x"] sorted, with whether a
+   file outside test/ and outside its own module passes the label [x]. *)
+let optional_uses libs ~mlis ~mls =
+  let iface = interface libs mlis in
+  let labels src =
+    Array.to_list (tokens src.text)
+    |> List.filter_map (function Label { name; _ } -> Some name | _ -> None)
+  in
+  let callers =
+    List.filter_map
+      (fun src -> if is_test src.path then None else Some (src.path, labels src))
+      mls
+  in
+  List.map
+    (fun (decl, x) ->
+      ( decl.key ^ " ?" ^ x,
+        List.exists
+          (fun (path, names) -> path <> decl.own && List.mem x names)
+          callers ))
+    iface.optionals
+  |> List.sort_uniq compare
 
 (* Reading the tree *)
 

@@ -447,17 +447,17 @@ end
 (* --- Trace.Recorder ------------------------------------------------------- *)
 
 module Recorder = struct
+  let capacity = 512
+
   type t = {
-    capacity : int;
     ring : Trace.Event.t option array;
     mutable next : int;
     mutable flight : Trace.Event.t list option;
     metrics : Metrics.t;
   }
 
-  let create ?(capacity = 512) () =
+  let create () =
     {
-      capacity;
       ring = Array.make capacity None;
       next = 0;
       flight = None;
@@ -465,14 +465,14 @@ module Recorder = struct
     }
 
   let ring_events t =
-    let n = min t.next t.capacity in
+    let n = min t.next capacity in
     List.init n (fun k ->
         let i = t.next - n + k in
-        match t.ring.(i mod t.capacity) with Some e -> e | None -> assert false)
+        match t.ring.(i mod capacity) with Some e -> e | None -> assert false)
 
   let record t ~now kind =
     let e = { Trace.Event.i = t.next; time = now; kind } in
-    t.ring.(t.next mod t.capacity) <- Some e;
+    t.ring.(t.next mod capacity) <- Some e;
     t.next <- t.next + 1;
     Metrics.observe t.metrics e;
     match kind with

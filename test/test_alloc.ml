@@ -301,7 +301,7 @@ let test_transfer_feedback_emits () =
       Dlc.Probe.cp_emitted probe ~cp_seq:1 ~next_expected:2 ~enforced:false
         ~stop_go:false ~naks);
   let delivered = Dlc.Probe.create () in
-  let feedback = Oracle.Feedback.create ~bucket:1e-3 () in
+  let feedback = Oracle.Feedback.create () in
   Oracle.Feedback.observe feedback delivered;
   (* 1,000 deliveries 1 ms apart, then the same 1,000 buckets again *)
   let clock = Dlc.Probe.clock delivered and tick = ref 0 in

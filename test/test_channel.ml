@@ -29,15 +29,6 @@ let test_uniform_fer_matches_analytic () =
   if Float.abs (freq -. expected) > 0.01 then
     Alcotest.failf "uniform FER %g != %g" freq expected
 
-let test_uniform_frame_loss () =
-  let model = Channel.Error_model.uniform ~frame_loss:1. ~ber:0. () in
-  let rng = Sim.Rng.create ~seed:3 in
-  (match Channel.Model.fate model rng ~header_bits:8 ~payload_bits:8 with
-  | Channel.Error_model.Lost -> ()
-  | _ -> Alcotest.fail "expected loss");
-  Alcotest.(check (float 1e-9)) "fer includes loss" 1.
-    (Channel.Model.frame_error_prob model ~bits:16)
-
 let test_ber_inverse () =
   let bits = 8104 in
   let fer = 0.08 in
@@ -114,7 +105,7 @@ let test_copy_independent () =
 let test_fates_into_uniform_stream_identical () =
   (* the uniform batch path must consume the rng exactly like n
      sequential [fate] calls: existing traces depend on the draw order *)
-  let mk () = Channel.Error_model.uniform ~frame_loss:0.05 ~ber:2e-4 () in
+  let mk () = Channel.Error_model.uniform ~ber:2e-4 () in
   let seq_model = mk () and batch_model = mk () in
   let r1 = Sim.Rng.create ~seed:11 and r2 = Sim.Rng.create ~seed:11 in
   let n = 2_000 in
@@ -578,7 +569,6 @@ let suite =
   [
     Alcotest.test_case "perfect never corrupts" `Quick test_perfect_never_corrupts;
     Alcotest.test_case "uniform FER analytic" `Slow test_uniform_fer_matches_analytic;
-    Alcotest.test_case "uniform frame loss" `Quick test_uniform_frame_loss;
     Alcotest.test_case "ber inverse" `Quick test_ber_inverse;
     Alcotest.test_case "GE stationary rate" `Slow test_ge_stationary_rate;
     Alcotest.test_case "GE burstiness" `Slow test_ge_burstiness;

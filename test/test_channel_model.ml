@@ -83,18 +83,12 @@ let sample = [| M.Clean; M.Corrupt { header = false }; M.Lost; M.Corrupt { heade
 let draw model rng n =
   Array.init n (fun _ -> M.fate model rng ~header_bits:104 ~payload_bits:8192)
 
-let test_replay_truncate_and_loop () =
+let test_replay_loops () =
   let rng = Sim.Rng.create ~seed:1 in
-  let trunc = TM.replay ~policy:TM.Truncate sample in
   Alcotest.(check (array fate))
-    "truncate: recorded fates then Clean"
-    (Array.append sample [| M.Clean; M.Clean |])
-    (draw trunc rng 6);
-  let loop = TM.replay ~policy:TM.Loop sample in
-  Alcotest.(check (array fate))
-    "loop: trace is periodic"
+    "the trace is periodic"
     (Array.append sample sample)
-    (draw loop rng 8)
+    (draw (TM.replay sample) rng 8)
 
 let test_replay_offset () =
   let rng = Sim.Rng.create ~seed:2 in
@@ -151,7 +145,7 @@ let test_fates_into_n_zero_consumes_nothing () =
   let models =
     [
       ("perfect", EM.perfect);
-      ("uniform", EM.uniform ~frame_loss:0.1 ~ber:1e-4 ());
+      ("uniform", EM.uniform ~ber:1e-4 ());
       ( "ge",
         EM.gilbert_elliott ~ber_good:1e-6 ~ber_bad:0.5 ~mean_burst_bits:1000.
           ~mean_gap_bits:9000. () );
@@ -331,8 +325,7 @@ let suite =
     Alcotest.test_case "parse comments/whitespace" `Quick
       test_parse_comments_and_whitespace;
     Alcotest.test_case "error rate" `Quick test_error_rate;
-    Alcotest.test_case "replay truncate/loop" `Quick
-      test_replay_truncate_and_loop;
+    Alcotest.test_case "replay loops" `Quick test_replay_loops;
     Alcotest.test_case "replay offset windows" `Quick test_replay_offset;
     Alcotest.test_case "replay consumes no randomness" `Quick
       test_replay_consumes_no_randomness;

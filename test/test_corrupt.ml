@@ -214,11 +214,20 @@ let test_tripwire_k0 () =
      same injection whose anomalies are tolerated at k = 8 must trip the
      oracle as real violations *)
   let klass = List.assoc "reverse-replay" E22.classes in
-  let o = E22.run_one ~k:0 ~seed:11 E22.Lams (E22.spec_of klass) in
-  Alcotest.(check int) "injected once" 1 o.E22.injected;
-  Alcotest.(check bool) "oracle trips" true (List.length o.E22.violations >= 2);
-  Alcotest.(check int) "nothing tolerated" 0 o.E22.tolerated;
-  Alcotest.(check int) "no window, no convergence" 0 o.E22.converged
+  let corrupt = C.compile (E22.spec_of klass) in
+  let _, oracle =
+    Experiments.Scenario.run_session ~oracle:true ~corrupt:(corrupt, 0)
+      { E22.link with Experiments.Scenario.seed = 11 }
+      (E22.session E22.Lams)
+  in
+  let oracle = Option.get oracle in
+  let conv = Oracle.convergence oracle in
+  Alcotest.(check int) "injected once" 1 (C.hits corrupt);
+  Alcotest.(check bool) "oracle trips" true
+    (List.length (Oracle.violations oracle) >= 2);
+  Alcotest.(check int) "nothing tolerated" 0 conv.Oracle.tolerated;
+  Alcotest.(check int) "no window, no convergence" 0
+    (List.length conv.Oracle.times)
 
 (* --- fault observers compose -------------------------------------------- *)
 

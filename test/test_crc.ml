@@ -24,13 +24,6 @@ let test_crc16_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   Alcotest.(check int) "slice" 0x29B1 (Frame.Crc.crc16 b ~pos:2 ~len:9)
 
-let test_crc32_chaining () =
-  let whole = crc32_of "123456789" in
-  let b = Bytes.of_string "123456789" in
-  let first = Frame.Crc.crc32_int b ~pos:0 ~len:4 in
-  let second = Frame.Crc.crc32_int ~init:first b ~pos:4 ~len:5 in
-  Alcotest.(check int) "chained = whole" whole second
-
 let test_out_of_bounds () =
   let b = Bytes.create 4 in
   Alcotest.check_raises "crc16 oob" (Invalid_argument "Crc.crc16: slice out of bounds")
@@ -91,7 +84,6 @@ let suite =
     Alcotest.test_case "crc16 empty" `Quick test_crc16_empty;
     Alcotest.test_case "crc32 empty" `Quick test_crc32_empty;
     Alcotest.test_case "crc16 slice" `Quick test_crc16_slice;
-    Alcotest.test_case "crc32 chaining" `Quick test_crc32_chaining;
     Alcotest.test_case "out of bounds" `Quick test_out_of_bounds;
     QCheck_alcotest.to_alcotest prop_crc16_detects_single_bit_flip;
     QCheck_alcotest.to_alcotest prop_crc32_detects_single_bit_flip;

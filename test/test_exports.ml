@@ -3,7 +3,9 @@
    test/ (lib, bin, perfbench or examples), or it is listed below with
    the reason it stays. A new export nothing calls, or one only a test
    calls, fails this suite; so does an entry whose value is gone or has
-   gained a caller. The scan itself is Export_scan. *)
+   gained a caller. Likewise every optional argument of such a [val] is
+   passed by some file outside test/ and outside its own module, or
+   listed with its reason. The scan itself is Export_scan. *)
 
 module S = Export_scan
 
@@ -80,14 +82,20 @@ let allowlist =
     ( "Oracle.Transfer.sessions_spanned",
       Accessor "handover: manager three windows zero loss",
       "sessions the transfer oracle saw" );
-    ( "Orbit.Circular_orbit.raan_rate",
-      Accessor "orbit: J2 precession",
-      "nodal rate; positions show it only integrated" );
     ("Orbit.Constellation.size", Accessor "orbit: walker structure", "satellites");
     ("Sim.Timer.remaining", Accessor "engine: timer remaining", "time to expiry");
     ( "Stats.Histogram.underflow",
       Accessor "stats: histogram basics",
       "no metric exports it" );
+  ]
+
+(* Optional arguments that no file outside test/ and outside their own
+   module passes, and why each stays. *)
+let optional_allowlist =
+  [
+    ( "Dlc.Corrupt.rule ?period",
+      "the corruption-script grammar's [every P]: Corrupt's own parser \
+       passes it" );
   ]
 
 (* Every way [uses] breaks the contract, one line each. *)
@@ -118,6 +126,26 @@ let violations ~allowlist uses =
   in
   unlisted @ stale
 
+(* Every way the optional-argument [uses] break the contract. *)
+let optional_violations ~allowlist uses =
+  let unlisted =
+    List.filter_map
+      (fun (k, passed) ->
+        if passed || List.mem_assoc k allowlist then None
+        else Some (k ^ ": optional, but no caller outside test/ passes it"))
+      uses
+  in
+  let stale =
+    List.filter_map
+      (fun (k, _) ->
+        match List.assoc_opt k uses with
+        | None -> Some (k ^ ": listed, but no longer an optional argument")
+        | Some true -> Some (k ^ ": listed, but a caller outside test/ passes it")
+        | Some false -> None)
+      allowlist
+  in
+  unlisted @ stale
+
 let root = if Sys.file_exists "lib" then "." else ".."
 
 let test_gate () =
@@ -128,7 +156,22 @@ let test_gate () =
       Alcotest.failf "%d exports break the contract:\n%s" (List.length vs)
         (String.concat "\n" vs)
 
+let test_optional_gate () =
+  let libs, mlis, mls = S.load ~root in
+  match
+    optional_violations ~allowlist:optional_allowlist
+      (S.optional_uses libs ~mlis ~mls)
+  with
+  | [] -> ()
+  | vs ->
+      Alcotest.failf "%d optional arguments break the contract:\n%s"
+        (List.length vs) (String.concat "\n" vs)
+
 let test_reasons () =
+  List.iter
+    (fun (name, line) ->
+      if String.trim line = "" then Alcotest.failf "%s: no reason" name)
+    optional_allowlist;
   List.iter
     (fun (name, why, line) ->
       if String.trim line = "" then Alcotest.failf "%s: no reason" name;
@@ -232,6 +275,34 @@ let test_gate_rejects () =
          [ ("Sim.Engine.step", Reference, "r"); ("Sim.Engine.run", Reference, "r") ]
        (uses callers))
 
+let test_optional_args () =
+  let mlis =
+    [
+      {
+        S.path = "lib/sim/engine.mli";
+        text =
+          "type t\n\
+           val run : ?until:float -> ?max:int -> t -> unit\n\
+           val step : ?hook:(?late:bool -> unit) -> t -> bool\n\
+           type u = ?gone:int -> unit\n";
+      };
+    ]
+  in
+  Alcotest.(check (list (pair string bool)))
+    "passed by label outside test/ and outside its module"
+    [
+      ("Sim.Engine.run ?max", false);
+      ("Sim.Engine.run ?until", true);
+      ("Sim.Engine.step ?hook", true);
+    ]
+    (S.optional_uses libs ~mlis
+       ~mls:
+         [
+           ml "bin/main.ml" "let () = Sim.Engine.run ~until:1. e; f ?hook";
+           ml "lib/sim/engine.ml" "let run ?until ?max t = step ?max t";
+           ml "test/t.ml" "let () = Sim.Engine.run ~max:3 e";
+         ])
+
 let test_gate_accepts () =
   let perfbench_only = ml "perfbench/b.ml" "let _ = Sim.Engine.step" in
   Alcotest.(check (list string)) "perfbench is a caller" []
@@ -249,4 +320,7 @@ let suite =
     Alcotest.test_case "scan: comments and strings" `Quick test_comments_strings;
     Alcotest.test_case "scan: gate rejects" `Quick test_gate_rejects;
     Alcotest.test_case "scan: gate accepts" `Quick test_gate_accepts;
+    Alcotest.test_case "every optional argument has a caller" `Quick
+      test_optional_gate;
+    Alcotest.test_case "scan: optional arguments" `Quick test_optional_args;
   ]

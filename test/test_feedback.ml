@@ -221,7 +221,12 @@ let test_adversary_stream_compat () =
     "I-frame fates unchanged by enabling control-frame lies"
     (decisions legacy) (decisions lying);
   let corrupting =
-    F.adversary ~seed:42 ~p_iframe:0.1 ~p_corrupt_payload:0.2 ()
+    match
+      Proto_harness.from_file F.load
+        "adversary seed=42 p-iframe=0.1 p-corrupt-payload=0.2"
+    with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "corrupting adversary rejected: %s" e
   in
   Alcotest.(check bool)
     "payload corruption does perturb the stream (sanity)" true

@@ -334,11 +334,7 @@ let test_adversarial_phase_cuts () =
   List.iter
     (fun (label, cut) ->
       let setup =
-        {
-          Experiments.E21_handover.default_setup with
-          Experiments.E21_handover.cut;
-          drop_nth_iframe = Some 3;
-        }
+        { Experiments.E21_handover.default_setup with Experiments.E21_handover.cut }
       in
       let o = Experiments.E21_handover.run_transfer ~seed:11 setup in
       if o.Experiments.E21_handover.violations <> [] then
@@ -437,7 +433,7 @@ let test_failure_declared_all_variants () =
   Alcotest.(check bool) "lams declares" true !lams_seen;
   (* HDLC: N2 retries exhausted *)
   let hdlc_params =
-    { Hdlc.Params.default with Hdlc.Params.max_retries = 3; t_out = 5e-3 }
+    { Hdlc.Params.default with Hdlc.Params.t_out = 5e-3 }
   in
   let t, session = Proto_harness.hdlc ~params:hdlc_params () in
   let hdlc_seen = saw (Hdlc.Session.probe session) in
@@ -505,7 +501,7 @@ let check_bits label expected actual =
 
 let test_transfers_pinned () =
   let module E21 = Experiments.E21_handover in
-  let cut c = { E21.default_setup with E21.cut = c; drop_nth_iframe = Some 3 } in
+  let cut c = { E21.default_setup with E21.cut = c } in
   List.iter
     (fun (label, setup, expected) ->
       check_bits label expected

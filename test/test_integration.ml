@@ -214,9 +214,13 @@ let test_frame_conservation () =
     Channel.Duplex.create_static engine
       ~rng:(Sim.Rng.create ~seed:4)
       ~distance_m:2_000_000. ~data_rate_bps:100e6
-      ~iframe_error:(Channel.Error_model.uniform ~ber:1e-4 ~frame_loss:0.01 ())
+      ~iframe_error:(Channel.Error_model.uniform ~ber:1e-4 ())
       ~cframe_error:(Channel.Error_model.uniform ~ber:1e-7 ())
   in
+  (* and 1% of I-frames lost outright *)
+  Channel.Fault.install
+    (Channel.Fault.compile (Channel.Fault.adversary ~seed:4 ~p_iframe:0.01 ()))
+    duplex.Channel.Duplex.forward;
   let session =
     Lams_dlc.Session.create engine ~params:Lams_dlc.Params.default ~duplex
   in
@@ -233,6 +237,7 @@ let test_frame_conservation () =
   Alcotest.(check int) "protocol sends = link sends"
     (m.Dlc.Metrics.iframes_sent + m.Dlc.Metrics.retransmissions)
     fwd.Channel.Link.frames_sent;
+  Alcotest.(check bool) "frames were lost" true (fwd.Channel.Link.frames_lost > 0);
   Alcotest.(check int) "sent = delivered + lost"
     fwd.Channel.Link.frames_sent
     (fwd.Channel.Link.frames_delivered + fwd.Channel.Link.frames_lost);

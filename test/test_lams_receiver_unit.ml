@@ -323,33 +323,35 @@ let prop_ledger_matches_reference =
       true)
 
 (* Drains settle in the engine's (time, seq) order, ties included. A
-   frame arrives at 1/8 s and drains at 1/4 s, the instant of the first
-   checkpoint. The checkpoint tick was scheduled before the drain, so it
-   still counts the frame: with both watermarks at 0 it says Stop. An
-   event scheduled after the drain, at the same instant, finds it gone.
-   All instants are dyadic, so the tie is exact. *)
+   frame arrives at 1/8 s and drains [t_proc] later, at the instant of
+   the first checkpoint: the checkpoint interval is that instant,
+   computed as the drain instant is, so the tie is exact. The checkpoint
+   tick was scheduled before the drain, so it still counts the frame:
+   with both watermarks at 0 it says Stop. An event scheduled after the
+   drain, at the same instant, finds it gone. *)
 let test_drain_tie_order () =
+  let arrival = 0.125 in
+  let drain = arrival +. Lams_dlc.Params.t_proc in
   let h =
-    make ~w_cp:0.25
+    make ~w_cp:drain
       ~tune:(fun p ->
         {
           p with
-          Lams_dlc.Params.t_proc = 0.125;
-          recv_high_watermark = 0;
+          Lams_dlc.Params.recv_high_watermark = 0;
           recv_low_watermark = 0;
         })
       ()
   in
   let after = ref None in
   let at time f = ignore (Sim.Engine.schedule_at h.engine ~time f : Sim.Engine.event_id) in
-  at 0.125 (fun () ->
+  at arrival (fun () ->
       arrive h 0;
-      at 0.25 (fun () ->
+      at drain (fun () ->
           after :=
             Some
               ( Lams_dlc.Receiver.queue_length h.receiver,
                 Lams_dlc.Receiver.stop_state h.receiver )));
-  Sim.Engine.run h.engine ~until:0.375;
+  Sim.Engine.run h.engine ~until:(1.5 *. drain);
   let cp = latest_cp h in
   Alcotest.(check int) "one checkpoint" 0 cp.Frame.Cframe.cp_seq;
   Alcotest.(check bool) "the earlier tick sees the frame: Stop" true

@@ -9,10 +9,27 @@
    - E9-style blackout: both link directions down mid-transfer, across
      the enforced-recovery boundary.
 
-   Every replicate runs with the oracle attached (matrix_point ~check or
-   fault scripts force the checked path) and reports an
-   [oracle_violations] metric; the fold must come back all-zero, and
-   LAMS must keep its zero-loss guarantee on every replicate. *)
+   Every replicate runs through Scenario.run_checked, with the oracle
+   attached, and reports an [oracle_violations] metric next to
+   Scenario.matrix_metrics; the fold must come back all-zero, and LAMS
+   must keep its zero-loss guarantee on every replicate. *)
+
+(* A checked point: the replicate seed replaces [cfg.seed] and seeds the
+   fault scripts. *)
+let checked_point ?faults ~label cfg protocol =
+  {
+    Runner.label;
+    run =
+      (fun ~seed ->
+        let faults = Option.map (fun mk -> mk ~seed) faults in
+        let r, violations =
+          Experiments.Scenario.run_checked ?faults ?reverse_faults:faults
+            { cfg with Experiments.Scenario.seed }
+            protocol
+        in
+        Experiments.Scenario.matrix_metrics r
+        @ [ ("oracle_violations", float_of_int (List.length violations)) ]);
+  }
 
 let stat ~(report : Bench_report.Matrix_report.t) ~point ~metric =
   match report.Bench_report.Matrix_report.experiments with
@@ -72,8 +89,7 @@ let test_ablation_soak () =
             Lams_dlc.Params.c_depth;
           }
         in
-        Experiments.Scenario.matrix_point ~faults:adversary
-          ~reverse_faults:adversary
+        checked_point ~faults:adversary
           ~label:(Printf.sprintf "c_depth=%d" c_depth)
           cfg (Experiments.Scenario.Lams params))
       [ 1; 3 ]
@@ -106,7 +122,7 @@ let test_blackout_soak () =
             blackout = Some (0.02, blackout_len);
           }
         in
-        Experiments.Scenario.matrix_point ~check:true
+        checked_point
           ~label:(Printf.sprintf "blackout=%g" blackout_len)
           cfg
           (Experiments.Scenario.Lams

@@ -26,7 +26,6 @@ let test_params_validation () =
         { continuous with Nbdt.Params.report_interval = nan } );
       ( "resend_timeout = nan",
         { continuous with Nbdt.Params.resend_timeout = nan } );
-      ("t_proc = nan", { continuous with Nbdt.Params.t_proc = nan });
       ("retx_cooldown = nan", { continuous with Nbdt.Params.retx_cooldown = nan });
     ]
 

@@ -8,7 +8,7 @@ type harness = {
   delivered : int list ref;
 }
 
-let make ?(report_interval = 1e-3) ?(max_report_misses = 512) () =
+let make ?(report_interval = 1e-3) () =
   let engine = Sim.Engine.create () in
   let reverse =
     Channel.Link.create engine
@@ -24,9 +24,7 @@ let make ?(report_interval = 1e-3) ?(max_report_misses = 512) () =
           sent := cp :: !sent
       | _ -> ());
   Channel.Link.set_receiver reverse (fun _ -> ());
-  let params =
-    { Nbdt.Params.default with Nbdt.Params.report_interval; max_report_misses }
-  in
+  let params = { Nbdt.Params.default with Nbdt.Params.report_interval } in
   let receiver =
     Nbdt.Receiver.create engine ~params ~reverse ~metrics:(Dlc.Metrics.create ())
       ~probe:(Dlc.Probe.create ())
@@ -94,15 +92,17 @@ let test_corrupt_stays_missing_until_clean_copy () =
   Alcotest.(check (list int)) "delivered once" [ 0 ] (List.rev !(h.delivered))
 
 let test_capped_report_clamps_frontier () =
-  let h = make ~max_report_misses:3 () in
+  let h = make () in
   arrive h 0;
-  arrive h 10;
-  (* 9 missing (1..9), cap 3: the report may only list 1,2,3 and must
-     clamp its frontier to 4 so the sender cannot release 4..9 *)
+  arrive h 600;
+  (* 599 missing (1..599), cap 512: the report may only list 1..512 and
+     must clamp its frontier to 513 so the sender cannot release
+     513..599 *)
   run_for h 1.5e-3;
   let cp = latest h in
-  Alcotest.(check (list int)) "first three listed" [ 1; 2; 3 ] cp.Frame.Cframe.naks;
-  Alcotest.(check int) "frontier clamped" 4 cp.Frame.Cframe.next_expected
+  Alcotest.(check (list int)) "first 512 listed" (List.init 512 succ)
+    cp.Frame.Cframe.naks;
+  Alcotest.(check int) "frontier clamped" 513 cp.Frame.Cframe.next_expected
 
 let test_report_cadence_and_stop () =
   let h = make ~report_interval:1e-3 () in

@@ -82,9 +82,9 @@ let run_case c =
         let s = Nbdt.Session.create engine ~params:Nbdt.Params.default ~duplex in
         (Nbdt.Session.as_dlc s, Nbdt.Session.probe s)
   in
-  let recorder = Trace.Recorder.create ~capacity:64 () in
+  let recorder = Trace.Recorder.create () in
   let oracle = Oracle.create c.profile in
-  let ref_recorder = Ref.Recorder.create ~capacity:64 () in
+  let ref_recorder = Ref.Recorder.create () in
   let ref_oracle = Ref.Oracle.create c.profile in
   (* each recorder before its oracle, as Scenario.run_checked wires them *)
   Trace.Recorder.attach_probe recorder probe;
@@ -226,6 +226,28 @@ let test_metrics_long_stream () =
     (Bench_report.Json.to_string ~indent:0 (Ref.Metrics.to_json reference))
     (Bench_report.Json.to_string ~indent:0 (Trace.Metrics.to_json flat))
 
+(* The random cases trip the oracle before the recorder's 512-event ring
+   fills. This one wraps it: an 8-bit SR-HDLC profile watches a clean
+   LAMS stream, whose wire numbers leave that space only at the 257th
+   transmission, after all 300 offers. *)
+let test_flight_dump_wraps_the_ring () =
+  let c =
+    {
+      variant = Lams;
+      profile = Oracle.Hdlc { window = 1_000; seq_bits = 8 };
+      seed = 1;
+      ber = 0.;
+      frames = 300;
+      forward = [];
+      reverse = [];
+    }
+  in
+  ignore (check_case c : bool);
+  let recorder, _, _, _ = run_case c in
+  match Trace.Recorder.flight recorder with
+  | Some events -> Alcotest.(check int) "a full ring" 512 (List.length events)
+  | None -> Alcotest.fail "no flight dump"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_observers_match_reference;
@@ -233,4 +255,6 @@ let suite =
       test_cases_cover_violations;
     Alcotest.test_case "metrics match the reference on a long stream" `Quick
       test_metrics_long_stream;
+    Alcotest.test_case "flight dump past a full ring" `Quick
+      test_flight_dump_wraps_the_ring;
   ]

@@ -180,40 +180,6 @@ let test_contact_windows_crossing () =
       if Orbit.Contact.duration w <= 0. then Alcotest.fail "empty window")
     ws
 
-let test_j2_precession () =
-  let base ~j2 =
-    Orbit.Circular_orbit.create ~j2 ~altitude_m:800_000.
-      ~inclination_rad:(98.6 *. Float.pi /. 180.)
-      ~raan_rad:0. ~phase_rad:0. ()
-  in
-  let off = base ~j2:false and on = base ~j2:true in
-  feq "no drift without j2" (Orbit.Circular_orbit.raan_rate off) 0. ~eps:1e-18;
-  (* sun-synchronous test case: ~800 km at 98.6 deg regresses EASTWARD at
-     about +1.99e-7 rad/s (2 pi per year) *)
-  let rate = Orbit.Circular_orbit.raan_rate on in
-  if rate < 1.5e-7 || rate > 2.5e-7 then
-    Alcotest.failf "sun-sync raan rate %g not ~2e-7" rate;
-  (* prograde LEO regresses westward *)
-  let prograde =
-    Orbit.Circular_orbit.create ~j2:true ~altitude_m:1e6 ~inclination_rad:0.9
-      ~raan_rad:0. ~phase_rad:0. ()
-  in
-  Alcotest.(check bool) "prograde drifts westward" true
-    (Orbit.Circular_orbit.raan_rate prograde < 0.);
-  (* the drift actually moves the plane: position after a day differs
-     from the j2-off propagation by many kilometres *)
-  let day = 86_400. in
-  let d =
-    Orbit.Vec3.distance
-      (Orbit.Circular_orbit.position on ~at:day)
-      (Orbit.Circular_orbit.position off ~at:day)
-  in
-  Alcotest.(check bool) "plane moved" true (d > 10_000.);
-  (* radius is still constant under J2 *)
-  feq "radius constant"
-    (Orbit.Vec3.norm (Orbit.Circular_orbit.position on ~at:day))
-    (radius 800_000.)
-
 let test_contact_usable () =
   let w = { Orbit.Contact.t_start = 10.; t_end = 20. } in
   (match Orbit.Contact.usable w ~retarget_overhead:4. with
@@ -302,7 +268,6 @@ let suite =
     Alcotest.test_case "visible pairs" `Quick test_visible_pairs_symmetric_content;
     Alcotest.test_case "contact windows coplanar" `Quick test_contact_windows_coplanar;
     Alcotest.test_case "contact windows crossing" `Quick test_contact_windows_crossing;
-    Alcotest.test_case "J2 precession" `Quick test_j2_precession;
     Alcotest.test_case "contact usable" `Quick test_contact_usable;
     Alcotest.test_case "contact mid-window span" `Quick
       test_contact_windows_mid_window_span;

@@ -125,7 +125,10 @@ let test_nbdt_replays_channel_trace () =
 let test_e17_nbdt_replays_default_trace () =
   let _, row = e17 "ber=1e-05/nbdt-continuous" in
   let plain = row () in
-  let trace = Channel.Trace_model.load "data/channel-trace-golden.trace" in
+  let trace =
+    Channel.Trace_model.load
+      (Filename.concat Test_golden.data_dir "channel-trace-golden.trace")
+  in
   let traced =
     Fun.protect
       ~finally:(fun () -> Experiments.Scenario.set_default_channel_trace None)

@@ -262,7 +262,7 @@ let disaster_point =
   }
 
 let run_matrix_traced ~jobs ~dir =
-  Trace.Config.set (Some { Trace.Config.dir; capacity = 128 });
+  Trace.Config.set (Some { Trace.Config.dir });
   Fun.protect
     ~finally:(fun () -> Trace.Config.set None)
     (fun () ->
@@ -313,7 +313,32 @@ let test_jobs_byte_identical_traces () =
 
 let test_metrics_replay_matches_live () =
   (* Accumulating metrics from the JSONL stream must reproduce the
-     live recorder's numbers (the [trace summary] contract). *)
+     live recorder's numbers (the [trace summary] contract): on a
+     scripted run, and on every golden trace against its checked-in
+     .metrics.json, which brings fault, lie, corruption and replay
+     events in. *)
+  let goldens =
+    Sys.readdir Test_golden.data_dir
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "golden traces found" true (goldens <> []);
+  List.iter
+    (fun name ->
+      let path = Filename.concat Test_golden.data_dir name in
+      let replayed = Trace.Metrics.create () in
+      match
+        Trace.Schema.fold_file path ~init:() (fun () e ->
+            Trace.Metrics.observe replayed e)
+      with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok () ->
+          Alcotest.(check string)
+            (name ^ ": the checked-in metrics")
+            (read_file (path ^ ".metrics.json"))
+            (Json.to_string ~indent:2 (Trace.Metrics.to_json replayed) ^ "\n"))
+    goldens;
   let jsonl, recorder, _ = traced_run 5 in
   let live = Trace.Recorder.metrics recorder in
   let replayed = Trace.Metrics.create () in
