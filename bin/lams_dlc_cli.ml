@@ -10,6 +10,16 @@
 
 open Cmdliner
 
+(* Every command's exit codes: parse errors and [`Error]s are usage errors. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"when a run breaks its safety rule or a check fails.";
+      info 2 ~doc:"on a usage error: a bad flag, name or input file.";
+      info 125 ~doc:"on an unexpected internal error (a bug).";
+    ]
+
 (* Shared --trace DIR flag: point-in-time process config consumed by
    Scenario's auto-capture (content-addressed per-replicate files). *)
 let trace_dir_arg =
@@ -225,7 +235,7 @@ let experiments_list_cmd =
           e.Experiments.All.name)
       Experiments.All.all
   in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ quick)
+  Cmd.v (Cmd.info "list" ~doc ~exits) Term.(const run $ quick)
 
 let experiments_run_cmd =
   let doc =
@@ -251,14 +261,14 @@ let experiments_run_cmd =
     print_matrix ~text:(Experiments.All.report ~quick) o
       (Runner.run ~jobs:o.jobs ~root_seed:o.root_seed ~replicates experiments)
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       const run $ ids_arg $ all_arg $ quick_arg $ replicates $ channel_trace_arg
       $ matrix_opts)
 
 let experiments_cmd =
   let doc = "Replicated experiment-matrix runner (deterministic seeds)." in
-  Cmd.group (Cmd.info "experiments" ~doc)
+  Cmd.group (Cmd.info "experiments" ~doc ~exits)
     [ experiments_list_cmd; experiments_run_cmd ]
 
 (* Machine-readable metrics for ad-hoc runs, mirroring [Dlc.Metrics.pp].
@@ -437,7 +447,7 @@ let sim_cmd =
                nbdt, nbdt-multiphase)"
               (String.lowercase_ascii protocol) )
   in
-  Cmd.v (Cmd.info "sim" ~doc)
+  Cmd.v (Cmd.info "sim" ~doc ~exits)
     Term.(
       ret
         (const run $ protocol $ frames $ ber $ cber $ distance_km $ rate_mbps
@@ -492,7 +502,8 @@ let trace_run_cmd =
       (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
       violations
   in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ out $ seed $ frames $ disaster)
+  Cmd.v (Cmd.info "run" ~doc ~exits)
+    Term.(const run $ out $ seed $ frames $ disaster)
 
 let trace_validate_cmd =
   let doc = "Validate a JSONL trace against the event schema." in
@@ -506,7 +517,7 @@ let trace_validate_cmd =
         `Ok ()
     | Error e -> `Error (false, Printf.sprintf "%s: %s" file e)
   in
-  Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const run $ file))
+  Cmd.v (Cmd.info "validate" ~doc ~exits) Term.(ret (const run $ file))
 
 let trace_summary_cmd =
   let doc =
@@ -528,11 +539,11 @@ let trace_summary_cmd =
           (Bench_report.Json.to_string ~indent:2 (Trace.Metrics.to_json metrics));
         `Ok ()
   in
-  Cmd.v (Cmd.info "summary" ~doc) Term.(ret (const run $ file))
+  Cmd.v (Cmd.info "summary" ~doc ~exits) Term.(ret (const run $ file))
 
 let trace_cmd =
   let doc = "Trace capture, validation and summarisation." in
-  Cmd.group (Cmd.info "trace" ~doc)
+  Cmd.group (Cmd.info "trace" ~doc ~exits)
     [ trace_run_cmd; trace_validate_cmd; trace_summary_cmd ]
 
 (* --- soaks and the safety gate ------------------------------------------- *)
@@ -561,7 +572,7 @@ let soak_cmd ~doc (h : Experiments.Soak.harness) =
           (List.length labels) (String.concat ", " labels);
         exit 1
   in
-  Cmd.v (Cmd.info "soak" ~doc) Term.(const run $ schedules $ matrix_opts)
+  Cmd.v (Cmd.info "soak" ~doc ~exits) Term.(const run $ schedules $ matrix_opts)
 
 (* --- handover: contact-window session migration ------------------------ *)
 
@@ -781,7 +792,7 @@ let handover_run_cmd =
           (Experiments.E21_handover.outcome_metrics o);
         `Ok ()
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run $ contact_plan_arg $ seed $ messages $ cut $ outcome_json_arg
@@ -798,7 +809,7 @@ let handover_cmd =
      captured traces) are byte-identical for any $(b,--jobs) value. \
      Exits non-zero when any schedule trips the oracle."
   in
-  Cmd.group (Cmd.info "handover" ~doc)
+  Cmd.group (Cmd.info "handover" ~doc ~exits)
     [ handover_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.handover ]
 
 (* --- corrupt: self-stabilisation under live-state corruption ----------- *)
@@ -899,7 +910,7 @@ let corrupt_run_cmd =
         gate Experiments.Soak.corrupt metrics;
         `Ok ()
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run $ variant $ klass $ corrupt_script_arg $ seed $ frames
@@ -917,7 +928,7 @@ let corrupt_cmd =
      value. Exits non-zero when any schedule trips the oracle (fails \
      to reconverge or loses unledgered payloads)."
   in
-  Cmd.group (Cmd.info "corrupt" ~doc)
+  Cmd.group (Cmd.info "corrupt" ~doc ~exits)
     [ corrupt_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.corrupt ]
 
 (* --- feedback: Byzantine reverse-channel lies and the plausibility guard - *)
@@ -1054,7 +1065,7 @@ let feedback_run_cmd =
         gate Experiments.Soak.feedback (E.outcome_metrics o);
         `Ok ()
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run $ variant $ lie $ lie_script $ no_guard $ seed $ frames
@@ -1073,7 +1084,7 @@ let feedback_cmd =
      $(b,--jobs) value. Exits non-zero when any schedule wrongly \
      releases data or stalls without declaring failure."
   in
-  Cmd.group (Cmd.info "feedback" ~doc)
+  Cmd.group (Cmd.info "feedback" ~doc ~exits)
     [ feedback_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.feedback ]
 
 (* --- channel: trace generation, calibration and live capture ----------- *)
@@ -1113,7 +1124,7 @@ let channel_gen_cmd =
     Format.printf "%s: %d frames, error rate %.4f@." out frames
       (Channel.Trace_model.error_rate data)
   in
-  Cmd.v (Cmd.info "gen" ~doc)
+  Cmd.v (Cmd.info "gen" ~doc ~exits)
     Term.(const run $ kind $ out $ frames $ seed $ payload)
 
 let channel_calibrate_cmd =
@@ -1156,7 +1167,7 @@ let channel_calibrate_cmd =
             Format.eprintf "%s@." e;
             exit 1)
   in
-  Cmd.v (Cmd.info "calibrate" ~doc)
+  Cmd.v (Cmd.info "calibrate" ~doc ~exits)
     Term.(const run $ file $ payload $ close_gap)
 
 let channel_record_cmd =
@@ -1250,7 +1261,7 @@ let channel_record_cmd =
       (Trace.Fates.length fates)
       (Dlc.Metrics.unique_delivered r.Experiments.Scenario.metrics)
   in
-  Cmd.v (Cmd.info "record" ~doc)
+  Cmd.v (Cmd.info "record" ~doc ~exits)
     Term.(
       const run $ out $ frames $ seed $ ber $ burst_bits $ gap_bits $ ber_bad
       $ payload)
@@ -1260,7 +1271,7 @@ let channel_cmd =
     "Channel traces: generate scripted scenarios, calibrate synthetic \
      twins, record live fates."
   in
-  Cmd.group (Cmd.info "channel" ~doc)
+  Cmd.group (Cmd.info "channel" ~doc ~exits)
     [ channel_gen_cmd; channel_calibrate_cmd; channel_record_cmd ]
 
 (* --- golden: the checked-in golden files -------------------------------- *)
@@ -1298,25 +1309,30 @@ let golden_regen_cmd =
       Experiments.Golden.entries;
     if !failed then exit 1
   in
-  Cmd.v (Cmd.info "regen" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "regen" ~doc ~exits) Term.(const run $ const ())
 
 let golden_cmd =
   let doc = "Golden files: regenerate test/data from its registry." in
-  Cmd.group (Cmd.info "golden" ~doc) [ golden_regen_cmd ]
+  Cmd.group (Cmd.info "golden" ~doc ~exits) [ golden_regen_cmd ]
 
 let () =
   let doc = "LAMS-DLC ARQ protocol reproduction (Ward & Choi, 1991)" in
-  let info = Cmd.info "lams_dlc_cli" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "lams_dlc_cli" ~version:"1.0.0" ~doc ~exits in
+  let cmd =
+    Cmd.group info
+      [
+        sim_cmd;
+        experiments_cmd;
+        trace_cmd;
+        handover_cmd;
+        corrupt_cmd;
+        feedback_cmd;
+        channel_cmd;
+        golden_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            sim_cmd;
-            experiments_cmd;
-            trace_cmd;
-            handover_cmd;
-            corrupt_cmd;
-            feedback_cmd;
-            channel_cmd;
-            golden_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> 125)

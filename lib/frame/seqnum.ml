@@ -5,8 +5,6 @@ let space ~bits =
   let modulus = 1 lsl bits in
   { bits; modulus; mask = modulus - 1 }
 
-let modulus sp = sp.modulus
-
 let succ sp x = (x + 1) land sp.mask
 
 let add sp a b = (a + b) land sp.mask

@@ -15,8 +15,6 @@ type space
 val space : bits:int -> space
 (** Requires [1 <= bits <= 30]. *)
 
-val modulus : space -> int
-
 val succ : space -> int -> int
 
 val add : space -> int -> int -> int

@@ -25,8 +25,8 @@ let modulus t = 1 lsl t.seq_bits
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.seq_bits < 1 || t.seq_bits > 30 then
-    err "seq_bits must be in 1..30 (got %d)" t.seq_bits
+  if t.seq_bits < 1 || t.seq_bits > 16 then
+    err "seq_bits must be in 1..16 (got %d)" t.seq_bits
   else if t.window < 1 then err "window must be >= 1 (got %d)" t.window
   else if t.mode = Selective_repeat && t.window > modulus t / 2 then
     err "SR window %d exceeds modulus/2 = %d" t.window (modulus t / 2)

@@ -20,7 +20,9 @@ type t = {
           spends the otherwise idle line cyclically re-sending
           unacknowledged frames. [Go_back_n] + stutter is Stutter-GBN;
           [Selective_repeat] + stutter is SR+ST. *)
-  seq_bits : int;  (** modulus is [2^seq_bits]; 3 or 7 in real HDLC *)
+  seq_bits : int;
+      (** modulus is [2^seq_bits]; 3, 7 or 15 in real HDLC. At most 16:
+          the receiver's per-number columns span the whole modulus. *)
   window : int;  (** send window W; [<= 2^(seq_bits-1)] for SR *)
   t_out : float;  (** retransmission timeout, seconds; paper: [R + alpha] *)
   send_buffer_capacity : int;

@@ -2,8 +2,6 @@ let src = Logs.Src.create "hdlc.receiver" ~doc:"HDLC receiver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module Int_set = Set.Make (Int)
-
 type t = {
   engine : Sim.Engine.t;
   params : Params.t;
@@ -12,8 +10,14 @@ type t = {
   metrics : Dlc.Metrics.t;
   probe : Dlc.Probe.t;
   mutable v_r : int;
-  buffer : (int, Frame.Payload.t) Hashtbl.t;  (* out-of-order frames, SR mode *)
-  mutable srej_outstanding : Int_set.t;
+  (* Per-number state in columns indexed by the sequence number. They
+     span the whole modulus, not a window: a scrambled V(R) or a
+     poisoned ledger leaves entries outside [V(R), V(R)+W), which a
+     window-sized ring would alias. *)
+  held : Frame.Payload.t array;  (* out-of-order frames, SR mode *)
+  is_held : bool array;
+  mutable n_held : int;
+  srej : bool array;  (* an SREJ is outstanding *)
   mutable highest_seen : int;  (* one past the newest identified seq *)
   mutable rej_armed : bool;  (* GBN: one REJ per gap event *)
   mutable on_deliver : (payload:Frame.Payload.t -> seq:int -> unit) option;
@@ -23,6 +27,7 @@ type t = {
 
 let create engine ~params ~reverse ~metrics ~probe =
   Dlc.Probe.set_clock probe engine;
+  let m = Params.modulus params in
   {
     engine;
     params;
@@ -31,8 +36,10 @@ let create engine ~params ~reverse ~metrics ~probe =
     metrics;
     probe;
     v_r = 0;
-    buffer = Hashtbl.create 256;
-    srej_outstanding = Int_set.empty;
+    held = Array.make m Frame.Payload.empty;
+    is_held = Array.make m false;
+    n_held = 0;
+    srej = Array.make m false;
     highest_seen = 0;
     rej_armed = true;
     on_deliver = None;
@@ -42,7 +49,7 @@ let create engine ~params ~reverse ~metrics ~probe =
 
 let set_on_deliver t f = t.on_deliver <- Some f
 
-let buffered t = Hashtbl.length t.buffer
+let buffered t = t.n_held
 
 let stop t = t.stopped <- true
 
@@ -72,23 +79,20 @@ let deliver t ~payload ~seq =
 (* In-order delivery plus draining of buffered successors. *)
 let advance t ~payload =
   deliver t ~payload ~seq:t.v_r;
-  t.srej_outstanding <- Int_set.remove t.v_r t.srej_outstanding;
+  t.srej.(t.v_r) <- false;
   t.v_r <- Frame.Seqnum.succ t.sp t.v_r;
-  let rec drain () =
-    match Hashtbl.find_opt t.buffer t.v_r with
-    | Some payload ->
-        Hashtbl.remove t.buffer t.v_r;
-        deliver t ~payload ~seq:t.v_r;
-        t.srej_outstanding <- Int_set.remove t.v_r t.srej_outstanding;
-        t.v_r <- Frame.Seqnum.succ t.sp t.v_r;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while t.is_held.(t.v_r) do
+    let seq = t.v_r in
+    t.is_held.(seq) <- false;
+    t.n_held <- t.n_held - 1;
+    deliver t ~payload:t.held.(seq) ~seq;
+    t.srej.(seq) <- false;
+    t.v_r <- Frame.Seqnum.succ t.sp seq
+  done;
   (* highest_seen is meaningful only inside the current window *)
   if Frame.Seqnum.sub t.sp t.highest_seen t.v_r > t.params.Params.window then
     t.highest_seen <- t.v_r;
-  Dlc.Metrics.sample_recv_buffer t.metrics (Hashtbl.length t.buffer);
+  Dlc.Metrics.sample_recv_buffer t.metrics t.n_held;
   t.rej_armed <- true;
   (* cumulative acknowledgement of the new in-order point *)
   send_control t ~kind:Frame.Hframe.Rr ~nr:t.v_r ~pf:false
@@ -97,8 +101,8 @@ let in_recv_window t seq =
   Frame.Seqnum.in_window t.sp ~lo:t.v_r ~size:t.params.Params.window seq
 
 let request_srej t seq =
-  if not (Int_set.mem seq t.srej_outstanding) then begin
-    t.srej_outstanding <- Int_set.add seq t.srej_outstanding;
+  if not t.srej.(seq) then begin
+    t.srej.(seq) <- true;
     send_control t ~kind:Frame.Hframe.Srej ~nr:seq ~pf:false
   end
 
@@ -109,6 +113,13 @@ let note_seen t seq =
   if Frame.Seqnum.sub t.sp next t.v_r > Frame.Seqnum.sub t.sp t.highest_seen t.v_r
   then t.highest_seen <- next
 
+(* GBN: discard and roll the sender back, once per gap event *)
+let reject t =
+  if t.rej_armed then begin
+    t.rej_armed <- false;
+    send_control t ~kind:Frame.Hframe.Rej ~nr:t.v_r ~pf:false
+  end
+
 let on_good_frame t seq payload =
   if seq = t.v_r then begin
     note_seen t seq;
@@ -118,22 +129,19 @@ let on_good_frame t seq payload =
     note_seen t seq;
     match t.params.Params.mode with
     | Params.Selective_repeat ->
-        if not (Hashtbl.mem t.buffer seq) then begin
-          Hashtbl.replace t.buffer seq payload;
-          Dlc.Metrics.sample_recv_buffer t.metrics (Hashtbl.length t.buffer)
+        if not t.is_held.(seq) then begin
+          t.held.(seq) <- payload;
+          t.is_held.(seq) <- true;
+          t.n_held <- t.n_held + 1;
+          Dlc.Metrics.sample_recv_buffer t.metrics t.n_held
         end;
         (* every missing frame between V(R) and seq needs an SREJ *)
         let missing = ref t.v_r in
         while Frame.Seqnum.sub t.sp seq !missing > 0 do
-          if not (Hashtbl.mem t.buffer !missing) then request_srej t !missing;
+          if not t.is_held.(!missing) then request_srej t !missing;
           missing := Frame.Seqnum.succ t.sp !missing
         done
-    | Params.Go_back_n ->
-        (* discard and roll the sender back, once per gap event *)
-        if t.rej_armed then begin
-          t.rej_armed <- false;
-          send_control t ~kind:Frame.Hframe.Rej ~nr:t.v_r ~pf:false
-        end
+    | Params.Go_back_n -> reject t
   end
   else begin
     (* below the window: duplicate retransmission after a lost RR;
@@ -149,11 +157,7 @@ let on_corrupt_frame t seq =
     note_seen t seq;
     match t.params.Params.mode with
     | Params.Selective_repeat -> request_srej t seq
-    | Params.Go_back_n ->
-        if t.rej_armed then begin
-          t.rej_armed <- false;
-          send_control t ~kind:Frame.Hframe.Rej ~nr:t.v_r ~pf:false
-        end
+    | Params.Go_back_n -> reject t
   end
 
 (* Poll handling: answer with the cumulative state and re-request every
@@ -164,10 +168,10 @@ let on_poll t =
   | Params.Selective_repeat ->
       let missing = ref t.v_r in
       while Frame.Seqnum.sub t.sp t.highest_seen !missing > 0 do
-        if not (Hashtbl.mem t.buffer !missing) then begin
+        if not t.is_held.(!missing) then begin
           (* allow a fresh SREJ even if one was already sent: the poll
              implies the sender is stuck, so the SREJ likely got lost *)
-          t.srej_outstanding <- Int_set.remove !missing t.srej_outstanding;
+          t.srej.(!missing) <- false;
           request_srej t !missing
         end;
         missing := Frame.Seqnum.succ t.sp !missing
@@ -199,13 +203,8 @@ let scramble_recv_seq t ~delta =
   if t.stopped then None
   else begin
     let before = t.v_r in
-    let steps = min (abs delta) (t.params.Params.window - 1) in
-    let m = Frame.Seqnum.modulus t.sp in
-    for _ = 1 to steps do
-      t.v_r <-
-        (if delta >= 0 then Frame.Seqnum.succ t.sp t.v_r
-         else Frame.Seqnum.add t.sp t.v_r (m - 1))
-    done;
+    let w = t.params.Params.window in
+    t.v_r <- Frame.Seqnum.add t.sp t.v_r (max (1 - w) (min delta (w - 1)));
     if Frame.Seqnum.sub t.sp t.highest_seen t.v_r > t.params.Params.window
     then t.highest_seen <- t.v_r;
     Some (Printf.sprintf "receiver v_r %d -> %d" before t.v_r)
@@ -214,13 +213,8 @@ let scramble_recv_seq t ~delta =
 let poison_nak_ledger t ~seqs =
   if t.stopped then None
   else begin
-    let m = Frame.Seqnum.modulus t.sp in
-    let abs_seqs =
-      List.map (fun s -> (((t.v_r + s) mod m) + m) mod m) seqs
-    in
-    t.srej_outstanding <-
-      List.fold_left (fun set s -> Int_set.add s set) t.srej_outstanding
-        abs_seqs;
+    let abs_seqs = List.map (Frame.Seqnum.add t.sp t.v_r) seqs in
+    List.iter (fun s -> t.srej.(s) <- true) abs_seqs;
     Some
       (Printf.sprintf
          "poisoned srej-outstanding with %s (future SREJs suppressed)"
@@ -230,7 +224,7 @@ let poison_nak_ledger t ~seqs =
 let truncate_nak_ledger t =
   if t.stopped then None
   else begin
-    let n = Int_set.cardinal t.srej_outstanding in
-    t.srej_outstanding <- Int_set.empty;
+    let n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.srej in
+    Array.fill t.srej 0 (Array.length t.srej) false;
     Some (Printf.sprintf "erased srej-outstanding set (%d entries)" n)
   end

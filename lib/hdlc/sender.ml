@@ -2,13 +2,6 @@ let src = Logs.Src.create "hdlc.sender" ~doc:"HDLC sender"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type inflight = {
-  payload : Frame.Payload.t;
-  offer_time : float;
-  first_tx_time : float;
-  mutable retries : int;
-}
-
 type t = {
   engine : Sim.Engine.t;
   params : Params.t;
@@ -18,11 +11,23 @@ type t = {
   probe : Dlc.Probe.t;
   mutable v_s : int;  (* next sequence number to use *)
   mutable v_a : int;  (* oldest unacknowledged *)
-  inflight : (int, inflight) Hashtbl.t;
-  fresh : (Frame.Payload.t * float) Queue.t;
-  retx : (int * bool) Queue.t;
-      (* seqs queued for retransmission; the flag asks for a poll (set by
-         timeout recovery only — SREJ/REJ retransmissions do not poll) *)
+  (* The frames in flight are exactly the cyclic range [v_a, v_s): they
+     enter at v_s and leave from v_a. Their state lives in columns
+     indexed by the sequence number, the instants unboxed. *)
+  payloads : Frame.Payload.t array;
+  offer_at : float array;
+  first_tx_at : float array;
+  retries : int array;
+  (* never-sent payloads and their offer instants: a ring of [fresh_len]
+     entries from [fresh_head], its capacity a power of two *)
+  mutable fresh : Frame.Payload.t array;
+  mutable fresh_at : float array;
+  mutable fresh_head : int;
+  mutable fresh_len : int;
+  retx : Dlc.Fifo.t;
+      (* seqs queued for retransmission, as [2 * seq + poll]: the poll bit
+         is set by timeout recovery only — SREJ/REJ retransmissions do not
+         poll *)
   mutable timer : Sim.Timer.t option;
       (* single retransmission timer guarding the oldest unacknowledged
          frame — HDLC timeout recovery. Per-frame timers would stampede
@@ -36,26 +41,24 @@ type t = {
   mutable stopped : bool;
   mutable resync_pending : bool;
       (* a guard-forced poll awaits its Final response *)
-  mutable on_failure : (unit -> unit) option;
 }
-
-let backlog t = Queue.length t.fresh + Hashtbl.length t.inflight
-
-let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
 
 let in_window t = Frame.Seqnum.sub t.sp t.v_s t.v_a
 
+let[@inline] in_flight t seq = Frame.Seqnum.sub t.sp seq t.v_a < in_window t
+
+let backlog t = t.fresh_len + in_window t
+
+let emit t ev = Dlc.Probe.emit t.probe ~now:(Sim.Engine.now t.engine) ev
+
 let window_open t = in_window t < t.params.Params.window
 
-let window_stalled t = (not (window_open t)) && Queue.is_empty t.retx
+let window_stalled t = (not (window_open t)) && Dlc.Fifo.is_empty t.retx
 
-(* [find], not [find_opt]: no option per delivered frame. *)
 let note_delivered t seq =
-  match Hashtbl.find t.inflight seq with
-  | fl ->
-      Stats.Online.add t.metrics.Dlc.Metrics.delivery_delay
-        (Sim.Engine.now t.engine -. fl.offer_time)
-  | exception Not_found -> ()
+  if in_flight t seq then
+    Stats.Online.add t.metrics.Dlc.Metrics.delivery_delay
+      (Sim.Engine.now t.engine -. t.offer_at.(seq))
 
 let sample_buffer t = Dlc.Metrics.sample_send_buffer t.metrics (backlog t)
 
@@ -73,80 +76,62 @@ let declare_failure t =
       t.metrics.Dlc.Metrics.failures_detected + 1;
     stop_timer t;
     Log.info (fun m -> m "link declared failed at %g" (Sim.Engine.now t.engine));
-    emit t Dlc.Probe.Failure_declared;
-    match t.on_failure with None -> () | Some f -> f ()
+    emit t Dlc.Probe.Failure_declared
   end
+
+(* Put a frame in flight under V(S). *)
+let[@inline] enter t payload ~offer_at ~now =
+  let seq = t.v_s in
+  t.v_s <- Frame.Seqnum.succ t.sp seq;
+  t.payloads.(seq) <- payload;
+  t.offer_at.(seq) <- offer_at;
+  t.first_tx_at.(seq) <- now;
+  t.retries.(seq) <- 0;
+  seq
 
 let rec maybe_send t =
-  if (not t.failed) && not t.stopped && not (Channel.Link.busy t.forward) then begin
-    match Queue.take_opt t.retx with
-    | Some (seq, want_poll) -> (
-        match Hashtbl.find_opt t.inflight seq with
-        | None -> maybe_send t (* acknowledged meanwhile; skip *)
-        | Some fl ->
-            let pf = want_poll && not t.poll_outstanding in
-            transmit t ~seq ~fl ~is_retx:true ~pf)
-    | None ->
-        if window_open t && not (Queue.is_empty t.fresh) then begin
-          let payload, offer_time = Queue.pop t.fresh in
-          let seq = t.v_s in
-          t.v_s <- Frame.Seqnum.succ t.sp t.v_s;
-          let fl =
-            {
-              payload;
-              offer_time;
-              first_tx_time = Sim.Engine.now t.engine;
-              retries = 0;
-            }
-          in
-          Hashtbl.replace t.inflight seq fl;
-          (* P bit when the window is now exhausted: checkpoint poll
-             (only one poll may be outstanding) *)
-          let pf = (not (window_open t)) && not t.poll_outstanding in
-          transmit t ~seq ~fl ~is_retx:false ~pf
-        end
-        else if t.params.Params.stutter && Hashtbl.length t.inflight > 0 then
-          stutter_send t
-  end
+  if (not t.failed) && (not t.stopped) && not (Channel.Link.busy t.forward) then
+    if not (Dlc.Fifo.is_empty t.retx) then begin
+      let x = Dlc.Fifo.pop t.retx in
+      let seq = x lsr 1 in
+      if in_flight t seq then
+        transmit t ~seq ~is_retx:true
+          ~pf:(x land 1 = 1 && not t.poll_outstanding)
+      else maybe_send t (* acknowledged meanwhile; skip *)
+    end
+    else if window_open t && t.fresh_len > 0 then begin
+      let h = t.fresh_head in
+      t.fresh_head <- (h + 1) land (Array.length t.fresh - 1);
+      t.fresh_len <- t.fresh_len - 1;
+      let now = Sim.Engine.now t.engine in
+      let seq = enter t t.fresh.(h) ~offer_at:t.fresh_at.(h) ~now in
+      (* P bit when the window is now exhausted: checkpoint poll
+         (only one poll may be outstanding) *)
+      transmit t ~seq ~is_retx:false
+        ~pf:((not (window_open t)) && not t.poll_outstanding)
+    end
+    else if t.params.Params.stutter && in_window t > 0 then stutter_send t
 
 (* Stutter mode: the line would be idle — spend it re-sending
-   unacknowledged frames, cycling [v_a, v_s). Extra copies cost nothing
-   the line was going to do anyway and pre-empt the timeout/NAK round
-   trip when the first copy was corrupted. *)
+   unacknowledged frames, cycling [v_a, v_s) from the cursor. Extra
+   copies cost nothing the line was going to do anyway and pre-empt the
+   timeout/NAK round trip when the first copy was corrupted. *)
 and stutter_send t =
-  let in_flight_window = Frame.Seqnum.sub t.sp t.v_s t.v_a in
-  if in_flight_window > 0 then begin
-    (* start from the cursor; wrap within [v_a, v_s) *)
-    let rec find tries seq =
-      if tries = 0 then None
-      else if Hashtbl.mem t.inflight seq then Some seq
-      else
-        let next = Frame.Seqnum.succ t.sp seq in
-        let next = if Frame.Seqnum.sub t.sp next t.v_a >= in_flight_window then t.v_a else next in
-        find (tries - 1) next
-    in
-    let start =
-      if Frame.Seqnum.sub t.sp t.stutter_next t.v_a >= in_flight_window then t.v_a
-      else t.stutter_next
-    in
-    match find in_flight_window start with
-    | None -> ()
-    | Some seq ->
-        let fl = Hashtbl.find t.inflight seq in
-        t.stutter_next <- Frame.Seqnum.succ t.sp seq;
-        transmit t ~seq ~fl ~is_retx:true ~pf:false
-  end
+  let seq = if in_flight t t.stutter_next then t.stutter_next else t.v_a in
+  t.stutter_next <- Frame.Seqnum.succ t.sp seq;
+  transmit t ~seq ~is_retx:true ~pf:false
 
-and transmit t ~seq ~fl ~is_retx ~pf =
+and transmit t ~seq ~is_retx ~pf =
   (* HDLC carries P in the I-frame control field; our layout models a
      poll as the I-frame followed by an RR command with P set — the same
      protocol meaning (solicit an immediate status response). *)
-  let wire = Frame.Wire.Data (Frame.Iframe.create ~seq ~payload:fl.payload) in
+  let payload = t.payloads.(seq) in
+  let wire = Frame.Wire.Data (Frame.Iframe.create ~seq ~payload) in
   if is_retx then
     t.metrics.Dlc.Metrics.retransmissions <-
       t.metrics.Dlc.Metrics.retransmissions + 1
   else t.metrics.Dlc.Metrics.iframes_sent <- t.metrics.Dlc.Metrics.iframes_sent + 1;
-  Dlc.Probe.tx t.probe ~seq ~payload:fl.payload ~retx:is_retx;
+  Dlc.Probe.tx t.probe ~seq ~payload ~retx:is_retx;
   Channel.Link.send t.forward wire;
   if pf then begin
     t.poll_outstanding <- true;
@@ -173,68 +158,55 @@ and ensure_timer_running t =
    its retransmission, or the closing RR was lost) — resend it with a
    poll. *)
 and on_timeout t =
-  if t.failed || t.stopped then ()
-  else
-  match Hashtbl.find_opt t.inflight t.v_a with
-  | None ->
-      (* v_a acknowledged but later frames may remain (SR gaps) *)
-      if Hashtbl.length t.inflight > 0 then ensure_timer_running t
-  | Some fl ->
-      if fl.retries >= max_retries then declare_failure t
-      else begin
-        fl.retries <- fl.retries + 1;
-        (* the previous poll (if any) evidently got no answer *)
-        t.poll_outstanding <- false;
-        Dlc.Probe.requeued t.probe ~seq:t.v_a ~payload:fl.payload;
-        Queue.add (t.v_a, true) t.retx;
-        ensure_timer_running t;
-        maybe_send t
-      end
+  if (not t.failed) && (not t.stopped) && in_window t > 0 then
+    if t.retries.(t.v_a) >= max_retries then declare_failure t
+    else begin
+      t.retries.(t.v_a) <- t.retries.(t.v_a) + 1;
+      poll_oldest t
+    end
 
-let release t seq fl =
-  Hashtbl.remove t.inflight seq;
-  Dlc.Probe.released t.probe ~seq ~payload:fl.payload;
-  t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
-  Stats.Online.add t.metrics.Dlc.Metrics.holding_time
-    (Sim.Engine.now t.engine -. fl.first_tx_time)
+(* Requeue the oldest unacknowledged frame with a poll; the previous
+   poll (if any) evidently got no answer. *)
+and poll_oldest t =
+  t.poll_outstanding <- false;
+  Dlc.Probe.requeued t.probe ~seq:t.v_a ~payload:t.payloads.(t.v_a);
+  Dlc.Fifo.push t.retx ((2 * t.v_a) + 1);
+  ensure_timer_running t;
+  maybe_send t
 
 (* Cumulative acknowledgement: everything cyclically in [v_a, nr). *)
 let ack_below t nr =
   let count = Frame.Seqnum.sub t.sp nr t.v_a in
-  if count > 0 && count <= Frame.Seqnum.sub t.sp t.v_s t.v_a then begin
-    let seq = ref t.v_a in
-    for _ = 1 to count do
-      (match Hashtbl.find_opt t.inflight !seq with
-      | Some fl -> release t !seq fl
-      | None -> ());
-      seq := Frame.Seqnum.succ t.sp !seq
+  if count > 0 && count <= in_window t then begin
+    let now = Sim.Engine.now t.engine in
+    for i = 0 to count - 1 do
+      let seq = Frame.Seqnum.add t.sp t.v_a i in
+      Dlc.Probe.released t.probe ~seq ~payload:t.payloads.(seq);
+      t.metrics.Dlc.Metrics.released <- t.metrics.Dlc.Metrics.released + 1;
+      Stats.Online.add t.metrics.Dlc.Metrics.holding_time
+        (now -. t.first_tx_at.(seq))
     done;
     t.v_a <- nr;
     sample_buffer t;
     (* restart the watchdog for the new oldest frame, if any *)
     stop_timer t;
-    if Hashtbl.length t.inflight > 0 || not (Queue.is_empty t.retx) then
+    if in_window t > 0 || not (Dlc.Fifo.is_empty t.retx) then
       ensure_timer_running t
   end
 
-let on_srej t nr =
-  match Hashtbl.find_opt t.inflight nr with
-  | Some fl ->
-      Dlc.Probe.requeued t.probe ~seq:nr ~payload:fl.payload;
-      Queue.add (nr, false) t.retx
-  | None -> ()
+let requeue t seq =
+  Dlc.Probe.requeued t.probe ~seq ~payload:t.payloads.(seq);
+  Dlc.Fifo.push t.retx (2 * seq)
 
-(* Go-Back-N: acknowledge below nr, then resend everything from nr on. *)
+let on_srej t nr = if in_flight t nr then requeue t nr
+
+(* Go-Back-N: acknowledge below nr, then resend everything still in
+   flight. An nr inside [v_a, v_s] is the new v_a; one outside leaves
+   the whole window to resend. *)
 let on_rej t nr =
   ack_below t nr;
-  let seq = ref nr in
-  while Frame.Seqnum.sub t.sp t.v_s !seq > 0 do
-    (match Hashtbl.find_opt t.inflight !seq with
-    | Some fl ->
-        Dlc.Probe.requeued t.probe ~seq:!seq ~payload:fl.payload;
-        Queue.add (!seq, false) t.retx
-    | None -> ());
-    seq := Frame.Seqnum.succ t.sp !seq
+  for i = 0 to in_window t - 1 do
+    requeue t (Frame.Seqnum.add t.sp t.v_a i)
   done
 
 let on_rx t (rx : Channel.Link.rx) =
@@ -265,27 +237,29 @@ let v_s t = t.v_s
 
 let v_a t = t.v_a
 
-let is_outstanding t seq = Hashtbl.mem t.inflight seq
+let is_outstanding = in_flight
 
 (* Guard escalation hook: resend the oldest unacknowledged frame with a
    poll — the same exchange as timeout recovery, but without charging
    the frame a retry (the frame did nothing wrong; the feedback did). *)
 let force_resync t =
-  if (not t.failed) && not t.stopped then
-    match Hashtbl.find_opt t.inflight t.v_a with
-    | None -> ()
-    | Some fl ->
-        if not t.resync_pending then begin
-          t.resync_pending <- true;
-          emit t Dlc.Probe.Recovery_started
-        end;
-        t.poll_outstanding <- false;
-        Dlc.Probe.requeued t.probe ~seq:t.v_a ~payload:fl.payload;
-        Queue.add (t.v_a, true) t.retx;
-        ensure_timer_running t;
-        maybe_send t
+  if (not t.failed) && (not t.stopped) && in_window t > 0 then begin
+    if not t.resync_pending then begin
+      t.resync_pending <- true;
+      emit t Dlc.Probe.Recovery_started
+    end;
+    poll_oldest t
+  end
 
 let force_failure t = declare_failure t
+
+(* A full ring's entries from [head] on, in an array twice its size. *)
+let double ring ~head fill =
+  let n = Array.length ring in
+  let a = Array.make (2 * n) fill in
+  Array.blit ring head a 0 (n - head);
+  Array.blit ring 0 a (n - head) head;
+  a
 
 let offer t payload =
   if t.failed || t.stopped then false
@@ -300,7 +274,15 @@ let offer t payload =
     if Float.is_nan (Dlc.Metrics.first_offer_time t.metrics) then
       Dlc.Metrics.set_first_offer_time t.metrics now;
     Dlc.Probe.offered t.probe payload;
-    Queue.add (payload, now) t.fresh;
+    if t.fresh_len = Array.length t.fresh then begin
+      t.fresh <- double t.fresh ~head:t.fresh_head Frame.Payload.empty;
+      t.fresh_at <- double t.fresh_at ~head:t.fresh_head 0.;
+      t.fresh_head <- 0
+    end;
+    let j = (t.fresh_head + t.fresh_len) land (Array.length t.fresh - 1) in
+    t.fresh.(j) <- payload;
+    t.fresh_at.(j) <- now;
+    t.fresh_len <- t.fresh_len + 1;
     sample_buffer t;
     maybe_send t;
     true
@@ -312,6 +294,7 @@ let stop t =
 
 let create engine ~params ~forward ~metrics ~probe =
   Dlc.Probe.set_clock probe engine;
+  let m = Params.modulus params in
   let t =
     {
       engine;
@@ -322,16 +305,21 @@ let create engine ~params ~forward ~metrics ~probe =
       probe;
       v_s = 0;
       v_a = 0;
-      inflight = Hashtbl.create 256;
-      fresh = Queue.create ();
-      retx = Queue.create ();
+      payloads = Array.make m Frame.Payload.empty;
+      offer_at = Array.make m 0.;
+      first_tx_at = Array.make m 0.;
+      retries = Array.make m 0;
+      fresh = Array.make 16 Frame.Payload.empty;
+      fresh_at = Array.make 16 0.;
+      fresh_head = 0;
+      fresh_len = 0;
+      retx = Dlc.Fifo.create ();
       timer = None;
       poll_outstanding = false;
       stutter_next = 0;
       failed = false;
       stopped = false;
       resync_pending = false;
-      on_failure = None;
     }
   in
   Channel.Link.set_on_idle forward (fun () -> maybe_send t);
@@ -339,47 +327,32 @@ let create engine ~params ~forward ~metrics ~probe =
 
 (* --- state-corruption surface (Dolev et al. self-stabilisation) ---------- *)
 
+(* Jump V(S) forward, materialising the skipped numbers as phantom
+   in-flight frames that were never transmitted. The receiver will
+   SREJ/REJ the gap and the sender "retransmits" the phantoms —
+   fabricated data delivered under corrupted state, exactly the Dolev et
+   al. arbitrary-state scenario — after which numbering is consistent
+   again. Capped so the window guard stays sound. *)
 let scramble_send_seq t ~delta =
+  let delta = min delta (t.params.Params.window - in_window t - 1) in
   if t.failed || t.stopped || delta < 1 then None
   else begin
-    (* Jump V(S) forward, materialising the skipped numbers as phantom
-       in-flight frames that were never transmitted. The receiver will
-       SREJ/REJ the gap and the sender "retransmits" the phantoms —
-       fabricated data delivered under corrupted state, exactly the
-       Dolev et al. arbitrary-state scenario — after which numbering is
-       consistent again. Capped so the window guard stays sound. *)
-    let room = t.params.Params.window - in_window t - 1 in
-    let delta = min delta room in
-    if delta < 1 then None
-    else begin
-      let before = t.v_s in
-      let now = Sim.Engine.now t.engine in
-      for _ = 1 to delta do
-        Hashtbl.replace t.inflight t.v_s
-          {
-            payload = Frame.Payload.of_string (Printf.sprintf "phantom-%d" t.v_s);
-            offer_time = now;
-            first_tx_time = now;
-            retries = 0;
-          };
-        t.v_s <- Frame.Seqnum.succ t.sp t.v_s
-      done;
-      Some
-        (Printf.sprintf "sender v_s %d -> %d (%d phantom inflight)" before
-           t.v_s delta)
-    end
+    let before = t.v_s in
+    let now = Sim.Engine.now t.engine in
+    for _ = 1 to delta do
+      let phantom = Printf.sprintf "phantom-%d" t.v_s in
+      ignore (enter t (Frame.Payload.of_string phantom) ~offer_at:now ~now)
+    done;
+    Some
+      (Printf.sprintf "sender v_s %d -> %d (%d phantom inflight)" before t.v_s
+         delta)
   end
 
 let duplicate_buffer_entry t =
-  if t.failed || t.stopped then None
-  else
-    let seq =
-      if Hashtbl.mem t.inflight t.v_a then Some t.v_a
-      else Hashtbl.fold (fun s _ _ -> Some s) t.inflight None
-    in
-    match seq with
-    | None -> None
-    | Some seq ->
-        Queue.add (seq, false) t.retx;
-        maybe_send t;
-        Some (Printf.sprintf "duplicated inflight seq %d into the retx queue" seq)
+  if t.failed || t.stopped || in_window t = 0 then None
+  else begin
+    let seq = t.v_a in
+    Dlc.Fifo.push t.retx (2 * seq);
+    maybe_send t;
+    Some (Printf.sprintf "duplicated inflight seq %d into the retx queue" seq)
+  end

@@ -10,8 +10,8 @@
     - cumulative RR(n) acknowledges everything cyclically below [n];
     - SREJ(n) selectively retransmits frame [n] (SR mode); REJ(n) rolls
       transmission back to [n] (GBN mode);
-    - a per-frame retransmission timer ([t_out]) drives timeout recovery;
-      timeout retransmissions also set the P bit;
+    - one retransmission timer ([t_out]) on the oldest unacknowledged
+      frame drives timeout recovery; its retransmissions set the P bit;
     - a frame retried more than 10 times (HDLC's N2) declares the link
       failed. *)
 

@@ -2,44 +2,6 @@ let src = Logs.Src.create "lams_dlc.sender" ~doc:"LAMS-DLC sender"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* A FIFO of buffer slots: a growable ring of ints. *)
-module Fifo = struct
-  type t = { mutable buf : int array; mutable head : int; mutable len : int }
-
-  let create () = { buf = Array.make 16 0; head = 0; len = 0 }
-
-  let length q = q.len
-
-  let is_empty q = q.len = 0
-
-  (* the [i]-th from the front; the capacity is a power of two *)
-  let[@inline] nth q i =
-    Array.unsafe_get q.buf ((q.head + i) land (Array.length q.buf - 1))
-
-  let[@inline never] grow q =
-    let buf = Array.make (2 * Array.length q.buf) 0 in
-    for i = 0 to q.len - 1 do
-      buf.(i) <- nth q i
-    done;
-    q.buf <- buf;
-    q.head <- 0
-
-  let push q x =
-    if q.len = Array.length q.buf then grow q;
-    Array.unsafe_set q.buf ((q.head + q.len) land (Array.length q.buf - 1)) x;
-    q.len <- q.len + 1
-
-  let pop q =
-    let x = Array.unsafe_get q.buf q.head in
-    q.head <- (q.head + 1) land (Array.length q.buf - 1);
-    q.len <- q.len - 1;
-    x
-
-  let clear q =
-    q.head <- 0;
-    q.len <- 0
-end
-
 (* The ring slot of a resolved frame. *)
 let resolved = -1
 
@@ -67,8 +29,8 @@ type t = {
   mutable ring_head : int;
   mutable ring_len : int;
   mutable live : int;  (* unresolved entries *)
-  fresh : Fifo.t;  (* slots of never-transmitted payloads *)
-  retx : Fifo.t;  (* awaiting retransmission *)
+  fresh : Dlc.Fifo.t;  (* slots of never-transmitted payloads *)
+  retx : Dlc.Fifo.t;  (* awaiting retransmission *)
   rate_factor : float array;  (* one element: written per checkpoint, unboxed *)
   next_allowed_tx : float array;  (* one element: written per frame, unboxed *)
   mutable wakeup_scheduled : bool;
@@ -191,7 +153,7 @@ let find t seq =
   if i < t.ring_len && t.ring_seq.(j) = seq && t.ring_slot.(j) <> resolved then j
   else -1
 
-let backlog t = Fifo.length t.fresh + Fifo.length t.retx + t.live
+let backlog t = Dlc.Fifo.length t.fresh + Dlc.Fifo.length t.retx + t.live
 
 let outstanding t = t.live
 
@@ -229,15 +191,15 @@ let update_span t =
 let rec maybe_send t =
   if (not t.failed) && not t.stopped then begin
     (* retransmissions first; new frames only when not halted *)
-    let is_retx = not (Fifo.is_empty t.retx) in
+    let is_retx = not (Dlc.Fifo.is_empty t.retx) in
     if
-      (is_retx || ((not t.halted) && not (Fifo.is_empty t.fresh)))
+      (is_retx || ((not t.halted) && not (Dlc.Fifo.is_empty t.fresh)))
       && not (Channel.Link.busy t.forward)
       (* a busy link's on_idle callback re-enters maybe_send *)
     then begin
       let now = Sim.Engine.now t.engine in
       if now < Array.unsafe_get t.next_allowed_tx 0 then schedule_wakeup t
-      else transmit t (Fifo.pop (if is_retx then t.retx else t.fresh)) ~is_retx
+      else transmit t (Dlc.Fifo.pop (if is_retx then t.retx else t.fresh)) ~is_retx
     end
   end
 
@@ -387,7 +349,7 @@ let release t j seq =
 let queue_retransmission t j seq =
   let s = resolve t j in
   Dlc.Probe.requeued t.probe ~seq ~payload:t.payloads.(s);
-  Fifo.push t.retx s
+  Dlc.Fifo.push t.retx s
 
 (* A recursive walk, not [List.iter]: no closure per checkpoint. *)
 let rec requeue_naked t = function
@@ -534,7 +496,7 @@ let offer t payload =
     let s = alloc_slot t payload in
     Array.unsafe_set t.offer_at s now;
     Array.unsafe_set t.first_tx_at s nan;
-    Fifo.push t.fresh s;
+    Dlc.Fifo.push t.fresh s;
     sample_buffer t;
     maybe_send t;
     true
@@ -569,10 +531,10 @@ let drain_unresolved t =
   t.ring_len <- 0;
   List.iter
     (fun q ->
-      for i = 0 to Fifo.length q - 1 do
-        take (Fifo.nth q i) `Not_delivered
+      for i = 0 to Dlc.Fifo.length q - 1 do
+        take (Dlc.Fifo.nth q i) `Not_delivered
       done;
-      Fifo.clear q)
+      Dlc.Fifo.clear q)
     [ t.retx; t.fresh ];
   sample_buffer t;
   List.rev !out
@@ -598,8 +560,8 @@ let create engine ~params ~forward ~metrics ~probe =
       ring_head = 0;
       ring_len = 0;
       live = 0;
-      fresh = Fifo.create ();
-      retx = Fifo.create ();
+      fresh = Dlc.Fifo.create ();
+      retx = Dlc.Fifo.create ();
       rate_factor = [| 1. |];
       next_allowed_tx = [| 0. |];
       wakeup_scheduled = false;
@@ -648,7 +610,7 @@ let duplicate_buffer_entry t =
       let c = alloc_slot t t.payloads.(s) in
       t.offer_at.(c) <- t.offer_at.(s);
       t.first_tx_at.(c) <- t.first_tx_at.(s);
-      Fifo.push t.retx c;
+      Dlc.Fifo.push t.retx c;
       maybe_send t;
       Some
         (Printf.sprintf "duplicated unreleased seq %d into the retx queue" seq)

@@ -348,8 +348,8 @@ let suite =
     Alcotest.test_case "LAMS session within 61 words per frame" `Quick
       (test_scenario_words_per_frame ~max_words:61. (fun c ->
            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
-    Alcotest.test_case "SR-HDLC session within 92 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:92. (fun c ->
+    Alcotest.test_case "SR-HDLC session within 59 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:59. (fun c ->
            Experiments.Scenario.Hdlc (Experiments.Scenario.default_hdlc_params c)));
     Alcotest.test_case "Stats.Online.add: 0 words" `Quick test_online_add;
     Alcotest.test_case "idle Link.send to arrival: at most 11 words" `Quick

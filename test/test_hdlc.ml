@@ -20,6 +20,12 @@ let test_params_validation () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "GBN window M-1 rejected: %s" e);
+  (match Hdlc.Params.validate { sr with Hdlc.Params.seq_bits = 17 } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "seq_bits = 17 accepted");
+  (match Hdlc.Params.validate { sr with Hdlc.Params.seq_bits = 16 } with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "seq_bits = 16 rejected: %s" e);
   (match Hdlc.Params.validate { sr with Hdlc.Params.t_out = 0. } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "t_out = 0 accepted");

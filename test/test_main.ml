@@ -23,6 +23,7 @@ let () =
       ("hdlc", Test_hdlc.suite);
       ("hdlc-receiver-unit", Test_hdlc_receiver_unit.suite);
       ("hdlc-sender-unit", Test_hdlc_sender_unit.suite);
+      ("hdlc-reference", Test_hdlc_reference.suite);
       ("nbdt", Test_nbdt.suite);
       ("nbdt-receiver-unit", Test_nbdt_receiver_unit.suite);
       ("session", Test_session.suite);

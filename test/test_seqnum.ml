@@ -3,7 +3,8 @@
 let sp8 = Frame.Seqnum.space ~bits:3 (* modulus 8: small enough to test wrap *)
 
 let test_space_params () =
-  Alcotest.(check int) "modulus" 8 (Frame.Seqnum.modulus sp8)
+  Alcotest.(check int) "wraps at 8" 0 (Frame.Seqnum.add sp8 7 1);
+  Alcotest.(check int) "distance mod 8" 7 (Frame.Seqnum.sub sp8 0 1)
 
 let test_bad_space () =
   Alcotest.check_raises "bits 0" (Invalid_argument "Seqnum.space: bits must be in 1..30")
