@@ -20,8 +20,9 @@ let exits =
       info 125 ~doc:"on an unexpected internal error (a bug).";
     ]
 
-(* Shared --trace DIR flag: point-in-time process config consumed by
-   Scenario's auto-capture (content-addressed per-replicate files). *)
+(* The --trace DIR flag of the matrix commands (`experiments run` and the
+   soaks): point-in-time process config consumed by the runs'
+   auto-capture (content-addressed per-replicate files). *)
 let trace_dir_arg =
   let doc =
     "Capture a JSONL trace of every simulated run into $(docv) \
@@ -30,11 +31,8 @@ let trace_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"DIR" ~doc)
 
-let set_trace_config dir =
-  Trace.Config.set (Option.map (fun dir -> { Trace.Config.dir }) dir)
-
-(* Shared --trace FILE flag of the single-run commands (`sim`, `corrupt
-   run`, `feedback run`), published by [file_capture]. *)
+(* Shared --trace FILE flag of the single-run commands (`sim`, `handover
+   run`, `corrupt run`, `feedback run`), published by [file_capture]. *)
 let trace_file_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
@@ -61,7 +59,10 @@ let require_payload payload =
 (* Shared --json flag; [doc] says what is printed. *)
 let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
-let outcome_json_arg = json_arg ~doc:"Print the outcome as JSON."
+let run_json_arg =
+  json_arg
+    ~doc:"Print the run's metrics, the ones its matrix cell records, as one \
+          JSON object."
 
 (* The VARIANT names of `corrupt run` and `feedback run`. *)
 let variant_enum =
@@ -190,7 +191,7 @@ let matrix_opts =
                    two runs diff byte-for-byte.")
   in
   let make jobs root_seed json out no_meta trace_dir =
-    set_trace_config trace_dir;
+    Trace.Config.set (Option.map (fun dir -> { Trace.Config.dir }) trace_dir);
     let jobs =
       max 1 (match jobs with Some j -> j | None -> Runner.Pool.default_jobs ())
     in
@@ -271,43 +272,49 @@ let experiments_cmd =
   Cmd.group (Cmd.info "experiments" ~doc ~exits)
     [ experiments_list_cmd; experiments_run_cmd ]
 
+(* A JSON object of [(key, printed value)] fields, hand-rolled so float
+   formatting matches the benchmark pipeline. *)
+let json_obj fields =
+  let buf = Buffer.create 512 in
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Printf.bprintf buf "%s: %s" (Stats.Jsonstr.escape k) v)
+    fields;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 (* Machine-readable metrics for ad-hoc runs, mirroring [Dlc.Metrics.pp].
    Built on the [Stats] JSON emitters so the shape of the [Online]
    accumulators matches the benchmark pipeline's output. *)
 let metrics_json ~protocol ~extra (m : Dlc.Metrics.t) =
-  let buf = Buffer.create 1024 in
-  let sep = ref "" in
-  let field k v =
-    Printf.bprintf buf "%s%s: %s" !sep (Stats.Jsonstr.escape k) v;
-    sep := ", "
-  in
-  let int k v = field k (string_of_int v) in
-  let flt k v = field k (Stats.Jsonstr.float_repr v) in
-  Buffer.add_char buf '{';
-  field "protocol" (Stats.Jsonstr.escape protocol);
-  int "offered" m.Dlc.Metrics.offered;
-  int "refused" m.Dlc.Metrics.refused;
-  int "iframes_sent" m.Dlc.Metrics.iframes_sent;
-  int "retransmissions" m.Dlc.Metrics.retransmissions;
-  int "control_sent" m.Dlc.Metrics.control_sent;
-  int "naks_sent" m.Dlc.Metrics.naks_sent;
-  int "delivered" m.Dlc.Metrics.delivered;
-  int "duplicates" m.Dlc.Metrics.duplicates;
-  int "unique_delivered" (Dlc.Metrics.unique_delivered m);
-  int "loss" (Dlc.Metrics.loss m);
-  int "payload_bytes_delivered" m.Dlc.Metrics.payload_bytes_delivered;
-  int "failures_detected" m.Dlc.Metrics.failures_detected;
-  int "send_buffer_peak" m.Dlc.Metrics.send_buffer_peak;
-  int "recv_buffer_peak" m.Dlc.Metrics.recv_buffer_peak;
-  flt "elapsed_s" (Dlc.Metrics.elapsed m);
-  field "holding_time" (Stats.Online.to_json_string m.Dlc.Metrics.holding_time);
-  field "delivery_delay"
-    (Stats.Online.to_json_string m.Dlc.Metrics.delivery_delay);
-  field "send_buffer" (Stats.Online.to_json_string m.Dlc.Metrics.send_buffer);
-  field "recv_buffer" (Stats.Online.to_json_string m.Dlc.Metrics.recv_buffer);
-  List.iter (fun (k, v) -> field k v) extra;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let int k v = (k, string_of_int v) in
+  let online k v = (k, Stats.Online.to_json_string v) in
+  json_obj
+    ([
+       ("protocol", Stats.Jsonstr.escape protocol);
+       int "offered" m.Dlc.Metrics.offered;
+       int "refused" m.Dlc.Metrics.refused;
+       int "iframes_sent" m.Dlc.Metrics.iframes_sent;
+       int "retransmissions" m.Dlc.Metrics.retransmissions;
+       int "control_sent" m.Dlc.Metrics.control_sent;
+       int "naks_sent" m.Dlc.Metrics.naks_sent;
+       int "delivered" m.Dlc.Metrics.delivered;
+       int "duplicates" m.Dlc.Metrics.duplicates;
+       int "unique_delivered" (Dlc.Metrics.unique_delivered m);
+       int "loss" (Dlc.Metrics.loss m);
+       int "payload_bytes_delivered" m.Dlc.Metrics.payload_bytes_delivered;
+       int "failures_detected" m.Dlc.Metrics.failures_detected;
+       int "send_buffer_peak" m.Dlc.Metrics.send_buffer_peak;
+       int "recv_buffer_peak" m.Dlc.Metrics.recv_buffer_peak;
+       ("elapsed_s", Stats.Jsonstr.float_repr (Dlc.Metrics.elapsed m));
+       online "holding_time" m.Dlc.Metrics.holding_time;
+       online "delivery_delay" m.Dlc.Metrics.delivery_delay;
+       online "send_buffer" m.Dlc.Metrics.send_buffer;
+       online "recv_buffer" m.Dlc.Metrics.recv_buffer;
+     ]
+    @ extra)
 
 (* --trace FILE for single runs: the recorder to run with, and the step
    that publishes FILE, FILE.metrics.json and (on violation)
@@ -546,12 +553,28 @@ let trace_cmd =
   Cmd.group (Cmd.info "trace" ~doc ~exits)
     [ trace_run_cmd; trace_validate_cmd; trace_summary_cmd ]
 
-(* --- soaks and the safety gate ------------------------------------------- *)
+(* --- single runs, soaks and the safety gate ------------------------------ *)
 
-(* Exit 1 when a single run breaks its harness's safety rule, the rule
+(* The one printer of [X run]: the run's metrics, which its matrix cell
+   and its soak schedule record. --json prints them as one object; text
+   prints one [name value] line per metric, then each oracle violation.
+   Then exit 1 when the run breaks its harness's safety rule, the rule
    the harness's soak applies to every schedule. *)
-let gate (h : Experiments.Soak.harness) metrics =
-  if not (h.safe metrics) then exit 1
+let report_run (h : Experiments.Soak.harness) ~json
+    (run : Experiments.Scenario.checked) =
+  let metrics =
+    List.map
+      (fun (k, v) -> (k, Stats.Jsonstr.float_repr v))
+      run.Experiments.Scenario.metrics
+  in
+  if json then print_endline (json_obj metrics)
+  else begin
+    List.iter (fun (k, v) -> Format.printf "%s %s@." k v) metrics;
+    List.iter
+      (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
+      run.Experiments.Scenario.violations
+  end;
+  if not (h.safe run.Experiments.Scenario.metrics) then exit 1
 
 let soak_cmd ~doc (h : Experiments.Soak.harness) =
   let schedules =
@@ -575,142 +598,6 @@ let soak_cmd ~doc (h : Experiments.Soak.harness) =
   Cmd.v (Cmd.info "soak" ~doc ~exits) Term.(const run $ schedules $ matrix_opts)
 
 (* --- handover: contact-window session migration ------------------------ *)
-
-let outcome_json (o : Experiments.E21_handover.outcome) =
-  let buf = Buffer.create 512 in
-  let sep = ref "" in
-  let field k v =
-    Printf.bprintf buf "%s%s: %s" !sep (Stats.Jsonstr.escape k) v;
-    sep := ", "
-  in
-  let int k v = field k (string_of_int v) in
-  Buffer.add_char buf '{';
-  int "messages_completed" o.Experiments.E21_handover.messages_completed;
-  int "payloads" o.Experiments.E21_handover.payload_count;
-  int "duplicates_dropped" o.Experiments.E21_handover.duplicates_dropped;
-  int "windows_opened" o.Experiments.E21_handover.windows_opened;
-  int "sessions" o.Experiments.E21_handover.sessions;
-  int "mid_window_failures" o.Experiments.E21_handover.mid_window_failures;
-  int "carried_over" o.Experiments.E21_handover.carried_over;
-  int "suspicious_carried" o.Experiments.E21_handover.suspicious_carried;
-  int "retained" o.Experiments.E21_handover.retained;
-  int "link_transitions" o.Experiments.E21_handover.link_transitions;
-  field "completed" (string_of_bool o.Experiments.E21_handover.completed);
-  int "oracle_violations"
-    (List.length o.Experiments.E21_handover.violations);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* JSON/text printers for `corrupt run` outcomes. Hand-rolled like
-   [outcome_json] so float formatting matches the benchmark pipeline. *)
-let json_obj fields =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "%s: %s" (Stats.Jsonstr.escape k) v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-let corruption_outcome_json (o : Experiments.E22_corruption.outcome) =
-  json_obj
-    [
-      ("variant", Stats.Jsonstr.escape o.Experiments.E22_corruption.variant);
-      ("script", Stats.Jsonstr.escape o.Experiments.E22_corruption.spec);
-      ("injected", string_of_int o.Experiments.E22_corruption.injected);
-      ("skipped", string_of_int o.Experiments.E22_corruption.skipped);
-      ("converged_windows", string_of_int o.Experiments.E22_corruption.converged);
-      ( "time_to_convergence",
-        Stats.Jsonstr.float_repr
-          o.Experiments.E22_corruption.time_to_convergence );
-      ("tolerated", string_of_int o.Experiments.E22_corruption.tolerated);
-      ( "declared_failure",
-        string_of_bool o.Experiments.E22_corruption.declared_failure );
-      ("unconverged", string_of_bool o.Experiments.E22_corruption.unconverged);
-      ("completed", string_of_bool o.Experiments.E22_corruption.completed);
-      ("delivered", string_of_int o.Experiments.E22_corruption.delivered);
-      ( "oracle_violations",
-        string_of_int (List.length o.Experiments.E22_corruption.violations) );
-    ]
-
-let corruption_handover_json (h : Experiments.E22_corruption.handover_outcome) =
-  let o = h.Experiments.E22_corruption.outcome in
-  json_obj
-    [
-      ("variant", Stats.Jsonstr.escape "handover");
-      ("script", Stats.Jsonstr.escape o.Experiments.E22_corruption.spec);
-      ("injected", string_of_int o.Experiments.E22_corruption.injected);
-      ("skipped", string_of_int o.Experiments.E22_corruption.skipped);
-      ( "converged_windows",
-        string_of_int o.Experiments.E22_corruption.converged );
-      ( "time_to_convergence",
-        Stats.Jsonstr.float_repr
-          o.Experiments.E22_corruption.time_to_convergence );
-      ("tolerated", string_of_int o.Experiments.E22_corruption.tolerated);
-      ("casualties", string_of_int h.Experiments.E22_corruption.casualties);
-      ( "declared_failure",
-        string_of_bool o.Experiments.E22_corruption.declared_failure );
-      ( "unconverged",
-        string_of_bool o.Experiments.E22_corruption.unconverged );
-      ( "messages_completed",
-        string_of_int o.Experiments.E22_corruption.delivered );
-      ("sessions", string_of_int h.Experiments.E22_corruption.sessions);
-      ( "oracle_violations",
-        string_of_int (List.length o.Experiments.E22_corruption.violations)
-      );
-    ]
-
-let print_corruption_outcome ~json (o : Experiments.E22_corruption.outcome) =
-  if json then print_endline (corruption_outcome_json o)
-  else begin
-    Format.printf
-      "%s under %s:@.  %d injected (%d skipped), %d suspect window(s) \
-       converged, worst time-to-convergence %.6f s@.  %d tolerated \
-       anomalies; declared failure: %b; unconverged: %b; completed: %b \
-       (%d delivered)@."
-      o.Experiments.E22_corruption.variant o.Experiments.E22_corruption.spec
-      o.Experiments.E22_corruption.injected
-      o.Experiments.E22_corruption.skipped
-      o.Experiments.E22_corruption.converged
-      o.Experiments.E22_corruption.time_to_convergence
-      o.Experiments.E22_corruption.tolerated
-      o.Experiments.E22_corruption.declared_failure
-      o.Experiments.E22_corruption.unconverged
-      o.Experiments.E22_corruption.completed
-      o.Experiments.E22_corruption.delivered;
-    List.iter
-      (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
-      o.Experiments.E22_corruption.violations
-  end
-
-let print_corruption_handover ~json
-    (h : Experiments.E22_corruption.handover_outcome) =
-  let o = h.Experiments.E22_corruption.outcome in
-  if json then print_endline (corruption_handover_json h)
-  else begin
-    Format.printf
-      "handover under %s:@.  %d injected (%d skipped), %d suspect \
-       window(s) converged, worst time-to-convergence %.6f s@.  %d \
-       tolerated anomalies, %d casualties on the ledger; declared \
-       failure: %b; unconverged: %b@.  %d message(s) reassembled across \
-       %d session(s)@."
-      o.Experiments.E22_corruption.spec
-      o.Experiments.E22_corruption.injected
-      o.Experiments.E22_corruption.skipped
-      o.Experiments.E22_corruption.converged
-      o.Experiments.E22_corruption.time_to_convergence
-      o.Experiments.E22_corruption.tolerated
-      h.Experiments.E22_corruption.casualties
-      o.Experiments.E22_corruption.declared_failure
-      o.Experiments.E22_corruption.unconverged
-      o.Experiments.E22_corruption.delivered
-      h.Experiments.E22_corruption.sessions;
-    List.iter
-      (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
-      o.Experiments.E22_corruption.violations
-  end
 
 let handover_run_cmd =
   let doc =
@@ -747,9 +634,8 @@ let handover_run_cmd =
                    its arrival) or $(b,recovery) (during enforced \
                    recovery).")
   in
-  let run plan_file seed messages cut json trace_dir =
+  let run plan_file seed messages cut json trace_file =
     require (messages >= 1) ~flag:"--messages" ~range:">= 1";
-    set_trace_config trace_dir;
     let plan =
       match plan_file with
       | None -> Ok None
@@ -768,35 +654,19 @@ let handover_run_cmd =
             cut;
           }
         in
-        let o = Experiments.E21_handover.run_transfer ~seed setup in
-        if json then print_endline (outcome_json o)
-        else begin
-          Format.printf
-            "messages %d/%d reassembled at sink; %d windows opened, %d \
-             sessions (%d mid-window failures); %d payloads carried over \
-             (%d suspicious), %d duplicates absorbed by resequencer, %d \
-             retained undelivered@."
-            o.Experiments.E21_handover.messages_completed messages
-            o.Experiments.E21_handover.windows_opened
-            o.Experiments.E21_handover.sessions
-            o.Experiments.E21_handover.mid_window_failures
-            o.Experiments.E21_handover.carried_over
-            o.Experiments.E21_handover.suspicious_carried
-            o.Experiments.E21_handover.duplicates_dropped
-            o.Experiments.E21_handover.retained;
-          List.iter
-            (fun v -> Format.printf "  %a@." Oracle.pp_violation v)
-            o.Experiments.E21_handover.violations
-        end;
-        gate Experiments.Soak.handover
-          (Experiments.E21_handover.outcome_metrics o);
+        let recorder, finish = file_capture trace_file in
+        let run, _ =
+          Experiments.E21_handover.transfer ?recorder ~seed setup
+        in
+        finish ();
+        report_run Experiments.Soak.handover ~json run;
         `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
-        (const run $ contact_plan_arg $ seed $ messages $ cut $ outcome_json_arg
-       $ trace_dir_arg))
+        (const run $ contact_plan_arg $ seed $ messages $ cut $ run_json_arg
+       $ trace_file_arg))
 
 let handover_cmd =
   let doc =
@@ -889,32 +759,31 @@ let corrupt_run_cmd =
     | `Error _ as e -> e
     | `Ok spec ->
         let recorder, finish = file_capture trace_file in
-        let metrics =
+        let run =
           match variant with
           | `Handover ->
-              let o =
+              (* casualties and sessions follow the cell's metrics: the
+                 E22 handover cell does not hold them *)
+              let run, counts =
                 Experiments.E22_corruption.run_handover ?recorder ~seed spec
               in
-              finish ();
-              print_corruption_handover ~json o;
-              Experiments.E22_corruption.handover_metrics o
+              {
+                run with
+                Experiments.Scenario.metrics =
+                  run.Experiments.Scenario.metrics @ counts;
+              }
           | `Single v ->
-              let o =
-                Experiments.E22_corruption.run_one ?recorder ?frames ~seed v
-                  spec
-              in
-              finish ();
-              print_corruption_outcome ~json o;
-              Experiments.E22_corruption.outcome_metrics o
+              Experiments.E22_corruption.run_one ?recorder ?frames ~seed v spec
         in
-        gate Experiments.Soak.corrupt metrics;
+        finish ();
+        report_run Experiments.Soak.corrupt ~json run;
         `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run $ variant $ klass $ corrupt_script_arg $ seed $ frames
-       $ outcome_json_arg $ trace_file_arg))
+       $ run_json_arg $ trace_file_arg))
 
 let corrupt_cmd =
   let doc =
@@ -932,48 +801,6 @@ let corrupt_cmd =
     [ corrupt_run_cmd; soak_cmd ~doc:soak_doc Experiments.Soak.corrupt ]
 
 (* --- feedback: Byzantine reverse-channel lies and the plausibility guard - *)
-
-let feedback_outcome_json (o : Experiments.E24_feedback.outcome) =
-  let module E = Experiments.E24_feedback in
-  json_obj
-    [
-      ("variant", Stats.Jsonstr.escape o.E.variant);
-      ("lie", Stats.Jsonstr.escape o.E.lie);
-      ("guard", string_of_bool o.E.guarded);
-      ("faults", string_of_int o.E.faults);
-      ("lies", string_of_int o.E.lies_told);
-      ("quarantines", string_of_int o.E.quarantines);
-      ("resyncs", string_of_int o.E.resyncs);
-      ("failure_declared", string_of_bool o.E.failure_declared);
-      ("resolved_episodes", string_of_int o.E.resolved);
-      ("time_to_resync_s", Stats.Jsonstr.float_repr o.E.time_to_resync);
-      ("unresolved", string_of_bool o.E.unresolved);
-      ("wrongful_releases", string_of_int o.E.wrongful);
-      ("oracle_violations", string_of_int o.E.violations);
-      ("delivered", string_of_int o.E.delivered);
-      ("completed", string_of_bool o.E.completed);
-      ( "goodput_floor_bps",
-        if Float.is_nan o.E.goodput_floor then "null"
-        else Stats.Jsonstr.float_repr o.E.goodput_floor );
-    ]
-
-let print_feedback_outcome ~json (o : Experiments.E24_feedback.outcome) =
-  let module E = Experiments.E24_feedback in
-  if json then print_endline (feedback_outcome_json o)
-  else
-    Format.printf
-      "%s lie=%s guard=%s: %d fault(s) (%d lie(s)), %d quarantine(s), %d \
-       forced resync(s)%s, %d/%d episode(s) resolved (worst %.2f ms), %d \
-       wrongful release(s), delivered %d%s@."
-      o.E.variant o.E.lie
-      (if o.E.guarded then "on" else "off")
-      o.E.faults o.E.lies_told o.E.quarantines o.E.resyncs
-      (if o.E.failure_declared then ", FAILURE DECLARED" else "")
-      o.E.resolved
-      (o.E.resolved + if o.E.unresolved then 1 else 0)
-      (o.E.time_to_resync *. 1e3)
-      o.E.wrongful o.E.delivered
-      (if o.E.completed then "" else " (INCOMPLETE)")
 
 let feedback_run_cmd =
   let doc =
@@ -1051,7 +878,7 @@ let feedback_run_cmd =
     | `Error _ as e -> e
     | (`Lie _ | `Script _) as choice ->
         let recorder, finish = file_capture trace_file in
-        let o =
+        let run =
           match choice with
           | `Lie l ->
               E.run_one ?recorder ?frames ~guard_on:(not no_guard) ~seed
@@ -1061,15 +888,14 @@ let feedback_run_cmd =
                 variant spec
         in
         finish ();
-        print_feedback_outcome ~json o;
-        gate Experiments.Soak.feedback (E.outcome_metrics o);
+        report_run Experiments.Soak.feedback ~json run;
         `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       ret
         (const run $ variant $ lie $ lie_script $ no_guard $ seed $ frames
-       $ outcome_json_arg $ trace_file_arg))
+       $ run_json_arg $ trace_file_arg))
 
 let feedback_cmd =
   let doc =

@@ -3,7 +3,7 @@ type fate = Clean | Corrupt of { header : bool } | Lost
 module Positions = struct
   type t = { mutable buf : int array; mutable len : int }
 
-  let create ?(capacity = 64) () = { buf = Array.make (max capacity 4) 0; len = 0 }
+  let create () = { buf = Array.make 64 0; len = 0 }
 
   let clear t = t.len <- 0
 

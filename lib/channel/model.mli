@@ -26,7 +26,8 @@ type fate =
 module Positions : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
+  val create : unit -> t
+  (** Room for 64 positions to start with. *)
 
   val clear : t -> unit
 

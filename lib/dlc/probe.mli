@@ -44,7 +44,7 @@ type event =
   | Recovery_completed
   | Failure_declared
       (** the sender exhausted its retry budget and declared the link
-          failed (all three variants publish this before invoking their
+          failed (LAMS-DLC publishes this before invoking its
           [set_on_failure] callback) *)
   | Link_transition of { state : link_state }
       (** the handover {!module:Lifecycle} moved the link to [state];

@@ -8,22 +8,22 @@ type happening =
 
 type event = { t : float; direction : direction; happening : happening }
 
+(* The ring keeps the most recent [capacity] events. *)
+let capacity = 10_000
+
 type t = {
-  capacity : int;
   mutable buf : event array;
   mutable len : int;
   mutable head : int;  (* next write slot *)
 }
 
-let create ?(capacity = 10_000) () =
-  if capacity < 1 then invalid_arg "Tracer.create: capacity must be >= 1";
-  { capacity; buf = [||]; len = 0; head = 0 }
+let create () = { buf = [||]; len = 0; head = 0 }
 
 let record t ev =
-  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity ev;
+  if Array.length t.buf = 0 then t.buf <- Array.make capacity ev;
   t.buf.(t.head) <- ev;
-  t.head <- (t.head + 1) mod t.capacity;
-  if t.len < t.capacity then t.len <- t.len + 1
+  t.head <- (t.head + 1) mod capacity;
+  if t.len < capacity then t.len <- t.len + 1
 
 let frame_label frame = Format.asprintf "%a" Frame.Wire.pp frame
 
@@ -46,7 +46,7 @@ let attach t engine ~forward ~reverse =
 
 let events t =
   List.init t.len (fun i ->
-      let idx = (t.head - t.len + i + (2 * t.capacity)) mod t.capacity in
+      let idx = (t.head - t.len + i + (2 * capacity)) mod capacity in
       t.buf.(idx))
 
 let happening_text = function
@@ -55,12 +55,8 @@ let happening_text = function
   | Corrupted s -> Printf.sprintf "CORR %s" s
   | Lost s -> Printf.sprintf "LOST %s" s
 
-let pp_timeline ?(limit = 60) ?(from_t = 0.) ppf t =
-  let selected =
-    events t
-    |> List.filter (fun ev -> ev.t >= from_t)
-    |> List.filteri (fun i _ -> i < limit)
-  in
+let pp_timeline ?(limit = 60) ppf t =
+  let selected = List.filteri (fun i _ -> i < limit) (events t) in
   Format.fprintf ppf "%12s  %-36s %-36s@." "t (s)" "--> forward" "<-- reverse";
   List.iter
     (fun ev ->

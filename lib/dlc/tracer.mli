@@ -18,8 +18,8 @@ type event = { t : float; direction : direction; happening : happening }
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Ring buffer of the most recent [capacity] events (default 10,000). *)
+val create : unit -> t
+(** Ring buffer of the most recent 10,000 events. *)
 
 val attach :
   t -> Sim.Engine.t -> forward:Channel.Link.t -> reverse:Channel.Link.t -> unit
@@ -29,8 +29,7 @@ val attach :
 val events : t -> event list
 (** Chronological (oldest first). *)
 
-val pp_timeline :
-  ?limit:int -> ?from_t:float -> Format.formatter -> t -> unit
+val pp_timeline : ?limit:int -> Format.formatter -> t -> unit
 (** Ladder rendering: forward-direction happenings in the left column,
-    reverse in the right, one row per event, capped at [limit] rows
-    (default 60) starting at [from_t] (default 0). *)
+    reverse in the right, one row per event, capped at the first [limit]
+    rows (default 60). *)

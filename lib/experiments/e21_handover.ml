@@ -52,22 +52,6 @@ let default_setup =
     cut = `None;
   }
 
-type outcome = {
-  messages_completed : int;
-  payload_count : int;
-  duplicates_dropped : int;
-  windows_opened : int;
-  sessions : int;
-  mid_window_failures : int;
-  carried_over : int;
-  suspicious_carried : int;
-  retained : int;
-  link_transitions : int;
-  completed : bool;
-  violations : Oracle.violation list;  (* the first 200 *)
-  violation_count : int;
-}
-
 (* One set_down/set_up pulse triggered by a protocol phase, so the cut
    lands at an adversarial instant rather than a wall-clock one:
    - [`First_tx]: inside the probe's Tx emission, i.e. after the sender
@@ -208,49 +192,35 @@ let transfer ?recorder ?corrupt ~seed setup =
   let retained = Handover.Manager.retained manager in
   Oracle.Transfer.finalize ~retained transfer;
   let stats = Handover.Manager.stats manager in
-  let outcome =
-    {
-      messages_completed = !completed_msgs;
-      payload_count = List.length payloads;
-      duplicates_dropped = Netstack.Resequencer.duplicates_dropped reseq;
-      windows_opened = stats.Handover.Manager.windows_opened;
-      sessions = stats.Handover.Manager.sessions_created;
-      mid_window_failures = stats.Handover.Manager.mid_window_failures;
-      carried_over = stats.Handover.Manager.carried_over;
-      suspicious_carried = stats.Handover.Manager.suspicious_carried;
-      retained = List.length retained;
-      link_transitions = Handover.Lifecycle.transitions
-          (Handover.Manager.lifecycle manager);
-      completed = !completed_msgs >= setup.n_messages;
-      violations = Oracle.Transfer.violations transfer;
-      violation_count = Oracle.Transfer.violation_count transfer;
-    }
+  let f = float_of_int in
+  let metrics =
+    [
+      ("messages_completed", f !completed_msgs);
+      ("payloads", f (List.length payloads));
+      ("dup_dropped", f (Netstack.Resequencer.duplicates_dropped reseq));
+      ("windows_opened", f stats.Handover.Manager.windows_opened);
+      ("sessions", f stats.Handover.Manager.sessions_created);
+      ("mid_window_failures", f stats.Handover.Manager.mid_window_failures);
+      ("carried_over", f stats.Handover.Manager.carried_over);
+      ("suspicious_carried", f stats.Handover.Manager.suspicious_carried);
+      ("retained", f (List.length retained));
+      ( "link_transitions",
+        f (Handover.Lifecycle.transitions (Handover.Manager.lifecycle manager))
+      );
+      ("completed", if !completed_msgs >= setup.n_messages then 1. else 0.);
+      ("oracle_violations", f (Oracle.Transfer.violation_count transfer));
+    ]
   in
-  (outcome, transfer)
+  ({ Scenario.metrics; violations = Oracle.Transfer.violations transfer }, transfer)
 
+(* A matrix cell's journey: its metrics, captured when Trace.Config is
+   set. *)
 let run_transfer ~seed setup =
   Trace.Capture.around ~proto:"handover" ~seed
     ~fingerprint:(fun () -> fingerprint ~seed setup)
-    (fun recorder -> fst (transfer ?recorder ~seed setup))
+    (fun recorder -> (fst (transfer ?recorder ~seed setup)).metrics)
 
 (* --- matrix points ------------------------------------------------------- *)
-
-let outcome_metrics o =
-  let f = float_of_int in
-  [
-    ("messages_completed", f o.messages_completed);
-    ("payloads", f o.payload_count);
-    ("dup_dropped", f o.duplicates_dropped);
-    ("windows_opened", f o.windows_opened);
-    ("sessions", f o.sessions);
-    ("mid_window_failures", f o.mid_window_failures);
-    ("carried_over", f o.carried_over);
-    ("suspicious_carried", f o.suspicious_carried);
-    ("retained", f o.retained);
-    ("link_transitions", f o.link_transitions);
-    ("completed", if o.completed then 1. else 0.);
-    ("oracle_violations", f o.violation_count);
-  ]
 
 let scenarios ~quick =
   let cut c = { default_setup with cut = c } in
@@ -269,7 +239,7 @@ let scenarios ~quick =
 let points ~quick =
   List.map
     (fun (label, setup) ->
-      { Runner.label; run = (fun ~seed -> outcome_metrics (run_transfer ~seed setup)) })
+      { Runner.label; run = (fun ~seed -> run_transfer ~seed setup) })
     (scenarios ~quick)
 
 (* --- chaos soak ---------------------------------------------------------- *)
@@ -299,8 +269,7 @@ let soak_experiment ~schedules =
       List.init schedules (fun i ->
           {
             Runner.label = Printf.sprintf "schedule=%03d" i;
-            run =
-              (fun ~seed -> outcome_metrics (run_transfer ~seed (soak_setup ~seed)));
+            run = (fun ~seed -> run_transfer ~seed (soak_setup ~seed));
           });
   }
 

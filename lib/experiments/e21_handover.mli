@@ -32,43 +32,26 @@ val default_setup : setup
 (** Three 25 ms windows with 10 ms gaps, 2 ms retargeting overhead,
     10 x 3000 B messages, no blackout and no cut. *)
 
-type outcome = {
-  messages_completed : int;
-  payload_count : int;
-  duplicates_dropped : int;
-  windows_opened : int;
-  sessions : int;
-  mid_window_failures : int;
-  carried_over : int;
-  suspicious_carried : int;
-  retained : int;
-  link_transitions : int;
-  completed : bool;  (** every message reassembled at the sink *)
-  violations : Oracle.violation list;
-      (** cross-handover transfer-conservation violations; empty on a
-          clean run; the first 200 *)
-  violation_count : int;  (** all of them *)
-}
-
-val run_transfer : seed:int -> setup -> outcome
-(** One full journey; captures a trace when {!Trace.Config} is set. *)
-
 val transfer :
   ?recorder:Trace.Recorder.t ->
   ?corrupt:Dlc.Corrupt.t * int ->
   seed:int ->
   setup ->
-  outcome * Oracle.Transfer.t
-(** The journey of {!run_transfer}, recorded into [recorder] when given.
+  Scenario.checked * Oracle.Transfer.t
+(** One full journey, recorded into [recorder] when given (the matrix
+    points capture a trace when {!Trace.Config} is set). Its metrics are
+    the E21 cell: [messages_completed], [payloads], [dup_dropped]
+    (duplicates the sink's resequencer absorbed), [windows_opened],
+    [sessions], [mid_window_failures], [carried_over],
+    [suspicious_carried], [retained] (undelivered at the end),
+    [link_transitions], [completed] (every message reassembled at the
+    sink) and [oracle_violations] (all cross-handover
+    transfer-conservation violations, past the list's cap too).
     [corrupt = (schedule, k)] dispatches a compiled corruption schedule
     into whichever session is live, runs the {!Oracle.Transfer} check in
     convergence mode with budget [k], and puts the carryover entries the
     schedule destroys on its casualty ledger (E22's handover row). The
     finalized check comes back for its convergence summary. *)
-
-val outcome_metrics : outcome -> (string * float) list
-(** The outcome as a matrix metric vector; [oracle_violations] is
-    {!outcome.violation_count}. *)
 
 val points : quick:bool -> Runner.point list
 (** Parameter points for the replicated matrix runner. *)

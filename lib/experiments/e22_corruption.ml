@@ -65,28 +65,30 @@ let classes : (string * Dlc.Corrupt.klass) list =
 
 let spec_of klass = Dlc.Corrupt.Rules [ Dlc.Corrupt.rule ~at:inject_at klass ]
 
-type outcome = {
-  variant : string;
-  spec : string;
-  injected : int;  (** injections actually applied *)
-  skipped : int;  (** injections on an inapplicable surface *)
-  converged : int;  (** suspect windows closed by k clean checkpoints *)
-  time_to_convergence : float;
-      (** worst closed window: injection to last tolerated anomaly *)
-  tolerated : int;
-  declared_failure : bool;
-  unconverged : bool;  (** a window was still open (with anomalies) at end *)
-  completed : bool;
-  delivered : int;
-  violations : Oracle.violation list;  (* the first 200 *)
-  violation_count : int;
-}
-
 let max_or_zero = List.fold_left max 0.
 
 (* The content-addressed capture name's fingerprint. *)
 let fingerprint parts () =
   Digest.to_hex (Digest.string (String.concat "|" parts))
+
+(* The cell both runs record: the schedule's injections, the oracle's
+   suspect windows, and what the stream delivered. *)
+let convergence_metrics corrupt (conv : Oracle.convergence) ~declared
+    ~completed ~delivered ~violation_count =
+  let f = float_of_int in
+  let b v = if v then 1. else 0. in
+  [
+    ("injected", f (Dlc.Corrupt.hits corrupt));
+    ("skipped", f (Dlc.Corrupt.skipped corrupt));
+    ("converged_windows", f (List.length conv.times));
+    ("time_to_convergence", max_or_zero conv.times);
+    ("tolerated", f conv.tolerated);
+    ("declared_failure", b declared);
+    ("unconverged", b conv.unconverged);
+    ("completed", completed);
+    ("delivered", delivered);
+    ("oracle_violations", violation_count);
+  ]
 
 let run_one ?recorder ?(frames = link.n_frames) ~seed variant spec =
   let tag = variant_tag variant in
@@ -104,20 +106,15 @@ let run_one ?recorder ?(frames = link.n_frames) ~seed variant spec =
       let oracle = Option.get oracle in
       let conv = Oracle.convergence oracle in
       {
-        variant = tag;
-        spec = Dlc.Corrupt.describe corrupt;
-        injected = Dlc.Corrupt.hits corrupt;
-        skipped = Dlc.Corrupt.skipped corrupt;
-        converged = List.length conv.times;
-        time_to_convergence = max_or_zero conv.times;
-        tolerated = conv.tolerated;
-        declared_failure =
-          r.metrics.Dlc.Metrics.failures_detected > 0 || conv.declared;
-        unconverged = conv.unconverged;
-        completed = r.completed;
-        delivered = Dlc.Metrics.unique_delivered r.metrics;
+        Scenario.metrics =
+          convergence_metrics corrupt conv
+            ~declared:
+              (r.metrics.Dlc.Metrics.failures_detected > 0 || conv.declared)
+            ~completed:(if r.completed then 1. else 0.)
+            ~delivered:
+              (float_of_int (Dlc.Metrics.unique_delivered r.metrics))
+            ~violation_count:(float_of_int (Oracle.violation_count oracle));
         violations = Oracle.violations oracle;
-        violation_count = Oracle.violation_count oracle;
       })
 
 (* --- corruption across a handover (carryover staleness) ----------------- *)
@@ -134,12 +131,6 @@ let handover_setup = { E21_handover.default_setup with msg_bytes = 100_000 }
 
 let h_k = 12
 
-type handover_outcome = {
-  outcome : outcome;
-  casualties : int;  (** payloads destroyed by corruption, exempted losses *)
-  sessions : int;
-}
-
 let run_handover ?recorder ~seed spec =
   let corrupt = Dlc.Corrupt.compile spec in
   Trace.Capture.around ?recorder ~proto:"e22-handover" ~seed
@@ -147,31 +138,24 @@ let run_handover ?recorder ~seed spec =
       (fingerprint
          [ "e22-handover"; string_of_int seed; Dlc.Corrupt.describe corrupt ])
     (fun recorder ->
-      let o, transfer =
+      let run, transfer =
         E21_handover.transfer ?recorder ~corrupt:(corrupt, h_k) ~seed
           handover_setup
       in
       let conv = Oracle.Transfer.convergence transfer in
-      {
-        outcome =
-          {
-            variant = "handover";
-            spec = Dlc.Corrupt.describe corrupt;
-            injected = Dlc.Corrupt.hits corrupt;
-            skipped = Dlc.Corrupt.skipped corrupt;
-            converged = List.length conv.times;
-            time_to_convergence = max_or_zero conv.times;
-            tolerated = conv.tolerated;
-            declared_failure = conv.declared;
-            unconverged = conv.unconverged;
-            completed = o.E21_handover.completed;
-            delivered = o.E21_handover.messages_completed;
-            violations = o.E21_handover.violations;
-            violation_count = o.E21_handover.violation_count;
-          };
-        casualties = Oracle.Transfer.casualties_lost transfer;
-        sessions = o.E21_handover.sessions;
-      })
+      let m = Scenario.metric run.metrics in
+      ( {
+          run with
+          Scenario.metrics =
+            convergence_metrics corrupt conv ~declared:conv.declared
+              ~completed:(m "completed") ~delivered:(m "messages_completed")
+              ~violation_count:(m "oracle_violations");
+        },
+        [
+          ( "casualties",
+            float_of_int (Oracle.Transfer.casualties_lost transfer) );
+          ("sessions", m "sessions");
+        ] ))
 
 let carryover_spec =
   Dlc.Corrupt.Rules
@@ -182,28 +166,10 @@ let carryover_spec =
 
 (* --- matrix points ------------------------------------------------------- *)
 
-let outcome_metrics o =
-  let f = float_of_int in
-  let b v = if v then 1. else 0. in
-  [
-    ("injected", f o.injected);
-    ("skipped", f o.skipped);
-    ("converged_windows", f o.converged);
-    ("time_to_convergence", o.time_to_convergence);
-    ("tolerated", f o.tolerated);
-    ("declared_failure", b o.declared_failure);
-    ("unconverged", b o.unconverged);
-    ("completed", b o.completed);
-    ("delivered", f o.delivered);
-    ("oracle_violations", f o.violation_count);
-  ]
-
-let handover_metrics o = outcome_metrics o.outcome
-
 let handover_point ~label spec =
   {
     Runner.label;
-    run = (fun ~seed -> handover_metrics (run_handover ~seed spec));
+    run = (fun ~seed -> (fst (run_handover ~seed spec)).metrics);
   }
 
 (* The single-session rows: variant and corruption class. *)
@@ -217,7 +183,7 @@ let points ~quick =
     (fun (v, cname, klass) ->
       {
         Runner.label = Printf.sprintf "%s/%s" (variant_tag v) cname;
-        run = (fun ~seed -> outcome_metrics (run_one ~seed v (spec_of klass)));
+        run = (fun ~seed -> (run_one ~seed v (spec_of klass)).metrics);
       })
     (grid ~quick)
   @ [ handover_point ~label:"handover/carryover-stale" carryover_spec ]
@@ -254,8 +220,7 @@ let soak_experiment ~schedules =
           {
             Runner.label = Printf.sprintf "schedule=%03d" i;
             run =
-              (fun ~seed ->
-                handover_metrics (run_handover ~seed (soak_spec ~seed)));
+              (fun ~seed -> (fst (run_handover ~seed (soak_spec ~seed))).metrics);
           });
   }
 

@@ -44,61 +44,42 @@ val classes : (string * Dlc.Corrupt.klass) list
 val spec_of : Dlc.Corrupt.klass -> Dlc.Corrupt.spec
 (** One injection of [klass] at the canonical mid-stream instant. *)
 
-type outcome = {
-  variant : string;
-  spec : string;
-  injected : int;  (** injections actually applied *)
-  skipped : int;  (** injections on an inapplicable surface *)
-  converged : int;  (** suspect windows closed by k clean checkpoints *)
-  time_to_convergence : float;
-      (** worst closed window: injection to last tolerated anomaly *)
-  tolerated : int;
-  declared_failure : bool;
-  unconverged : bool;  (** a window was still open (with anomalies) at end *)
-  completed : bool;
-  delivered : int;
-  violations : Oracle.violation list;  (** the first 200 *)
-  violation_count : int;  (** all of them *)
-}
-
 val run_one :
   ?recorder:Trace.Recorder.t ->
   ?frames:int ->
   seed:int ->
   variant ->
   Dlc.Corrupt.spec ->
-  outcome
+  Scenario.checked
 (** One single-session run under the given corruption schedule, with the
     convergence-mode oracle attached for the whole run. Captures a trace
     when {!Trace.Config} is set (or records into [recorder]). [frames]
-    overrides the stream length (compact golden traces). *)
-
-type handover_outcome = {
-  outcome : outcome;
-      (** variant ["handover"]; [delivered] counts the messages
-          reassembled at the sink *)
-  casualties : int;  (** payloads destroyed by corruption, exempted losses *)
-  sessions : int;
-}
+    overrides the stream length (compact golden traces). Its metrics are
+    the E22 cell: [injected] (injections applied), [skipped] (on an
+    inapplicable surface), [converged_windows] (suspect windows closed by
+    k clean checkpoints), [time_to_convergence] (the worst closed
+    window, injection to last tolerated anomaly), [tolerated],
+    [declared_failure], [unconverged] (a window still open with
+    anomalies at the end), [completed], [delivered] and
+    [oracle_violations] (all of them, past the list's cap too). *)
 
 val run_handover :
-  ?recorder:Trace.Recorder.t -> seed:int -> Dlc.Corrupt.spec -> handover_outcome
+  ?recorder:Trace.Recorder.t ->
+  seed:int ->
+  Dlc.Corrupt.spec ->
+  Scenario.checked * (string * float) list
 (** One multi-window transfer ({!E21_handover.transfer} with 100 kB
     messages) with the corruption schedule dispatched into whichever
     session is live, carryover rules corrupting close-time snapshots,
     and {!Oracle.Transfer} in convergence mode with destroyed entries on
-    the casualty ledger. *)
+    the casualty ledger. The run has {!run_one}'s metrics, [delivered]
+    counting the messages reassembled at the sink. Beside it come two
+    counts the cell does not hold: [casualties] (payloads destroyed by
+    corruption, exempted losses) and [sessions]. *)
 
 val carryover_spec : Dlc.Corrupt.spec
 (** Canonical carryover corruption: drop 1 entry, flip the survivors'
     verdicts, at the first session close. *)
-
-val outcome_metrics : outcome -> (string * float) list
-(** The outcome as a matrix metric vector; [oracle_violations] is
-    {!outcome.violation_count}. *)
-
-val handover_metrics : handover_outcome -> (string * float) list
-(** {!outcome_metrics} of the run's [outcome]. *)
 
 val points : quick:bool -> Runner.point list
 

@@ -89,15 +89,6 @@ let make_trace ~cfg ~frames spec =
       let rng = Sim.Rng.create ~seed in
       Channel.Model.fates model rng ~header_bits ~payload_bits ~n:frames
 
-type outcome = {
-  trace_error_rate : float;
-  fit : (Channel.Calibrate.fit, string) result;
-  eff_replay : float;
-  eff_twin : float;
-  divergence : float;  (* (twin - replay) / replay *)
-  violations : int;
-}
-
 (* The calibrated-twin config: GE twin when the fit succeeds, else a
    uniform channel matching the trace's empirical frame-error rate (the
    honest fallback for degenerate traces). *)
@@ -135,15 +126,18 @@ let study ~cfg ~trace_frames spec =
   let r_twin, v_twin = Scenario.run_checked (twin_cfg ~cfg ~trace fit) protocol in
   let eff_replay = r_replay.Scenario.efficiency in
   let eff_twin = r_twin.Scenario.efficiency in
-  {
-    trace_error_rate = Channel.Trace_model.error_rate trace;
-    fit;
-    eff_replay;
-    eff_twin;
-    divergence =
-      (if eff_replay > 0. then (eff_twin -. eff_replay) /. eff_replay else 0.);
-    violations = List.length v_replay + List.length v_twin;
-  }
+  [
+    ("eff_replay", eff_replay);
+    ("eff_twin", eff_twin);
+    ( "divergence",
+      if eff_replay > 0. then (eff_twin -. eff_replay) /. eff_replay else 0. );
+    ("trace_error_rate", Channel.Trace_model.error_rate trace);
+    ( "fit_residual",
+      match fit with Ok f -> Channel.Calibrate.residual f | Error _ -> -1. );
+    ("fit_ok", match fit with Ok _ -> 1. | Error _ -> 0.);
+    ( "oracle_violations",
+      float_of_int (List.length v_replay + List.length v_twin) );
+  ]
 
 let base_cfg ~quick =
   {
@@ -165,19 +159,7 @@ let points ~quick =
         run =
           (fun ~seed ->
             let cfg = { cfg with Scenario.seed } in
-            let o = study ~cfg ~trace_frames:(trace_frames cfg) spec in
-            [
-              ("eff_replay", o.eff_replay);
-              ("eff_twin", o.eff_twin);
-              ("divergence", o.divergence);
-              ("trace_error_rate", o.trace_error_rate);
-              ( "fit_residual",
-                match o.fit with
-                | Ok f -> Channel.Calibrate.residual f
-                | Error _ -> -1. );
-              ("fit_ok", match o.fit with Ok _ -> 1. | Error _ -> 0.);
-              ("oracle_violations", float_of_int o.violations);
-            ]);
+            study ~cfg ~trace_frames:(trace_frames cfg) spec);
       })
     (specs ~cfg)
 

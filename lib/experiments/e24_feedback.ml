@@ -77,27 +77,6 @@ let reverse_spec = function
         (Channel.Fault.Rules
            [ Channel.Fault.blackout ~from:blackout_from ~until:blackout_until ])
 
-type outcome = {
-  variant : string;
-  lie : string;
-  guarded : bool;
-  faults : int;  (** reverse-channel fault hits *)
-  lies_told : int;  (** clean-looking forgeries among them *)
-  quarantines : int;
-  resyncs : int;
-  failure_declared : bool;
-  resolved : int;  (** disturbance episodes closed by a recovery *)
-  time_to_resync : float;  (** worst resolved episode, seconds *)
-  unresolved : bool;  (** an episode was still open at the end *)
-  wrongful : int;  (** oracle-detected wrongful releases *)
-  violations : int;  (** all base-oracle violations *)
-  delivered : int;
-  completed : bool;
-  goodput_floor : float;
-      (** min bucketed delivery rate inside the blackout window (bits/s);
-          nan for non-blackout rows *)
-}
-
 let max_or_zero = List.fold_left max 0.
 
 let fingerprint ~seed ~variant ~lie ~guarded =
@@ -157,26 +136,32 @@ let run_core ?recorder ?(frames = link.n_frames) ~guard_on ~seed ~lie_name
       in
       let oracle = Option.get oracle in
       let resync_times = Oracle.Feedback.resync_times feedback in
+      let f = float_of_int in
+      let b v = if v then 1. else 0. in
       {
-        variant = tag;
-        lie = lie_name;
-        guarded = guard_on;
-        faults = Oracle.Feedback.faults_seen feedback;
-        lies_told = Oracle.Feedback.lies_seen feedback;
-        quarantines = Oracle.Feedback.quarantines feedback;
-        resyncs = Oracle.Feedback.resyncs feedback;
-        failure_declared = Oracle.Feedback.failure_declared feedback;
-        resolved = List.length resync_times;
-        time_to_resync = max_or_zero resync_times;
-        unresolved = Oracle.Feedback.unresolved feedback;
-        wrongful = Oracle.wrongful_releases oracle;
-        violations = Oracle.violation_count oracle;
-        delivered = Dlc.Metrics.unique_delivered r.Scenario.metrics;
-        completed = r.Scenario.completed;
-        goodput_floor =
-          (match floor_window with
-          | Some (lo, hi) -> Oracle.Feedback.goodput_floor feedback ~lo ~hi
-          | None -> nan);
+        Scenario.metrics =
+          [
+            ("faults", f (Oracle.Feedback.faults_seen feedback));
+            ("lies", f (Oracle.Feedback.lies_seen feedback));
+            ("quarantines", f (Oracle.Feedback.quarantines feedback));
+            ("resyncs", f (Oracle.Feedback.resyncs feedback));
+            ("resolved_episodes", f (List.length resync_times));
+            ("time_to_resync", max_or_zero resync_times);
+            ("failure_declared", b (Oracle.Feedback.failure_declared feedback));
+            ("unresolved", b (Oracle.Feedback.unresolved feedback));
+            ("wrongful_releases", f (Oracle.wrongful_releases oracle));
+            ("oracle_violations", f (Oracle.violation_count oracle));
+            ("delivered", f (Dlc.Metrics.unique_delivered r.Scenario.metrics));
+            ("completed", b r.Scenario.completed);
+            (* 0 when unmeasured: no blackout, or no whole bucket in it *)
+            ( "goodput_floor",
+              match floor_window with
+              | Some (lo, hi) ->
+                  let v = Oracle.Feedback.goodput_floor feedback ~lo ~hi in
+                  if Float.is_nan v then 0. else v
+              | None -> 0. );
+          ];
+        violations = Oracle.violations oracle;
       })
 
 let run_one ?recorder ?frames ~guard_on ~seed variant lie =
@@ -194,25 +179,6 @@ let run_scripted ?recorder ?frames ~guard_on ~seed variant spec =
     ~floor_window:None variant
 
 (* --- matrix points ------------------------------------------------------- *)
-
-let outcome_metrics o =
-  let f = float_of_int in
-  let b v = if v then 1. else 0. in
-  [
-    ("faults", f o.faults);
-    ("lies", f o.lies_told);
-    ("quarantines", f o.quarantines);
-    ("resyncs", f o.resyncs);
-    ("resolved_episodes", f o.resolved);
-    ("time_to_resync", o.time_to_resync);
-    ("failure_declared", b o.failure_declared);
-    ("unresolved", b o.unresolved);
-    ("wrongful_releases", f o.wrongful);
-    ("oracle_violations", f o.violations);
-    ("delivered", f o.delivered);
-    ("completed", b o.completed);
-    ("goodput_floor", (if Float.is_nan o.goodput_floor then 0. else o.goodput_floor));
-  ]
 
 (* The rows: variant, lie class and guard setting, with their label. *)
 let grid ~quick =
@@ -238,7 +204,7 @@ let points ~quick =
     (fun (label, v, l, guard_on) ->
       {
         Runner.label;
-        run = (fun ~seed -> outcome_metrics (run_one ~guard_on ~seed v l));
+        run = (fun ~seed -> (run_one ~guard_on ~seed v l).metrics);
       })
     (grid ~quick)
 
@@ -270,11 +236,11 @@ let soak_forward_spec ~seed =
 let soak_variant i = List.nth variants (i mod List.length variants)
 
 let run_soak ~seed variant =
-  outcome_metrics
-    (run_core ~guard_on:true ~seed ~lie_name:"soak"
-       ~forward:(soak_forward_spec ~seed)
-       ~reverse:(Some (soak_reverse_spec ~seed))
-       ~mark_at:None ~floor_window:None variant)
+  (run_core ~guard_on:true ~seed ~lie_name:"soak"
+     ~forward:(soak_forward_spec ~seed)
+     ~reverse:(Some (soak_reverse_spec ~seed))
+     ~mark_at:None ~floor_window:None variant)
+    .metrics
 
 let soak_experiment ~schedules =
   {

@@ -23,27 +23,6 @@ val lie_tag : lie -> string
 
 val lies : lie list
 
-type outcome = {
-  variant : string;
-  lie : string;
-  guarded : bool;
-  faults : int;  (** reverse-channel fault hits *)
-  lies_told : int;  (** clean-looking forgeries among them *)
-  quarantines : int;
-  resyncs : int;
-  failure_declared : bool;
-  resolved : int;  (** disturbance episodes closed by a recovery *)
-  time_to_resync : float;  (** worst resolved episode, seconds *)
-  unresolved : bool;  (** an episode was still open at the end *)
-  wrongful : int;  (** oracle-detected wrongful releases *)
-  violations : int;  (** all base-oracle violations *)
-  delivered : int;
-  completed : bool;
-  goodput_floor : float;
-      (** min bucketed delivery rate inside the blackout window (bits/s);
-          nan for non-blackout rows *)
-}
-
 val run_one :
   ?recorder:Trace.Recorder.t ->
   ?frames:int ->
@@ -51,12 +30,21 @@ val run_one :
   seed:int ->
   variant ->
   lie ->
-  outcome
+  Scenario.checked
 (** One run: scripted forward I-frame drops (NAK material for the lies
     to tamper with), the lie class's reverse script, base oracle plus
     feedback oracle attached for the whole run. Captures a trace when
     {!Trace.Config} is set (or records into [recorder]). [frames]
-    overrides the stream length (compact golden traces). *)
+    overrides the stream length (compact golden traces). Its metrics are
+    the E24 cell: [faults] (reverse-channel fault hits), [lies]
+    (clean-looking forgeries among them), [quarantines], [resyncs],
+    [resolved_episodes] (disturbance episodes closed by a recovery),
+    [time_to_resync] (the worst resolved episode, seconds),
+    [failure_declared], [unresolved] (an episode still open at the
+    end), [wrongful_releases], [oracle_violations] (all base-oracle
+    violations), [delivered], [completed] and [goodput_floor] (the
+    minimum bucketed delivery rate inside the blackout window, bits/s;
+    0 when unmeasured, as on every row without a blackout). *)
 
 val run_scripted :
   ?recorder:Trace.Recorder.t ->
@@ -65,14 +53,10 @@ val run_scripted :
   seed:int ->
   variant ->
   Channel.Fault.spec ->
-  outcome
+  Scenario.checked
 (** Like {!run_one} but with an arbitrary reverse-channel fault script
     (e.g. loaded from a [--lie-script] file via {!Channel.Fault.load})
     instead of a canonical lie class. *)
-
-val outcome_metrics : outcome -> (string * float) list
-(** The outcome as a matrix metric vector ([wrongful_releases],
-    [completed] and [failure_declared] among them; booleans are 0/1). *)
 
 val points : quick:bool -> Runner.point list
 

@@ -15,14 +15,6 @@ let shared_burst_duplex engine ~seed ~cfg ~model =
   in
   { Channel.Duplex.forward = mk (); reverse = mk () }
 
-type outcome = {
-  efficiency : float;
-  loss : int;
-  enforced : int;
-  failed : bool;
-  delivered : int;
-}
-
 let run_one ~cfg ~burst_frames ~protocol =
   let frame_bits = float_of_int (Scenario.iframe_bits cfg) in
   (* ber_bad = 0.5 models full tracking loss: during a burst nothing
@@ -51,15 +43,15 @@ let run_one ~cfg ~burst_frames ~protocol =
       cfg session
   in
   let m = r.Scenario.metrics in
-  {
-    efficiency =
-      Dlc.Metrics.throughput_efficiency m ~iframe_time:(Scenario.t_f cfg);
-    loss = Dlc.Metrics.loss m;
-    enforced = m.Dlc.Metrics.enforced_recoveries;
+  [
+    ( "efficiency",
+      Dlc.Metrics.throughput_efficiency m ~iframe_time:(Scenario.t_f cfg) );
+    ("loss", float_of_int (Dlc.Metrics.loss m));
+    ("enforced_recoveries", float_of_int m.Dlc.Metrics.enforced_recoveries);
     (* both senders count a declaration as they set their failed flag *)
-    failed = m.Dlc.Metrics.failures_detected > 0;
-    delivered = Dlc.Metrics.unique_delivered m;
-  }
+    ("failed", if m.Dlc.Metrics.failures_detected > 0 then 1. else 0.);
+    ("delivered", float_of_int (Dlc.Metrics.unique_delivered m));
+  ]
 
 let bursts ~quick = if quick then [ 4.; 64. ] else [ 1.; 4.; 16.; 64.; 256. ]
 
@@ -79,16 +71,7 @@ let points ~quick =
             Runner.label = label burst_frames tag;
             run =
               (fun ~seed ->
-                let o =
-                  run_one ~cfg:{ cfg with Scenario.seed } ~burst_frames ~protocol
-                in
-                [
-                  ("efficiency", o.efficiency);
-                  ("loss", float_of_int o.loss);
-                  ("enforced_recoveries", float_of_int o.enforced);
-                  ("failed", if o.failed then 1. else 0.);
-                  ("delivered", float_of_int o.delivered);
-                ]);
+                run_one ~cfg:{ cfg with Scenario.seed } ~burst_frames ~protocol);
           })
         [ ("lams", `Lams); ("hdlc", `Hdlc) ])
     (bursts ~quick)

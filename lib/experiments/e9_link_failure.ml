@@ -1,14 +1,5 @@
 let name = "E9 link blackout: enforced recovery and failure detection"
 
-type outcome = {
-  halt_detected_at : float;  (* first time the sender halted, or nan *)
-  recovered_at : float;  (* first un-halt after the blackout, or nan *)
-  declared_failed : bool;
-  loss : int;
-  duplicates : int;
-  delivered : int;
-}
-
 (* The LAMS sender's halt flag, kept from its probe: [Recovery_started]
    and [Failure_declared] set it and [Recovery_completed] clears it, as
    the sender does. A 0.5 ms watch samples it, so [halt_detected_at]
@@ -61,14 +52,15 @@ let run_one ~blackout_start ~blackout_len ~cfg protocol =
   in
   let r, _ = Scenario.run_session ?setup cfg session in
   let m = r.Scenario.metrics in
-  {
-    halt_detected_at = !halt_at;
-    recovered_at = !recover_at;
-    declared_failed = m.Dlc.Metrics.failures_detected > 0;
-    loss = Dlc.Metrics.loss m;
-    duplicates = m.Dlc.Metrics.duplicates;
-    delivered = Dlc.Metrics.unique_delivered m;
-  }
+  [
+    (* the first halt, and the first un-halt after the blackout, or nan *)
+    ("halt_detected_at", !halt_at);
+    ("recovered_at", !recover_at);
+    ("declared_failed", if m.Dlc.Metrics.failures_detected > 0 then 1. else 0.);
+    ("loss", float_of_int (Dlc.Metrics.loss m));
+    ("duplicates", float_of_int m.Dlc.Metrics.duplicates);
+    ("delivered", float_of_int (Dlc.Metrics.unique_delivered m));
+  ]
 
 let config ~quick =
   let n = if quick then 2000 else 10000 in
@@ -82,16 +74,6 @@ let label blackout_len tag = Printf.sprintf "blackout=%g/%s" blackout_len tag
 
 let points ~quick =
   let cfg = config ~quick in
-  let metrics (o : outcome) =
-    [
-      ("halt_detected_at", o.halt_detected_at);
-      ("recovered_at", o.recovered_at);
-      ("declared_failed", if o.declared_failed then 1. else 0.);
-      ("loss", float_of_int o.loss);
-      ("duplicates", float_of_int o.duplicates);
-      ("delivered", float_of_int o.delivered);
-    ]
-  in
   List.concat_map
     (fun blackout_len ->
       List.map
@@ -100,9 +82,8 @@ let points ~quick =
             Runner.label = label blackout_len tag;
             run =
               (fun ~seed ->
-                metrics
-                  (run_one ~blackout_start ~blackout_len
-                     ~cfg:{ cfg with Scenario.seed } protocol));
+                run_one ~blackout_start ~blackout_len
+                  ~cfg:{ cfg with Scenario.seed } protocol);
           })
         [ ("lams", `Lams); ("hdlc", `Hdlc) ])
     (blackouts ~quick)

@@ -56,25 +56,27 @@ let entries =
         failed [ ("the scripted drops are recovered", violations = []) ]);
     captured "corrupt-golden.jsonl" (fun recorder ->
         let open E22_corruption in
-        let o =
+        let run =
           run_one ~recorder ~frames:200 ~seed:7 Lams
             (spec_of (List.assoc "reverse-replay" classes))
         in
-        failed [ ("the reverse replay converges cleanly", o.violations = []) ]);
+        failed
+          [ ("the reverse replay converges cleanly", run.Scenario.violations = []) ]);
     captured "feedback-golden.jsonl" (fun recorder ->
         let open E24_feedback in
-        let o =
+        let run =
           run_one ~recorder ~frames:200 ~guard_on:true ~seed:7 Lams Forge
         in
+        let m = Scenario.metric run.Scenario.metrics in
         (* the whole ladder: lie -> quarantine -> forced resync ->
            convergence with nothing wrongly released *)
         failed
           [
-            ("one lie", o.lies_told = 1);
-            ("one quarantine", o.quarantines = 1);
-            ("one forced resync", o.resyncs = 1);
-            ("no wrongful release", o.wrongful = 0);
-            ("completed", o.completed);
+            ("one lie", m "lies" = 1.);
+            ("one quarantine", m "quarantines" = 1.);
+            ("one forced resync", m "resyncs" = 1.);
+            ("no wrongful release", m "wrongful_releases" = 0.);
+            ("completed", m "completed" = 1.);
           ]);
     {
       name = "channel-trace-golden.trace";

@@ -308,7 +308,7 @@ let run_watched ?faults ?reverse_faults ?recorder ~watch cfg protocol =
       in
       run_session ?faults ?reverse_faults ?recorder ~oracle:watch cfg session)
 
-let run ?recorder cfg protocol = fst (run_watched ?recorder ~watch:false cfg protocol)
+let run cfg protocol = fst (run_watched ~watch:false cfg protocol)
 
 let run_checked ?faults ?reverse_faults ?recorder cfg protocol =
   match run_watched ?faults ?reverse_faults ?recorder ~watch:true cfg protocol with
@@ -340,6 +340,16 @@ let matrix_metrics (r : result) =
     ("span_peak", f r.span_peak);
     ("completed", if r.completed then 1. else 0.);
   ]
+
+type checked = {
+  metrics : (string * float) list;
+  violations : Oracle.violation list;
+}
+
+let metric metrics name =
+  match List.assoc_opt name metrics with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "no metric %S in the run's list" name)
 
 let matrix_point ~label cfg protocol =
   {

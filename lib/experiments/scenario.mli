@@ -62,15 +62,13 @@ type result = {
   efficiency : float;  (** unique deliveries * t_f / elapsed *)
 }
 
-val run : ?recorder:Trace.Recorder.t -> config -> protocol -> result
-(** [recorder], when given, is subscribed to the session's probe (and
-    fault scripts) for the whole run — the caller then owns writing any
-    files out. When no recorder is passed and {!Trace.Config.set} is
-    active, the run captures itself to content-addressed
-    [.jsonl] / [.metrics.json] (and [.flight.jsonl] on violation) files
-    in the configured directory; the file name digests the full
-    configuration, so per-replicate traces are byte-stable whatever the
-    worker count. *)
+val run : config -> protocol -> result
+(** When {!Trace.Config.set} is active, the run captures itself to
+    content-addressed [.jsonl] / [.metrics.json] (and [.flight.jsonl] on
+    violation) files in the configured directory; the file name digests
+    the full configuration, so per-replicate traces are byte-stable
+    whatever the worker count. To record into a recorder of your own,
+    pass it to {!run_checked} or {!run_session}. *)
 
 val run_checked :
   ?faults:Channel.Fault.spec ->
@@ -127,6 +125,19 @@ val run_session :
 val matrix_metrics : result -> (string * float) list
 (** Uniform per-replicate metric vector (efficiency, deliveries, loss,
     holding/delay means, ...) for {!Runner} points; booleans are 0/1. *)
+
+type checked = {
+  metrics : (string * float) list;
+      (** the list the run's matrix cell records; booleans are 0/1 *)
+  violations : Oracle.violation list;  (** the oracle's first 200 *)
+}
+(** One oracle-watched harness run: E21's transfer, E22's and E24's
+    runs. Matrix points, soaks, {!Golden} and the CLI's [X run] all read
+    its [metrics], so a single run prints what its cell records. *)
+
+val metric : (string * float) list -> string -> float
+(** [metric metrics name]: the value of [name]. Raises [Failure] naming
+    it when the list lacks it, as {!Report.cell} does. *)
 
 val matrix_point : label:string -> config -> protocol -> Runner.point
 (** A matrix point that runs this scenario with the replicate's derived

@@ -5,8 +5,8 @@
     random schedule, derived from the point's own task seed, so results
     and captured traces are byte-identical for any [--jobs] — with its
     safety rule. The rule judges one run's metric vector: the CLI's
-    [X run] applies it to an outcome, and [X soak] to every point of the
-    report. It fails closed: a vector that lacks a metric the rule
+    [X run] applies it to its run's {!Scenario.checked} metrics, and
+    [X soak] to every point of the report. It fails closed: a vector that lacks a metric the rule
     reads is unsafe, so a renamed metric cannot silently disable the
     gate. *)
 

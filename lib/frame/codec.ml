@@ -84,7 +84,7 @@ let encode_into frame b ~pos:base =
    steady-state sender allocates nothing per frame. *)
 type scratch = { mutable buf : Bytes.t }
 
-let create_scratch ?(capacity = 2048) () = { buf = Bytes.create (max 16 capacity) }
+let create_scratch () = { buf = Bytes.create 2048 }
 
 (* Returns only the length so the steady-state path (buffer already big
    enough) allocates nothing at all — not even the result pair. The

@@ -28,8 +28,9 @@ type scratch
     never shrinks, so steady-state encoding allocates nothing. Not
     thread-safe; use one per sender. *)
 
-val create_scratch : ?capacity:int -> unit -> scratch
-(** Default capacity 2048 bytes — enough for a max-payload I-frame. *)
+val create_scratch : unit -> scratch
+(** 2048 bytes to start with, enough for an I-frame of the paper's 1 kB
+    payloads; a longer frame grows it. *)
 
 val encode_scratch_into : scratch -> Wire.t -> int
 (** Encode into the scratch and return the encoded length

@@ -32,7 +32,6 @@ type t = {
   mutable stopped : bool;
   mutable resync_pending : bool;
       (* a guard-forced resync awaits its next accepted report *)
-  mutable on_failure : (unit -> unit) option;
 }
 
 let backlog t =
@@ -66,8 +65,7 @@ let declare_failure t =
       t.metrics.Dlc.Metrics.failures_detected + 1;
     stop_watchdog t;
     Log.info (fun m -> m "link declared failed at %g" (Sim.Engine.now t.engine));
-    emit t Dlc.Probe.Failure_declared;
-    match t.on_failure with None -> () | Some f -> f ()
+    emit t Dlc.Probe.Failure_declared
   end
 
 let oldest_outstanding t =
@@ -343,7 +341,6 @@ let create engine ~params ~forward ~metrics ~probe =
       failed = false;
       stopped = false;
       resync_pending = false;
-      on_failure = None;
     }
   in
   Channel.Link.set_on_idle forward (fun () -> maybe_send t);

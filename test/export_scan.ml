@@ -19,9 +19,14 @@
    bracket (or of the file), whatever local binding shadows it. So a
    value can be counted as used when it is not, never the other way.
 
-   Optional arguments are matched by name alone: a [?x:] of a [val]
-   counts as passed when any [.ml] outside its own module writes the
-   label [~x], [~x:], [?x] or [?x:], whatever function it labels. *)
+   An optional argument [?x:] of a [val] counts as passed when an [.ml]
+   outside its own module applies that value, through any path that
+   resolves to it, to a label [~x], [~x:], [?x] or [?x:]. A label belongs
+   to the head of the application it stands in: the identifier or value
+   path that starts the expression at its bracket level, up to the next
+   keyword or operator. A head the scan cannot resolve (a local
+   function, a record field) takes its labels with it, so a label
+   counts for no exported value by accident. *)
 
 (* Lexing *)
 
@@ -364,10 +369,19 @@ type frame = {
   mutable opens : string list;
   mutable aliases : (string * string list) list;
       (** [[]] shadows: a local structure or a functor application *)
+  mutable head : string list;
+      (** the exported values the application at this bracket level
+          applies; a label here is passed to them *)
+  mutable at_start : bool;
+      (** no atom yet since the last keyword or operator: the next one is
+          an application's head *)
 }
 
-(* The exported value paths [src] names, in order, with repeats. *)
-let references libs iface src =
+let frame opens = { opens; aliases = []; head = []; at_start = true }
+
+(* The exported value paths [src] names, in order, with repeats, and
+   each [(value path, label)] it applies a value to. *)
+let scan libs iface src =
   let toks = tokens src.text in
   let n = Array.length toks in
   let modules = Hashtbl.create 256 in
@@ -376,7 +390,7 @@ let references libs iface src =
   let values = Hashtbl.create 1024 in
   List.iter (fun e -> Hashtbl.replace values e.value ()) iface.exports;
   let lib = library_of libs src.path in
-  let frames = ref [ { opens = []; aliases = [] } ] in
+  let frames = ref [ frame [] ] in
   let top () = List.hd !frames in
   let alias u = List.find_map (fun f -> List.assoc_opt u f.aliases) !frames in
   let opens () = List.concat_map (fun f -> f.opens) !frames in
@@ -398,16 +412,40 @@ let references libs iface src =
         in
         List.filter known found
   in
-  let refs = ref [] in
+  let refs = ref [] and applied = ref [] in
+  (* The exported value [m.v], when it is one. *)
   let name m v =
     let p = m ^ "." ^ v in
-    if Hashtbl.mem values p then refs := p :: !refs
+    if Hashtbl.mem values p then (
+      refs := p :: !refs;
+      [ p ])
+    else []
+  in
+  (* An atom at the current bracket level: the head of an application
+     when it starts the expression, else an argument. *)
+  let atom paths =
+    let f = top () in
+    if f.at_start then (
+      f.head <- paths;
+      f.at_start <- false)
+  in
+  let restart () =
+    let f = top () in
+    f.head <- [];
+    f.at_start <- true
   in
   let pending = ref [] in
   let i = ref 0 in
   while !i < n do
     let t = toks.(!i) in
     let prev = if !i > 0 then toks.(!i - 1) else Sym "" in
+    (match t with
+    | Label { name = x; _ } ->
+        List.iter (fun p -> applied := (p, x) :: !applied) (top ()).head
+    | Kw ("true" | "false") -> atom []
+    | Sym "!" -> ()
+    | Kw _ | Sym _ -> restart ()
+    | _ -> ());
     (match t with
     | Kw ("open" | "include") ->
         let bang = !i + 1 < n && toks.(!i + 1) = Sym "!" in
@@ -434,7 +472,8 @@ let references libs iface src =
             (top ()).aliases <- (m, targets) :: (top ()).aliases;
             List.iter
               (fun (part, v) ->
-                if part = m then List.iter (fun t -> name t v) targets)
+                if part = m then
+                  List.iter (fun t -> ignore (name t v : string list)) targets)
               iface.parts;
             i := k - 1
         | Uid m, _ -> (top ()).aliases <- (m, []) :: (top ()).aliases
@@ -442,21 +481,27 @@ let references libs iface src =
     | Uid _ when prev <> Dot ->
         let p, k = read_path toks !i in
         (match if k + 1 < n && toks.(k) = Dot then toks.(k + 1) else Close with
-        | Lid v -> List.iter (fun m -> name m v) (resolve p)
+        | Lid v -> atom (List.concat_map (fun m -> name m v) (resolve p))
         | Open ("(" | "[" | "{") -> pending := resolve p
-        | _ -> ());
+        | _ -> atom []);
         i := k - 1
     | Lid v when prev <> Dot && prev <> Kw "val" && prev <> Kw "external" ->
-        List.iter (fun m -> name m v) (opens ())
+        atom (List.concat_map (fun m -> name m v) (opens ()))
     | Open _ ->
-        frames := { opens = !pending; aliases = [] } :: !frames;
+        frames := frame !pending :: !frames;
         pending := []
     | Close -> (
-        match !frames with _ :: (_ :: _ as rest) -> frames := rest | _ -> ())
+        match !frames with
+        | _ :: (_ :: _ as rest) ->
+            frames := rest;
+            atom []
+        | _ -> ())
     | _ -> ());
     incr i
   done;
-  List.rev !refs
+  (List.rev !refs, List.rev !applied)
+
+let references libs iface src = fst (scan libs iface src)
 
 (* Callers *)
 
@@ -498,24 +543,25 @@ let uses libs ~mlis ~mls =
     keys
 
 (* Every [?x:] of a [val], as ["Value.path ?x"] sorted, with whether a
-   file outside test/ and outside its own module passes the label [x]. *)
+   file outside test/ and outside its own module applies the value to
+   the label [x]. *)
 let optional_uses libs ~mlis ~mls =
   let iface = interface libs mlis in
-  let labels src =
-    Array.to_list (tokens src.text)
-    |> List.filter_map (function Label { name; _ } -> Some name | _ -> None)
-  in
-  let callers =
-    List.filter_map
-      (fun src -> if is_test src.path then None else Some (src.path, labels src))
-      mls
-  in
+  let by_name = Hashtbl.create 1024 in
+  List.iter (fun e -> Hashtbl.add by_name e.value e) iface.exports;
+  let passed = Hashtbl.create 256 in
+  List.iter
+    (fun src ->
+      if not (is_test src.path) then
+        List.iter
+          (fun (p, x) ->
+            List.iter
+              (fun e -> if e.own <> src.path then Hashtbl.replace passed (e.key, x) ())
+              (Hashtbl.find_all by_name p))
+          (snd (scan libs iface src)))
+    mls;
   List.map
-    (fun (decl, x) ->
-      ( decl.key ^ " ?" ^ x,
-        List.exists
-          (fun (path, names) -> path <> decl.own && List.mem x names)
-          callers ))
+    (fun (decl, x) -> (decl.key ^ " ?" ^ x, Hashtbl.mem passed (decl.key, x)))
     iface.optionals
   |> List.sort_uniq compare
 

@@ -213,11 +213,12 @@ let prop_flip_never_misidentifies_seq =
       | Error _ -> true)
 
 let test_scratch_roundtrip () =
-  (* one scratch serves frames of different kinds and sizes back to back *)
-  let scratch = Frame.Codec.create_scratch ~capacity:8 () in
+  (* one scratch serves frames of different kinds and sizes back to back,
+     growing past its 2048 bytes for the first *)
+  let scratch = Frame.Codec.create_scratch () in
   let frames =
     [
-      data ~seq:7 (String.make 900 'q');
+      data ~seq:7 (String.make 3000 'q');
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:3 ~issue_time:1.5 ~stop_go:false
            ~enforced:false ~next_expected:4 ~naks:[ 5; 9 ]);

@@ -130,6 +130,11 @@ let test_surface_idle_session () =
 
 (* --- per-class recovery paths ------------------------------------------- *)
 
+(* A metric of a run, failing on a missing name. *)
+let m (run : Experiments.Scenario.checked) = Experiments.Scenario.metric run.metrics
+
+let exact = Alcotest.float 0.
+
 (* Each corruption class, injected once mid-stream with canonical
    arguments, must leave the oracle clean: anomalies confined to the
    suspect window, invariants re-established within k checkpoints (or an
@@ -138,68 +143,70 @@ let test_surface_idle_session () =
    below are exact. *)
 let recovery ?(variant = E22.Lams) ?(seed = 11) ?(completed = true) name =
   let klass = List.assoc name E22.classes in
-  let o = E22.run_one ~seed variant (E22.spec_of klass) in
-  Alcotest.(check int) (name ^ ": injected once") 1 o.E22.injected;
-  Alcotest.(check int) (name ^ ": nothing skipped") 0 o.E22.skipped;
-  Alcotest.(check bool) (name ^ ": oracle clean") true (o.E22.violations = []);
-  Alcotest.(check bool) (name ^ ": not stuck unconverged") false
-    o.E22.unconverged;
-  Alcotest.(check int) (name ^ ": suspect window closed") 1 o.E22.converged;
-  Alcotest.(check bool)
+  let run = E22.run_one ~seed variant (E22.spec_of klass) in
+  Alcotest.check exact (name ^ ": injected once") 1. (m run "injected");
+  Alcotest.check exact (name ^ ": nothing skipped") 0. (m run "skipped");
+  Alcotest.(check bool) (name ^ ": oracle clean") true (run.violations = []);
+  Alcotest.check exact (name ^ ": not stuck unconverged") 0.
+    (m run "unconverged");
+  Alcotest.check exact (name ^ ": suspect window closed") 1.
+    (m run "converged_windows");
+  Alcotest.check exact
     (name ^ ": stream " ^ (if completed then "completed" else "has casualties"))
-    completed o.E22.completed;
-  o
+    (if completed then 1. else 0.)
+    (m run "completed");
+  run
 
 let test_recovery_seq_scramble_send () =
   (* the phantom gap is NAKed and resolved without observable anomaly:
      renumbered retransmission fills it like any real loss *)
-  let o = recovery "seq-scramble-send" in
-  Alcotest.(check int) "no anomalies needed" 0 o.E22.tolerated
+  let run = recovery "seq-scramble-send" in
+  Alcotest.check exact "no anomalies needed" 0. (m run "tolerated")
 
 let test_recovery_seq_scramble_recv () =
   (* the frontier jump forward silently skips in-flight frames: those
      are casualties in Dolev et al.'s sense — destroyed data is a
      legitimate price of stabilisation, so the stream cannot complete,
      but the oracle must still end clean *)
-  let o = recovery ~completed:false "seq-scramble-recv" in
-  Alcotest.(check bool) "no failure declaration" false o.E22.declared_failure;
+  let run = recovery ~completed:false "seq-scramble-recv" in
+  Alcotest.check exact "no failure declaration" 0. (m run "declared_failure");
   Alcotest.(check bool) "only the skipped frames are lost" true
-    (o.E22.delivered >= 396)
+    (m run "delivered" >= 396.)
 
 let test_recovery_nak_poison () =
   (* phantom NAKs ask for retransmission of delivered frames; the
      duplicates are absorbed, cumulation stays legal *)
-  let o = recovery "nak-poison" in
-  Alcotest.(check int) "no anomalies needed" 0 o.E22.tolerated
+  let run = recovery "nak-poison" in
+  Alcotest.check exact "no anomalies needed" 0. (m run "tolerated")
 
 let test_recovery_nak_truncate () =
   (* the erased ledger under-advertises pending losses: exactly the
      nak-underrun post-mortem anomaly, attributed to the injection *)
-  let o = recovery "nak-truncate" in
-  Alcotest.(check int) "one tolerated anomaly" 1 o.E22.tolerated
+  let run = recovery "nak-truncate" in
+  Alcotest.check exact "one tolerated anomaly" 1. (m run "tolerated")
 
 let test_recovery_buffer_duplicate () =
   (* the duplicated entry arrives as a duplicate delivery inside the
      window; convergence time is the anomaly's distance from injection *)
-  let o = recovery "buffer-duplicate" in
+  let run = recovery "buffer-duplicate" in
   Alcotest.(check bool) "anomaly observed in window" true
-    (o.E22.tolerated >= 1);
+    (m run "tolerated" >= 1.);
   Alcotest.(check bool) "positive time-to-convergence" true
-    (o.E22.time_to_convergence > 0.)
+    (m run "time_to_convergence" > 0.)
 
 let test_recovery_reverse_replay () =
   (* stale checkpoints regress cp_seq and next_expected on the wire —
      multiple tolerated anomalies, all inside the window *)
-  let o = recovery "reverse-replay" in
+  let run = recovery "reverse-replay" in
   Alcotest.(check bool) "replayed frames are anomalous" true
-    (o.E22.tolerated >= 2)
+    (m run "tolerated" >= 2.)
 
 let test_recovery_other_variants () =
   (* the same contract holds for the comparison protocols; the recv
      frontier jump destroys in-flight frames on every variant *)
   List.iter
     (fun (variant, completed, name) ->
-      ignore (recovery ~variant ~completed name : E22.outcome))
+      ignore (recovery ~variant ~completed name : Experiments.Scenario.checked))
     [
       (E22.Sr_hdlc, true, "seq-scramble-send");
       (E22.Sr_hdlc, true, "reverse-replay");
@@ -258,11 +265,12 @@ let test_schedule_stops_with_session () =
   in
   List.iter
     (fun variant ->
-      let o = E22.run_one ~seed:11 variant spec in
+      let run = E22.run_one ~seed:11 variant spec in
       let tag = E22.variant_tag variant in
-      Alcotest.(check bool) (tag ^ ": completed") true o.E22.completed;
-      Alcotest.(check (pair int int))
-        (tag ^ ": injected, skipped") (0, 0) (o.E22.injected, o.E22.skipped))
+      Alcotest.check exact (tag ^ ": completed") 1. (m run "completed");
+      Alcotest.(check (pair exact exact))
+        (tag ^ ": injected, skipped") (0., 0.)
+        (m run "injected", m run "skipped"))
     [ E22.Lams; E22.Sr_hdlc ]
 
 (* A transfer's schedule stops with it too: the injections due after the
@@ -275,26 +283,27 @@ let test_schedule_stops_with_transfer () =
     | Ok spec -> spec
     | Error e -> Alcotest.fail e
   in
-  let o = (E22.run_handover ~seed:11 spec).E22.outcome in
-  Alcotest.(check (pair int int))
-    "handover: injected, skipped" (0, 0) (o.E22.injected, o.E22.skipped)
+  let run, _ = E22.run_handover ~seed:11 spec in
+  Alcotest.(check (pair exact exact))
+    "handover: injected, skipped" (0., 0.)
+    (m run "injected", m run "skipped")
 
 (* --- handover carryover corruption -------------------------------------- *)
 
 let test_handover_carryover () =
-  let o = (E22.run_handover ~seed:11 E22.carryover_spec).E22.outcome in
-  Alcotest.(check int) "snapshot corrupted once" 1 o.E22.injected;
-  Alcotest.(check bool) "transfer oracle clean" true (o.E22.violations = []);
-  Alcotest.(check bool) "reconverged" false o.E22.unconverged;
-  Alcotest.(check int) "all messages reassembled" 10 o.E22.delivered;
+  let run, _ = E22.run_handover ~seed:11 E22.carryover_spec in
+  Alcotest.check exact "snapshot corrupted once" 1. (m run "injected");
+  Alcotest.(check bool) "transfer oracle clean" true (run.violations = []);
+  Alcotest.check exact "reconverged" 0. (m run "unconverged");
+  Alcotest.check exact "all messages reassembled" 10. (m run "delivered");
   Alcotest.(check bool) "anomalies stayed in the window" true
-    (o.E22.tolerated > 0)
+    (m run "tolerated" > 0.)
 
 (* The exact metrics and trace of the canonical stale-carryover run at
    seed 11, floats compared by their bits. *)
 let test_handover_pinned () =
   let capture = Trace.Capture.create () in
-  let o =
+  let run, _ =
     E22.run_handover ~recorder:(Trace.Capture.recorder capture) ~seed:11
       E22.carryover_spec
   in
@@ -314,7 +323,7 @@ let test_handover_pinned () =
          ("delivered", 10.);
          ("oracle_violations", 0.);
        ])
-    (bits (E22.handover_metrics o));
+    (bits run.metrics);
   Alcotest.(check string) "trace MD5" "d64857dee87017b74a66bae2b83ec470"
     (Digest.to_hex
        (Digest.string (List.assoc "t" (Trace.Capture.outputs capture ~path:"t"))))

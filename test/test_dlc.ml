@@ -50,7 +50,7 @@ let test_pp_renders () =
 
 (* --- tracer --- *)
 
-let run_traced ~capacity =
+let run_traced ~frames =
   let engine = Sim.Engine.create () in
   let duplex =
     Channel.Duplex.create_static engine
@@ -59,7 +59,7 @@ let run_traced ~capacity =
       ~iframe_error:(Channel.Error_model.uniform ~ber:0. ())
       ~cframe_error:Channel.Error_model.perfect
   in
-  let tracer = Dlc.Tracer.create ~capacity () in
+  let tracer = Dlc.Tracer.create () in
   Dlc.Tracer.attach tracer engine ~forward:duplex.Channel.Duplex.forward
     ~reverse:duplex.Channel.Duplex.reverse;
   let session =
@@ -67,7 +67,7 @@ let run_traced ~capacity =
   in
   let dlc = Lams_dlc.Session.as_dlc session in
   dlc.Dlc.Session.set_on_deliver (fun ~payload:_ -> ());
-  for i = 0 to 9 do
+  for i = 0 to frames - 1 do
     ignore
       (dlc.Dlc.Session.offer (Frame.Payload.of_string (Printf.sprintf "p%d" i))
         : bool)
@@ -78,7 +78,7 @@ let run_traced ~capacity =
   tracer
 
 let test_tracer_records_both_directions () =
-  let tracer = run_traced ~capacity:10_000 in
+  let tracer = run_traced ~frames:10 in
   let evs = Dlc.Tracer.events tracer in
   Alcotest.(check bool) "events recorded" true (List.length evs > 20);
   let fwd =
@@ -97,8 +97,9 @@ let test_tracer_records_both_directions () =
   Alcotest.(check bool) "chronological" true (sorted evs)
 
 let test_tracer_ring_buffer_caps () =
-  let tracer = run_traced ~capacity:16 in
-  Alcotest.(check int) "capped" 16 (List.length (Dlc.Tracer.events tracer))
+  (* each frame is sent and received: 6,000 frames overflow the ring *)
+  let tracer = run_traced ~frames:6_000 in
+  Alcotest.(check int) "capped" 10_000 (List.length (Dlc.Tracer.events tracer))
 
 (* The timeline example's lossy session with a fate recorder on the
    forward link, attached before or after a tracer: the tracer adds its
@@ -139,7 +140,7 @@ let test_tracer_keeps_earlier_taps () =
     (fates_captured ~tracer_first:false)
 
 let test_tracer_timeline_renders () =
-  let tracer = run_traced ~capacity:1000 in
+  let tracer = run_traced ~frames:10 in
   let out =
     Format.asprintf "%a"
       (fun ppf tr -> Dlc.Tracer.pp_timeline ~limit:200 ppf tr)

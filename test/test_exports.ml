@@ -4,8 +4,8 @@
    the reason it stays. A new export nothing calls, or one only a test
    calls, fails this suite; so does an entry whose value is gone or has
    gained a caller. Likewise every optional argument of such a [val] is
-   passed by some file outside test/ and outside its own module, or
-   listed with its reason. The scan itself is Export_scan. *)
+   passed to that value by some file outside test/ and outside its own
+   module, or listed with its reason. The scan itself is Export_scan. *)
 
 module S = Export_scan
 
@@ -93,9 +93,18 @@ let allowlist =
    module passes, and why each stays. *)
 let optional_allowlist =
   [
+    ( "Channel.Fault.rule ?window",
+      "the fault-script grammar's [window=]: Fault's own parser and \
+       [blackout] pass it" );
+    ( "Dlc.Corrupt.rule ?copies",
+      "the corruption-script grammar's [copies N]: Corrupt's own parser \
+       passes it" );
     ( "Dlc.Corrupt.rule ?period",
       "the corruption-script grammar's [every P]: Corrupt's own parser \
        passes it" );
+    ( "Experiments.Scenario.run_session ?reverse_faults",
+      "[run_checked] forwards its own [?reverse_faults], which the \
+       golden scripted transfer passes" );
   ]
 
 (* Every way [uses] breaks the contract, one line each. *)
@@ -298,10 +307,55 @@ let test_optional_args () =
     (S.optional_uses libs ~mlis
        ~mls:
          [
-           ml "bin/main.ml" "let () = Sim.Engine.run ~until:1. e; f ?hook";
+           ml "bin/main.ml"
+             "let () = Sim.Engine.run ~until:1. e; Sim.Engine.step ?hook e";
            ml "lib/sim/engine.ml" "let run ?until ?max t = step ?max t";
            ml "test/t.ml" "let () = Sim.Engine.run ~max:3 e";
          ])
+
+(* A label counts for the value it is applied to, whatever path names
+   that value, and for no other. *)
+let optional_engine =
+  [
+    {
+      S.path = "lib/sim/engine.mli";
+      text =
+        "type t\n\
+         val run : ?until:float -> t -> unit\n\
+         val step : ?hook:(unit -> unit) -> t -> bool\n";
+    };
+  ]
+
+let passed text =
+  S.optional_uses libs ~mlis:optional_engine ~mls:[ ml "bin/main.ml" text ]
+
+let test_optional_callee () =
+  let none = [ ("Sim.Engine.run ?until", false); ("Sim.Engine.step ?hook", false) ] in
+  Alcotest.(check (list (pair string bool)))
+    "a label applied to another function" none
+    (passed "let () = Sim.Engine.run e; Other.start ~until:1. e");
+  Alcotest.(check (list (pair string bool)))
+    "a label inside a bracketed argument" none
+    (passed "let () = Sim.Engine.run (f ~until:1. e)");
+  Alcotest.(check (list (pair string bool)))
+    "a label after an operator" none
+    (passed "let () = Sim.Engine.run e |> g ~hook");
+  Alcotest.(check (list (pair string bool)))
+    "labels after arguments and brackets"
+    [ ("Sim.Engine.run ?until", true); ("Sim.Engine.step ?hook", true) ]
+    (passed
+       "let () = Sim.Engine.run (x y) !r ~until:1.;\n\
+        ignore (Sim.Engine.step e ?hook)")
+
+let test_optional_alias () =
+  Alcotest.(check (list (pair string bool)))
+    "a label after an aliased path"
+    [ ("Sim.Engine.run ?until", true); ("Sim.Engine.step ?hook", false) ]
+    (passed "module E = Sim.Engine\nlet () = E.run ~until:1. (g ~hook e)");
+  Alcotest.(check (list (pair string bool)))
+    "a label after a local open"
+    [ ("Sim.Engine.run ?until", false); ("Sim.Engine.step ?hook", true) ]
+    (passed "let () = ignore Sim.Engine.(step ~hook:ignore (g ~until:1.))")
 
 let test_gate_accepts () =
   let perfbench_only = ml "perfbench/b.ml" "let _ = Sim.Engine.step" in
@@ -323,4 +377,8 @@ let suite =
     Alcotest.test_case "every optional argument has a caller" `Quick
       test_optional_gate;
     Alcotest.test_case "scan: optional arguments" `Quick test_optional_args;
+    Alcotest.test_case "scan: a label counts for its callee only" `Quick
+      test_optional_callee;
+    Alcotest.test_case "scan: a label after an aliased path" `Quick
+      test_optional_alias;
   ]

@@ -124,6 +124,11 @@ let test_sender_requeue_not_quarantined () =
 
 (* --- per-lie-class detection and recovery -------------------------------- *)
 
+(* A metric of a run, failing on a missing name. *)
+let m (run : Experiments.Scenario.checked) = Experiments.Scenario.metric run.metrics
+
+let exact = Alcotest.float 0.
+
 let test_forge_unguarded_loses_data () =
   (* the bare paper protocol believes the forged ACK: the sender
      releases frames the receiver never got, the receiver's later NAKs
@@ -132,33 +137,33 @@ let test_forge_unguarded_loses_data () =
      names *)
   List.iter
     (fun variant ->
-      let o = E24.run_one ~guard_on:false ~seed:11 variant E24.Forge in
-      Alcotest.(check bool) "lie told" true (o.E24.lies_told >= 1);
+      let run = E24.run_one ~guard_on:false ~seed:11 variant E24.Forge in
+      Alcotest.(check bool) "lie told" true (m run "lies" >= 1.);
       Alcotest.(check bool) "wrongful releases detected" true
-        (o.E24.wrongful >= 1);
-      Alcotest.(check bool) "stream incomplete" false o.E24.completed)
+        (m run "wrongful_releases" >= 1.);
+      Alcotest.check exact "stream incomplete" 0. (m run "completed"))
     [ E24.Lams; E24.Nbdt_bulk ]
 
 let test_forge_guarded_converges () =
   List.iter
     (fun variant ->
-      let o = E24.run_one ~guard_on:true ~seed:11 variant E24.Forge in
-      Alcotest.(check int) "one quarantine" 1 o.E24.quarantines;
-      Alcotest.(check int) "one forced resync" 1 o.E24.resyncs;
-      Alcotest.(check int) "no wrongful release" 0 o.E24.wrongful;
-      Alcotest.(check bool) "stream completed" true o.E24.completed;
-      Alcotest.(check int) "episode resolved" 1 o.E24.resolved;
-      Alcotest.(check bool) "bounded time-to-resync" true
-        (o.E24.time_to_resync > 0. && o.E24.time_to_resync < 0.05))
+      let run = E24.run_one ~guard_on:true ~seed:11 variant E24.Forge in
+      Alcotest.check exact "one quarantine" 1. (m run "quarantines");
+      Alcotest.check exact "one forced resync" 1. (m run "resyncs");
+      Alcotest.check exact "no wrongful release" 0. (m run "wrongful_releases");
+      Alcotest.check exact "stream completed" 1. (m run "completed");
+      Alcotest.check exact "episode resolved" 1. (m run "resolved_episodes");
+      let ttr = m run "time_to_resync" in
+      Alcotest.(check bool) "bounded time-to-resync" true (ttr > 0. && ttr < 0.05))
     [ E24.Lams; E24.Nbdt_bulk ]
 
 let test_rewrite_and_stale_guarded () =
   List.iter
     (fun (variant, lie) ->
-      let o = E24.run_one ~guard_on:true ~seed:11 variant lie in
-      Alcotest.(check bool) "quarantined" true (o.E24.quarantines >= 1);
-      Alcotest.(check int) "no wrongful release" 0 o.E24.wrongful;
-      Alcotest.(check bool) "stream completed" true o.E24.completed)
+      let run = E24.run_one ~guard_on:true ~seed:11 variant lie in
+      Alcotest.(check bool) "quarantined" true (m run "quarantines" >= 1.);
+      Alcotest.check exact "no wrongful release" 0. (m run "wrongful_releases");
+      Alcotest.check exact "stream completed" 1. (m run "completed"))
     [
       (E24.Lams, E24.Rewrite);
       (E24.Lams, E24.Stale);
@@ -176,21 +181,23 @@ let test_blackout_safe () =
     (fun variant ->
       List.iter
         (fun guard_on ->
-          let o = E24.run_one ~guard_on ~seed:11 variant E24.Blackout in
-          Alcotest.(check int) "no wrongful release" 0 o.E24.wrongful;
-          Alcotest.(check bool) "stream completed" true o.E24.completed;
+          let run = E24.run_one ~guard_on ~seed:11 variant E24.Blackout in
+          Alcotest.check exact "no wrongful release" 0.
+            (m run "wrongful_releases");
+          Alcotest.check exact "stream completed" 1. (m run "completed");
+          let floor = m run "goodput_floor" in
           Alcotest.(check bool) "goodput floor measured" true
-            (Float.is_finite o.E24.goodput_floor && o.E24.goodput_floor >= 0.))
+            (Float.is_finite floor && floor >= 0.))
         [ false; true ])
     [ E24.Lams; E24.Sr_hdlc; E24.Nbdt_bulk ]
 
 let test_fault_free_rows_never_quarantine () =
   List.iter
     (fun variant ->
-      let o = E24.run_one ~guard_on:true ~seed:11 variant E24.No_lie in
-      Alcotest.(check int) "zero quarantines" 0 o.E24.quarantines;
-      Alcotest.(check int) "zero resyncs" 0 o.E24.resyncs;
-      Alcotest.(check bool) "completed" true o.E24.completed)
+      let run = E24.run_one ~guard_on:true ~seed:11 variant E24.No_lie in
+      Alcotest.check exact "zero quarantines" 0. (m run "quarantines");
+      Alcotest.check exact "zero resyncs" 0. (m run "resyncs");
+      Alcotest.check exact "completed" 1. (m run "completed"))
     [ E24.Lams; E24.Sr_hdlc; E24.Nbdt_bulk ]
 
 let p_frame seq =

@@ -336,15 +336,15 @@ let test_adversarial_phase_cuts () =
       let setup =
         { Experiments.E21_handover.default_setup with Experiments.E21_handover.cut }
       in
-      let o = Experiments.E21_handover.run_transfer ~seed:11 setup in
-      if o.Experiments.E21_handover.violations <> [] then
+      let run, _ = Experiments.E21_handover.transfer ~seed:11 setup in
+      if run.Experiments.Scenario.violations <> [] then
         Alcotest.failf "%s: %s" label
           (String.concat "; "
              (List.map
                 (fun v -> v.Oracle.invariant ^ ": " ^ v.Oracle.detail)
-                o.Experiments.E21_handover.violations));
-      Alcotest.(check bool) (label ^ " completed") true
-        o.Experiments.E21_handover.completed)
+                run.violations));
+      Alcotest.(check (float 0.)) (label ^ " completed") 1.
+        (Experiments.Scenario.metric run.metrics "completed"))
     [
       ("cut mid-serialisation", `First_tx);
       ("cut between checkpoint and NAK", `First_nak);
@@ -504,8 +504,7 @@ let test_transfers_pinned () =
   let cut c = { E21.default_setup with E21.cut = c } in
   List.iter
     (fun (label, setup, expected) ->
-      check_bits label expected
-        (E21.outcome_metrics (E21.run_transfer ~seed:11 setup)))
+      check_bits label expected (fst (E21.transfer ~seed:11 setup)).metrics)
     [
       ("3-windows", E21.default_setup, pinned_transfer ~carried:0. ~dup_dropped:0.);
       ("first-tx", cut `First_tx, pinned_transfer ~carried:0. ~dup_dropped:0.);

@@ -47,7 +47,7 @@ let prop_codec_image =
       let payload = Workload.Arrivals.default_payload ~size i in
       let frame = Frame.Wire.Data (Frame.Iframe.create ~seq ~payload) in
       let expected = reference_iframe ~seq (reference_payload ~size i) in
-      let scratch = Frame.Codec.create_scratch ~capacity:16 () in
+      let scratch = Frame.Codec.create_scratch () in
       let len = Frame.Codec.encode_scratch_into scratch frame in
       Bytes.equal
            (Bytes.sub (Frame.Codec.scratch_buffer scratch) 0 len)

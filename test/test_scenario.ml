@@ -22,14 +22,13 @@ let digest metrics =
 let e22 variant cname =
   ( Printf.sprintf "e22 %s/%s" (E22.variant_tag variant) cname,
     fun () ->
-      E22.outcome_metrics
-        (E22.run_one ~seed:11 variant (E22.spec_of (List.assoc cname E22.classes)))
-  )
+      (E22.run_one ~seed:11 variant (E22.spec_of (List.assoc cname E22.classes)))
+        .metrics )
 
 let e24 variant lie guard_on =
   ( Printf.sprintf "e24 %s/%s/%s" (E22.variant_tag variant) (E24.lie_tag lie)
       (if guard_on then "guard" else "bare"),
-    fun () -> E24.outcome_metrics (E24.run_one ~guard_on ~seed:11 variant lie) )
+    fun () -> (E24.run_one ~guard_on ~seed:11 variant lie).metrics )
 
 let quick_point name points label =
   ( Printf.sprintf "%s %s" name label,

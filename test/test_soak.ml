@@ -79,19 +79,16 @@ let test_rules_read_run_outcomes () =
   let module E22 = Experiments.E22_corruption in
   let module E24 = Experiments.E24_feedback in
   Alcotest.(check bool) "a clean handover transfer is safe" true
-    (S.handover.safe
-       (E21.outcome_metrics (E21.run_transfer ~seed:11 E21.default_setup)));
+    (S.handover.safe (fst (E21.transfer ~seed:11 E21.default_setup)).metrics);
   Alcotest.(check bool) "a converging corruption run is safe" true
     (S.corrupt.safe
-       (E22.outcome_metrics
-          (E22.run_one ~seed:11 E22.Lams
-             (E22.spec_of (List.assoc "nak-truncate" E22.classes)))));
+       (E22.run_one ~seed:11 E22.Lams
+          (E22.spec_of (List.assoc "nak-truncate" E22.classes)))
+         .metrics);
   Alcotest.(check bool) "a stale carryover that converges is safe" true
-    (S.corrupt.safe
-       (E22.handover_metrics (E22.run_handover ~seed:11 E22.carryover_spec)));
+    (S.corrupt.safe (fst (E22.run_handover ~seed:11 E22.carryover_spec)).metrics);
   let forge guard_on =
-    S.feedback.safe
-      (E24.outcome_metrics (E24.run_one ~guard_on ~seed:11 E24.Lams E24.Forge))
+    S.feedback.safe (E24.run_one ~guard_on ~seed:11 E24.Lams E24.Forge).metrics
   in
   Alcotest.(check bool) "a guarded forged ACK is safe" true (forge true);
   Alcotest.(check bool) "an unguarded forged ACK is unsafe" false (forge false)

@@ -144,8 +144,8 @@ let noisy_run seed =
     Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params cfg)
   in
   let _ =
-    Experiments.Scenario.run ~recorder:(Trace.Capture.recorder capture) cfg
-      proto
+    Experiments.Scenario.run_checked ~recorder:(Trace.Capture.recorder capture)
+      cfg proto
   in
   jsonl capture
 
