@@ -14,6 +14,7 @@ val create :
   iframe_error:Error_model.t ->
   cframe_error:Error_model.t ->
   t
+(** A moving geometry: [distance_m] maps simulated time to metres. *)
 
 val create_static :
   Sim.Engine.t ->
@@ -23,6 +24,8 @@ val create_static :
   iframe_error:Error_model.t ->
   cframe_error:Error_model.t ->
   t
+(** A fixed distance, in metres: each direction's light time is computed
+    once. *)
 
 val set_down : t -> unit
 (** Both directions. *)

@@ -170,7 +170,7 @@ let matches sel frame ~i_idx ~c_idx =
   | Cp_range (lo, hi), Frame.Wire.Control (Frame.Cframe.Checkpoint cp) ->
       cp.Frame.Cframe.cp_seq >= lo && cp.Frame.Cframe.cp_seq <= hi
   | Cp_nak, Frame.Wire.Control (Frame.Cframe.Checkpoint cp) ->
-      cp.Frame.Cframe.naks <> []
+      Array.length cp.Frame.Cframe.naks > 0
   | Cp_nak, Frame.Wire.Hdlc_control h -> h.Frame.Hframe.kind <> Frame.Hframe.Rr
   | Cp_enforced, Frame.Wire.Control (Frame.Cframe.Checkpoint cp) ->
       cp.Frame.Cframe.enforced
@@ -187,13 +187,13 @@ let matches sel frame ~i_idx ~c_idx =
 let forge t action frame =
   match (action, frame) with
   | Forge_ack, Frame.Wire.Control (Frame.Cframe.Checkpoint cp)
-    when cp.Frame.Cframe.naks <> [] ->
+    when Array.length cp.Frame.Cframe.naks > 0 ->
       (* Flip every NAK entry into an implicit ACK: empty the list and
          make sure next_expected covers the flipped seqnums, so the
          sender's coverage scan releases the very frames the receiver
          asked to have retransmitted. *)
       let ne =
-        List.fold_left
+        Array.fold_left
           (fun acc s -> max acc (s + 1))
           cp.Frame.Cframe.next_expected cp.Frame.Cframe.naks
       in
@@ -202,7 +202,7 @@ let forge t action frame =
            (Frame.Cframe.checkpoint ~cp_seq:cp.Frame.Cframe.cp_seq
               ~issue_time:cp.Frame.Cframe.issue_time
               ~stop_go:cp.Frame.Cframe.stop_go
-              ~enforced:cp.Frame.Cframe.enforced ~next_expected:ne ~naks:[]))
+              ~enforced:cp.Frame.Cframe.enforced ~next_expected:ne ~naks:[||]))
   | Forge_ack, Frame.Wire.Hdlc_control h
     when h.Frame.Hframe.kind <> Frame.Hframe.Rr ->
       (* Suppress the selective/go-back reject: the sender sees a plain
@@ -213,6 +213,7 @@ let forge t action frame =
               ~pf:h.Frame.Hframe.pf))
   | Rewrite_cp_seq { delta }, Frame.Wire.Control (Frame.Cframe.Checkpoint cp)
     ->
+      (* the forgery shares the original's NAK array: nothing mutates it *)
       Some
         (Frame.Wire.Control
            (Frame.Cframe.checkpoint

@@ -27,10 +27,13 @@ type fault_decision =
 let dummy_frame =
   Frame.Wire.Data (Frame.Iframe.create ~seq:0 ~payload:Frame.Payload.empty)
 
+type distance = Fixed of float | Moving of (float -> float)
+
 type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
-  distance_m : float -> float;
+  distance : distance;
+  light_time : float;  (* a fixed link's, computed once; unused if moving *)
   data_rate_bps : float;
   iframe_error : Error_model.t;
   cframe_error : Error_model.t;
@@ -69,13 +72,23 @@ type t = {
 
 let speed_of_light = 299_792_458.
 
-let make engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
+let[@inline never] negative_distance () = invalid_arg "Link: negative distance"
+
+let make engine ~rng ~distance ~data_rate_bps ~iframe_error ~cframe_error =
   if data_rate_bps <= 0. then invalid_arg "Link.create: data rate must be > 0";
+  let light_time =
+    match distance with
+    | Fixed d ->
+        if d < 0. then negative_distance ();
+        d /. speed_of_light
+    | Moving _ -> nan
+  in
   let t =
     {
       engine;
       rng;
-      distance_m;
+      distance;
+      light_time;
       data_rate_bps;
       iframe_error;
       cframe_error;
@@ -136,14 +149,16 @@ let queue_length t = Queue.length t.queue
 
 let tx_time t frame = float_of_int (Frame.Wire.size_bits frame) /. t.data_rate_bps
 
-let[@inline never] negative_distance () = invalid_arg "Link: negative distance"
-
 (* Inlined, here and into the senders, so neither [at] nor the result is
-   boxed; [at] is boxed only for the [distance_m] closure. *)
+   boxed. A fixed link reads its light time; only a moving link calls
+   its distance function, which boxes [at]. *)
 let[@inline] propagation_delay t ~at =
-  let d = t.distance_m at in
-  if d < 0. then negative_distance ();
-  d /. speed_of_light
+  match t.distance with
+  | Fixed _ -> t.light_time
+  | Moving distance_m ->
+      let d = distance_m at in
+      if d < 0. then negative_distance ();
+      d /. speed_of_light
 
 let is_up t = t.up
 
@@ -323,8 +338,8 @@ let serial_done t =
   end;
   start_next t
 
-let create engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error =
-  let t = make engine ~rng ~distance_m ~data_rate_bps ~iframe_error ~cframe_error in
+let create engine ~rng ~distance ~data_rate_bps ~iframe_error ~cframe_error =
+  let t = make engine ~rng ~distance ~data_rate_bps ~iframe_error ~cframe_error in
   t.serial_done <- (fun () -> serial_done t);
   t.arrive_fn <- (fun _ -> arrive t);
   t

@@ -5,9 +5,10 @@
     - {b serialisation}: the transmitter emits one frame at a time at
       [data_rate_bps]; frames queue FIFO behind it;
     - {b propagation}: a frame departs at the end of serialisation and
-      arrives one light-time later, where the light-time comes from a
-      (possibly time-varying) [distance_m] function — the orbit library
-      supplies it for moving satellites;
+      arrives one light-time later. A fixed link's light time is one
+      float, computed at creation; a moving link's comes from a
+      time-varying distance function, which the orbit library supplies
+      for moving satellites;
     - {b errors}: an {!Error_model} decides each frame's fate. I-frames
       and control frames use separate models because control frames are
       protected by a stronger FEC (paper §2.2 assumption 4).
@@ -37,16 +38,21 @@ type stats = {
 
 type t
 
+(** The distance between the two ends, in metres. *)
+type distance =
+  | Fixed of float
+  | Moving of (float -> float)  (** simulated time to metres *)
+
 val create :
   Sim.Engine.t ->
   rng:Sim.Rng.t ->
-  distance_m:(float -> float) ->
+  distance:distance ->
   data_rate_bps:float ->
   iframe_error:Error_model.t ->
   cframe_error:Error_model.t ->
   t
-(** [distance_m] maps simulated time to metres. Requires a positive data
-    rate and nonnegative distances. *)
+(** Requires a positive data rate and nonnegative distances: a negative
+    fixed distance fails here, a moving one when it is read. *)
 
 val speed_of_light : float
 

@@ -127,7 +127,7 @@ let implausible_cp t ~next_seq (cp : Frame.Cframe.checkpoint) =
   else if cp.Frame.Cframe.next_expected > next_seq then Some "ne-overrun"
   else if cp.Frame.Cframe.next_expected < t.max_ne then Some "ne-regression"
   else if
-    List.exists
+    Array.exists
       (fun s -> s >= cp.Frame.Cframe.next_expected || s >= next_seq)
       cp.Frame.Cframe.naks
   then Some "nak-out-of-range"
@@ -138,7 +138,7 @@ let implausible_cp t ~next_seq (cp : Frame.Cframe.checkpoint) =
    is gone: some earlier checkpoint lied its way past a release. *)
 let nak_after_release t ~is_outstanding ~next_seq
     (cp : Frame.Cframe.checkpoint) =
-  List.exists
+  Array.exists
     (fun s ->
       s < next_seq
       && (not (is_outstanding s))
@@ -150,17 +150,18 @@ let nak_after_release t ~is_outstanding ~next_seq
    still reports s missing and the sender still holds it. *)
 let contradicts ~is_outstanding ~(earlier : Frame.Cframe.checkpoint)
     ~(later : Frame.Cframe.checkpoint) =
-  List.exists
+  Array.exists
     (fun s ->
       s < earlier.Frame.Cframe.next_expected
-      && (not (List.mem s earlier.Frame.Cframe.naks))
+      && (not (Array.mem s earlier.Frame.Cframe.naks))
       && is_outstanding s)
     later.Frame.Cframe.naks
 
 let deliver_cp t rx (cp : Frame.Cframe.checkpoint) =
-  List.iter
-    (fun s -> ignore (Int_index.add t.requeued s : int))
-    cp.Frame.Cframe.naks;
+  let naks = cp.Frame.Cframe.naks in
+  for k = 0 to Array.length naks - 1 do
+    ignore (Int_index.add t.requeued (Array.unsafe_get naks k) : int)
+  done;
   t.deliver rx
 
 let on_checkpoint t rx (cp : Frame.Cframe.checkpoint) ~next_seq

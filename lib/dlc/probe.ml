@@ -15,7 +15,7 @@ type event =
       next_expected : int;
       enforced : bool;
       stop_go : bool;
-      naks : int list;
+      naks : int array;
     }
   | State_corrupted of { klass : string; detail : string }
   | Converged of { after : float; anomalies : int }
@@ -33,7 +33,7 @@ type handlers = {
     next_expected:int ->
     enforced:bool ->
     stop_go:bool ->
-    naks:int list ->
+    naks:int array ->
     unit;
   other : now:float -> event -> unit;
 }

@@ -55,15 +55,17 @@ type event =
       next_expected : int;
       enforced : bool;
       stop_go : bool;
-      naks : int list;
+      naks : int array;
     }
       (** the receiver issued acknowledgement state: a LAMS checkpoint
           (possibly a Check-Point-NAK or Enforced-NAK), an NBDT status
           report, or an HDLC supervisory frame ([cp_seq] is then an
           emission ordinal, [next_expected] the N(R), and [naks] the
-          rejected number for REJ/SREJ). Emitted at creation, before the
-          frame enters the reverse link, so observers see the receiver's
-          decision upstream of any channel loss. *)
+          rejected number for REJ/SREJ). [naks] is the frame's own
+          array, ascending, read in place and never mutated. Emitted at
+          creation, before the frame enters the reverse link, so
+          observers see the receiver's decision upstream of any channel
+          loss. *)
   | State_corrupted of { klass : string; detail : string }
       (** {!module:Corrupt} injected a fault of class [klass] directly
           into live session state; [detail] records what was mutated.
@@ -117,7 +119,7 @@ type handlers = {
     next_expected:int ->
     enforced:bool ->
     stop_go:bool ->
-    naks:int list ->
+    naks:int array ->
     unit;
   other : now:float -> event -> unit;
 }
@@ -149,7 +151,7 @@ val cp_emitted :
   next_expected:int ->
   enforced:bool ->
   stop_go:bool ->
-  naks:int list ->
+  naks:int array ->
   unit
 (** The typed emits: [cp_emitted p ~cp_seq ...] is
     [emit p ~now:(now p) (Cp_emitted { cp_seq; ... })], without the

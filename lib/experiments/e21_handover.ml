@@ -88,7 +88,7 @@ let install_phase_cut engine ~probe ~duplex ~cut =
           Dlc.Probe.no_handlers with
           cp_emitted =
             (fun ~cp_seq:_ ~next_expected:_ ~enforced:_ ~stop_go:_ ~naks ->
-              match naks with _ :: _ -> fire () | [] -> ());
+              if Array.length naks > 0 then fire ());
         }
   | `Recovery ->
       Dlc.Probe.listen probe

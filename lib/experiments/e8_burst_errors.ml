@@ -9,7 +9,7 @@ let shared_burst_duplex engine ~seed ~cfg ~model =
   let mk () =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed)
-      ~distance_m:(fun _ -> cfg.Scenario.distance_m)
+      ~distance:(Channel.Link.Fixed cfg.Scenario.distance_m)
       ~data_rate_bps:cfg.Scenario.data_rate_bps ~iframe_error:model
       ~cframe_error:model
   in

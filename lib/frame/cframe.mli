@@ -31,7 +31,12 @@ type checkpoint = {
           vanished without trace at the {e tail} of the stream (nothing
           after them arrived, so gap detection alone cannot flag them).
           Sound under the paper's deterministic-link assumption. *)
-  naks : int list;  (** seqnums to retransmit, cumulative over [C_depth] *)
+  naks : int array;
+      (** seqnums to retransmit, cumulative over [C_depth]. The receiver
+          builds the array once, ascending; nothing mutates it
+          afterwards, so the observers, the link, the guard and the
+          sender may all read the same array in place, and a forgery
+          that changes the list builds a new one. *)
 }
 
 type t = Checkpoint of checkpoint | Request_nak of { issue_time : float }
@@ -42,8 +47,10 @@ val checkpoint :
   stop_go:bool ->
   enforced:bool ->
   next_expected:int ->
-  naks:int list ->
+  naks:int array ->
   t
+(** Rejects a negative [cp_seq], [next_expected] or NAK entry. Keeps
+    [naks] itself, not a copy. *)
 
 val request_nak : issue_time:float -> t
 

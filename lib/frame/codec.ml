@@ -50,7 +50,8 @@ let encode_into frame b ~pos:base =
       Payload.blit i.Iframe.payload b (base + 9);
       put_u32 b (base + 9 + len) (Crc.crc32_int b ~pos:(base + 9) ~len)
   | Wire.Control (Cframe.Checkpoint c) ->
-      let n = List.length c.Cframe.naks in
+      let naks = c.Cframe.naks in
+      let n = Array.length naks in
       if n > max_count then
         invalid_arg "Codec.encode_into: more than 65535 NAKs in a checkpoint";
       put_u8 b (base + 0) tag_checkpoint;
@@ -62,7 +63,9 @@ let encode_into frame b ~pos:base =
       put_f64 b (base + 6) c.Cframe.issue_time;
       put_u32 b (base + 14) c.Cframe.next_expected;
       put_u16 b (base + 18) n;
-      List.iteri (fun i s -> put_u32 b (base + 20 + (4 * i)) s) c.Cframe.naks;
+      for i = 0 to n - 1 do
+        put_u32 b (base + 20 + (4 * i)) (Array.unsafe_get naks i)
+      done;
       let body = 20 + (4 * n) in
       put_u16 b (base + body) (Crc.crc16 b ~pos:base ~len:body)
   | Wire.Control (Cframe.Request_nak { issue_time }) ->
@@ -134,7 +137,7 @@ let decode_checkpoint b ~base ~len:avail =
       Error Control_corrupt
     else begin
       let flags = get_u8 b (base + 1) in
-      let naks = List.init n (fun i -> get_u32 b (base + 20 + (4 * i))) in
+      let naks = Array.init n (fun i -> get_u32 b (base + 20 + (4 * i))) in
       Ok
         (Wire.Control
            (Cframe.checkpoint ~cp_seq:(get_u32 b (base + 2))

@@ -23,7 +23,7 @@ let hframe_bytes = 1 + 1 + 4 + 1 + 2
 let size_bytes = function
   | Data i -> iframe_overhead_bytes + Payload.length i.Iframe.payload
   | Control (Cframe.Checkpoint c) ->
-      cframe_base_bytes + (cframe_nak_entry_bytes * List.length c.Cframe.naks)
+      cframe_base_bytes + (cframe_nak_entry_bytes * Array.length c.Cframe.naks)
   | Control (Cframe.Request_nak _) -> request_nak_bytes
   | Hdlc_control _ -> hframe_bytes
 

@@ -147,7 +147,7 @@ let send_checkpoint t ~enforced ~naks =
   t.cp_seq <- t.cp_seq + 1;
   t.checkpoints_sent <- t.checkpoints_sent + 1;
   t.metrics.Dlc.Metrics.control_sent <- t.metrics.Dlc.Metrics.control_sent + 1;
-  if naks <> [] then
+  if Array.length naks > 0 then
     t.metrics.Dlc.Metrics.naks_sent <- t.metrics.Dlc.Metrics.naks_sent + 1;
   Channel.Link.send t.reverse (Frame.Wire.Control cp)
 
@@ -164,7 +164,8 @@ let regular_checkpoint t =
     t.current_errors <- recycled;
     t.oldest <- (if t.oldest + 1 = depth then 0 else t.oldest + 1)
   end;
-  send_checkpoint t ~enforced:false ~naks:(Seq_set.union_to_list t.intervals)
+  send_checkpoint t ~enforced:false
+    ~naks:(Seq_set.union_to_array t.intervals ~oldest:t.oldest)
 
 let schedule_next_cp t =
   ignore
@@ -255,7 +256,7 @@ let on_rx t (rx : Channel.Link.rx) =
          frame of the whole resolving period — a Request-NAK means the
          sender lost track, possibly across an outage longer than the
          cumulation window, so the complete log is replayed. *)
-      send_checkpoint t ~enforced:true ~naks:(Seq_set.to_list t.error_log)
+      send_checkpoint t ~enforced:true ~naks:(Seq_set.to_array t.error_log)
   | Frame.Wire.Control _, _ ->
       (* Corrupted control frames are detected and dropped. *)
       ()
@@ -264,7 +265,7 @@ let on_rx t (rx : Channel.Link.rx) =
 
 let next_expected t = t.next_expected
 
-let outstanding_naks t = Seq_set.to_list t.error_log
+let outstanding_naks t = Seq_set.to_array t.error_log
 
 let queue_length t =
   settle t;

@@ -38,13 +38,10 @@ val set_on_deliver : t -> (payload:Frame.Payload.t -> seq:int -> unit) -> unit
 
 val next_expected : t -> int
 
-val outstanding_naks : t -> int list
-(** The NAK ledger, ascending: every sequence number ever found
-    erroneous, plus the current interval's errors — exactly the set an
-    Enforced-NAK would advertise right now. The handover [Carryover]
-    snapshots this at window close; the seqs are only meaningful within
-    this session's numbering, so carryover uses them for accounting, not
-    replay. *)
+val outstanding_naks : t -> int array
+(** The NAK ledger, ascending, in a fresh array: every sequence number
+    ever found erroneous, plus the current interval's errors — exactly
+    the set an Enforced-NAK would advertise right now. *)
 
 val queue_length : t -> int
 (** Current modelled receiving-buffer occupancy. *)

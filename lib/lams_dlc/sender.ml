@@ -133,13 +133,16 @@ let rec trim t =
 (* Physical index of the unresolved entry holding [seq], or -1. Seqs in
    the ring ascend by one except across a [scramble_send_seq] gap, so
    [seq] is first looked for [seq - front] entries from the front; a
-   binary search finds it when a gap lies in between. *)
+   binary search finds it when a gap lies in between. A seq below the
+   front, as most of a checkpoint's repeated NAKs are, is not in the
+   ring at all. *)
 let find t seq =
   let i =
-    if t.ring_len = 0 then 0
+    if t.ring_len = 0 then -1
     else
       let i = seq - t.ring_seq.(t.ring_head) in
-      if i >= 0 && i < t.ring_len && t.ring_seq.(slot t i) = seq then i
+      if i < 0 then -1
+      else if i < t.ring_len && t.ring_seq.(slot t i) = seq then i
       else begin
         let lo = ref 0 and hi = ref t.ring_len in
         while !lo < !hi do
@@ -149,9 +152,11 @@ let find t seq =
         !lo
       end
   in
-  let j = slot t i in
-  if i < t.ring_len && t.ring_seq.(j) = seq && t.ring_slot.(j) <> resolved then j
-  else -1
+  if i < 0 || i >= t.ring_len then -1
+  else begin
+    let j = slot t i in
+    if t.ring_seq.(j) = seq && t.ring_slot.(j) <> resolved then j else -1
+  end
 
 let backlog t = Dlc.Fifo.length t.fresh + Dlc.Fifo.length t.retx + t.live
 
@@ -351,13 +356,12 @@ let queue_retransmission t j seq =
   Dlc.Probe.requeued t.probe ~seq ~payload:t.payloads.(s);
   Dlc.Fifo.push t.retx s
 
-(* A recursive walk, not [List.iter]: no closure per checkpoint. *)
-let rec requeue_naked t = function
-  | [] -> ()
-  | seq :: rest ->
-      let j = find t seq in
-      if j >= 0 then queue_retransmission t j seq;
-      requeue_naked t rest
+let requeue_naked t naks =
+  for k = 0 to Array.length naks - 1 do
+    let seq = Array.unsafe_get naks k in
+    let j = find t seq in
+    if j >= 0 then queue_retransmission t j seq
+  done
 
 (* Stop-Go's "predefined value" (§3.4): each Stop multiplies the rate
    factor by [rate_decrease_factor], down to [min_rate_factor]; each Go
@@ -436,7 +440,7 @@ let on_checkpoint t (cp : Frame.Cframe.checkpoint) =
      receiver never saw them (tail loss). Suspended while halted: a
      regular checkpoint during enforced recovery may carry an already
      expired NAK window, so releases must wait for the Enforced-NAK. *)
-  let changed = ref (cp.Frame.Cframe.naks <> []) in
+  let changed = ref (Array.length cp.Frame.Cframe.naks > 0) in
   if not t.halted then begin
     let horizon =
       cp.Frame.Cframe.issue_time -. Params.t_proc -. coverage_margin

@@ -28,17 +28,10 @@ let send_report t =
      to the first unreported missing number — the sender releases
      everything below the frontier that is not listed, so an unlisted
      missing frame above the clamp would be lost. *)
-  let misses = Int_set.elements t.missing in
-  let rec take n = function
-    | [] -> ([], None)
-    | x :: _ when n = 0 -> ([], Some x)
-    | x :: rest ->
-        let kept, overflow = take (n - 1) rest in
-        (x :: kept, overflow)
-  in
-  let naks, overflow = take max_report_misses misses in
-  let advertised =
-    match overflow with None -> t.frontier | Some first_unreported -> first_unreported
+  let misses = Array.of_list (Int_set.elements t.missing) in
+  let naks, advertised =
+    if Array.length misses <= max_report_misses then (misses, t.frontier)
+    else (Array.sub misses 0 max_report_misses, misses.(max_report_misses))
   in
   let now = Sim.Engine.now t.engine in
   let report =
@@ -50,7 +43,7 @@ let send_report t =
   t.report_seq <- t.report_seq + 1;
   t.reports_sent <- t.reports_sent + 1;
   t.metrics.Dlc.Metrics.control_sent <- t.metrics.Dlc.Metrics.control_sent + 1;
-  if naks <> [] then
+  if Array.length naks > 0 then
     t.metrics.Dlc.Metrics.naks_sent <- t.metrics.Dlc.Metrics.naks_sent + 1;
   Channel.Link.send t.reverse (Frame.Wire.Control report)
 

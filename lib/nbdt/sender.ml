@@ -195,7 +195,7 @@ let release t seq fl =
    acknowledged; the missing list is queued for retransmission. *)
 let on_report t (report : Frame.Cframe.checkpoint) =
   let missing = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace missing s ()) report.Frame.Cframe.naks;
+  Array.iter (fun s -> Hashtbl.replace missing s ()) report.Frame.Cframe.naks;
   let frontier = report.Frame.Cframe.next_expected in
   (* scan outstanding in order up to the frontier, remembering kept seqs
      aside — re-appending them during the scan would revisit them

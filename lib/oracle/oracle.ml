@@ -529,7 +529,7 @@ let on_checkpoint_tx t ~now (cp : Frame.Cframe.checkpoint) =
   | Lams { c_depth; _ } when not cp.Frame.Cframe.enforced ->
       let r = t.regular_cps in
       t.regular_cps <- r + 1;
-      List.iter
+      Array.iter
         (fun seq ->
           let n = Dlc.Int_index.add t.nak_seqs seq in
           if (n + 1) * n_fields > Array.length t.nak_ints then

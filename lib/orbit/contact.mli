@@ -26,7 +26,7 @@ val usable :
 
 val distance_fn : Circular_orbit.t -> Circular_orbit.t -> float -> float
 (** [distance_fn o1 o2] is [fun t -> distance at t], ready for
-    [Channel.Link.create]. *)
+    [Channel.Duplex.create]. *)
 
 val mean_distance :
   Circular_orbit.t -> Circular_orbit.t -> window -> samples:int -> float

@@ -30,7 +30,7 @@ let tag_requeued = 4
 
 let tag_delivered = 5
 
-let tag_cp ~naks = if naks = [] then 13 else 14
+let tag_cp ~naks = if Array.length naks = 0 then 13 else 14
 
 let tag_fault = 19
 
@@ -91,7 +91,8 @@ let kind_fields = function
         ("next_expected", Json.Int next_expected);
         ("enforced", Json.Bool enforced);
         ("stop_go", Json.Bool stop_go);
-        ("naks", Json.List (List.map (fun n -> Json.Int n) naks));
+        ( "naks",
+          Json.List (Array.fold_right (fun n l -> Json.Int n :: l) naks []) );
       ]
   | Probe (Dlc.Probe.State_corrupted { klass; detail }) ->
       [ ("class", Json.String klass); ("detail", Json.String detail) ]
@@ -198,7 +199,7 @@ let kind_of_json j = function
             | None -> None
             | Some items ->
                 let rec ints acc = function
-                  | [] -> Some (List.rev acc)
+                  | [] -> Some (Array.of_list (List.rev acc))
                   | Json.Int n :: rest -> ints (n :: acc) rest
                   | _ -> None
                 in

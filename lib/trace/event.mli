@@ -46,7 +46,7 @@ val tag_requeued : int
 
 val tag_delivered : int
 
-val tag_cp : naks:int list -> int
+val tag_cp : naks:int array -> int
 
 val tag_fault : int
 

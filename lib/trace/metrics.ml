@@ -155,18 +155,15 @@ let requeued t ~at ~seq =
     Outstanding.remove o i
   end
 
-let rec advertise o at = function
-  | [] -> ()
-  | seq :: rest ->
-      let i = Outstanding.add o seq in
-      if Float.is_nan (Array.unsafe_get o.Outstanding.first_nak i) then
-        Array.unsafe_set o.Outstanding.first_nak i (Array.unsafe_get at 0);
-      advertise o at rest
-
 let cp_emitted t ~at ~naks =
   count_tag t (Event.tag_cp ~naks);
-  Stats.Histogram.add t.cp_occupancy (float_of_int (List.length naks));
-  advertise t.outstanding at naks
+  Stats.Histogram.add t.cp_occupancy (float_of_int (Array.length naks));
+  let o = t.outstanding in
+  for k = 0 to Array.length naks - 1 do
+    let i = Outstanding.add o (Array.unsafe_get naks k) in
+    if Float.is_nan (Array.unsafe_get o.Outstanding.first_nak i) then
+      Array.unsafe_set o.Outstanding.first_nak i (Array.unsafe_get at 0)
+  done
 
 let observe t (e : Event.t) =
   let at = t.at in

@@ -36,7 +36,7 @@ val released : t -> at:float array -> seq:int -> unit
 
 val requeued : t -> at:float array -> seq:int -> unit
 
-val cp_emitted : t -> at:float array -> naks:int list -> unit
+val cp_emitted : t -> at:float array -> naks:int array -> unit
 
 val to_json : t -> Bench_report.Json.t
 (** The event total, the per-tag counts and each histogram's summary

@@ -451,8 +451,8 @@ module Receiver = struct
       match kind with
       | Frame.Hframe.Rej | Frame.Hframe.Srej ->
           t.metrics.Dlc.Metrics.naks_sent <- t.metrics.Dlc.Metrics.naks_sent + 1;
-          [ nr ]
-      | Frame.Hframe.Rr -> []
+          [| nr |]
+      | Frame.Hframe.Rr -> [||]
     in
     Dlc.Probe.cp_emitted t.probe ~cp_seq:t.controls_emitted ~next_expected:nr
       ~enforced:false ~stop_go:false ~naks;

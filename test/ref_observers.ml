@@ -57,8 +57,8 @@ module Metrics = struct
         Hashtbl.remove t.first_nak seq;
         Hashtbl.remove t.last_tx seq
     | Trace.Event.Probe (Dlc.Probe.Cp_emitted { naks; _ }) ->
-        Stats.Histogram.add t.cp_occupancy (float_of_int (List.length naks));
-        List.iter
+        Stats.Histogram.add t.cp_occupancy (float_of_int (Array.length naks));
+        Array.iter
           (fun seq ->
             if not (Hashtbl.mem t.first_nak seq) then
               Hashtbl.replace t.first_nak seq e.Trace.Event.time)
@@ -384,7 +384,7 @@ module Oracle = struct
     | Oracle.Lams { c_depth; _ } when not cp.Frame.Cframe.enforced ->
         let r = t.regular_cps in
         t.regular_cps <- r + 1;
-        List.iter
+        Array.iter
           (fun seq ->
             match Hashtbl.find_opt t.nak_runs seq with
             | None -> Hashtbl.replace t.nak_runs seq { last_r = r; count = 1 }

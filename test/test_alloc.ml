@@ -80,7 +80,7 @@ let test_link_send_idle () =
   let engine = Sim.Engine.create () in
   let link =
     Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -97,14 +97,13 @@ let test_rng_draws () =
       ignore (Sim.Rng.int rng 1_000_000 : int))
 
 (* The NAK-marking path: in-order I-frames whose payload failed its CRC,
-   each an append to the current interval and to the error log. The
-   arrivals are built up front, and the calls cover the ledger's growth
-   from empty, amortised. *)
+   each extending the one run of the current interval and of the error
+   log. The arrivals are built up front; the ledger never grows. *)
 let test_receiver_nak_marking () =
   let engine = Sim.Engine.create () in
   let reverse =
     Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -122,12 +121,60 @@ let test_receiver_nak_marking () =
         })
   in
   let next = ref 0 in
-  gate ~warmup ~calls ~what:"Receiver.on_rx (payload corrupt)" ~max_words:1.
+  gate ~warmup ~calls ~what:"Receiver.on_rx (payload corrupt)" ~max_words:0.
     (fun () ->
       Lams_dlc.Receiver.on_rx receiver arrivals.(!next);
       incr next);
   Alcotest.(check int) "every frame NAKed" (warmup + calls)
-    (List.length (Lams_dlc.Receiver.outstanding_naks receiver))
+    (Array.length (Lams_dlc.Receiver.outstanding_naks receiver))
+
+(* A regular checkpoint carrying [k] = 100 NAKs. Each call marks a run
+   of 34, 33 or 33 seqs (a gap closed by a corrupt arrival), so the
+   last [c_depth] = 3 intervals always hold 100 erroneous seqs, and
+   fires one checkpoint: the timer, the end of serialisation and the
+   arrival. The NAK array costs one word per entry and the checkpoint's
+   boxes are spread over the hundred; a list costs three words per
+   entry in cons cells alone. *)
+let three = Some 3
+
+let test_nak_checkpoint () =
+  let k = 100 in
+  let engine = Sim.Engine.create () in
+  let reverse =
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
+      ~iframe_error:Channel.Error_model.perfect
+      ~cframe_error:Channel.Error_model.perfect
+  in
+  let carried = ref 0 in
+  Channel.Link.set_receiver reverse (fun rx ->
+      match rx.Channel.Link.frame with
+      | Frame.Wire.Control (Frame.Cframe.Checkpoint cp) ->
+          carried := Array.length cp.Frame.Cframe.naks
+      | _ -> ());
+  let receiver =
+    Lams_dlc.Receiver.create engine ~params:Lams_dlc.Params.default ~reverse
+      ~metrics:(Dlc.Metrics.create ()) ~probe:(Dlc.Probe.create ())
+  in
+  let warmup = 10 and calls = 1_000 in
+  let payload = Frame.Payload.of_string "corrupt" in
+  let top = ref (-1) in
+  let arrivals =
+    Array.init (warmup + calls) (fun c ->
+        top := !top + (if c mod 3 = 0 then 34 else 33);
+        {
+          Channel.Link.frame =
+            Frame.Wire.Data (Frame.Iframe.create ~seq:!top ~payload);
+          status = Channel.Link.Rx_payload_corrupt;
+        })
+  in
+  let next = ref 0 in
+  gate ~warmup ~calls ~what:"regular checkpoint carrying 100 NAKs"
+    ~max_words:(1.5 *. float_of_int k) (fun () ->
+      Lams_dlc.Receiver.on_rx receiver arrivals.(!next);
+      incr next;
+      Sim.Engine.run ?max_events:three engine);
+  Alcotest.(check int) "the checkpoint carried k NAKs" k !carried
 
 (* A whole session at the paper's operating point: Scenario.default is
    2,000 saturating 1 kB frames at seed 1. The gates are set for the dev
@@ -151,7 +198,7 @@ let test_scenario_words_per_frame ~max_words protocol () =
    them unguarded on every frame. *)
 let test_probe_idle_emits () =
   let probe = Dlc.Probe.create () in
-  let payload = Frame.Payload.of_string "idle" and naks = [ 3; 5 ] in
+  let payload = Frame.Payload.of_string "idle" and naks = [| 3; 5 |] in
   gate ~what:"typed Probe emits, no subscriber" ~max_words:0. (fun () ->
       Dlc.Probe.offered probe payload;
       Dlc.Probe.tx probe ~seq:1 ~payload ~retx:false;
@@ -187,20 +234,20 @@ let test_checked_words_per_frame ~max_words () =
 (* One LAMS frame through the sender: offered, put on the wire, carried
    by the link to a receiver that drops it, and released by a
    checkpoint. The buffer slot, the rings and the engine reuse their
-   storage. In the release build the loop allocates 12 words: the
-   I-frame and its wire box, the departure boxed for the link's
-   [distance_m] closure, by the sender and by the link, and the link's
-   [rx] record; the checkpoint allocates nothing. The dev profile adds
-   the floats boxed at cross-module calls; a sender that allocates per
-   buffered frame (a record, its float array and a queue cell) fails the
-   gate. *)
+   storage. In the release build the loop allocates 8 words: the
+   I-frame and its wire box, and the link's [rx] record. The link is
+   fixed, so the sender's arrival estimate and the link's end of
+   serialisation read its light time and box no departure; the
+   checkpoint allocates nothing. The dev profile adds the floats boxed
+   at cross-module calls; a sender that allocates per buffered frame (a
+   record, its float array and a queue cell) fails the gate. *)
 let two = Some 2
 
 let test_sender_frame_lifecycle ~max_words () =
   let engine = Sim.Engine.create () in
   let forward =
     Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -219,7 +266,7 @@ let test_sender_frame_lifecycle ~max_words () =
           Channel.Link.frame =
             Frame.Wire.Control
               (Frame.Cframe.checkpoint ~cp_seq:i ~issue_time:1e9 ~stop_go:false
-                 ~enforced:false ~next_expected:(i + 1) ~naks:[]);
+                 ~enforced:false ~next_expected:(i + 1) ~naks:[||]);
           status = Channel.Link.Rx_ok;
         })
   in
@@ -242,7 +289,7 @@ let test_checkpoint_stop_go ~max_words () =
   let engine = Sim.Engine.create () in
   let forward =
     Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -257,7 +304,7 @@ let test_checkpoint_stop_go ~max_words () =
           Channel.Link.frame =
             Frame.Wire.Control
               (Frame.Cframe.checkpoint ~cp_seq:i ~issue_time:0.
-                 ~stop_go:(i land 1 = 0) ~enforced:false ~next_expected:0 ~naks:[]);
+                 ~stop_go:(i land 1 = 0) ~enforced:false ~next_expected:0 ~naks:[||]);
           status = Channel.Link.Rx_ok;
         })
   in
@@ -285,7 +332,7 @@ let test_transfer_feedback_emits () =
   Oracle.Transfer.set_convergence transfer ~k:12;
   Oracle.Transfer.observe transfer probe;
   Oracle.Feedback.observe (Oracle.Feedback.create ()) probe;
-  let payload = Frame.Payload.of_string "watched" and naks = [ 3; 5 ] in
+  let payload = Frame.Payload.of_string "watched" and naks = [| 3; 5 |] in
   let synthetic = Workload.Arrivals.default_payload ~size:1024 7 in
   Oracle.Transfer.mark_suspicious transfer payload;
   Oracle.Transfer.mark_suspicious transfer synthetic;
@@ -343,10 +390,10 @@ let suite =
     Alcotest.test_case "engine schedule, cancel and run: 0 words" `Quick
       test_engine_schedule;
     Alcotest.test_case "rng draws: 0 words" `Quick test_rng_draws;
-    Alcotest.test_case "LAMS receiver NAK marking: at most 1 word" `Quick
+    Alcotest.test_case "LAMS receiver NAK marking: at most 0 words" `Quick
       test_receiver_nak_marking;
-    Alcotest.test_case "LAMS session within 61 words per frame" `Quick
-      (test_scenario_words_per_frame ~max_words:61. (fun c ->
+    Alcotest.test_case "LAMS session within 58 words per frame" `Quick
+      (test_scenario_words_per_frame ~max_words:58. (fun c ->
            Experiments.Scenario.Lams (Experiments.Scenario.default_lams_params c)));
     Alcotest.test_case "SR-HDLC session within 59 words per frame" `Quick
       (test_scenario_words_per_frame ~max_words:59. (fun c ->
@@ -356,16 +403,18 @@ let suite =
       test_link_send_idle;
     Alcotest.test_case "typed probe emits, no subscriber: 0 words" `Quick
       test_probe_idle_emits;
-    Alcotest.test_case "checked LAMS session with a recorder within 66 words per frame"
+    Alcotest.test_case "checked LAMS session with a recorder within 63 words per frame"
       `Quick
-      (test_checked_words_per_frame ~max_words:66.);
-    Alcotest.test_case "LAMS frame offered, sent and released: at most 44 words"
+      (test_checked_words_per_frame ~max_words:63.);
+    Alcotest.test_case "LAMS frame offered, sent and released: at most 40 words"
       `Quick
-      (test_sender_frame_lifecycle ~max_words:44.);
+      (test_sender_frame_lifecycle ~max_words:40.);
     Alcotest.test_case "typed probe emits to Transfer and Feedback: 0 words"
       `Quick test_transfer_feedback_emits;
     Alcotest.test_case "NAK-free checkpoint at the sender: 0 words" `Quick
       (test_checkpoint_stop_go ~max_words:0.);
     Alcotest.test_case "Index.add of a seen synthetic payload: 0 words" `Quick
       test_index_seen_synthetic;
+    Alcotest.test_case "regular checkpoint: at most 1.5 words per NAK" `Quick
+      test_nak_checkpoint;
   ]

@@ -191,7 +191,7 @@ let test_fates_allocates_fresh_array () =
 let make_link ?(ber = 0.) ?(distance = 3_000_000.) engine seed =
   Channel.Link.create engine
     ~rng:(Sim.Rng.create ~seed)
-    ~distance_m:(fun _ -> distance) ~data_rate_bps:1e6
+    ~distance:(Channel.Link.Fixed distance) ~data_rate_bps:1e6
     ~iframe_error:(Channel.Error_model.uniform ~ber ())
     ~cframe_error:Channel.Error_model.perfect
 
@@ -310,7 +310,7 @@ let test_control_frames_use_control_model () =
   let link =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:6)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e6
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e6
       ~iframe_error:(Channel.Error_model.uniform ~ber:1.0 ())
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -329,7 +329,7 @@ let test_moving_link_distance () =
   let link =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:7)
-      ~distance_m:(fun t -> 1_000_000. +. (1e9 *. t))
+      ~distance:(Channel.Link.Moving (fun t -> 1_000_000. +. (1e9 *. t)))
       ~data_rate_bps:1e9 ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -347,14 +347,14 @@ let test_moving_link_distance () =
         Alcotest.failf "growing distance not reflected: %g vs %g" a b
   | _ -> Alcotest.fail "expected two arrivals"
 
-(* [n] back-to-back 1 kB frames on a link [distance_m] at 300 Mbit/s:
+(* [n] back-to-back 1 kB frames on a link [distance] at 300 Mbit/s:
    the arrival instant of each frame in the order they arrived, each
    frame's departure instant, and the most events the engine held at
    once while they flew. *)
-let fly ~distance_m ~n =
+let fly ~distance ~n =
   let engine = Sim.Engine.create () in
   let link =
-    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:12) ~distance_m
+    Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:12) ~distance
       ~data_rate_bps:300e6 ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -391,7 +391,7 @@ let fly ~distance_m ~n =
 let test_link_one_pending_arrival () =
   let n = 2_000 in
   let arrivals, departures, peak, link =
-    fly ~distance_m:(fun _ -> 4_000_000.) ~n
+    fly ~distance:(Channel.Link.Fixed 4_000_000.) ~n
   in
   Alcotest.(check (list int)) "FIFO order" (List.init n Fun.id)
     (List.map fst arrivals);
@@ -410,7 +410,7 @@ let test_link_one_pending_arrival () =
 let test_link_fifo_clamp_shrinking () =
   let n = 100 in
   let arrivals, departures, _, link =
-    fly ~distance_m:(fun t -> 4_000_000. -. (1e9 *. t)) ~n
+    fly ~distance:(Channel.Link.Moving (fun t -> 4_000_000. -. (1e9 *. t))) ~n
   in
   Alcotest.(check (list int)) "FIFO order" (List.init n Fun.id)
     (List.map fst arrivals);
@@ -513,7 +513,7 @@ let test_coded_path_clean_roundtrip () =
       data ~seq:5 "clean payload";
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:2 ~issue_time:1.5 ~stop_go:false
-           ~enforced:false ~next_expected:9 ~naks:[ 4; 6 ]);
+           ~enforced:false ~next_expected:9 ~naks:[| 4; 6 |]);
       Frame.Wire.Hdlc_control
         (Frame.Hframe.create ~kind:Frame.Hframe.Srej ~nr:3 ~pf:true);
     ]

@@ -41,7 +41,7 @@ let test_checkpoint_roundtrip () =
   let f =
     Frame.Wire.Control
       (Frame.Cframe.checkpoint ~cp_seq:42 ~issue_time:1.2345 ~stop_go:true
-         ~enforced:false ~next_expected:99 ~naks:[ 3; 17; 64 ])
+         ~enforced:false ~next_expected:99 ~naks:[| 3; 17; 64 |])
   in
   Alcotest.check wire "roundtrip" f (roundtrip f)
 
@@ -49,7 +49,7 @@ let test_enforced_empty_naks_roundtrip () =
   let f =
     Frame.Wire.Control
       (Frame.Cframe.checkpoint ~cp_seq:0 ~issue_time:0. ~stop_go:false
-         ~enforced:true ~next_expected:0 ~naks:[])
+         ~enforced:true ~next_expected:0 ~naks:[||])
   in
   Alcotest.check wire "roundtrip" f (roundtrip f)
 
@@ -70,7 +70,7 @@ let test_size_matches_encoding () =
       data ~seq:1 "abc";
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:1 ~issue_time:0.5 ~stop_go:false
-           ~enforced:false ~next_expected:3 ~naks:[ 1; 2 ]);
+           ~enforced:false ~next_expected:3 ~naks:[| 1; 2 |]);
       Frame.Wire.Control (Frame.Cframe.request_nak ~issue_time:0.1);
       Frame.Wire.Hdlc_control (Frame.Hframe.create ~kind:Frame.Hframe.Rr ~nr:0 ~pf:false);
     ]
@@ -106,7 +106,7 @@ let test_control_corruption_detected () =
   let f =
     Frame.Wire.Control
       (Frame.Cframe.checkpoint ~cp_seq:1 ~issue_time:0.5 ~stop_go:false
-         ~enforced:false ~next_expected:3 ~naks:[ 9 ])
+         ~enforced:false ~next_expected:3 ~naks:[| 9 |])
   in
   let b = encode f in
   flip_bit b 20;
@@ -144,7 +144,7 @@ let gen_frame =
     let* stop_go = bool in
     let* enforced = bool in
     let* next_expected = int_range 0 1_000_000 in
-    let* naks = list_size (int_range 0 40) (int_range 0 1_000_000) in
+    let* naks = array_size (int_range 0 40) (int_range 0 1_000_000) in
     return
       (Frame.Wire.Control
          (Frame.Cframe.checkpoint ~cp_seq ~issue_time ~stop_go ~enforced
@@ -221,7 +221,7 @@ let test_scratch_roundtrip () =
       data ~seq:7 (String.make 3000 'q');
       Frame.Wire.Control
         (Frame.Cframe.checkpoint ~cp_seq:3 ~issue_time:1.5 ~stop_go:false
-           ~enforced:false ~next_expected:4 ~naks:[ 5; 9 ]);
+           ~enforced:false ~next_expected:4 ~naks:[| 5; 9 |]);
       data ~seq:8 "";
     ]
   in
@@ -273,7 +273,7 @@ let checkpoint_with_naks n =
   Frame.Wire.Control
     (Frame.Cframe.checkpoint ~cp_seq:1 ~issue_time:0.5 ~stop_go:false
        ~enforced:true ~next_expected:(n + 1)
-       ~naks:(List.init n (fun i -> i)))
+       ~naks:(Array.init n (fun i -> i)))
 
 let iframe_of_length len =
   Frame.Wire.Data

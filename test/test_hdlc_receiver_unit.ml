@@ -13,7 +13,7 @@ let make ?(mode = Hdlc.Params.Selective_repeat) ?(window = 8) () =
   let reverse =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in

@@ -136,7 +136,7 @@ let show_probe = function
       Printf.sprintf "delivered %d %s" seq (Frame.Payload.to_string payload)
   | Cp_emitted { cp_seq; next_expected; naks; _ } ->
       Printf.sprintf "cp %d nr=%d naks=[%s]" cp_seq next_expected
-        (String.concat ";" (List.map string_of_int naks))
+        (String.concat ";" (Array.to_list (Array.map string_of_int naks)))
   | State_corrupted { klass; detail } ->
       Printf.sprintf "corrupted %s: %s" klass detail
   | Cp_quarantined { cp_seq; reason; distrust } ->

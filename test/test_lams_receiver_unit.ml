@@ -15,7 +15,7 @@ let make ?(w_cp = 1e-3) ?(c_depth = 3) ?(tune = Fun.id) () =
   let reverse =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -58,7 +58,7 @@ let test_clean_stream_empty_naks () =
   arrive h 2;
   run_for h 1.5e-3;
   let cp = latest_cp h in
-  Alcotest.(check (list int)) "no naks" [] cp.Frame.Cframe.naks;
+  Alcotest.(check (array int)) "no naks" [||] cp.Frame.Cframe.naks;
   Alcotest.(check int) "frontier" 3 cp.Frame.Cframe.next_expected
 
 let test_gap_is_naked () =
@@ -68,7 +68,7 @@ let test_gap_is_naked () =
   (* 1 and 2 skipped *)
   run_for h 1.5e-3;
   let cp = latest_cp h in
-  Alcotest.(check (list int)) "gap naks" [ 1; 2 ] cp.Frame.Cframe.naks;
+  Alcotest.(check (array int)) "gap naks" [| 1; 2 |] cp.Frame.Cframe.naks;
   Alcotest.(check int) "frontier past the gap" 4 cp.Frame.Cframe.next_expected
 
 let test_payload_corrupt_naked_and_frontier_advances () =
@@ -78,7 +78,7 @@ let test_payload_corrupt_naked_and_frontier_advances () =
   arrive h 2;
   run_for h 1.5e-3;
   let cp = latest_cp h in
-  Alcotest.(check (list int)) "corrupt frame naked" [ 1 ] cp.Frame.Cframe.naks;
+  Alcotest.(check (array int)) "corrupt frame naked" [| 1 |] cp.Frame.Cframe.naks;
   Alcotest.(check int) "frontier includes it" 3 cp.Frame.Cframe.next_expected
 
 let test_header_corrupt_invisible_until_gap () =
@@ -87,12 +87,12 @@ let test_header_corrupt_invisible_until_gap () =
   arrive h ~status:Channel.Link.Rx_header_corrupt 1;
   run_for h 1.5e-3;
   (* the unidentifiable arrival alone reveals nothing *)
-  Alcotest.(check (list int)) "nothing to nak yet" []
+  Alcotest.(check (array int)) "nothing to nak yet" [||]
     (latest_cp h).Frame.Cframe.naks;
   (* a later identifiable frame reveals the hole *)
   arrive h 2;
   run_for h 1e-3;
-  Alcotest.(check (list int)) "gap detected now" [ 1 ]
+  Alcotest.(check (array int)) "gap detected now" [| 1 |]
     (latest_cp h).Frame.Cframe.naks
 
 let test_cumulation_depth_exactly_c_checkpoints () =
@@ -103,7 +103,7 @@ let test_cumulation_depth_exactly_c_checkpoints () =
   run_for h 4.5e-3;
   (* >= 4 checkpoints have fired by now *)
   let with_nak =
-    List.filter (fun cp -> List.mem 1 cp.Frame.Cframe.naks) !(h.sent)
+    List.filter (fun cp -> Array.mem 1 cp.Frame.Cframe.naks) !(h.sent)
   in
   Alcotest.(check int) "reported exactly c_depth times" 3 (List.length with_nak)
 
@@ -115,7 +115,7 @@ let test_enforced_nak_replays_old_errors () =
   run_for h 10e-3;
   (* far beyond the cumulation window: regular checkpoints no longer
      carry them *)
-  Alcotest.(check (list int)) "window expired" [] (latest_cp h).Frame.Cframe.naks;
+  Alcotest.(check (array int)) "window expired" [||] (latest_cp h).Frame.Cframe.naks;
   (* a Request-NAK forces the complete log back out *)
   Lams_dlc.Receiver.on_rx h.receiver
     {
@@ -128,7 +128,7 @@ let test_enforced_nak_replays_old_errors () =
   match List.find_opt (fun cp -> cp.Frame.Cframe.enforced) !(h.sent) with
   | None -> Alcotest.fail "no enforced checkpoint emitted"
   | Some cp ->
-      Alcotest.(check (list int)) "full log replayed" [ 1; 2; 3; 4 ]
+      Alcotest.(check (array int)) "full log replayed" [| 1; 2; 3; 4 |]
         cp.Frame.Cframe.naks
 
 let test_duplicate_arrival_counted () =
@@ -140,7 +140,7 @@ let test_duplicate_arrival_counted () =
   Alcotest.(check int) "frontier unchanged" 2
     (Lams_dlc.Receiver.next_expected h.receiver);
   run_for h 1.5e-3;
-  Alcotest.(check (list int)) "no naks" [] (latest_cp h).Frame.Cframe.naks
+  Alcotest.(check (array int)) "no naks" [||] (latest_cp h).Frame.Cframe.naks
 
 let test_checkpoint_cadence () =
   let h = make ~w_cp:1e-3 () in
@@ -156,33 +156,120 @@ let test_checkpoint_cadence () =
 
 module Ref = Set.Make (Int)
 
+(* One set's inserts: clustered seqs, ascending runs first (the append
+   and extend-right path), then out-of-order touches of those runs. *)
+type touch =
+  | Below  (** one below a run: extends it on the left *)
+  | Above  (** one above a run: extends it on the right *)
+  | Bridge  (** the gap up to the next run, descending: the last joins them *)
+  | Between  (** the middle of that gap: a run of its own if the gap is wide *)
+  | Inside of int  (** one inside a run: a no-op *)
+
+let gen_inserts ~offset =
+  QCheck2.Gen.(
+    (* (gap, length): each run starts [gap] above the previous one's top *)
+    let* base = list_size (int_range 0 6) (pair (int_range 2 5) (int_range 1 5)) in
+    let runs =
+      Array.of_list
+        (List.rev
+           (fst
+              (List.fold_left
+                 (fun (acc, top) (gap, len) ->
+                   let lo = top + gap in
+                   ((lo, lo + len - 1) :: acc, lo + len - 1))
+                 ([], offset - 1) base)))
+    in
+    let n = Array.length runs in
+    let touch =
+      oneof
+        [
+          pure Below;
+          pure Above;
+          pure Bridge;
+          pure Between;
+          map (fun k -> Inside k) (int_range 0 4);
+        ]
+    in
+    let* touches = list_size (int_range 0 6) (pair (int_range 0 5) touch) in
+    let touched (i, touch) =
+      let i = i mod n in
+      let lo, hi = runs.(i) in
+      (* the next run's least seq; past the last run, a gap of 4 *)
+      let next = if i + 1 < n then fst runs.(i + 1) else hi + 4 in
+      match touch with
+      | Below -> [ lo - 1 ]
+      | Above -> [ hi + 1 ]
+      | Bridge -> List.init (next - hi - 1) (fun k -> next - 1 - k)
+      | Between -> [ (hi + next) / 2 ]
+      | Inside k -> [ lo + (k mod (hi - lo + 1)) ]
+    in
+    let ascending =
+      List.concat_map
+        (fun (lo, hi) -> List.init (hi - lo + 1) (( + ) lo))
+        (Array.to_list runs)
+    in
+    return (if n = 0 then [] else ascending @ List.concat_map touched touches))
+
+(* Up to four sets, oldest first: stacked, each above the ones before it
+   (the concatenation path), or at random offsets that overlap (the
+   merge path). *)
+let gen_ring =
+  QCheck2.Gen.(
+    let* stacked = bool in
+    let* k = int_range 1 4 in
+    let rec sets j top acc =
+      if j = k then return (List.rev acc)
+      else
+        let* offset =
+          if stacked then map (fun gap -> top + 1 + gap) (int_range 0 3)
+          else int_range (-5) 30
+        in
+        let* xs = gen_inserts ~offset in
+        let top = List.fold_left max top xs in
+        sets (j + 1) top (xs :: acc)
+    in
+    let* lists = sets 0 (-1) [] in
+    let* oldest = int_range 0 (k - 1) in
+    return (lists, oldest))
+
 let prop_seq_set_matches_set =
-  (* ascending runs, repeats and inserts below the maximum, in any mix *)
-  let gen_sets =
-    QCheck2.Gen.(
-      list_size (int_range 1 4) (list_size (int_range 0 60) (int_range (-5) 200)))
-  in
-  QCheck2.Test.make ~name:"Seq_set: add, to_list and union equal Set.Make(Int)"
+  QCheck2.Test.make
+    ~name:"Seq_set: add, to_array, length and union equal Set.Make(Int)"
     ~count:1000
-    ~print:QCheck2.Print.(list (list int))
-    gen_sets
-    (fun lists ->
-      let sets =
-        Array.of_list (List.map (fun _ -> Lams_dlc.Seq_set.create ()) lists)
-      in
+    ~print:QCheck2.Print.(pair (list (list int)) int)
+    gen_ring
+    (fun (lists, oldest) ->
+      let module S = Lams_dlc.Seq_set in
+      let sets = Array.of_list (List.map (fun _ -> S.create ()) lists) in
       let refs = Array.make (Array.length sets) Ref.empty in
       List.iteri
         (fun j xs ->
           List.iter
             (fun x ->
-              Lams_dlc.Seq_set.add sets.(j) x;
+              S.add sets.(j) x;
               refs.(j) <- Ref.add x refs.(j);
-              if Lams_dlc.Seq_set.to_list sets.(j) <> Ref.elements refs.(j) then
-                QCheck2.Test.fail_reportf "set %d after adding %d" j x)
+              let expect = Array.of_list (Ref.elements refs.(j)) in
+              let got = S.to_array sets.(j) in
+              if got <> expect || S.length sets.(j) <> Ref.cardinal refs.(j) then
+                QCheck2.Test.fail_reportf "set %d after adding %d" j x;
+              (* a fresh array: writing to it leaves the set alone *)
+              if Array.length got > 0 then got.(0) <- min_int;
+              if S.to_array sets.(j) <> expect then
+                QCheck2.Test.fail_reportf "set %d shares its array" j)
             xs)
         lists;
-      Lams_dlc.Seq_set.union_to_list sets
-      = Ref.elements (Array.fold_left Ref.union Ref.empty refs))
+      let union =
+        Array.of_list (Ref.elements (Array.fold_left Ref.union Ref.empty refs))
+      in
+      (* the ring as listed, oldest at 0, and rotated so the oldest sits
+         at [oldest] *)
+      let k = Array.length sets in
+      let rotated = Array.init k (fun i -> sets.((i - oldest + k) mod k)) in
+      if S.union_to_array sets ~oldest:0 <> union then
+        QCheck2.Test.fail_report "union, ring in age order";
+      if S.union_to_array rotated ~oldest <> union then
+        QCheck2.Test.fail_reportf "union, ring rotated by %d" oldest;
+      true)
 
 (* The reference ledger, in Set.Make(Int) trees: the current interval,
    the last c_depth closed intervals (newest first) and the error log. *)
@@ -201,9 +288,9 @@ let ref_mark r seq =
 let ref_checkpoint r =
   r.history <- List.filteri (fun i _ -> i < r.depth) (r.current :: r.history);
   r.current <- Ref.empty;
-  Ref.elements (List.fold_left Ref.union Ref.empty r.history)
+  Array.of_list (Ref.elements (List.fold_left Ref.union Ref.empty r.history))
 
-let ref_enforced r = Ref.elements (Ref.union r.log r.current)
+let ref_enforced r = Array.of_list (Ref.elements (Ref.union r.log r.current))
 
 type op =
   | Arrive of int * bool  (* next_expected + k, payload intact? *)
@@ -266,9 +353,9 @@ let prop_ledger_matches_reference =
       let last_cp what expect =
         let cp = latest_cp h in
         if cp.Frame.Cframe.naks <> expect then
-          QCheck2.Test.fail_reportf "%s: receiver [%s], reference [%s]" what
-            (String.concat ";" (List.map string_of_int cp.Frame.Cframe.naks))
-            (String.concat ";" (List.map string_of_int expect))
+          QCheck2.Test.fail_reportf "%s: receiver %s, reference %s" what
+            QCheck2.Print.(array int cp.Frame.Cframe.naks)
+            QCheck2.Print.(array int expect)
       in
       let step op =
         (match op with

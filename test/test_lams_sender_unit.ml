@@ -16,7 +16,7 @@ let make () =
   let forward =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -70,7 +70,7 @@ let checkpoint h ?issue_time ~next_expected naks =
       Channel.Link.frame =
         Frame.Wire.Control
           (Frame.Cframe.checkpoint ~cp_seq:0 ~issue_time ~stop_go:false
-             ~enforced:false ~next_expected ~naks);
+             ~enforced:false ~next_expected ~naks:(Array.of_list naks));
       status = Channel.Link.Rx_ok;
     }
 

@@ -13,7 +13,7 @@ let make ?(report_interval = 1e-3) () =
   let reverse =
     Channel.Link.create engine
       ~rng:(Sim.Rng.create ~seed:1)
-      ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+      ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
       ~iframe_error:Channel.Error_model.perfect
       ~cframe_error:Channel.Error_model.perfect
   in
@@ -60,7 +60,7 @@ let test_out_of_order_delivery_and_gap_tracking () =
   Alcotest.(check int) "two missing" 2 (Nbdt.Receiver.missing_count h.receiver);
   run_for h 1.5e-3;
   let cp = latest h in
-  Alcotest.(check (list int)) "report lists the gap" [ 1; 2 ] cp.Frame.Cframe.naks;
+  Alcotest.(check (array int)) "report lists the gap" [| 1; 2 |] cp.Frame.Cframe.naks;
   Alcotest.(check int) "report frontier" 4 cp.Frame.Cframe.next_expected
 
 let test_retransmission_fills_gap_same_number () =
@@ -72,7 +72,7 @@ let test_retransmission_fills_gap_same_number () =
   Alcotest.(check int) "no missing left" 0 (Nbdt.Receiver.missing_count h.receiver);
   Alcotest.(check (list int)) "all delivered" [ 0; 2; 1 ] (List.rev !(h.delivered));
   run_for h 1.5e-3;
-  Alcotest.(check (list int)) "clean report" [] (latest h).Frame.Cframe.naks
+  Alcotest.(check (array int)) "clean report" [||] (latest h).Frame.Cframe.naks
 
 let test_duplicate_dropped () =
   let h = make () in
@@ -100,7 +100,7 @@ let test_capped_report_clamps_frontier () =
      513..599 *)
   run_for h 1.5e-3;
   let cp = latest h in
-  Alcotest.(check (list int)) "first 512 listed" (List.init 512 succ)
+  Alcotest.(check (array int)) "first 512 listed" (Array.init 512 succ)
     cp.Frame.Cframe.naks;
   Alcotest.(check int) "frontier clamped" 513 cp.Frame.Cframe.next_expected
 

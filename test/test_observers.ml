@@ -214,7 +214,7 @@ let test_metrics_long_stream () =
               next_expected = seq;
               enforced = false;
               stop_go = false;
-              naks = List.init (Random.State.int rand 4) (fun k -> seq + (7 * k));
+              naks = Array.init (Random.State.int rand 4) (fun k -> seq + (7 * k));
             }
       | _ -> Dlc.Probe.Delivered { seq; payload }
     in

@@ -437,7 +437,7 @@ let checkpoint probe now =
          next_expected = 0;
          enforced = false;
          stop_go = false;
-         naks = [];
+         naks = [||];
        })
 
 (* The base oracle and the transfer check on one probe, both in
@@ -543,7 +543,7 @@ let test_finalize_time_rule () =
     let engine = Sim.Engine.create () in
     let reverse =
       Channel.Link.create engine ~rng:(Sim.Rng.create ~seed:1)
-        ~distance_m:(fun _ -> 1000.) ~data_rate_bps:1e9
+        ~distance:(Channel.Link.Fixed 1000.) ~data_rate_bps:1e9
         ~iframe_error:Channel.Error_model.perfect
         ~cframe_error:Channel.Error_model.perfect
     in
@@ -555,7 +555,7 @@ let test_finalize_time_rule () =
           (Frame.Wire.Control
              (Frame.Cframe.checkpoint ~cp_seq ~issue_time:0. ~stop_go:false
                 ~enforced:false ~next_expected:0 ~naks)))
-      [ (0, [ 5 ]); (1, []) ];
+      [ (0, [| 5 |]); (1, [||]) ];
     Sim.Engine.run engine;
     if injected then inject probe 1.0;
     checkpoint probe 2.0;

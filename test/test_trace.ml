@@ -22,7 +22,7 @@ let sample_events =
     { Trace.Event.i = 0; time = 0.; kind = Probe (Dlc.Probe.Offered { payload = p "frame-000-xyz" }) };
     { Trace.Event.i = 1; time = 1.5e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = p "p"; retx = false }) };
     { Trace.Event.i = 2; time = 2e-5; kind = Probe (Dlc.Probe.Tx { seq = 3; payload = p "p"; retx = true }) };
-    { Trace.Event.i = 3; time = 0.25; kind = Probe (Dlc.Probe.Cp_emitted { cp_seq = 4; next_expected = 9; enforced = true; stop_go = false; naks = [ 5; 7 ] }) };
+    { Trace.Event.i = 3; time = 0.25; kind = Probe (Dlc.Probe.Cp_emitted { cp_seq = 4; next_expected = 9; enforced = true; stop_go = false; naks = [| 5; 7 |] }) };
     { Trace.Event.i = 4; time = 0.3; kind = Fault { link = "forward"; action = "drop"; frame = "I seq=5" } };
     { Trace.Event.i = 5; time = 0.5; kind = Violation { invariant = "released-undelivered"; detail = "seq 5" } };
   ]
